@@ -107,11 +107,8 @@ def _solve_once(system, args, param_name, value):
             solution, system)
     else:
         ts = np.linspace(0.0, system.curves.horizon, _RESIDUAL_SAMPLES)[1:]
-        rep.residual_sup = float(max(
-            abs(v)
-            for t in ts
-            for v in band_quadrature_residual(
-                system, solution, float(t), panels=_RESIDUAL_PANELS)))
+        rep.residual_sup = float(np.max(np.abs(band_quadrature_residual(
+            system, solution, ts, panels=_RESIDUAL_PANELS))))
     return rep
 
 

@@ -105,49 +105,22 @@ class PsiEvaluator:
         system = lin.system
         n_eq = lin.n_equations
         n_bands = lin.n_bands
-        cuts = None if cuts is None else np.asarray(cuts, dtype=float)
+        plans = quadrature.band_plan(
+            self.times, lin.curves,
+            panels if cuts is None else piece_panels, cuts=cuts)
 
-        starts = [[] for _ in range(n_bands)]
-        ends = [[] for _ in range(n_bands)]
-        absc = [[] for _ in range(n_bands)]
-        tvals = [[] for _ in range(n_bands)]
-        weights = [[] for _ in range(n_bands)]
-        counts = [0] * n_bands
-        for t in self.times:
-            decomp = quadrature.decompose(float(t), lin.curves)
-            for seg in decomp:
-                jj = seg.band - 1
-                starts[jj].append(counts[jj])
-                if not seg.is_empty:
-                    if cuts is None:
-                        pieces = [(seg.lo, seg.hi)]
-                        per_piece = panels
-                    else:
-                        pieces = quadrature.split_interval(seg.lo, seg.hi, cuts)
-                        per_piece = piece_panels
-                    for lo, hi in pieces:
-                        mids, width = quadrature.midpoints(lo, hi, per_piece)
-                        absc[jj].append(mids)
-                        tvals[jj].append(np.full(mids.size, float(t)))
-                        weights[jj].append(np.full(mids.size, width))
-                        counts[jj] += mids.size
-                ends[jj].append(counts[jj])
-
-        self._starts = [np.asarray(s, dtype=int) for s in starts]
-        self._ends = [np.asarray(e, dtype=int) for e in ends]
-        self._absc = [
-            np.concatenate(a) if a else np.empty(0) for a in absc]
-        self._tvals = [
-            np.concatenate(a) if a else np.empty(0) for a in tvals]
-        self._weights = [
-            np.concatenate(a) if a else np.empty(0) for a in weights]
-
-        # iterate-independent values on the plan abscissas
-        self._kernel_vals = []
-        self._gx0_vals = []
-        for j in range(n_bands):
-            s = self._absc[j]
-            tv = self._tvals[j]
+        # per band: the abscissas of time r are _starts[r]:_ends[r]; the
+        # kernel values carry the quadrature weights
+        self._starts, self._ends, self._absc = [], [], []
+        self._kernel_vals, self._gx0_vals = [], []
+        for j, plan in enumerate(plans):
+            s = plan.abscissas
+            ends = np.cumsum(np.bincount(
+                plan.time_index, minlength=self.times.size))
+            self._ends.append(ends)
+            self._starts.append(np.concatenate(([0], ends[:-1])))
+            self._absc.append(s)
+            tv = self.times[plan.time_index]
             comp = lin.unknown_of_band[j]
             x0v = lin.x0.component_values(comp, s) if s.size else s
             krow, grow = [], []
@@ -156,7 +129,7 @@ class PsiEvaluator:
                     system.kernels[i][j](t=tv, s=s), float), s.shape)
                 gv = np.broadcast_to(np.asarray(
                     system.g_x[i][j](s=s, x=x0v), float), s.shape)
-                krow.append(kv * self._weights[j])
+                krow.append(kv * plan.weights)
                 grow.append(gv)
             self._kernel_vals.append(krow)
             self._gx0_vals.append(grow)

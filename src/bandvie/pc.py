@@ -189,73 +189,53 @@ class PCDiscretization:
     def _assemble(self):
         lin = self.lin
         mesh = self.mesh
-        nodes = mesh.nodes
-        n_eq = lin.n_equations
+        times = mesh.nodes[1:]
+        n_steps = mesh.n_segments
         system = lin.system
-        x0 = lin.x0
-        plans = []
-        for k in range(1, mesh.n_segments + 1):
-            tk = float(nodes[k])
-            decomp = quadrature.decompose(tk, lin.curves)
-            band_plans = []
-            for seg in decomp:
-                j = seg.band
-                comp = lin.unknown_of_band[j - 1]
-                a, b = seg.lo, seg.hi
-                l = mesh.segment_index(b) if b > 0.0 else 1
-                lo_unknown = max(float(nodes[l - 1]), a)
-                coeff = np.zeros(n_eq)
-                if b > lo_unknown:
-                    mids, width = quadrature.midpoints(
-                        lo_unknown, b, self.panels)
-                    x0v = x0.component_values(comp, mids)
-                    for i in range(n_eq):
-                        kv = np.broadcast_to(np.asarray(
-                            system.kernels[i][j - 1](t=tk, s=mids), float),
-                            mids.shape)
-                        gv = np.broadcast_to(np.asarray(
-                            system.g_x[i][j - 1](s=mids, x=x0v), float),
-                            mids.shape)
-                        vals = kv * gv
-                        if not np.all(np.isfinite(vals)):
-                            raise SolverError(
-                                f"non-finite frozen kernel in step {k}, band {j}")
-                        coeff[i] = vals.sum() * width
-                hist_hi = float(nodes[l - 1])
-                if hist_hi > a:
-                    pieces = quadrature.split_interval(
-                        a, hist_hi, nodes[(nodes > a) & (nodes < hist_hi)])
-                    hp = self.history_panels
-                    mids_list, widths, segs = [], [], []
-                    for lo_p, hi_p in pieces:
-                        m, w = quadrature.midpoints(lo_p, hi_p, hp)
-                        mids_list.append(m)
-                        widths.append(w)
-                        segs.append(mesh.segment_index(hi_p))
-                    mids_all = np.concatenate(mids_list)
-                    widths = np.asarray(widths)
-                    x0v = x0.component_values(comp, mids_all)
-                    weights = np.empty((n_eq, len(pieces)))
-                    for i in range(n_eq):
-                        kv = np.broadcast_to(np.asarray(
-                            system.kernels[i][j - 1](t=tk, s=mids_all), float),
-                            mids_all.shape)
-                        gv = np.broadcast_to(np.asarray(
-                            system.g_x[i][j - 1](s=mids_all, x=x0v), float),
-                            mids_all.shape)
-                        vals = (kv * gv).reshape(len(pieces), hp)
-                        if not np.all(np.isfinite(vals)):
-                            raise SolverError(
-                                f"non-finite frozen kernel in step {k}, band {j}")
-                        weights[i] = vals.sum(axis=1) * widths
-                    hist_segments = np.asarray(segs, dtype=int)
-                else:
-                    hist_segments = np.empty(0, dtype=int)
-                    weights = np.empty((n_eq, 0))
-                band_plans.append(_BandPlan(
-                    component=comp, segment=l, coeff=coeff,
-                    hist_segments=hist_segments, hist_weights=weights))
-            plans.append(band_plans)
+        edges = quadrature.band_edges(times, lin.curves)
+        # mesh segment l holding alpha_j(t_k); the step value there is unknown
+        segments = mesh.segment_indices(edges[:, 1:])
+        plans = [[] for _ in range(n_steps)]
+        for pieces in quadrature.band_pieces(edges, cuts=mesh.nodes[1:-1]):
+            j = pieces.band
+            comp = lin.unknown_of_band[j - 1]
+            # the last piece of a segment is the unknown range
+            # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
+            # on mesh nodes and carry history
+            last = np.diff(pieces.time_index, append=-1) != 0
+            coeff_plan = quadrature.midpoint_plan(pieces.take(last), self.panels)
+            hist_plan = quadrature.midpoint_plan(pieces.take(~last),
+                                                 self.history_panels)
+            s = np.concatenate((coeff_plan.abscissas, hist_plan.abscissas))
+            step = np.concatenate((coeff_plan.time_index, hist_plan.time_index))
+            tv = times[step]
+            x0v = lin.x0.component_values(comp, s)
+            split = coeff_plan.abscissas.size
+            coeff = np.zeros((n_steps, lin.n_equations))
+            weights = np.empty((lin.n_equations, hist_plan.piece_time.size))
+            for i in range(lin.n_equations):
+                kv = np.broadcast_to(np.asarray(
+                    system.kernels[i][j - 1](t=tv, s=s), float), s.shape)
+                gv = np.broadcast_to(np.asarray(
+                    system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
+                vals = kv * gv
+                bad = ~np.isfinite(vals)
+                if bad.any():
+                    raise SolverError(
+                        f"non-finite frozen kernel in step "
+                        f"{step[np.argmax(bad)] + 1}, band {j}")
+                coeff[coeff_plan.piece_time, i] = coeff_plan.piece_sums(
+                    vals[:split]) * coeff_plan.piece_width
+                weights[i] = hist_plan.piece_sums(
+                    vals[split:]) * hist_plan.piece_width
+            hist_segments = mesh.segment_indices(pieces.hi[~last])
+            bounds = np.searchsorted(hist_plan.piece_time, np.arange(n_steps + 1))
+            for k in range(n_steps):
+                lo, hi = bounds[k], bounds[k + 1]
+                plans[k].append(_BandPlan(
+                    component=comp, segment=int(segments[k, j - 1]),
+                    coeff=coeff[k], hist_segments=hist_segments[lo:hi],
+                    hist_weights=np.ascontiguousarray(weights[:, lo:hi])))
         return plans
 
     def solve(self, rhs):

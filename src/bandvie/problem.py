@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .errors import ProblemDefinitionError
+from .errors import EvaluationError, ProblemDefinitionError
 from .expr import Expression, parse
 
 #: sample count used by validate() for the sampled invariants
@@ -313,6 +313,7 @@ def validate(system, samples=VALIDATION_SAMPLES):
 
 
 def _fd_check(expr, dexpr, points, label, out):
+    failures = []
     for kwargs in points:
         var = kwargs.pop("_wrt")
         lo = dict(kwargs)
@@ -322,7 +323,8 @@ def _fd_check(expr, dexpr, points, label, out):
         try:
             fd = (expr.evaluate(hi) - expr.evaluate(lo)) / (2 * _FD_STEP)
             sym = dexpr.evaluate(kwargs)
-        except Exception:
+        except EvaluationError as exc:
+            failures.append((kwargs, exc))
             continue  # derivative check only applies where both sides evaluate
         if abs(fd - sym) > _FD_TOL * max(1.0, abs(fd)):
             out.append(Diagnostic(
@@ -330,6 +332,13 @@ def _fd_check(expr, dexpr, points, label, out):
                 float(kwargs.get("t", kwargs.get("s", 0.0))),
                 f"symbolic {sym:.8g}, finite difference {fd:.8g}"))
             return
+    if points and len(failures) == len(points):
+        kwargs, exc = failures[0]
+        out.append(Diagnostic(
+            f"derivative of {label} unchecked",
+            float(kwargs.get("t", kwargs.get("s", 0.0))),
+            f"none of the {len(points)} sample points evaluates "
+            f"(first: {exc})"))
 
 
 def _derivative_diagnostics(system, ts):
@@ -460,29 +469,39 @@ class CallableRhs:
 
 
 def band_quadrature_residual(system, solution, t, panels=2000):
-    """Residual of the original equations at time t for a candidate solution.
+    """Residual of the original equations at time(s) t for a candidate solution.
 
     Evaluates sum_j integral K_ij * G_ij(s, x_{u(j)}(s)) ds - f_i(t) with
     band-split composite midpoint quadrature on ``panels`` panels per band
     segment (split further at solution breakpoints), independent of any
-    solver path.
+    solver path.  ``t`` may be a scalar (result shape (n_equations,)) or an
+    array of times (result shape (n_equations,) + t.shape), all integrated
+    in one quadrature plan.
     """
-    segments = quadrature.decompose(t, system.curves)
-    out = -np.array([float(f(t=t)) for f in system.rhs])
-    for seg in segments:
-        if seg.is_empty:
-            continue
-        comp = system.unknown_of_band[seg.band - 1]
-        cuts = solution.breakpoints_in(seg.lo, seg.hi)
-        pieces = quadrature.split_interval(seg.lo, seg.hi, cuts)
-        for lo, hi in pieces:
-            n_panels = max(1, int(round(panels * (hi - lo) / seg.length)))
-            mids, width = quadrature.midpoints(lo, hi, n_panels)
-            xvals = solution.component_values(comp, mids)
-            for i in range(system.n_equations):
-                kern = system.kernels[i][seg.band - 1]
-                g = system.nonlinearities[i][seg.band - 1]
-                kv = np.broadcast_to(np.asarray(kern(t=t, s=mids), float), mids.shape)
-                gv = np.broadcast_to(np.asarray(g(s=mids, x=xvals), float), mids.shape)
-                out[i] += float((kv * gv).sum() * width)
-    return out
+    t = np.asarray(t, dtype=float)
+    times = t.ravel()
+    cuts = solution.breakpoints_in(0.0, float(times.max()))
+    plans = quadrature.band_plan(times, system.curves, panels, cuts=cuts,
+                                 proportional=True)
+    # bincount adds in array order: per time -f_i(t) first, then the piece
+    # integrals band by band and along s, the order of a per-time loop
+    index = [np.arange(times.size)]
+    terms = [[-np.broadcast_to(np.asarray(f(t=times), float), times.shape)]
+             for f in system.rhs]
+    for plan in plans:
+        j = plan.band - 1
+        s = plan.abscissas
+        tv = times[plan.time_index]
+        xvals = solution.component_values(system.unknown_of_band[j], s)
+        index.append(plan.piece_time)
+        for i in range(system.n_equations):
+            kv = np.broadcast_to(np.asarray(
+                system.kernels[i][j](t=tv, s=s), float), s.shape)
+            gv = np.broadcast_to(np.asarray(
+                system.nonlinearities[i][j](s=s, x=xvals), float), s.shape)
+            terms[i].append(plan.piece_sums(kv * gv) * plan.piece_width)
+    index = np.concatenate(index)
+    out = np.vstack([
+        np.bincount(index, weights=np.concatenate(row), minlength=times.size)
+        for row in terms])
+    return out.reshape((system.n_equations,) + t.shape)

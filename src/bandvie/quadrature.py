@@ -4,6 +4,12 @@ The midpoint rule is the only rule used anywhere in the package: every
 integral is split so that no panel straddles a kernel discontinuity or a
 breakpoint of a piecewise-constant iterate, and the smooth pieces are
 integrated with the rule below.
+
+:func:`band_plan` does this for a whole vector of outer times at once:
+:func:`band_edges` evaluates the curves over all times, :func:`band_pieces`
+cuts the band segments, and :func:`midpoint_plan` lays out the abscissas,
+so a caller evaluates each kernel once per band instead of once per time
+and piece.
 """
 
 from __future__ import annotations
@@ -97,6 +103,41 @@ class BandDecomposition:
         return iter(self.segments)
 
 
+def band_edges(times, curves):
+    """Band edges at a vector of outer times; shape (n_times, n_bands + 1).
+
+    Row r holds 0 = e_0 <= e_1 <= ... <= e_n = times[r]: each curve is
+    evaluated once over all times, then clamped so that the band segments
+    (e_{j-1}, e_j] tile (0, t] exactly.
+
+    Raises
+    ------
+    CurveOrderingError
+        If a curve value drops below its predecessor by more than 1e-12;
+        the first offending time (in the order given) is named.
+    """
+    times = np.asarray(times, dtype=float)
+    n = curves.n_bands
+    values = np.empty((times.size, n + 1))
+    values[:, 0] = 0.0
+    for j in range(1, n):
+        values[:, j] = np.broadcast_to(
+            np.asarray(curves.alpha(j, times), dtype=float), times.shape)
+    values[:, n] = times
+    below = values[:, 1:] < values[:, :-1] - ORDER_TOL
+    if below.any():
+        r, j = np.argwhere(below)[0]
+        raise CurveOrderingError(
+            f"curve {j + 1} is below curve {j} at t = {times[r]}: "
+            f"{values[r, j + 1]} < {values[r, j]}"
+        )
+    edges = values.copy()
+    for j in range(1, n):
+        # clamp roundoff so the segments tile (0, t] exactly
+        edges[:, j] = np.minimum(np.maximum(values[:, j], edges[:, j - 1]), times)
+    return edges
+
+
 def decompose(t, curves):
     """Split (0, t] into band segments delimited by the discontinuity curves.
 
@@ -109,22 +150,134 @@ def decompose(t, curves):
     CurveOrderingError
         If a curve value drops below its predecessor by more than 1e-12.
     """
-    n = curves.n_bands
-    values = [0.0]
-    for j in range(1, n):
-        values.append(float(curves.alpha(j, t)))
-    values.append(float(t))
-    for j in range(1, n + 1):
-        if values[j] < values[j - 1] - ORDER_TOL:
-            raise CurveOrderingError(
-                f"curve {j} is below curve {j - 1} at t = {t}: "
-                f"{values[j]} < {values[j - 1]}"
-            )
-    segments = []
-    lo = 0.0
-    for j in range(1, n + 1):
-        # clamp roundoff so the segments tile (0, t] exactly
-        hi = float(t) if j == n else min(max(values[j], lo), float(t))
-        segments.append(BandSegment(lo=lo, hi=hi, band=j))
-        lo = hi
-    return BandDecomposition(t=float(t), segments=tuple(segments))
+    edges = band_edges([float(t)], curves)[0]
+    return BandDecomposition(t=float(t), segments=tuple(
+        BandSegment(lo=float(edges[j - 1]), hi=float(edges[j]), band=j)
+        for j in range(1, curves.n_bands + 1)))
+
+
+@dataclass(frozen=True)
+class BandPieces:
+    """Smooth pieces of one band's segments over a vector of outer times.
+
+    Flat per-piece arrays, ordered by time and then along s; ``seg_length``
+    is the length of the band segment the piece was cut from.
+    """
+
+    band: int  # 1-based band index
+    lo: np.ndarray
+    hi: np.ndarray
+    time_index: np.ndarray
+    seg_length: np.ndarray
+
+    def take(self, mask):
+        """The pieces selected by a boolean mask (or index array)."""
+        return BandPieces(self.band, self.lo[mask], self.hi[mask],
+                          self.time_index[mask], self.seg_length[mask])
+
+
+def band_pieces(edges, cuts=None):
+    """Cut every non-empty band segment at the ``cuts`` strictly inside it.
+
+    ``edges`` comes from :func:`band_edges`.  Returns one
+    :class:`BandPieces` per band.  Without cuts each non-empty segment is
+    one piece; zero-length pieces (repeated cuts) are dropped, as
+    :func:`split_interval` drops them.
+    """
+    cuts = np.sort(np.asarray([] if cuts is None else cuts, dtype=float))
+    padded = np.append(cuts, 0.0)  # keeps the discarded lookups below in range
+    out = []
+    for j in range(1, edges.shape[1]):
+        seg = np.flatnonzero(edges[:, j] > edges[:, j - 1])
+        lo, hi = edges[seg, j - 1], edges[seg, j]
+        first = np.searchsorted(cuts, lo, side="right")
+        count = np.searchsorted(cuts, hi, side="left") - first + 1
+        owner = np.repeat(np.arange(seg.size), count)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        c = first[owner] + k
+        p_lo = np.where(k == 0, lo[owner], padded[c - 1])
+        p_hi = np.where(k == count[owner] - 1, hi[owner], padded[c])
+        keep = p_hi > p_lo
+        owner = owner[keep]
+        out.append(BandPieces(
+            band=j, lo=p_lo[keep], hi=p_hi[keep], time_index=seg[owner],
+            seg_length=hi[owner] - lo[owner]))
+    return out
+
+
+@dataclass(frozen=True)
+class BandPlan:
+    """Composite midpoint abscissas of one band over a vector of outer times.
+
+    Piece p covers ``abscissas[offsets[p]:offsets[p + 1]]``; pieces are
+    ordered by time and then along s.  Every abscissa carries its piece's
+    panel width and the index of its outer time.
+    """
+
+    band: int  # 1-based band index
+    abscissas: np.ndarray
+    weights: np.ndarray
+    time_index: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def piece_time(self):
+        return self.time_index[self.offsets[:-1]]
+
+    @property
+    def piece_width(self):
+        return self.weights[self.offsets[:-1]]
+
+    def piece_sums(self, values):
+        """Sum of ``values`` (one per abscissa) over each piece."""
+        # pieces of equal count are summed as rows of one matrix, which adds
+        # in the same (pairwise) order as summing each piece alone; with one
+        # count for all pieces the matrix is a view
+        counts = np.diff(self.offsets)
+        if counts.size and np.all(counts == counts[0]):
+            return values.reshape(counts.size, counts[0]).sum(axis=1)
+        sums = np.empty(counts.size)
+        for count in np.unique(counts):
+            sel = np.flatnonzero(counts == count)
+            rows = self.offsets[sel, None] + np.arange(count)
+            sums[sel] = values[rows].sum(axis=1)
+        return sums
+
+
+def midpoint_plan(pieces, panels):
+    """Expand pieces into composite midpoint abscissas.
+
+    ``panels`` is a panel count per piece (or one count for all pieces).
+    Each piece gets ``lo + (k + 0.5) * width`` for k < its count, the same
+    numbers :func:`midpoints` gives for that piece alone.
+    """
+    counts = np.broadcast_to(np.asarray(panels, dtype=np.intp), pieces.lo.shape)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    width = (pieces.hi - pieces.lo) / counts
+    weights = np.repeat(width, counts)
+    # in place, in the order lo + ((k + 0.5) * width)
+    x = np.arange(offsets[-1], dtype=float)
+    x -= np.repeat(offsets[:-1], counts)
+    x += 0.5
+    x *= weights
+    x += np.repeat(pieces.lo, counts)
+    return BandPlan(
+        band=pieces.band, abscissas=x, weights=weights,
+        time_index=np.repeat(pieces.time_index, counts), offsets=offsets)
+
+
+def band_plan(times, curves, panels, cuts=None, proportional=False):
+    """Yield one :class:`BandPlan` per band for every integral over (0, t].
+
+    Each band segment at each outer time is cut at the ``cuts`` strictly
+    inside it.  A piece gets ``panels`` midpoint panels, or with
+    ``proportional`` its share ``max(1, rint(panels * len / seg_len))`` of
+    the segment's ``panels``.  Plans are built band by band, so a caller
+    that consumes each before the next holds one band's abscissas at a time.
+    """
+    for pieces in band_pieces(band_edges(times, curves), cuts):
+        counts = panels
+        if proportional:
+            counts = np.maximum(1, np.rint(
+                panels * (pieces.hi - pieces.lo) / pieces.seg_length))
+        yield midpoint_plan(pieces, counts)

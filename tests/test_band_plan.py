@@ -1,0 +1,262 @@
+"""The vectorized band plans against the per-time, per-piece loops they replace.
+
+The ``_loop_*`` functions below are the loop implementations of the residual
+oracle, the pc assembly and the psi plan, kept as references: the vectorized
+results must agree with them to 1e-12 of the integral magnitude (the psi
+plan without cuts must match bit for bit).
+"""
+
+import numpy as np
+import pytest
+
+from bandvie import quadrature
+from bandvie.errors import CurveOrderingError
+from bandvie.newton import PsiEvaluator
+from bandvie.pc import Mesh, PCDiscretization, solve_linear_pc
+from bandvie.problem import (
+    CurveFamily,
+    VolterraSystem,
+    band_quadrature_residual,
+    linearize,
+)
+from bandvie.registry import builtin
+
+RTOL = 1e-12
+
+
+def _loop_residual(system, solution, t, panels=2000):
+    segments = quadrature.decompose(t, system.curves)
+    out = -np.array([float(f(t=t)) for f in system.rhs])
+    for seg in segments:
+        if seg.is_empty:
+            continue
+        comp = system.unknown_of_band[seg.band - 1]
+        cuts = solution.breakpoints_in(seg.lo, seg.hi)
+        pieces = quadrature.split_interval(seg.lo, seg.hi, cuts)
+        for lo, hi in pieces:
+            n_panels = max(1, int(round(panels * (hi - lo) / seg.length)))
+            mids, width = quadrature.midpoints(lo, hi, n_panels)
+            xvals = solution.component_values(comp, mids)
+            for i in range(system.n_equations):
+                kern = system.kernels[i][seg.band - 1]
+                g = system.nonlinearities[i][seg.band - 1]
+                kv = np.broadcast_to(np.asarray(kern(t=t, s=mids), float),
+                                     mids.shape)
+                gv = np.broadcast_to(np.asarray(g(s=mids, x=xvals), float),
+                                     mids.shape)
+                out[i] += float((kv * gv).sum() * width)
+    return out
+
+
+def _frozen(lin, i, j, t, s):
+    system = lin.system
+    x0v = lin.x0.component_values(lin.unknown_of_band[j - 1], s)
+    kv = np.broadcast_to(np.asarray(
+        system.kernels[i][j - 1](t=t, s=s), float), s.shape)
+    gv = np.broadcast_to(np.asarray(
+        system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
+    return kv * gv
+
+
+def _loop_pc_plans(lin, mesh, panels=quadrature.DEFAULT_PANELS, hp=4):
+    """Per step k, per band: (component, segment, coeff, hist segs, hist weights)."""
+    nodes = mesh.nodes
+    n_eq = lin.n_equations
+    plans = []
+    for k in range(1, mesh.n_segments + 1):
+        tk = float(nodes[k])
+        band_plans = []
+        for seg in quadrature.decompose(tk, lin.curves):
+            j = seg.band
+            a, b = seg.lo, seg.hi
+            l = mesh.segment_index(b) if b > 0.0 else 1
+            lo_unknown = max(float(nodes[l - 1]), a)
+            coeff = np.zeros(n_eq)
+            if b > lo_unknown:
+                mids, width = quadrature.midpoints(lo_unknown, b, panels)
+                for i in range(n_eq):
+                    coeff[i] = _frozen(lin, i, j, tk, mids).sum() * width
+            hist_hi = float(nodes[l - 1])
+            segs, weights = [], np.empty((n_eq, 0))
+            if hist_hi > a:
+                pieces = quadrature.split_interval(
+                    a, hist_hi, nodes[(nodes > a) & (nodes < hist_hi)])
+                mids = np.concatenate(
+                    [quadrature.midpoints(lo, hi, hp)[0] for lo, hi in pieces])
+                widths = np.array([(hi - lo) / hp for lo, hi in pieces])
+                segs = [mesh.segment_index(hi) for _, hi in pieces]
+                weights = np.array([
+                    _frozen(lin, i, j, tk, mids).reshape(len(pieces), hp)
+                    .sum(axis=1) * widths for i in range(n_eq)])
+            band_plans.append((lin.unknown_of_band[j - 1], l, coeff,
+                               np.asarray(segs, dtype=int), weights))
+        plans.append(band_plans)
+    return plans
+
+
+def _loop_psi_plan(lin, times, cuts=None, panels=8000, piece_panels=4):
+    """Per band: starts, ends, abscissas, weighted kernels, frozen slopes G'."""
+    out = []
+    for j in range(1, lin.n_bands + 1):
+        starts, ends, absc, tvals, weights = [], [], [], [], []
+        count = 0
+        for t in times:
+            seg = quadrature.decompose(float(t), lin.curves).segments[j - 1]
+            starts.append(count)
+            if not seg.is_empty:
+                if cuts is None:
+                    pieces, per_piece = [(seg.lo, seg.hi)], panels
+                else:
+                    pieces = quadrature.split_interval(seg.lo, seg.hi, cuts)
+                    per_piece = piece_panels
+                for lo, hi in pieces:
+                    mids, width = quadrature.midpoints(lo, hi, per_piece)
+                    absc.append(mids)
+                    tvals.append(np.full(mids.size, float(t)))
+                    weights.append(np.full(mids.size, width))
+                    count += mids.size
+            ends.append(count)
+        s = np.concatenate(absc) if absc else np.empty(0)
+        tv = np.concatenate(tvals) if tvals else np.empty(0)
+        w = np.concatenate(weights) if weights else np.empty(0)
+        x0v = lin.x0.component_values(lin.unknown_of_band[j - 1], s)
+        system = lin.system
+        kern = [np.broadcast_to(np.asarray(
+            system.kernels[i][j - 1](t=tv, s=s), float), s.shape) * w
+            for i in range(lin.n_equations)]
+        slope = [np.broadcast_to(np.asarray(
+            system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
+            for i in range(lin.n_equations)]
+        out.append((np.asarray(starts), np.asarray(ends), s, kern, slope))
+    return out
+
+
+def _repeated_curve_system():
+    """Three bands, the middle one of zero length at every t."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2", "t/2")),
+        kernels=[["1+t+s", "3", "1"], ["1+t-s", "5", "-1"]],
+        nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
+        rhs=["t", "t^2"],
+        unknown_of_band=(1, 1, 2),
+        guess=["1+t", "t"],
+    )
+
+
+@pytest.fixture(scope="module")
+def model01_pc(model01):
+    # N = 16 on [0, 2]: t/2 lands exactly on a mesh node at every even step
+    return solve_linear_pc(model01, n_segments=16)
+
+
+def _scale(system, times):
+    return 1.0 + np.max(np.abs(
+        [np.asarray(f(t=np.asarray(times, float)), float) for f in system.rhs]))
+
+
+def test_residual_matches_loop_for_scalar_and_array_times(model01, model01_pc):
+    times = np.concatenate(([0.0], Mesh.uniform(2.0, 16).nodes[1:],
+                            np.linspace(0.03, 1.97, 9)))
+    for solution in (model01_pc, model01.exact_iterate()):
+        ref = np.array([_loop_residual(model01, solution, float(t))
+                        for t in times]).T
+        batch = band_quadrature_residual(model01, solution, times)
+        assert batch.shape == (2, times.size)
+        tol = RTOL * _scale(model01, times)
+        assert np.max(np.abs(batch - ref)) <= tol
+        for r, t in enumerate(times[::5]):
+            single = band_quadrature_residual(model01, solution, float(t))
+            assert single.shape == (2,)
+            assert np.max(np.abs(single - ref[:, 5 * r])) <= tol
+
+
+def test_residual_with_zero_length_band():
+    system = _repeated_curve_system()
+    times = np.linspace(0.0, 1.0, 11)
+    for solution in (system.guess_iterate(),
+                     solve_linear_pc(system, n_segments=8)):
+        ref = np.array([_loop_residual(system, solution, float(t), panels=300)
+                        for t in times]).T
+        got = band_quadrature_residual(system, solution, times, panels=300)
+        assert np.max(np.abs(got - ref)) <= RTOL * _scale(system, times)
+
+
+@pytest.mark.parametrize("name, n", [("model01", 16), ("model02", 12),
+                                     ("nonlinear-scalar", 10), ("repeated", 8)])
+def test_pc_assembly_matches_loop(name, n):
+    system = _repeated_curve_system() if name == "repeated" else builtin(name)
+    lin = linearize(system)
+    mesh = Mesh.uniform(system.curves.horizon, n)
+    got = PCDiscretization(lin, mesh)._plans
+    ref = _loop_pc_plans(lin, mesh)
+    assert len(got) == len(ref) == n
+    for step_got, step_ref in zip(got, ref):
+        assert len(step_got) == len(step_ref) == system.n_bands
+        for plan, (comp, seg, coeff, hist_segs, hist_w) in zip(step_got,
+                                                               step_ref):
+            assert (plan.component, plan.segment) == (comp, seg)
+            np.testing.assert_array_equal(plan.hist_segments, hist_segs)
+            assert plan.hist_weights.shape == hist_w.shape
+            tol = RTOL * (1.0 + np.abs(coeff).max() + np.abs(hist_w).sum())
+            assert np.max(np.abs(plan.coeff - coeff)) <= tol
+            assert np.max(np.abs(plan.hist_weights - hist_w), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
+def test_psi_plan_without_cuts_is_bit_identical(name):
+    system = _repeated_curve_system() if name == "repeated" else builtin(name)
+    lin = linearize(system)
+    times = np.concatenate(([0.0], np.linspace(0.1, system.curves.horizon, 6)))
+    ev = PsiEvaluator(lin, times, panels=500)
+    for j, (starts, ends, s, kern, slope) in enumerate(
+            _loop_psi_plan(lin, times, panels=500)):
+        np.testing.assert_array_equal(ev._starts[j], starts)
+        np.testing.assert_array_equal(ev._ends[j], ends)
+        np.testing.assert_array_equal(ev._absc[j], s)
+        for i in range(lin.n_equations):
+            np.testing.assert_array_equal(ev._kernel_vals[j][i], kern[i])
+            np.testing.assert_array_equal(ev._gx0_vals[j][i], slope[i])
+
+
+def test_psi_plan_with_mesh_cuts_matches_loop(model01):
+    lin = linearize(model01)
+    mesh = Mesh.uniform(2.0, 16)
+    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    for j, (starts, ends, s, kern, slope) in enumerate(
+            _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])):
+        np.testing.assert_array_equal(ev._starts[j], starts)
+        np.testing.assert_array_equal(ev._ends[j], ends)
+        assert np.max(np.abs(ev._absc[j] - s)) <= RTOL * 2.0
+        for i in range(lin.n_equations):
+            assert np.max(np.abs(ev._kernel_vals[j][i] - kern[i])) <= \
+                RTOL * np.abs(kern[i]).sum()
+            assert np.max(np.abs(ev._gx0_vals[j][i] - slope[i])) <= RTOL
+
+
+def test_band_pieces_drop_zero_length_pieces_like_split_interval():
+    curves = CurveFamily(1.0, ("t/2",))
+    times = np.array([0.0, 0.3, 0.8, 1.0])
+    cuts = np.array([0.25, 0.25, 0.4, 0.5, 0.9])   # a repeated cut
+    pieces = quadrature.band_pieces(quadrature.band_edges(times, curves), cuts)
+    for band in pieces:
+        ref = []
+        for r, t in enumerate(times):
+            seg = quadrature.decompose(t, curves).segments[band.band - 1]
+            ref += [(r, lo, hi)
+                    for lo, hi in quadrature.split_interval(seg.lo, seg.hi, cuts)]
+        got = list(zip(band.time_index, band.lo, band.hi))
+        assert got == ref
+
+
+def test_ordering_error_names_the_first_offending_time():
+    # 2 t^2 stays below t until t = 1/2 and crosses it after
+    curves = CurveFamily(1.0, ("2*t^2",))
+    times = np.array([0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(CurveOrderingError, match=r"at t = 0\.75"):
+        quadrature.band_edges(times, curves)
+    system = VolterraSystem(curves=curves, kernels=[["1", "1"]],
+                            nonlinearities=[["x", "x"]], rhs=["t"],
+                            unknown_of_band=(1, 1))
+    with pytest.raises(CurveOrderingError, match=r"curve 2 is below curve 1 "
+                                                 r"at t = 0\.75"):
+        band_quadrature_residual(system, system.guess_iterate(), times)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +145,32 @@ def test_run_config_without_exact_reports_residual(tmp_path, capsys):
     assert "residual_sup" in rows[0]
     assert rows[0]["residual_sup"] < 1e-3
     assert "eps" not in rows[0]
+
+
+SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
+                  / "bench" / "problems" / "sample_problem.yaml")
+
+
+@pytest.mark.parametrize("method, sweep, expected", [
+    ("pc", "32,64,128", {32: 3.4750042571494305e-04,
+                         64: 8.782187732024084e-05,
+                         128: 2.0854884804043673e-05}),
+    ("collocation", "2,4,6,8", {2: 2.441406299347193e-09,
+                                4: 2.441406299347193e-09,
+                                6: 2.441406299347193e-09,
+                                8: 2.4414062438360418e-09}),
+])
+def test_study_residuals_of_the_sample_problem_are_pinned(
+        method, sweep, expected, capsys):
+    # the residual oracle integrates all 50 sample times in one plan; these
+    # are the values of the per-time loop it replaced
+    code = main(["study", "--config", str(SAMPLE_PROBLEM), "--method", method,
+                 "--sweep", sweep, "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    param = "N" if method == "pc" else "m"
+    assert [r[param] for r in rows] == list(expected)
+    for row in rows:
+        assert row["iterations"] == 2
+        assert row["residual_sup"] == pytest.approx(expected[row[param]],
+                                                    rel=1e-8)

@@ -3,6 +3,7 @@ import pytest
 
 from bandvie.config import load_problem, problem_from_mapping
 from bandvie.errors import ProblemDefinitionError
+from bandvie.expr import parse
 from bandvie.problem import (
     CurveFamily,
     ExpressionIterate,
@@ -115,6 +116,45 @@ def test_validate_flags_component_count_mismatch(model01):
     )
     diags = validate(broken)
     assert any("map" in str(d) for d in diags)
+
+
+def _with_band2_derivative(model01, g, dg=None):
+    """model01 with G_1,2 = g and, when given, a stored derivative dg."""
+    system = VolterraSystem(
+        curves=model01.curves,
+        kernels=model01.kernels,
+        nonlinearities=[["x", g], ["x", "x"]],
+        rhs=model01.rhs,
+    )
+    if dg is not None:
+        dg = parse(dg) if isinstance(dg, str) else dg
+        system.g_x = ((system.g_x[0][0], dg), system.g_x[1])
+    return system
+
+
+def test_validate_flags_derivative_check_that_never_evaluates(model01):
+    # log(x - 5) is undefined at every sample x in [-1.5, 1.5], so no point
+    # can expose the wrong derivative 17
+    diags = validate(_with_band2_derivative(model01, "log(x-5)", "17"))
+    assert [d.condition for d in diags] == ["derivative of G_1,2 unchecked"]
+    assert "log of non-positive" in str(diags[0])
+
+
+def test_validate_checks_the_points_that_evaluate(model01):
+    # sqrt(x) fails at the negative samples only; the others still compare
+    assert validate(_with_band2_derivative(model01, "sqrt(x)")) == []
+    diags = validate(_with_band2_derivative(model01, "sqrt(x)", "17"))
+    assert len(diags) == 1
+    assert "G_1,2 disagrees" in diags[0].condition
+
+
+def test_derivative_check_lets_unexpected_errors_through(model01):
+    class Broken:
+        def evaluate(self, bindings):
+            raise TypeError("not an expression")
+
+    with pytest.raises(TypeError, match="not an expression"):
+        validate(_with_band2_derivative(model01, "x", Broken()))
 
 
 def test_linearize_linear_system_freezes_to_plain_kernels(model01):
