@@ -4,109 +4,40 @@ jump across a family of curves.
 The outer iteration freezes the operator derivative at an initial guess;
 the linear systems it produces are solved either by direct piecewise-
 constant discretization on a node grid or by polynomial collocation.
+The names below are the entry points; everything else lives in the
+submodules (``bandvie.pc``, ``bandvie.collocation``, ``bandvie.newton``,
+...).
 """
 
-from .collocation import (
-    CollocationDiscretization,
-    PolynomialSolution,
-    collocation_nodes,
-    eval_poly,
-    moment,
-    rhs_entry,
-    solve_linear_collocation,
-)
-from .config import load_problem, problem_from_mapping
+from .collocation import solve_linear_collocation
+from .config import load_problem
 from .errors import BandvieError
-from .expr import Expression, differentiate, evaluate, parse
-from .linalg import lu_solve, residual
-from .newton import (
-    IterationRecord,
-    IterationReport,
-    correction_norm,
-    iterate,
-    psi,
-)
-from .pc import (
-    Mesh,
-    PCDiscretization,
-    PiecewiseConstantSolution,
-    eval_pc,
-    initial_values,
-    segment_index,
-    solve_linear_pc,
-)
+from .newton import iterate
+from .pc import solve_linear_pc
 from .problem import (
-    CallableRhs,
     CurveFamily,
-    ExpressionIterate,
-    ExpressionRhs,
-    LinearizedSystem,
     VolterraSystem,
     band_quadrature_residual,
-    linearize,
     validate,
 )
-from .quadrature import BandDecomposition, BandSegment, composite_midpoint, decompose
 from .registry import builtin, list_builtins
-from .report import (
-    SolveReport,
-    format_table,
-    measure_errors,
-    report_rows,
-    to_csv,
-    to_json,
-)
+from .report import SolveReport, format_table, measure_errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandDecomposition",
-    "BandSegment",
     "BandvieError",
-    "CallableRhs",
-    "CollocationDiscretization",
     "CurveFamily",
-    "Expression",
-    "ExpressionIterate",
-    "ExpressionRhs",
-    "IterationRecord",
-    "IterationReport",
-    "LinearizedSystem",
-    "Mesh",
-    "PCDiscretization",
-    "PiecewiseConstantSolution",
-    "PolynomialSolution",
     "SolveReport",
     "VolterraSystem",
     "band_quadrature_residual",
     "builtin",
-    "collocation_nodes",
-    "composite_midpoint",
-    "correction_norm",
-    "decompose",
-    "differentiate",
-    "eval_pc",
-    "eval_poly",
-    "evaluate",
     "format_table",
-    "initial_values",
     "iterate",
-    "linearize",
     "list_builtins",
     "load_problem",
-    "lu_solve",
     "measure_errors",
-    "moment",
-    "parse",
-    "problem_from_mapping",
-    "psi",
-    "report_rows",
-    "residual",
-    "rhs_entry",
-    "segment_index",
     "solve_linear_collocation",
     "solve_linear_pc",
-    "to_csv",
-    "to_json",
     "validate",
 ]

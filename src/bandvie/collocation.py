@@ -20,7 +20,6 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import LUFactorization, refined_solve
-from .pc import initial_values
 from .problem import ExpressionRhs, VolterraSystem, linearize
 
 #: midpoint panels per band segment for moment integrals; the error tables
@@ -78,65 +77,12 @@ class PolynomialSolution:
         return np.empty(0)
 
 
-def eval_poly(solution, i, t):
-    """Horner evaluation of component i at time t."""
-    return float(solution.component_values(i, float(t)))
-
-
-def _frozen_band_values(lin, i, j, tk, mids):
-    """Frozen kernel values Ktilde_ij(tk, mids) without per-call closures."""
-    system = lin.system
-    comp = lin.unknown_of_band[j - 1]
-    x0v = lin.x0.component_values(comp, mids)
-    kv = np.broadcast_to(np.asarray(
-        system.kernels[i - 1][j - 1](t=tk, s=mids), float), mids.shape)
-    gv = np.broadcast_to(np.asarray(
-        system.g_x[i - 1][j - 1](s=mids, x=x0v), float), mids.shape)
-    vals = kv * gv
-    if not np.all(np.isfinite(vals)):
-        raise SolverError(
-            f"non-finite frozen kernel at t = {tk}, band {j}")
-    return vals
-
-
-def moment(i, k, j, l, lin, nodes, panels=DEFAULT_MOMENT_PANELS):
-    """Moment integral of the frozen kernel against s^l over band j at t_k.
-
-    ``nodes`` is the collocation node array; k and l are 1-based.
-    """
-    tk = float(nodes[k - 1])
-    seg = quadrature.decompose(tk, lin.curves).segments[j - 1]
-    if seg.is_empty:
-        return 0.0
-    mids, width = quadrature.midpoints(seg.lo, seg.hi, panels)
-    vals = _frozen_band_values(lin, i, j, tk, mids)
-    return float((vals * mids ** l).sum() * width)
-
-
-def rhs_entry(i, k, lin, rhs, a0, nodes, panels=DEFAULT_MOMENT_PANELS):
-    """Right-hand side entry F_ik: rhs_i(t_k) minus the known constant part.
-
-    ``rhs`` is f for a plain linear solve and the iteration right-hand side
-    inside the outer loop; ``a0`` holds the start values per component.
-    """
-    tk = float(nodes[k - 1])
-    value = float(np.asarray(rhs.values(np.asarray([tk])))[i - 1, 0])
-    a0 = np.asarray(a0, dtype=float)
-    for seg in quadrature.decompose(tk, lin.curves):
-        if seg.is_empty:
-            continue
-        mids, width = quadrature.midpoints(seg.lo, seg.hi, panels)
-        vals = _frozen_band_values(lin, i, seg.band, tk, mids)
-        value -= a0[lin.unknown_of_band[seg.band - 1] - 1] * float(
-            vals.sum() * width)
-    return value
-
-
 class CollocationDiscretization:
     """Moment system assembled once; solve() consumes right-hand sides.
 
     The matrix (and its factorization) is shared across outer iterations,
-    matching the frozen linear operator of the iteration.
+    matching the frozen linear operator of the iteration; so is the
+    start-value factorization behind the constant coefficients.
     """
 
     def __init__(self, lin, degree, panels=DEFAULT_MOMENT_PANELS):
@@ -167,8 +113,9 @@ class CollocationDiscretization:
                 comp = lin.unknown_of_band[j - 1]
                 mids, width = quadrature.midpoints(seg.lo, seg.hi, self.panels)
                 scaled = mids / self.scale
+                kvs, gvs = lin.frozen_factors(j, tk, mids)
                 for i in range(1, n_eq + 1):
-                    vals = _frozen_band_values(lin, i, j, tk, mids)
+                    vals = kvs[i - 1] * gvs[i - 1]
                     zeroth[i - 1, k - 1, j - 1] += float(vals.sum() * width)
                     row = flatten_index(i, k, m)
                     power = scaled.copy()
@@ -199,7 +146,7 @@ class CollocationDiscretization:
         m = self.degree
         n_eq = lin.n_equations
         n_comp = lin.n_components
-        a0 = initial_values(lin, rhs)
+        a0 = lin.start_values(rhs.derivative_at_zero())
         psi = np.asarray(rhs.values(self.nodes), dtype=float)
         if psi.shape != (n_eq, m):
             raise SolverError(

@@ -511,6 +511,7 @@ class Expression:
             return self._compiled(t=t, s=s, x=x)
 
     def diff(self, wrt):
+        """Exact symbolic derivative with respect to ``t``, ``s`` or ``x``."""
         if wrt not in VARIABLES:
             raise ValueError(f"cannot differentiate with respect to {wrt!r}")
         return Expression(_diff_node(self._root, wrt))
@@ -533,13 +534,3 @@ def parse(text):
     if not isinstance(text, str) or not text.strip():
         raise ExpressionSyntaxError("empty expression", 0)
     return Expression(_Parser(text).parse())
-
-
-def evaluate(e, bindings):
-    """Checked evaluation of ``e`` with a name -> value mapping."""
-    return e.evaluate(bindings)
-
-
-def differentiate(e, wrt):
-    """Exact symbolic derivative of ``e`` with respect to ``t``, ``s`` or ``x``."""
-    return e.diff(wrt)

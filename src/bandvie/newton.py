@@ -103,7 +103,6 @@ class PsiEvaluator:
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
         system = lin.system
-        n_eq = lin.n_equations
         n_bands = lin.n_bands
         plans = quadrature.band_plan(
             self.times, lin.curves,
@@ -121,31 +120,16 @@ class PsiEvaluator:
             self._starts.append(np.concatenate(([0], ends[:-1])))
             self._absc.append(s)
             tv = self.times[plan.time_index]
-            comp = lin.unknown_of_band[j]
-            x0v = lin.x0.component_values(comp, s) if s.size else s
-            krow, grow = [], []
-            for i in range(n_eq):
-                kv = np.broadcast_to(np.asarray(
-                    system.kernels[i][j](t=tv, s=s), float), s.shape)
-                gv = np.broadcast_to(np.asarray(
-                    system.g_x[i][j](s=s, x=x0v), float), s.shape)
-                krow.append(kv * plan.weights)
-                grow.append(gv)
-            self._kernel_vals.append(krow)
-            self._gx0_vals.append(grow)
+            kvs, gvs = lin.frozen_factors(j + 1, tv, s)
+            self._kernel_vals.append([kv * plan.weights for kv in kvs])
+            self._gx0_vals.append(gvs)
 
         self._f_vals = np.vstack([
             np.broadcast_to(np.asarray(f(t=self.times), float),
                             self.times.shape)
             for f in system.rhs])
         self._fp0 = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
-        self._k00 = np.array([
-            [float(system.kernels[i][j](t=0.0, s=0.0))
-             for j in range(n_bands)] for i in range(n_eq)])
-        self._gx0_at0 = np.array([
-            [float(system.g_x[i][j](
-                s=0.0, x=lin.x0.value_at_zero(lin.unknown_of_band[j])))
-             for j in range(n_bands)] for i in range(n_eq)])
+        self._k00, self._gx0_at0 = lin.origin_factors
         slopes = [float(lin.curves.alpha_prime(j, 0.0))
                   for j in range(n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))

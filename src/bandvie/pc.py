@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
-from .linalg import LUFactorization, residual
+from .linalg import LUFactorization
 from .problem import ExpressionRhs, VolterraSystem, linearize
 
 #: panels for the per-piece history integrals (each piece spans at most one
@@ -76,11 +76,6 @@ class Mesh:
         return np.clip(idx, 1, self.n_segments)
 
 
-def segment_index(mesh, v):
-    """Module-level alias for :meth:`Mesh.segment_index`."""
-    return mesh.segment_index(v)
-
-
 class PiecewiseConstantSolution:
     """Step-function solution: start values at t = 0 plus one value per segment."""
 
@@ -106,14 +101,6 @@ class PiecewiseConstantSolution:
         return nodes[(nodes > lo) & (nodes < hi)]
 
 
-def eval_pc(solution, i, t):
-    """Value of component i at time t (start value exactly at t = 0)."""
-    t = float(t)
-    if t < 0.0 or t > solution.mesh.horizon * (1 + 1e-12):
-        raise ValueError(f"{t} outside [0, {solution.mesh.horizon}]")
-    return float(solution.component_values(i, np.asarray([t]))[0])
-
-
 def initial_values(lin, rhs=None):
     """Start values x(0) from the differentiated equations at t = 0.
 
@@ -128,21 +115,7 @@ def initial_values(lin, rhs=None):
         rhs = ExpressionRhs(system) if rhs is None else rhs
     elif rhs is None:
         rhs = ExpressionRhs(lin.system)
-    mat = lin.start_value_matrix()
-    if mat.shape[0] != mat.shape[1]:
-        raise SolverError(
-            f"start-value system is {mat.shape[0]}x{mat.shape[1]}; "
-            f"the band-to-unknown map must give one component per equation"
-        )
-    try:
-        fact = LUFactorization(mat)
-    except SingularMatrixError as exc:
-        raise SolverError(
-            "start-value system at t = 0 is singular; the problem data "
-            "violate the unique-solvability assumption for the initial "
-            f"values ({exc})"
-        ) from exc
-    return fact.solve(rhs.derivative_at_zero())
+    return lin.start_values(rhs.derivative_at_zero())
 
 
 @dataclass
@@ -157,10 +130,10 @@ class _BandPlan:
 class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 
-    Everything that does not depend on the right-hand side (the start-value
-    matrix, per-step coefficient integrals, history piece weights) is
-    assembled once here; :meth:`solve` then only consumes a right-hand side,
-    so an outer iteration reuses the same operator at every step.
+    Everything that does not depend on the right-hand side (per-step
+    coefficient integrals, history piece weights) is assembled once here;
+    :meth:`solve` then only consumes a right-hand side, so an outer
+    iteration reuses the same operator at every step.
     """
 
     def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS,
@@ -171,19 +144,6 @@ class PCDiscretization:
         self.mesh = mesh
         self.panels = int(panels)
         self.history_panels = int(history_panels)
-        self._start_matrix = lin.start_value_matrix()
-        if self._start_matrix.shape[0] != self._start_matrix.shape[1]:
-            raise SolverError(
-                f"start-value system is {self._start_matrix.shape[0]}x"
-                f"{self._start_matrix.shape[1]}; cannot be solved"
-            )
-        try:
-            self._start_fact = LUFactorization(self._start_matrix)
-        except SingularMatrixError as exc:
-            raise SolverError(
-                "start-value system at t = 0 is singular; the problem data "
-                f"violate the unique-solvability assumption ({exc})"
-            ) from exc
         self._plans = self._assemble()
 
     def _assemble(self):
@@ -191,7 +151,6 @@ class PCDiscretization:
         mesh = self.mesh
         times = mesh.nodes[1:]
         n_steps = mesh.n_segments
-        system = lin.system
         edges = quadrature.band_edges(times, lin.curves)
         # mesh segment l holding alpha_j(t_k); the step value there is unknown
         segments = mesh.segment_indices(edges[:, 1:])
@@ -209,21 +168,12 @@ class PCDiscretization:
             s = np.concatenate((coeff_plan.abscissas, hist_plan.abscissas))
             step = np.concatenate((coeff_plan.time_index, hist_plan.time_index))
             tv = times[step]
-            x0v = lin.x0.component_values(comp, s)
             split = coeff_plan.abscissas.size
             coeff = np.zeros((n_steps, lin.n_equations))
             weights = np.empty((lin.n_equations, hist_plan.piece_time.size))
+            kvs, gvs = lin.frozen_factors(j, tv, s)
             for i in range(lin.n_equations):
-                kv = np.broadcast_to(np.asarray(
-                    system.kernels[i][j - 1](t=tv, s=s), float), s.shape)
-                gv = np.broadcast_to(np.asarray(
-                    system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
-                vals = kv * gv
-                bad = ~np.isfinite(vals)
-                if bad.any():
-                    raise SolverError(
-                        f"non-finite frozen kernel in step "
-                        f"{step[np.argmax(bad)] + 1}, band {j}")
+                vals = kvs[i] * gvs[i]
                 coeff[coeff_plan.piece_time, i] = coeff_plan.piece_sums(
                     vals[:split]) * coeff_plan.piece_width
                 weights[i] = hist_plan.piece_sums(
@@ -244,12 +194,7 @@ class PCDiscretization:
         mesh = self.mesh
         n_eq = lin.n_equations
         n_comp = lin.n_components
-        d0 = np.asarray(rhs.derivative_at_zero(), dtype=float)
-        start = self._start_fact.solve(d0)
-        r = residual(self._start_matrix, start, d0)
-        if r > 1e-10 * max(1.0, float(np.max(np.abs(d0)))):
-            start = start + self._start_fact.solve(
-                d0 - self._start_matrix @ start)
+        start = lin.start_values(rhs.derivative_at_zero())
 
         rhs_values = np.asarray(rhs.values(mesh.nodes[1:]), dtype=float)
         if rhs_values.shape != (n_eq, mesh.n_segments):

@@ -20,12 +20,19 @@ which is the operator inverted at every outer iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import quadrature
-from .errors import EvaluationError, ProblemDefinitionError
+from .errors import (
+    EvaluationError,
+    ProblemDefinitionError,
+    SingularMatrixError,
+    SolverError,
+)
 from .expr import Expression, parse
+from .linalg import LUFactorization, refined_solve
 
 #: sample count used by validate() for the sampled invariants
 VALIDATION_SAMPLES = 1000
@@ -170,11 +177,6 @@ class VolterraSystem:
     @property
     def n_bands(self):
         return self.curves.n_bands
-
-    @property
-    def n(self):
-        """Number of bands (equals the number of equations for square systems)."""
-        return self.n_bands
 
     @property
     def horizon(self):
@@ -366,7 +368,8 @@ class LinearizedSystem:
     """Kernels frozen along an initial guess, ready for the inner solvers.
 
     The frozen kernels depend only on X0 and never change while the outer
-    iteration runs; only the right-hand side is rebuilt per iteration.
+    iteration runs; only the right-hand side is rebuilt per iteration, and
+    the start-value system is factorized once.
     """
 
     def __init__(self, system, x0):
@@ -378,29 +381,56 @@ class LinearizedSystem:
         self.n_bands = system.n_bands
         self.n_components = system.n_components
 
-    def frozen_kernel(self, i, j):
-        """Callable (t, s-array) -> K_ij(t, s) * G'_ij(s, x0_{u(j)}(s)); 1-based i, j."""
-        kernel = self.system.kernels[i - 1][j - 1]
-        gx = self.system.g_x[i - 1][j - 1]
-        comp = self.unknown_of_band[j - 1]
-        x0 = self.x0
+    def frozen_factors(self, j, t, s):
+        """K_ij(t, s) and dG_ij/dx(s, x0_{u(j)}(s)) on band j, for every i.
 
-        def ktilde(t, s):
-            s = np.asarray(s, dtype=float)
-            x0_vals = x0.component_values(comp, s)
-            return (np.broadcast_to(np.asarray(kernel(t=t, s=s), float), s.shape)
-                    * np.broadcast_to(np.asarray(gx(s=s, x=x0_vals), float), s.shape))
+        Every value of the frozen kernel Ktilde_ij, their product, comes
+        from here.  ``s`` is a flat array of abscissas and ``t`` the outer
+        times, a scalar or an array of the same shape; the guess x0 is
+        evaluated once for all equations.  Returns two lists indexed by
+        equation, the K values and the dG/dx values.  Callers choose where
+        to multiply, so a quadrature weight can be folded into K first.
 
-        return ktilde
-
-    def frozen_kernel_at_origin(self):
-        """Matrix of Ktilde_ij(0, 0), shape (n_equations, n_bands)."""
-        out = np.empty((self.n_equations, self.n_bands))
-        zero = np.zeros(1)
+        Raises
+        ------
+        SolverError
+            If K * dG/dx is non-finite; the equation, the band and the
+            first bad outer time are named.
+        """
+        s = np.asarray(s, dtype=float)
+        x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
+        kvs, gvs = [], []
         for i in range(self.n_equations):
-            for j in range(self.n_bands):
-                out[i, j] = self.frozen_kernel(i + 1, j + 1)(0.0, zero)[0]
-        return out
+            kv = np.broadcast_to(np.asarray(
+                self.system.kernels[i][j - 1](t=t, s=s), float), s.shape)
+            gv = np.broadcast_to(np.asarray(
+                self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
+            with np.errstate(all="ignore"):
+                bad = ~np.isfinite(kv * gv)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise SolverError(
+                    f"non-finite frozen kernel in equation {i + 1}, band {j} "
+                    f"at t = {float(np.broadcast_to(t, s.shape)[k]):.6g}, "
+                    f"s = {float(s[k]):.6g}")
+            kvs.append(kv)
+            gvs.append(gv)
+        return kvs, gvs
+
+    @cached_property
+    def origin_factors(self):
+        """:meth:`frozen_factors` at t = s = 0, as two (n_eq, n_bands) arrays.
+
+        Evaluated once; the start-value matrix and the psi plan share them.
+        """
+        zero = np.zeros(1)
+        k00 = np.empty((self.n_equations, self.n_bands))
+        gx00 = np.empty_like(k00)
+        for j in range(self.n_bands):
+            kvs, gvs = self.frozen_factors(j + 1, 0.0, zero)
+            k00[:, j] = [kv[0] for kv in kvs]
+            gx00[:, j] = [gv[0] for gv in gvs]
+        return k00, gx00
 
     def start_value_matrix(self):
         """Coefficient matrix of the start-value system at t = 0.
@@ -408,14 +438,41 @@ class LinearizedSystem:
         Entry (i, u) accumulates Ktilde_ij(0,0) * (alpha'_j(0) - alpha'_{j-1}(0))
         over the bands j mapped to component u.
         """
-        k00 = self.frozen_kernel_at_origin()
+        k00, gx00 = self.origin_factors
+        ktilde = k00 * gx00
         slopes = [float(self.curves.alpha_prime(j, 0.0))
                   for j in range(self.n_bands + 1)]
         mat = np.zeros((self.n_equations, self.n_components))
         for j in range(self.n_bands):
             dal = slopes[j + 1] - slopes[j]
-            mat[:, self.unknown_of_band[j] - 1] += k00[:, j] * dal
+            mat[:, self.unknown_of_band[j] - 1] += ktilde[:, j] * dal
         return mat
+
+    @cached_property
+    def _start_factorization(self):
+        mat = self.start_value_matrix()
+        if mat.shape[0] != mat.shape[1]:
+            raise SolverError(
+                f"start-value system is {mat.shape[0]}x{mat.shape[1]}; "
+                f"the band-to-unknown map must give one component per equation"
+            )
+        try:
+            return mat, LUFactorization(mat)
+        except SingularMatrixError as exc:
+            raise SolverError(
+                "start-value system at t = 0 is singular; the problem data "
+                "violate the unique-solvability assumption for the initial "
+                f"values ({exc})"
+            ) from exc
+
+    def start_values(self, derivative_at_zero):
+        """Start values x(0) for a right-hand side with the given d/dt at 0.
+
+        The start-value matrix is built and factorized on the first call
+        and reused by every later one.
+        """
+        mat, fact = self._start_factorization
+        return refined_solve(fact, mat, derivative_at_zero)
 
 
 def linearize(system, x0=None):

@@ -70,11 +70,6 @@ def split_interval(lo, hi, cuts):
     return [(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def integrate_pieces(f, pieces):
-    """Sum of composite midpoint integrals over (lo, hi, panels) triples."""
-    return sum(composite_midpoint(f, lo, hi, panels) for lo, hi, panels in pieces)
-
-
 @dataclass(frozen=True)
 class BandSegment:
     """One band's slice of the integration range (0, t] at a fixed outer time."""

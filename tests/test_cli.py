@@ -72,6 +72,35 @@ def test_run_solver_error_exits_3(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+SQRT_AT_ZERO_YAML = """\
+n: 2
+T: 2.0
+alpha: ["t/2"]
+K:
+  - ["1+t+s", "1"]
+  - ["1+t-s", "-1"]
+G:
+  - ["sqrt(x)", "x"]
+  - ["x", "x"]
+f: ["t", "t^2"]
+guess: ["0", "0"]
+"""
+
+
+@pytest.mark.parametrize("method, size", [
+    ("pc", ["--nodes", "16"]), ("collocation", ["--degree", "3"])])
+def test_run_non_finite_frozen_kernel_exits_3(tmp_path, capsys, method, size):
+    # dG/dx = 1/(2 sqrt(x)) is infinite along the guess x0 = 0; the problem
+    # validates, and both solvers name the band instead of crashing
+    cfg = tmp_path / "sqrt.yaml"
+    cfg.write_text(SQRT_AT_ZERO_YAML)
+    code = main(["run", "--config", str(cfg), "--method", method, *size])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "non-finite frozen kernel" in err
+    assert "band 1" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--builtin", "model01", "--method", "pc",

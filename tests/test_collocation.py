@@ -7,10 +7,7 @@ from bandvie.collocation import (
     ConditioningWarning,
     PolynomialSolution,
     collocation_nodes,
-    eval_poly,
     flatten_index,
-    moment,
-    rhs_entry,
     solve_linear_collocation,
     unflatten_index,
 )
@@ -60,45 +57,64 @@ def test_moment_unit_kernel_single_band():
     system = VolterraSystem(
         curves=CurveFamily(2.0, ()),
         kernels=[["1"]], nonlinearities=[["x"]], rhs=["t"])
-    lin = linearize(system)
-    nodes = np.array([2.0])
-    # integral of s over (0, 2) is t_k^2 / 2 = 2
-    assert moment(1, 1, 1, 1, lin, nodes) == pytest.approx(2.0, abs=1e-10)
+    disc = CollocationDiscretization(linearize(system), degree=1)
+    # matrix entries integrate against (s/T)^l, so an entry times T is the
+    # moment; integral of s over (0, 2) is t_k^2 / 2 = 2
+    assert disc.matrix[0, 0] * 2.0 == pytest.approx(2.0, abs=1e-10)
 
 
-def test_moment_zero_length_band_is_zero(model01):
-    lin = linearize(model01)
-    assert moment(1, 1, 1, 1, lin, np.array([0.0])) == 0.0
+def test_moment_zero_length_band_is_zero():
+    # alpha_1(t) = t leaves band 2 empty at every node; it adds nothing
+    def disc(curves, kernels):
+        system = VolterraSystem(
+            curves=CurveFamily(1.0, curves), kernels=[kernels],
+            nonlinearities=[["x"] * len(kernels)], rhs=["t"],
+            unknown_of_band=[1] * len(kernels))
+        return CollocationDiscretization(linearize(system), degree=2)
+
+    two_bands = disc(("t",), ["1", "1"])
+    assert np.all(two_bands.zeroth_moments[:, :, 1] == 0.0)
+    assert np.array_equal(two_bands.matrix, disc((), ["1"]).matrix)
 
 
 def test_moment_model01_hand_value(model01):
     # band 1 at t_k = 2 is (0, 1); integral of (3 + s) s ds = 11/6
-    lin = linearize(model01)
-    nodes = collocation_nodes(2.0, 4)
-    got = moment(1, 4, 1, 1, lin, nodes)
+    disc = CollocationDiscretization(linearize(model01), degree=4)
+    # column (1, 1) only sees band 1; the entry times T is the moment
+    got = disc.matrix[flatten_index(1, 4, 4), flatten_index(1, 1, 4)] * 2.0
     assert got == pytest.approx(11.0 / 6.0, abs=5e-8)
     # independent brute force over the same rule agrees to roundoff
     brute = quadrature.composite_midpoint(lambda s: (3 + s) * s, 0.0, 1.0, 8000)
     assert got == pytest.approx(brute, abs=1e-12)
 
 
+def _rhs_entry(disc, rhs, a0, i, k):
+    """F_ik: rhs_i(t_k) minus the constant part a0 carried by each band."""
+    lin = disc.lin
+    value = float(rhs.values(disc.nodes)[i - 1, k - 1])
+    for j in range(1, lin.n_bands + 1):
+        value -= (a0[lin.unknown_of_band[j - 1] - 1]
+                  * disc.zeroth_moments[i - 1, k - 1, j - 1])
+    return value
+
+
 def test_rhs_entry_zero_kernel_returns_rhs_value():
+    # equation 1 has a zero kernel on band 1, which carries a0 = 3
     system = VolterraSystem(
-        curves=CurveFamily(1.0, ()),
-        kernels=[["0"]], nonlinearities=[["x"]], rhs=["t^2"])
-    lin = linearize(system)
-    rhs = ExpressionRhs(system)
-    nodes = np.array([0.5, 1.0])
-    got = rhs_entry(1, 2, lin, rhs, a0=[3.0], nodes=nodes)
+        curves=CurveFamily(1.0, ("t/2",)),
+        kernels=[["0", "1"], ["1", "1"]],
+        nonlinearities=[["x", "x"], ["x", "x"]], rhs=["t^2", "t"])
+    disc = CollocationDiscretization(linearize(system), degree=2)
+    got = _rhs_entry(disc, ExpressionRhs(system), [3.0, 0.0], 1, 2)
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rhs_entry_model01_against_brute_force(model01):
     lin = linearize(model01)
     rhs = ExpressionRhs(model01)
-    nodes = collocation_nodes(2.0, 1)  # m = 1, single node at t = 2
+    disc = CollocationDiscretization(lin, degree=1)  # single node at t = 2
     a0 = initial_values(lin, rhs)
-    got = rhs_entry(1, 1, lin, rhs, a0, nodes)
+    got = _rhs_entry(disc, rhs, a0, 1, 1)
     f1 = float(model01.rhs[0](t=2.0))
     brute = f1 \
         - a0[0] * quadrature.composite_midpoint(
@@ -108,11 +124,11 @@ def test_rhs_entry_model01_against_brute_force(model01):
     assert got == pytest.approx(brute, abs=1e-9)
 
 
-def test_eval_poly():
+def test_polynomial_component_values():
     sol = PolynomialSolution(np.zeros((1, 4)), (1.0,))
-    assert eval_poly(sol, 1, 0.7) == 0.0
+    assert float(sol.component_values(1, 0.7)) == 0.0
     sol = PolynomialSolution(np.array([[1.0, 2.0]]), (3.0,))
-    assert eval_poly(sol, 1, 3.0) == 7.0
+    assert float(sol.component_values(1, 3.0)) == 7.0
 
 
 def test_manufactured_polynomial_recovered(model01):
@@ -141,8 +157,8 @@ def test_manufactured_polynomial_recovered(model01):
     assert np.allclose(sol.coefficients,
                        [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
                        atol=1e-8)
-    assert eval_poly(sol, 1, 0.5) == pytest.approx(0.25, abs=1e-8)
-    assert eval_poly(sol, 2, 0.5) == pytest.approx(0.25, abs=1e-8)
+    assert float(sol.component_values(1, 0.5)) == pytest.approx(0.25, abs=1e-8)
+    assert float(sol.component_values(2, 0.5)) == pytest.approx(0.25, abs=1e-8)
 
 
 def test_model01_matches_reference_errors(model01):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandvie.errors import EvaluationError, ExpressionSyntaxError
-from bandvie.expr import differentiate, evaluate, parse
+from bandvie.expr import parse
 
 # expressions exercised by the derivative and round-trip batteries; points
 # are kept where log/sqrt stay in-domain
@@ -26,21 +26,21 @@ BATTERY = [
 
 
 def test_parse_and_evaluate_examples():
-    assert evaluate(parse("1+t+s"), {"t": 2, "s": 3}) == 6.0
-    assert evaluate(parse("sin(t/2)"), {"t": math.pi}) == 1.0
-    assert evaluate(parse("3*x + x^3"), {"x": 2}) == 14.0
-    assert evaluate(parse("t^2"), {"t": 0.5}) == 0.25
-    assert evaluate(parse("1+t-s"), {"t": 1, "s": 1}) == 1.0
-    assert evaluate(parse("(1+2*t)*x"), {"t": 0.5, "x": 3}) == 6.0
+    assert parse("1+t+s").evaluate({"t": 2, "s": 3}) == 6.0
+    assert parse("sin(t/2)").evaluate({"t": math.pi}) == 1.0
+    assert parse("3*x + x^3").evaluate({"x": 2}) == 14.0
+    assert parse("t^2").evaluate({"t": 0.5}) == 0.25
+    assert parse("1+t-s").evaluate({"t": 1, "s": 1}) == 1.0
+    assert parse("(1+2*t)*x").evaluate({"t": 0.5, "x": 3}) == 6.0
 
 
 def test_precedence():
-    assert evaluate(parse("2+3*4"), {}) == 14.0
-    assert evaluate(parse("2^3^2"), {}) == 512.0
-    assert evaluate(parse("-t^2"), {"t": 2}) == -4.0  # ^ binds tighter than unary -
-    assert evaluate(parse("2*-3"), {}) == -6.0
-    assert evaluate(parse("2^-2"), {}) == 0.25
-    assert evaluate(parse("(2+3)*4"), {}) == 20.0
+    assert parse("2+3*4").evaluate({}) == 14.0
+    assert parse("2^3^2").evaluate({}) == 512.0
+    assert parse("-t^2").evaluate({"t": 2}) == -4.0  # ^ binds tighter than unary -
+    assert parse("2*-3").evaluate({}) == -6.0
+    assert parse("2^-2").evaluate({}) == 0.25
+    assert parse("(2+3)*4").evaluate({}) == 20.0
 
 
 def test_syntax_errors_carry_offset():
@@ -61,28 +61,28 @@ def test_syntax_errors_carry_offset():
 
 def test_evaluation_domain_errors():
     with pytest.raises(EvaluationError):
-        evaluate(parse("log(t)"), {"t": -1.0})
+        parse("log(t)").evaluate({"t": -1.0})
     with pytest.raises(EvaluationError):
-        evaluate(parse("log(t)"), {"t": 0.0})
+        parse("log(t)").evaluate({"t": 0.0})
     with pytest.raises(EvaluationError):
-        evaluate(parse("sqrt(t)"), {"t": -4.0})
+        parse("sqrt(t)").evaluate({"t": -4.0})
     with pytest.raises(EvaluationError):
-        evaluate(parse("t^(-1)"), {"t": 0.0})
+        parse("t^(-1)").evaluate({"t": 0.0})
     with pytest.raises(EvaluationError):
-        evaluate(parse("t^0.5"), {"t": -2.0})
+        parse("t^0.5").evaluate({"t": -2.0})
     with pytest.raises(EvaluationError):
-        evaluate(parse("1/t"), {"t": 0.0})
+        parse("1/t").evaluate({"t": 0.0})
     with pytest.raises(EvaluationError, match="unbound"):
-        evaluate(parse("t+s"), {"t": 1.0})
+        parse("t+s").evaluate({"t": 1.0})
 
 
 def test_differentiate_examples():
-    d = differentiate(parse("x + x^2"), "x")
-    assert evaluate(d, {"x": 1}) == 3.0
-    d = differentiate(parse("sin(t/2)"), "t")
-    assert evaluate(d, {"t": 0}) == 0.5
-    d = differentiate(parse("3*x + x^3"), "x")
-    assert evaluate(d, {"x": 0}) == 3.0
+    d = parse("x + x^2").diff("x")
+    assert d.evaluate({"x": 1}) == 3.0
+    d = parse("sin(t/2)").diff("t")
+    assert d.evaluate({"t": 0}) == 0.5
+    d = parse("3*x + x^3").diff("x")
+    assert d.evaluate({"x": 0}) == 3.0
 
 
 def _sample_bindings(rng, count=50):
@@ -100,14 +100,14 @@ def test_derivative_matches_central_difference():
     for text in BATTERY:
         e = parse(text)
         for wrt in sorted(e.free_variables):
-            d = differentiate(e, wrt)
+            d = e.diff(wrt)
             for bindings in _sample_bindings(rng):
                 hi = dict(bindings)
                 lo = dict(bindings)
                 hi[wrt] += step
                 lo[wrt] -= step
-                fd = (evaluate(e, hi) - evaluate(e, lo)) / (2 * step)
-                assert abs(evaluate(d, bindings) - fd) <= 1e-6, (text, wrt)
+                fd = (e.evaluate(hi) - e.evaluate(lo)) / (2 * step)
+                assert abs(d.evaluate(bindings) - fd) <= 1e-6, (text, wrt)
 
 
 def test_print_parse_round_trip_is_exact():
@@ -116,13 +116,13 @@ def test_print_parse_round_trip_is_exact():
         e = parse(text)
         back = parse(str(e))
         for bindings in _sample_bindings(rng, count=100):
-            assert evaluate(back, bindings) == evaluate(e, bindings), text
+            assert back.evaluate(bindings) == e.evaluate(bindings), text
 
 
 def test_round_trip_preserves_negative_constant_powers():
     # a negative constant base must keep its parentheses under ^
-    e = differentiate(parse("(0-1.5)^2 * t"), "t")
-    assert evaluate(parse(str(e)), {"t": 3.0}) == evaluate(e, {"t": 3.0})
+    e = parse("(0-1.5)^2 * t").diff("t")
+    assert parse(str(e)).evaluate({"t": 3.0}) == e.evaluate({"t": 3.0})
 
 
 def test_vectorized_call_matches_scalar_evaluate():
@@ -134,7 +134,7 @@ def test_vectorized_call_matches_scalar_evaluate():
         xs = rng.uniform(-1.5, 1.5, size=12)
         vec = np.broadcast_to(np.asarray(e(t=ts, s=ss, x=xs), float), ts.shape)
         for k in range(12):
-            scalar = evaluate(e, {"t": ts[k], "s": ss[k], "x": xs[k]})
+            scalar = e.evaluate({"t": ts[k], "s": ss[k], "x": xs[k]})
             # numpy's vectorized libm may differ from scalar math by an ulp
             assert vec[k] == pytest.approx(scalar, rel=1e-14)
 
@@ -142,13 +142,13 @@ def test_vectorized_call_matches_scalar_evaluate():
 def test_evaluation_is_deterministic():
     e = parse("sin(t)*exp(s) - t^3/7 + sqrt(x+2)")
     b = {"t": 0.911, "s": 0.37, "x": 0.218}
-    values = {evaluate(e, b) for _ in range(10)}
+    values = {e.evaluate(b) for _ in range(10)}
     assert len(values) == 1
 
 
 def test_unicode_minus():
-    assert evaluate(parse("1 − t"), {"t": 0.25}) == 0.75
-    assert evaluate(parse("−2*t"), {"t": 3.0}) == -6.0
+    assert parse("1 − t").evaluate({"t": 0.25}) == 0.75
+    assert parse("−2*t").evaluate({"t": 3.0}) == -6.0
 
 
 def test_free_variables():

@@ -142,6 +142,25 @@ def test_frozen_operator_reuse(model01, monkeypatch):
     assert sum(built) == 1
 
 
+def test_start_values_are_factorized_once_per_run(model01, monkeypatch):
+    # the start-value matrix is the only n x n matrix factorized; collocation
+    # reuses its factorization at every outer iteration
+    from bandvie import linalg
+
+    shapes = []
+    original = linalg.LUFactorization.__init__
+
+    def counting(self, a):
+        shapes.append(np.shape(a))
+        original(self, a)
+
+    monkeypatch.setattr(linalg.LUFactorization, "__init__", counting)
+    _, report = iterate(model01, method="collocation", degree=4, max_iters=6,
+                        tol=1e-15)
+    assert len(report.records) > 1
+    assert shapes.count((2, 2)) == 1
+
+
 def test_divergence_guard_raises_with_report():
     system = VolterraSystem(
         curves=CurveFamily(1.0, ("t/2",)),

@@ -7,9 +7,7 @@ from bandvie.pc import (
     Mesh,
     PCDiscretization,
     PiecewiseConstantSolution,
-    eval_pc,
     initial_values,
-    segment_index,
     solve_linear_pc,
 )
 from bandvie.problem import (
@@ -34,14 +32,14 @@ def sup_errors(system, solution, samples=2001):
 
 def test_segment_index_examples():
     mesh = Mesh.uniform(1.0, 4)
-    assert segment_index(mesh, 0.3) == 2
-    assert segment_index(mesh, 0.5) == 2   # node belongs to the left segment
-    assert segment_index(mesh, 0.0) == 1
-    assert segment_index(mesh, 1.0) == 4
+    assert mesh.segment_index(0.3) == 2
+    assert mesh.segment_index(0.5) == 2   # node belongs to the left segment
+    assert mesh.segment_index(0.0) == 1
+    assert mesh.segment_index(1.0) == 4
     with pytest.raises(ValueError):
-        segment_index(mesh, -0.1)
+        mesh.segment_index(-0.1)
     with pytest.raises(ValueError):
-        segment_index(mesh, 1.2)
+        mesh.segment_index(1.2)
 
 
 def test_mesh_validation():
@@ -95,17 +93,15 @@ def test_singular_start_system_reports():
         initial_values(system)
 
 
-def test_eval_pc_conventions():
+def test_pc_component_values_conventions():
     mesh = Mesh.uniform(1.0, 4)
     sol = PiecewiseConstantSolution(
         mesh, start=[7.0], values=[[1.0, 2.0, 3.0, 4.0]],
         component_domains=(1.0,))
-    assert eval_pc(sol, 1, 0.0) == 7.0
-    assert eval_pc(sol, 1, 1.0) == 4.0
-    assert eval_pc(sol, 1, 0.6) == 3.0   # inside segment 3
-    assert eval_pc(sol, 1, 0.5) == 2.0   # node belongs to the left segment
-    with pytest.raises(ValueError):
-        eval_pc(sol, 1, 1.5)
+    ts = np.array([0.0, 1.0, 0.6, 0.5])
+    # start value at 0; 0.6 lies inside segment 3; the node 0.5 belongs to
+    # the left segment
+    assert list(sol.component_values(1, ts)) == [7.0, 4.0, 3.0, 2.0]
     assert list(sol.breakpoints_in(0.0, 1.0)) == [0.25, 0.5, 0.75]
 
 

@@ -25,9 +25,9 @@ def test_all_builtins_validate_clean():
 
 
 def test_registry_metadata(model01, model02, scalar):
-    assert model01.n == 2
+    assert model01.n_bands == 2
     assert model01.horizon == 2.0
-    assert model02.n == 3
+    assert model02.n_bands == 3
     assert scalar.n_components == 1
     assert scalar.n_bands == 2
     assert scalar.n_equations == 1
@@ -165,7 +165,8 @@ def test_linearize_linear_system_freezes_to_plain_kernels(model01):
         s = rng.uniform(0.0, t, size=5)
         for i in (1, 2):
             for j in (1, 2):
-                frozen = lin.frozen_kernel(i, j)(t, s)
+                k, g = lin.frozen_factors(j, t, s)
+                frozen = k[i - 1] * g[i - 1]
                 raw = np.broadcast_to(np.asarray(
                     model01.kernels[i - 1][j - 1](t=t, s=s), float), s.shape)
                 assert np.allclose(frozen, raw, atol=1e-15)
@@ -176,8 +177,9 @@ def test_linearize_scalar_frozen_kernel_spot_check(scalar):
     # kernel by 1 + 2 s^2
     lin = linearize(scalar, scalar.exact_iterate())
     s = np.array([0.0, 0.3, 0.9])
-    got = lin.frozen_kernel(1, 1)(0.5, s)
-    assert np.allclose(got, (1 + 0.5 + s) * (1 + 2 * s ** 2), atol=1e-14)
+    k, g = lin.frozen_factors(1, 0.5, s)
+    assert np.allclose(k[0] * g[0], (1 + 0.5 + s) * (1 + 2 * s ** 2),
+                       atol=1e-14)
 
 
 def test_expression_rhs(model01):

@@ -6,7 +6,6 @@ from bandvie.problem import CurveFamily
 from bandvie.quadrature import (
     composite_midpoint,
     decompose,
-    integrate_pieces,
     split_interval,
 )
 
@@ -70,11 +69,6 @@ def test_split_interval():
     # outside cuts are ignored, duplicates collapse
     assert split_interval(0.0, 1.0, [-1.0, 0.5, 2.0]) == [(0.0, 0.5), (0.5, 1.0)]
     assert split_interval(0.3, 0.3, [0.3]) == []
-
-
-def test_integrate_pieces():
-    got = integrate_pieces(np.exp, [(0.0, 0.5, 50), (0.5, 1.0, 50)])
-    assert got == pytest.approx(np.e - 1.0, abs=1e-4)
 
 
 def test_decompose_at_zero_flags_empty_segments():
