@@ -67,8 +67,20 @@ class PolynomialSolution:
         return self.coefficients.shape[1] - 1
 
     def component_values(self, i, ts):
+        """Horner's rule in place, bit for bit the same numbers as ``polyval``.
+
+        ``polyval`` starts from ``c_m + ts * 0`` and forms ``c_k + acc * ts``
+        with two temporaries per degree; here both steps write into one
+        array.  A 0-d ``ts`` gives a numpy scalar, as ``polyval`` does.
+        """
         ts = np.asarray(ts, dtype=float)
-        return np.polynomial.polynomial.polyval(ts, self.coefficients[i - 1])
+        c = self.coefficients[i - 1]
+        acc = ts * 0.0
+        acc += c[-1]
+        for ck in c[-2::-1]:
+            acc *= ts
+            acc += ck
+        return acc
 
     def value_at_zero(self, i):
         return float(self.coefficients[i - 1, 0])

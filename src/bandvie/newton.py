@@ -11,8 +11,13 @@ is rebuilt from the current iterate xm.  (Writing the step for the new
 iterate rather than the correction puts the bracket on the right with the
 sign above; with it, the exact solution is a fixed point.)
 
+A pair with G_ij = x adds nothing to psi (for a finite iterate its bracket
+is 1 * xm - xm = 0 exactly), so the evaluator skips it.
+
 One run is sequential in the iteration index; independent runs can share
-the immutable problem data.
+the immutable problem data, but not a :class:`PsiEvaluator`: it holds a
+scratch buffer that every call overwrites, so it belongs to one run and
+must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from . import quadrature
 from .collocation import DEFAULT_MOMENT_PANELS, CollocationDiscretization
 from .errors import DivergenceError, ProblemDefinitionError
+from .expr import parse
 from .pc import HISTORY_PANELS, Mesh, PCDiscretization
 from .problem import linearize, validate
 from .report import measure_errors
@@ -39,6 +45,9 @@ NORM_SAMPLES = 1001
 
 #: growth factor over three consecutive iterations that flags divergence
 DIVERGENCE_FACTOR = 1e3
+
+#: the nonlinearity whose psi bracket G'(x0) * xm - G(xm) is exactly zero
+_IDENTITY = parse("x")
 
 
 @dataclass(frozen=True)
@@ -96,6 +105,11 @@ class PsiEvaluator:
     ``cuts`` lists global breakpoints (mesh nodes for piecewise-constant
     iterates) at which band segments are split; without cuts each band
     segment is one smooth piece with ``panels`` midpoint panels.
+
+    Pairs with G_ij = x are skipped, and a band where every G is x is not
+    evaluated at all.  Per band the evaluator keeps one prefix-sum buffer
+    that :meth:`values` overwrites; so one evaluator serves one run and
+    must not be shared between threads.
     """
 
     def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
@@ -112,6 +126,9 @@ class PsiEvaluator:
         # kernel values carry the quadrature weights
         self._starts, self._ends, self._absc = [], [], []
         self._kernel_vals, self._gx0_vals = [], []
+        # per band: the equations whose G is not x, and the prefix-sum
+        # buffer, csum[0] = 0, that values() fills for them
+        self._active, self._csum = [], []
         for j, plan in enumerate(plans):
             s = plan.abscissas
             ends = np.cumsum(np.bincount(
@@ -123,6 +140,10 @@ class PsiEvaluator:
             kvs, gvs = lin.frozen_factors(j + 1, tv, s)
             self._kernel_vals.append([kv * plan.weights for kv in kvs])
             self._gx0_vals.append(gvs)
+            active = [i for i in range(lin.n_equations)
+                      if s.size and system.nonlinearities[i][j] != _IDENTITY]
+            self._active.append(active)
+            self._csum.append(np.zeros(s.size + 1) if active else None)
 
         self._f_vals = np.vstack([
             np.broadcast_to(np.asarray(f(t=self.times), float),
@@ -139,18 +160,23 @@ class PsiEvaluator:
         lin = self.lin
         system = lin.system
         out = self._f_vals.copy()
-        for j in range(lin.n_bands):
-            s = self._absc[j]
-            if not s.size:
+        for j, active in enumerate(self._active):
+            if not active:
                 continue
+            s = self._absc[j]
             comp = lin.unknown_of_band[j]
             xm = np.asarray(iterate.component_values(comp, s), dtype=float)
-            for i in range(lin.n_equations):
-                gm = np.broadcast_to(np.asarray(
-                    system.nonlinearities[i][j](s=s, x=xm), float), s.shape)
-                contrib = self._kernel_vals[j][i] * (
-                    self._gx0_vals[j][i] * xm - gm)
-                csum = np.concatenate(([0.0], np.cumsum(contrib)))
+            csum = self._csum[j]
+            contrib = csum[1:]
+            for i in active:
+                gm = system.nonlinearities[i][j](s=s, x=xm)
+                # K * (G'(x0) * xm - G(xm)), built in the buffer and summed
+                # in place: the same products and sequential sums as with
+                # temporaries
+                np.multiply(self._gx0_vals[j][i], xm, out=contrib)
+                np.subtract(contrib, gm, out=contrib)
+                np.multiply(self._kernel_vals[j][i], contrib, out=contrib)
+                np.cumsum(contrib, out=contrib)
                 out[i] += csum[self._ends[j]] - csum[self._starts[j]]
         return out
 

@@ -15,6 +15,7 @@ and piece.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -223,18 +224,32 @@ class BandPlan:
     def piece_width(self):
         return self.weights[self.offsets[:-1]]
 
+    @cached_property
+    def _piece_groups(self):
+        """``(sel, rows)`` per distinct panel count, or None for one count.
+
+        ``sel`` are the pieces with that count and ``rows[p]`` the abscissa
+        indices of piece ``sel[p]``; built once per plan.
+        """
+        counts = np.diff(self.offsets)
+        if counts.size and np.all(counts == counts[0]):
+            return None
+        groups = []
+        for count in np.unique(counts):
+            sel = np.flatnonzero(counts == count)
+            groups.append((sel, self.offsets[sel, None] + np.arange(count)))
+        return groups
+
     def piece_sums(self, values):
         """Sum of ``values`` (one per abscissa) over each piece."""
         # pieces of equal count are summed as rows of one matrix, which adds
         # in the same (pairwise) order as summing each piece alone; with one
         # count for all pieces the matrix is a view
-        counts = np.diff(self.offsets)
-        if counts.size and np.all(counts == counts[0]):
-            return values.reshape(counts.size, counts[0]).sum(axis=1)
-        sums = np.empty(counts.size)
-        for count in np.unique(counts):
-            sel = np.flatnonzero(counts == count)
-            rows = self.offsets[sel, None] + np.arange(count)
+        groups = self._piece_groups
+        if groups is None:
+            return values.reshape(self.offsets.size - 1, -1).sum(axis=1)
+        sums = np.empty(self.offsets.size - 1)
+        for sel, rows in groups:
             sums[sel] = values[rows].sum(axis=1)
         return sums
 
