@@ -20,7 +20,7 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import LUFactorization, refined_solve
-from .problem import ExpressionRhs, VolterraSystem, linearize
+from .problem import linear_problem, rhs_at_nodes
 
 #: midpoint panels per band segment for moment integrals; the error tables
 #: ask for moment errors well below 1e-8, which plain 200-panel quadrature
@@ -159,11 +159,7 @@ class CollocationDiscretization:
         n_eq = lin.n_equations
         n_comp = lin.n_components
         a0 = lin.start_values(rhs.derivative_at_zero())
-        psi = np.asarray(rhs.values(self.nodes), dtype=float)
-        if psi.shape != (n_eq, m):
-            raise SolverError(
-                f"right-hand side returned shape {psi.shape}, "
-                f"expected {(n_eq, m)}")
+        psi = rhs_at_nodes(rhs, self.nodes, n_eq)
         f_vec = np.empty(n_eq * m)
         for i in range(1, n_eq + 1):
             for k in range(1, m + 1):
@@ -179,18 +175,13 @@ class CollocationDiscretization:
         for u in range(1, n_comp + 1):
             block = scaled_coeffs[(u - 1) * m:u * m]
             coeffs[u - 1, 1:] = block / powers
-        domains = [lin.system.component_domain(i) for i in range(1, n_comp + 1)]
-        return PolynomialSolution(coeffs, domains, self.condition_number)
+        return PolynomialSolution(coeffs, lin.system.component_domains(),
+                                  self.condition_number)
 
 
 def solve_linear_collocation(lin, rhs=None, degree=5,
                              panels=DEFAULT_MOMENT_PANELS):
     """One-shot polynomial collocation solve of a linearized system."""
-    if isinstance(lin, VolterraSystem):
-        if rhs is None:
-            rhs = ExpressionRhs(lin)
-        lin = linearize(lin)
-    elif rhs is None:
-        rhs = ExpressionRhs(lin.system)
+    lin, rhs = linear_problem(lin, rhs)
     disc = CollocationDiscretization(lin, degree, panels=panels)
     return disc.solve(rhs)

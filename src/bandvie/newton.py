@@ -71,23 +71,16 @@ class IterationReport:
         """Empirical geometric-rate sequence ||dX^{m+1}|| / ||dX^m||."""
         return tuple(r.ratio for r in self.records if r.ratio is not None)
 
-    @property
-    def final_aggregate_error(self):
-        for rec in reversed(self.records):
-            if rec.aggregate_error is not None:
-                return rec.aggregate_error
-        return None
 
-
-def correction_norm(prev, nxt, samples=NORM_SAMPLES):
+def correction_norm(prev, nxt):
     """Sup over components of the sup over sampled t of |next - prev|.
 
-    Each component is sampled uniformly on its own interval of definition
-    (endpoints included).
+    Each component is sampled at ``NORM_SAMPLES`` uniform points on its own
+    interval of definition (endpoints included).
     """
     worst = 0.0
     for i in range(1, nxt.n_components + 1):
-        ts = np.linspace(0.0, nxt.component_domains[i - 1], samples)
+        ts = np.linspace(0.0, nxt.component_domains[i - 1], NORM_SAMPLES)
         a = np.asarray(prev.component_values(i, ts), dtype=float)
         b = np.asarray(nxt.component_values(i, ts), dtype=float)
         worst = max(worst, float(np.max(np.abs(b - a))))
@@ -103,7 +96,8 @@ class PsiEvaluator:
     and the nonlinearity are re-evaluated on the fixed abscissas.
 
     ``cuts`` lists global breakpoints (mesh nodes for piecewise-constant
-    iterates) at which band segments are split; without cuts each band
+    iterates) at which band segments are split into pieces of
+    ``PSI_PIECE_PANELS`` midpoint panels each; without cuts each band
     segment is one smooth piece with ``panels`` midpoint panels.
 
     Pairs with G_ij = x are skipped, and a band where every G is x is not
@@ -112,15 +106,14 @@ class PsiEvaluator:
     must not be shared between threads.
     """
 
-    def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
-                 piece_panels=PSI_PIECE_PANELS):
+    def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
         system = lin.system
         n_bands = lin.n_bands
         plans = quadrature.band_plan(
             self.times, lin.curves,
-            panels if cuts is None else piece_panels, cuts=cuts)
+            panels if cuts is None else PSI_PIECE_PANELS, cuts=cuts)
 
         # per band: the abscissas of time r are _starts[r]:_ends[r]; the
         # kernel values carry the quadrature weights
@@ -232,9 +225,7 @@ def psi(system, x0, xm, ts, panels=DEFAULT_PSI_PANELS):
 
 
 def iterate(system, method="collocation", degree=None, n_segments=None,
-            max_iters=20, tol=1e-12, panels=None, psi_panels=None,
-            history_panels=HISTORY_PANELS, norm_samples=NORM_SAMPLES,
-            skip_validation=False):
+            max_iters=20, tol=1e-12, panels=None, skip_validation=False):
     """Run the frozen-derivative outer iteration with an inner linear solver.
 
     Parameters
@@ -245,10 +236,10 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     n_segments : mesh segments for the piecewise-constant inner solver
     max_iters : iteration cap
     tol : stop once the sampled correction sup-norm drops this low
-    panels : inner-solver quadrature panels (moment/coefficient integrals)
-    psi_panels : panels per band segment for the right-hand-side integrals
-        (smooth iterates only; piecewise-constant iterates integrate piece
-        by piece along the mesh)
+    panels : inner-solver quadrature panels (moment/coefficient integrals);
+        the right-hand-side integrals use ``DEFAULT_PSI_PANELS`` per band
+        segment for polynomial iterates and ``PSI_PIECE_PANELS`` per mesh
+        piece for piecewise-constant ones
 
     Returns
     -------
@@ -276,10 +267,8 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         if n_segments is None:
             raise ValueError("the pc method needs n_segments")
         mesh = Mesh.uniform(system.curves.horizon, n_segments)
-        disc = PCDiscretization(
-            lin, mesh,
-            panels=quadrature.DEFAULT_PANELS if panels is None else panels,
-            history_panels=history_panels)
+        disc = PCDiscretization(lin, mesh, panels=(
+            quadrature.DEFAULT_PANELS if panels is None else panels))
         evaluator = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
     elif method == "collocation":
         if degree is None:
@@ -287,9 +276,7 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         disc = CollocationDiscretization(
             lin, degree,
             panels=DEFAULT_MOMENT_PANELS if panels is None else panels)
-        evaluator = PsiEvaluator(
-            lin, disc.nodes,
-            panels=DEFAULT_PSI_PANELS if psi_panels is None else psi_panels)
+        evaluator = PsiEvaluator(lin, disc.nodes)
     else:
         raise ValueError(f"unknown inner method {method!r}")
 
@@ -300,7 +287,7 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     for step in range(1, max_iters + 1):
         rhs = _PsiRhs(evaluator, current)
         solution = disc.solve(rhs)
-        corr = correction_norm(current, solution, samples=norm_samples)
+        corr = correction_norm(current, solution)
         ratio = None if prev_correction in (None, 0.0) else corr / prev_correction
         comp_errors, aggregate = (), None
         if system.exact is not None:

@@ -7,20 +7,27 @@ already-computed step values.  Bands sharing an unknown component
 accumulate into the same column; a re-visited segment is re-solved and
 overwritten (later nodes give equally valid, fresher equations).
 
+The step systems depend on the frozen operator only, not on the
+right-hand side, so each discretization assembles and factorizes them
+once, at its first solve; every solve then gathers the known step values,
+solves and scatters, step by step.
+
 The stepping is sequential by construction; distinct solves may run
-concurrently.
+concurrently (two first solves may both build the step operator; the
+builds are equal).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import LUFactorization
-from .problem import ExpressionRhs, VolterraSystem, linearize
+from .problem import linear_problem, rhs_at_nodes
 
 #: panels for the per-piece history integrals (each piece spans at most one
 #: mesh segment, so a handful of panels keeps the quadrature error at O(h^2))
@@ -109,62 +116,54 @@ def initial_values(lin, rhs=None):
     plain :class:`VolterraSystem` (frozen along its initial guess, right-hand
     side f) or a :class:`LinearizedSystem` plus an explicit right-hand side.
     """
-    if isinstance(lin, VolterraSystem):
-        system = lin
-        lin = linearize(system)
-        rhs = ExpressionRhs(system) if rhs is None else rhs
-    elif rhs is None:
-        rhs = ExpressionRhs(lin.system)
+    lin, rhs = linear_problem(lin, rhs)
     return lin.start_values(rhs.derivative_at_zero())
-
-
-@dataclass
-class _BandPlan:
-    component: int          # 1-based unknown component
-    segment: int            # 1-based mesh segment holding alpha_j(t_k)
-    coeff: np.ndarray       # (n_eq,) integral of Ktilde over the unknown range
-    hist_segments: np.ndarray  # segment index per history piece
-    hist_weights: np.ndarray   # (n_eq, n_pieces) integrals of Ktilde per piece
 
 
 class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 
-    Everything that does not depend on the right-hand side (per-step
-    coefficient integrals, history piece weights) is assembled once here;
-    :meth:`solve` then only consumes a right-hand side, so an outer
-    iteration reuses the same operator at every step.
+    Everything that does not depend on the right-hand side is built once per
+    discretization: the per-step coefficient integrals and history piece
+    weights here, and at the first :meth:`solve` the step operator.  It
+    holds every step matrix, factorized once per discretization, the band
+    terms that move known step values to the right-hand side, and the step
+    values each step writes.  Every solve then only gathers, solves and
+    scatters at each step.
     """
 
-    def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS,
-                 history_panels=HISTORY_PANELS):
+    def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS):
         if abs(mesh.horizon - lin.curves.horizon) > 1e-12 * max(1.0, lin.curves.horizon):
             raise ValueError("mesh horizon differs from the problem horizon")
         self.lin = lin
         self.mesh = mesh
         self.panels = int(panels)
-        self.history_panels = int(history_panels)
-        self._plans = self._assemble()
+        self._bands = self._assemble()
 
     def _assemble(self):
+        """Per band ``(u, segments, coeff, hist_segments, hist_weights, bounds)``.
+
+        Per step k: segments[k-1] is the 1-based mesh segment holding
+        alpha_j(t_k), whose step value is unknown, and coeff[k-1] the (n_eq,)
+        integrals of Ktilde over the unknown range; the history pieces
+        bounds[k-1]:bounds[k] have a segment and (n_eq,) weights each.
+        """
         lin = self.lin
         mesh = self.mesh
         times = mesh.nodes[1:]
         n_steps = mesh.n_segments
         edges = quadrature.band_edges(times, lin.curves)
-        # mesh segment l holding alpha_j(t_k); the step value there is unknown
         segments = mesh.segment_indices(edges[:, 1:])
-        plans = [[] for _ in range(n_steps)]
+        bands = []
         for pieces in quadrature.band_pieces(edges, cuts=mesh.nodes[1:-1]):
             j = pieces.band
-            comp = lin.unknown_of_band[j - 1]
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
             last = np.diff(pieces.time_index, append=-1) != 0
             coeff_plan = quadrature.midpoint_plan(pieces.take(last), self.panels)
             hist_plan = quadrature.midpoint_plan(pieces.take(~last),
-                                                 self.history_panels)
+                                                 HISTORY_PANELS)
             s = np.concatenate((coeff_plan.abscissas, hist_plan.abscissas))
             step = np.concatenate((coeff_plan.time_index, hist_plan.time_index))
             tv = times[step]
@@ -178,95 +177,96 @@ class PCDiscretization:
                     vals[:split]) * coeff_plan.piece_width
                 weights[i] = hist_plan.piece_sums(
                     vals[split:]) * hist_plan.piece_width
-            hist_segments = mesh.segment_indices(pieces.hi[~last])
-            bounds = np.searchsorted(hist_plan.piece_time, np.arange(n_steps + 1))
-            for k in range(n_steps):
-                lo, hi = bounds[k], bounds[k + 1]
-                plans[k].append(_BandPlan(
-                    component=comp, segment=int(segments[k, j - 1]),
-                    coeff=coeff[k], hist_segments=hist_segments[lo:hi],
-                    hist_weights=np.ascontiguousarray(weights[:, lo:hi])))
-        return plans
+            bands.append((
+                lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
+                mesh.segment_indices(pieces.hi[~last]), weights,
+                np.searchsorted(hist_plan.piece_time, np.arange(n_steps + 1))))
+        return bands
 
-    def solve(self, rhs):
-        """Solve for the step values given a right-hand side object."""
+    @cached_property
+    def _steps(self):
+        """Per step ``(fact, terms, rows, cols)``, built on the first solve.
+
+        ``fact`` factorizes the step matrix; per band, in band order, a term
+        ``(u, known, coeff, hist, weights)`` holds the component, the segment
+        whose known value times coeff leaves the right-hand side (or None) and
+        the history segments with their weights, all 0-based; the solution
+        goes to ``values[rows, cols]``.  Structural faults come from the
+        assignment frontier: component u holds segments 1..frontier[u-1].
+        """
         lin = self.lin
-        mesh = self.mesh
-        n_eq = lin.n_equations
-        n_comp = lin.n_components
-        start = lin.start_values(rhs.derivative_at_zero())
-
-        rhs_values = np.asarray(rhs.values(mesh.nodes[1:]), dtype=float)
-        if rhs_values.shape != (n_eq, mesh.n_segments):
-            raise SolverError(
-                f"right-hand side returned shape {rhs_values.shape}, "
-                f"expected {(n_eq, mesh.n_segments)}")
-
-        values = np.full((n_comp, mesh.n_segments), np.nan)
-        frontier = np.zeros(n_comp, dtype=int)
-        for k in range(1, mesh.n_segments + 1):
-            band_plans = self._plans[k - 1]
+        frontier = np.zeros(lin.n_components, dtype=int)
+        steps = []
+        for k in range(1, self.mesh.n_segments + 1):
             active = {}
-            for plan in band_plans:
-                u = plan.component
-                active[u] = max(active.get(u, 0), plan.segment)
-            mat = np.zeros((n_eq, n_comp))
-            b = rhs_values[:, k - 1].copy()
-            for plan in band_plans:
-                u = plan.component
-                if plan.segment == active[u]:
-                    mat[:, u - 1] += plan.coeff
-                elif np.any(plan.coeff != 0.0):
-                    known = values[u - 1, plan.segment - 1]
-                    if np.isnan(known):
+            for u, segments, *_ in self._bands:
+                active[u] = max(active.get(u, 0), int(segments[k - 1]))
+            mat = np.zeros((lin.n_equations, lin.n_components))
+            terms = []
+            for u, segments, coeff, hist_segments, weights, bounds in self._bands:
+                l, known = int(segments[k - 1]), None
+                if l == active[u]:
+                    mat[:, u - 1] += coeff[k - 1]
+                elif np.any(coeff[k - 1] != 0.0):
+                    if l > frontier[u - 1]:
                         raise SolverError(
                             f"step {k}: band mapped to component {u} refers "
-                            f"to segment {plan.segment} before it was "
-                            f"assigned (band map {lin.unknown_of_band})")
-                    b -= plan.coeff * known
-                if plan.hist_segments.size:
-                    hist_vals = values[u - 1][plan.hist_segments - 1]
-                    if np.any(np.isnan(hist_vals)):
-                        missing = int(plan.hist_segments[
-                            np.argmax(np.isnan(hist_vals))])
-                        raise SolverError(
-                            f"step {k}: history for component {u} needs "
-                            f"segment {missing} which was never assigned")
-                    b -= plan.hist_weights @ hist_vals
+                            f"to segment {l} before it was assigned "
+                            f"(band map {lin.unknown_of_band})")
+                    known = l - 1
+                lo, hi = bounds[k - 1], bounds[k]
+                hist = hist_segments[lo:hi]
+                if np.any(hist > frontier[u - 1]):
+                    raise SolverError(
+                        f"step {k}: history for component {u} needs segment "
+                        f"{hist[hist > frontier[u - 1]][0]} which was never "
+                        f"assigned")
+                terms.append((u - 1, known, coeff[k - 1], hist - 1,
+                              np.ascontiguousarray(weights[:, lo:hi])))
             try:
-                x = LUFactorization(mat).solve(b)
+                fact = LUFactorization(mat)
             except SingularMatrixError as exc:
                 raise SolverError(
                     f"singular step system at node {k} "
-                    f"(t = {mesh.nodes[k]:.6g}): {exc}") from exc
+                    f"(t = {self.mesh.nodes[k]:.6g}): {exc}") from exc
             for u, l in active.items():
                 if l > frontier[u - 1] + 1:
                     raise SolverError(
                         f"step {k}: component {u} jumps from segment "
                         f"{frontier[u - 1]} to {l}; the mesh is too coarse "
                         f"for the curve speed")
-                values[u - 1, l - 1] = x[u - 1]
                 frontier[u - 1] = max(frontier[u - 1], l)
-        domains = [lin.system.component_domain(i)
-                   for i in range(1, n_comp + 1)]
-        return PiecewiseConstantSolution(mesh, start, values, domains)
+            rows, cols = np.array(list(active.items())).T - 1
+            steps.append((fact, terms, rows, cols))
+        return steps
+
+    def solve(self, rhs):
+        """Solve for the step values given a right-hand side object."""
+        lin, mesh = self.lin, self.mesh
+        start = lin.start_values(rhs.derivative_at_zero())
+        rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], lin.n_equations)
+        # segments beyond a component's domain are never assigned
+        values = np.full((lin.n_components, mesh.n_segments), np.nan)
+        for k, (fact, terms, rows, cols) in enumerate(self._steps):
+            b = rhs_values[:, k].copy()
+            for u, known, coeff, hist, weights in terms:
+                if known is not None:
+                    b -= coeff * values[u, known]
+                if hist.size:
+                    b -= weights @ values[u, hist]
+            values[rows, cols] = fact.solve(b)[rows]
+        return PiecewiseConstantSolution(mesh, start, values,
+                                         lin.system.component_domains())
 
 
 def solve_linear_pc(lin, rhs=None, n_segments=64,
-                    panels=quadrature.DEFAULT_PANELS,
-                    history_panels=HISTORY_PANELS):
+                    panels=quadrature.DEFAULT_PANELS):
     """One-shot piecewise-constant solve of a linearized system.
 
     ``rhs`` defaults to the system's own f.  ``n_segments`` is the number
     of uniform mesh segments on [0, T].
     """
-    if isinstance(lin, VolterraSystem):
-        if rhs is None:
-            rhs = ExpressionRhs(lin)
-        lin = linearize(lin)
-    elif rhs is None:
-        rhs = ExpressionRhs(lin.system)
+    lin, rhs = linear_problem(lin, rhs)
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    disc = PCDiscretization(lin, mesh, panels=panels,
-                            history_panels=history_panels)
+    disc = PCDiscretization(lin, mesh, panels=panels)
     return disc.solve(rhs)

@@ -525,6 +525,28 @@ class CallableRhs:
         return self._d0.copy()
 
 
+def linear_problem(lin, rhs):
+    """``(lin, rhs)`` for a :class:`VolterraSystem`, frozen along its initial
+    guess, or a :class:`LinearizedSystem`; an ``rhs`` of None means f.
+    """
+    if isinstance(lin, VolterraSystem):
+        lin = linearize(lin)
+    return lin, ExpressionRhs(lin.system) if rhs is None else rhs
+
+
+def rhs_at_nodes(rhs, nodes, n_equations):
+    """``rhs.values(nodes)``, checked: shape (n_equations, n_nodes), all finite."""
+    values = np.asarray(rhs.values(nodes), dtype=float)
+    if values.shape != (n_equations, nodes.size):
+        raise SolverError(f"right-hand side returned shape {values.shape}, "
+                          f"expected {(n_equations, nodes.size)}")
+    if not np.all(np.isfinite(values)):
+        r, i = np.argwhere(~np.isfinite(values.T))[0]
+        raise SolverError(f"right-hand side of equation {i + 1} is "
+                          f"{values[i, r]} at node {r + 1} (t = {nodes[r]:.6g})")
+    return values
+
+
 def band_quadrature_residual(system, solution, t, panels=2000):
     """Residual of the original equations at time(s) t for a candidate solution.
 

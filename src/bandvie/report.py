@@ -64,10 +64,6 @@ class SolveReport:
     condition_number: float = None
     error_message: str = None        # set for failed sweep points
 
-    @property
-    def n_iterations(self):
-        return len(self.iterations.records) if self.iterations else None
-
 
 def _columns(report):
     """Ordered (name, value) pairs for one report row."""

@@ -187,19 +187,36 @@ def test_pc_assembly_matches_loop(name, n):
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     mesh = Mesh.uniform(system.curves.horizon, n)
-    got = PCDiscretization(lin, mesh)._plans
+    got = PCDiscretization(lin, mesh)._steps
     ref = _loop_pc_plans(lin, mesh)
     assert len(got) == len(ref) == n
-    for step_got, step_ref in zip(got, ref):
-        assert len(step_got) == len(step_ref) == system.n_bands
-        for plan, (comp, seg, coeff, hist_segs, hist_w) in zip(step_got,
-                                                               step_ref):
-            assert (plan.component, plan.segment) == (comp, seg)
-            np.testing.assert_array_equal(plan.hist_segments, hist_segs)
-            assert plan.hist_weights.shape == hist_w.shape
-            tol = RTOL * (1.0 + np.abs(coeff).max() + np.abs(hist_w).sum())
-            assert np.max(np.abs(plan.coeff - coeff)) <= tol
-            assert np.max(np.abs(plan.hist_weights - hist_w), initial=0.0) <= tol
+    for (fact, terms, rows, cols), step_ref in zip(got, ref):
+        assert len(terms) == len(step_ref) == system.n_bands
+        # the highest segment per component is the step's unknown
+        active = {}
+        for comp, seg, *_ in step_ref:
+            active[comp] = max(active.get(comp, 0), seg)
+        np.testing.assert_array_equal(rows, np.array(list(active)) - 1)
+        np.testing.assert_array_equal(cols, np.array(list(active.values())) - 1)
+        mat = np.zeros((lin.n_equations, lin.n_components))
+        for (u, known, coeff, hist, weights), (comp, seg, ref_coeff, hist_segs,
+                                               hist_w) in zip(terms, step_ref):
+            assert u == comp - 1
+            if seg == active[comp]:
+                assert known is None
+                mat[:, u] += ref_coeff
+            else:
+                assert known == (seg - 1 if np.any(ref_coeff != 0.0) else None)
+            np.testing.assert_array_equal(hist, hist_segs - 1)
+            assert weights.shape == hist_w.shape
+            tol = RTOL * (1.0 + np.abs(ref_coeff).max() + np.abs(hist_w).sum())
+            assert np.max(np.abs(coeff - ref_coeff)) <= tol
+            assert np.max(np.abs(weights - hist_w), initial=0.0) <= tol
+        # the step factorization is of the reference step matrix: PA = LU
+        lower = np.tril(fact._lu, -1) + np.eye(fact.shape[0])
+        upper = np.triu(fact._lu)
+        assert np.max(np.abs(lower @ upper - mat[fact._perm])) <= \
+            RTOL * (1.0 + np.abs(mat).max())
 
 
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])

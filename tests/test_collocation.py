@@ -240,3 +240,15 @@ def test_scalar_problem_collocation_via_shared_unknown(scalar):
 
     sol = CollocationDiscretization(lin, degree=2).solve(_Rhs())
     assert np.allclose(sol.coefficients, [[0.0, 0.0, 1.0]], atol=1e-7)
+
+
+def test_non_finite_rhs_names_equation_node_and_time(model01):
+    class NanRhs(ExpressionRhs):
+        def values(self, ts):
+            out = super().values(ts)
+            out[1, 2] = np.nan
+            return out
+
+    with pytest.raises(SolverError, match=r"right-hand side of equation 2 is "
+                                          r"nan at node 3 \(t = 1\.2\)"):
+        solve_linear_collocation(model01, rhs=NanRhs(model01), degree=5)

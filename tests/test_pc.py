@@ -214,3 +214,47 @@ def test_non_square_band_map_rejected(model01):
     )
     with pytest.raises(SolverError, match="cannot be solved|band-to-unknown"):
         solve_linear_pc(system, n_segments=16)
+
+
+class _NanRhs:
+    """The system's own right-hand side with one value replaced by NaN."""
+
+    def __init__(self, system, equation, node):
+        self._rhs = ExpressionRhs(system)
+        self._at = (equation - 1, node - 1)
+
+    def values(self, ts):
+        out = self._rhs.values(ts)
+        out[self._at] = np.nan
+        return out
+
+    def derivative_at_zero(self):
+        return self._rhs.derivative_at_zero()
+
+
+def test_non_finite_rhs_names_equation_node_and_time(model01):
+    with pytest.raises(SolverError, match=r"right-hand side of equation 1 is "
+                                          r"nan at node 6 \(t = 0\.75\)"):
+        solve_linear_pc(model01, rhs=_NanRhs(model01, 1, 6), n_segments=16)
+
+
+def test_step_systems_are_factorized_once_per_discretization(model01,
+                                                             monkeypatch):
+    from bandvie import linalg
+
+    shapes = []
+    original = linalg.LUFactorization.__init__
+
+    def counting(self, a):
+        shapes.append(np.shape(a))
+        original(self, a)
+
+    monkeypatch.setattr(linalg.LUFactorization, "__init__", counting)
+    disc = PCDiscretization(linearize(model01), Mesh.uniform(2.0, 16))
+    assert shapes == []
+    rhs = ExpressionRhs(model01)
+    first = disc.solve(rhs)
+    second = disc.solve(rhs)
+    # 16 step systems and the start-value system, each factorized once
+    assert len(shapes) == 16 + 1
+    assert np.array_equal(first.values, second.values, equal_nan=True)
