@@ -7,8 +7,12 @@ nodes t_k = k T / m.  The monomial basis is kept, but moments are
 assembled in the rescaled variable s/T and the coefficients mapped back,
 which tames the growth of the high powers when T > 1.
 
-Moment entries are mutually independent and could be assembled in
-parallel; solutions are immutable.
+The moments come from one :func:`quadrature.band_plan` per band over the
+collocation nodes, with the frozen kernel K * dG/dx(x0) evaluated once on
+it; each node's band segment is a contiguous slice of that plan.  The
+outer iteration hands the same plan on to its right-hand-side evaluator
+(:meth:`CollocationDiscretization.take_frozen_plan`), so the frozen kernel
+is evaluated once per run.  Solutions are immutable.
 """
 
 from __future__ import annotations
@@ -116,26 +120,30 @@ class CollocationDiscretization:
                 f"must give one component per equation")
         matrix = np.zeros((size, size))
         zeroth = np.zeros((n_eq, m, lin.n_bands))
-        for k in range(1, m + 1):
-            tk = float(self.nodes[k - 1])
-            for seg in quadrature.decompose(tk, lin.curves):
-                if seg.is_empty:
-                    continue
-                j = seg.band
-                comp = lin.unknown_of_band[j - 1]
-                mids, width = quadrature.midpoints(seg.lo, seg.hi, self.panels)
-                scaled = mids / self.scale
-                kvs, gvs = lin.frozen_factors(j, tk, mids)
-                for i in range(1, n_eq + 1):
-                    vals = kvs[i - 1] * gvs[i - 1]
-                    zeroth[i - 1, k - 1, j - 1] += float(vals.sum() * width)
-                    row = flatten_index(i, k, m)
-                    power = scaled.copy()
-                    for l in range(1, m + 1):
-                        col = flatten_index(comp, l, m)
-                        matrix[row, col] += float((vals * power).sum() * width)
-                        if l < m:
-                            power *= scaled
+        self._frozen = []
+        for plan in quadrature.band_plan(self.nodes, lin.curves, self.panels):
+            j = plan.band
+            kvs, gvs = lin.frozen_factors(
+                j, self.nodes[plan.time_index], plan.abscissas)
+            cols = flatten_index(lin.unknown_of_band[j - 1],
+                                 np.arange(1, m + 1), m)
+            # one piece, a contiguous slice, per node whose band segment is
+            # not empty; the entries accumulate in band order
+            for k, lo, hi, width in zip(plan.piece_time, plan.offsets[:-1],
+                                        plan.offsets[1:], plan.piece_width):
+                scaled = plan.abscissas[lo:hi] / self.scale
+                powers = np.empty((m, hi - lo))
+                powers[0] = scaled
+                for l in range(1, m):
+                    np.multiply(powers[l - 1], scaled, out=powers[l])
+                for i in range(n_eq):
+                    vals = kvs[i][lo:hi] * gvs[i][lo:hi]
+                    zeroth[i, k, j - 1] += float(vals.sum() * width)
+                    # row sums of a C-contiguous block add pairwise, as
+                    # the 1-D sum of one entry does
+                    matrix[flatten_index(i + 1, k + 1, m), cols] += (
+                        (vals * powers).sum(axis=1) * width)
+            self._frozen.append((plan, kvs, gvs))
         self.matrix = matrix
         self.zeroth_moments = zeroth
         self.condition_number = float(np.linalg.cond(matrix)) if size else 0.0
@@ -151,6 +159,18 @@ class CollocationDiscretization:
             raise SolverError(
                 f"singular collocation matrix at degree {m} "
                 f"(condition ~ {self.condition_number:.3e}): {exc}") from exc
+
+    def take_frozen_plan(self):
+        """Hand over the band plans the moments were taken from, once.
+
+        Per band ``(plan, K values, dG/dx values)``, the plan over the
+        collocation nodes at ``panels`` panels and the lists
+        :meth:`LinearizedSystem.frozen_factors` returned on its abscissas.
+        Afterwards the discretization holds none of it; a second call
+        returns None.
+        """
+        frozen, self._frozen = self._frozen, None
+        return frozen
 
     def solve(self, rhs):
         """Coefficients for a right-hand side object; returns a polynomial."""

@@ -22,13 +22,15 @@ must not be shared between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import quadrature
 from .collocation import DEFAULT_MOMENT_PANELS, CollocationDiscretization
-from .errors import DivergenceError, ProblemDefinitionError
+from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .expr import parse
 from .pc import HISTORY_PANELS, Mesh, PCDiscretization
 from .problem import linearize, validate
@@ -77,14 +79,45 @@ def correction_norm(prev, nxt):
 
     Each component is sampled at ``NORM_SAMPLES`` uniform points on its own
     interval of definition (endpoints included).
+
+    Raises
+    ------
+    SolverError
+        If the correction of a component is not finite; the component and
+        the first bad t are named.
     """
     worst = 0.0
     for i in range(1, nxt.n_components + 1):
         ts = np.linspace(0.0, nxt.component_domains[i - 1], NORM_SAMPLES)
         a = np.asarray(prev.component_values(i, ts), dtype=float)
         b = np.asarray(nxt.component_values(i, ts), dtype=float)
-        worst = max(worst, float(np.max(np.abs(b - a))))
+        diff = np.abs(b - a)
+        top = float(np.max(diff))      # nan propagates through max
+        if not math.isfinite(top):
+            k = int(np.argmax(~np.isfinite(diff)))
+            raise SolverError(
+                f"correction of component {i} is {diff[k]} at t = "
+                f"{ts[k]:.6g} (previous {a[k]}, next {b[k]})")
+        worst = max(worst, top)
     return worst
+
+
+class _PsiBand(NamedTuple):
+    """One band of the psi plan that has a pair with G not x.
+
+    The abscissas of time r are ``abscissas[starts[r]:ends[r]]``; ``pairs``
+    holds (0-based equation, K * quadrature weight, dG/dx(x0)) for each
+    equation whose G is not x, and ``csum`` is the prefix-sum buffer,
+    ``csum[0] = 0``, that :meth:`PsiEvaluator.values` overwrites.
+    """
+
+    band: int  # 0-based
+    component: int  # 1-based
+    starts: np.ndarray
+    ends: np.ndarray
+    abscissas: np.ndarray
+    pairs: tuple
+    csum: np.ndarray
 
 
 class PsiEvaluator:
@@ -98,45 +131,44 @@ class PsiEvaluator:
     ``cuts`` lists global breakpoints (mesh nodes for piecewise-constant
     iterates) at which band segments are split into pieces of
     ``PSI_PIECE_PANELS`` midpoint panels each; without cuts each band
-    segment is one smooth piece with ``panels`` midpoint panels.
+    segment is one smooth piece with ``panels`` midpoint panels.  Instead
+    of building its own plan, the evaluator can take ``frozen``, the band
+    plans a :class:`CollocationDiscretization` took its moments from
+    (:meth:`~CollocationDiscretization.take_frozen_plan`, planned over
+    ``times`` without cuts); it then evaluates no kernel itself.
 
-    Pairs with G_ij = x are skipped, and a band where every G is x is not
-    evaluated at all.  Per band the evaluator keeps one prefix-sum buffer
-    that :meth:`values` overwrites; so one evaluator serves one run and
-    must not be shared between threads.
+    Only pairs with G_ij other than x are kept: a band where every G is x
+    is neither planned nor evaluated.  Per band the evaluator keeps one
+    prefix-sum buffer that :meth:`values` overwrites; so one evaluator
+    serves one run and must not be shared between threads.
     """
 
-    def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS):
+    def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
+                 frozen=None):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
         system = lin.system
         n_bands = lin.n_bands
-        plans = quadrature.band_plan(
-            self.times, lin.curves,
-            panels if cuts is None else PSI_PIECE_PANELS, cuts=cuts)
-
-        # per band: the abscissas of time r are _starts[r]:_ends[r]; the
-        # kernel values carry the quadrature weights
-        self._starts, self._ends, self._absc = [], [], []
-        self._kernel_vals, self._gx0_vals = [], []
-        # per band: the equations whose G is not x, and the prefix-sum
-        # buffer, csum[0] = 0, that values() fills for them
-        self._active, self._csum = [], []
-        for j, plan in enumerate(plans):
+        active = [[i for i in range(lin.n_equations)
+                   if system.nonlinearities[i][j] != _IDENTITY]
+                  for j in range(n_bands)]
+        if frozen is None:
+            frozen = self._plan(active, cuts, panels)
+        self._bands = []
+        for plan, kvs, gvs in frozen:
+            j = plan.band - 1
             s = plan.abscissas
+            if not (active[j] and s.size):
+                continue
             ends = np.cumsum(np.bincount(
                 plan.time_index, minlength=self.times.size))
-            self._ends.append(ends)
-            self._starts.append(np.concatenate(([0], ends[:-1])))
-            self._absc.append(s)
-            tv = self.times[plan.time_index]
-            kvs, gvs = lin.frozen_factors(j + 1, tv, s)
-            self._kernel_vals.append([kv * plan.weights for kv in kvs])
-            self._gx0_vals.append(gvs)
-            active = [i for i in range(lin.n_equations)
-                      if s.size and system.nonlinearities[i][j] != _IDENTITY]
-            self._active.append(active)
-            self._csum.append(np.zeros(s.size + 1) if active else None)
+            weights = plan.weights
+            self._bands.append(_PsiBand(
+                band=j, component=lin.unknown_of_band[j],
+                starts=np.concatenate(([0], ends[:-1])), ends=ends,
+                abscissas=s,
+                pairs=tuple((i, kvs[i] * weights, gvs[i]) for i in active[j]),
+                csum=np.zeros(s.size + 1)))
 
         self._f_vals = np.vstack([
             np.broadcast_to(np.asarray(f(t=self.times), float),
@@ -148,29 +180,34 @@ class PsiEvaluator:
                   for j in range(n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))
 
+    def _plan(self, active, cuts, panels):
+        """``(plan, K, dG/dx)`` per band that has a pair with G not x."""
+        lin = self.lin
+        edges = quadrature.band_edges(self.times, lin.curves)
+        for pieces in quadrature.band_pieces(edges, cuts):
+            if active[pieces.band - 1]:
+                plan = quadrature.midpoint_plan(
+                    pieces, panels if cuts is None else PSI_PIECE_PANELS)
+                yield (plan, *lin.frozen_factors(
+                    plan.band, self.times[plan.time_index], plan.abscissas))
+
     def values(self, iterate):
         """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
-        lin = self.lin
-        system = lin.system
+        nonlinearities = self.lin.system.nonlinearities
         out = self._f_vals.copy()
-        for j, active in enumerate(self._active):
-            if not active:
-                continue
-            s = self._absc[j]
-            comp = lin.unknown_of_band[j]
+        for j, comp, starts, ends, s, pairs, csum in self._bands:
             xm = np.asarray(iterate.component_values(comp, s), dtype=float)
-            csum = self._csum[j]
             contrib = csum[1:]
-            for i in active:
-                gm = system.nonlinearities[i][j](s=s, x=xm)
+            for i, kernel, gx0 in pairs:
+                gm = nonlinearities[i][j](s=s, x=xm)
                 # K * (G'(x0) * xm - G(xm)), built in the buffer and summed
                 # in place: the same products and sequential sums as with
                 # temporaries
-                np.multiply(self._gx0_vals[j][i], xm, out=contrib)
+                np.multiply(gx0, xm, out=contrib)
                 np.subtract(contrib, gm, out=contrib)
-                np.multiply(self._kernel_vals[j][i], contrib, out=contrib)
+                np.multiply(kernel, contrib, out=contrib)
                 np.cumsum(contrib, out=contrib)
-                out[i] += csum[self._ends[j]] - csum[self._starts[j]]
+                out[i] += csum[ends] - csum[starts]
         return out
 
     def derivative_at_zero(self, iterate):
@@ -239,7 +276,9 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     panels : inner-solver quadrature panels (moment/coefficient integrals);
         the right-hand-side integrals use ``DEFAULT_PSI_PANELS`` per band
         segment for polynomial iterates and ``PSI_PIECE_PANELS`` per mesh
-        piece for piecewise-constant ones
+        piece for piecewise-constant ones.  At the default, collocation
+        moments and right-hand sides share one plan and one evaluation of
+        the frozen kernel
 
     Returns
     -------
@@ -276,7 +315,13 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         disc = CollocationDiscretization(
             lin, degree,
             panels=DEFAULT_MOMENT_PANELS if panels is None else panels)
-        evaluator = PsiEvaluator(lin, disc.nodes)
+        # the moments' plan is the psi plan when the panel counts agree;
+        # what psi does not keep of it is freed here
+        frozen = disc.take_frozen_plan()
+        if disc.panels != DEFAULT_PSI_PANELS:
+            frozen = None
+        evaluator = PsiEvaluator(lin, disc.nodes, frozen=frozen)
+        del frozen
     else:
         raise ValueError(f"unknown inner method {method!r}")
 
@@ -287,7 +332,10 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     for step in range(1, max_iters + 1):
         rhs = _PsiRhs(evaluator, current)
         solution = disc.solve(rhs)
-        corr = correction_norm(current, solution)
+        try:
+            corr = correction_norm(current, solution)
+        except SolverError as exc:
+            raise SolverError(f"iteration {step}: {exc}") from exc
         ratio = None if prev_correction in (None, 0.0) else corr / prev_correction
         comp_errors, aggregate = (), None
         if system.exact is not None:

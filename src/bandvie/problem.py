@@ -470,9 +470,21 @@ class LinearizedSystem:
 
         The start-value matrix is built and factorized on the first call
         and reused by every later one.
+
+        Raises
+        ------
+        SolverError
+            If a derivative at 0 is not finite; the equation is named.
         """
+        d0 = np.asarray(derivative_at_zero, dtype=float)
+        bad = ~np.isfinite(d0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SolverError(
+                f"d/dt of the right-hand side of equation {i + 1} at t = 0 "
+                f"is {d0[i]}; the start values need it finite")
         mat, fact = self._start_factorization
-        return refined_solve(fact, mat, derivative_at_zero)
+        return refined_solve(fact, mat, d0)
 
 
 def linearize(system, x0=None):

@@ -205,24 +205,28 @@ def band_pieces(edges, cuts=None):
 class BandPlan:
     """Composite midpoint abscissas of one band over a vector of outer times.
 
-    Piece p covers ``abscissas[offsets[p]:offsets[p + 1]]``; pieces are
-    ordered by time and then along s.  Every abscissa carries its piece's
-    panel width and the index of its outer time.
+    Piece p covers ``abscissas[offsets[p]:offsets[p + 1]]``, has panel width
+    ``piece_width[p]`` and belongs to outer time ``piece_time[p]``; pieces
+    are ordered by time and then along s.  The abscissas are the only array
+    kept per abscissa: ``weights`` and ``time_index`` are expanded from the
+    pieces on each access.
     """
 
     band: int  # 1-based band index
     abscissas: np.ndarray
-    weights: np.ndarray
-    time_index: np.ndarray
     offsets: np.ndarray
+    piece_time: np.ndarray
+    piece_width: np.ndarray
 
     @property
-    def piece_time(self):
-        return self.time_index[self.offsets[:-1]]
+    def weights(self):
+        """The panel width of every abscissa."""
+        return np.repeat(self.piece_width, np.diff(self.offsets))
 
     @property
-    def piece_width(self):
-        return self.weights[self.offsets[:-1]]
+    def time_index(self):
+        """The outer-time index of every abscissa."""
+        return np.repeat(self.piece_time, np.diff(self.offsets))
 
     @cached_property
     def _piece_groups(self):
@@ -264,16 +268,14 @@ def midpoint_plan(pieces, panels):
     counts = np.broadcast_to(np.asarray(panels, dtype=np.intp), pieces.lo.shape)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     width = (pieces.hi - pieces.lo) / counts
-    weights = np.repeat(width, counts)
     # in place, in the order lo + ((k + 0.5) * width)
     x = np.arange(offsets[-1], dtype=float)
     x -= np.repeat(offsets[:-1], counts)
     x += 0.5
-    x *= weights
+    x *= np.repeat(width, counts)
     x += np.repeat(pieces.lo, counts)
-    return BandPlan(
-        band=pieces.band, abscissas=x, weights=weights,
-        time_index=np.repeat(pieces.time_index, counts), offsets=offsets)
+    return BandPlan(band=pieces.band, abscissas=x, offsets=offsets,
+                    piece_time=pieces.time_index, piece_width=width)
 
 
 def band_plan(times, curves, panels, cuts=None, proportional=False):

@@ -1,15 +1,19 @@
 """The vectorized band plans against the per-time, per-piece loops they replace.
 
 The ``_loop_*`` functions below are the loop implementations of the residual
-oracle, the pc assembly and the psi plan, kept as references: the vectorized
-results must agree with them to 1e-12 of the integral magnitude (the psi
-plan without cuts must match bit for bit).
+oracle, the pc assembly, the psi plan and the collocation moments, kept as
+references: the vectorized results must agree with them to 1e-12 of the
+integral magnitude (the psi plan without cuts and the moments must match
+bit for bit).
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bandvie import quadrature
+from bandvie import collocation, quadrature
+from bandvie.config import load_problem
 from bandvie.errors import CurveOrderingError
 from bandvie.newton import PsiEvaluator
 from bandvie.pc import Mesh, PCDiscretization, solve_linear_pc
@@ -131,6 +135,37 @@ def _loop_psi_plan(lin, times, cuts=None, panels=8000, piece_panels=4):
     return out
 
 
+def _loop_moments(lin, degree, panels=collocation.DEFAULT_MOMENT_PANELS):
+    """Moment matrix and zeroth moments, node by node and band by band."""
+    m = degree
+    nodes = collocation.collocation_nodes(lin.curves.horizon, m)
+    scale = float(lin.curves.horizon)
+    n_eq = lin.n_equations
+    matrix = np.zeros((n_eq * m, n_eq * m))
+    zeroth = np.zeros((n_eq, m, lin.n_bands))
+    for k in range(1, m + 1):
+        tk = float(nodes[k - 1])
+        for seg in quadrature.decompose(tk, lin.curves):
+            if seg.is_empty:
+                continue
+            j = seg.band
+            comp = lin.unknown_of_band[j - 1]
+            mids, width = quadrature.midpoints(seg.lo, seg.hi, panels)
+            scaled = mids / scale
+            kvs, gvs = lin.frozen_factors(j, tk, mids)
+            for i in range(1, n_eq + 1):
+                vals = kvs[i - 1] * gvs[i - 1]
+                zeroth[i - 1, k - 1, j - 1] += float(vals.sum() * width)
+                row = collocation.flatten_index(i, k, m)
+                power = scaled.copy()
+                for l in range(1, m + 1):
+                    col = collocation.flatten_index(comp, l, m)
+                    matrix[row, col] += float((vals * power).sum() * width)
+                    if l < m:
+                        power *= scaled
+    return matrix, zeroth
+
+
 def _repeated_curve_system():
     """Three bands, the middle one of zero length at every t."""
     return VolterraSystem(
@@ -219,35 +254,89 @@ def test_pc_assembly_matches_loop(name, n):
             RTOL * (1.0 + np.abs(mat).max())
 
 
+#: (0-based band, 0-based equations whose G is not x) per psi test system
+ACTIVE_PAIRS = {"model01": [], "model02": [], "nonlinear-scalar": [(0, [0])],
+                "repeated": [(2, [0])]}
+
+
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
 def test_psi_plan_without_cuts_is_bit_identical(name):
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     times = np.concatenate(([0.0], np.linspace(0.1, system.curves.horizon, 6)))
     ev = PsiEvaluator(lin, times, panels=500)
-    for j, (starts, ends, s, kern, slope) in enumerate(
-            _loop_psi_plan(lin, times, panels=500)):
-        np.testing.assert_array_equal(ev._starts[j], starts)
-        np.testing.assert_array_equal(ev._ends[j], ends)
-        np.testing.assert_array_equal(ev._absc[j], s)
-        for i in range(lin.n_equations):
-            np.testing.assert_array_equal(ev._kernel_vals[j][i], kern[i])
-            np.testing.assert_array_equal(ev._gx0_vals[j][i], slope[i])
+    ref = _loop_psi_plan(lin, times, panels=500)
+    # the evaluator keeps the pairs whose G is not x, and only those
+    assert [(band.band, [i for i, *_ in band.pairs]) for band in ev._bands] \
+        == ACTIVE_PAIRS[name]
+    for band in ev._bands:
+        starts, ends, s, kern, slope = ref[band.band]
+        np.testing.assert_array_equal(band.starts, starts)
+        np.testing.assert_array_equal(band.ends, ends)
+        np.testing.assert_array_equal(band.abscissas, s)
+        for i, kernel, gx0 in band.pairs:
+            np.testing.assert_array_equal(kernel, kern[i])
+            np.testing.assert_array_equal(gx0, slope[i])
 
 
-def test_psi_plan_with_mesh_cuts_matches_loop(model01):
-    lin = linearize(model01)
-    mesh = Mesh.uniform(2.0, 16)
-    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
-    for j, (starts, ends, s, kern, slope) in enumerate(
-            _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])):
-        np.testing.assert_array_equal(ev._starts[j], starts)
-        np.testing.assert_array_equal(ev._ends[j], ends)
-        assert np.max(np.abs(ev._absc[j] - s)) <= RTOL * 2.0
-        for i in range(lin.n_equations):
-            assert np.max(np.abs(ev._kernel_vals[j][i] - kern[i])) <= \
-                RTOL * np.abs(kern[i]).sum()
-            assert np.max(np.abs(ev._gx0_vals[j][i] - slope[i])) <= RTOL
+def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
+    # model01 is all G = x and plans nothing; nonlinear-scalar keeps band 1
+    for name, system in (("model01", model01), ("nonlinear-scalar", scalar)):
+        lin = linearize(system)
+        mesh = Mesh.uniform(system.curves.horizon, 16)
+        ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+        ref = _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+        assert [(band.band, [i for i, *_ in band.pairs])
+                for band in ev._bands] == ACTIVE_PAIRS[name]
+        for band in ev._bands:
+            starts, ends, s, kern, slope = ref[band.band]
+            np.testing.assert_array_equal(band.starts, starts)
+            np.testing.assert_array_equal(band.ends, ends)
+            assert np.max(np.abs(band.abscissas - s)) <= \
+                RTOL * system.curves.horizon
+            for i, kernel, gx0 in band.pairs:
+                assert np.max(np.abs(kernel - kern[i])) <= \
+                    RTOL * np.abs(kern[i]).sum()
+                assert np.max(np.abs(gx0 - slope[i])) <= RTOL
+
+
+SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
+                  / "bench" / "problems" / "sample_problem.yaml")
+
+
+def _moment_case(name):
+    if name == "sample-problem":
+        return load_problem(SAMPLE_PROBLEM)
+    if name == "empty-band":
+        # alpha_1 = t: band 2 is empty at every node, band 3 is not
+        return VolterraSystem(
+            curves=CurveFamily(1.0, ("t", "t")),
+            kernels=[["1+t+s", "2", "1"], ["1+t-s", "-1", "3"]],
+            nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
+            rhs=["t", "t^2"], unknown_of_band=(1, 2, 2), guess=["1+t", "t"])
+    return builtin(name)
+
+
+@pytest.mark.parametrize("name, degree", [
+    *[("model02", m) for m in range(2, 13)],
+    *[("nonlinear-sys2", m) for m in range(2, 13)],
+    ("sample-problem", 4), ("sample-problem", 8),
+    ("nonlinear-scalar", 5), ("nonlinear-scalar", 9),
+    ("empty-band", 3)])
+def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
+    # model02 at m = 11, 12 fails the pivot check after the moments are
+    # taken; the moments are compared without factorizing
+    monkeypatch.setattr(collocation, "LUFactorization", lambda matrix: None)
+    lin = linearize(_moment_case(name))
+    disc = collocation.CollocationDiscretization(lin, degree)
+    matrix, zeroth = _loop_moments(lin, degree)
+    assert np.array_equal(disc.matrix, matrix)
+    assert np.array_equal(disc.zeroth_moments, zeroth)
+    # the plan the moments came from is handed over once, every band of it
+    frozen = disc.take_frozen_plan()
+    assert [plan.band for plan, _, _ in frozen] == \
+        list(range(1, lin.n_bands + 1))
+    assert disc.take_frozen_plan() is None
 
 
 def test_band_pieces_drop_zero_length_pieces_like_split_interval():

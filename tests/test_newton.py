@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from bandvie import quadrature
-from bandvie.errors import DivergenceError, ProblemDefinitionError
+from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
 from bandvie.newton import correction_norm, iterate, psi
-from bandvie.problem import CurveFamily, ExpressionIterate, VolterraSystem
+from bandvie.problem import (
+    CurveFamily,
+    ExpressionIterate,
+    LinearizedSystem,
+    VolterraSystem,
+)
 from bandvie.registry import builtin
 
 
@@ -87,6 +92,72 @@ def test_correction_norm_cases():
     assert correction_norm(a, b) == pytest.approx(0.25, abs=1e-14)
     c = ExpressionIterate(["0.9*cos(t)"], domains)
     assert correction_norm(a, c) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_non_finite_correction_names_the_component(model01):
+    domains = model01.component_domains()
+    a = ExpressionIterate(["cos(t)", "sin(t)"], domains)
+    b = ExpressionIterate(["cos(t)", "sqrt(t-1)"], domains)
+    with pytest.raises(SolverError, match=r"correction of component 2 is nan "
+                                          r"at t = 0 "):
+        correction_norm(a, b)
+
+
+def test_non_finite_guess_is_an_error_not_a_converged_run(model01):
+    # the guess is nan on (1, 2]; with G = x the solver reads it only at
+    # t = 0, so only the first correction sees it
+    system = VolterraSystem(
+        curves=model01.curves, kernels=model01.kernels,
+        nonlinearities=model01.nonlinearities, rhs=model01.rhs,
+        unknown_of_band=model01.unknown_of_band, guess=["0", "sqrt(1-t)"])
+    with pytest.raises(SolverError, match=r"^iteration 1: correction of "
+                                          r"component 2 is nan at t = 1\.002"):
+        iterate(system, method="collocation", degree=4)
+
+
+@pytest.mark.parametrize("kwargs", [dict(method="collocation", degree=4),
+                                    dict(method="pc", n_segments=32)])
+def test_infinite_rhs_slope_at_zero_is_named(model01, kwargs):
+    # f_1 = sqrt(t) has f_1(0) = 0, so it validates, but f_1'(0) = inf: the
+    # start values are undefined; the run used to stop on "tolerance" with
+    # nan values
+    system = VolterraSystem(
+        curves=model01.curves, kernels=model01.kernels,
+        nonlinearities=model01.nonlinearities,
+        rhs=["sqrt(t)", str(model01.rhs[1])],
+        unknown_of_band=model01.unknown_of_band)
+    with pytest.raises(SolverError, match=r"right-hand side of equation 1 at "
+                                          r"t = 0 is inf"):
+        iterate(system, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["model01", "nonlinear-sys2"])
+def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
+        name, monkeypatch):
+    # the moments and psi share one plan: one frozen_factors call per band
+    # on it, plus one per band for the t = 0 values of the start matrix
+    system = builtin(name)
+    calls = []
+    original = LinearizedSystem.frozen_factors
+
+    def counting(self, j, t, s):
+        calls.append((j, np.size(s)))
+        return original(self, j, t, s)
+
+    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting)
+    iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15)
+    bands = range(1, system.n_bands + 1)
+    assert sorted(calls) == sorted([(j, 1) for j in bands]
+                                   + [(j, 4 * 8000) for j in bands])
+    # moments on other panel counts leave psi its own 8000-panel plan, on
+    # the bands whose G is not x
+    calls.clear()
+    iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15,
+            panels=500)
+    psi_bands = bands if name == "nonlinear-sys2" else []
+    assert sorted(calls) == sorted([(j, 1) for j in bands]
+                                   + [(j, 4 * 500) for j in bands]
+                                   + [(j, 4 * 8000) for j in psi_bands])
 
 
 def test_linear_problem_converges_in_one_step(model01):

@@ -1,8 +1,9 @@
 """PsiEvaluator.values and the Horner iterates against the loops they replace.
 
 ``_reference_values`` is the psi loop kept as a reference: ``polyval`` for
-polynomial iterates, a fresh ``concatenate`` plus ``cumsum`` per pair, and
-every (i, j) pair, G = x included.  The evaluator must match it bit for bit.
+polynomial iterates and a fresh ``concatenate`` plus ``cumsum`` per pair,
+over the pairs the evaluator keeps (those whose G is not x).  The evaluator
+must match it bit for bit.
 """
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from bandvie.collocation import PolynomialSolution, collocation_nodes
+from bandvie.expr import Expression
 from bandvie.newton import PsiEvaluator
 from bandvie.pc import Mesh, solve_linear_pc
-from bandvie.problem import linearize
+from bandvie.problem import LinearizedSystem, linearize
 from bandvie.quadrature import BandPieces, midpoint_plan
 
 
@@ -20,21 +22,19 @@ def _reference_values(ev, iterate):
     lin = ev.lin
     system = lin.system
     out = ev._f_vals.copy()
-    for j in range(lin.n_bands):
-        s = ev._absc[j]
-        if not s.size:
-            continue
+    for band in ev._bands:
+        j, s = band.band, band.abscissas
         comp = lin.unknown_of_band[j]
         if isinstance(iterate, PolynomialSolution):
             xm = polyval(s, iterate.coefficients[comp - 1])
         else:
             xm = np.asarray(iterate.component_values(comp, s), dtype=float)
-        for i in range(lin.n_equations):
+        for i, kernel, gx0 in band.pairs:
             gm = np.broadcast_to(np.asarray(
                 system.nonlinearities[i][j](s=s, x=xm), float), s.shape)
-            contrib = ev._kernel_vals[j][i] * (ev._gx0_vals[j][i] * xm - gm)
+            contrib = kernel * (gx0 * xm - gm)
             csum = np.concatenate(([0.0], np.cumsum(contrib)))
-            out[i] += csum[ev._ends[j]] - csum[ev._starts[j]]
+            out[i] += csum[band.ends] - csum[band.starts]
     return out
 
 
@@ -110,6 +110,31 @@ def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
     counting = _Counting(iterate)
     ev.values(counting)
     assert counting.components == []
+
+
+def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
+                                                            monkeypatch):
+    lin = linearize(model01)
+    lin.origin_factors          # the t = 0 values belong to the start matrix
+    evaluated, frozen_calls = [], []
+    call, frozen = Expression.__call__, LinearizedSystem.frozen_factors
+
+    def counting_call(self, *args, **kwargs):
+        evaluated.append(self)
+        return call(self, *args, **kwargs)
+
+    def counting_frozen(self, *args):
+        frozen_calls.append(args[0])
+        return frozen(self, *args)
+
+    monkeypatch.setattr(Expression, "__call__", counting_call)
+    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting_frozen)
+    mesh = Mesh.uniform(model01.curves.horizon, 16)
+    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    assert frozen_calls == []
+    kernels = [e for row in model01.kernels + model01.g_x for e in row]
+    assert not any(any(e is k for k in kernels) for e in evaluated)
+    assert ev._bands == []
 
 
 def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
