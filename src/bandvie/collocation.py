@@ -8,11 +8,13 @@ assembled in the rescaled variable s/T and the coefficients mapped back,
 which tames the growth of the high powers when T > 1.
 
 The moments come from one :func:`quadrature.band_plan` per band over the
-collocation nodes, with the frozen kernel K * dG/dx(x0) evaluated once on
-it; each node's band segment is a contiguous slice of that plan.  The
-outer iteration hands the same plan on to its right-hand-side evaluator
-(:meth:`CollocationDiscretization.take_frozen_plan`), so the frozen kernel
-is evaluated once per run.  Solutions are immutable.
+collocation nodes, with the frozen kernel A = K * dG/dx(x0) evaluated and
+formed once on it; each node's band segment is a contiguous slice of that
+plan, and of A.  The outer iteration hands the plan, K and A on to its
+right-hand-side evaluator
+(:meth:`CollocationDiscretization.take_frozen_plan`), which sums
+psi = f + w * (sum A * xm - sum K * G(xm)) over the same slices; so the
+frozen kernel is evaluated once per run.  Solutions are immutable.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ def collocation_nodes(horizon, degree):
 def flatten_index(i, k, m):
     """0-based row/column of the moment system for 1-based (i, k), k <= m."""
     return (i - 1) * m + (k - 1)
-
-
-def unflatten_index(r, m):
-    """Inverse of :func:`flatten_index`."""
-    return r // m + 1, r % m + 1
 
 
 class PolynomialSolution:
@@ -125,6 +122,7 @@ class CollocationDiscretization:
             j = plan.band
             kvs, gvs = lin.frozen_factors(
                 j, self.nodes[plan.time_index], plan.abscissas)
+            avs = [kv * gv for kv, gv in zip(kvs, gvs)]
             cols = flatten_index(lin.unknown_of_band[j - 1],
                                  np.arange(1, m + 1), m)
             # one piece, a contiguous slice, per node whose band segment is
@@ -137,13 +135,16 @@ class CollocationDiscretization:
                 for l in range(1, m):
                     np.multiply(powers[l - 1], scaled, out=powers[l])
                 for i in range(n_eq):
-                    vals = kvs[i][lo:hi] * gvs[i][lo:hi]
+                    vals = avs[i][lo:hi]
                     zeroth[i, k, j - 1] += float(vals.sum() * width)
                     # row sums of a C-contiguous block add pairwise, as
                     # the 1-D sum of one entry does
                     matrix[flatten_index(i + 1, k + 1, m), cols] += (
                         (vals * powers).sum(axis=1) * width)
-            self._frozen.append((plan, kvs, gvs))
+            # the right-hand side needs K and A of the pairs whose G is not x
+            kept = lin.nonlinear_equations[j - 1]
+            self._frozen.append((plan, {i: kvs[i] for i in kept},
+                                 {i: avs[i] for i in kept}))
         self.matrix = matrix
         self.zeroth_moments = zeroth
         self.condition_number = float(np.linalg.cond(matrix)) if size else 0.0
@@ -163,11 +164,15 @@ class CollocationDiscretization:
     def take_frozen_plan(self):
         """Hand over the band plans the moments were taken from, once.
 
-        Per band ``(plan, K values, dG/dx values)``, the plan over the
-        collocation nodes at ``panels`` panels and the lists
-        :meth:`LinearizedSystem.frozen_factors` returned on its abscissas.
-        Afterwards the discretization holds none of it; a second call
-        returns None.
+        Per band ``(plan, K values, A values)``: the plan over the
+        collocation nodes at ``panels`` panels, on which every node owns
+        one contiguous piece of ``panels`` abscissas, and by equation the
+        K values :meth:`LinearizedSystem.frozen_factors` returned on it
+        and the frozen kernel A = K * dG/dx(x0) the moments were taken
+        from.  Only the equations in
+        :attr:`LinearizedSystem.nonlinear_equations` are kept; the others
+        add nothing to the right-hand side.  Afterwards the discretization
+        holds none of it; a second call returns None.
         """
         frozen, self._frozen = self._frozen, None
         return frozen

@@ -78,19 +78,3 @@ def refined_solve(fact, a, b):
         x = x + fact.solve(b - a @ x)
     return x
 
-
-def lu_solve(a, b):
-    """Solve A x = b via LU with partial pivoting.
-
-    One step of iterative refinement is applied when the residual exceeds
-    ``REFINE_RTOL * max(1, ||b||_inf)``; the monomial collocation matrices
-    get ill-conditioned at high degree and benefit from it.
-
-    Raises
-    ------
-    SingularMatrixError
-        When a pivot falls below ``PIVOT_RTOL`` times the largest initial
-        column magnitude; the failing elimination step is named.
-    """
-    a = np.asarray(a, dtype=float)
-    return refined_solve(LUFactorization(a), a, b)

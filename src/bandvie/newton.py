@@ -12,11 +12,21 @@ iterate rather than the correction puts the bracket on the right with the
 sign above; with it, the exact solution is a fixed point.)
 
 A pair with G_ij = x adds nothing to psi (for a finite iterate its bracket
-is 1 * xm - xm = 0 exactly), so the evaluator skips it.
+is 1 * xm - xm = 0 exactly), so the evaluator skips it
+(:attr:`LinearizedSystem.nonlinear_equations`).
+
+Psi is summed in one of two forms.  Without mesh cuts (polynomial
+iterates) each outer time owns one contiguous piece of the band plan, and
+psi = f + w * (sum A * xm - sum K * G(xm)) per piece, with A = K * dG/dx(x0)
+the frozen kernel the collocation moments already formed: two row dot
+products per pair, and no bracket is built per abscissa.  With cuts
+(piecewise-constant iterates) a time owns several pieces, and the bracket
+is summed by prefix sums in a scratch buffer; the pc iteration counts are
+fragile at roundoff level, so that summation order is kept as it is.
 
 One run is sequential in the iteration index; independent runs can share
-the immutable problem data, but not a :class:`PsiEvaluator`: it holds a
-scratch buffer that every call overwrites, so it belongs to one run and
+the immutable problem data, but not a :class:`PsiEvaluator` with cuts: its
+scratch buffer is overwritten by every call, so it belongs to one run and
 must not be shared between threads.
 """
 
@@ -31,7 +41,6 @@ import numpy as np
 from . import quadrature
 from .collocation import DEFAULT_MOMENT_PANELS, CollocationDiscretization
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
-from .expr import parse
 from .pc import HISTORY_PANELS, Mesh, PCDiscretization
 from .problem import linearize, validate
 from .report import measure_errors
@@ -47,9 +56,6 @@ NORM_SAMPLES = 1001
 
 #: growth factor over three consecutive iterations that flags divergence
 DIVERGENCE_FACTOR = 1e3
-
-#: the nonlinearity whose psi bracket G'(x0) * xm - G(xm) is exactly zero
-_IDENTITY = parse("x")
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,44 @@ def correction_norm(prev, nxt):
 
 
 class _PsiBand(NamedTuple):
-    """One band of the psi plan that has a pair with G not x.
+    """One band of a psi plan without cuts that has a pair with G not x.
+
+    Each outer time with a non-empty band segment owns one piece of the
+    plan, row p of every (n_pieces, panels) array: time ``piece_time[p]``,
+    panel width ``piece_width[p]``.  ``abscissas`` is the flat plan and
+    ``pairs`` holds (0-based equation, A = K * dG/dx(x0), K) for each
+    equation whose G is not x.
+    """
+
+    band: int  # 0-based
+    component: int  # 1-based
+    piece_time: np.ndarray
+    piece_width: np.ndarray
+    abscissas: np.ndarray
+    pairs: tuple
+
+    def add_to(self, out, xm, nonlinearities):
+        """Add w * (sum A * xm - sum K * G(xm)) per piece to its time's psi."""
+        shape = self.pairs[0][1].shape
+        xm_rows = xm.reshape(shape)
+        for i, frozen, kernel in self.pairs:
+            gm = np.broadcast_to(nonlinearities[i][self.band](
+                s=self.abscissas, x=xm), xm.shape)
+            # einsum runs its own loop: a BLAS product would make the last
+            # bits depend on the BLAS build and thread count
+            rows = np.einsum("kp,kp->k", frozen, xm_rows)
+            rows -= np.einsum("kp,kp->k", kernel, gm.reshape(shape))
+            rows *= self.piece_width
+            out[i, self.piece_time] += rows
+
+
+class _PsiCutBand(NamedTuple):
+    """One band of a psi plan with cuts that has a pair with G not x.
 
     The abscissas of time r are ``abscissas[starts[r]:ends[r]]``; ``pairs``
     holds (0-based equation, K * quadrature weight, dG/dx(x0)) for each
     equation whose G is not x, and ``csum`` is the prefix-sum buffer,
-    ``csum[0] = 0``, that :meth:`PsiEvaluator.values` overwrites.
+    ``csum[0] = 0``, that :meth:`add_to` overwrites.
     """
 
     band: int  # 0-based
@@ -119,6 +157,20 @@ class _PsiBand(NamedTuple):
     pairs: tuple
     csum: np.ndarray
 
+    def add_to(self, out, xm, nonlinearities):
+        """Add the prefix-sum differences of K * w * (G'(x0) * xm - G(xm))."""
+        s, csum = self.abscissas, self.csum
+        contrib = csum[1:]
+        for i, kernel, gx0 in self.pairs:
+            gm = nonlinearities[i][self.band](s=s, x=xm)
+            # built in the buffer and summed in place: the same products
+            # and sequential sums as with temporaries
+            np.multiply(gx0, xm, out=contrib)
+            np.subtract(contrib, gm, out=contrib)
+            np.multiply(kernel, contrib, out=contrib)
+            np.cumsum(contrib, out=contrib)
+            out[i] += csum[self.ends] - csum[self.starts]
+
 
 class PsiEvaluator:
     """Right-hand-side evaluator with a precomputed quadrature plan.
@@ -128,19 +180,28 @@ class PsiEvaluator:
     evaluator serves every outer iteration; per iteration only the iterate
     and the nonlinearity are re-evaluated on the fixed abscissas.
 
+    Without ``cuts`` each band segment is one smooth piece with ``panels``
+    midpoint panels, so every outer time owns one piece of equal length,
+    and psi_i(t_k) = f_i(t_k) + w_k * (sum A_i * xm - sum K_i * G_i(xm))
+    over the piece, with A = K * dG/dx(x0) and w_k its panel width: two
+    row dot products per pair.  Instead of building its own plan, the
+    evaluator can take ``frozen``, the band plans a
+    :class:`CollocationDiscretization` took its moments from
+    (:meth:`~CollocationDiscretization.take_frozen_plan`, planned over
+    ``times`` without cuts, with A already formed); it then evaluates no
+    kernel itself.
+
     ``cuts`` lists global breakpoints (mesh nodes for piecewise-constant
     iterates) at which band segments are split into pieces of
-    ``PSI_PIECE_PANELS`` midpoint panels each; without cuts each band
-    segment is one smooth piece with ``panels`` midpoint panels.  Instead
-    of building its own plan, the evaluator can take ``frozen``, the band
-    plans a :class:`CollocationDiscretization` took its moments from
-    (:meth:`~CollocationDiscretization.take_frozen_plan`, planned over
-    ``times`` without cuts); it then evaluates no kernel itself.
+    ``PSI_PIECE_PANELS`` midpoint panels each.  A time then owns a varying
+    number of pieces, and the terms K * w * (G'(x0) * xm - G(xm)) are
+    summed by prefix sums in a per-band scratch buffer that :meth:`values`
+    overwrites; an evaluator with cuts therefore serves one run and must
+    not be shared between threads.  The pc iteration counts are fragile at
+    roundoff level, so this summation order stays as it is.
 
     Only pairs with G_ij other than x are kept: a band where every G is x
-    is neither planned nor evaluated.  Per band the evaluator keeps one
-    prefix-sum buffer that :meth:`values` overwrites; so one evaluator
-    serves one run and must not be shared between threads.
+    is neither planned nor evaluated.
     """
 
     def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
@@ -149,26 +210,19 @@ class PsiEvaluator:
         self.times = np.asarray(times, dtype=float)
         system = lin.system
         n_bands = lin.n_bands
-        active = [[i for i in range(lin.n_equations)
-                   if system.nonlinearities[i][j] != _IDENTITY]
-                  for j in range(n_bands)]
-        if frozen is None:
-            frozen = self._plan(active, cuts, panels)
-        self._bands = []
-        for plan, kvs, gvs in frozen:
-            j = plan.band - 1
-            s = plan.abscissas
-            if not (active[j] and s.size):
-                continue
-            ends = np.cumsum(np.bincount(
-                plan.time_index, minlength=self.times.size))
-            weights = plan.weights
-            self._bands.append(_PsiBand(
-                band=j, component=lin.unknown_of_band[j],
-                starts=np.concatenate(([0], ends[:-1])), ends=ends,
-                abscissas=s,
-                pairs=tuple((i, kvs[i] * weights, gvs[i]) for i in active[j]),
-                csum=np.zeros(s.size + 1)))
+        active = lin.nonlinear_equations
+        if cuts is not None:
+            frozen = self._plan(active, cuts, PSI_PIECE_PANELS)
+            make_band = self._cut_band
+        else:
+            if frozen is None:
+                frozen = ((plan, kvs, {i: kvs[i] * gvs[i]
+                                       for i in active[plan.band - 1]})
+                          for plan, kvs, gvs in self._plan(active, None, panels))
+            make_band = self._band
+        self._bands = [make_band(plan, kvs, factors, active[plan.band - 1])
+                       for plan, kvs, factors in frozen
+                       if active[plan.band - 1] and plan.abscissas.size]
 
         self._f_vals = np.vstack([
             np.broadcast_to(np.asarray(f(t=self.times), float),
@@ -186,28 +240,48 @@ class PsiEvaluator:
         edges = quadrature.band_edges(self.times, lin.curves)
         for pieces in quadrature.band_pieces(edges, cuts):
             if active[pieces.band - 1]:
-                plan = quadrature.midpoint_plan(
-                    pieces, panels if cuts is None else PSI_PIECE_PANELS)
+                plan = quadrature.midpoint_plan(pieces, panels)
                 yield (plan, *lin.frozen_factors(
                     plan.band, self.times[plan.time_index], plan.abscissas))
+
+    def _band(self, plan, kvs, avs, equations):
+        """A band without cuts: its pieces, one per time, share a panel count.
+
+        A is copied here, after the set-up.  The temporaries of every call
+        (the iterate and the G values on the plan) then reuse the freed
+        original, which the allocator keeps mapped; without the copy they
+        were mapped afresh at every call, about 80k minor page faults per
+        colloc-sweep pass against about 10 with it.
+        """
+        shape = (plan.piece_time.size, -1)
+        return _PsiBand(
+            band=plan.band - 1,
+            component=self.lin.unknown_of_band[plan.band - 1],
+            piece_time=plan.piece_time, piece_width=plan.piece_width,
+            abscissas=plan.abscissas,
+            pairs=tuple((i, avs[i].reshape(shape).copy(),
+                         kvs[i].reshape(shape)) for i in equations))
+
+    def _cut_band(self, plan, kvs, gvs, equations):
+        ends = np.cumsum(np.bincount(
+            plan.time_index, minlength=self.times.size))
+        weights = plan.weights
+        return _PsiCutBand(
+            band=plan.band - 1,
+            component=self.lin.unknown_of_band[plan.band - 1],
+            starts=np.concatenate(([0], ends[:-1])), ends=ends,
+            abscissas=plan.abscissas,
+            pairs=tuple((i, kvs[i] * weights, gvs[i]) for i in equations),
+            csum=np.zeros(plan.abscissas.size + 1))
 
     def values(self, iterate):
         """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
         nonlinearities = self.lin.system.nonlinearities
         out = self._f_vals.copy()
-        for j, comp, starts, ends, s, pairs, csum in self._bands:
-            xm = np.asarray(iterate.component_values(comp, s), dtype=float)
-            contrib = csum[1:]
-            for i, kernel, gx0 in pairs:
-                gm = nonlinearities[i][j](s=s, x=xm)
-                # K * (G'(x0) * xm - G(xm)), built in the buffer and summed
-                # in place: the same products and sequential sums as with
-                # temporaries
-                np.multiply(gx0, xm, out=contrib)
-                np.subtract(contrib, gm, out=contrib)
-                np.multiply(kernel, contrib, out=contrib)
-                np.cumsum(contrib, out=contrib)
-                out[i] += csum[ends] - csum[starts]
+        for band in self._bands:
+            xm = np.asarray(iterate.component_values(
+                band.component, band.abscissas), dtype=float)
+            band.add_to(out, xm, nonlinearities)
         return out
 
     def derivative_at_zero(self, iterate):

@@ -108,18 +108,6 @@ class PiecewiseConstantSolution:
         return nodes[(nodes > lo) & (nodes < hi)]
 
 
-def initial_values(lin, rhs=None):
-    """Start values x(0) from the differentiated equations at t = 0.
-
-    Solves ``sum_j Ktilde_ij(0,0) (alpha'_j(0) - alpha'_{j-1}(0)) x_{u(j)}(0)
-    = rhs'(0)`` with columns of shared unknowns accumulated.  Accepts a
-    plain :class:`VolterraSystem` (frozen along its initial guess, right-hand
-    side f) or a :class:`LinearizedSystem` plus an explicit right-hand side.
-    """
-    lin, rhs = linear_problem(lin, rhs)
-    return lin.start_values(rhs.derivative_at_zero())
-
-
 class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 

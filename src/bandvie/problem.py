@@ -19,6 +19,7 @@ which is the operator inverted at every outer iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import (
+    CurveOrderingError,
     EvaluationError,
     ProblemDefinitionError,
     SingularMatrixError,
@@ -39,6 +41,9 @@ VALIDATION_SAMPLES = 1000
 
 _FD_STEP = 1e-6
 _FD_TOL = 1e-6
+
+#: the nonlinearity whose psi bracket G'(x0) * xm - G(xm) is exactly zero
+_IDENTITY = parse("x")
 
 
 def _as_expression(value):
@@ -241,10 +246,12 @@ def validate(system, samples=VALIDATION_SAMPLES):
     """Check the sampled problem invariants; returns a list of diagnostics.
 
     An empty list means the system passed: curves start at 0, stay ordered
-    and nondecreasing, their t=0 slopes are ordered below 1, f_i(0) = 0,
-    the last-band kernels do not vanish on the diagonal, the band-to-unknown
-    map is usable, and the stored symbolic derivatives agree with central
-    finite differences.
+    and nondecreasing, their t=0 slopes are ordered below 1, f_i(0) = 0
+    and f_i'(0) is finite, the last-band kernels do not vanish on the
+    diagonal, the band-to-unknown map is usable, the frozen kernels
+    K_ij * dG_ij/dx are finite along the initial guess at the sample times,
+    and the stored symbolic derivatives agree with central finite
+    differences.
     """
     out = []
     curves = system.curves
@@ -289,10 +296,15 @@ def validate(system, samples=VALIDATION_SAMPLES):
             "alpha'_{n-1}(0) must stay below 1", 0.0,
             f"value {slopes[-1]:.6g}"))
 
-    for i, f in enumerate(system.rhs, start=1):
+    for i, (f, fp) in enumerate(zip(system.rhs, system.rhs_prime), start=1):
         f0 = float(f(t=0.0))
         if abs(f0) > 1e-12:
             out.append(Diagnostic(f"f_{i}(0) != 0", 0.0, f"value {f0:.6g}"))
+        d0 = float(fp(t=0.0))
+        if not math.isfinite(d0):
+            out.append(Diagnostic(
+                f"f_{i}'(0) is not finite", 0.0,
+                f"value {d0}; the start values need it finite"))
 
     last = system.n_bands - 1
     for i in range(system.n_equations):
@@ -311,6 +323,31 @@ def validate(system, samples=VALIDATION_SAMPLES):
             f"equations; the per-step systems cannot be square"))
 
     out.extend(_derivative_diagnostics(system, ts))
+    out.extend(_frozen_kernel_diagnostics(system, ts))
+    return out
+
+
+def _frozen_kernel_diagnostics(system, ts):
+    """Non-finite K * dG/dx along the initial guess, one per (equation, band).
+
+    Sampled where the solvers evaluate it: at the middle of each band
+    segment at the sample times, which is t = s = 0 at the first.
+    """
+    try:
+        edges = quadrature.band_edges(ts, system.curves)
+    except CurveOrderingError:
+        return []               # the curve-ordering diagnostic names it
+    lin = linearize(system)
+    out = []
+    for j in range(1, system.n_bands + 1):
+        s = 0.5 * (edges[:, j - 1] + edges[:, j])
+        kvs, gvs = lin._frozen_values(j, ts, s)
+        for i, (kv, gv) in enumerate(zip(kvs, gvs)):
+            fault = _frozen_fault(i, j, ts, s, kv, gv)
+            if fault is not None:
+                condition, t, s_bad = fault
+                out.append(Diagnostic(
+                    condition, t, f"s = {s_bad:.6g}, along the initial guess"))
     return out
 
 
@@ -364,6 +401,19 @@ def _derivative_diagnostics(system, ts):
     return out
 
 
+def _frozen_fault(i, j, t, s, kv, gv):
+    """``(condition, t, s)`` at the first non-finite K * dG/dx of equation
+    i + 1 on band j, or None when all are finite."""
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(kv * gv)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    t = np.broadcast_to(t, np.shape(s))
+    return (f"non-finite frozen kernel in equation {i + 1}, band {j}",
+            float(t[k]), float(s[k]))
+
+
 class LinearizedSystem:
     """Kernels frozen along an initial guess, ready for the inner solvers.
 
@@ -397,25 +447,38 @@ class LinearizedSystem:
             If K * dG/dx is non-finite; the equation, the band and the
             first bad outer time are named.
         """
+        kvs, gvs = self._frozen_values(j, t, s)
+        for i, (kv, gv) in enumerate(zip(kvs, gvs)):
+            fault = _frozen_fault(i, j, t, s, kv, gv)
+            if fault is not None:
+                raise SolverError(f"{fault[0]} at t = {fault[1]:.6g}, "
+                                  f"s = {fault[2]:.6g}")
+        return kvs, gvs
+
+    def _frozen_values(self, j, t, s):
+        """:meth:`frozen_factors` without the finiteness check."""
         s = np.asarray(s, dtype=float)
         x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
         kvs, gvs = [], []
         for i in range(self.n_equations):
-            kv = np.broadcast_to(np.asarray(
-                self.system.kernels[i][j - 1](t=t, s=s), float), s.shape)
-            gv = np.broadcast_to(np.asarray(
-                self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
-            with np.errstate(all="ignore"):
-                bad = ~np.isfinite(kv * gv)
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise SolverError(
-                    f"non-finite frozen kernel in equation {i + 1}, band {j} "
-                    f"at t = {float(np.broadcast_to(t, s.shape)[k]):.6g}, "
-                    f"s = {float(s[k]):.6g}")
-            kvs.append(kv)
-            gvs.append(gv)
+            kvs.append(np.broadcast_to(np.asarray(
+                self.system.kernels[i][j - 1](t=t, s=s), float), s.shape))
+            gvs.append(np.broadcast_to(np.asarray(
+                self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape))
         return kvs, gvs
+
+    @cached_property
+    def nonlinear_equations(self):
+        """Per band (0-based), the 0-based equations whose G is not x.
+
+        Only these pairs add to the outer iteration's right-hand side: for
+        G = x and a finite iterate the bracket G'(x0) * xm - G(xm) is
+        1 * xm - xm = 0 exactly.
+        """
+        g = self.system.nonlinearities
+        return tuple(tuple(i for i in range(self.n_equations)
+                           if g[i][j] != _IDENTITY)
+                     for j in range(self.n_bands))
 
     @cached_property
     def origin_factors(self):

@@ -1,9 +1,14 @@
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from bandvie.collocation import ConditioningWarning
 from bandvie.registry import builtin
+
+# CI runs the same examples on every run (--hypothesis-profile=ci), with no
+# per-example deadline on a shared runner
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(autouse=True)

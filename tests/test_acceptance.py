@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from bandvie import quadrature
-from bandvie.collocation import flatten_index, solve_linear_collocation, unflatten_index
+from bandvie.collocation import flatten_index, solve_linear_collocation
 from bandvie.expr import parse
-from bandvie.linalg import lu_solve, residual
+from bandvie.linalg import residual
 from bandvie.newton import PsiEvaluator, iterate
-from bandvie.pc import initial_values
 from bandvie.problem import (
     CallableRhs,
     band_quadrature_residual,
@@ -23,6 +22,8 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 from bandvie.report import measure_errors
+
+from helpers import initial_values, lu_solve, unflatten_index
 
 ALL_BUILTINS = ("model01", "model02", "nonlinear-scalar",
                 "nonlinear-sys1", "nonlinear-sys2")

@@ -99,7 +99,7 @@ def _loop_pc_plans(lin, mesh, panels=quadrature.DEFAULT_PANELS, hp=4):
 
 
 def _loop_psi_plan(lin, times, cuts=None, panels=8000, piece_panels=4):
-    """Per band: starts, ends, abscissas, weighted kernels, frozen slopes G'."""
+    """Per band: starts, ends, abscissas, weights, kernels K, frozen slopes G'."""
     out = []
     for j in range(1, lin.n_bands + 1):
         starts, ends, absc, tvals, weights = [], [], [], [], []
@@ -126,12 +126,12 @@ def _loop_psi_plan(lin, times, cuts=None, panels=8000, piece_panels=4):
         x0v = lin.x0.component_values(lin.unknown_of_band[j - 1], s)
         system = lin.system
         kern = [np.broadcast_to(np.asarray(
-            system.kernels[i][j - 1](t=tv, s=s), float), s.shape) * w
+            system.kernels[i][j - 1](t=tv, s=s), float), s.shape)
             for i in range(lin.n_equations)]
         slope = [np.broadcast_to(np.asarray(
             system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
             for i in range(lin.n_equations)]
-        out.append((np.asarray(starts), np.asarray(ends), s, kern, slope))
+        out.append((np.asarray(starts), np.asarray(ends), s, w, kern, slope))
     return out
 
 
@@ -270,13 +270,16 @@ def test_psi_plan_without_cuts_is_bit_identical(name):
     assert [(band.band, [i for i, *_ in band.pairs]) for band in ev._bands] \
         == ACTIVE_PAIRS[name]
     for band in ev._bands:
-        starts, ends, s, kern, slope = ref[band.band]
-        np.testing.assert_array_equal(band.starts, starts)
-        np.testing.assert_array_equal(band.ends, ends)
+        starts, ends, s, w, kern, slope = ref[band.band]
+        # one piece per time with a non-empty segment, rows of the pairs
+        times = np.flatnonzero(ends > starts)
+        np.testing.assert_array_equal(band.piece_time, times)
+        np.testing.assert_array_equal(band.piece_width, w[starts[times]])
         np.testing.assert_array_equal(band.abscissas, s)
-        for i, kernel, gx0 in band.pairs:
-            np.testing.assert_array_equal(kernel, kern[i])
-            np.testing.assert_array_equal(gx0, slope[i])
+        for i, frozen, kernel in band.pairs:
+            assert frozen.shape == kernel.shape == (times.size, 500)
+            np.testing.assert_array_equal(kernel.ravel(), kern[i])
+            np.testing.assert_array_equal(frozen.ravel(), kern[i] * slope[i])
 
 
 def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
@@ -289,14 +292,15 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
         assert [(band.band, [i for i, *_ in band.pairs])
                 for band in ev._bands] == ACTIVE_PAIRS[name]
         for band in ev._bands:
-            starts, ends, s, kern, slope = ref[band.band]
+            starts, ends, s, w, kern, slope = ref[band.band]
             np.testing.assert_array_equal(band.starts, starts)
             np.testing.assert_array_equal(band.ends, ends)
             assert np.max(np.abs(band.abscissas - s)) <= \
                 RTOL * system.curves.horizon
             for i, kernel, gx0 in band.pairs:
-                assert np.max(np.abs(kernel - kern[i])) <= \
-                    RTOL * np.abs(kern[i]).sum()
+                kern_w = kern[i] * w
+                assert np.max(np.abs(kernel - kern_w)) <= \
+                    RTOL * np.abs(kern_w).sum()
                 assert np.max(np.abs(gx0 - slope[i])) <= RTOL
 
 

@@ -89,13 +89,13 @@ guess: ["0", "0"]
 
 @pytest.mark.parametrize("method, size", [
     ("pc", ["--nodes", "16"]), ("collocation", ["--degree", "3"])])
-def test_run_non_finite_frozen_kernel_exits_3(tmp_path, capsys, method, size):
-    # dG/dx = 1/(2 sqrt(x)) is infinite along the guess x0 = 0; the problem
-    # validates, and both solvers name the band instead of crashing
+def test_run_non_finite_frozen_kernel_exits_2(tmp_path, capsys, method, size):
+    # dG/dx = 1/(2 sqrt(x)) is infinite along the guess x0 = 0; validation
+    # names the equation and the band before either solver starts
     cfg = tmp_path / "sqrt.yaml"
     cfg.write_text(SQRT_AT_ZERO_YAML)
     code = main(["run", "--config", str(cfg), "--method", method, *size])
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err
     assert "non-finite frozen kernel" in err
     assert "band 1" in err

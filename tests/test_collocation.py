@@ -9,10 +9,8 @@ from bandvie.collocation import (
     collocation_nodes,
     flatten_index,
     solve_linear_collocation,
-    unflatten_index,
 )
 from bandvie.errors import SolverError
-from bandvie.pc import initial_values
 from bandvie.problem import (
     CallableRhs,
     CurveFamily,
@@ -20,6 +18,8 @@ from bandvie.problem import (
     VolterraSystem,
     linearize,
 )
+
+from helpers import initial_values, unflatten_index
 
 REF_ERRORS_2X2 = {2: (9.82294e-3, 6.72940e-2), 3: (1.60472e-3, 2.35676e-2),
                 5: (6.67315e-6, 3.95344e-4), 8: (1.72968e-8, 1.80165e-7)}

@@ -3,7 +3,9 @@ import pytest
 import scipy.linalg
 
 from bandvie.errors import SingularMatrixError
-from bandvie.linalg import LUFactorization, lu_solve, residual
+from bandvie.linalg import LUFactorization, residual
+
+from helpers import lu_solve
 
 
 def test_identity():

@@ -118,9 +118,9 @@ def test_non_finite_guess_is_an_error_not_a_converged_run(model01):
 @pytest.mark.parametrize("kwargs", [dict(method="collocation", degree=4),
                                     dict(method="pc", n_segments=32)])
 def test_infinite_rhs_slope_at_zero_is_named(model01, kwargs):
-    # f_1 = sqrt(t) has f_1(0) = 0, so it validates, but f_1'(0) = inf: the
-    # start values are undefined; the run used to stop on "tolerance" with
-    # nan values
+    # f_1 = sqrt(t) has f_1(0) = 0 but f_1'(0) = inf: the start values are
+    # undefined; the run used to stop on "tolerance" with nan values.
+    # Validation rejects it; without validation the start-value solve does
     system = VolterraSystem(
         curves=model01.curves, kernels=model01.kernels,
         nonlinearities=model01.nonlinearities,
@@ -128,7 +128,21 @@ def test_infinite_rhs_slope_at_zero_is_named(model01, kwargs):
         unknown_of_band=model01.unknown_of_band)
     with pytest.raises(SolverError, match=r"right-hand side of equation 1 at "
                                           r"t = 0 is inf"):
-        iterate(system, **kwargs)
+        iterate(system, skip_validation=True, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(method="collocation", degree=4),
+                                    dict(method="pc", n_segments=32)])
+def test_non_finite_frozen_kernel_is_named_without_validation(model01,
+                                                              kwargs):
+    # G_1,1 = sqrt(x) along the guess x0 = 0 fails validation; without it
+    # the set-up's frozen-kernel evaluation names the equation and band
+    system = VolterraSystem(
+        curves=model01.curves, kernels=model01.kernels,
+        nonlinearities=[["sqrt(x)", "x"], ["x", "x"]], rhs=model01.rhs)
+    with pytest.raises(SolverError, match=r"non-finite frozen kernel in "
+                                          r"equation 1, band 1 at t = "):
+        iterate(system, skip_validation=True, **kwargs)
 
 
 @pytest.mark.parametrize("name", ["model01", "nonlinear-sys2"])

@@ -7,7 +7,6 @@ from bandvie.pc import (
     Mesh,
     PCDiscretization,
     PiecewiseConstantSolution,
-    initial_values,
     solve_linear_pc,
 )
 from bandvie.problem import (
@@ -18,6 +17,8 @@ from bandvie.problem import (
     linearize,
 )
 from bandvie.registry import builtin
+
+from helpers import initial_values
 
 
 def sup_errors(system, solution, samples=2001):

@@ -94,6 +94,29 @@ def test_validate_flags_bad_rhs(model01):
     assert any("f_1(0)" in str(d) for d in diags)
 
 
+def test_validate_flags_infinite_rhs_slope_at_zero(model01):
+    # f_1 = sqrt(t) has f_1(0) = 0, but the start values need f_1'(0) = inf
+    system = VolterraSystem(
+        curves=model01.curves, kernels=model01.kernels,
+        nonlinearities=model01.nonlinearities,
+        rhs=["sqrt(t)", str(model01.rhs[1])],
+        unknown_of_band=model01.unknown_of_band)
+    diags = validate(system)
+    assert [d.condition for d in diags] == ["f_1'(0) is not finite"]
+    assert diags[0].witness == 0.0
+    assert "inf" in diags[0].detail
+
+
+def test_validate_names_a_non_finite_frozen_kernel(model01):
+    # G_1,1 = sqrt(x) along the guess x0 = 0: dG/dx = 1/(2 sqrt(0)) = inf
+    system = VolterraSystem(
+        curves=model01.curves, kernels=model01.kernels,
+        nonlinearities=[["sqrt(x)", "x"], ["x", "x"]], rhs=model01.rhs)
+    assert [str(d) for d in validate(system)] == [
+        "non-finite frozen kernel in equation 1, band 1 at t = 0: "
+        "s = 0, along the initial guess"]
+
+
 def test_validate_flags_swapped_curves(model02):
     swapped = VolterraSystem(
         curves=CurveFamily(2.0, ("t", "t/2")),
@@ -118,13 +141,14 @@ def test_validate_flags_component_count_mismatch(model01):
     assert any("map" in str(d) for d in diags)
 
 
-def _with_band2_derivative(model01, g, dg=None):
+def _with_band2_derivative(model01, g, dg=None, guess=None):
     """model01 with G_1,2 = g and, when given, a stored derivative dg."""
     system = VolterraSystem(
         curves=model01.curves,
         kernels=model01.kernels,
         nonlinearities=[["x", g], ["x", "x"]],
         rhs=model01.rhs,
+        guess=guess,
     )
     if dg is not None:
         dg = parse(dg) if isinstance(dg, str) else dg
@@ -141,9 +165,13 @@ def test_validate_flags_derivative_check_that_never_evaluates(model01):
 
 
 def test_validate_checks_the_points_that_evaluate(model01):
-    # sqrt(x) fails at the negative samples only; the others still compare
-    assert validate(_with_band2_derivative(model01, "sqrt(x)")) == []
-    diags = validate(_with_band2_derivative(model01, "sqrt(x)", "17"))
+    # sqrt(x) fails at the negative samples only; the others still compare.
+    # The guess 1 keeps dG/dx = 1/(2 sqrt(x)) finite along it
+    guess = ["1", "1"]
+    assert validate(_with_band2_derivative(model01, "sqrt(x)",
+                                           guess=guess)) == []
+    diags = validate(_with_band2_derivative(model01, "sqrt(x)", "17",
+                                            guess=guess))
     assert len(diags) == 1
     assert "G_1,2 disagrees" in diags[0].condition
 

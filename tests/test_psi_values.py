@@ -1,13 +1,25 @@
 """PsiEvaluator.values and the Horner iterates against the loops they replace.
 
-``_reference_values`` is the psi loop kept as a reference: ``polyval`` for
-polynomial iterates and a fresh ``concatenate`` plus ``cumsum`` per pair,
-over the pairs the evaluator keeps (those whose G is not x).  The evaluator
-must match it bit for bit.
+``_reference_values`` is the psi loop of plans with cuts, kept as a
+reference: ``polyval`` for polynomial iterates and a fresh ``concatenate``
+plus ``cumsum`` per pair, over the pairs the evaluator keeps (those whose G
+is not x).  The evaluator must match it bit for bit.
+
+Plans without cuts sum f + w * (sum A * xm - sum K * G(xm)) per outer time.
+``_per_node_values`` is that formula one node at a time and must match bit
+for bit; ``_cumsum_values_without_cuts`` is the prefix-sum loop those plans
+used before, and ``_fsum_values`` an exactly rounded sum of the same terms.
+Both must agree to ``SUM_RTOL`` of the sum of the magnitudes of the terms
+plus |f|: w * A * xm and w * K * G(xm) per abscissa.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from bandvie.collocation import PolynomialSolution, collocation_nodes
@@ -16,6 +28,23 @@ from bandvie.newton import PsiEvaluator
 from bandvie.pc import Mesh, solve_linear_pc
 from bandvie.problem import LinearizedSystem, linearize
 from bandvie.quadrature import BandPieces, midpoint_plan
+from bandvie.registry import builtin
+
+#: agreement of the no-cut sums with the other summation orders, relative
+#: to the sum of the magnitudes of their terms plus |f|
+SUM_RTOL = 1e-13
+
+
+def _iterate_values(lin, iterate, j, s):
+    comp = lin.unknown_of_band[j]
+    if isinstance(iterate, PolynomialSolution):
+        return polyval(s, iterate.coefficients[comp - 1])
+    return np.asarray(iterate.component_values(comp, s), dtype=float)
+
+
+def _g_values(system, i, j, s, xm):
+    return np.broadcast_to(np.asarray(
+        system.nonlinearities[i][j](s=s, x=xm), float), s.shape)
 
 
 def _reference_values(ev, iterate):
@@ -36,6 +65,79 @@ def _reference_values(ev, iterate):
             csum = np.concatenate(([0.0], np.cumsum(contrib)))
             out[i] += csum[band.ends] - csum[band.starts]
     return out
+
+
+def _pieces(band):
+    """(outer-time index, panel width, abscissa slice) per piece of a band."""
+    panels = band.abscissas.size // band.piece_time.size
+    return [(r, w, slice(p * panels, (p + 1) * panels))
+            for p, (r, w) in enumerate(zip(band.piece_time, band.piece_width))]
+
+
+def _per_node_values(ev, iterate):
+    lin = ev.lin
+    out = ev._f_vals.copy()
+    for band in ev._bands:
+        j, s = band.band, band.abscissas
+        xm = _iterate_values(lin, iterate, j, s)
+        for i, frozen, kernel in band.pairs:
+            gm = _g_values(lin.system, i, j, s, xm)
+            for p, (r, w, cut) in enumerate(_pieces(band)):
+                linear = np.einsum("p,p->", frozen[p], xm[cut])
+                nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
+                out[i, r] += w * (linear - nonlinear)
+    return out
+
+
+def _terms(ev, iterate):
+    """Per (equation, time): the list of terms w * A * xm, -w * K * G(xm)."""
+    lin = ev.lin
+    terms = [[[] for _ in ev.times] for _ in range(lin.n_equations)]
+    for band in ev._bands:
+        j, s = band.band, band.abscissas
+        xm = _iterate_values(lin, iterate, j, s)
+        for i, frozen, kernel in band.pairs:
+            gm = _g_values(lin.system, i, j, s, xm)
+            for p, (r, w, cut) in enumerate(_pieces(band)):
+                terms[i][r] += list(w * frozen[p] * xm[cut])
+                terms[i][r] += list(-w * kernel[p] * gm[cut])
+    return terms
+
+
+def _fsum_values(ev, iterate):
+    """Exactly rounded f + sum of the terms, and the tolerance scale."""
+    terms = _terms(ev, iterate)
+    f = ev._f_vals
+    exact = np.array([[math.fsum([f[i, r]] + terms[i][r])
+                       for r in range(f.shape[1])] for i in range(f.shape[0])])
+    scale = np.array([[math.fsum(map(abs, terms[i][r])) + abs(f[i, r])
+                       for r in range(f.shape[1])] for i in range(f.shape[0])])
+    return exact, scale
+
+
+def _cumsum_values_without_cuts(ev, iterate):
+    """The prefix-sum loop on K * w and dG/dx(x0), re-evaluated on the plan."""
+    lin = ev.lin
+    out = ev._f_vals.copy()
+    for band in ev._bands:
+        j, s = band.band, band.abscissas
+        panels = s.size // band.piece_time.size
+        time_index = np.repeat(band.piece_time, panels)
+        kvs, gvs = lin.frozen_factors(j + 1, ev.times[time_index], s)
+        weights = np.repeat(band.piece_width, panels)
+        ends = np.cumsum(np.bincount(time_index, minlength=ev.times.size))
+        starts = np.concatenate(([0], ends[:-1]))
+        xm = _iterate_values(lin, iterate, j, s)
+        for i, *_ in band.pairs:
+            gm = _g_values(lin.system, i, j, s, xm)
+            contrib = kvs[i] * weights * (gvs[i] * xm - gm)
+            csum = np.concatenate(([0.0], np.cumsum(contrib)))
+            out[i] += csum[ends] - csum[starts]
+    return out
+
+
+def _assert_sums_agree(got, ref, scale):
+    assert np.all(np.abs(got - ref) <= SUM_RTOL * scale)
 
 
 def _polynomial(system, seed, degree=6):
@@ -81,8 +183,33 @@ def test_sys2_collocation_nodes_bit_identical(sys2):
     lin = linearize(sys2)
     ev = PsiEvaluator(lin, collocation_nodes(sys2.curves.horizon, 6))
     for iterate in (sys2.guess_iterate(), _polynomial(sys2, 1)):
-        assert np.array_equal(ev.values(iterate),
-                              _reference_values(ev, iterate))
+        got = ev.values(iterate)
+        assert np.array_equal(got, _per_node_values(ev, iterate))
+        _, scale = _fsum_values(ev, iterate)
+        _assert_sums_agree(got, _cumsum_values_without_cuts(ev, iterate),
+                           scale)
+
+
+@lru_cache(maxsize=None)
+def _node_evaluator(name, degree):
+    system = builtin(name)
+    return PsiEvaluator(linearize(system),
+                        collocation_nodes(system.curves.horizon, degree))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar"]),
+       degree=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       nodes=st.sampled_from([3, 7]))
+def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
+                                                       nodes):
+    ev = _node_evaluator(name, nodes)
+    system = ev.lin.system
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, (system.n_components, degree + 1))
+    iterate = PolynomialSolution(coeffs, system.component_domains())
+    exact, scale = _fsum_values(ev, iterate)
+    _assert_sums_agree(ev.values(iterate), exact, scale)
 
 
 def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
