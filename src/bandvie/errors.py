@@ -13,11 +13,6 @@ class ExpressionSyntaxError(BandvieError):
         self.offset = offset
 
 
-class EvaluationError(BandvieError):
-    """Expression evaluation hit a domain problem (log of non-positive,
-    fractional power of a negative base, division by zero, unbound variable)."""
-
-
 class SingularMatrixError(BandvieError):
     """LU elimination met a pivot below the singularity threshold."""
 
@@ -29,14 +24,6 @@ class SingularMatrixError(BandvieError):
         self.step = step
         self.pivot = pivot
         self.threshold = threshold
-
-
-class NonFiniteIntegrandError(BandvieError):
-    """Quadrature saw a non-finite integrand value; carries the abscissa."""
-
-    def __init__(self, abscissa, value):
-        super().__init__(f"integrand is {value} at s = {abscissa!r}")
-        self.abscissa = abscissa
 
 
 class CurveOrderingError(BandvieError):

@@ -12,12 +12,15 @@ Identifiers are the variables ``t``, ``s``, ``x`` and the functions
 ``sin``, ``cos``, ``exp``, ``log``, ``sqrt``.  ``^`` binds tighter than
 unary minus, so ``-t^2`` is ``-(t^2)``.
 
+Number literals must be finite, and constants are folded only when the
+result is finite, so every tree prints and compiles.
+
 Expressions are immutable after parsing and safe to evaluate from several
-threads at once.  Two evaluation paths exist: :meth:`Expression.evaluate`
-checks domains and raises :class:`~bandvie.errors.EvaluationError`, while
-calling the expression directly (``e(t=..., s=...)``) uses a compiled
-vectorized form that accepts numpy arrays and leaves non-finite values to
-the caller (quadrature checks them).
+threads at once.  Calling an expression (``e(t=..., s=...)``) is the only
+way to evaluate it: the tree is compiled once to a vectorized numpy form
+that accepts arrays or scalars.  Domain violations (log of a non-positive
+value, division by zero, overflow, ...) give nan or inf instead of raising;
+the callers check finiteness where it matters.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionSyntaxError
+from .errors import ExpressionSyntaxError
 
 VARIABLES = ("t", "s", "x")
 
@@ -85,7 +88,8 @@ def _neg(a):
 
 
 def _add(a, b):
-    if isinstance(a, _Const) and isinstance(b, _Const):
+    if (isinstance(a, _Const) and isinstance(b, _Const)
+            and math.isfinite(a.value + b.value)):
         return _Const(a.value + b.value)
     if isinstance(a, _Const) and a.value == 0.0:
         return b
@@ -95,7 +99,8 @@ def _add(a, b):
 
 
 def _sub(a, b):
-    if isinstance(a, _Const) and isinstance(b, _Const):
+    if (isinstance(a, _Const) and isinstance(b, _Const)
+            and math.isfinite(a.value - b.value)):
         return _Const(a.value - b.value)
     if isinstance(b, _Const) and b.value == 0.0:
         return a
@@ -105,7 +110,8 @@ def _sub(a, b):
 
 
 def _mul(a, b):
-    if isinstance(a, _Const) and isinstance(b, _Const):
+    if (isinstance(a, _Const) and isinstance(b, _Const)
+            and math.isfinite(a.value * b.value)):
         return _Const(a.value * b.value)
     if isinstance(a, _Const):
         if a.value == 0.0:
@@ -121,7 +127,8 @@ def _mul(a, b):
 
 
 def _div(a, b):
-    if isinstance(a, _Const) and isinstance(b, _Const) and b.value != 0.0:
+    if (isinstance(a, _Const) and isinstance(b, _Const) and b.value != 0.0
+            and math.isfinite(a.value / b.value)):
         return _Const(a.value / b.value)
     if isinstance(b, _Const) and b.value == 1.0:
         return a
@@ -203,6 +210,9 @@ class _Tokenizer:
                     value = float(lit)
                 except ValueError:
                     raise ExpressionSyntaxError(f"bad number literal {lit!r}", i)
+                if not math.isfinite(value):
+                    raise ExpressionSyntaxError(
+                        f"number literal {lit!r} is not finite", i)
                 self.tokens.append(("num", value, i))
                 i = j
                 continue
@@ -370,59 +380,6 @@ def _to_text(node):
     return f"{lhs}{node.op}{rhs}"
 
 
-def _evaluate_node(node, bindings):
-    if isinstance(node, _Const):
-        return node.value
-    if isinstance(node, _Var):
-        try:
-            return float(bindings[node.name])
-        except KeyError:
-            raise EvaluationError(f"unbound variable {node.name!r}") from None
-    if isinstance(node, _Neg):
-        return -_evaluate_node(node.arg, bindings)
-    if isinstance(node, _Call):
-        v = _evaluate_node(node.arg, bindings)
-        if node.fn == "log" and v <= 0.0:
-            raise EvaluationError(f"log of non-positive value {v}")
-        if node.fn == "sqrt" and v < 0.0:
-            raise EvaluationError(f"sqrt of negative value {v}")
-        try:
-            return {
-                "sin": math.sin,
-                "cos": math.cos,
-                "exp": math.exp,
-                "log": math.log,
-                "sqrt": math.sqrt,
-            }[node.fn](v)
-        except OverflowError:
-            raise EvaluationError(f"{node.fn}({v}) overflows") from None
-    if isinstance(node, _Bin):
-        a = _evaluate_node(node.lhs, bindings)
-        b = _evaluate_node(node.rhs, bindings)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                raise EvaluationError("division by zero")
-            return a / b
-        # power: reject the cases that would silently produce nan/inf
-        if a == 0.0 and b < 0.0:
-            raise EvaluationError("zero raised to a negative power")
-        if a < 0.0 and b != math.floor(b):
-            raise EvaluationError(
-                f"negative base {a} with non-integer exponent {b}"
-            )
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            raise EvaluationError(f"{a}^{b} overflows") from None
-    raise TypeError(node)
-
-
 def _free_variables(node, acc):
     if isinstance(node, _Var):
         acc.add(node.name)
@@ -480,6 +437,10 @@ def _diff_node(node, wrt):
     raise TypeError(node)
 
 
+def _numeric(value):
+    return np.float64(value) if isinstance(value, (int, float)) else value
+
+
 class Expression:
     """Immutable expression tree over the variables t, s, x."""
 
@@ -495,20 +456,19 @@ class Expression:
         _free_variables(self._root, acc)
         return frozenset(acc)
 
-    def evaluate(self, bindings):
-        """Checked scalar evaluation; raises EvaluationError on domain problems."""
-        return float(_evaluate_node(self._root, bindings))
-
     def __call__(self, t=None, s=None, x=None):
-        """Fast vectorized evaluation (numpy arrays or scalars).
+        """Vectorized evaluation (numpy arrays or scalars).
 
-        Domain violations yield nan/inf here; quadrature rejects those.
+        Domain violations yield nan or inf; callers check finiteness.
+        Python numbers are taken as numpy floats, whose arithmetic gives
+        nan or inf where Python's raises (``1/0.0``, ``0.0**-1``) or turns
+        complex (``(-2.0)**0.5``).
         """
         if self._compiled is None:
             src = "lambda t=None, s=None, x=None: " + _to_source(self._root)
             self._compiled = eval(src, {"np": np})  # noqa: S307 - source built above
         with np.errstate(all="ignore"):
-            return self._compiled(t=t, s=s, x=x)
+            return self._compiled(t=_numeric(t), s=_numeric(s), x=_numeric(x))
 
     def diff(self, wrt):
         """Exact symbolic derivative with respect to ``t``, ``s`` or ``x``."""

@@ -66,17 +66,6 @@ class Mesh:
     def h(self):
         return float(np.max(np.diff(self.nodes)))
 
-    def segment_index(self, v):
-        """1-based index l of the half-open segment (t_{l-1}, t_l] holding v.
-
-        A value equal to a node t_l belongs to segment l; v = 0 maps to 1.
-        """
-        v = float(v)
-        if v < 0.0 or v > self.horizon * (1 + 1e-12):
-            raise ValueError(f"{v} outside [0, {self.horizon}]")
-        idx = int(np.searchsorted(self.nodes, min(v, self.horizon), side="left"))
-        return max(idx, 1)
-
     def segment_indices(self, vs):
         vs = np.asarray(vs, dtype=float)
         idx = np.searchsorted(self.nodes, vs, side="left")

@@ -28,7 +28,6 @@ import numpy as np
 from . import quadrature
 from .errors import (
     CurveOrderingError,
-    EvaluationError,
     ProblemDefinitionError,
     SingularMatrixError,
     SolverError,
@@ -56,6 +55,14 @@ def _as_expression(value):
     raise ProblemDefinitionError(f"cannot interpret {value!r} as an expression")
 
 
+def _check_variables(label, expr, allowed):
+    """Reject an expression that uses a variable its role does not bind."""
+    extra = sorted(expr.free_variables - set(allowed))
+    if extra:
+        raise ProblemDefinitionError(
+            f"{label} may use only {', '.join(allowed)}, but uses {extra[0]}")
+
+
 @dataclass(frozen=True)
 class CurveFamily:
     """Discontinuity curves alpha_1..alpha_{n-1} on [0, T].
@@ -70,6 +77,8 @@ class CurveFamily:
 
     def __post_init__(self):
         exprs = tuple(_as_expression(e) for e in self.interior)
+        for j, e in enumerate(exprs, start=1):
+            _check_variables(f"alpha_{j}", e, ("t",))
         object.__setattr__(self, "interior", exprs)
         if not self.interior_prime:
             object.__setattr__(
@@ -115,6 +124,12 @@ class VolterraSystem:
     guess : sequence, optional
         Initial-guess expressions in t, one per component (defaults to 0).
     name : str, optional
+
+    Raises
+    ------
+    ProblemDefinitionError
+        If the shapes do not fit, or an entry uses a variable outside its
+        role; the entry (``K_1,2``, ``G_2,1``, ``f_1``, ...) is named.
     """
 
     def __init__(self, curves, kernels, nonlinearities, rhs,
@@ -140,6 +155,13 @@ class VolterraSystem:
                     f"kernel/nonlinearity rows must have {n_bands} bands, "
                     f"got {len(row)}"
                 )
+        for i in range(n_eq):
+            _check_variables(f"f_{i + 1}", self.rhs[i], ("t",))
+            for j in range(n_bands):
+                _check_variables(f"K_{i + 1},{j + 1}", self.kernels[i][j],
+                                 ("t", "s"))
+                _check_variables(f"G_{i + 1},{j + 1}",
+                                 self.nonlinearities[i][j], ("s", "x"))
 
         if unknown_of_band is None:
             unknown_of_band = tuple(range(1, n_bands + 1))
@@ -167,6 +189,8 @@ class VolterraSystem:
                 raise ProblemDefinitionError(
                     f"exact solution needs {self.n_components} components"
                 )
+            for i, e in enumerate(self.exact, start=1):
+                _check_variables(f"exact_{i}", e, ("t",))
         if guess is None:
             guess = ["0"] * self.n_components
         self.guess = tuple(_as_expression(g) for g in guess)
@@ -174,6 +198,8 @@ class VolterraSystem:
             raise ProblemDefinitionError(
                 f"initial guess needs {self.n_components} components"
             )
+        for i, g in enumerate(self.guess, start=1):
+            _check_variables(f"guess_{i}", g, ("t",))
 
     @property
     def n_equations(self):
@@ -351,33 +377,36 @@ def _frozen_kernel_diagnostics(system, ts):
     return out
 
 
-def _fd_check(expr, dexpr, points, label, out):
-    failures = []
-    for kwargs in points:
-        var = kwargs.pop("_wrt")
-        lo = dict(kwargs)
-        hi = dict(kwargs)
-        lo[var] = kwargs[var] - _FD_STEP
-        hi[var] = kwargs[var] + _FD_STEP
-        try:
-            fd = (expr.evaluate(hi) - expr.evaluate(lo)) / (2 * _FD_STEP)
-            sym = dexpr.evaluate(kwargs)
-        except EvaluationError as exc:
-            failures.append((kwargs, exc))
-            continue  # derivative check only applies where both sides evaluate
-        if abs(fd - sym) > _FD_TOL * max(1.0, abs(fd)):
-            out.append(Diagnostic(
-                f"symbolic derivative of {label} disagrees with finite difference",
-                float(kwargs.get("t", kwargs.get("s", 0.0))),
-                f"symbolic {sym:.8g}, finite difference {fd:.8g}"))
-            return
-    if points and len(failures) == len(points):
-        kwargs, exc = failures[0]
+def _fd_check(expr, dexpr, wrt, points, label, out):
+    """Compare ``dexpr`` with central differences of ``expr`` in ``wrt``.
+
+    ``points`` maps variable names to equal-length arrays of sample
+    points.  Points where either side is not finite are left out; when
+    none is left the check reports that it could not run.
+    """
+    n = points[wrt].size
+    hi = dict(points, **{wrt: points[wrt] + _FD_STEP})
+    lo = dict(points, **{wrt: points[wrt] - _FD_STEP})
+    with np.errstate(all="ignore"):
+        fd = (np.broadcast_to(expr(**hi), n)
+              - np.broadcast_to(expr(**lo), n)) / (2 * _FD_STEP)
+        sym = np.broadcast_to(dexpr(**points), n)
+        finite = np.isfinite(fd) & np.isfinite(sym)
+        bad = finite & (np.abs(fd - sym) > _FD_TOL * np.maximum(1.0, np.abs(fd)))
+    witness = points["t"] if "t" in points else points["s"]
+    if bad.any():
+        k = int(np.argmax(bad))
         out.append(Diagnostic(
-            f"derivative of {label} unchecked",
-            float(kwargs.get("t", kwargs.get("s", 0.0))),
-            f"none of the {len(points)} sample points evaluates "
-            f"(first: {exc})"))
+            f"symbolic derivative of {label} disagrees with finite difference",
+            float(witness[k]),
+            f"symbolic {sym[k]:.8g}, finite difference {fd[k]:.8g}"))
+    elif not finite.any():
+        first = ", ".join(f"{v} = {points[v][0]:.6g}" for v in points)
+        out.append(Diagnostic(
+            f"derivative of {label} unchecked", float(witness[0]),
+            f"none of the {n} sample points evaluates "
+            f"(first: {first} gives symbolic {sym[0]:.8g}, "
+            f"finite difference {fd[0]:.8g})"))
 
 
 def _derivative_diagnostics(system, ts):
@@ -385,19 +414,18 @@ def _derivative_diagnostics(system, ts):
     T = system.curves.horizon
     tpts = np.linspace(0.05 * T, 0.95 * T, 7)
     for i, (f, fp) in enumerate(zip(system.rhs, system.rhs_prime), start=1):
-        _fd_check(f, fp, [{"t": float(t), "_wrt": "t"} for t in tpts],
-                  f"f_{i}", out)
+        _fd_check(f, fp, "t", {"t": tpts}, f"f_{i}", out)
     for j, (a, ap) in enumerate(
             zip(system.curves.interior, system.curves.interior_prime), start=1):
-        _fd_check(a, ap, [{"t": float(t), "_wrt": "t"} for t in tpts],
-                  f"alpha_{j}", out)
+        _fd_check(a, ap, "t", {"t": tpts}, f"alpha_{j}", out)
     xpts = np.linspace(-1.5, 1.5, 5)
+    # every x at each s, s in sample order
+    gpts = {"s": np.repeat(tpts[::3], xpts.size),
+            "x": np.tile(xpts, tpts[::3].size)}
     for i in range(system.n_equations):
         for j in range(system.n_bands):
-            pts = [{"s": float(t), "x": float(x), "_wrt": "x"}
-                   for t in tpts[::3] for x in xpts]
-            _fd_check(system.nonlinearities[i][j], system.g_x[i][j], pts,
-                      f"G_{i + 1},{j + 1}", out)
+            _fd_check(system.nonlinearities[i][j], system.g_x[i][j], "x",
+                      gpts, f"G_{i + 1},{j + 1}", out)
     return out
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CurveOrderingError, NonFiniteIntegrandError
+from .errors import CurveOrderingError
 
 #: default number of midpoint panels per smooth band segment
 DEFAULT_PANELS = 200
@@ -32,35 +32,6 @@ def midpoints(lo, hi, panels):
     """Abscissas and common weight of the composite midpoint rule."""
     width = (hi - lo) / panels
     return lo + (np.arange(panels) + 0.5) * width, width
-
-
-def composite_midpoint(f, lo, hi, panels=DEFAULT_PANELS):
-    """Integrate ``f`` over (lo, hi) with the composite midpoint rule.
-
-    ``f`` receives a numpy array of abscissas and should return values of
-    the same shape (scalars broadcast).  Returns exactly 0.0 when the
-    interval is empty.
-
-    Raises
-    ------
-    NonFiniteIntegrandError
-        If any midpoint value is nan or infinite; the offending abscissa
-        is reported.
-    """
-    if panels < 1:
-        raise ValueError("panels must be >= 1")
-    if hi < lo:
-        raise ValueError(f"inverted interval ({lo}, {hi})")
-    if hi == lo:
-        return 0.0
-    mids, width = midpoints(lo, hi, panels)
-    with np.errstate(all="ignore"):
-        vals = np.broadcast_to(np.asarray(f(mids), dtype=float), mids.shape)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteIntegrandError(float(mids[i]), vals[i])
-    return float(vals.sum() * width)
 
 
 def split_interval(lo, hi, cuts):

@@ -23,7 +23,12 @@ from bandvie.problem import (
 from bandvie.registry import builtin
 from bandvie.report import measure_errors
 
-from helpers import initial_values, lu_solve, unflatten_index
+from helpers import (
+    composite_midpoint,
+    initial_values,
+    lu_solve,
+    unflatten_index,
+)
 
 ALL_BUILTINS = ("model01", "model02", "nonlinear-scalar",
                 "nonlinear-sys1", "nonlinear-sys2")
@@ -137,7 +142,7 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
     # midpoint exactness on affine integrands at several panel counts
     exact = 2.3 * 1.8 - 1.7 * (2.1 ** 2 - 0.3 ** 2) / 2
     affine_ok = all(
-        abs(quadrature.composite_midpoint(
+        abs(composite_midpoint(
             lambda s: 2.3 - 1.7 * s, 0.3, 2.1, p) - exact) <= 1e-13
         for p in (1, 2, 7, 100))
     checks.append(("midpoint affine exactness", affine_ok))
@@ -172,8 +177,8 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
             point = {wrt: float(rng.uniform(0.05, 2.0))}
             hi = {wrt: point[wrt] + 1e-6}
             lo = {wrt: point[wrt] - 1e-6}
-            fd = (e.evaluate(hi) - e.evaluate(lo)) / 2e-6
-            fd_ok = fd_ok and abs(d.evaluate(point) - fd) <= 1e-6
+            fd = (e(**hi) - e(**lo)) / 2e-6
+            fd_ok = fd_ok and abs(d(**point) - fd) <= 1e-6
     checks.append(("derivative vs finite difference", fd_ok))
 
     # one outer step suffices on a linear problem
@@ -210,7 +215,7 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
                 if seg.is_empty:
                     continue
                 kern = model01.kernels[i][seg.band - 1]
-                total += quadrature.composite_midpoint(
+                total += composite_midpoint(
                     lambda s: np.broadcast_to(
                         np.asarray(kern(t=t, s=s), float), s.shape) * s ** 2,
                     seg.lo, seg.hi, 2000)

@@ -25,6 +25,8 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
+from helpers import segment_index
+
 RTOL = 1e-12
 
 
@@ -73,7 +75,7 @@ def _loop_pc_plans(lin, mesh, panels=quadrature.DEFAULT_PANELS, hp=4):
         for seg in quadrature.decompose(tk, lin.curves):
             j = seg.band
             a, b = seg.lo, seg.hi
-            l = mesh.segment_index(b) if b > 0.0 else 1
+            l = segment_index(mesh, b) if b > 0.0 else 1
             lo_unknown = max(float(nodes[l - 1]), a)
             coeff = np.zeros(n_eq)
             if b > lo_unknown:
@@ -88,7 +90,7 @@ def _loop_pc_plans(lin, mesh, panels=quadrature.DEFAULT_PANELS, hp=4):
                 mids = np.concatenate(
                     [quadrature.midpoints(lo, hi, hp)[0] for lo, hi in pieces])
                 widths = np.array([(hi - lo) / hp for lo, hi in pieces])
-                segs = [mesh.segment_index(hi) for _, hi in pieces]
+                segs = [segment_index(mesh, hi) for _, hi in pieces]
                 weights = np.array([
                     _frozen(lin, i, j, tk, mids).reshape(len(pieces), hp)
                     .sum(axis=1) * widths for i in range(n_eq)])

@@ -64,6 +64,15 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
     assert "f_1(0)" in capsys.readouterr().err
 
 
+def test_run_variable_outside_its_role_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MODEL01_YAML.replace('["x", "x"]', '["x", "t*x"]', 1))
+    code = main(["run", "--config", str(bad), "--method", "pc",
+                 "--nodes", "16"])
+    assert code == 2
+    assert "G_1,2 may use only s, x, but uses t" in capsys.readouterr().err
+
+
 def test_run_solver_error_exits_3(capsys):
     # degree 15 trips the singularity threshold of the monomial system
     code = main(["run", "--builtin", "model01", "--method", "collocation",

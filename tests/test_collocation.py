@@ -19,7 +19,7 @@ from bandvie.problem import (
     linearize,
 )
 
-from helpers import initial_values, unflatten_index
+from helpers import composite_midpoint, initial_values, unflatten_index
 
 REF_ERRORS_2X2 = {2: (9.82294e-3, 6.72940e-2), 3: (1.60472e-3, 2.35676e-2),
                 5: (6.67315e-6, 3.95344e-4), 8: (1.72968e-8, 1.80165e-7)}
@@ -84,7 +84,7 @@ def test_moment_model01_hand_value(model01):
     got = disc.matrix[flatten_index(1, 4, 4), flatten_index(1, 1, 4)] * 2.0
     assert got == pytest.approx(11.0 / 6.0, abs=5e-8)
     # independent brute force over the same rule agrees to roundoff
-    brute = quadrature.composite_midpoint(lambda s: (3 + s) * s, 0.0, 1.0, 8000)
+    brute = composite_midpoint(lambda s: (3 + s) * s, 0.0, 1.0, 8000)
     assert got == pytest.approx(brute, abs=1e-12)
 
 
@@ -117,9 +117,9 @@ def test_rhs_entry_model01_against_brute_force(model01):
     got = _rhs_entry(disc, rhs, a0, 1, 1)
     f1 = float(model01.rhs[0](t=2.0))
     brute = f1 \
-        - a0[0] * quadrature.composite_midpoint(
+        - a0[0] * composite_midpoint(
             lambda s: model01.kernels[0][0](t=2.0, s=s), 0.0, 1.0, 2000) \
-        - a0[1] * quadrature.composite_midpoint(
+        - a0[1] * composite_midpoint(
             lambda s: np.ones_like(s), 1.0, 2.0, 2000)
     assert got == pytest.approx(brute, abs=1e-9)
 
@@ -143,7 +143,7 @@ def test_manufactured_polynomial_recovered(model01):
                 if seg.is_empty:
                     continue
                 kern = model01.kernels[i][seg.band - 1]
-                total += quadrature.composite_midpoint(
+                total += composite_midpoint(
                     lambda s: np.broadcast_to(
                         np.asarray(kern(t=t, s=s), float), s.shape) * s ** 2,
                     seg.lo, seg.hi, 2000)

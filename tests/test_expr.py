@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bandvie.errors import EvaluationError, ExpressionSyntaxError
+from bandvie.errors import ExpressionSyntaxError
 from bandvie.expr import parse
 
 # expressions exercised by the derivative and round-trip batteries; points
@@ -26,21 +26,21 @@ BATTERY = [
 
 
 def test_parse_and_evaluate_examples():
-    assert parse("1+t+s").evaluate({"t": 2, "s": 3}) == 6.0
-    assert parse("sin(t/2)").evaluate({"t": math.pi}) == 1.0
-    assert parse("3*x + x^3").evaluate({"x": 2}) == 14.0
-    assert parse("t^2").evaluate({"t": 0.5}) == 0.25
-    assert parse("1+t-s").evaluate({"t": 1, "s": 1}) == 1.0
-    assert parse("(1+2*t)*x").evaluate({"t": 0.5, "x": 3}) == 6.0
+    assert parse("1+t+s")(t=2, s=3) == 6.0
+    assert parse("sin(t/2)")(t=math.pi) == 1.0
+    assert parse("3*x + x^3")(x=2) == 14.0
+    assert parse("t^2")(t=0.5) == 0.25
+    assert parse("1+t-s")(t=1, s=1) == 1.0
+    assert parse("(1+2*t)*x")(t=0.5, x=3) == 6.0
 
 
 def test_precedence():
-    assert parse("2+3*4").evaluate({}) == 14.0
-    assert parse("2^3^2").evaluate({}) == 512.0
-    assert parse("-t^2").evaluate({"t": 2}) == -4.0  # ^ binds tighter than unary -
-    assert parse("2*-3").evaluate({}) == -6.0
-    assert parse("2^-2").evaluate({}) == 0.25
-    assert parse("(2+3)*4").evaluate({}) == 20.0
+    assert parse("2+3*4")() == 14.0
+    assert parse("2^3^2")() == 512.0
+    assert parse("-t^2")(t=2) == -4.0  # ^ binds tighter than unary -
+    assert parse("2*-3")() == -6.0
+    assert parse("2^-2")() == 0.25
+    assert parse("(2+3)*4")() == 20.0
 
 
 def test_syntax_errors_carry_offset():
@@ -60,29 +60,37 @@ def test_syntax_errors_carry_offset():
 
 
 def test_evaluation_domain_errors():
-    with pytest.raises(EvaluationError):
-        parse("log(t)").evaluate({"t": -1.0})
-    with pytest.raises(EvaluationError):
-        parse("log(t)").evaluate({"t": 0.0})
-    with pytest.raises(EvaluationError):
-        parse("sqrt(t)").evaluate({"t": -4.0})
-    with pytest.raises(EvaluationError):
-        parse("t^(-1)").evaluate({"t": 0.0})
-    with pytest.raises(EvaluationError):
-        parse("t^0.5").evaluate({"t": -2.0})
-    with pytest.raises(EvaluationError):
-        parse("1/t").evaluate({"t": 0.0})
-    with pytest.raises(EvaluationError, match="unbound"):
-        parse("t+s").evaluate({"t": 1.0})
+    # domain violations give nan or inf, for Python numbers as for arrays
+    assert np.isnan(parse("log(t)")(t=-1.0))
+    assert parse("log(t)")(t=0.0) == -np.inf
+    assert np.isnan(parse("sqrt(t)")(t=-4.0))
+    assert parse("t^(-1)")(t=0.0) == np.inf
+    assert np.isnan(parse("t^0.5")(t=-2.0))
+    assert parse("1/t")(t=0.0) == np.inf
+    assert parse("10^t")(t=400.0) == np.inf
+    assert np.isnan(parse("log(t)")(t=np.array([-1.0]))[0])
+
+
+def test_non_finite_constants():
+    # a product that overflows stays unfolded, evaluates to inf and prints
+    e = parse("1e200*1e200*t")
+    assert e(t=1.0) == np.inf
+    assert parse(str(e)) == e
+    with pytest.raises(ExpressionSyntaxError, match="not finite") as exc:
+        parse("1e400")
+    assert exc.value.offset == 0
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse("0*1e400+t")
+    assert exc.value.offset == 2
 
 
 def test_differentiate_examples():
     d = parse("x + x^2").diff("x")
-    assert d.evaluate({"x": 1}) == 3.0
+    assert d(x=1) == 3.0
     d = parse("sin(t/2)").diff("t")
-    assert d.evaluate({"t": 0}) == 0.5
+    assert d(t=0) == 0.5
     d = parse("3*x + x^3").diff("x")
-    assert d.evaluate({"x": 0}) == 3.0
+    assert d(x=0) == 3.0
 
 
 def _sample_bindings(rng, count=50):
@@ -106,8 +114,8 @@ def test_derivative_matches_central_difference():
                 lo = dict(bindings)
                 hi[wrt] += step
                 lo[wrt] -= step
-                fd = (e.evaluate(hi) - e.evaluate(lo)) / (2 * step)
-                assert abs(d.evaluate(bindings) - fd) <= 1e-6, (text, wrt)
+                fd = (e(**hi) - e(**lo)) / (2 * step)
+                assert abs(d(**bindings) - fd) <= 1e-6, (text, wrt)
 
 
 def test_print_parse_round_trip_is_exact():
@@ -116,39 +124,25 @@ def test_print_parse_round_trip_is_exact():
         e = parse(text)
         back = parse(str(e))
         for bindings in _sample_bindings(rng, count=100):
-            assert back.evaluate(bindings) == e.evaluate(bindings), text
+            assert back(**bindings) == e(**bindings), text
 
 
 def test_round_trip_preserves_negative_constant_powers():
     # a negative constant base must keep its parentheses under ^
     e = parse("(0-1.5)^2 * t").diff("t")
-    assert parse(str(e)).evaluate({"t": 3.0}) == e.evaluate({"t": 3.0})
-
-
-def test_vectorized_call_matches_scalar_evaluate():
-    rng = np.random.default_rng(3)
-    for text in BATTERY:
-        e = parse(text)
-        ts = rng.uniform(0.05, 2.0, size=12)
-        ss = rng.uniform(0.05, 2.0, size=12)
-        xs = rng.uniform(-1.5, 1.5, size=12)
-        vec = np.broadcast_to(np.asarray(e(t=ts, s=ss, x=xs), float), ts.shape)
-        for k in range(12):
-            scalar = e.evaluate({"t": ts[k], "s": ss[k], "x": xs[k]})
-            # numpy's vectorized libm may differ from scalar math by an ulp
-            assert vec[k] == pytest.approx(scalar, rel=1e-14)
+    assert parse(str(e))(t=3.0) == e(t=3.0)
 
 
 def test_evaluation_is_deterministic():
     e = parse("sin(t)*exp(s) - t^3/7 + sqrt(x+2)")
     b = {"t": 0.911, "s": 0.37, "x": 0.218}
-    values = {e.evaluate(b) for _ in range(10)}
+    values = {e(**b) for _ in range(10)}
     assert len(values) == 1
 
 
 def test_unicode_minus():
-    assert parse("1 − t").evaluate({"t": 0.25}) == 0.75
-    assert parse("−2*t").evaluate({"t": 3.0}) == -6.0
+    assert parse("1 − t")(t=0.25) == 0.75
+    assert parse("−2*t")(t=3.0) == -6.0
 
 
 def test_free_variables():

@@ -12,6 +12,8 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
+from helpers import composite_midpoint
+
 
 def brute_force_psi(system, x0, xm, t, panels=2000):
     """Independent Psi oracle: raw band-split quadrature of the bracket."""
@@ -33,7 +35,7 @@ def brute_force_psi(system, x0, xm, t, panels=2000):
                 gv = np.broadcast_to(np.asarray(g(s=s, x=xmv), float), s.shape)
                 return kv * (gxv * xmv - gv)
 
-            out[i] += quadrature.composite_midpoint(
+            out[i] += composite_midpoint(
                 integrand, seg.lo, seg.hi, panels)
     return out
 

@@ -18,7 +18,7 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import initial_values
+from helpers import initial_values, segment_index
 
 
 def sup_errors(system, solution, samples=2001):
@@ -33,14 +33,14 @@ def sup_errors(system, solution, samples=2001):
 
 def test_segment_index_examples():
     mesh = Mesh.uniform(1.0, 4)
-    assert mesh.segment_index(0.3) == 2
-    assert mesh.segment_index(0.5) == 2   # node belongs to the left segment
-    assert mesh.segment_index(0.0) == 1
-    assert mesh.segment_index(1.0) == 4
+    assert segment_index(mesh, 0.3) == 2
+    assert segment_index(mesh, 0.5) == 2   # node belongs to the left segment
+    assert segment_index(mesh, 0.0) == 1
+    assert segment_index(mesh, 1.0) == 4
     with pytest.raises(ValueError):
-        mesh.segment_index(-0.1)
+        segment_index(mesh, -0.1)
     with pytest.raises(ValueError):
-        mesh.segment_index(1.2)
+        segment_index(mesh, 1.2)
 
 
 def test_mesh_validation():

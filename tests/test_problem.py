@@ -95,16 +95,18 @@ def test_validate_flags_bad_rhs(model01):
 
 
 def test_validate_flags_infinite_rhs_slope_at_zero(model01):
-    # f_1 = sqrt(t) has f_1(0) = 0, but the start values need f_1'(0) = inf
-    system = VolterraSystem(
-        curves=model01.curves, kernels=model01.kernels,
-        nonlinearities=model01.nonlinearities,
-        rhs=["sqrt(t)", str(model01.rhs[1])],
-        unknown_of_band=model01.unknown_of_band)
-    diags = validate(system)
-    assert [d.condition for d in diags] == ["f_1'(0) is not finite"]
-    assert diags[0].witness == 0.0
-    assert "inf" in diags[0].detail
+    # f_1 = sqrt(t) has f_1(0) = 0, but the start values need f_1'(0) = inf;
+    # t^0.5 evaluates its derivative 0.5*t^-0.5 at the Python float 0.0
+    for f1 in ("sqrt(t)", "t^0.5"):
+        system = VolterraSystem(
+            curves=model01.curves, kernels=model01.kernels,
+            nonlinearities=model01.nonlinearities,
+            rhs=[f1, str(model01.rhs[1])],
+            unknown_of_band=model01.unknown_of_band)
+        diags = validate(system)
+        assert [d.condition for d in diags] == ["f_1'(0) is not finite"], f1
+        assert diags[0].witness == 0.0
+        assert "inf" in diags[0].detail
 
 
 def test_validate_names_a_non_finite_frozen_kernel(model01):
@@ -161,7 +163,15 @@ def test_validate_flags_derivative_check_that_never_evaluates(model01):
     # can expose the wrong derivative 17
     diags = validate(_with_band2_derivative(model01, "log(x-5)", "17"))
     assert [d.condition for d in diags] == ["derivative of G_1,2 unchecked"]
-    assert "log of non-positive" in str(diags[0])
+    assert ("(first: s = 0.1, x = -1.5 gives symbolic 17, "
+            "finite difference nan)") in str(diags[0])
+
+
+def test_validate_flags_derivative_check_on_infinite_values(model01):
+    # x*1e200*1e200 and its derivative overflow to inf near every sample x,
+    # so no point compares
+    diags = validate(_with_band2_derivative(model01, "x*1e200*1e200"))
+    assert "derivative of G_1,2 unchecked" in [d.condition for d in diags]
 
 
 def test_validate_checks_the_points_that_evaluate(model01):
@@ -178,7 +188,7 @@ def test_validate_checks_the_points_that_evaluate(model01):
 
 def test_derivative_check_lets_unexpected_errors_through(model01):
     class Broken:
-        def evaluate(self, bindings):
+        def __call__(self, t=None, s=None, x=None):
             raise TypeError("not an expression")
 
     with pytest.raises(TypeError, match="not an expression"):
@@ -244,6 +254,34 @@ def test_shape_validation():
     with pytest.raises(ProblemDefinitionError):
         VolterraSystem(curves, [["1", "1"]], [["x", "x"]], ["t"],
                        unknown_of_band=(1, 3))
+
+
+def _model01_with(model01, **changes):
+    parts = dict(curves=model01.curves, kernels=model01.kernels,
+                 nonlinearities=model01.nonlinearities, rhs=model01.rhs,
+                 exact=model01.exact)
+    parts.update(changes)
+    return VolterraSystem(**parts)
+
+
+@pytest.mark.parametrize("changes, entry, variable", [
+    ({"kernels": [["1+t+s", "x"], ["1+t-s", "-1"]]}, "K_1,2", "x"),
+    ({"nonlinearities": [["x", "x"], ["x", "t*x"]]}, "G_2,2", "t"),
+    ({"rhs": ["s", "t"]}, "f_1", "s"),
+    ({"exact": ["cos(t)", "x"]}, "exact_2", "x"),
+    ({"guess": ["x", "0"]}, "guess_1", "x"),
+], ids=["K", "G", "f", "exact", "guess"])
+def test_entries_may_use_only_the_variables_of_their_role(
+        model01, changes, entry, variable):
+    with pytest.raises(ProblemDefinitionError,
+                       match=f"{entry} may use only .*, but uses {variable}$"):
+        _model01_with(model01, **changes)
+
+
+def test_curves_may_use_only_t():
+    with pytest.raises(ProblemDefinitionError,
+                       match="alpha_1 may use only t, but uses s$"):
+        CurveFamily(1.0, ("s/2",))
 
 
 MODEL01_YAML = """\

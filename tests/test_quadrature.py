@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from bandvie.errors import CurveOrderingError, NonFiniteIntegrandError
+from bandvie.errors import CurveOrderingError
 from bandvie.problem import CurveFamily
-from bandvie.quadrature import (
-    composite_midpoint,
-    decompose,
-    split_interval,
-)
+from bandvie.quadrature import decompose, split_interval
+
+from helpers import composite_midpoint
 
 
 def test_constant_integrand_exact_for_any_panel_count():
@@ -55,12 +53,17 @@ def test_additivity_with_aligned_panels():
 
 
 def test_non_finite_integrand_reports_abscissa():
-    with pytest.raises(NonFiniteIntegrandError) as exc:
+    with pytest.raises(ValueError) as exc:
         composite_midpoint(lambda s: 1.0 / (s - 0.5), 0.0, 1.0, 1)
-    assert exc.value.abscissa == 0.5
-    with pytest.raises(NonFiniteIntegrandError) as exc:
+    assert _abscissa(exc.value) == 0.5
+    with pytest.raises(ValueError) as exc:
         composite_midpoint(lambda s: np.log(s - 0.5), 0.0, 1.0, 10)
-    assert exc.value.abscissa < 0.5
+    assert _abscissa(exc.value) < 0.5
+
+
+def _abscissa(exc):
+    """The abscissa named by a non-finite-integrand error."""
+    return float(str(exc).rsplit("at s = ", 1)[1])
 
 
 def test_split_interval():
