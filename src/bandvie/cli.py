@@ -8,6 +8,7 @@ record an error row instead.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -73,6 +74,16 @@ def _load(args):
     return system
 
 
+def _check_limits(args, parser):
+    """Reject numeric options outside the range a solve can use."""
+    if args.iters < 1:
+        parser.error(f"--iters must be at least 1, got {args.iters}")
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        parser.error(f"--tol must be finite and positive, got {args.tol}")
+    if args.panels is not None and args.panels < 1:
+        parser.error(f"--panels must be at least 1, got {args.panels}")
+
+
 def _method_parameter(args, parser):
     if args.method == "pc":
         if args.nodes is None or args.degree is not None:
@@ -133,6 +144,7 @@ def _cmd_list(_args):
 
 
 def _cmd_run(args, parser):
+    _check_limits(args, parser)
     system = _load(args)
     param_name, value = _method_parameter(args, parser)
     rep = _solve_once(system, args, param_name, value)
@@ -154,6 +166,7 @@ def _parse_sweep(text, parser):
 
 
 def _cmd_study(args, parser):
+    _check_limits(args, parser)
     system = _load(args)
     if args.method == "pc" and args.degree is not None:
         parser.error("--method pc sweeps node counts, drop --degree")
@@ -161,6 +174,11 @@ def _cmd_study(args, parser):
         parser.error("--method collocation sweeps degrees, drop --nodes")
     param_name = "N" if args.method == "pc" else "m"
     values = _parse_sweep(args.sweep, parser)
+    # the minimums of --nodes and --degree in 'run'
+    least = 2 if param_name == "N" else 1
+    if values[0] < least:
+        parser.error(f"--sweep values must be at least {least} for "
+                     f"--method {args.method}, got {values[0]}")
     reports = []
     for value in values:
         try:

@@ -107,6 +107,7 @@ class CollocationDiscretization:
         self.panels = int(panels)
         self.nodes = collocation_nodes(lin.curves.horizon, m)
         self.scale = float(lin.curves.horizon)
+        self._powers = self.scale ** np.arange(1, m + 1)
 
         n_eq = lin.n_equations
         n_comp = lin.n_components
@@ -185,21 +186,16 @@ class CollocationDiscretization:
         n_comp = lin.n_components
         a0 = lin.start_values(rhs.derivative_at_zero())
         psi = rhs_at_nodes(rhs, self.nodes, n_eq)
-        f_vec = np.empty(n_eq * m)
-        for i in range(1, n_eq + 1):
-            for k in range(1, m + 1):
-                contrib = 0.0
-                for j in range(1, lin.n_bands + 1):
-                    contrib += (a0[lin.unknown_of_band[j - 1] - 1]
-                                * self.zeroth_moments[i - 1, k - 1, j - 1])
-                f_vec[flatten_index(i, k, m)] = psi[i - 1, k - 1] - contrib
+        # the start values' share of every row, added band by band; row
+        # (i, k) sits at flatten_index(i, k, m), the row-major order
+        contrib = np.zeros((n_eq, m))
+        for j, u in enumerate(lin.unknown_of_band):
+            contrib += a0[u - 1] * self.zeroth_moments[:, :, j]
+        f_vec = (psi - contrib).ravel()
         scaled_coeffs = refined_solve(self._fact, self.matrix, f_vec)
         coeffs = np.zeros((n_comp, m + 1))
         coeffs[:, 0] = a0
-        powers = self.scale ** np.arange(1, m + 1)
-        for u in range(1, n_comp + 1):
-            block = scaled_coeffs[(u - 1) * m:u * m]
-            coeffs[u - 1, 1:] = block / powers
+        coeffs[:, 1:] = scaled_coeffs.reshape(n_comp, m) / self._powers
         return PolynomialSolution(coeffs, lin.system.component_domains(),
                                   self.condition_number)
 

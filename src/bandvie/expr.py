@@ -318,6 +318,29 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {op!r}", offset)
 
 
+def _square(a):
+    return np.multiply(a, a, dtype=float)
+
+
+def _cube(a):
+    out = np.multiply(a, a, dtype=float)
+    out *= a
+    return out
+
+
+def _fourth(a):
+    out = np.multiply(a, a, dtype=float)
+    out *= out
+    return out
+
+
+#: constant exponents compiled to products, and the helper that forms each
+_INTEGER_POWERS = {2.0: _square, 3.0: _cube, 4.0: _fourth}
+
+_COMPILE_NAMESPACE = {"np": np, **{
+    fn.__name__: fn for fn in _INTEGER_POWERS.values()}}
+
+
 def _to_source(node):
     """Python source for the compiled vectorized form (fully parenthesized)."""
     if isinstance(node, _Const):
@@ -329,6 +352,10 @@ def _to_source(node):
     if isinstance(node, _Call):
         return f"np.{node.fn}({_to_source(node.arg)})"
     if isinstance(node, _Bin):
+        if node.op == "^" and isinstance(node.rhs, _Const):
+            power = _INTEGER_POWERS.get(node.rhs.value)
+            if power is not None:
+                return f"{power.__name__}({_to_source(node.lhs)})"
         op = "**" if node.op == "^" else node.op
         return f"({_to_source(node.lhs)}{op}{_to_source(node.rhs)})"
     raise TypeError(node)
@@ -466,7 +493,7 @@ class Expression:
         """
         if self._compiled is None:
             src = "lambda t=None, s=None, x=None: " + _to_source(self._root)
-            self._compiled = eval(src, {"np": np})  # noqa: S307 - source built above
+            self._compiled = eval(src, _COMPILE_NAMESPACE)  # noqa: S307 - source built above
         with np.errstate(all="ignore"):
             return self._compiled(t=_numeric(t), s=_numeric(s), x=_numeric(x))
 

@@ -32,6 +32,7 @@ must not be shared between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -80,11 +81,41 @@ class IterationReport:
         return tuple(r.ratio for r in self.records if r.ratio is not None)
 
 
+@functools.lru_cache(maxsize=64)
+def _norm_grid(domain):
+    """``NORM_SAMPLES`` uniform points on [0, domain], built once, read-only."""
+    ts = np.linspace(0.0, domain, NORM_SAMPLES)
+    ts.flags.writeable = False
+    return ts
+
+
+def _norm_samples(iterate, i, domain):
+    """Component i of ``iterate`` on the norm grid of ``domain``.
+
+    The values are kept on the iterate, keyed by component and domain:
+    iterates are not changed after they are built, so an iterate that is
+    first the next and then the previous one of a correction is sampled
+    once.
+    """
+    kept = vars(iterate).setdefault("_norm_samples", {})
+    values = kept.get((i, domain))
+    if values is None:
+        values = np.asarray(
+            iterate.component_values(i, _norm_grid(domain)), dtype=float)
+        kept[i, domain] = values
+    return values
+
+
 def correction_norm(prev, nxt):
     """Sup over components of the sup over sampled t of |next - prev|.
 
     Each component is sampled at ``NORM_SAMPLES`` uniform points on its own
-    interval of definition (endpoints included).
+    interval of definition (endpoints included).  The grid of a domain is
+    built once, read-only, and each iterate keeps its samples on itself
+    (:func:`_norm_samples`), so along an outer iteration every iterate is
+    sampled once, not once as ``nxt`` and again as ``prev``.  That is safe
+    because iterates (solutions, expression iterates) are not changed after
+    they are built.
 
     Raises
     ------
@@ -93,17 +124,16 @@ def correction_norm(prev, nxt):
         the first bad t are named.
     """
     worst = 0.0
-    for i in range(1, nxt.n_components + 1):
-        ts = np.linspace(0.0, nxt.component_domains[i - 1], NORM_SAMPLES)
-        a = np.asarray(prev.component_values(i, ts), dtype=float)
-        b = np.asarray(nxt.component_values(i, ts), dtype=float)
+    for i, domain in enumerate(nxt.component_domains, start=1):
+        a = _norm_samples(prev, i, domain)
+        b = _norm_samples(nxt, i, domain)
         diff = np.abs(b - a)
         top = float(np.max(diff))      # nan propagates through max
         if not math.isfinite(top):
             k = int(np.argmax(~np.isfinite(diff)))
             raise SolverError(
                 f"correction of component {i} is {diff[k]} at t = "
-                f"{ts[k]:.6g} (previous {a[k]}, next {b[k]})")
+                f"{_norm_grid(domain)[k]:.6g} (previous {a[k]}, next {b[k]})")
         worst = max(worst, top)
     return worst
 
@@ -285,15 +315,21 @@ class PsiEvaluator:
         return out
 
     def derivative_at_zero(self, iterate):
-        """d(psi)/dt at t = 0: only the band boundary terms survive."""
+        """d(psi)/dt at t = 0: only the band boundary terms survive.
+
+        As in :meth:`values`, a pair with G = x adds nothing (its bracket
+        is 1 * xm0 - xm0 = 0 exactly), so only the pairs of
+        :attr:`LinearizedSystem.nonlinear_equations` are evaluated.
+        """
         lin = self.lin
-        system = lin.system
+        nonlinearities = lin.system.nonlinearities
         out = self._fp0.copy()
-        for j in range(lin.n_bands):
-            comp = lin.unknown_of_band[j]
-            xm0 = iterate.value_at_zero(comp)
-            for i in range(lin.n_equations):
-                g0 = float(system.nonlinearities[i][j](s=0.0, x=xm0))
+        for j, equations in enumerate(lin.nonlinear_equations):
+            if not equations:
+                continue
+            xm0 = iterate.value_at_zero(lin.unknown_of_band[j])
+            for i in equations:
+                g0 = float(nonlinearities[i][j](s=0.0, x=xm0))
                 out[i] += (self._k00[i, j] * self._dslopes[j]
                            * (self._gx0_at0[i, j] * xm0 - g0))
         return out
@@ -364,10 +400,12 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         If the correction norm grows by more than a factor of 1e3 over
         three consecutive iterations; the partial report is attached.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if panels is not None and panels < 1:
+        raise ValueError(f"panels must be >= 1, got {panels}")
     if not skip_validation:
         diagnostics = validate(system)
         if diagnostics:

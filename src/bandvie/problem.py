@@ -201,6 +201,12 @@ class VolterraSystem:
         for i, g in enumerate(self.guess, start=1):
             _check_variables(f"guess_{i}", g, ("t",))
 
+        ends = [float(curves.alpha(j, curves.horizon))
+                for j in range(1, n_bands + 1)]
+        self._domains = tuple(
+            max(end for end, u in zip(ends, self.unknown_of_band) if u == i)
+            for i in range(1, self.n_components + 1))
+
     @property
     def n_equations(self):
         return len(self.rhs)
@@ -216,15 +222,13 @@ class VolterraSystem:
     def component_domain(self, i):
         """Right end of the interval where component i is determined:
         the largest alpha_j(T) over the bands feeding that component."""
-        T = self.horizon
-        return max(
-            float(self.curves.alpha(j + 1, T))
-            for j in range(self.n_bands)
-            if self.unknown_of_band[j] == i
-        )
+        if not 1 <= i <= self.n_components:
+            raise ValueError(f"no component {i} in 1..{self.n_components}")
+        return self._domains[i - 1]
 
     def component_domains(self):
-        return tuple(self.component_domain(i) for i in range(1, self.n_components + 1))
+        """:meth:`component_domain` of every component, computed once."""
+        return self._domains
 
     def exact_iterate(self):
         if self.exact is None:

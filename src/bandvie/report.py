@@ -26,19 +26,46 @@ class ComponentError:
     t_max: float
 
 
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+def error_samples(system, samples=ERROR_SAMPLES):
+    """Per component ``(ts, exact values)``: the grid errors are measured on.
+
+    ``ts`` holds ``samples`` uniform points on [0, D_i].  Computed once per
+    (system, samples) and kept on the system, read-only: the domains and
+    the exact expressions of a system do not change, and an ``exact``
+    attribute that is replaced is sampled afresh.
+    """
+    kept = vars(system).setdefault("_error_samples", {})
+    exact, grids = kept.get(samples, (None, None))
+    if exact is not system.exact:
+        exact, grids = system.exact, []
+        for domain, expr in zip(system.component_domains(), exact):
+            ts = np.linspace(0.0, domain, samples)
+            grids.append((_read_only(ts), _read_only(np.array(
+                np.broadcast_to(np.asarray(expr(t=ts), float), ts.shape)))))
+        grids = tuple(grids)
+        kept[samples] = (exact, grids)
+    return grids
+
+
 def measure_errors(solution, system, samples=ERROR_SAMPLES):
     """Per-component sup errors against the exact solution plus the aggregate.
 
     Returns (tuple of ComponentError, aggregate).  Requires ``system.exact``.
+    The sample grid and the exact values on it come from
+    :func:`error_samples`, computed on the first call for a (system,
+    samples) and kept on the system; only the solution is evaluated per
+    call.  That is safe because neither the domains nor the exact solution
+    of a system change, and the kept arrays are read-only.
     """
     if system.exact is None:
         raise ValueError(f"system {system.name!r} has no exact solution")
     out = []
-    for i in range(1, system.n_components + 1):
-        domain = system.component_domain(i)
-        ts = np.linspace(0.0, domain, samples)
-        exact = np.broadcast_to(
-            np.asarray(system.exact[i - 1](t=ts), float), ts.shape)
+    for i, (ts, exact) in enumerate(error_samples(system, samples), start=1):
         got = np.asarray(solution.component_values(i, ts), dtype=float)
         diff = np.abs(exact - got)
         arg = int(np.argmax(diff))

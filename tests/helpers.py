@@ -2,9 +2,12 @@
 
 import numpy as np
 
+from bandvie.collocation import PolynomialSolution, flatten_index
 from bandvie.linalg import LUFactorization, refined_solve
-from bandvie.problem import linear_problem
+from bandvie.newton import NORM_SAMPLES
+from bandvie.problem import linear_problem, rhs_at_nodes
 from bandvie.quadrature import DEFAULT_PANELS, midpoints
+from bandvie.report import ERROR_SAMPLES
 
 
 def unflatten_index(r, m):
@@ -76,3 +79,76 @@ def segment_index(mesh, v):
         raise ValueError(f"{v} outside [0, {mesh.horizon}]")
     idx = int(np.searchsorted(mesh.nodes, min(v, mesh.horizon), side="left"))
     return max(idx, 1)
+
+
+def component_domains(system):
+    """The component domains from the curves, evaluated afresh."""
+    T = system.horizon
+    return tuple(
+        max(float(system.curves.alpha(j + 1, T))
+            for j in range(system.n_bands) if system.unknown_of_band[j] == i)
+        for i in range(1, system.n_components + 1))
+
+
+def derivative_at_zero_reference(lin, iterate):
+    """d(psi)/dt at t = 0 with a term for every (equation, band) pair."""
+    system = lin.system
+    k00, gx0 = lin.origin_factors
+    slopes = [float(lin.curves.alpha_prime(j, 0.0))
+              for j in range(lin.n_bands + 1)]
+    dslopes = np.diff(np.asarray(slopes))
+    out = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
+    for j in range(lin.n_bands):
+        xm0 = iterate.value_at_zero(lin.unknown_of_band[j])
+        for i in range(lin.n_equations):
+            g0 = float(system.nonlinearities[i][j](s=0.0, x=xm0))
+            out[i] += k00[i, j] * dslopes[j] * (gx0[i, j] * xm0 - g0)
+    return out
+
+
+def collocation_solve_reference(disc, rhs, derivative_at_zero):
+    """:meth:`CollocationDiscretization.solve` by scalar loops over (i, k, j)."""
+    lin, m = disc.lin, disc.degree
+    a0 = lin.start_values(derivative_at_zero)
+    psi = rhs_at_nodes(rhs, disc.nodes, lin.n_equations)
+    f_vec = np.empty(lin.n_equations * m)
+    for i in range(1, lin.n_equations + 1):
+        for k in range(1, m + 1):
+            contrib = 0.0
+            for j in range(1, lin.n_bands + 1):
+                contrib += (a0[lin.unknown_of_band[j - 1] - 1]
+                            * disc.zeroth_moments[i - 1, k - 1, j - 1])
+            f_vec[flatten_index(i, k, m)] = psi[i - 1, k - 1] - contrib
+    scaled = refined_solve(disc._fact, disc.matrix, f_vec)
+    coeffs = np.zeros((lin.n_components, m + 1))
+    coeffs[:, 0] = a0
+    powers = disc.scale ** np.arange(1, m + 1)
+    for u in range(1, lin.n_components + 1):
+        coeffs[u - 1, 1:] = scaled[(u - 1) * m:u * m] / powers
+    return PolynomialSolution(coeffs, component_domains(lin.system),
+                              disc.condition_number)
+
+
+def correction_norm_reference(prev, nxt):
+    """Sup of |next - prev| over fresh norm grids, both iterates sampled."""
+    worst = 0.0
+    for i in range(1, nxt.n_components + 1):
+        ts = np.linspace(0.0, nxt.component_domains[i - 1], NORM_SAMPLES)
+        diff = np.abs(np.asarray(nxt.component_values(i, ts), float)
+                      - np.asarray(prev.component_values(i, ts), float))
+        worst = max(worst, float(np.max(diff)))
+    return worst
+
+
+def errors_reference(solution, system, samples=ERROR_SAMPLES):
+    """Per-component ``(sup error, t_max)`` and the aggregate, uncached."""
+    out = []
+    for i, domain in enumerate(component_domains(system), start=1):
+        ts = np.linspace(0.0, domain, samples)
+        exact = np.broadcast_to(
+            np.asarray(system.exact[i - 1](t=ts), float), ts.shape)
+        diff = np.abs(exact - np.asarray(solution.component_values(i, ts),
+                                         float))
+        k = int(np.argmax(diff))
+        out.append((float(diff[k]), float(ts[k])))
+    return out, float(np.sqrt(sum(e ** 2 for e, _ in out)))

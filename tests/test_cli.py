@@ -212,3 +212,22 @@ def test_study_residuals_of_the_sample_problem_are_pinned(
         assert row["iterations"] == 2
         assert row["residual_sup"] == pytest.approx(expected[row[param]],
                                                     rel=1e-8)
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["study", "--method", "collocation", "--sweep", "0,2"], "--sweep"),
+    (["study", "--method", "pc", "--sweep", "1,4"], "--sweep"),
+    (["run", "--method", "pc", "--nodes", "8", "--iters", "0"], "--iters"),
+    (["study", "--method", "pc", "--sweep", "8", "--iters", "-1"], "--iters"),
+    (["run", "--method", "pc", "--nodes", "8", "--tol", "0"], "--tol"),
+    (["run", "--method", "pc", "--nodes", "8", "--tol", "nan"], "--tol"),
+    (["run", "--method", "pc", "--nodes", "8", "--tol", "inf"], "--tol"),
+    (["run", "--method", "collocation", "--degree", "3", "--panels", "0"],
+     "--panels"),
+    (["run", "--method", "pc", "--nodes", "8", "--panels", "-3"], "--panels"),
+])
+def test_numeric_options_out_of_range_exit_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--builtin", "model01"] + argv[1:])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err

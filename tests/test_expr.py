@@ -148,3 +148,67 @@ def test_unicode_minus():
 def test_free_variables():
     assert parse("1+t+s").free_variables == {"t", "s"}
     assert parse("42").free_variables == set()
+
+
+# signed zeros, subnormals, a value whose powers overflow, infinities, nan
+# and ordinary numbers of both signs
+POWER_INPUTS = np.concatenate((
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, 1e200, -1e200,
+     np.inf, -np.inf, np.nan, 1.0, -1.0, -0.5, 1.0000000000000002],
+    np.random.default_rng(3).uniform(-40.0, 40.0, 200)))
+
+
+def _product_chain(a, n):
+    if n == 2:
+        return a * a
+    if n == 3:
+        return (a * a) * a
+    return (a * a) * (a * a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_small_integer_powers_are_product_chains(n):
+    x = POWER_INPUTS
+    with np.errstate(all="ignore"):
+        cases = [(f"x^{n}", _product_chain(x, n), np.power(x, n)),
+                 (f"(x+1)^{n}", _product_chain(x + 1, n), np.power(x + 1, n)),
+                 (f"-x^{n}", -_product_chain(x, n), -np.power(x, n))]
+    for text, chain, power in cases:
+        got = parse(text)(x=x)
+        assert np.array_equal(got, chain, equal_nan=True), text
+        numbers = ~np.isnan(got)
+        assert np.array_equal(np.signbit(got[numbers]),
+                              np.signbit(chain[numbers])), text
+        finite = np.isfinite(got) & np.isfinite(power)
+        assert np.all(np.abs(got[finite] - power[finite])
+                      <= 2 * np.spacing(np.abs(power[finite]))), text
+        assert np.array_equal(np.isfinite(got), np.isfinite(power)), text
+
+
+@pytest.mark.parametrize("text, exponent", [
+    ("x^5", 5.0), ("x^2.5", 2.5), ("x^-2", -2.0), ("x^t", None)])
+def test_other_powers_keep_numpy_power(text, exponent):
+    x = POWER_INPUTS
+    t = np.linspace(-3.0, 3.0, x.size)
+    with np.errstate(all="ignore"):
+        expected = np.power(x, t if exponent is None else exponent)
+    assert np.array_equal(parse(text)(x=x, t=t), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_small_integer_powers_keep_scalars_text_and_derivatives(n):
+    for text in (f"x^{n}", f"(x+1)^{n}", f"-x^{n}"):
+        e = parse(text)
+        value = e(x=1.5)
+        assert isinstance(value, np.float64), text
+        assert e(x=np.asarray(1.5)) == value
+        assert parse(str(e)) == e
+    assert str(parse(f"x^{n}")) == f"x^{n}"
+    derivative = f"{n}*x^{n - 1}" if n > 2 else "2*x"
+    assert parse(f"x^{n}").diff("x") == parse(derivative)
+    assert str(parse(f"x^{n}").diff("x")) == derivative
+
+
+def test_constant_base_that_overflows_gives_inf():
+    # 1e200^2 is not folded (the constant would not be finite)
+    assert parse("1e200^2*t")(t=1.0) == np.inf

@@ -293,3 +293,11 @@ def test_records_are_indexed_from_one(sys2):
                      tol=1e-14)
     assert [r.index for r in rep.records] == [1, 2, 3, 4, 5]
     assert rep.stop_reason == "max-iterations"
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
+    (dict(panels=0), "panels")])
+def test_iterate_rejects_unusable_numbers(model01, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        iterate(model01, method="collocation", degree=3, **kwargs)

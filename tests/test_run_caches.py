@@ -1,0 +1,127 @@
+"""What one run computes once: the error grids, the norm samples of each
+iterate and the component domains; and the psi derivative at t = 0 over
+the pairs whose G is not x.  Each is checked against an uncached loop from
+``helpers``."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from bandvie.collocation import (
+    CollocationDiscretization,
+    PolynomialSolution,
+    collocation_nodes,
+)
+from bandvie.newton import NORM_SAMPLES, PsiEvaluator, iterate
+from bandvie.pc import PiecewiseConstantSolution
+from bandvie.problem import ExpressionIterate, linearize
+from bandvie.registry import builtin, list_builtins
+from bandvie.report import error_samples, measure_errors
+
+from helpers import (
+    collocation_solve_reference,
+    component_domains,
+    correction_norm_reference,
+    derivative_at_zero_reference,
+    errors_reference,
+)
+
+BUILTINS = [name for name, _ in list_builtins()]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_component_domains_are_the_curve_ends(name):
+    system = builtin(name)
+    assert system.component_domains() == component_domains(system)
+    with pytest.raises(ValueError, match="no component 0"):
+        system.component_domain(0)
+
+
+def test_measure_errors_reads_a_read_only_cache(model01):
+    solution, _ = iterate(model01, method="collocation", degree=3,
+                          max_iters=2)
+    first = measure_errors(solution, model01)
+    assert measure_errors(solution, model01) == first
+    errors, aggregate = errors_reference(solution, model01)
+    assert [(c.sup_error, c.t_max) for c in first[0]] == errors
+    assert first[1] == aggregate
+    grids = error_samples(model01)
+    assert grids is error_samples(model01)
+    assert len(grids) == model01.n_components
+    for ts, exact in grids:
+        assert not ts.flags.writeable
+        assert not exact.flags.writeable
+    assert error_samples(model01, 11)[0][0].size == 11
+
+
+class _Rhs:
+    """The outer iteration's right-hand side for one iterate."""
+
+    def __init__(self, evaluator, current):
+        self._ev = evaluator
+        self._it = current
+
+    def values(self, ts):
+        return self._ev.values(self._it)
+
+
+def test_sys2_collocation_records_match_an_uncached_loop(sys2):
+    _, report = iterate(sys2, method="collocation", degree=5)
+    lin = linearize(sys2)
+    disc = CollocationDiscretization(lin, 5)
+    evaluator = PsiEvaluator(lin, disc.nodes, frozen=disc.take_frozen_plan())
+    current, previous = sys2.guess_iterate(), None
+    for record in report.records:
+        solution = collocation_solve_reference(
+            disc, _Rhs(evaluator, current),
+            derivative_at_zero_reference(lin, current))
+        correction = correction_norm_reference(current, solution)
+        errors, aggregate = errors_reference(solution, sys2)
+        assert record.correction == correction
+        assert record.ratio == (None if previous is None
+                                else correction / previous)
+        assert [(c.sup_error, c.t_max)
+                for c in record.component_errors] == errors
+        assert record.aggregate_error == aggregate
+        current, previous = solution, correction
+    assert len(report.records) == 20
+
+
+@pytest.mark.parametrize("method, size", [("collocation", 4), ("pc", 32)])
+def test_iterate_samples_each_iterate_once_for_its_norms(sys2, monkeypatch,
+                                                         method, size):
+    sampled = []
+    for cls in (ExpressionIterate, PolynomialSolution,
+                PiecewiseConstantSolution):
+        def counting(self, i, ts, _original=cls.component_values):
+            if np.size(ts) == NORM_SAMPLES:
+                sampled.append((self, i))     # keeps the iterate alive
+            return _original(self, i, ts)
+        monkeypatch.setattr(cls, "component_values", counting)
+    key = "degree" if method == "collocation" else "n_segments"
+    _, report = iterate(sys2, method=method, max_iters=5, tol=1e-15,
+                        **{key: size})
+    counts = Counter((id(it), i) for it, i in sampled)
+    assert set(counts.values()) == {1}
+    # the guess and every solution, once per component
+    assert len(counts) == (len(report.records) + 1) * sys2.n_components
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_derivative_at_zero_matches_the_full_loop(name):
+    system = builtin(name)
+    lin = linearize(system)
+    evaluator = PsiEvaluator(lin, collocation_nodes(system.horizon, 3),
+                             panels=20)
+    domains = system.component_domains()
+    n = system.n_components
+    iterates = [system.guess_iterate(),
+                ExpressionIterate(["0.7 - t"] * n, domains),
+                ExpressionIterate(["-1.3 + t^2"] * n, domains)]
+    if system.exact is not None:
+        iterates.append(system.exact_iterate())
+    for it in iterates:
+        got = evaluator.derivative_at_zero(it)
+        assert got.tobytes() == derivative_at_zero_reference(
+            lin, it).tobytes()
