@@ -8,12 +8,13 @@ assembled in the rescaled variable s/T and the coefficients mapped back,
 which tames the growth of the high powers when T > 1.
 
 The moments come from one :func:`quadrature.band_plan` per band over the
-collocation nodes, with the frozen kernel A = K * dG/dx(x0) evaluated and
-formed once on it; each node's band segment is a contiguous slice of that
-plan, and of A.  The outer iteration hands the plan, K and A on to its
-right-hand-side evaluator
+collocation nodes, a (nodes, panels) block, with the frozen kernel
+A = K * dG/dx(x0) evaluated and formed once on it
+(:meth:`LinearizedSystem.frozen_factors`); each node's band segment is a
+row of that plan, and of A.  The outer iteration hands the plan, K and A
+on to its right-hand-side evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
-psi = f + w * (sum A * xm - sum K * G(xm)) over the same slices; so the
+psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows; so the
 frozen kernel is evaluated once per run.  Solutions are immutable.
 """
 
@@ -121,27 +122,9 @@ class CollocationDiscretization:
         self._frozen = []
         for plan in quadrature.band_plan(self.nodes, lin.curves, self.panels):
             j = plan.band
-            kvs, gvs = lin.frozen_factors(
-                j, self.nodes[plan.time_index], plan.abscissas)
-            avs = [kv * gv for kv, gv in zip(kvs, gvs)]
-            cols = flatten_index(lin.unknown_of_band[j - 1],
-                                 np.arange(1, m + 1), m)
-            # one piece, a contiguous slice, per node whose band segment is
-            # not empty; the entries accumulate in band order
-            for k, lo, hi, width in zip(plan.piece_time, plan.offsets[:-1],
-                                        plan.offsets[1:], plan.piece_width):
-                scaled = plan.abscissas[lo:hi] / self.scale
-                powers = np.empty((m, hi - lo))
-                powers[0] = scaled
-                for l in range(1, m):
-                    np.multiply(powers[l - 1], scaled, out=powers[l])
-                for i in range(n_eq):
-                    vals = avs[i][lo:hi]
-                    zeroth[i, k, j - 1] += float(vals.sum() * width)
-                    # row sums of a C-contiguous block add pairwise, as
-                    # the 1-D sum of one entry does
-                    matrix[flatten_index(i + 1, k + 1, m), cols] += (
-                        (vals * powers).sum(axis=1) * width)
+            kvs, _, avs = lin.frozen_factors(
+                j, self.nodes[plan.piece_time, None], plan.abscissas)
+            self._add_moments(matrix, zeroth, plan, avs)
             # the right-hand side needs K and A of the pairs whose G is not x
             kept = lin.nonlinear_equations[j - 1]
             self._frozen.append((plan, {i: kvs[i] for i in kept},
@@ -162,12 +145,40 @@ class CollocationDiscretization:
                 f"singular collocation matrix at degree {m} "
                 f"(condition ~ {self.condition_number:.3e}): {exc}") from exc
 
+    def _add_moments(self, matrix, zeroth, plan, avs):
+        """Add the moments of the frozen kernel ``avs`` on one band's plan.
+
+        One piece, a row of the plan, per node whose band segment is not
+        empty; the entries accumulate in band order.  The scaled powers and
+        one equation's products go to two (m, panels) buffers that every
+        node and equation of the band reuse.
+        """
+        m = self.degree
+        j = plan.band
+        cols = flatten_index(self.lin.unknown_of_band[j - 1],
+                             np.arange(1, m + 1), m)
+        # row sums of a C-contiguous block add pairwise, as the 1-D sum of
+        # one row does
+        for i, a in enumerate(avs):
+            zeroth[i, plan.piece_time, j - 1] += (
+                a.sum(axis=1) * plan.piece_width)
+        powers = np.empty((m, plan.abscissas.shape[1]))
+        products = np.empty_like(powers)
+        for p, (k, width) in enumerate(zip(plan.piece_time, plan.piece_width)):
+            np.divide(plan.abscissas[p], self.scale, out=powers[0])
+            for l in range(1, m):
+                np.multiply(powers[l - 1], powers[0], out=powers[l])
+            for i, a in enumerate(avs):
+                np.multiply(a[p], powers, out=products)
+                matrix[flatten_index(i + 1, k + 1, m), cols] += (
+                    products.sum(axis=1) * width)
+
     def take_frozen_plan(self):
         """Hand over the band plans the moments were taken from, once.
 
         Per band ``(plan, K values, A values)``: the plan over the
         collocation nodes at ``panels`` panels, on which every node owns
-        one contiguous piece of ``panels`` abscissas, and by equation the
+        one row of ``panels`` abscissas, and by equation the
         K values :meth:`LinearizedSystem.frozen_factors` returned on it
         and the frozen kernel A = K * dG/dx(x0) the moments were taken
         from.  Only the equations in

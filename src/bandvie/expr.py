@@ -341,24 +341,47 @@ _COMPILE_NAMESPACE = {"np": np, **{
     fn.__name__: fn for fn in _INTEGER_POWERS.values()}}
 
 
-def _to_source(node):
-    """Python source for the compiled vectorized form (fully parenthesized)."""
+def _to_source(node, consts):
+    """Python source for the compiled vectorized form (fully parenthesized).
+
+    Each constant becomes a name ``_c<k>`` bound to ``consts[k]``, a numpy
+    float, so that an operation between two constants is numpy arithmetic
+    too: it gives inf or nan where Python floats raise or turn complex.
+    """
     if isinstance(node, _Const):
-        return f"({node.value!r})"
+        consts.append(np.float64(node.value))
+        return f"_c{len(consts) - 1}"
     if isinstance(node, _Var):
         return node.name
     if isinstance(node, _Neg):
-        return f"(-{_to_source(node.arg)})"
+        return f"(-{_to_source(node.arg, consts)})"
     if isinstance(node, _Call):
-        return f"np.{node.fn}({_to_source(node.arg)})"
+        return f"np.{node.fn}({_to_source(node.arg, consts)})"
     if isinstance(node, _Bin):
         if node.op == "^" and isinstance(node.rhs, _Const):
             power = _INTEGER_POWERS.get(node.rhs.value)
             if power is not None:
-                return f"{power.__name__}({_to_source(node.lhs)})"
+                return f"{power.__name__}({_to_source(node.lhs, consts)})"
         op = "**" if node.op == "^" else node.op
-        return f"({_to_source(node.lhs)}{op}{_to_source(node.rhs)})"
+        return (f"({_to_source(node.lhs, consts)}{op}"
+                f"{_to_source(node.rhs, consts)})")
     raise TypeError(node)
+
+
+def _compile(root):
+    """The vectorized form of a tree, a function of t, s and x.
+
+    A constant (a default guess "0", a kernel "1", the slope of G = x)
+    returns its numpy float without going through ``eval``.
+    """
+    if isinstance(root, _Const):
+        value = np.float64(root.value)
+        return lambda t=None, s=None, x=None: value
+    consts = []
+    src = "lambda t=None, s=None, x=None: " + _to_source(root, consts)
+    namespace = dict(_COMPILE_NAMESPACE, **{
+        f"_c{k}": c for k, c in enumerate(consts)})
+    return eval(src, namespace)  # noqa: S307 - source built above
 
 
 def _node_precedence(node):
@@ -487,13 +510,13 @@ class Expression:
         """Vectorized evaluation (numpy arrays or scalars).
 
         Domain violations yield nan or inf; callers check finiteness.
-        Python numbers are taken as numpy floats, whose arithmetic gives
-        nan or inf where Python's raises (``1/0.0``, ``0.0**-1``) or turns
-        complex (``(-2.0)**0.5``).
+        Python numbers, like the compiled constants, are taken as numpy
+        floats, whose arithmetic gives nan or inf where Python's raises
+        (``1/0.0``, ``0.0**-1``, ``1e100**5``) or turns complex
+        (``(-2.0)**0.5``).
         """
         if self._compiled is None:
-            src = "lambda t=None, s=None, x=None: " + _to_source(self._root)
-            self._compiled = eval(src, _COMPILE_NAMESPACE)  # noqa: S307 - source built above
+            self._compiled = _compile(self._root)
         with np.errstate(all="ignore"):
             return self._compiled(t=_numeric(t), s=_numeric(s), x=_numeric(x))
 

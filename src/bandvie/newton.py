@@ -143,7 +143,7 @@ class _PsiBand(NamedTuple):
 
     Each outer time with a non-empty band segment owns one piece of the
     plan, row p of every (n_pieces, panels) array: time ``piece_time[p]``,
-    panel width ``piece_width[p]``.  ``abscissas`` is the flat plan and
+    panel width ``piece_width[p]``.  ``abscissas`` is the plan, flat, and
     ``pairs`` holds (0-based equation, A = K * dG/dx(x0), K) for each
     equation whose G is not x.
     """
@@ -242,13 +242,13 @@ class PsiEvaluator:
         n_bands = lin.n_bands
         active = lin.nonlinear_equations
         if cuts is not None:
-            frozen = self._plan(active, cuts, PSI_PIECE_PANELS)
+            frozen = ((plan, kvs, gvs) for plan, kvs, gvs, _
+                      in self._plan(active, cuts, PSI_PIECE_PANELS))
             make_band = self._cut_band
         else:
             if frozen is None:
-                frozen = ((plan, kvs, {i: kvs[i] * gvs[i]
-                                       for i in active[plan.band - 1]})
-                          for plan, kvs, gvs in self._plan(active, None, panels))
+                frozen = ((plan, kvs, avs) for plan, kvs, _, avs
+                          in self._plan(active, None, panels))
             make_band = self._band
         self._bands = [make_band(plan, kvs, factors, active[plan.band - 1])
                        for plan, kvs, factors in frozen
@@ -259,20 +259,25 @@ class PsiEvaluator:
                             self.times.shape)
             for f in system.rhs])
         self._fp0 = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
-        self._k00, self._gx0_at0 = lin.origin_factors
+        self._k00, self._gx0_at0, _ = lin.origin_factors
         slopes = [float(lin.curves.alpha_prime(j, 0.0))
                   for j in range(n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))
 
     def _plan(self, active, cuts, panels):
-        """``(plan, K, dG/dx)`` per band that has a pair with G not x."""
+        """``(plan, K, dG/dx, A)`` per band that has a pair with G not x.
+
+        Every piece gets ``panels`` panels, so each plan is a (pieces,
+        panels) block, and the outer times are passed as a column.
+        """
         lin = self.lin
         edges = quadrature.band_edges(self.times, lin.curves)
         for pieces in quadrature.band_pieces(edges, cuts):
             if active[pieces.band - 1]:
                 plan = quadrature.midpoint_plan(pieces, panels)
                 yield (plan, *lin.frozen_factors(
-                    plan.band, self.times[plan.time_index], plan.abscissas))
+                    plan.band, self.times[plan.piece_time, None],
+                    plan.abscissas))
 
     def _band(self, plan, kvs, avs, equations):
         """A band without cuts: its pieces, one per time, share a panel count.
@@ -288,20 +293,23 @@ class PsiEvaluator:
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
             piece_time=plan.piece_time, piece_width=plan.piece_width,
-            abscissas=plan.abscissas,
+            abscissas=plan.abscissas.reshape(-1),
             pairs=tuple((i, avs[i].reshape(shape).copy(),
                          kvs[i].reshape(shape)) for i in equations))
 
     def _cut_band(self, plan, kvs, gvs, equations):
+        """A band with cuts: the block plan is summed flat, in piece order."""
+        panels = plan.abscissas.shape[1]
         ends = np.cumsum(np.bincount(
-            plan.time_index, minlength=self.times.size))
-        weights = plan.weights
+            plan.piece_time, minlength=self.times.size)) * panels
+        weights = plan.piece_width[:, None]
         return _PsiCutBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
             starts=np.concatenate(([0], ends[:-1])), ends=ends,
-            abscissas=plan.abscissas,
-            pairs=tuple((i, kvs[i] * weights, gvs[i]) for i in equations),
+            abscissas=plan.abscissas.reshape(-1),
+            pairs=tuple((i, (kvs[i] * weights).reshape(-1),
+                         gvs[i].reshape(-1)) for i in equations),
             csum=np.zeros(plan.abscissas.size + 1))
 
     def values(self, iterate):

@@ -141,24 +141,21 @@ class PCDiscretization:
             coeff_plan = quadrature.midpoint_plan(pieces.take(last), self.panels)
             hist_plan = quadrature.midpoint_plan(pieces.take(~last),
                                                  HISTORY_PANELS)
-            s = np.concatenate((coeff_plan.abscissas, hist_plan.abscissas))
-            step = np.concatenate((coeff_plan.time_index, hist_plan.time_index))
-            tv = times[step]
-            split = coeff_plan.abscissas.size
             coeff = np.zeros((n_steps, lin.n_equations))
-            weights = np.empty((lin.n_equations, hist_plan.piece_time.size))
-            kvs, gvs = lin.frozen_factors(j, tv, s)
-            for i in range(lin.n_equations):
-                vals = kvs[i] * gvs[i]
-                coeff[coeff_plan.piece_time, i] = coeff_plan.piece_sums(
-                    vals[:split]) * coeff_plan.piece_width
-                weights[i] = hist_plan.piece_sums(
-                    vals[split:]) * hist_plan.piece_width
+            coeff[coeff_plan.piece_time] = self._piece_integrals(
+                times, coeff_plan).T
+            weights = self._piece_integrals(times, hist_plan)
             bands.append((
                 lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
                 mesh.segment_indices(pieces.hi[~last]), weights,
                 np.searchsorted(hist_plan.piece_time, np.arange(n_steps + 1))))
         return bands
+
+    def _piece_integrals(self, times, plan):
+        """(n_eq, pieces) integrals of the frozen kernel over each piece."""
+        avs = self.lin.frozen_factors(
+            plan.band, times[plan.piece_time, None], plan.abscissas)[2]
+        return np.array([plan.piece_sums(a) * plan.piece_width for a in avs])
 
     @cached_property
     def _steps(self):

@@ -249,9 +249,11 @@ class ExpressionIterate:
 
     def component_values(self, i, ts):
         ts = np.asarray(ts, dtype=float)
-        return np.broadcast_to(
-            np.asarray(self.exprs[i - 1](t=ts), dtype=float), ts.shape
-        ).copy()
+        values = np.asarray(self.exprs[i - 1](t=ts), dtype=float)
+        if values.shape != ts.shape or values is ts:
+            # a constant, or the expression t itself: an array of its own
+            values = np.broadcast_to(values, ts.shape).copy()
+        return values
 
     def value_at_zero(self, i):
         return float(self.exprs[i - 1](t=0.0))
@@ -371,9 +373,8 @@ def _frozen_kernel_diagnostics(system, ts):
     out = []
     for j in range(1, system.n_bands + 1):
         s = 0.5 * (edges[:, j - 1] + edges[:, j])
-        kvs, gvs = lin._frozen_values(j, ts, s)
-        for i, (kv, gv) in enumerate(zip(kvs, gvs)):
-            fault = _frozen_fault(i, j, ts, s, kv, gv)
+        for i, a in enumerate(lin._frozen_values(j, ts, s)[2]):
+            fault = _frozen_fault(i, j, ts, s, a)
             if fault is not None:
                 condition, t, s_bad = fault
                 out.append(Diagnostic(
@@ -433,17 +434,26 @@ def _derivative_diagnostics(system, ts):
     return out
 
 
-def _frozen_fault(i, j, t, s, kv, gv):
-    """``(condition, t, s)`` at the first non-finite K * dG/dx of equation
-    i + 1 on band j, or None when all are finite."""
+def _frozen_fault(i, j, t, s, a):
+    """``(condition, t, s)`` at the first non-finite frozen kernel value
+    ``a`` of equation i + 1 on band j, in row-major order, or None when all
+    are finite.
+
+    One sum over ``a`` settles the usual, finite case without a temporary;
+    a non-finite value makes the sum non-finite, and only then (or when
+    finite values overflow the sum) is each value checked.
+    """
     with np.errstate(all="ignore"):
-        bad = ~np.isfinite(kv * gv)
+        if math.isfinite(np.add.reduce(a, axis=None)):
+            return None
+        bad = ~np.isfinite(a)
     if not bad.any():
         return None
     k = int(np.argmax(bad))
-    t = np.broadcast_to(t, np.shape(s))
+    s = np.asarray(s)
+    t = np.broadcast_to(t, s.shape).reshape(-1)
     return (f"non-finite frozen kernel in equation {i + 1}, band {j}",
-            float(t[k]), float(s[k]))
+            float(t[k]), float(s.reshape(-1)[k]))
 
 
 class LinearizedSystem:
@@ -464,40 +474,55 @@ class LinearizedSystem:
         self.n_components = system.n_components
 
     def frozen_factors(self, j, t, s):
-        """K_ij(t, s) and dG_ij/dx(s, x0_{u(j)}(s)) on band j, for every i.
+        """K_ij, dG_ij/dx(s, x0_{u(j)}(s)) and their product A_ij on band j.
 
-        Every value of the frozen kernel Ktilde_ij, their product, comes
-        from here.  ``s`` is a flat array of abscissas and ``t`` the outer
-        times, a scalar or an array of the same shape; the guess x0 is
-        evaluated once for all equations.  Returns two lists indexed by
-        equation, the K values and the dG/dx values.  Callers choose where
-        to multiply, so a quadrature weight can be folded into K first.
+        Every value of the frozen kernel A_ij = K_ij * dG_ij/dx, for every
+        equation i, comes from here, formed once and returned.  ``s`` holds
+        the abscissas, flat or a (pieces, panels) block, and ``t`` the
+        outer times: a scalar, an array of the shape of ``s`` or a
+        (pieces, 1) column; the guess x0 is evaluated once for all
+        equations.  Returns three lists indexed by equation: the K values,
+        the dG/dx values and A, checked finite.  For a pair with G = x,
+        dG/dx is 1 and is not evaluated: its entry is None and A is K
+        itself (K * 1.0 is K bit for bit).
 
         Raises
         ------
         SolverError
-            If K * dG/dx is non-finite; the equation, the band and the
-            first bad outer time are named.
+            If A is non-finite; the equation, the band and the first bad
+            outer time and abscissa are named.
         """
-        kvs, gvs = self._frozen_values(j, t, s)
-        for i, (kv, gv) in enumerate(zip(kvs, gvs)):
-            fault = _frozen_fault(i, j, t, s, kv, gv)
+        kvs, gvs, avs = self._frozen_values(j, t, s)
+        for i, a in enumerate(avs):
+            fault = _frozen_fault(i, j, t, s, a)
             if fault is not None:
                 raise SolverError(f"{fault[0]} at t = {fault[1]:.6g}, "
                                   f"s = {fault[2]:.6g}")
-        return kvs, gvs
+        return kvs, gvs, avs
 
     def _frozen_values(self, j, t, s):
         """:meth:`frozen_factors` without the finiteness check."""
         s = np.asarray(s, dtype=float)
-        x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
-        kvs, gvs = [], []
+        nonlinear = self.nonlinear_equations[j - 1]
+        x0v = None
+        kvs, gvs, avs = [], [], []
         for i in range(self.n_equations):
-            kvs.append(np.broadcast_to(np.asarray(
-                self.system.kernels[i][j - 1](t=t, s=s), float), s.shape))
-            gvs.append(np.broadcast_to(np.asarray(
-                self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape))
-        return kvs, gvs
+            kv = np.broadcast_to(np.asarray(
+                self.system.kernels[i][j - 1](t=t, s=s), float), s.shape)
+            kvs.append(kv)
+            if i not in nonlinear:
+                # a kernel constant in s is a broadcast view; A is laid out
+                # in memory as K * 1.0 was, so its sums add in the same order
+                gvs.append(None)
+                avs.append(np.ascontiguousarray(kv))
+                continue
+            if x0v is None:
+                x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
+            gv = np.broadcast_to(np.asarray(
+                self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
+            gvs.append(gv)
+            avs.append(kv * gv)
+        return kvs, gvs, avs
 
     @cached_property
     def nonlinear_equations(self):
@@ -514,18 +539,22 @@ class LinearizedSystem:
 
     @cached_property
     def origin_factors(self):
-        """:meth:`frozen_factors` at t = s = 0, as two (n_eq, n_bands) arrays.
+        """:meth:`frozen_factors` at t = s = 0: three (n_eq, n_bands) arrays.
 
-        Evaluated once; the start-value matrix and the psi plan share them.
+        K, dG/dx (1 for G = x) and A.  Evaluated once; the start-value
+        matrix and the psi plan share them.
         """
         zero = np.zeros(1)
         k00 = np.empty((self.n_equations, self.n_bands))
-        gx00 = np.empty_like(k00)
+        gx00 = np.ones_like(k00)
+        a00 = np.empty_like(k00)
         for j in range(self.n_bands):
-            kvs, gvs = self.frozen_factors(j + 1, 0.0, zero)
-            k00[:, j] = [kv[0] for kv in kvs]
-            gx00[:, j] = [gv[0] for gv in gvs]
-        return k00, gx00
+            kvs, gvs, avs = self.frozen_factors(j + 1, 0.0, zero)
+            for i, (kv, gv, a) in enumerate(zip(kvs, gvs, avs)):
+                k00[i, j], a00[i, j] = kv[0], a[0]
+                if gv is not None:
+                    gx00[i, j] = gv[0]
+        return k00, gx00, a00
 
     def start_value_matrix(self):
         """Coefficient matrix of the start-value system at t = 0.
@@ -533,8 +562,7 @@ class LinearizedSystem:
         Entry (i, u) accumulates Ktilde_ij(0,0) * (alpha'_j(0) - alpha'_{j-1}(0))
         over the bands j mapped to component u.
         """
-        k00, gx00 = self.origin_factors
-        ktilde = k00 * gx00
+        ktilde = self.origin_factors[2]
         slopes = [float(self.curves.alpha_prime(j, 0.0))
                   for j in range(self.n_bands + 1)]
         mat = np.zeros((self.n_equations, self.n_components))

@@ -9,7 +9,11 @@ integrated with the rule below.
 :func:`band_edges` evaluates the curves over all times, :func:`band_pieces`
 cuts the band segments, and :func:`midpoint_plan` lays out the abscissas,
 so a caller evaluates each kernel once per band instead of once per time
-and piece.
+and piece.  When every piece has the same panel count the abscissas form
+one (pieces, panels) block, built by broadcasting, and a caller passes
+the outer times as a (pieces, 1) column; only a plan with a panel count
+per piece (the proportional plan of the residual oracle) keeps the flat
+layout, one array in piece order.
 """
 
 from __future__ import annotations
@@ -176,10 +180,13 @@ def band_pieces(edges, cuts=None):
 class BandPlan:
     """Composite midpoint abscissas of one band over a vector of outer times.
 
-    Piece p covers ``abscissas[offsets[p]:offsets[p + 1]]``, has panel width
-    ``piece_width[p]`` and belongs to outer time ``piece_time[p]``; pieces
-    are ordered by time and then along s.  The abscissas are the only array
-    kept per abscissa: ``weights`` and ``time_index`` are expanded from the
+    Piece p has panel width ``piece_width[p]`` and belongs to outer time
+    ``piece_time[p]``; pieces are ordered by time and then along s.  Built
+    with one panel count for all pieces, ``abscissas`` is a (pieces,
+    panels) block whose row p is piece p; built with a count per piece it
+    is flat, and piece p covers ``abscissas[offsets[p]:offsets[p + 1]]``.
+    ``offsets`` holds those bounds in either layout.  The abscissas are the
+    only array kept per abscissa: ``time_index`` is expanded from the
     pieces on each access.
     """
 
@@ -190,13 +197,8 @@ class BandPlan:
     piece_width: np.ndarray
 
     @property
-    def weights(self):
-        """The panel width of every abscissa."""
-        return np.repeat(self.piece_width, np.diff(self.offsets))
-
-    @property
     def time_index(self):
-        """The outer-time index of every abscissa."""
+        """The outer-time index of every abscissa, flat."""
         return np.repeat(self.piece_time, np.diff(self.offsets))
 
     @cached_property
@@ -216,10 +218,12 @@ class BandPlan:
         return groups
 
     def piece_sums(self, values):
-        """Sum of ``values`` (one per abscissa) over each piece."""
+        """Sum of ``values`` (one per abscissa, either layout) per piece."""
         # pieces of equal count are summed as rows of one matrix, which adds
         # in the same (pairwise) order as summing each piece alone; with one
         # count for all pieces the matrix is a view
+        if self.abscissas.ndim == 2:
+            return np.reshape(values, self.abscissas.shape).sum(axis=1)
         groups = self._piece_groups
         if groups is None:
             return values.reshape(self.offsets.size - 1, -1).sum(axis=1)
@@ -232,19 +236,28 @@ class BandPlan:
 def midpoint_plan(pieces, panels):
     """Expand pieces into composite midpoint abscissas.
 
-    ``panels`` is a panel count per piece (or one count for all pieces).
-    Each piece gets ``lo + (k + 0.5) * width`` for k < its count, the same
-    numbers :func:`midpoints` gives for that piece alone.
+    ``panels`` is one count for all pieces, which gives a (pieces, panels)
+    block, or a count per piece, which gives the flat layout.  Each piece
+    gets ``lo + (k + 0.5) * width`` for k < its count, the same numbers
+    :func:`midpoints` gives for that piece alone.
     """
-    counts = np.broadcast_to(np.asarray(panels, dtype=np.intp), pieces.lo.shape)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    width = (pieces.hi - pieces.lo) / counts
-    # in place, in the order lo + ((k + 0.5) * width)
-    x = np.arange(offsets[-1], dtype=float)
-    x -= np.repeat(offsets[:-1], counts)
-    x += 0.5
-    x *= np.repeat(width, counts)
-    x += np.repeat(pieces.lo, counts)
+    if np.ndim(panels) == 0:
+        count = int(panels)
+        width = (pieces.hi - pieces.lo) / count
+        # in the order lo + ((k + 0.5) * width), broadcast over the pieces
+        x = (np.arange(count) + 0.5) * width[:, None]
+        x += pieces.lo[:, None]
+        offsets = np.arange(pieces.lo.size + 1) * count
+    else:
+        counts = np.asarray(panels, dtype=np.intp)
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        width = (pieces.hi - pieces.lo) / counts
+        # in place, in the same order, one entry per abscissa
+        x = np.arange(offsets[-1], dtype=float)
+        x -= np.repeat(offsets[:-1], counts)
+        x += 0.5
+        x *= np.repeat(width, counts)
+        x += np.repeat(pieces.lo, counts)
     return BandPlan(band=pieces.band, abscissas=x, offsets=offsets,
                     piece_time=pieces.time_index, piece_width=width)
 
@@ -253,10 +266,11 @@ def band_plan(times, curves, panels, cuts=None, proportional=False):
     """Yield one :class:`BandPlan` per band for every integral over (0, t].
 
     Each band segment at each outer time is cut at the ``cuts`` strictly
-    inside it.  A piece gets ``panels`` midpoint panels, or with
-    ``proportional`` its share ``max(1, rint(panels * len / seg_len))`` of
-    the segment's ``panels``.  Plans are built band by band, so a caller
-    that consumes each before the next holds one band's abscissas at a time.
+    inside it.  A piece gets ``panels`` midpoint panels, so each plan is a
+    (pieces, panels) block; with ``proportional`` it gets its share
+    ``max(1, rint(panels * len / seg_len))`` of the segment's ``panels``,
+    and the plan is flat.  Plans are built band by band, so a caller that
+    consumes each before the next holds one band's abscissas at a time.
     """
     for pieces in band_pieces(band_edges(times, curves), cuts):
         counts = panels

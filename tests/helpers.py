@@ -93,7 +93,7 @@ def component_domains(system):
 def derivative_at_zero_reference(lin, iterate):
     """d(psi)/dt at t = 0 with a term for every (equation, band) pair."""
     system = lin.system
-    k00, gx0 = lin.origin_factors
+    k00, gx0, _ = lin.origin_factors
     slopes = [float(lin.curves.alpha_prime(j, 0.0))
               for j in range(lin.n_bands + 1)]
     dslopes = np.diff(np.asarray(slopes))

@@ -154,9 +154,12 @@ def _loop_moments(lin, degree, panels=collocation.DEFAULT_MOMENT_PANELS):
             comp = lin.unknown_of_band[j - 1]
             mids, width = quadrature.midpoints(seg.lo, seg.hi, panels)
             scaled = mids / scale
-            kvs, gvs = lin.frozen_factors(j, tk, mids)
+            # K * dG/dx(x0) formed here for every pair, G = x included
+            x0v = lin.x0.component_values(comp, mids)
             for i in range(1, n_eq + 1):
-                vals = kvs[i - 1] * gvs[i - 1]
+                vals = np.broadcast_to(np.asarray(
+                    lin.system.kernels[i - 1][j - 1](t=tk, s=mids), float),
+                    mids.shape) * lin.system.g_x[i - 1][j - 1](s=mids, x=x0v)
                 zeroth[i - 1, k - 1, j - 1] += float(vals.sum() * width)
                 row = collocation.flatten_index(i, k, m)
                 power = scaled.copy()

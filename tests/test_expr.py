@@ -212,3 +212,22 @@ def test_small_integer_powers_keep_scalars_text_and_derivatives(n):
 def test_constant_base_that_overflows_gives_inf():
     # 1e200^2 is not folded (the constant would not be finite)
     assert parse("1e200^2*t")(t=1.0) == np.inf
+
+
+def test_unfolded_constant_operations_give_inf_or_nan():
+    # powers and quotients of two constants that are not folded are numpy
+    # arithmetic when evaluated, as the module docstring promises
+    assert parse("1e100^5*t")(t=1.0) == np.inf
+    value = parse("(0-2)^0.5*t")(t=1.0)
+    assert isinstance(value, np.float64) and np.isnan(value)
+    assert parse("1/0*t")(t=1.0) == np.inf
+    assert np.isnan(parse("(0-2)^0.5*t")(t=np.ones(3))).all()
+
+
+def test_constant_expressions_give_numpy_floats():
+    # a constant tree skips the compiled source but keeps its numpy float
+    for text, value in (("0", 0.0), ("-2.5", -2.5), ("2*3", 6.0)):
+        e = parse(text)
+        for arg in (0.5, np.ones(3)):
+            got = e(t=arg)
+            assert isinstance(got, np.float64) and got == value, text

@@ -1,0 +1,196 @@
+"""Block band plans and the frozen kernel formed and checked in one product.
+
+A plan with one panel count for all pieces is a (pieces, panels) block
+built by broadcasting; it must hold bit for bit the numbers of the
+per-abscissa formula lo + (k + 0.5) * width, and sum its pieces as the
+flat layout does.  ``LinearizedSystem.frozen_factors`` forms
+A = K * dG/dx(x0) once and checks it with one sum; the element-wise
+check behind that sum must name the same value as before.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bandvie import quadrature
+from bandvie.collocation import DEFAULT_MOMENT_PANELS, collocation_nodes
+from bandvie.errors import SolverError
+from bandvie.expr import Expression
+from bandvie.problem import CurveFamily, VolterraSystem, linearize, validate
+from bandvie.quadrature import BandPieces, band_plan, midpoint_plan
+
+#: piece starts: zero, so that subnormal lengths stay subnormal widths, or
+#: any moderate number
+_LOS = st.one_of(st.just(0.0), st.floats(-1e3, 1e3))
+
+#: piece lengths from the smallest subnormal up
+_LENGTHS = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 10.0))
+
+_PIECES = st.lists(st.tuples(_LOS, _LENGTHS), min_size=0, max_size=6)
+
+
+def _pieces(pairs):
+    lo = np.array([a for a, _ in pairs], dtype=float)
+    hi = lo + np.array([b for _, b in pairs], dtype=float)
+    return BandPieces(band=1, lo=lo, hi=hi, time_index=np.arange(lo.size),
+                      seg_length=hi - lo)
+
+
+def _per_abscissa(lo, hi, panels):
+    """lo + (k + 0.5) * width, one numpy scalar operation at a time."""
+    width = (hi - lo) / np.float64(panels)
+    return np.array([lo + (np.float64(k) + 0.5) * width
+                     for k in range(panels)])
+
+
+def _assert_block_matches_flat(block, pieces, panels, values):
+    """The flat layout of the same pieces: same numbers, same piece sums."""
+    flat = midpoint_plan(pieces, np.full(pieces.lo.size, panels))
+    assert flat.abscissas.ndim == 1
+    assert np.array_equal(block.abscissas.ravel(), flat.abscissas)
+    assert np.array_equal(block.offsets, flat.offsets)
+    assert np.array_equal(block.piece_width, flat.piece_width)
+    sums = block.piece_sums(values)
+    assert sums.shape == (pieces.lo.size,)
+    assert np.array_equal(sums, flat.piece_sums(values.ravel()))
+    # each row alone, as a 1-D sum of one piece adds
+    assert np.array_equal(sums, [row.sum() for row in values])
+
+
+@settings(max_examples=60)
+@given(pairs=_PIECES, panels=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_plan_equals_the_per_abscissa_formula(pairs, panels, seed):
+    pieces = _pieces(pairs)
+    plan = midpoint_plan(pieces, panels)
+    assert plan.abscissas.shape == (pieces.lo.size, panels)
+    for p, (lo, hi) in enumerate(zip(pieces.lo, pieces.hi)):
+        assert np.array_equal(plan.abscissas[p], _per_abscissa(lo, hi, panels))
+        assert plan.piece_width[p] == (hi - lo) / panels
+    values = np.random.default_rng(seed).standard_normal(plan.abscissas.shape)
+    _assert_block_matches_flat(plan, pieces, panels, values)
+
+
+def test_block_plan_of_an_empty_band_and_of_one_piece():
+    empty = midpoint_plan(_pieces([]), 7)
+    assert empty.abscissas.shape == (0, 7)
+    assert empty.piece_sums(np.empty((0, 7))).shape == (0,)
+    assert np.array_equal(empty.offsets, [0])
+    one = midpoint_plan(_pieces([(0.0, 5e-324)]), 3)
+    assert np.array_equal(one.abscissas[0], _per_abscissa(0.0, 5e-324, 3))
+    assert one.piece_width[0] == 5e-324 / 3
+
+
+_SLOPES = st.lists(st.floats(0.0, 0.99), min_size=0, max_size=3).map(sorted)
+
+
+@settings(max_examples=40)
+@given(slopes=_SLOPES, horizon=st.floats(0.1, 3.0),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       panels=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_band_plan_blocks_over_linear_curve_families(slopes, horizon,
+                                                     fractions, panels, seed):
+    curves = CurveFamily(horizon, tuple(f"{c!r}*t" for c in slopes))
+    times = np.array(fractions) * horizon
+    edges = quadrature.band_edges(times, curves)
+    rng = np.random.default_rng(seed)
+    for plan, pieces in zip(band_plan(times, curves, panels),
+                            quadrature.band_pieces(edges)):
+        assert plan.band == pieces.band
+        assert plan.abscissas.shape == (pieces.lo.size, panels)
+        assert np.array_equal(plan.piece_time, pieces.time_index)
+        for p, (lo, hi) in enumerate(zip(pieces.lo, pieces.hi)):
+            mids, width = quadrature.midpoints(lo, hi, panels)
+            assert np.array_equal(plan.abscissas[p], mids)
+            assert plan.piece_width[p] == width
+        values = rng.standard_normal(plan.abscissas.shape)
+        _assert_block_matches_flat(plan, pieces, panels, values)
+
+
+def _moment_plan(system, degree=4, panels=DEFAULT_MOMENT_PANELS):
+    """The first band's collocation plan and its outer-time column."""
+    nodes = collocation_nodes(system.curves.horizon, degree)
+    plan = next(band_plan(nodes, system.curves, panels))
+    return plan, nodes[plan.piece_time, None]
+
+
+def _one_equation(kernel):
+    return VolterraSystem(curves=CurveFamily(1.0, ("t/2",)),
+                          kernels=[[kernel, "1"]], nonlinearities=[["x", "x"]],
+                          rhs=["t"])
+
+
+def test_a_finite_kernel_whose_sum_overflows_is_not_reported():
+    system = _one_equation("1e308")
+    plan, t = _moment_plan(system)
+    kvs, _, avs = linearize(system).frozen_factors(1, t, plan.abscissas)
+    with np.errstate(over="ignore"):
+        assert np.add.reduce(avs[0], axis=None) == np.inf
+    assert np.all(avs[0] == 1e308)
+    assert not any("frozen kernel" in d.condition for d in validate(system))
+
+
+@pytest.mark.parametrize("kernel", ["sqrt(0.3-s)", "exp(2000*s)"])
+def test_a_bad_value_in_a_block_is_named_as_on_the_flat_plan(kernel):
+    # the rows of later nodes turn bad at smaller column indices, so only
+    # the first bad value in row-major order is the one the flat plan names
+    system = _one_equation(kernel)
+    lin = linearize(system)
+    plan, t = _moment_plan(system)
+    with pytest.raises(SolverError) as block:
+        lin.frozen_factors(1, t, plan.abscissas)
+    flat_t = np.broadcast_to(t, plan.abscissas.shape).ravel()
+    with pytest.raises(SolverError) as flat:
+        lin.frozen_factors(1, flat_t, plan.abscissas.ravel())
+    assert str(block.value) == str(flat.value)
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(system.kernels[0][0](t=t, s=plan.abscissas))
+    r, c = np.argwhere(bad)[0]
+    assert tuple(np.argwhere(bad.T)[0]) != (c, r)
+    assert str(block.value) == (
+        f"non-finite frozen kernel in equation 1, band 1 at t = "
+        f"{t[r, 0]:.6g}, s = {plan.abscissas[r, c]:.6g}")
+
+
+def test_a_g_equal_x_pair_takes_k_as_a_and_evaluates_no_g_x(model01,
+                                                              monkeypatch):
+    lin = linearize(model01)
+    plan, t = _moment_plan(model01)
+    evaluated = []
+    call = Expression.__call__
+
+    def counting(self, *args, **kwargs):
+        evaluated.append(self)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(Expression, "__call__", counting)
+    kvs, gvs, avs = lin.frozen_factors(1, t, plan.abscissas)
+    # the two kernels only: no dG/dx, and no guess to evaluate it at
+    kernels = [row[0] for row in model01.kernels]
+    assert len(evaluated) == 2
+    assert all(e is k for e, k in zip(evaluated, kernels))
+    assert gvs == [None, None]
+    for kv, a in zip(kvs, avs):
+        assert a is kv           # model01's first-band kernels use s
+    # a kernel constant in s is laid out in memory, as K * 1.0 was
+    kvs, gvs, avs = lin.frozen_factors(2, t, plan.abscissas)
+    assert gvs == [None, None]
+    for kv, a in zip(kvs, avs):
+        assert np.array_equal(a, kv) and a.flags.c_contiguous
+
+
+def test_a_nonlinear_pair_gets_the_product_of_its_factors(sys2):
+    plan, t = _moment_plan(sys2)
+    kvs, gvs, avs = linearize(sys2).frozen_factors(1, t, plan.abscissas)
+    for kv, gv, a in zip(kvs, gvs, avs):
+        assert a.shape == plan.abscissas.shape
+        assert np.array_equal(a, kv * gv)
+
+
+def test_origin_factors_hold_one_as_the_slope_of_g_equal_x(scalar):
+    k00, gx00, a00 = linearize(scalar).origin_factors
+    # band 2 has G = x: slope 1 and A = K
+    assert gx00[0, 1] == 1.0 and a00[0, 1] == k00[0, 1]
+    assert a00[0, 0] == k00[0, 0] * gx00[0, 0]
+

@@ -203,8 +203,7 @@ def test_linearize_linear_system_freezes_to_plain_kernels(model01):
         s = rng.uniform(0.0, t, size=5)
         for i in (1, 2):
             for j in (1, 2):
-                k, g = lin.frozen_factors(j, t, s)
-                frozen = k[i - 1] * g[i - 1]
+                frozen = lin.frozen_factors(j, t, s)[2][i - 1]
                 raw = np.broadcast_to(np.asarray(
                     model01.kernels[i - 1][j - 1](t=t, s=s), float), s.shape)
                 assert np.allclose(frozen, raw, atol=1e-15)
@@ -215,9 +214,9 @@ def test_linearize_scalar_frozen_kernel_spot_check(scalar):
     # kernel by 1 + 2 s^2
     lin = linearize(scalar, scalar.exact_iterate())
     s = np.array([0.0, 0.3, 0.9])
-    k, g = lin.frozen_factors(1, 0.5, s)
-    assert np.allclose(k[0] * g[0], (1 + 0.5 + s) * (1 + 2 * s ** 2),
-                       atol=1e-14)
+    k, g, a = lin.frozen_factors(1, 0.5, s)
+    assert np.array_equal(a[0], k[0] * g[0])
+    assert np.allclose(a[0], (1 + 0.5 + s) * (1 + 2 * s ** 2), atol=1e-14)
 
 
 def test_expression_rhs(model01):

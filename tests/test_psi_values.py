@@ -123,7 +123,7 @@ def _cumsum_values_without_cuts(ev, iterate):
         j, s = band.band, band.abscissas
         panels = s.size // band.piece_time.size
         time_index = np.repeat(band.piece_time, panels)
-        kvs, gvs = lin.frozen_factors(j + 1, ev.times[time_index], s)
+        kvs, gvs, _ = lin.frozen_factors(j + 1, ev.times[time_index], s)
         weights = np.repeat(band.piece_width, panels)
         ends = np.cumsum(np.bincount(time_index, minlength=ev.times.size))
         starts = np.concatenate(([0], ends[:-1]))
