@@ -361,24 +361,6 @@ class _PsiRhs:
         return self._ev.derivative_at_zero(self._it)
 
 
-def psi(system, x0, xm, ts, panels=DEFAULT_PSI_PANELS):
-    """Right-hand side Psi at the times ts for guess x0 and iterate xm.
-
-    ``x0`` and ``xm`` follow the iterate protocol (ExpressionIterate,
-    piecewise-constant or polynomial solutions).  Band segments are split
-    at the iterate's breakpoints before integration.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lin = linearize(system, x0)
-    horizon = system.curves.horizon
-    cuts = np.asarray(xm.breakpoints_in(0.0, horizon), dtype=float)
-    if cuts.size:
-        ev = PsiEvaluator(lin, ts, cuts=cuts)
-    else:
-        ev = PsiEvaluator(lin, ts, panels=panels)
-    return ev.values(xm)
-
-
 def iterate(system, method="collocation", degree=None, n_segments=None,
             max_iters=20, tol=1e-12, panels=None, skip_validation=False):
     """Run the frozen-derivative outer iteration with an inner linear solver.

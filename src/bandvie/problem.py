@@ -280,10 +280,11 @@ def validate(system, samples=VALIDATION_SAMPLES):
     An empty list means the system passed: curves start at 0, stay ordered
     and nondecreasing, their t=0 slopes are ordered below 1, f_i(0) = 0
     and f_i'(0) is finite, the last-band kernels do not vanish on the
-    diagonal, the band-to-unknown map is usable, the frozen kernels
-    K_ij * dG_ij/dx are finite along the initial guess at the sample times,
-    and the stored symbolic derivatives agree with central finite
-    differences.
+    diagonal, the band-to-unknown map is usable, each initial-guess
+    component is finite at the sample times inside its own domain, the
+    frozen kernels K_ij * dG_ij/dx are finite along the initial guess at
+    the sample times, and the stored symbolic derivatives agree with
+    central finite differences.
     """
     out = []
     curves = system.curves
@@ -353,6 +354,18 @@ def validate(system, samples=VALIDATION_SAMPLES):
             "band-to-unknown map size mismatch", 0.0,
             f"{system.n_components} components for {system.n_equations} "
             f"equations; the per-step systems cannot be square"))
+
+    guess = system.guess_iterate()
+    for i, domain in enumerate(system.component_domains(), start=1):
+        inside = ts[ts <= domain]
+        vals = guess.component_values(i, inside)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k = int(np.argmax(bad))
+            out.append(Diagnostic(
+                f"initial guess of component {i} is not finite",
+                float(inside[k]),
+                f"value {vals[k]}, inside its domain [0, {domain:.6g}]"))
 
     out.extend(_derivative_diagnostics(system, ts))
     out.extend(_frozen_kernel_diagnostics(system, ts))
@@ -639,27 +652,6 @@ class ExpressionRhs:
         return np.array([float(fp(t=0.0)) for fp in self._fp])
 
 
-class CallableRhs:
-    """Right-hand side from plain callables plus an explicit t=0 derivative.
-
-    Handy for manufactured problems where f is only known through quadrature.
-    """
-
-    def __init__(self, functions, derivative_at_zero):
-        self._functions = tuple(functions)
-        self._d0 = np.asarray(derivative_at_zero, dtype=float)
-
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.vstack([
-            np.broadcast_to(np.asarray([f(t) for t in ts], float), ts.shape)
-            for f in self._functions
-        ])
-
-    def derivative_at_zero(self):
-        return self._d0.copy()
-
-
 def linear_problem(lin, rhs):
     """``(lin, rhs)`` for a :class:`VolterraSystem`, frozen along its initial
     guess, or a :class:`LinearizedSystem`; an ``rhs`` of None means f.
@@ -686,17 +678,19 @@ def band_quadrature_residual(system, solution, t, panels=2000):
     """Residual of the original equations at time(s) t for a candidate solution.
 
     Evaluates sum_j integral K_ij * G_ij(s, x_{u(j)}(s)) ds - f_i(t) with
-    band-split composite midpoint quadrature on ``panels`` panels per band
-    segment (split further at solution breakpoints), independent of any
-    solver path.  ``t`` may be a scalar (result shape (n_equations,)) or an
-    array of times (result shape (n_equations,) + t.shape), all integrated
-    in one quadrature plan.
+    band-split composite midpoint quadrature, independent of any solver
+    path.  Each band segment is split further at the solution's k
+    breakpoints in (0, max t), and every piece gets ceil(panels / (k + 1))
+    panels, so a smooth solution (k = 0) gets ``panels`` per band segment.
+    ``t`` may be a scalar (result shape (n_equations,)) or an array of
+    times (result shape (n_equations,) + t.shape), all integrated in one
+    quadrature plan.
     """
     t = np.asarray(t, dtype=float)
     times = t.ravel()
     cuts = solution.breakpoints_in(0.0, float(times.max()))
-    plans = quadrature.band_plan(times, system.curves, panels, cuts=cuts,
-                                 proportional=True)
+    plans = quadrature.band_plan(times, system.curves,
+                                 -(-panels // (cuts.size + 1)), cuts=cuts)
     # bincount adds in array order: per time -f_i(t) first, then the piece
     # integrals band by band and along s, the order of a per-time loop
     index = [np.arange(times.size)]
@@ -705,7 +699,7 @@ def band_quadrature_residual(system, solution, t, panels=2000):
     for plan in plans:
         j = plan.band - 1
         s = plan.abscissas
-        tv = times[plan.time_index]
+        tv = times[plan.piece_time, None]
         xvals = solution.component_values(system.unknown_of_band[j], s)
         index.append(plan.piece_time)
         for i in range(system.n_equations):

@@ -9,17 +9,17 @@ integrated with the rule below.
 :func:`band_edges` evaluates the curves over all times, :func:`band_pieces`
 cuts the band segments, and :func:`midpoint_plan` lays out the abscissas,
 so a caller evaluates each kernel once per band instead of once per time
-and piece.  When every piece has the same panel count the abscissas form
-one (pieces, panels) block, built by broadcasting, and a caller passes
-the outer times as a (pieces, 1) column; only a plan with a panel count
-per piece (the proportional plan of the residual oracle) keeps the flat
-layout, one array in piece order.
+and piece.  Every piece of a plan gets the same panel count, so the
+abscissas form one (pieces, panels) block, built by broadcasting, and a
+caller passes the outer times as a (pieces, 1) column.  A caller that
+cuts the segments at k points and wants a panel budget per segment gives
+each piece ceil(panels / (k + 1)) panels, as the residual oracle
+(:func:`bandvie.problem.band_quadrature_residual`) does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -131,20 +131,18 @@ def decompose(t, curves):
 class BandPieces:
     """Smooth pieces of one band's segments over a vector of outer times.
 
-    Flat per-piece arrays, ordered by time and then along s; ``seg_length``
-    is the length of the band segment the piece was cut from.
+    Flat per-piece arrays, ordered by time and then along s.
     """
 
     band: int  # 1-based band index
     lo: np.ndarray
     hi: np.ndarray
     time_index: np.ndarray
-    seg_length: np.ndarray
 
     def take(self, mask):
         """The pieces selected by a boolean mask (or index array)."""
         return BandPieces(self.band, self.lo[mask], self.hi[mask],
-                          self.time_index[mask], self.seg_length[mask])
+                          self.time_index[mask])
 
 
 def band_pieces(edges, cuts=None):
@@ -169,10 +167,8 @@ def band_pieces(edges, cuts=None):
         p_lo = np.where(k == 0, lo[owner], padded[c - 1])
         p_hi = np.where(k == count[owner] - 1, hi[owner], padded[c])
         keep = p_hi > p_lo
-        owner = owner[keep]
-        out.append(BandPieces(
-            band=j, lo=p_lo[keep], hi=p_hi[keep], time_index=seg[owner],
-            seg_length=hi[owner] - lo[owner]))
+        out.append(BandPieces(band=j, lo=p_lo[keep], hi=p_hi[keep],
+                              time_index=seg[owner[keep]]))
     return out
 
 
@@ -180,101 +176,43 @@ def band_pieces(edges, cuts=None):
 class BandPlan:
     """Composite midpoint abscissas of one band over a vector of outer times.
 
-    Piece p has panel width ``piece_width[p]`` and belongs to outer time
-    ``piece_time[p]``; pieces are ordered by time and then along s.  Built
-    with one panel count for all pieces, ``abscissas`` is a (pieces,
-    panels) block whose row p is piece p; built with a count per piece it
-    is flat, and piece p covers ``abscissas[offsets[p]:offsets[p + 1]]``.
-    ``offsets`` holds those bounds in either layout.  The abscissas are the
-    only array kept per abscissa: ``time_index`` is expanded from the
-    pieces on each access.
+    ``abscissas`` is a (pieces, panels) block whose row p is piece p, of
+    panel width ``piece_width[p]`` and outer time ``piece_time[p]``;
+    pieces are ordered by time and then along s.
     """
 
     band: int  # 1-based band index
     abscissas: np.ndarray
-    offsets: np.ndarray
     piece_time: np.ndarray
     piece_width: np.ndarray
 
-    @property
-    def time_index(self):
-        """The outer-time index of every abscissa, flat."""
-        return np.repeat(self.piece_time, np.diff(self.offsets))
-
-    @cached_property
-    def _piece_groups(self):
-        """``(sel, rows)`` per distinct panel count, or None for one count.
-
-        ``sel`` are the pieces with that count and ``rows[p]`` the abscissa
-        indices of piece ``sel[p]``; built once per plan.
-        """
-        counts = np.diff(self.offsets)
-        if counts.size and np.all(counts == counts[0]):
-            return None
-        groups = []
-        for count in np.unique(counts):
-            sel = np.flatnonzero(counts == count)
-            groups.append((sel, self.offsets[sel, None] + np.arange(count)))
-        return groups
-
     def piece_sums(self, values):
-        """Sum of ``values`` (one per abscissa, either layout) per piece."""
-        # pieces of equal count are summed as rows of one matrix, which adds
-        # in the same (pairwise) order as summing each piece alone; with one
-        # count for all pieces the matrix is a view
-        if self.abscissas.ndim == 2:
-            return np.reshape(values, self.abscissas.shape).sum(axis=1)
-        groups = self._piece_groups
-        if groups is None:
-            return values.reshape(self.offsets.size - 1, -1).sum(axis=1)
-        sums = np.empty(self.offsets.size - 1)
-        for sel, rows in groups:
-            sums[sel] = values[rows].sum(axis=1)
-        return sums
+        """Sum of ``values`` (shaped as the abscissas) per piece."""
+        # a row adds in the same (pairwise) order as the piece summed alone
+        return values.sum(axis=1)
 
 
 def midpoint_plan(pieces, panels):
-    """Expand pieces into composite midpoint abscissas.
+    """Expand pieces into a (pieces, panels) block of midpoint abscissas.
 
-    ``panels`` is one count for all pieces, which gives a (pieces, panels)
-    block, or a count per piece, which gives the flat layout.  Each piece
-    gets ``lo + (k + 0.5) * width`` for k < its count, the same numbers
-    :func:`midpoints` gives for that piece alone.
+    Each piece gets ``lo + (k + 0.5) * width`` for k < ``panels``, the same
+    numbers :func:`midpoints` gives for that piece alone.
     """
-    if np.ndim(panels) == 0:
-        count = int(panels)
-        width = (pieces.hi - pieces.lo) / count
-        # in the order lo + ((k + 0.5) * width), broadcast over the pieces
-        x = (np.arange(count) + 0.5) * width[:, None]
-        x += pieces.lo[:, None]
-        offsets = np.arange(pieces.lo.size + 1) * count
-    else:
-        counts = np.asarray(panels, dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        width = (pieces.hi - pieces.lo) / counts
-        # in place, in the same order, one entry per abscissa
-        x = np.arange(offsets[-1], dtype=float)
-        x -= np.repeat(offsets[:-1], counts)
-        x += 0.5
-        x *= np.repeat(width, counts)
-        x += np.repeat(pieces.lo, counts)
-    return BandPlan(band=pieces.band, abscissas=x, offsets=offsets,
+    width = (pieces.hi - pieces.lo) / panels
+    # in the order lo + ((k + 0.5) * width), broadcast over the pieces
+    x = (np.arange(panels) + 0.5) * width[:, None]
+    x += pieces.lo[:, None]
+    return BandPlan(band=pieces.band, abscissas=x,
                     piece_time=pieces.time_index, piece_width=width)
 
 
-def band_plan(times, curves, panels, cuts=None, proportional=False):
+def band_plan(times, curves, panels, cuts=None):
     """Yield one :class:`BandPlan` per band for every integral over (0, t].
 
     Each band segment at each outer time is cut at the ``cuts`` strictly
-    inside it.  A piece gets ``panels`` midpoint panels, so each plan is a
-    (pieces, panels) block; with ``proportional`` it gets its share
-    ``max(1, rint(panels * len / seg_len))`` of the segment's ``panels``,
-    and the plan is flat.  Plans are built band by band, so a caller that
-    consumes each before the next holds one band's abscissas at a time.
+    inside it, and every piece gets ``panels`` midpoint panels.  Plans are
+    built band by band, so a caller that consumes each before the next
+    holds one band's abscissas at a time.
     """
     for pieces in band_pieces(band_edges(times, curves), cuts):
-        counts = panels
-        if proportional:
-            counts = np.maximum(1, np.rint(
-                panels * (pieces.hi - pieces.lo) / pieces.seg_length))
-        yield midpoint_plan(pieces, counts)
+        yield midpoint_plan(pieces, panels)

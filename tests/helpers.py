@@ -4,8 +4,8 @@ import numpy as np
 
 from bandvie.collocation import PolynomialSolution, flatten_index
 from bandvie.linalg import LUFactorization, refined_solve
-from bandvie.newton import NORM_SAMPLES
-from bandvie.problem import linear_problem, rhs_at_nodes
+from bandvie.newton import DEFAULT_PSI_PANELS, NORM_SAMPLES, PsiEvaluator
+from bandvie.problem import linear_problem, linearize, rhs_at_nodes
 from bandvie.quadrature import DEFAULT_PANELS, midpoints
 from bandvie.report import ERROR_SAMPLES
 
@@ -38,6 +38,45 @@ def initial_values(lin, rhs=None):
     """
     lin, rhs = linear_problem(lin, rhs)
     return lin.start_values(rhs.derivative_at_zero())
+
+
+class CallableRhs:
+    """Right-hand side from plain callables plus an explicit t=0 derivative.
+
+    Handy for manufactured problems where f is only known through quadrature.
+    """
+
+    def __init__(self, functions, derivative_at_zero):
+        self._functions = tuple(functions)
+        self._d0 = np.asarray(derivative_at_zero, dtype=float)
+
+    def values(self, ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.vstack([
+            np.broadcast_to(np.asarray([f(t) for t in ts], float), ts.shape)
+            for f in self._functions
+        ])
+
+    def derivative_at_zero(self):
+        return self._d0.copy()
+
+
+def psi(system, x0, xm, ts, panels=DEFAULT_PSI_PANELS):
+    """Right-hand side Psi at the times ts for guess x0 and iterate xm.
+
+    ``x0`` and ``xm`` follow the iterate protocol (ExpressionIterate,
+    piecewise-constant or polynomial solutions).  Band segments are split
+    at the iterate's breakpoints before integration.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    lin = linearize(system, x0)
+    horizon = system.curves.horizon
+    cuts = np.asarray(xm.breakpoints_in(0.0, horizon), dtype=float)
+    if cuts.size:
+        ev = PsiEvaluator(lin, ts, cuts=cuts)
+    else:
+        ev = PsiEvaluator(lin, ts, panels=panels)
+    return ev.values(xm)
 
 
 def composite_midpoint(f, lo, hi, panels=DEFAULT_PANELS):

@@ -15,15 +15,12 @@ from bandvie.collocation import flatten_index, solve_linear_collocation
 from bandvie.expr import parse
 from bandvie.linalg import residual
 from bandvie.newton import PsiEvaluator, iterate
-from bandvie.problem import (
-    CallableRhs,
-    band_quadrature_residual,
-    linearize,
-)
+from bandvie.problem import band_quadrature_residual, linearize
 from bandvie.registry import builtin
 from bandvie.report import measure_errors
 
 from helpers import (
+    CallableRhs,
     composite_midpoint,
     initial_values,
     lu_solve,

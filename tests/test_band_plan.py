@@ -29,6 +29,9 @@ from helpers import segment_index
 
 RTOL = 1e-12
 
+SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
+                  / "bench" / "problems" / "sample_problem.yaml")
+
 
 def _loop_residual(system, solution, t, panels=2000):
     segments = quadrature.decompose(t, system.curves)
@@ -195,17 +198,26 @@ def _scale(system, times):
 
 
 def test_residual_matches_loop_for_scalar_and_array_times(model01, model01_pc):
-    times = np.concatenate(([0.0], Mesh.uniform(2.0, 16).nodes[1:],
-                            np.linspace(0.03, 1.97, 9)))
-    for solution in (model01_pc, model01.exact_iterate()):
-        ref = np.array([_loop_residual(model01, solution, float(t))
+    # the loop splits a segment's panels in proportion to its pieces, the
+    # oracle gives every piece the same share; the sample problem is the
+    # input of the cli-residual benchmark
+    sample = load_problem(SAMPLE_PROBLEM)
+    cases = [(model01, model01_pc, 16), (model01, model01.exact_iterate(), 16),
+             *[(sample, solve_linear_pc(sample, n_segments=n), n)
+               for n in (32, 128)]]
+    for system, solution, n_segments in cases:
+        horizon = system.curves.horizon
+        times = np.concatenate((
+            [0.0], Mesh.uniform(horizon, n_segments).nodes[1:],
+            np.linspace(0.015 * horizon, 0.985 * horizon, 9)))
+        ref = np.array([_loop_residual(system, solution, float(t))
                         for t in times]).T
-        batch = band_quadrature_residual(model01, solution, times)
+        batch = band_quadrature_residual(system, solution, times)
         assert batch.shape == (2, times.size)
-        tol = RTOL * _scale(model01, times)
+        tol = RTOL * _scale(system, times)
         assert np.max(np.abs(batch - ref)) <= tol
         for r, t in enumerate(times[::5]):
-            single = band_quadrature_residual(model01, solution, float(t))
+            single = band_quadrature_residual(system, solution, float(t))
             assert single.shape == (2,)
             assert np.max(np.abs(single - ref[:, 5 * r])) <= tol
 
@@ -307,10 +319,6 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
                 assert np.max(np.abs(kernel - kern_w)) <= \
                     RTOL * np.abs(kern_w).sum()
                 assert np.max(np.abs(gx0 - slope[i])) <= RTOL
-
-
-SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
-                  / "bench" / "problems" / "sample_problem.yaml")
 
 
 def _moment_case(name):

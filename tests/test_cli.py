@@ -110,6 +110,19 @@ def test_run_non_finite_frozen_kernel_exits_2(tmp_path, capsys, method, size):
     assert "band 1" in err
 
 
+def test_run_non_finite_guess_exits_2(tmp_path, capsys):
+    # the guess of component 2 is nan past t = 1, inside its domain [0, 2]
+    cfg = tmp_path / "guess.yaml"
+    cfg.write_text(SQRT_AT_ZERO_YAML.replace(
+        '["sqrt(x)", "x"]', '["x", "x"]').replace(
+        'guess: ["0", "0"]', 'guess: ["0", "sqrt(1-t)"]'))
+    code = main(["run", "--config", str(cfg), "--method", "collocation",
+                 "--degree", "3"])
+    assert code == 2
+    assert "initial guess of component 2 is not finite" in (
+        capsys.readouterr().err)
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--builtin", "model01", "--method", "pc",

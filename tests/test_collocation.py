@@ -12,14 +12,18 @@ from bandvie.collocation import (
 )
 from bandvie.errors import SolverError
 from bandvie.problem import (
-    CallableRhs,
     CurveFamily,
     ExpressionRhs,
     VolterraSystem,
     linearize,
 )
 
-from helpers import composite_midpoint, initial_values, unflatten_index
+from helpers import (
+    CallableRhs,
+    composite_midpoint,
+    initial_values,
+    unflatten_index,
+)
 
 REF_ERRORS_2X2 = {2: (9.82294e-3, 6.72940e-2), 3: (1.60472e-3, 2.35676e-2),
                 5: (6.67315e-6, 3.95344e-4), 8: (1.72968e-8, 1.80165e-7)}

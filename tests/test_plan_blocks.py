@@ -1,11 +1,11 @@
 """Block band plans and the frozen kernel formed and checked in one product.
 
-A plan with one panel count for all pieces is a (pieces, panels) block
-built by broadcasting; it must hold bit for bit the numbers of the
-per-abscissa formula lo + (k + 0.5) * width, and sum its pieces as the
-flat layout does.  ``LinearizedSystem.frozen_factors`` forms
-A = K * dG/dx(x0) once and checks it with one sum; the element-wise
-check behind that sum must name the same value as before.
+A band plan is a (pieces, panels) block built by broadcasting; it must
+hold bit for bit the numbers of the per-abscissa formula
+lo + (k + 0.5) * width, and sum each piece as its row alone.
+``LinearizedSystem.frozen_factors`` forms A = K * dG/dx(x0) once and
+checks it with one sum; the element-wise check behind that sum must name
+the same value as before.
 """
 
 import numpy as np
@@ -33,8 +33,7 @@ _PIECES = st.lists(st.tuples(_LOS, _LENGTHS), min_size=0, max_size=6)
 def _pieces(pairs):
     lo = np.array([a for a, _ in pairs], dtype=float)
     hi = lo + np.array([b for _, b in pairs], dtype=float)
-    return BandPieces(band=1, lo=lo, hi=hi, time_index=np.arange(lo.size),
-                      seg_length=hi - lo)
+    return BandPieces(band=1, lo=lo, hi=hi, time_index=np.arange(lo.size))
 
 
 def _per_abscissa(lo, hi, panels):
@@ -44,17 +43,10 @@ def _per_abscissa(lo, hi, panels):
                      for k in range(panels)])
 
 
-def _assert_block_matches_flat(block, pieces, panels, values):
-    """The flat layout of the same pieces: same numbers, same piece sums."""
-    flat = midpoint_plan(pieces, np.full(pieces.lo.size, panels))
-    assert flat.abscissas.ndim == 1
-    assert np.array_equal(block.abscissas.ravel(), flat.abscissas)
-    assert np.array_equal(block.offsets, flat.offsets)
-    assert np.array_equal(block.piece_width, flat.piece_width)
-    sums = block.piece_sums(values)
-    assert sums.shape == (pieces.lo.size,)
-    assert np.array_equal(sums, flat.piece_sums(values.ravel()))
-    # each row alone, as a 1-D sum of one piece adds
+def _assert_piece_sums_are_row_sums(plan, values):
+    """Each piece sums as its row alone, as a 1-D sum of one piece adds."""
+    sums = plan.piece_sums(values)
+    assert sums.shape == (plan.abscissas.shape[0],)
     assert np.array_equal(sums, [row.sum() for row in values])
 
 
@@ -69,14 +61,13 @@ def test_block_plan_equals_the_per_abscissa_formula(pairs, panels, seed):
         assert np.array_equal(plan.abscissas[p], _per_abscissa(lo, hi, panels))
         assert plan.piece_width[p] == (hi - lo) / panels
     values = np.random.default_rng(seed).standard_normal(plan.abscissas.shape)
-    _assert_block_matches_flat(plan, pieces, panels, values)
+    _assert_piece_sums_are_row_sums(plan, values)
 
 
 def test_block_plan_of_an_empty_band_and_of_one_piece():
     empty = midpoint_plan(_pieces([]), 7)
     assert empty.abscissas.shape == (0, 7)
     assert empty.piece_sums(np.empty((0, 7))).shape == (0,)
-    assert np.array_equal(empty.offsets, [0])
     one = midpoint_plan(_pieces([(0.0, 5e-324)]), 3)
     assert np.array_equal(one.abscissas[0], _per_abscissa(0.0, 5e-324, 3))
     assert one.piece_width[0] == 5e-324 / 3
@@ -105,7 +96,7 @@ def test_band_plan_blocks_over_linear_curve_families(slopes, horizon,
             assert np.array_equal(plan.abscissas[p], mids)
             assert plan.piece_width[p] == width
         values = rng.standard_normal(plan.abscissas.shape)
-        _assert_block_matches_flat(plan, pieces, panels, values)
+        _assert_piece_sums_are_row_sums(plan, values)
 
 
 def _moment_plan(system, degree=4, panels=DEFAULT_MOMENT_PANELS):

@@ -327,3 +327,18 @@ def test_config_errors(tmp_path):
     bad.write_text("n: [unclosed")
     with pytest.raises(ProblemDefinitionError, match="cannot parse"):
         load_problem(bad)
+
+
+def test_validate_names_a_non_finite_guess_inside_its_domain(model01):
+    # component 2 lives on [0, 2], where sqrt(1-t) is nan past t = 1;
+    # component 1 lives on [0, 1], where the same guess is finite
+    def with_guess(guess):
+        return VolterraSystem(
+            curves=model01.curves, kernels=model01.kernels,
+            nonlinearities=model01.nonlinearities, rhs=model01.rhs,
+            unknown_of_band=model01.unknown_of_band, guess=guess)
+
+    assert [str(d) for d in validate(with_guess(["0", "sqrt(1-t)"]))] == [
+        "initial guess of component 2 is not finite at t = 1.001: "
+        "value nan, inside its domain [0, 2]"]
+    assert validate(with_guess(["sqrt(1-t)", "0"])) == []

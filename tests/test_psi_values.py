@@ -27,7 +27,6 @@ from bandvie.expr import Expression
 from bandvie.newton import PsiEvaluator
 from bandvie.pc import Mesh, solve_linear_pc
 from bandvie.problem import LinearizedSystem, linearize
-from bandvie.quadrature import BandPieces, midpoint_plan
 from bandvie.registry import builtin
 
 #: agreement of the no-cut sums with the other summation orders, relative
@@ -275,24 +274,3 @@ def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
         for iterate in (a, b, a, b):
             fresh = PsiEvaluator(lin, times, cuts=cuts, panels=700)
             assert np.array_equal(ev.values(iterate), fresh.values(iterate))
-
-
-def test_piece_sums_group_once_and_match_per_piece_sums():
-    counts = np.array([3, 5, 3, 1, 5, 5, 2])
-    lo = np.arange(counts.size, dtype=float)
-    pieces = BandPieces(band=1, lo=lo, hi=lo + 0.5,
-                        time_index=np.arange(counts.size),
-                        seg_length=np.full(counts.size, 0.5))
-    plan = midpoint_plan(pieces, counts)
-    rng = np.random.default_rng(5)
-    for _ in range(2):          # the second call reuses the cached groups
-        values = rng.standard_normal(plan.abscissas.size)
-        ref = np.array([values[a:b].sum()
-                        for a, b in zip(plan.offsets[:-1], plan.offsets[1:])])
-        assert np.array_equal(plan.piece_sums(values), ref)
-    assert plan._piece_groups is plan._piece_groups
-    uniform = midpoint_plan(pieces, 4)
-    values = rng.standard_normal(uniform.abscissas.size)
-    assert uniform._piece_groups is None
-    assert np.array_equal(uniform.piece_sums(values),
-                          values.reshape(counts.size, 4).sum(axis=1))
