@@ -15,19 +15,14 @@ A pair with G_ij = x adds nothing to psi (for a finite iterate its bracket
 is 1 * xm - xm = 0 exactly), so the evaluator skips it
 (:attr:`LinearizedSystem.nonlinear_equations`).
 
-Psi is summed in one of two forms.  Without mesh cuts (polynomial
-iterates) each outer time owns one contiguous piece of the band plan, and
-psi = f + w * (sum A * xm - sum K * G(xm)) per piece, with A = K * dG/dx(x0)
-the frozen kernel the collocation moments already formed: two row dot
-products per pair, and no bracket is built per abscissa.  With cuts
-(piecewise-constant iterates) a time owns several pieces, and the bracket
-is summed by prefix sums in a scratch buffer; the pc iteration counts are
-fragile at roundoff level, so that summation order is kept as it is.
+Psi is summed one way for every plan, with or without mesh cuts: per
+piece of the band plan, w * (sum A * xm - sum K * G(xm)) with A = K *
+dG/dx(x0) the frozen kernel, and the pieces of an outer time are added in
+plan order (:class:`PsiEvaluator`).  No bracket is built per abscissa.
 
-One run is sequential in the iteration index; independent runs can share
-the immutable problem data, but not a :class:`PsiEvaluator` with cuts: its
-scratch buffer is overwritten by every call, so it belongs to one run and
-must not be shared between threads.
+One run is sequential in the iteration index.  A :class:`PsiEvaluator`
+keeps no state between calls, so independent runs can share it as they
+share the immutable problem data.
 """
 
 from __future__ import annotations
@@ -48,9 +43,6 @@ from .report import measure_errors
 
 #: midpoint panels per smooth band segment for the right-hand-side integrals
 DEFAULT_PSI_PANELS = 8000
-
-#: panels per mesh-aligned piece when the iterate is piecewise constant
-PSI_PIECE_PANELS = HISTORY_PANELS
 
 #: sample count per component for the correction sup-norm
 NORM_SAMPLES = 1001
@@ -139,13 +131,13 @@ def correction_norm(prev, nxt):
 
 
 class _PsiBand(NamedTuple):
-    """One band of a psi plan without cuts that has a pair with G not x.
+    """One band of a psi plan that has a pair with G not x.
 
-    Each outer time with a non-empty band segment owns one piece of the
-    plan, row p of every (n_pieces, panels) array: time ``piece_time[p]``,
-    panel width ``piece_width[p]``.  ``abscissas`` is the plan, flat, and
-    ``pairs`` holds (0-based equation, A = K * dG/dx(x0), K) for each
-    equation whose G is not x.
+    Row p of every (n_pieces, panels) array is piece p of the plan: outer
+    time ``piece_time[p]``, panel width ``piece_width[p]``; a time owns one
+    piece without cuts and several with them.  ``abscissas`` is the plan,
+    flat, and ``pairs`` holds (0-based equation, A = K * dG/dx(x0), K) for
+    each equation whose G is not x.
     """
 
     band: int  # 0-based
@@ -167,71 +159,35 @@ class _PsiBand(NamedTuple):
             rows = np.einsum("kp,kp->k", frozen, xm_rows)
             rows -= np.einsum("kp,kp->k", kernel, gm.reshape(shape))
             rows *= self.piece_width
-            out[i, self.piece_time] += rows
-
-
-class _PsiCutBand(NamedTuple):
-    """One band of a psi plan with cuts that has a pair with G not x.
-
-    The abscissas of time r are ``abscissas[starts[r]:ends[r]]``; ``pairs``
-    holds (0-based equation, K * quadrature weight, dG/dx(x0)) for each
-    equation whose G is not x, and ``csum`` is the prefix-sum buffer,
-    ``csum[0] = 0``, that :meth:`add_to` overwrites.
-    """
-
-    band: int  # 0-based
-    component: int  # 1-based
-    starts: np.ndarray
-    ends: np.ndarray
-    abscissas: np.ndarray
-    pairs: tuple
-    csum: np.ndarray
-
-    def add_to(self, out, xm, nonlinearities):
-        """Add the prefix-sum differences of K * w * (G'(x0) * xm - G(xm))."""
-        s, csum = self.abscissas, self.csum
-        contrib = csum[1:]
-        for i, kernel, gx0 in self.pairs:
-            gm = nonlinearities[i][self.band](s=s, x=xm)
-            # built in the buffer and summed in place: the same products
-            # and sequential sums as with temporaries
-            np.multiply(gx0, xm, out=contrib)
-            np.subtract(contrib, gm, out=contrib)
-            np.multiply(kernel, contrib, out=contrib)
-            np.cumsum(contrib, out=contrib)
-            out[i] += csum[self.ends] - csum[self.starts]
+            # with cuts a time owns several pieces: add.at adds repeated
+            # times one by one, in plan order
+            np.add.at(out[i], self.piece_time, rows)
 
 
 class PsiEvaluator:
     """Right-hand-side evaluator with a precomputed quadrature plan.
 
-    The plan (abscissas, weights, kernel values, frozen-slope values) only
+    The plan (abscissas, weights, kernel values, frozen-kernel values) only
     depends on the linearized system and the evaluation times, so one
     evaluator serves every outer iteration; per iteration only the iterate
     and the nonlinearity are re-evaluated on the fixed abscissas.
 
     Without ``cuts`` each band segment is one smooth piece with ``panels``
-    midpoint panels, so every outer time owns one piece of equal length,
-    and psi_i(t_k) = f_i(t_k) + w_k * (sum A_i * xm - sum K_i * G_i(xm))
-    over the piece, with A = K * dG/dx(x0) and w_k its panel width: two
-    row dot products per pair.  Instead of building its own plan, the
-    evaluator can take ``frozen``, the band plans a
-    :class:`CollocationDiscretization` took its moments from
-    (:meth:`~CollocationDiscretization.take_frozen_plan`, planned over
-    ``times`` without cuts, with A already formed); it then evaluates no
-    kernel itself.
-
-    ``cuts`` lists global breakpoints (mesh nodes for piecewise-constant
-    iterates) at which band segments are split into pieces of
-    ``PSI_PIECE_PANELS`` midpoint panels each.  A time then owns a varying
-    number of pieces, and the terms K * w * (G'(x0) * xm - G(xm)) are
-    summed by prefix sums in a per-band scratch buffer that :meth:`values`
-    overwrites; an evaluator with cuts therefore serves one run and must
-    not be shared between threads.  The pc iteration counts are fragile at
-    roundoff level, so this summation order stays as it is.
+    midpoint panels.  ``cuts`` lists global breakpoints (mesh nodes for
+    piecewise-constant iterates) at which band segments are split into
+    pieces of ``pc.HISTORY_PANELS`` midpoint panels each, so a time owns a
+    varying number of pieces.  Either way psi_i(t_k) = f_i(t_k) + the sum
+    over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)), with
+    A = K * dG/dx(x0) and w the piece's panel width: two row dot products
+    per pair.  Instead of building its own plan, the evaluator can take
+    ``frozen``, the band plans a :class:`CollocationDiscretization` took
+    its moments from (:meth:`~CollocationDiscretization.take_frozen_plan`,
+    planned over ``times`` without cuts, with A already formed); it then
+    evaluates no kernel itself.
 
     Only pairs with G_ij other than x are kept: a band where every G is x
-    is neither planned nor evaluated.
+    is neither planned nor evaluated, and a system whose G are all x
+    plans nothing.
     """
 
     def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
@@ -241,17 +197,11 @@ class PsiEvaluator:
         system = lin.system
         n_bands = lin.n_bands
         active = lin.nonlinear_equations
-        if cuts is not None:
-            frozen = ((plan, kvs, gvs) for plan, kvs, gvs, _
-                      in self._plan(active, cuts, PSI_PIECE_PANELS))
-            make_band = self._cut_band
-        else:
-            if frozen is None:
-                frozen = ((plan, kvs, avs) for plan, kvs, _, avs
-                          in self._plan(active, None, panels))
-            make_band = self._band
-        self._bands = [make_band(plan, kvs, factors, active[plan.band - 1])
-                       for plan, kvs, factors in frozen
+        if frozen is None:
+            frozen = ((plan, kvs, avs) for plan, kvs, _, avs in self._plan(
+                active, cuts, panels if cuts is None else HISTORY_PANELS))
+        self._bands = [self._band(plan, kvs, avs, active[plan.band - 1])
+                       for plan, kvs, avs in frozen
                        if active[plan.band - 1] and plan.abscissas.size]
 
         self._f_vals = np.vstack([
@@ -268,8 +218,11 @@ class PsiEvaluator:
         """``(plan, K, dG/dx, A)`` per band that has a pair with G not x.
 
         Every piece gets ``panels`` panels, so each plan is a (pieces,
-        panels) block, and the outer times are passed as a column.
+        panels) block, and the outer times are passed as a column.  When
+        every G is x, no band is planned and no curve is evaluated.
         """
+        if not any(active):
+            return
         lin = self.lin
         edges = quadrature.band_edges(self.times, lin.curves)
         for pieces in quadrature.band_pieces(edges, cuts):
@@ -280,7 +233,7 @@ class PsiEvaluator:
                     plan.abscissas))
 
     def _band(self, plan, kvs, avs, equations):
-        """A band without cuts: its pieces, one per time, share a panel count.
+        """One band: its (pieces, panels) rows of A and K per pair.
 
         A is copied here, after the set-up.  The temporaries of every call
         (the iterate and the G values on the plan) then reuse the freed
@@ -296,21 +249,6 @@ class PsiEvaluator:
             abscissas=plan.abscissas.reshape(-1),
             pairs=tuple((i, avs[i].reshape(shape).copy(),
                          kvs[i].reshape(shape)) for i in equations))
-
-    def _cut_band(self, plan, kvs, gvs, equations):
-        """A band with cuts: the block plan is summed flat, in piece order."""
-        panels = plan.abscissas.shape[1]
-        ends = np.cumsum(np.bincount(
-            plan.piece_time, minlength=self.times.size)) * panels
-        weights = plan.piece_width[:, None]
-        return _PsiCutBand(
-            band=plan.band - 1,
-            component=self.lin.unknown_of_band[plan.band - 1],
-            starts=np.concatenate(([0], ends[:-1])), ends=ends,
-            abscissas=plan.abscissas.reshape(-1),
-            pairs=tuple((i, (kvs[i] * weights).reshape(-1),
-                         gvs[i].reshape(-1)) for i in equations),
-            csum=np.zeros(plan.abscissas.size + 1))
 
     def values(self, iterate):
         """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
@@ -375,8 +313,9 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     tol : stop once the sampled correction sup-norm drops this low
     panels : inner-solver quadrature panels (moment/coefficient integrals);
         the right-hand-side integrals use ``DEFAULT_PSI_PANELS`` per band
-        segment for polynomial iterates and ``PSI_PIECE_PANELS`` per mesh
-        piece for piecewise-constant ones.  At the default, collocation
+        segment for polynomial iterates and ``pc.HISTORY_PANELS`` per mesh
+        piece for piecewise-constant ones, and both are summed per piece
+        as w * (sum A * xm - sum K * G(xm)).  At the default, collocation
         moments and right-hand sides share one plan and one evaluation of
         the frozen kernel
 

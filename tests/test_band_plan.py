@@ -3,10 +3,10 @@
 The ``_loop_*`` functions below are the loop implementations of the residual
 oracle, the pc assembly, the psi plan and the collocation moments, kept as
 references: the vectorized results must agree with them to 1e-12 of the
-integral magnitude (the psi plan without cuts and the moments must match
-bit for bit).
+integral magnitude (the psi plans and the moments must match bit for bit).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,16 @@ SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
                   / "bench" / "problems" / "sample_problem.yaml")
 
 
-def _loop_residual(system, solution, t, panels=2000):
+def _loop_residual(system, solution, t, panels=2000, t_max=None):
+    """Residual at t by loops over band segments and their pieces.
+
+    A segment's panels are split in proportion to its pieces.  Given
+    ``t_max``, every piece gets the oracle's equal share instead:
+    ceil(panels / (k + 1)) for the solution's k breakpoints in (0, t_max).
+    """
+    if t_max is not None:
+        k = len(solution.breakpoints_in(0.0, t_max))
+        share = math.ceil(panels / (k + 1))
     segments = quadrature.decompose(t, system.curves)
     out = -np.array([float(f(t=t)) for f in system.rhs])
     for seg in segments:
@@ -43,7 +52,10 @@ def _loop_residual(system, solution, t, panels=2000):
         cuts = solution.breakpoints_in(seg.lo, seg.hi)
         pieces = quadrature.split_interval(seg.lo, seg.hi, cuts)
         for lo, hi in pieces:
-            n_panels = max(1, int(round(panels * (hi - lo) / seg.length)))
+            if t_max is not None:
+                n_panels = share
+            else:
+                n_panels = max(1, int(round(panels * (hi - lo) / seg.length)))
             mids, width = quadrature.midpoints(lo, hi, n_panels)
             xvals = solution.component_values(comp, mids)
             for i in range(system.n_equations):
@@ -197,29 +209,40 @@ def _scale(system, times):
         [np.asarray(f(t=np.asarray(times, float)), float) for f in system.rhs]))
 
 
-def test_residual_matches_loop_for_scalar_and_array_times(model01, model01_pc):
+def test_residual_matches_loop_for_scalar_and_array_times(model01, model01_pc,
+                                                           sys1):
     # the loop splits a segment's panels in proportion to its pieces, the
-    # oracle gives every piece the same share; the sample problem is the
-    # input of the cli-residual benchmark
+    # oracle gives every piece the same share; with kernels linear in s and
+    # a pc solution the midpoint rule is exact on a piece, and the two
+    # agree.  sys1's K = s * (t + s) is curved in s, so its case is looped
+    # with the oracle's share and pins the panel count per piece.  The
+    # sample problem is the input of the cli-residual benchmark
     sample = load_problem(SAMPLE_PROBLEM)
-    cases = [(model01, model01_pc, 16), (model01, model01.exact_iterate(), 16),
-             *[(sample, solve_linear_pc(sample, n_segments=n), n)
-               for n in (32, 128)]]
-    for system, solution, n_segments in cases:
+    cases = [(model01, model01_pc, 16, False),
+             (model01, model01.exact_iterate(), 16, False),
+             *[(sample, solve_linear_pc(sample, n_segments=n), n, False)
+               for n in (32, 128)],
+             (sys1, solve_linear_pc(sys1, n_segments=16), 16, True)]
+    for system, solution, n_segments, equal_share in cases:
         horizon = system.curves.horizon
         times = np.concatenate((
             [0.0], Mesh.uniform(horizon, n_segments).nodes[1:],
             np.linspace(0.015 * horizon, 0.985 * horizon, 9)))
-        ref = np.array([_loop_residual(system, solution, float(t))
-                        for t in times]).T
+
+        def loop(ts, t_max):
+            return np.array([_loop_residual(
+                system, solution, float(t),
+                t_max=t_max if equal_share else None) for t in ts]).T
+
         batch = band_quadrature_residual(system, solution, times)
         assert batch.shape == (2, times.size)
         tol = RTOL * _scale(system, times)
-        assert np.max(np.abs(batch - ref)) <= tol
-        for r, t in enumerate(times[::5]):
+        assert np.max(np.abs(batch - loop(times, times.max()))) <= tol
+        for t in times[::5]:
+            # a single time has fewer breakpoints below it
             single = band_quadrature_residual(system, solution, float(t))
             assert single.shape == (2,)
-            assert np.max(np.abs(single - ref[:, 5 * r])) <= tol
+            assert np.max(np.abs(single - loop([t], t)[:, 0])) <= tol
 
 
 def test_residual_with_zero_length_band():
@@ -310,15 +333,18 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
                 for band in ev._bands] == ACTIVE_PAIRS[name]
         for band in ev._bands:
             starts, ends, s, w, kern, slope = ref[band.band]
-            np.testing.assert_array_equal(band.starts, starts)
-            np.testing.assert_array_equal(band.ends, ends)
-            assert np.max(np.abs(band.abscissas - s)) <= \
-                RTOL * system.curves.horizon
-            for i, kernel, gx0 in band.pairs:
-                kern_w = kern[i] * w
-                assert np.max(np.abs(kernel - kern_w)) <= \
-                    RTOL * np.abs(kern_w).sum()
-                assert np.max(np.abs(gx0 - slope[i])) <= RTOL
+            # a time owns one 4-panel piece per mesh segment it crosses
+            pieces = (ends - starts) // 4
+            assert np.array_equal(pieces * 4, ends - starts)
+            np.testing.assert_array_equal(
+                band.piece_time, np.repeat(np.arange(starts.size), pieces))
+            np.testing.assert_array_equal(band.piece_width, w[::4])
+            np.testing.assert_array_equal(band.abscissas, s)
+            for i, frozen, kernel in band.pairs:
+                assert frozen.shape == kernel.shape == (pieces.sum(), 4)
+                np.testing.assert_array_equal(kernel.ravel(), kern[i])
+                np.testing.assert_array_equal(frozen.ravel(),
+                                              kern[i] * slope[i])
 
 
 def _moment_case(name):

@@ -213,6 +213,14 @@ def test_sys2_ratio_sequence_is_contractive(sys2):
     assert all(r < 1.0 for r in ratios[1:6])
 
 
+def test_sys2_pc_at_64_segments_reaches_the_tolerance(sys2):
+    # psi summed by a prefix sum over the band left a roundoff floor near
+    # 1e-11 under the correction, and the run stalled to the cap of 60
+    sol, rep = iterate(sys2, method="pc", n_segments=64, max_iters=60)
+    assert rep.stop_reason == "tolerance"
+    assert len(rep.records) <= 45
+
+
 def test_frozen_operator_reuse(model01, monkeypatch):
     # the inner discretization must be assembled exactly once per run
     import bandvie.newton as newton_mod

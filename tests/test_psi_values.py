@@ -1,16 +1,13 @@
 """PsiEvaluator.values and the Horner iterates against the loops they replace.
 
-``_reference_values`` is the psi loop of plans with cuts, kept as a
-reference: ``polyval`` for polynomial iterates and a fresh ``concatenate``
-plus ``cumsum`` per pair, over the pairs the evaluator keeps (those whose G
-is not x).  The evaluator must match it bit for bit.
-
-Plans without cuts sum f + w * (sum A * xm - sum K * G(xm)) per outer time.
-``_per_node_values`` is that formula one node at a time and must match bit
-for bit; ``_cumsum_values_without_cuts`` is the prefix-sum loop those plans
-used before, and ``_fsum_values`` an exactly rounded sum of the same terms.
-Both must agree to ``SUM_RTOL`` of the sum of the magnitudes of the terms
-plus |f|: w * A * xm and w * K * G(xm) per abscissa.
+Every plan, with or without mesh cuts, sums f + w * (sum A * xm - sum K *
+G(xm)) per piece and adds the pieces of a time in plan order.
+``_per_node_values`` is that formula one piece at a time and must match
+bit for bit; ``_cumsum_values_without_cuts`` is the prefix-sum loop the
+plans without cuts used before, and ``_fsum_values`` an exactly rounded
+sum of the same terms.  Both must agree to ``SUM_RTOL`` of the sum of the
+magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
+abscissa.
 """
 
 import math
@@ -24,13 +21,13 @@ from numpy.polynomial.polynomial import polyval
 
 from bandvie.collocation import PolynomialSolution, collocation_nodes
 from bandvie.expr import Expression
-from bandvie.newton import PsiEvaluator
+from bandvie.newton import PsiEvaluator, iterate as run_newton
 from bandvie.pc import Mesh, solve_linear_pc
 from bandvie.problem import LinearizedSystem, linearize
 from bandvie.registry import builtin
 
-#: agreement of the no-cut sums with the other summation orders, relative
-#: to the sum of the magnitudes of their terms plus |f|
+#: agreement of the psi sums with the other summation orders, relative to
+#: the sum of the magnitudes of their terms plus |f|
 SUM_RTOL = 1e-13
 
 
@@ -44,26 +41,6 @@ def _iterate_values(lin, iterate, j, s):
 def _g_values(system, i, j, s, xm):
     return np.broadcast_to(np.asarray(
         system.nonlinearities[i][j](s=s, x=xm), float), s.shape)
-
-
-def _reference_values(ev, iterate):
-    lin = ev.lin
-    system = lin.system
-    out = ev._f_vals.copy()
-    for band in ev._bands:
-        j, s = band.band, band.abscissas
-        comp = lin.unknown_of_band[j]
-        if isinstance(iterate, PolynomialSolution):
-            xm = polyval(s, iterate.coefficients[comp - 1])
-        else:
-            xm = np.asarray(iterate.component_values(comp, s), dtype=float)
-        for i, kernel, gx0 in band.pairs:
-            gm = np.broadcast_to(np.asarray(
-                system.nonlinearities[i][j](s=s, x=xm), float), s.shape)
-            contrib = kernel * (gx0 * xm - gm)
-            csum = np.concatenate(([0.0], np.cumsum(contrib)))
-            out[i] += csum[band.ends] - csum[band.starts]
-    return out
 
 
 def _pieces(band):
@@ -218,11 +195,24 @@ def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
     for iterate in (scalar.guess_iterate(),
                     solve_linear_pc(scalar, n_segments=16)):
         assert np.array_equal(ev.values(iterate),
-                              _reference_values(ev, iterate))
+                              _per_node_values(ev, iterate))
     # band 2 has G = x: the iterate is evaluated for band 1 only
     counting = _Counting(scalar.guess_iterate())
     ev.values(counting)
     assert counting.components == [1]
+
+
+@pytest.mark.parametrize("n_segments", [64, 256])
+def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
+    # a prefix sum over the whole band, differenced per time, missed by
+    # 1.8e-12 of the scale at N = 256 on this iterate
+    lin = linearize(sys2)
+    nodes = Mesh.uniform(sys2.curves.horizon, n_segments).nodes
+    ev = PsiEvaluator(lin, nodes[1:], cuts=nodes[1:-1])
+    pc_iterate, _ = run_newton(sys2, method="pc", n_segments=n_segments,
+                               max_iters=3)
+    exact, scale = _fsum_values(ev, pc_iterate)
+    _assert_sums_agree(ev.values(pc_iterate), exact, scale)
 
 
 def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
@@ -232,7 +222,7 @@ def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
     iterate = _polynomial(model02, 2)
     got = ev.values(iterate)
     assert np.array_equal(got, ev._f_vals)
-    assert np.array_equal(got, _reference_values(ev, iterate))
+    assert np.array_equal(got, _per_node_values(ev, iterate))
     counting = _Counting(iterate)
     ev.values(counting)
     assert counting.components == []
@@ -260,6 +250,10 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
     assert frozen_calls == []
     kernels = [e for row in model01.kernels + model01.g_x for e in row]
     assert not any(any(e is k for k in kernels) for e in evaluated)
+    # nothing is planned: the band edges are not formed either
+    assert model01.curves.interior
+    assert not any(any(e is c for c in model01.curves.interior)
+                   for e in evaluated)
     assert ev._bands == []
 
 
