@@ -14,9 +14,13 @@ class ExpressionSyntaxError(BandvieError):
 
 
 class SingularMatrixError(BandvieError):
-    """LU elimination met a pivot below the singularity threshold."""
+    """LU elimination met a pivot below the singularity threshold.
 
-    def __init__(self, step, pivot, threshold):
+    ``index`` is the 0-based position of the failing matrix when a stack
+    of matrices is factorized together (None for a single matrix).
+    """
+
+    def __init__(self, step, pivot, threshold, index=None):
         super().__init__(
             f"matrix numerically singular at elimination step {step} "
             f"(pivot {pivot:.3e}, threshold {threshold:.3e})"
@@ -24,6 +28,7 @@ class SingularMatrixError(BandvieError):
         self.step = step
         self.pivot = pivot
         self.threshold = threshold
+        self.index = index
 
 
 class CurveOrderingError(BandvieError):

@@ -4,6 +4,13 @@ Sizes stay modest (start-value systems are n x n, collocation systems are
 (n*m) x (n*m) with n*m around 50), so a plain factorization with one step
 of iterative refinement is plenty.  All operations work on caller-owned
 arrays; a factorization can be cached and shared read-only.
+
+:func:`lu_factor_stack` factorizes a whole stack of small matrices (the
+pc step matrices) in one elimination, one column at a time over the
+stack, with the same pivoting and threshold as :class:`LUFactorization`
+and the same bits per matrix.  The two eliminations share only the
+substitution, :func:`lu_substitute`: for a single matrix the column loop
+of :class:`LUFactorization` is the faster one.
 """
 
 from __future__ import annotations
@@ -52,13 +59,67 @@ class LUFactorization:
         n = self.shape[0]
         if b.shape != (n,):
             raise ValueError(f"right-hand side must have shape ({n},)")
-        x = b[self._perm].copy()
-        lu = self._lu
-        for k in range(1, n):
-            x[k] -= lu[k, :k] @ x[:k]
-        for k in range(n - 1, -1, -1):
-            x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-        return x
+        return lu_substitute(self._lu, self._perm, b)
+
+
+def lu_factor_stack(a):
+    """PA = LU of every matrix of a (count, n, n) stack; returns (lu, perm).
+
+    ``lu`` is (count, n, n) and ``perm`` (count, n), each matrix's entry
+    equal bit for bit to ``LUFactorization`` of that matrix alone
+    (``_lu``, ``_perm``): every column is eliminated over the whole stack
+    with the same pivot choice, threshold and operations.
+
+    Raises
+    ------
+    SingularMatrixError
+        For the first matrix of the stack (lowest index) whose pivot falls
+        below its threshold, with that ``index``, the elimination step,
+        the pivot and the threshold.
+    """
+    a = np.array(a, dtype=float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"stack must be (count, n, n), got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    count, n = a.shape[:2]
+    threshold = PIVOT_RTOL * np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    perm = np.tile(np.arange(n), (count, 1))
+    each = np.arange(count)
+    fail_step = np.zeros(count, dtype=int)   # 0: no pivot failed
+    fail_pivot = np.zeros(count)
+    # a failed matrix is eliminated on (its values are not used), so the
+    # first failure of every matrix is known when the loop ends
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            p = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+            pivot = np.abs(a[each, p, k])
+            new = (pivot <= threshold) & (fail_step == 0)
+            fail_step[new] = k + 1
+            fail_pivot[new] = pivot[new]
+            row = a[each, k]
+            a[each, k] = a[each, p]
+            a[each, p] = row
+            perm[each, k], perm[each, p] = perm[each, p], perm[each, k]
+            a[:, k + 1:, k] /= a[:, k, k, None]
+            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+    failed = np.flatnonzero(fail_step)
+    if failed.size:
+        i = int(failed[0])
+        raise SingularMatrixError(step=int(fail_step[i]),
+                                  pivot=float(fail_pivot[i]),
+                                  threshold=float(threshold[i]), index=i)
+    return a, perm
+
+
+def lu_substitute(lu, perm, b):
+    """Solve A x = b from the factors PA = LU; ``perm`` is P's row order."""
+    x = b[perm]
+    for k in range(1, x.size):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(x.size - 1, -1, -1):
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
 
 
 def residual(a, x, b):

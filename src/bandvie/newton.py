@@ -224,7 +224,9 @@ class PsiEvaluator:
         if not any(active):
             return
         lin = self.lin
-        edges = quadrature.band_edges(self.times, lin.curves)
+        # with cuts, band edges within roundoff of a cut are moved onto it,
+        # as the pc assembly moves them
+        edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
         for pieces in quadrature.band_pieces(edges, cuts):
             if active[pieces.band - 1]:
                 plan = quadrature.midpoint_plan(pieces, panels)

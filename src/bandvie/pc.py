@@ -8,9 +8,18 @@ accumulate into the same column; a re-visited segment is re-solved and
 overwritten (later nodes give equally valid, fresher equations).
 
 The step systems depend on the frozen operator only, not on the
-right-hand side, so each discretization assembles and factorizes them
-once, at its first solve; every solve then gathers the known step values,
-solves and scatters, step by step.
+right-hand side, so each discretization builds the step operator once, at
+its first solve, from arrays over all steps: the active segment of each
+component per step, the frontier of assigned segments before each step,
+the (steps, n_eq, n_comp) step matrices, factorized in one stacked
+elimination, the known-segment flags and the history slices.  The step
+faults (a segment read before it is assigned, a history segment never
+assigned, a singular step matrix, a jump of more than one segment) are
+checked as masks, and the first in node order is raised.  Every solve
+then gathers the known step values, solves and scatters, step by step.
+Band edges within roundoff of a mesh node are moved onto it, here and in
+the psi plan, so a curve that meets a node in exact arithmetic leaves no
+sub-ulp unknown range.
 
 The stepping is sequential by construction; distinct solves may run
 concurrently (two first solves may both build the step operator; the
@@ -21,12 +30,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
-from .linalg import LUFactorization
+from .linalg import lu_factor_stack, lu_substitute
 from .problem import linear_problem, rhs_at_nodes
 
 #: panels for the per-piece history integrals (each piece spans at most one
@@ -97,16 +107,50 @@ class PiecewiseConstantSolution:
         return nodes[(nodes > lo) & (nodes < hi)]
 
 
+class _StepBand(NamedTuple):
+    """One band's terms of the step operator, for every step at once.
+
+    Step k (0-based) moves ``coeff[k]`` times the known value of segment
+    ``known[k]`` (0-based, -1 for none) of component ``component`` to the
+    right-hand side, and its history pieces ``bounds[k]:bounds[k + 1]``:
+    their 0-based segments ``hist[bounds[k]:bounds[k + 1]]`` and their
+    (n_eq, pieces) weights, stored step after step, each block row by row,
+    at ``weights[n_eq * bounds[k]:n_eq * bounds[k + 1]]``.
+    """
+
+    component: int  # 0-based
+    known: list
+    coeff: np.ndarray
+    hist: np.ndarray
+    weights: np.ndarray
+    bounds: list
+
+
+class _StepOperator(NamedTuple):
+    """The factorized step matrices and the terms of every step.
+
+    ``lu[k]``, ``perm[k]`` factorize step k's matrix; its solution goes to
+    ``values[rows, cols[k]]``.
+    """
+
+    lu: np.ndarray
+    perm: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    bands: tuple
+
+
 class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 
     Everything that does not depend on the right-hand side is built once per
     discretization: the per-step coefficient integrals and history piece
     weights here, and at the first :meth:`solve` the step operator.  It
-    holds every step matrix, factorized once per discretization, the band
-    terms that move known step values to the right-hand side, and the step
-    values each step writes.  Every solve then only gathers, solves and
-    scatters at each step.
+    holds every step matrix, all factorized in one stacked elimination
+    (:func:`~bandvie.linalg.lu_factor_stack`), the band terms that move
+    known step values to the right-hand side, and the step values each
+    step writes, as arrays over the steps.  Every solve then only gathers,
+    solves and scatters at each step.
     """
 
     def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS):
@@ -118,21 +162,25 @@ class PCDiscretization:
         self._bands = self._assemble()
 
     def _assemble(self):
-        """Per band ``(u, segments, coeff, hist_segments, hist_weights, bounds)``.
+        """Per band ``(u, segments, coeff, hist, weights, bounds)``.
 
         Per step k: segments[k-1] is the 1-based mesh segment holding
         alpha_j(t_k), whose step value is unknown, and coeff[k-1] the (n_eq,)
         integrals of Ktilde over the unknown range; the history pieces
-        bounds[k-1]:bounds[k] have a segment and (n_eq,) weights each.
+        bounds[k-1]:bounds[k] have a 0-based segment in ``hist`` each and
+        their (n_eq, pieces) weights stored as in :class:`_StepBand`.  Band
+        edges within roundoff of a mesh node are moved onto it first
+        (:func:`~bandvie.quadrature.band_edges`), as the psi plan does.
         """
         lin = self.lin
         mesh = self.mesh
         times = mesh.nodes[1:]
-        n_steps = mesh.n_segments
-        edges = quadrature.band_edges(times, lin.curves)
+        n_steps, n_eq = mesh.n_segments, lin.n_equations
+        cuts = mesh.nodes[1:-1]
+        edges = quadrature.band_edges(times, lin.curves, snap=cuts)
         segments = mesh.segment_indices(edges[:, 1:])
         bands = []
-        for pieces in quadrature.band_pieces(edges, cuts=mesh.nodes[1:-1]):
+        for pieces in quadrature.band_pieces(edges, cuts=cuts):
             j = pieces.band
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
@@ -141,14 +189,20 @@ class PCDiscretization:
             coeff_plan = quadrature.midpoint_plan(pieces.take(last), self.panels)
             hist_plan = quadrature.midpoint_plan(pieces.take(~last),
                                                  HISTORY_PANELS)
-            coeff = np.zeros((n_steps, lin.n_equations))
+            coeff = np.zeros((n_steps, n_eq))
             coeff[coeff_plan.piece_time] = self._piece_integrals(
                 times, coeff_plan).T
-            weights = self._piece_integrals(times, hist_plan)
+            step = hist_plan.piece_time
+            bounds = np.searchsorted(step, np.arange(n_steps + 1))
+            # piece p of step k sits at column p - bounds[k] of its block
+            count = np.diff(bounds)[step]
+            at = (n_eq * bounds[step] + np.arange(step.size) - bounds[step]
+                  + count * np.arange(n_eq)[:, None])
+            weights = np.empty(n_eq * step.size)
+            weights[at] = self._piece_integrals(times, hist_plan)
             bands.append((
                 lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
-                mesh.segment_indices(pieces.hi[~last]), weights,
-                np.searchsorted(hist_plan.piece_time, np.arange(n_steps + 1))))
+                mesh.segment_indices(pieces.hi[~last]) - 1, weights, bounds))
         return bands
 
     def _piece_integrals(self, times, plan):
@@ -159,76 +213,101 @@ class PCDiscretization:
 
     @cached_property
     def _steps(self):
-        """Per step ``(fact, terms, rows, cols)``, built on the first solve.
+        """The :class:`_StepOperator`, built from arrays on the first solve.
 
-        ``fact`` factorizes the step matrix; per band, in band order, a term
-        ``(u, known, coeff, hist, weights)`` holds the component, the segment
-        whose known value times coeff leaves the right-hand side (or None) and
-        the history segments with their weights, all 0-based; the solution
-        goes to ``values[rows, cols]``.  Structural faults come from the
-        assignment frontier: component u holds segments 1..frontier[u-1].
+        Per step and component the active segment is the highest segment
+        of its bands; the frontier before a step, the running maximum of
+        the earlier active segments, says that component u holds segments
+        1..frontier.  Band by band, in band order, a band on its
+        component's active segment adds its coefficients to the step
+        matrix, and any other band with a nonzero coefficient reads a
+        known segment.  Four step faults are checked as masks over the
+        steps, and the first in node order is raised; within a node they
+        come band by band (a known segment beyond the frontier, then a
+        history segment beyond it), then a singular step matrix, then
+        component by component a jump of more than one segment.  The
+        step matrices up to that node are factorized in one stacked
+        elimination.
         """
-        lin = self.lin
-        frontier = np.zeros(lin.n_components, dtype=int)
-        steps = []
-        for k in range(1, self.mesh.n_segments + 1):
-            active = {}
-            for u, segments, *_ in self._bands:
-                active[u] = max(active.get(u, 0), int(segments[k - 1]))
-            mat = np.zeros((lin.n_equations, lin.n_components))
-            terms = []
-            for u, segments, coeff, hist_segments, weights, bounds in self._bands:
-                l, known = int(segments[k - 1]), None
-                if l == active[u]:
-                    mat[:, u - 1] += coeff[k - 1]
-                elif np.any(coeff[k - 1] != 0.0):
-                    if l > frontier[u - 1]:
-                        raise SolverError(
-                            f"step {k}: band mapped to component {u} refers "
-                            f"to segment {l} before it was assigned "
-                            f"(band map {lin.unknown_of_band})")
-                    known = l - 1
-                lo, hi = bounds[k - 1], bounds[k]
-                hist = hist_segments[lo:hi]
-                if np.any(hist > frontier[u - 1]):
-                    raise SolverError(
-                        f"step {k}: history for component {u} needs segment "
-                        f"{hist[hist > frontier[u - 1]][0]} which was never "
-                        f"assigned")
-                terms.append((u - 1, known, coeff[k - 1], hist - 1,
-                              np.ascontiguousarray(weights[:, lo:hi])))
-            try:
-                fact = LUFactorization(mat)
-            except SingularMatrixError as exc:
-                raise SolverError(
-                    f"singular step system at node {k} "
-                    f"(t = {self.mesh.nodes[k]:.6g}): {exc}") from exc
-            for u, l in active.items():
-                if l > frontier[u - 1] + 1:
-                    raise SolverError(
-                        f"step {k}: component {u} jumps from segment "
-                        f"{frontier[u - 1]} to {l}; the mesh is too coarse "
-                        f"for the curve speed")
-                frontier[u - 1] = max(frontier[u - 1], l)
-            rows, cols = np.array(list(active.items())).T - 1
-            steps.append((fact, terms, rows, cols))
-        return steps
+        lin, nodes = self.lin, self.mesh.nodes
+        n_steps = self.mesh.n_segments
+        units = [band[0] for band in self._bands]
+        comps = np.array(list(dict.fromkeys(units))) - 1
+        active = np.zeros((n_steps, lin.n_components), dtype=int)
+        for u, segments, *_ in self._bands:
+            np.maximum(active[:, u - 1], segments, out=active[:, u - 1])
+        frontier = np.zeros_like(active)
+        np.maximum.accumulate(active[:-1], axis=0, out=frontier[1:])
+
+        mats = np.zeros((n_steps, lin.n_equations, lin.n_components))
+        faults = []   # (first step, rank within a node, message)
+        bands = []
+        for rank, (u, segments, coeff, hist, weights, bounds) in enumerate(
+                self._bands):
+            front = frontier[:, u - 1]
+            on = segments == active[:, u - 1]
+            mats[on, :, u - 1] += coeff[on]
+            known = ~on & np.any(coeff != 0.0, axis=1)
+            ahead = np.flatnonzero(known & (segments > front))
+            if ahead.size:
+                k = ahead[0]
+                faults.append((k, 2 * rank, (
+                    f"step {k + 1}: band mapped to component {u} refers to "
+                    f"segment {segments[k]} before it was assigned "
+                    f"(band map {lin.unknown_of_band})")))
+            step = np.repeat(np.arange(n_steps), np.diff(bounds))
+            gap = np.flatnonzero(hist >= front[step])
+            if gap.size:
+                k = step[gap[0]]
+                faults.append((k, 2 * rank + 1, (
+                    f"step {k + 1}: history for component {u} needs segment "
+                    f"{hist[gap[0]] + 1} which was never assigned")))
+            bands.append(_StepBand(u - 1, np.where(known, segments - 1,
+                                                   -1).tolist(),
+                                   coeff, hist, weights, bounds.tolist()))
+        singular_rank = 2 * len(self._bands)
+        for rank, c in enumerate(comps, start=singular_rank + 1):
+            jump = np.flatnonzero(active[:, c] > frontier[:, c] + 1)
+            if jump.size:
+                k = jump[0]
+                faults.append((k, rank, (
+                    f"step {k + 1}: component {c + 1} jumps from segment "
+                    f"{frontier[k, c]} to {active[k, c]}; the mesh is too "
+                    f"coarse for the curve speed")))
+        first = min(faults, default=(n_steps, 0, None))
+        try:
+            lu, perm = lu_factor_stack(
+                mats[:first[0] + (first[1] > singular_rank)])
+        except SingularMatrixError as exc:
+            k = exc.index + 1
+            raise SolverError(
+                f"singular step system at node {k} "
+                f"(t = {nodes[k]:.6g}): {exc}") from exc
+        if first[2] is not None:
+            raise SolverError(first[2])
+        return _StepOperator(lu, perm, comps, active[:, comps] - 1,
+                             tuple(bands))
 
     def solve(self, rhs):
         """Solve for the step values given a right-hand side object."""
         lin, mesh = self.lin, self.mesh
+        n_eq = lin.n_equations
         start = lin.start_values(rhs.derivative_at_zero())
-        rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], lin.n_equations)
+        rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], n_eq)
+        op = self._steps
+        rows = op.rows
         # segments beyond a component's domain are never assigned
         values = np.full((lin.n_components, mesh.n_segments), np.nan)
-        for k, (fact, terms, rows, cols) in enumerate(self._steps):
+        for k, (lu, perm, cols) in enumerate(zip(op.lu, op.perm, op.cols)):
             b = rhs_values[:, k].copy()
-            for u, known, coeff, hist, weights in terms:
-                if known is not None:
-                    b -= coeff * values[u, known]
-                if hist.size:
-                    b -= weights @ values[u, hist]
-            values[rows, cols] = fact.solve(b)[rows]
+            for u, known, coeff, hist, weights, bounds in op.bands:
+                if known[k] >= 0:
+                    b -= coeff[k] * values[u, known[k]]
+                lo, hi = bounds[k], bounds[k + 1]
+                if hi > lo:
+                    b -= (weights[n_eq * lo:n_eq * hi].reshape(n_eq, hi - lo)
+                          @ values[u, hist[lo:hi]])
+            values[rows, cols] = lu_substitute(lu, perm, b)[rows]
         return PiecewiseConstantSolution(mesh, start, values,
                                          lin.system.component_domains())
 

@@ -680,15 +680,16 @@ def band_quadrature_residual(system, solution, t, panels=2000):
     Evaluates sum_j integral K_ij * G_ij(s, x_{u(j)}(s)) ds - f_i(t) with
     band-split composite midpoint quadrature, independent of any solver
     path.  Each band segment is split further at the solution's k
-    breakpoints in (0, max t), and every piece gets ceil(panels / (k + 1))
+    breakpoints in (0, T), and every piece gets ceil(panels / (k + 1))
     panels, so a smooth solution (k = 0) gets ``panels`` per band segment.
-    ``t`` may be a scalar (result shape (n_equations,)) or an array of
-    times (result shape (n_equations,) + t.shape), all integrated in one
-    quadrature plan.
+    The share depends on the horizon T only, so a time reads the same
+    alone as in any batch.  ``t`` may be a scalar (result shape
+    (n_equations,)) or an array of times (result shape (n_equations,) +
+    t.shape), all integrated in one quadrature plan.
     """
     t = np.asarray(t, dtype=float)
     times = t.ravel()
-    cuts = solution.breakpoints_in(0.0, float(times.max()))
+    cuts = solution.breakpoints_in(0.0, system.curves.horizon)
     plans = quadrature.band_plan(times, system.curves,
                                  -(-panels // (cuts.size + 1)), cuts=cuts)
     # bincount adds in array order: per time -f_i(t) first, then the piece

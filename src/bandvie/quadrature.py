@@ -74,12 +74,16 @@ class BandDecomposition:
         return iter(self.segments)
 
 
-def band_edges(times, curves):
+def band_edges(times, curves, snap=None):
     """Band edges at a vector of outer times; shape (n_times, n_bands + 1).
 
     Row r holds 0 = e_0 <= e_1 <= ... <= e_n = times[r]: each curve is
     evaluated once over all times, then clamped so that the band segments
-    (e_{j-1}, e_j] tile (0, t] exactly.
+    (e_{j-1}, e_j] tile (0, t] exactly.  Given ``snap`` (the mesh nodes a
+    pc discretization cuts at), a curve value within ``ORDER_TOL`` times
+    the horizon of one of those points is first moved onto it, so a curve
+    that meets a node in exact arithmetic does so in floating point too
+    and opens no sub-ulp piece beside it.
 
     Raises
     ------
@@ -103,10 +107,25 @@ def band_edges(times, curves):
             f"{values[r, j + 1]} < {values[r, j]}"
         )
     edges = values.copy()
+    if snap is not None:
+        edges[:, 1:n] = _snapped(edges[:, 1:n], snap,
+                                 ORDER_TOL * curves.horizon)
     for j in range(1, n):
         # clamp roundoff so the segments tile (0, t] exactly
-        edges[:, j] = np.minimum(np.maximum(values[:, j], edges[:, j - 1]), times)
+        edges[:, j] = np.minimum(np.maximum(edges[:, j], edges[:, j - 1]), times)
     return edges
+
+
+def _snapped(values, points, tol):
+    """``values`` with each entry within ``tol`` of a point moved onto it."""
+    points = np.sort(np.asarray(points, dtype=float))
+    if points.size == 0:
+        return values
+    i = np.searchsorted(points, values)
+    above = points[np.minimum(i, points.size - 1)]
+    below = points[np.maximum(i - 1, 0)]
+    near = np.where(above - values < values - below, above, below)
+    return np.where(np.abs(near - values) <= tol, near, values)
 
 
 def decompose(t, curves):

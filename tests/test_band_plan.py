@@ -37,8 +37,9 @@ def _loop_residual(system, solution, t, panels=2000, t_max=None):
     """Residual at t by loops over band segments and their pieces.
 
     A segment's panels are split in proportion to its pieces.  Given
-    ``t_max``, every piece gets the oracle's equal share instead:
-    ceil(panels / (k + 1)) for the solution's k breakpoints in (0, t_max).
+    ``t_max`` (the horizon, as the oracle takes it), every piece gets the
+    oracle's equal share instead: ceil(panels / (k + 1)) for the
+    solution's k breakpoints in (0, t_max).
     """
     if t_max is not None:
         k = len(solution.breakpoints_in(0.0, t_max))
@@ -229,20 +230,22 @@ def test_residual_matches_loop_for_scalar_and_array_times(model01, model01_pc,
             [0.0], Mesh.uniform(horizon, n_segments).nodes[1:],
             np.linspace(0.015 * horizon, 0.985 * horizon, 9)))
 
-        def loop(ts, t_max):
+        def loop(ts):
             return np.array([_loop_residual(
                 system, solution, float(t),
-                t_max=t_max if equal_share else None) for t in ts]).T
+                t_max=horizon if equal_share else None) for t in ts]).T
 
         batch = band_quadrature_residual(system, solution, times)
         assert batch.shape == (2, times.size)
         tol = RTOL * _scale(system, times)
-        assert np.max(np.abs(batch - loop(times, times.max()))) <= tol
-        for t in times[::5]:
-            # a single time has fewer breakpoints below it
-            single = band_quadrature_residual(system, solution, float(t))
+        assert np.max(np.abs(batch - loop(times))) <= tol
+        for r in range(0, times.size, 5):
+            # the panel share comes from the horizon, so a single time
+            # reads what its column of the batch reads
+            single = band_quadrature_residual(system, solution,
+                                              float(times[r]))
             assert single.shape == (2,)
-            assert np.max(np.abs(single - loop([t], t)[:, 0])) <= tol
+            assert np.array_equal(single, batch[:, r])
 
 
 def test_residual_with_zero_length_band():
@@ -264,33 +267,41 @@ def test_pc_assembly_matches_loop(name, n):
     mesh = Mesh.uniform(system.curves.horizon, n)
     got = PCDiscretization(lin, mesh)._steps
     ref = _loop_pc_plans(lin, mesh)
-    assert len(got) == len(ref) == n
-    for (fact, terms, rows, cols), step_ref in zip(got, ref):
-        assert len(terms) == len(step_ref) == system.n_bands
+    n_eq = lin.n_equations
+    assert len(got.lu) == len(got.perm) == len(got.cols) == len(ref) == n
+    assert len(got.bands) == system.n_bands
+    for k, step_ref in enumerate(ref):
         # the highest segment per component is the step's unknown
         active = {}
         for comp, seg, *_ in step_ref:
             active[comp] = max(active.get(comp, 0), seg)
-        np.testing.assert_array_equal(rows, np.array(list(active)) - 1)
-        np.testing.assert_array_equal(cols, np.array(list(active.values())) - 1)
-        mat = np.zeros((lin.n_equations, lin.n_components))
-        for (u, known, coeff, hist, weights), (comp, seg, ref_coeff, hist_segs,
-                                               hist_w) in zip(terms, step_ref):
+        np.testing.assert_array_equal(got.rows, np.array(list(active)) - 1)
+        np.testing.assert_array_equal(got.cols[k],
+                                      np.array(list(active.values())) - 1)
+        mat = np.zeros((n_eq, lin.n_components))
+        for band, (comp, seg, ref_coeff, hist_segs, hist_w) in zip(
+                got.bands, step_ref):
+            u, known, coeff = band.component, band.known[k], band.coeff[k]
             assert u == comp - 1
             if seg == active[comp]:
-                assert known is None
+                assert known == -1
                 mat[:, u] += ref_coeff
             else:
-                assert known == (seg - 1 if np.any(ref_coeff != 0.0) else None)
+                assert known == (seg - 1 if np.any(ref_coeff != 0.0) else -1)
+            # step k's history slice of the flat per-band arrays
+            lo, hi = band.bounds[k], band.bounds[k + 1]
+            hist = band.hist[lo:hi]
+            weights = band.weights[n_eq * lo:n_eq * hi].reshape(n_eq, hi - lo)
             np.testing.assert_array_equal(hist, hist_segs - 1)
             assert weights.shape == hist_w.shape
             tol = RTOL * (1.0 + np.abs(ref_coeff).max() + np.abs(hist_w).sum())
             assert np.max(np.abs(coeff - ref_coeff)) <= tol
             assert np.max(np.abs(weights - hist_w), initial=0.0) <= tol
         # the step factorization is of the reference step matrix: PA = LU
-        lower = np.tril(fact._lu, -1) + np.eye(fact.shape[0])
-        upper = np.triu(fact._lu)
-        assert np.max(np.abs(lower @ upper - mat[fact._perm])) <= \
+        lu, perm = got.lu[k], got.perm[k]
+        lower = np.tril(lu, -1) + np.eye(lu.shape[0])
+        upper = np.triu(lu)
+        assert np.max(np.abs(lower @ upper - mat[perm])) <= \
             RTOL * (1.0 + np.abs(mat).max())
 
 

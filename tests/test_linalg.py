@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandvie.errors import SingularMatrixError
-from bandvie.linalg import LUFactorization, residual
+from bandvie.linalg import LUFactorization, lu_factor_stack, residual
 
 from helpers import lu_solve
 
@@ -106,3 +108,90 @@ def test_rectangular_rejected():
         lu_solve(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
         lu_solve(np.eye(3), np.ones(2))
+
+
+def _stack(seed, count, n, ties, singular):
+    """A random (count, n, n) stack; rounded entries tie pivots, and the
+    matrices at ``singular`` get a repeated row (exactly rank deficient)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, n, n))
+    if ties:
+        a = np.round(a * 2.0)
+    for i in singular:
+        if n == 1:
+            a[i] = 0.0
+        else:
+            a[i, -1] = a[i, 0]
+    return a
+
+
+def _first_failure(a):
+    """(index, error) of the first matrix LUFactorization rejects, or None."""
+    for i, matrix in enumerate(a):
+        try:
+            LUFactorization(matrix)
+        except SingularMatrixError as exc:
+            return i, exc
+    return None
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12),
+       n=st.integers(1, 7), ties=st.booleans(),
+       singular=st.sets(st.integers(0, 11), max_size=3))
+def test_stacked_elimination_is_the_single_one_bit_for_bit(seed, count, n,
+                                                           ties, singular):
+    a = _stack(seed, count, n, ties, sorted(i for i in singular if i < count))
+    first = _first_failure(a)
+    if first is None:
+        lu, perm = lu_factor_stack(a)
+        assert lu.shape == (count, n, n) and perm.shape == (count, n)
+        for i, matrix in enumerate(a):
+            fact = LUFactorization(matrix)
+            assert np.array_equal(lu[i], fact._lu)
+            assert np.array_equal(perm[i], fact._perm)
+        return
+    # the first failing matrix in stack order is named, with its step,
+    # pivot and threshold, as the single elimination names them
+    index, single = first
+    with pytest.raises(SingularMatrixError) as exc:
+        lu_factor_stack(a)
+    assert exc.value.index == index
+    assert exc.value.step == single.step
+    assert str(exc.value) == str(single)
+
+
+def test_stacked_elimination_names_the_first_singular_matrix():
+    # the elimination meets matrix 3's zero column at step 1, before matrix
+    # 1's zero row at step 3, and still names matrix 1, the first in the
+    # stack, with the step at which it fails alone
+    a = np.stack([np.eye(3)] * 5)
+    a[1] = [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 1.0]]
+    a[3] = [[0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(SingularMatrixError) as exc:
+        lu_factor_stack(a)
+    assert (exc.value.index, exc.value.step) == (1, 3)
+    assert (exc.value.pivot, exc.value.threshold) == (0.0, 2e-13)
+    with pytest.raises(SingularMatrixError) as exc:
+        lu_factor_stack(a[2:])
+    assert (exc.value.index, exc.value.step) == (1, 1)
+
+
+def test_stacked_elimination_breaks_pivot_ties_like_the_single_one():
+    # equal magnitudes in the pivot column: the first row wins
+    a = np.array([[[1.0, 2.0], [-1.0, 5.0]], [[0.0, 1.0], [3.0, 1.0]]])
+    lu, perm = lu_factor_stack(a)
+    assert perm.tolist() == [[0, 1], [1, 0]]
+    for i in range(2):
+        assert np.array_equal(lu[i], LUFactorization(a[i])._lu)
+
+
+def test_stacked_elimination_rejects_bad_stacks():
+    with pytest.raises(ValueError):
+        lu_factor_stack(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError):
+        lu_factor_stack(np.eye(2))
+    with pytest.raises(ValueError):
+        lu_factor_stack(np.array([[[1.0, np.inf], [0.0, 1.0]]]))
+    lu, perm = lu_factor_stack(np.zeros((0, 2, 2)))
+    assert lu.shape == (0, 2, 2) and perm.shape == (0, 2)

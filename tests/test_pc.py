@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bandvie.errors import SolverError
-from bandvie.newton import PsiEvaluator
+from bandvie.newton import PsiEvaluator, iterate
 from bandvie.pc import (
     Mesh,
     PCDiscretization,
@@ -190,18 +190,77 @@ def test_discretization_solve_is_deterministic(model01):
     assert np.array_equal(a.start, b.start)
 
 
-def test_history_gap_raises_for_too_fast_curves():
+def _gap_system():
     # this curve has slope > 1 later on, so alpha jumps across two mesh
     # segments in one step, skips one, and the skipped value is demanded by
     # a later history integral
-    system = VolterraSystem(
+    return VolterraSystem(
         curves=CurveFamily(2.0, ("0.3*t + t^2/3",)),
         kernels=[["1", "1"], ["1+t", "-1"]],
         nonlinearities=[["x", "x"], ["x", "x"]],
         rhs=["t", "t^2"],
     )
+
+
+def test_history_gap_raises_for_too_fast_curves():
     with pytest.raises(SolverError, match="too coarse|never assigned"):
-        solve_linear_pc(system, n_segments=16)
+        solve_linear_pc(_gap_system(), n_segments=16)
+
+
+def _fault_system(curves, unknown_of_band):
+    """Two equations on [0, 1] with all G = x and kernels 1 to 3 (+ t)."""
+    n_bands = len(curves) + 1
+    return VolterraSystem(
+        curves=CurveFamily(1.0, curves),
+        kernels=[[f"{1 + (i + 2 * j) % 3}+{(i + j) % 2}*t"
+                  for j in range(n_bands)] for i in range(2)],
+        nonlinearities=[["x"] * n_bands] * 2,
+        rhs=["t", "t^2"], unknown_of_band=unknown_of_band, guess=["0", "0"])
+
+
+#: (system, N, message) of every step fault, the messages pinned word for
+#: word.  The fault systems other than the history gap have curves flat at
+#: t = 0, so their start-value systems are singular; the step operator is
+#: built directly
+STEP_FAULTS = {
+    "history-gap-8": (_gap_system, 8,
+                      "step 7: history for component 1 needs segment 6 "
+                      "which was never assigned"),
+    "history-gap-16": (_gap_system, 16,
+                       "step 14: history for component 1 needs segment 12 "
+                       "which was never assigned"),
+    # the band on segment 2 lies below component 1's active segment 3 and
+    # reads segment 2 before it is assigned; the jump of component 1 at
+    # the same node comes after it
+    "known-segment": (lambda: _fault_system(("t^4/2", "t^3", "t^2"),
+                                            (1, 1, 1, 2)), 4,
+                      "step 3: band mapped to component 1 refers to segment "
+                      "2 before it was assigned (band map (1, 1, 1, 2))"),
+    "jump": (lambda: _fault_system(("0.3*t^4", "0.9*t^4", "t^4"),
+                                   (1, 1, 2, 1)), 3,
+             "step 3: component 2 jumps from segment 1 to 3; the mesh is "
+             "too coarse for the curve speed"),
+    # at t = 1 both curves meet t: component 1's bands are empty there
+    "singular": (lambda: _fault_system(("t^2", "t^2"), (1, 2, 2)), 3,
+                 "singular step system at node 3 (t = 1): matrix "
+                 "numerically singular at elimination step 2 (pivot "
+                 "0.000e+00, threshold 1.000e-13)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_FAULTS))
+def test_step_faults_keep_their_message_and_node(name):
+    make, n, message = STEP_FAULTS[name]
+    system = make()
+    disc = PCDiscretization(linearize(system),
+                            Mesh.uniform(system.curves.horizon, n))
+    with pytest.raises(SolverError) as exc:
+        disc._steps
+    assert str(exc.value) == message
+    if name.startswith("history-gap"):
+        with pytest.raises(SolverError) as exc:
+            solve_linear_pc(system, n_segments=n)
+        assert str(exc.value) == message
 
 
 def test_non_square_band_map_rejected(model01):
@@ -241,21 +300,41 @@ def test_non_finite_rhs_names_equation_node_and_time(model01):
 
 def test_step_systems_are_factorized_once_per_discretization(model01,
                                                              monkeypatch):
-    from bandvie import linalg
+    from bandvie import linalg, pc
 
     shapes = []
     original = linalg.LUFactorization.__init__
+    original_stack = pc.lu_factor_stack
 
     def counting(self, a):
         shapes.append(np.shape(a))
         original(self, a)
 
+    def counting_stack(a):
+        shapes.append(np.shape(a))
+        return original_stack(a)
+
     monkeypatch.setattr(linalg.LUFactorization, "__init__", counting)
+    monkeypatch.setattr(pc, "lu_factor_stack", counting_stack)
     disc = PCDiscretization(linearize(model01), Mesh.uniform(2.0, 16))
     assert shapes == []
     rhs = ExpressionRhs(model01)
     first = disc.solve(rhs)
     second = disc.solve(rhs)
-    # 16 step systems and the start-value system, each factorized once
-    assert len(shapes) == 16 + 1
+    # the start-value system, then the 16 step systems in one stack, each
+    # factorized once
+    assert shapes == [(2, 2), (16, 2, 2)]
     assert np.array_equal(first.values, second.values, equal_nan=True)
+
+
+def test_model02_solves_where_a_curve_meets_a_node_in_exact_arithmetic(
+        model02):
+    # t_15 / 3 lands 1 ulp above mesh node 5 at N = 24 and 48; before band
+    # edges were moved onto the nodes, the sub-ulp unknown range beside it
+    # made step 15 singular
+    errors = {}
+    for n in (24, 48):
+        _, report = iterate(model02, method="pc", n_segments=n)
+        assert report.stop_reason == "tolerance"
+        errors[n] = report.records[-1].aggregate_error
+    assert 1.4 <= errors[24] / errors[48] <= 3.0

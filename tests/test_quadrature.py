@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bandvie import quadrature
 from bandvie.errors import CurveOrderingError
 from bandvie.problem import CurveFamily
 from bandvie.quadrature import decompose, split_interval
@@ -105,3 +106,22 @@ def test_decompose_rejects_unordered_curves():
     curves = CurveFamily(2.0, ("2*t",))  # exceeds the outer curve t
     with pytest.raises(CurveOrderingError):
         decompose(1.0, curves)
+
+
+def test_band_edges_move_values_within_roundoff_onto_snap_points():
+    # model02's curve t/3 at t_15 of a 24-segment mesh on [0, 2] is 1 ulp
+    # above node 5; t/2 is nowhere near a node at odd steps
+    curves = CurveFamily(2.0, ("t/3", "t/2"))
+    nodes = np.linspace(0.0, 2.0, 25)
+    times = nodes[1:]
+    plain = quadrature.band_edges(times, curves)
+    snapped = quadrature.band_edges(times, curves, snap=nodes[1:-1])
+    assert plain[14, 1] > nodes[5] and plain[14, 1] - nodes[5] <= 1e-15
+    assert snapped[14, 1] == nodes[5]
+    moved = snapped != plain
+    assert np.all(np.abs(snapped - plain)[moved] <= quadrature.ORDER_TOL * 2.0)
+    assert np.all(np.isin(snapped[moved], nodes))
+    # the edges still tile (0, t]
+    assert np.all(np.diff(snapped, axis=1) >= 0.0)
+    assert np.array_equal(snapped[:, -1], times)
+    assert np.array_equal(quadrature.band_edges(times, curves, snap=[]), plain)
