@@ -107,37 +107,23 @@ class PiecewiseConstantSolution:
         return nodes[(nodes > lo) & (nodes < hi)]
 
 
-class _StepBand(NamedTuple):
-    """One band's terms of the step operator, for every step at once.
-
-    Step k (0-based) moves ``coeff[k]`` times the known value of segment
-    ``known[k]`` (0-based, -1 for none) of component ``component`` to the
-    right-hand side, and its history pieces ``bounds[k]:bounds[k + 1]``:
-    their 0-based segments ``hist[bounds[k]:bounds[k + 1]]`` and their
-    (n_eq, pieces) weights, stored step after step, each block row by row,
-    at ``weights[n_eq * bounds[k]:n_eq * bounds[k + 1]]``.
-    """
-
-    component: int  # 0-based
-    known: list
-    coeff: np.ndarray
-    hist: np.ndarray
-    weights: np.ndarray
-    bounds: list
-
-
 class _StepOperator(NamedTuple):
     """The factorized step matrices and the terms of every step.
 
-    ``lu[k]``, ``perm[k]`` factorize step k's matrix; its solution goes to
-    ``values[rows, cols[k]]``.
+    ``lu[k]``, ``perm[k]`` factorize step k's (0-based) matrix; its
+    solution goes to ``values[rows, cols[k]]``.  ``terms[k]`` holds per
+    band, in band order, ``(u, known, coeff, hist, weights)``: the
+    component, the segment whose known value times the (n_eq,) ``coeff``
+    leaves the right-hand side (-1 for none) and the history segments with
+    their (n_eq, pieces) weights, all 0-based and views of the per-band
+    arrays.
     """
 
     lu: np.ndarray
     perm: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    bands: tuple
+    terms: list
 
 
 class PCDiscretization:
@@ -168,7 +154,8 @@ class PCDiscretization:
         alpha_j(t_k), whose step value is unknown, and coeff[k-1] the (n_eq,)
         integrals of Ktilde over the unknown range; the history pieces
         bounds[k-1]:bounds[k] have a 0-based segment in ``hist`` each and
-        their (n_eq, pieces) weights stored as in :class:`_StepBand`.  Band
+        their (n_eq, pieces) weights stored step after step, each block
+        row by row, at ``weights[n_eq * bounds[k-1]:n_eq * bounds[k]]``.  Band
         edges within roundoff of a mesh node are moved onto it first
         (:func:`~bandvie.quadrature.band_edges`), as the psi plan does.
         """
@@ -239,9 +226,10 @@ class PCDiscretization:
         frontier = np.zeros_like(active)
         np.maximum.accumulate(active[:-1], axis=0, out=frontier[1:])
 
-        mats = np.zeros((n_steps, lin.n_equations, lin.n_components))
+        n_eq = lin.n_equations
+        mats = np.zeros((n_steps, n_eq, lin.n_components))
         faults = []   # (first step, rank within a node, message)
-        bands = []
+        bands = []    # per band, the terms of every step
         for rank, (u, segments, coeff, hist, weights, bounds) in enumerate(
                 self._bands):
             front = frontier[:, u - 1]
@@ -262,9 +250,15 @@ class PCDiscretization:
                 faults.append((k, 2 * rank + 1, (
                     f"step {k + 1}: history for component {u} needs segment "
                     f"{hist[gap[0]] + 1} which was never assigned")))
-            bands.append(_StepBand(u - 1, np.where(known, segments - 1,
-                                                   -1).tolist(),
-                                   coeff, hist, weights, bounds.tolist()))
+            # cut the flat history arrays into per-step views once, so a
+            # solve reads them as they are
+            cut = bounds.tolist()
+            bands.append([
+                (u - 1, l, c, hist[lo:hi],
+                 weights[n_eq * lo:n_eq * hi].reshape(n_eq, hi - lo))
+                for l, c, lo, hi in zip(
+                    np.where(known, segments - 1, -1).tolist(), coeff,
+                    cut[:-1], cut[1:])])
         singular_rank = 2 * len(self._bands)
         for rank, c in enumerate(comps, start=singular_rank + 1):
             jump = np.flatnonzero(active[:, c] > frontier[:, c] + 1)
@@ -286,27 +280,25 @@ class PCDiscretization:
         if first[2] is not None:
             raise SolverError(first[2])
         return _StepOperator(lu, perm, comps, active[:, comps] - 1,
-                             tuple(bands))
+                             list(zip(*bands)))
 
     def solve(self, rhs):
         """Solve for the step values given a right-hand side object."""
         lin, mesh = self.lin, self.mesh
-        n_eq = lin.n_equations
         start = lin.start_values(rhs.derivative_at_zero())
-        rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], n_eq)
+        rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], lin.n_equations)
         op = self._steps
         rows = op.rows
         # segments beyond a component's domain are never assigned
         values = np.full((lin.n_components, mesh.n_segments), np.nan)
-        for k, (lu, perm, cols) in enumerate(zip(op.lu, op.perm, op.cols)):
+        for k, (lu, perm, cols, terms) in enumerate(
+                zip(op.lu, op.perm, op.cols, op.terms)):
             b = rhs_values[:, k].copy()
-            for u, known, coeff, hist, weights, bounds in op.bands:
-                if known[k] >= 0:
-                    b -= coeff[k] * values[u, known[k]]
-                lo, hi = bounds[k], bounds[k + 1]
-                if hi > lo:
-                    b -= (weights[n_eq * lo:n_eq * hi].reshape(n_eq, hi - lo)
-                          @ values[u, hist[lo:hi]])
+            for u, known, coeff, hist, weights in terms:
+                if known >= 0:
+                    b -= coeff * values[u, known]
+                if hist.size:
+                    b -= weights @ values[u, hist]
             values[rows, cols] = lu_substitute(lu, perm, b)[rows]
         return PiecewiseConstantSolution(mesh, start, values,
                                          lin.system.component_domains())

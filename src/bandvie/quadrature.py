@@ -79,8 +79,8 @@ def band_edges(times, curves, snap=None):
 
     Row r holds 0 = e_0 <= e_1 <= ... <= e_n = times[r]: each curve is
     evaluated once over all times, then clamped so that the band segments
-    (e_{j-1}, e_j] tile (0, t] exactly.  Given ``snap`` (the mesh nodes a
-    pc discretization cuts at), a curve value within ``ORDER_TOL`` times
+    (e_{j-1}, e_j] tile (0, t] exactly.  Given ``snap`` (the sorted,
+    non-empty interior nodes of a pc mesh), a curve value within ``ORDER_TOL`` times
     the horizon of one of those points is first moved onto it, so a curve
     that meets a node in exact arithmetic does so in floating point too
     and opens no sub-ulp piece beside it.
@@ -117,10 +117,10 @@ def band_edges(times, curves, snap=None):
 
 
 def _snapped(values, points, tol):
-    """``values`` with each entry within ``tol`` of a point moved onto it."""
-    points = np.sort(np.asarray(points, dtype=float))
-    if points.size == 0:
-        return values
+    """``values`` with each entry within ``tol`` of a point moved onto it.
+
+    ``points`` must be sorted and non-empty (the interior mesh nodes).
+    """
     i = np.searchsorted(points, values)
     above = points[np.minimum(i, points.size - 1)]
     below = points[np.maximum(i - 1, 0)]

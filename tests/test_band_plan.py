@@ -267,10 +267,10 @@ def test_pc_assembly_matches_loop(name, n):
     mesh = Mesh.uniform(system.curves.horizon, n)
     got = PCDiscretization(lin, mesh)._steps
     ref = _loop_pc_plans(lin, mesh)
-    n_eq = lin.n_equations
     assert len(got.lu) == len(got.perm) == len(got.cols) == len(ref) == n
-    assert len(got.bands) == system.n_bands
-    for k, step_ref in enumerate(ref):
+    assert len(got.terms) == n
+    for k, (terms, step_ref) in enumerate(zip(got.terms, ref)):
+        assert len(terms) == len(step_ref) == system.n_bands
         # the highest segment per component is the step's unknown
         active = {}
         for comp, seg, *_ in step_ref:
@@ -278,22 +278,19 @@ def test_pc_assembly_matches_loop(name, n):
         np.testing.assert_array_equal(got.rows, np.array(list(active)) - 1)
         np.testing.assert_array_equal(got.cols[k],
                                       np.array(list(active.values())) - 1)
-        mat = np.zeros((n_eq, lin.n_components))
-        for band, (comp, seg, ref_coeff, hist_segs, hist_w) in zip(
-                got.bands, step_ref):
-            u, known, coeff = band.component, band.known[k], band.coeff[k]
+        mat = np.zeros((lin.n_equations, lin.n_components))
+        for (u, known, coeff, hist, weights), (comp, seg, ref_coeff, hist_segs,
+                                               hist_w) in zip(terms, step_ref):
             assert u == comp - 1
             if seg == active[comp]:
                 assert known == -1
                 mat[:, u] += ref_coeff
             else:
                 assert known == (seg - 1 if np.any(ref_coeff != 0.0) else -1)
-            # step k's history slice of the flat per-band arrays
-            lo, hi = band.bounds[k], band.bounds[k + 1]
-            hist = band.hist[lo:hi]
-            weights = band.weights[n_eq * lo:n_eq * hi].reshape(n_eq, hi - lo)
             np.testing.assert_array_equal(hist, hist_segs - 1)
             assert weights.shape == hist_w.shape
+            # the solve reads views of the per-band arrays, no copies
+            assert hist.base is not None and weights.base is not None
             tol = RTOL * (1.0 + np.abs(ref_coeff).max() + np.abs(hist_w).sum())
             assert np.max(np.abs(coeff - ref_coeff)) <= tol
             assert np.max(np.abs(weights - hist_w), initial=0.0) <= tol

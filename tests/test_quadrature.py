@@ -124,4 +124,3 @@ def test_band_edges_move_values_within_roundoff_onto_snap_points():
     # the edges still tile (0, t]
     assert np.all(np.diff(snapped, axis=1) >= 0.0)
     assert np.array_equal(snapped[:, -1], times)
-    assert np.array_equal(quadrature.band_edges(times, curves, snap=[]), plain)
