@@ -11,8 +11,12 @@ The moments come from one :func:`quadrature.band_plan` per band over the
 collocation nodes, a (nodes, panels) block, with the frozen kernel
 A = K * dG/dx(x0) evaluated and formed once on it
 (:meth:`LinearizedSystem.frozen_factors`); each node's band segment is a
-row of that plan, and of A.  The outer iteration hands the plan, K and A
-on to its right-hand-side evaluator
+row of that plan, and of A.  The moments of a row are one product of A
+with the plan's table of reference powers u^r
+(:func:`quadrature.reference_powers`), mapped to the powers (s/T)^l of
+that row's piece by a binomial shift (:func:`quadrature.power_shift`).
+The outer iteration hands the plan, K and A on to its right-hand-side
+evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
 psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows; so the
 frozen kernel is evaluated once per run.  Solutions are immutable.
@@ -101,12 +105,10 @@ class CollocationDiscretization:
 
     def __init__(self, lin, degree, panels=DEFAULT_MOMENT_PANELS):
         m = int(degree)
-        if m < 1:
-            raise ValueError("degree must be >= 1")
+        self.nodes = collocation_nodes(lin.curves.horizon, m)
         self.lin = lin
         self.degree = m
         self.panels = int(panels)
-        self.nodes = collocation_nodes(lin.curves.horizon, m)
         self.scale = float(lin.curves.horizon)
         self._powers = self.scale ** np.arange(1, m + 1)
 
@@ -120,11 +122,12 @@ class CollocationDiscretization:
         matrix = np.zeros((size, size))
         zeroth = np.zeros((n_eq, m, lin.n_bands))
         self._frozen = []
+        table = quadrature.reference_powers(self.panels, m)
         for plan in quadrature.band_plan(self.nodes, lin.curves, self.panels):
             j = plan.band
             kvs, _, avs = lin.frozen_factors(
                 j, self.nodes[plan.piece_time, None], plan.abscissas)
-            self._add_moments(matrix, zeroth, plan, avs)
+            self._add_moments(matrix, zeroth, plan, avs, table)
             # the right-hand side needs K and A of the pairs whose G is not x
             kept = lin.nonlinear_equations[j - 1]
             self._frozen.append((plan, {i: kvs[i] for i in kept},
@@ -145,33 +148,28 @@ class CollocationDiscretization:
                 f"singular collocation matrix at degree {m} "
                 f"(condition ~ {self.condition_number:.3e}): {exc}") from exc
 
-    def _add_moments(self, matrix, zeroth, plan, avs):
+    def _add_moments(self, matrix, zeroth, plan, avs, table):
         """Add the moments of the frozen kernel ``avs`` on one band's plan.
 
         One piece, a row of the plan, per node whose band segment is not
-        empty; the entries accumulate in band order.  The scaled powers and
-        one equation's products go to two (m, panels) buffers that every
-        node and equation of the band reuse.
+        empty; the entries accumulate in band order.  With ``table`` the
+        reference powers of the plan (:func:`quadrature.reference_powers`)
+        and S its binomial shift, the moments of a piece of width w are
+        w * S @ (A @ table.T): column 0 the zeroth moment, columns 1..m
+        those of the scaled powers (s/T)^l.
         """
         m = self.degree
         j = plan.band
         cols = flatten_index(self.lin.unknown_of_band[j - 1],
                              np.arange(1, m + 1), m)
-        # row sums of a C-contiguous block add pairwise, as the 1-D sum of
-        # one row does
+        shift = quadrature.power_shift(
+            plan.piece_lo, plan.piece_width * self.panels, self.scale, m)
         for i, a in enumerate(avs):
-            zeroth[i, plan.piece_time, j - 1] += (
-                a.sum(axis=1) * plan.piece_width)
-        powers = np.empty((m, plan.abscissas.shape[1]))
-        products = np.empty_like(powers)
-        for p, (k, width) in enumerate(zip(plan.piece_time, plan.piece_width)):
-            np.divide(plan.abscissas[p], self.scale, out=powers[0])
-            for l in range(1, m):
-                np.multiply(powers[l - 1], powers[0], out=powers[l])
-            for i, a in enumerate(avs):
-                np.multiply(a[p], powers, out=products)
-                matrix[flatten_index(i + 1, k + 1, m), cols] += (
-                    products.sum(axis=1) * width)
+            moments = np.einsum("klr,kr->kl", shift, a @ table.T)
+            moments *= plan.piece_width[:, None]
+            zeroth[i, plan.piece_time, j - 1] += moments[:, 0]
+            rows = flatten_index(i + 1, plan.piece_time + 1, m)
+            matrix[rows[:, None], cols] += moments[:, 1:]
 
     def take_frozen_plan(self):
         """Hand over the band plans the moments were taken from, once.

@@ -19,10 +19,15 @@ Psi is summed one way for every plan, with or without mesh cuts: per
 piece of the band plan, w * (sum A * xm - sum K * G(xm)) with A = K *
 dG/dx(x0) the frozen kernel, and the pieces of an outer time are added in
 plan order (:class:`PsiEvaluator`).  No bracket is built per abscissa.
+A polynomial iterate is evaluated on the plan as one product with the
+plan's table of reference powers (:func:`quadrature.reference_powers`),
+through a binomial shift per piece; every other iterate evaluates its
+own components.
 
 One run is sequential in the iteration index.  A :class:`PsiEvaluator`
-keeps no state between calls, so independent runs can share it as they
-share the immutable problem data.
+keeps nothing between calls but the power table of the last polynomial
+degree it was given, which depends on the plan and that degree alone, so
+independent runs can share it as they share the immutable problem data.
 """
 
 from __future__ import annotations
@@ -35,7 +40,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quadrature
-from .collocation import DEFAULT_MOMENT_PANELS, CollocationDiscretization
+from .collocation import (
+    DEFAULT_MOMENT_PANELS,
+    CollocationDiscretization,
+    PolynomialSolution,
+)
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .pc import HISTORY_PANELS, Mesh, PCDiscretization
 from .problem import linearize, validate
@@ -134,18 +143,23 @@ class _PsiBand(NamedTuple):
     """One band of a psi plan that has a pair with G not x.
 
     Row p of every (n_pieces, panels) array is piece p of the plan: outer
-    time ``piece_time[p]``, panel width ``piece_width[p]``; a time owns one
-    piece without cuts and several with them.  ``abscissas`` is the plan,
-    flat, and ``pairs`` holds (0-based equation, A = K * dG/dx(x0), K) for
-    each equation whose G is not x.
+    time ``piece_time[p]``, panel width ``piece_width[p]``, lower edge
+    ``piece_lo[p]``; a time owns one piece without cuts and several with
+    them.  ``abscissas`` is the plan, flat, and ``pairs`` holds (0-based
+    equation, A = K * dG/dx(x0), K) for each equation whose G is not x.
     """
 
     band: int  # 0-based
     component: int  # 1-based
     piece_time: np.ndarray
     piece_width: np.ndarray
+    piece_lo: np.ndarray
     abscissas: np.ndarray
     pairs: tuple
+
+    @property
+    def panels(self):
+        return self.abscissas.size // self.piece_time.size
 
     def add_to(self, out, xm, nonlinearities):
         """Add w * (sum A * xm - sum K * G(xm)) per piece to its time's psi."""
@@ -188,12 +202,22 @@ class PsiEvaluator:
     Only pairs with G_ij other than x are kept: a band where every G is x
     is neither planned nor evaluated, and a system whose G are all x
     plans nothing.
+
+    A :class:`~bandvie.collocation.PolynomialSolution` iterate of degree d
+    is evaluated on a band as D @ U: U holds the reference powers u^r of
+    the plan's midpoints, r <= d, and row k of D is c_hat @ S_k, with
+    c_hat_l = c_l * T^l its coefficients in s/T and S_k the binomial
+    shift of piece k.  U and the shifts are built at the first polynomial
+    iterate and kept until one of another degree comes.  Every other
+    iterate evaluates ``component_values`` on the abscissas.
     """
 
     def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
                  frozen=None):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
+        self._scale = float(lin.curves.horizon)
+        self._power_table = None
         system = lin.system
         n_bands = lin.n_bands
         active = lin.nonlinear_equations
@@ -248,7 +272,7 @@ class PsiEvaluator:
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
             piece_time=plan.piece_time, piece_width=plan.piece_width,
-            abscissas=plan.abscissas.reshape(-1),
+            piece_lo=plan.piece_lo, abscissas=plan.abscissas.reshape(-1),
             pairs=tuple((i, avs[i].reshape(shape).copy(),
                          kvs[i].reshape(shape)) for i in equations))
 
@@ -256,11 +280,32 @@ class PsiEvaluator:
         """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
         nonlinearities = self.lin.system.nonlinearities
         out = self._f_vals.copy()
-        for band in self._bands:
-            xm = np.asarray(iterate.component_values(
-                band.component, band.abscissas), dtype=float)
+        for band, xm in zip(self._bands, self._iterate_values(iterate)):
             band.add_to(out, xm, nonlinearities)
         return out
+
+    def _iterate_values(self, iterate):
+        """Per band, the iterate's component on the flat abscissas."""
+        if not (self._bands and isinstance(iterate, PolynomialSolution)):
+            return (np.asarray(iterate.component_values(
+                band.component, band.abscissas), dtype=float)
+                for band in self._bands)
+        degree = iterate.degree
+        # read and replaced whole, so runs sharing the evaluator with
+        # iterates of other degrees never mix their tables and shifts
+        kept = self._power_table
+        if kept is None or kept[0] != degree:
+            kept = (degree,
+                    quadrature.reference_powers(self._bands[0].panels, degree),
+                    [quadrature.power_shift(band.piece_lo,
+                                            band.piece_width * band.panels,
+                                            self._scale, degree)
+                     for band in self._bands])
+            self._power_table = kept
+        _, table, shifts = kept
+        scaled = iterate.coefficients * self._scale ** np.arange(degree + 1)
+        return (((scaled[band.component - 1] @ shift) @ table).reshape(-1)
+                for band, shift in zip(self._bands, shifts))
 
     def derivative_at_zero(self, iterate):
         """d(psi)/dt at t = 0: only the band boundary terms survive.

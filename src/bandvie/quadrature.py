@@ -15,10 +15,18 @@ caller passes the outer times as a (pieces, 1) column.  A caller that
 cuts the segments at k points and wants a panel budget per segment gives
 each piece ceil(panels / (k + 1)) panels, as the residual oracle
 (:func:`bandvie.problem.band_quadrature_residual`) does.
+
+Every piece of such a plan is an affine image s = lo + u * (panels *
+width) of one reference grid u_q = (q + 1/2) / panels, so the powers
+(s / T)^l of a polynomial on a plan come from one table of the reference
+powers u_q^r (:func:`reference_powers`) and a small binomial shift per
+piece (:func:`power_shift`): the collocation moments and the polynomial
+iterates of psi are products with that table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,14 +204,15 @@ class BandPlan:
     """Composite midpoint abscissas of one band over a vector of outer times.
 
     ``abscissas`` is a (pieces, panels) block whose row p is piece p, of
-    panel width ``piece_width[p]`` and outer time ``piece_time[p]``;
-    pieces are ordered by time and then along s.
+    lower edge ``piece_lo[p]``, panel width ``piece_width[p]`` and outer
+    time ``piece_time[p]``; pieces are ordered by time and then along s.
     """
 
     band: int  # 1-based band index
     abscissas: np.ndarray
     piece_time: np.ndarray
     piece_width: np.ndarray
+    piece_lo: np.ndarray
 
     def piece_sums(self, values):
         """Sum of ``values`` (shaped as the abscissas) per piece."""
@@ -222,7 +231,40 @@ def midpoint_plan(pieces, panels):
     x = (np.arange(panels) + 0.5) * width[:, None]
     x += pieces.lo[:, None]
     return BandPlan(band=pieces.band, abscissas=x,
-                    piece_time=pieces.time_index, piece_width=width)
+                    piece_time=pieces.time_index, piece_width=width,
+                    piece_lo=pieces.lo)
+
+
+def reference_powers(panels, degree):
+    """Powers of the reference midpoints as a (degree + 1, panels) table.
+
+    Row r holds u_q^r for u_q = (q + 1/2) / panels, each row the product
+    of the one before and u.
+    """
+    u = (np.arange(panels) + 0.5) / panels
+    table = np.empty((degree + 1, panels))
+    table[0] = 1.0
+    for r in range(1, degree + 1):
+        np.multiply(table[r - 1], u, out=table[r])
+    return table
+
+
+def power_shift(lo, length, scale, degree):
+    """Per piece, the scaled powers in terms of the reference powers.
+
+    A piece s = lo + u * length has (s / scale)^l = sum_r S[l, r] u^r with
+    S[l, r] = C(l, r) a^(l - r) b^r, a = lo / scale and b = length /
+    scale; for a midpoint plan the length is panels * width.  Returns S as
+    (pieces, degree + 1, degree + 1), zero above the diagonal.  For pieces
+    inside [0, scale], a, b and u lie in [0, 1], so every term is >= 0
+    and the shift adds no cancellation.
+    """
+    ls = np.arange(degree + 1)
+    binomial = np.array([[math.comb(l, r) for r in ls] for l in ls], float)
+    a = np.power.outer(np.asarray(lo, float) / scale, ls)
+    b = np.power.outer(np.asarray(length, float) / scale, ls)
+    # a^(l - r) above the diagonal is a^0, masked by the zero binomials
+    return binomial * a[:, np.maximum(ls[:, None] - ls, 0)] * b[:, None, :]
 
 
 def band_plan(times, curves, panels, cuts=None):

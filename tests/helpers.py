@@ -5,7 +5,13 @@ import numpy as np
 from bandvie.collocation import PolynomialSolution, flatten_index
 from bandvie.linalg import LUFactorization, refined_solve
 from bandvie.newton import DEFAULT_PSI_PANELS, NORM_SAMPLES, PsiEvaluator
-from bandvie.problem import linear_problem, linearize, rhs_at_nodes
+from bandvie.problem import (
+    CurveFamily,
+    VolterraSystem,
+    linear_problem,
+    linearize,
+    rhs_at_nodes,
+)
 from bandvie.quadrature import DEFAULT_PANELS, midpoints
 from bandvie.report import ERROR_SAMPLES
 
@@ -13,6 +19,15 @@ from bandvie.report import ERROR_SAMPLES
 def unflatten_index(r, m):
     """Inverse of :func:`bandvie.collocation.flatten_index`."""
     return r // m + 1, r % m + 1
+
+
+def empty_band_system():
+    """Three bands with alpha_1 = t: band 2 is empty at every t, band 3 not."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t", "t")),
+        kernels=[["1+t+s", "2", "1"], ["1+t-s", "-1", "3"]],
+        nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
+        rhs=["t", "t^2"], unknown_of_band=(1, 2, 2), guess=["1+t", "t"])
 
 
 def lu_solve(a, b):

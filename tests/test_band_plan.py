@@ -3,7 +3,10 @@
 The ``_loop_*`` functions below are the loop implementations of the residual
 oracle, the pc assembly, the psi plan and the collocation moments, kept as
 references: the vectorized results must agree with them to 1e-12 of the
-integral magnitude (the psi plans and the moments must match bit for bit).
+integral magnitude, and the psi plans must match bit for bit.  The
+moments, products with a table of reference powers, must agree with an
+exactly rounded sum of the loop's terms to 1e-13 of the sum of their
+magnitudes.
 """
 
 import math
@@ -25,9 +28,13 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import segment_index
+from helpers import empty_band_system, segment_index
 
 RTOL = 1e-12
+
+#: agreement of the moments with an exactly rounded sum, relative to the
+#: sum of the magnitudes of their terms w * A * (s/T)^l
+MOMENT_RTOL = 1e-13
 
 SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
                   / "bench" / "problems" / "sample_problem.yaml")
@@ -154,15 +161,22 @@ def _loop_psi_plan(lin, times, cuts=None, panels=8000, piece_panels=4):
 
 
 def _loop_moments(lin, degree, panels=collocation.DEFAULT_MOMENT_PANELS):
-    """Moment matrix and zeroth moments, node by node and band by band."""
+    """Moment matrix and zeroth moments, node by node and band by band.
+
+    Returns, for the matrix and for the zeroth moments, the exactly
+    rounded sum of each entry (``math.fsum`` over its terms w * A *
+    (s/T)^l) and the sum of the magnitudes of those terms.
+    """
     m = degree
     nodes = collocation.collocation_nodes(lin.curves.horizon, m)
     scale = float(lin.curves.horizon)
     n_eq = lin.n_equations
-    matrix = np.zeros((n_eq * m, n_eq * m))
-    zeroth = np.zeros((n_eq, m, lin.n_bands))
+    out = {"matrix": np.zeros((2, n_eq * m, n_eq * m)),
+           "zeroth": np.zeros((2, n_eq, m, lin.n_bands))}
     for k in range(1, m + 1):
         tk = float(nodes[k - 1])
+        # the terms of every entry of node k, over all its bands
+        terms = {}
         for seg in quadrature.decompose(tk, lin.curves):
             if seg.is_empty:
                 continue
@@ -176,15 +190,20 @@ def _loop_moments(lin, degree, panels=collocation.DEFAULT_MOMENT_PANELS):
                 vals = np.broadcast_to(np.asarray(
                     lin.system.kernels[i - 1][j - 1](t=tk, s=mids), float),
                     mids.shape) * lin.system.g_x[i - 1][j - 1](s=mids, x=x0v)
-                zeroth[i - 1, k - 1, j - 1] += float(vals.sum() * width)
+                terms["zeroth", (i - 1, k - 1, j - 1)] = [vals * width]
                 row = collocation.flatten_index(i, k, m)
                 power = scaled.copy()
                 for l in range(1, m + 1):
                     col = collocation.flatten_index(comp, l, m)
-                    matrix[row, col] += float((vals * power).sum() * width)
+                    terms.setdefault(("matrix", (row, col)), []).append(
+                        vals * power * width)
                     if l < m:
                         power *= scaled
-    return matrix, zeroth
+        for (name, entry), parts in terms.items():
+            parts = np.concatenate(parts)
+            out[name][(slice(None), *entry)] = (math.fsum(parts.tolist()),
+                                                np.abs(parts).sum())
+    return out["matrix"], out["zeroth"]
 
 
 def _repeated_curve_system():
@@ -359,12 +378,7 @@ def _moment_case(name):
     if name == "sample-problem":
         return load_problem(SAMPLE_PROBLEM)
     if name == "empty-band":
-        # alpha_1 = t: band 2 is empty at every node, band 3 is not
-        return VolterraSystem(
-            curves=CurveFamily(1.0, ("t", "t")),
-            kernels=[["1+t+s", "2", "1"], ["1+t-s", "-1", "3"]],
-            nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
-            rhs=["t", "t^2"], unknown_of_band=(1, 2, 2), guess=["1+t", "t"])
+        return empty_band_system()
     return builtin(name)
 
 
@@ -381,8 +395,13 @@ def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
     lin = linearize(_moment_case(name))
     disc = collocation.CollocationDiscretization(lin, degree)
     matrix, zeroth = _loop_moments(lin, degree)
-    assert np.array_equal(disc.matrix, matrix)
-    assert np.array_equal(disc.zeroth_moments, zeroth)
+    for got, (exact, scale) in ((disc.matrix, matrix),
+                                (disc.zeroth_moments, zeroth)):
+        assert np.all(np.abs(got - exact) <= MOMENT_RTOL * scale)
+    # a second build gives the same bits: nothing is carried between runs
+    again = collocation.CollocationDiscretization(lin, degree)
+    assert np.array_equal(again.matrix, disc.matrix)
+    assert np.array_equal(again.zeroth_moments, disc.zeroth_moments)
     # the plan the moments came from is handed over once, every band of it
     frozen = disc.take_frozen_plan()
     assert [plan.band for plan, _, _ in frozen] == \

@@ -3,28 +3,34 @@
 Every plan, with or without mesh cuts, sums f + w * (sum A * xm - sum K *
 G(xm)) per piece and adds the pieces of a time in plan order.
 ``_per_node_values`` is that formula one piece at a time and must match
-bit for bit; ``_cumsum_values_without_cuts`` is the prefix-sum loop the
-plans without cuts used before, and ``_fsum_values`` an exactly rounded
-sum of the same terms.  Both must agree to ``SUM_RTOL`` of the sum of the
-magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
-abscissa.
+bit for bit, given the evaluator's own values of a polynomial iterate
+(products with the plan's table of reference powers);
+``_cumsum_values_without_cuts`` is the prefix-sum loop the plans without
+cuts used before, and ``_fsum_values`` an exactly rounded sum of the same
+terms with the iterate evaluated by ``polyval``.  Both must agree to
+``SUM_RTOL`` of the sum of the magnitudes of the terms plus |f|: w * A *
+xm and w * K * G(xm) per abscissa.
 """
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
+from bandvie import collocation
 from bandvie.collocation import PolynomialSolution, collocation_nodes
 from bandvie.expr import Expression
 from bandvie.newton import PsiEvaluator, iterate as run_newton
 from bandvie.pc import Mesh, solve_linear_pc
 from bandvie.problem import LinearizedSystem, linearize
 from bandvie.registry import builtin
+
+from helpers import empty_band_system
 
 #: agreement of the psi sums with the other summation orders, relative to
 #: the sum of the magnitudes of their terms plus |f|
@@ -53,9 +59,13 @@ def _pieces(band):
 def _per_node_values(ev, iterate):
     lin = ev.lin
     out = ev._f_vals.copy()
-    for band in ev._bands:
+    if isinstance(iterate, PolynomialSolution):
+        xms = list(ev._iterate_values(iterate))
+    else:
+        xms = [_iterate_values(lin, iterate, band.band, band.abscissas)
+               for band in ev._bands]
+    for band, xm in zip(ev._bands, xms):
         j, s = band.band, band.abscissas
-        xm = _iterate_values(lin, iterate, j, s)
         for i, frozen, kernel in band.pairs:
             gm = _g_values(lin.system, i, j, s, xm)
             for p, (r, w, cut) in enumerate(_pieces(band)):
@@ -167,19 +177,39 @@ def test_sys2_collocation_nodes_bit_identical(sys2):
 
 
 @lru_cache(maxsize=None)
-def _node_evaluator(name, degree):
-    system = builtin(name)
-    return PsiEvaluator(linearize(system),
-                        collocation_nodes(system.curves.horizon, degree))
+def _node_evaluator(name, nodes, frozen):
+    """A psi evaluator at ``nodes`` collocation nodes; given ``frozen``, on
+    the plan a collocation discretization of that degree took its moments
+    from."""
+    system = empty_band_system() if name == "empty-band" else builtin(name)
+    lin = linearize(system)
+    if not frozen:
+        return PsiEvaluator(lin, collocation_nodes(system.curves.horizon,
+                                                   nodes))
+    # the empty-band system's moment matrix is singular; only its plan is
+    # needed here
+    with mock.patch.object(collocation, "LUFactorization",
+                           lambda matrix: None):
+        disc = collocation.CollocationDiscretization(lin, nodes)
+    return PsiEvaluator(lin, disc.nodes, frozen=disc.take_frozen_plan())
 
 
 @settings(max_examples=25, deadline=None)
-@given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar"]),
+@given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar",
+                             "empty-band"]),
        degree=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
-       nodes=st.sampled_from([3, 7]))
+       nodes=st.sampled_from([1, 3, 7]), frozen=st.booleans())
+# polynomial iterates of degree below, at and above the discretization's
+@example(name="nonlinear-sys2", degree=0, seed=1, nodes=7, frozen=True)
+@example(name="nonlinear-sys2", degree=7, seed=2, nodes=7, frozen=True)
+@example(name="nonlinear-sys2", degree=12, seed=3, nodes=7, frozen=True)
+@example(name="nonlinear-scalar", degree=1, seed=4, nodes=1, frozen=True)
+@example(name="nonlinear-scalar", degree=12, seed=5, nodes=3, frozen=True)
+@example(name="empty-band", degree=3, seed=6, nodes=3, frozen=True)
+@example(name="empty-band", degree=12, seed=7, nodes=1, frozen=True)
 def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
-                                                       nodes):
-    ev = _node_evaluator(name, nodes)
+                                                       nodes, frozen):
+    ev = _node_evaluator(name, nodes, frozen)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, (system.n_components, degree + 1))
@@ -263,7 +293,8 @@ def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
              (scalar, nodes[1:], nodes[1:-1])]
     for system, times, cuts in cases:
         lin = linearize(system)
-        a, b = _polynomial(system, 3), _polynomial(system, 4)
+        # of two degrees, so the kept power table is rebuilt between calls
+        a, b = _polynomial(system, 3), _polynomial(system, 4, degree=9)
         ev = PsiEvaluator(lin, times, cuts=cuts, panels=700)
         for iterate in (a, b, a, b):
             fresh = PsiEvaluator(lin, times, cuts=cuts, panels=700)
