@@ -17,7 +17,10 @@ Schema (formulas use the expression grammar of :mod:`bandvie.expr`)::
     exact: ["cos(t)", "sin(t)"]   # optional, enables error reports
     guess: ["0", "0"]       # optional initial guess, defaults to 0
 
-Numbers are accepted wherever a formula is expected.
+Numbers are accepted wherever a formula is expected.  ``n`` must be a
+positive integer and ``T`` a positive finite number
+(:class:`~bandvie.problem.CurveFamily` checks it); neither may be a
+boolean.  Configs are parsed with libyaml when PyYAML was built with it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .problem import CurveFamily, VolterraSystem
 
 _REQUIRED = ("n", "T", "K", "G", "f")
 _KNOWN = set(_REQUIRED) | {"alpha", "unknown_of_band", "exact", "guess", "name"}
+
+#: libyaml's safe loader when PyYAML has it; both build the same mappings
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def problem_from_mapping(data, name=""):
@@ -45,11 +51,8 @@ def problem_from_mapping(data, name=""):
             f"missing config keys: {', '.join(missing)}")
 
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ProblemDefinitionError(f"n must be a positive integer, got {n!r}")
-    horizon = data["T"]
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        raise ProblemDefinitionError(f"T must be a positive number, got {horizon!r}")
 
     alpha = data.get("alpha", [])
     if not isinstance(alpha, list) or len(alpha) != n - 1:
@@ -69,7 +72,7 @@ def problem_from_mapping(data, name=""):
 
     try:
         return VolterraSystem(
-            curves=CurveFamily(horizon=float(horizon), interior=tuple(alpha)),
+            curves=CurveFamily(horizon=data["T"], interior=tuple(alpha)),
             kernels=data["K"],
             nonlinearities=data["G"],
             rhs=data["f"],
@@ -88,7 +91,7 @@ def load_problem(path):
     """Load a problem from a YAML config file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ProblemDefinitionError(f"cannot parse {path}: {exc}") from exc
     return problem_from_mapping(data, name=str(path))

@@ -8,9 +8,10 @@ arrays; a factorization can be cached and shared read-only.
 :func:`lu_factor_stack` factorizes a whole stack of small matrices (the
 pc step matrices) in one elimination, one column at a time over the
 stack, with the same pivoting and threshold as :class:`LUFactorization`
-and the same bits per matrix.  The two eliminations share only the
-substitution, :func:`lu_substitute`: for a single matrix the column loop
-of :class:`LUFactorization` is the faster one.
+and the same bits per matrix; :func:`lu_inverse_stack` inverts the whole
+stack from those factors.  The two eliminations share only the order of
+substitution (:func:`lu_substitute`): for a single matrix the column
+loop of :class:`LUFactorization` is the faster one.
 """
 
 from __future__ import annotations
@@ -110,6 +111,24 @@ def lu_factor_stack(a):
                                   pivot=float(fail_pivot[i]),
                                   threshold=float(threshold[i]), index=i)
     return a, perm
+
+
+def lu_inverse_stack(lu, perm):
+    """The inverse of every matrix of a stack from its factors PA = LU.
+
+    ``lu`` and ``perm`` are as :func:`lu_factor_stack` returns them; the
+    unit columns of P are substituted over the whole stack at once, in
+    the order of :func:`lu_substitute`.
+    """
+    count, n = perm.shape
+    x = np.zeros((count, n, n))
+    x[np.arange(count)[:, None], np.arange(n), perm] = 1.0
+    for k in range(1, n):
+        x[:, k] -= (lu[:, k, None, :k] @ x[:, :k])[:, 0]
+    for k in range(n - 1, -1, -1):
+        x[:, k] -= (lu[:, k, None, k + 1:] @ x[:, k + 1:])[:, 0]
+        x[:, k] /= lu[:, k, k, None]
+    return x
 
 
 def lu_substitute(lu, perm, b):

@@ -12,14 +12,16 @@ right-hand side, so each discretization builds the step operator once, at
 its first solve, from arrays over all steps: the active segment of each
 component per step, the frontier of assigned segments before each step,
 the (steps, n_eq, n_comp) step matrices, factorized in one stacked
-elimination, the known-segment flags and the history slices.  The step
-faults (a segment read before it is assigned, a history segment never
-assigned, a singular step matrix, a jump of more than one segment) are
-checked as masks, and the first in node order is raised.  Every solve
-then gathers the known step values, solves and scatters, step by step.
-Band edges within roundoff of a mesh node are moved onto it, here and in
-the psi plan, so a curve that meets a node in exact arithmetic leaves no
-sub-ulp unknown range.
+elimination and inverted from the factors, and per step the known step
+values it reads, every band's known segment and history merged into one
+index array into a flat buffer of step values and one weight block with
+the step inverse applied.  The step faults (a segment read before it is
+assigned, a history segment never assigned, a singular step matrix, a
+jump of more than one segment) are checked as masks, and the first in
+node order is raised.  Every solve then takes one gather, one product
+and one scatter per step.  Band edges within roundoff of a mesh node are
+moved onto it, here and in the psi plan, so a curve that meets a node in
+exact arithmetic leaves no sub-ulp unknown range.
 
 The stepping is sequential by construction; distinct solves may run
 concurrently (two first solves may both build the step operator; the
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
-from .linalg import lu_factor_stack, lu_substitute
+from .linalg import lu_factor_stack, lu_inverse_stack
 from .problem import linear_problem, rhs_at_nodes
 
 #: panels for the per-piece history integrals (each piece spans at most one
@@ -108,21 +110,22 @@ class PiecewiseConstantSolution:
 
 
 class _StepOperator(NamedTuple):
-    """The factorized step matrices and the terms of every step.
+    """The frozen step operator: each step as one gather, product and scatter.
 
-    ``lu[k]``, ``perm[k]`` factorize step k's (0-based) matrix; its
-    solution goes to ``values[rows, cols[k]]``.  ``terms[k]`` holds per
-    band, in band order, ``(u, known, coeff, hist, weights)``: the
-    component, the segment whose known value times the (n_eq,) ``coeff``
-    leaves the right-hand side (-1 for none) and the history segments with
-    their (n_eq, pieces) weights, all 0-based and views of the per-band
-    arrays.
+    Step values live in one flat (n_comp * N) buffer, segment l of
+    component u (both 0-based) at u * N + l.  Step k (0-based) writes its
+    solved components at the flat positions ``out[k]``, their active
+    segments; ``inverse[k]`` holds those components' rows of the inverse
+    of its step matrix.  ``terms[k] = (idx, weights)`` holds the flat
+    positions of every known step value the step reads (the known
+    segments and history pieces of all bands, merged in band order) and
+    their (len(out[k]), q_k) weights, ``inverse[k]`` already applied.  A
+    solve sets ``values[out[k]] = inverse[k] @ psi_k - weights @
+    values[idx]``.
     """
 
-    lu: np.ndarray
-    perm: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    out: np.ndarray
+    inverse: np.ndarray
     terms: list
 
 
@@ -132,11 +135,11 @@ class PCDiscretization:
     Everything that does not depend on the right-hand side is built once per
     discretization: the per-step coefficient integrals and history piece
     weights here, and at the first :meth:`solve` the step operator.  It
-    holds every step matrix, all factorized in one stacked elimination
-    (:func:`~bandvie.linalg.lu_factor_stack`), the band terms that move
-    known step values to the right-hand side, and the step values each
-    step writes, as arrays over the steps.  Every solve then only gathers,
-    solves and scatters at each step.
+    holds the inverse of every step matrix, all factorized in one stacked
+    elimination (:func:`~bandvie.linalg.lu_factor_stack`), and per step
+    one index array and one weight block that move the known step values
+    of every band to the right-hand side.  Every solve then does one
+    gather, one product and one scatter per step.
     """
 
     def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS):
@@ -148,16 +151,16 @@ class PCDiscretization:
         self._bands = self._assemble()
 
     def _assemble(self):
-        """Per band ``(u, segments, coeff, hist, weights, bounds)``.
+        """Per band ``(u, segments, coeff, hist, size, weights)``.
 
         Per step k: segments[k-1] is the 1-based mesh segment holding
         alpha_j(t_k), whose step value is unknown, and coeff[k-1] the (n_eq,)
-        integrals of Ktilde over the unknown range; the history pieces
-        bounds[k-1]:bounds[k] have a 0-based segment in ``hist`` each and
-        their (n_eq, pieces) weights stored step after step, each block
-        row by row, at ``weights[n_eq * bounds[k-1]:n_eq * bounds[k]]``.  Band
-        edges within roundoff of a mesh node are moved onto it first
-        (:func:`~bandvie.quadrature.band_edges`), as the psi plan does.
+        integrals of Ktilde over the unknown range.  The history pieces,
+        in step order, ``size[k-1]`` of them at step k, have a 0-based
+        segment in ``hist`` and their integrals in the (n_eq, pieces)
+        ``weights``.  Band edges within roundoff of a mesh node are moved
+        onto it first (:func:`~bandvie.quadrature.band_edges`), as the psi
+        plan does.
         """
         lin = self.lin
         mesh = self.mesh
@@ -179,17 +182,11 @@ class PCDiscretization:
             coeff = np.zeros((n_steps, n_eq))
             coeff[coeff_plan.piece_time] = self._piece_integrals(
                 times, coeff_plan).T
-            step = hist_plan.piece_time
-            bounds = np.searchsorted(step, np.arange(n_steps + 1))
-            # piece p of step k sits at column p - bounds[k] of its block
-            count = np.diff(bounds)[step]
-            at = (n_eq * bounds[step] + np.arange(step.size) - bounds[step]
-                  + count * np.arange(n_eq)[:, None])
-            weights = np.empty(n_eq * step.size)
-            weights[at] = self._piece_integrals(times, hist_plan)
             bands.append((
                 lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
-                mesh.segment_indices(pieces.hi[~last]) - 1, weights, bounds))
+                mesh.segment_indices(pieces.hi[~last]) - 1,
+                np.bincount(hist_plan.piece_time, minlength=n_steps),
+                self._piece_integrals(times, hist_plan)))
         return bands
 
     def _piece_integrals(self, times, plan):
@@ -214,7 +211,7 @@ class PCDiscretization:
         history segment beyond it), then a singular step matrix, then
         component by component a jump of more than one segment.  The
         step matrices up to that node are factorized in one stacked
-        elimination.
+        elimination, and without a fault inverted from the factors.
         """
         lin, nodes = self.lin, self.mesh.nodes
         n_steps = self.mesh.n_segments
@@ -226,39 +223,28 @@ class PCDiscretization:
         frontier = np.zeros_like(active)
         np.maximum.accumulate(active[:-1], axis=0, out=frontier[1:])
 
-        n_eq = lin.n_equations
-        mats = np.zeros((n_steps, n_eq, lin.n_components))
+        mats = np.zeros((n_steps, lin.n_equations, lin.n_components))
         faults = []   # (first step, rank within a node, message)
-        bands = []    # per band, the terms of every step
-        for rank, (u, segments, coeff, hist, weights, bounds) in enumerate(
+        known = []    # per band, the steps that read its segment as known
+        for rank, (u, segments, coeff, hist, size, _) in enumerate(
                 self._bands):
             front = frontier[:, u - 1]
             on = segments == active[:, u - 1]
             mats[on, :, u - 1] += coeff[on]
-            known = ~on & np.any(coeff != 0.0, axis=1)
-            ahead = np.flatnonzero(known & (segments > front))
+            known.append(~on & np.any(coeff != 0.0, axis=1))
+            ahead = np.flatnonzero(known[-1] & (segments > front))
             if ahead.size:
                 k = ahead[0]
                 faults.append((k, 2 * rank, (
                     f"step {k + 1}: band mapped to component {u} refers to "
                     f"segment {segments[k]} before it was assigned "
                     f"(band map {lin.unknown_of_band})")))
-            step = np.repeat(np.arange(n_steps), np.diff(bounds))
-            gap = np.flatnonzero(hist >= front[step])
+            gap = np.flatnonzero(hist >= np.repeat(front, size))
             if gap.size:
-                k = step[gap[0]]
+                k = np.repeat(np.arange(n_steps), size)[gap[0]]
                 faults.append((k, 2 * rank + 1, (
                     f"step {k + 1}: history for component {u} needs segment "
                     f"{hist[gap[0]] + 1} which was never assigned")))
-            # cut the flat history arrays into per-step views once, so a
-            # solve reads them as they are
-            cut = bounds.tolist()
-            bands.append([
-                (u - 1, l, c, hist[lo:hi],
-                 weights[n_eq * lo:n_eq * hi].reshape(n_eq, hi - lo))
-                for l, c, lo, hi in zip(
-                    np.where(known, segments - 1, -1).tolist(), coeff,
-                    cut[:-1], cut[1:])])
         singular_rank = 2 * len(self._bands)
         for rank, c in enumerate(comps, start=singular_rank + 1):
             jump = np.flatnonzero(active[:, c] > frontier[:, c] + 1)
@@ -279,8 +265,45 @@ class PCDiscretization:
                 f"(t = {nodes[k]:.6g}): {exc}") from exc
         if first[2] is not None:
             raise SolverError(first[2])
-        return _StepOperator(lu, perm, comps, active[:, comps] - 1,
-                             list(zip(*bands)))
+        inverse = lu_inverse_stack(lu, perm)[:, comps]
+        idx, weights, reads = self._merged_terms(known)
+        # apply each step's inverse rows to its weights once
+        folded = np.zeros((comps.size, idx.size))
+        for r, j in np.ndindex(inverse.shape[1:]):
+            folded[r] += np.repeat(inverse[:, r, j], reads) * weights[j]
+        cut = np.append(0, np.cumsum(reads)).tolist()
+        return _StepOperator(
+            comps * n_steps + active[:, comps] - 1, inverse,
+            [(idx[lo:hi], folded[:, lo:hi])
+             for lo, hi in zip(cut[:-1], cut[1:])])
+
+    def _merged_terms(self, known):
+        """Every step's reads of known step values, all bands merged.
+
+        Returns the flat positions ``idx``, their (n_eq, reads) ``weights``
+        and the number of reads of each step.  A step's reads come band by
+        band: the band's known segment if ``known`` says it reads one
+        (weight: its coefficients), then its history pieces.
+        """
+        n_steps = self.mesh.n_segments
+        counts = np.array([reads + band[4]
+                           for reads, band in zip(known, self._bands)]).T
+        ends = np.cumsum(counts)
+        begin = (ends - counts.ravel()).reshape(counts.shape)
+        idx = np.empty(ends[-1], dtype=np.intp)
+        weights = np.empty((self.lin.n_equations, idx.size))
+        for b, (reads, (u, segments, coeff, hist, size, hist_w)) in enumerate(
+                zip(known, self._bands)):
+            base = (u - 1) * n_steps
+            at = begin[reads, b]
+            idx[at] = base + segments[reads] - 1
+            weights[:, at] = coeff[reads].T
+            # the pieces of a step follow its known segment, in order
+            at = np.repeat(begin[:, b] + reads + size - np.cumsum(size), size)
+            at += np.arange(hist.size)
+            idx[at] = base + hist
+            weights[:, at] = hist_w
+        return idx, weights, counts.sum(axis=1)
 
     def solve(self, rhs):
         """Solve for the step values given a right-hand side object."""
@@ -288,20 +311,15 @@ class PCDiscretization:
         start = lin.start_values(rhs.derivative_at_zero())
         rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], lin.n_equations)
         op = self._steps
-        rows = op.rows
         # segments beyond a component's domain are never assigned
-        values = np.full((lin.n_components, mesh.n_segments), np.nan)
-        for k, (lu, perm, cols, terms) in enumerate(
-                zip(op.lu, op.perm, op.cols, op.terms)):
-            b = rhs_values[:, k].copy()
-            for u, known, coeff, hist, weights in terms:
-                if known >= 0:
-                    b -= coeff * values[u, known]
-                if hist.size:
-                    b -= weights @ values[u, hist]
-            values[rows, cols] = lu_substitute(lu, perm, b)[rows]
-        return PiecewiseConstantSolution(mesh, start, values,
-                                         lin.system.component_domains())
+        values = np.full(lin.n_components * mesh.n_segments, np.nan)
+        for out, y, (idx, weights) in zip(
+                op.out, np.einsum("kri,ik->kr", op.inverse, rhs_values),
+                op.terms):
+            values[out] = y - weights @ values[idx]
+        return PiecewiseConstantSolution(
+            mesh, start, values.reshape(lin.n_components, mesh.n_segments),
+            lin.system.component_domains())
 
 
 def solve_linear_pc(lin, rhs=None, n_segments=64,

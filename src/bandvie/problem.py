@@ -20,6 +20,8 @@ which is the operator inverted at every outer iteration.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -68,7 +70,8 @@ class CurveFamily:
     """Discontinuity curves alpha_1..alpha_{n-1} on [0, T].
 
     alpha_0 == 0 and alpha_{n_bands}(t) == t are implicit.  Derivatives are
-    obtained symbolically at construction.
+    obtained symbolically at construction.  The horizon T must be a
+    positive finite real number (not a boolean); it is stored as a float.
     """
 
     horizon: float
@@ -76,6 +79,12 @@ class CurveFamily:
     interior_prime: tuple = field(default=())
 
     def __post_init__(self):
+        T = self.horizon
+        if (isinstance(T, bool) or not isinstance(T, numbers.Real)
+                or not 0 < T <= sys.float_info.max):
+            raise ProblemDefinitionError(
+                f"horizon T must be a positive finite number, got {T!r}")
+        object.__setattr__(self, "horizon", float(T))
         exprs = tuple(_as_expression(e) for e in self.interior)
         for j, e in enumerate(exprs, start=1):
             _check_variables(f"alpha_{j}", e, ("t",))

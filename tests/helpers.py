@@ -3,7 +3,12 @@
 import numpy as np
 
 from bandvie.collocation import PolynomialSolution, flatten_index
-from bandvie.linalg import LUFactorization, refined_solve
+from bandvie.linalg import (
+    LUFactorization,
+    lu_factor_stack,
+    lu_substitute,
+    refined_solve,
+)
 from bandvie.newton import DEFAULT_PSI_PANELS, NORM_SAMPLES, PsiEvaluator
 from bandvie.problem import (
     CurveFamily,
@@ -206,3 +211,49 @@ def errors_reference(solution, system, samples=ERROR_SAMPLES):
         k = int(np.argmax(diff))
         out.append((float(diff[k]), float(ts[k])))
     return out, float(np.sqrt(sum(e ** 2 for e, _ in out)))
+
+
+def pc_solve_reference(disc, rhs):
+    """The step values of :meth:`PCDiscretization.solve` by a step loop.
+
+    Per step and band the terms are built on their own: a band on its
+    component's highest segment adds its coefficients to the step matrix,
+    any other band with a nonzero coefficient moves its known segment to
+    the right-hand side, and every band moves its history pieces.  Each
+    step solves by substitution from its LU factors and writes the
+    components of the bands; segments never written stay NaN.  No step
+    fault is checked.
+    """
+    lin, mesh = disc.lin, disc.mesh
+    n_steps, n_eq = mesh.n_segments, lin.n_equations
+    bands = disc._bands
+    comps = np.array(list(dict.fromkeys(band[0] for band in bands))) - 1
+    active = np.zeros((n_steps, lin.n_components), dtype=int)
+    for u, segments, *_ in bands:
+        np.maximum(active[:, u - 1], segments, out=active[:, u - 1])
+    mats = np.zeros((n_steps, n_eq, lin.n_components))
+    terms = [[] for _ in range(n_steps)]
+    for u, segments, coeff, hist, size, weights in bands:
+        cut = np.append(0, np.cumsum(size))
+        for k in range(n_steps):
+            known = -1
+            if segments[k] == active[k, u - 1]:
+                mats[k, :, u - 1] += coeff[k]
+            elif np.any(coeff[k] != 0.0):
+                known = segments[k] - 1
+            lo, hi = cut[k], cut[k + 1]
+            terms[k].append((u - 1, known, coeff[k], hist[lo:hi],
+                             weights[:, lo:hi]))
+    lu, perm = lu_factor_stack(mats)
+    rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], n_eq)
+    values = np.full((lin.n_components, n_steps), np.nan)
+    for k in range(n_steps):
+        b = rhs_values[:, k].copy()
+        for u, known, coeff, hist, weights in terms[k]:
+            if known >= 0:
+                b -= coeff * values[u, known]
+            if hist.size:
+                b -= weights @ values[u, hist]
+        values[comps, active[k, comps] - 1] = lu_substitute(
+            lu[k], perm[k], b)[comps]
+    return values

@@ -281,44 +281,54 @@ def test_residual_with_zero_length_band():
 @pytest.mark.parametrize("name, n", [("model01", 16), ("model02", 12),
                                      ("nonlinear-scalar", 10), ("repeated", 8)])
 def test_pc_assembly_matches_loop(name, n):
+    """Each step's merged terms are the loop's band terms, inverse applied.
+
+    Step values sit at u * n + l in the flat buffer (0-based component u
+    and segment l).  Per step, the loop's band terms give the step matrix
+    (bands on their component's highest segment) and a dense (n_eq,
+    n_comp * n) matrix of the known step values read (the known segment
+    of every other band with a nonzero coefficient, and the history
+    pieces); the step's weights, summed per flat position, must be the
+    rows of inverse times that matrix that the step writes.
+    """
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     mesh = Mesh.uniform(system.curves.horizon, n)
     got = PCDiscretization(lin, mesh)._steps
     ref = _loop_pc_plans(lin, mesh)
-    assert len(got.lu) == len(got.perm) == len(got.cols) == len(ref) == n
-    assert len(got.terms) == n
-    for k, (terms, step_ref) in enumerate(zip(got.terms, ref)):
-        assert len(terms) == len(step_ref) == system.n_bands
+    assert len(got.out) == len(got.inverse) == len(got.terms) == len(ref) == n
+    width = lin.n_components * n
+    for k, ((idx, weights), step_ref) in enumerate(zip(got.terms, ref)):
+        assert len(step_ref) == system.n_bands
         # the highest segment per component is the step's unknown
         active = {}
         for comp, seg, *_ in step_ref:
             active[comp] = max(active.get(comp, 0), seg)
-        np.testing.assert_array_equal(got.rows, np.array(list(active)) - 1)
-        np.testing.assert_array_equal(got.cols[k],
-                                      np.array(list(active.values())) - 1)
+        np.testing.assert_array_equal(
+            got.out[k], [(c - 1) * n + s - 1 for c, s in active.items()])
         mat = np.zeros((lin.n_equations, lin.n_components))
-        for (u, known, coeff, hist, weights), (comp, seg, ref_coeff, hist_segs,
-                                               hist_w) in zip(terms, step_ref):
-            assert u == comp - 1
+        reads = np.zeros((lin.n_equations, width))
+        for comp, seg, ref_coeff, hist_segs, hist_w in step_ref:
+            base = (comp - 1) * n
             if seg == active[comp]:
-                assert known == -1
-                mat[:, u] += ref_coeff
-            else:
-                assert known == (seg - 1 if np.any(ref_coeff != 0.0) else -1)
-            np.testing.assert_array_equal(hist, hist_segs - 1)
-            assert weights.shape == hist_w.shape
-            # the solve reads views of the per-band arrays, no copies
-            assert hist.base is not None and weights.base is not None
-            tol = RTOL * (1.0 + np.abs(ref_coeff).max() + np.abs(hist_w).sum())
-            assert np.max(np.abs(coeff - ref_coeff)) <= tol
-            assert np.max(np.abs(weights - hist_w), initial=0.0) <= tol
-        # the step factorization is of the reference step matrix: PA = LU
-        lu, perm = got.lu[k], got.perm[k]
-        lower = np.tril(lu, -1) + np.eye(lu.shape[0])
-        upper = np.triu(lu)
-        assert np.max(np.abs(lower @ upper - mat[perm])) <= \
-            RTOL * (1.0 + np.abs(mat).max())
+                mat[:, comp - 1] += ref_coeff
+            elif np.any(ref_coeff != 0.0):
+                reads[:, base + seg - 1] += ref_coeff
+            np.add.at(reads.T, base + hist_segs - 1, hist_w.T)
+        rows = np.array(list(active)) - 1
+        inverse = np.linalg.inv(mat)[rows]
+        # the step inverse is the inverse of the reference step matrix
+        assert np.max(np.abs(got.inverse[k] @ mat - np.eye(len(mat))[rows])) \
+            <= RTOL * (1.0 + np.abs(got.inverse[k]).max() * np.abs(mat).max())
+        assert weights.shape == (rows.size, idx.size)
+        dense = np.zeros((rows.size, width))
+        np.add.at(dense.T, idx, weights.T)
+        expected = inverse @ reads
+        tol = RTOL * (1.0 + np.abs(inverse).sum(axis=1).max()
+                      * np.abs(reads).sum(axis=1).max())
+        assert np.max(np.abs(dense - expected), initial=0.0) <= tol
+        # the solve reads views of the merged arrays, no copies
+        assert idx.base is not None and weights.base is not None
 
 
 #: (0-based band, 0-based equations whose G is not x) per psi test system

@@ -64,6 +64,27 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
     assert "f_1(0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("T: .nan", "horizon T must be a positive finite number, got nan"),
+    ("T: .inf", "horizon T must be a positive finite number, got inf"),
+    ("T: -2.0", "horizon T must be a positive finite number, got -2.0"),
+    ("T: true", "horizon T must be a positive finite number, got True"),
+    ("n: true", "n must be a positive integer, got True"),
+])
+def test_run_bad_horizon_or_band_count_exits_2_with_one_error(
+        tmp_path, capsys, line, message):
+    key = line.split(":")[0]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("\n".join(
+        line if row.startswith(key + ":") else row
+        for row in MODEL01_YAML.splitlines()) + "\n")
+    code = main(["run", "--config", str(bad), "--method", "pc",
+                 "--nodes", "16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"error: {message}"]
+
+
 def test_run_variable_outside_its_role_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text(MODEL01_YAML.replace('["x", "x"]', '["x", "t*x"]', 1))

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandvie.errors import SingularMatrixError
-from bandvie.linalg import LUFactorization, lu_factor_stack, residual
+from bandvie.linalg import (
+    LUFactorization,
+    lu_factor_stack,
+    lu_inverse_stack,
+    lu_substitute,
+    residual,
+)
 
 from helpers import lu_solve
 
@@ -195,3 +201,23 @@ def test_stacked_elimination_rejects_bad_stacks():
         lu_factor_stack(np.array([[[1.0, np.inf], [0.0, 1.0]]]))
     lu, perm = lu_factor_stack(np.zeros((0, 2, 2)))
     assert lu.shape == (0, 2, 2) and perm.shape == (0, 2)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12),
+       n=st.integers(1, 7), ties=st.booleans())
+def test_stacked_inverse_solves_every_unit_column(seed, count, n, ties):
+    a = _stack(seed, count, n, ties, [])
+    if _first_failure(a) is not None:
+        return
+    lu, perm = lu_factor_stack(a)
+    inverse = lu_inverse_stack(lu, perm)
+    assert inverse.shape == (count, n, n)
+    for i in range(count):
+        # column c is the substitution of the unit column e_c
+        columns = np.array([lu_substitute(lu[i], perm[i], e)
+                            for e in np.eye(n)]).T
+        scale = np.abs(columns).max()
+        assert np.max(np.abs(inverse[i] - columns)) <= 1e-13 * scale
+        assert np.max(np.abs(inverse[i] @ a[i] - np.eye(n))) <= \
+            1e-12 * scale * np.abs(a[i]).max() * n

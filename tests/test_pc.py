@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bandvie.config import load_problem
 from bandvie.errors import SolverError
-from bandvie.newton import PsiEvaluator, iterate
+from bandvie.newton import PsiEvaluator, _PsiRhs, iterate
 from bandvie.pc import (
     Mesh,
     PCDiscretization,
@@ -18,7 +21,13 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import initial_values, segment_index
+from helpers import initial_values, pc_solve_reference, segment_index
+
+SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
+                  / "bench" / "problems" / "sample_problem.yaml")
+
+#: agreement of a solve with the step loop, relative to the largest value
+SOLVE_RTOL = 1e-12
 
 
 def sup_errors(system, solution, samples=2001):
@@ -338,3 +347,47 @@ def test_model02_solves_where_a_curve_meets_a_node_in_exact_arithmetic(
         assert report.stop_reason == "tolerance"
         errors[n] = report.records[-1].aggregate_error
     assert 1.4 <= errors[24] / errors[48] <= 3.0
+
+
+def _assert_solve_matches_step_loop(disc, rhs):
+    got = disc.solve(rhs).values
+    ref = pc_solve_reference(disc, rhs)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    known = ~np.isnan(ref)
+    assert known.any()
+    assert np.max(np.abs(got[known] - ref[known])) <= \
+        SOLVE_RTOL * np.max(np.abs(ref[known]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("name", ["model01", "model02", "nonlinear-scalar",
+                                  "nonlinear-sys1", "nonlinear-sys2",
+                                  "sample"])
+def test_solve_matches_step_loop(name, n):
+    system = load_problem(SAMPLE_PROBLEM) if name == "sample" else builtin(name)
+    disc = PCDiscretization(linearize(system),
+                            Mesh.uniform(system.curves.horizon, n))
+    _assert_solve_matches_step_loop(disc, ExpressionRhs(system))
+
+
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_solve_matches_step_loop_with_band_edges_on_nodes(model02, n):
+    # t_15 / 3 lands 1 ulp above mesh node 5 at N = 24 and 48, and is moved
+    # onto it
+    disc = PCDiscretization(linearize(model02),
+                            Mesh.uniform(model02.curves.horizon, n))
+    _assert_solve_matches_step_loop(disc, ExpressionRhs(model02))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_solve_matches_step_loop_for_psi(sys2, n):
+    # psi at the guess and at the first pc iterate, not only f
+    lin = linearize(sys2)
+    mesh = Mesh.uniform(sys2.curves.horizon, n)
+    disc = PCDiscretization(lin, mesh)
+    evaluator = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    current = sys2.guess_iterate()
+    for _ in range(2):
+        rhs = _PsiRhs(evaluator, current)
+        _assert_solve_matches_step_loop(disc, rhs)
+        current = disc.solve(rhs)

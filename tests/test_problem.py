@@ -1,6 +1,11 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from bandvie import config
 from bandvie.config import load_problem, problem_from_mapping
 from bandvie.errors import ProblemDefinitionError
 from bandvie.expr import parse
@@ -327,6 +332,75 @@ def test_config_errors(tmp_path):
     bad.write_text("n: [unclosed")
     with pytest.raises(ProblemDefinitionError, match="cannot parse"):
         load_problem(bad)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", ["bench/problems/sample_problem.yaml",
+                                  "demos/sample_problem.yaml"])
+def test_libyaml_and_python_loaders_build_the_same_mapping(path):
+    text = (ROOT / path).read_text(encoding="utf-8")
+    python = yaml.load(text, Loader=yaml.SafeLoader)
+    assert isinstance(python, dict) and "K" in python
+    assert yaml.load(text, Loader=config._LOADER) == python
+    if hasattr(yaml, "CSafeLoader"):
+        assert config._LOADER is yaml.CSafeLoader
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == python
+
+
+@pytest.mark.parametrize("loader", ["module", "python"])
+def test_malformed_config_cannot_be_parsed_with_either_loader(
+        tmp_path, monkeypatch, loader):
+    if loader == "python":
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("n: [unclosed")
+    with pytest.raises(ProblemDefinitionError, match="cannot parse"):
+        load_problem(bad)
+
+
+def _mapping(**changes):
+    data = {"n": 2, "T": 2.0, "alpha": ["t/2"],
+            "K": [["1+t+s", "1"], ["1+t-s", "-1"]],
+            "G": [["x", "x"], ["x", "x"]], "f": ["t", "t"]}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0, -1.0,
+                                     True, False, "2.0", None])
+def test_config_horizon_must_be_a_positive_finite_number(horizon):
+    with pytest.raises(ProblemDefinitionError) as exc:
+        problem_from_mapping(_mapping(T=horizon))
+    assert str(exc.value) == (
+        f"horizon T must be a positive finite number, got {horizon!r}")
+
+
+@pytest.mark.parametrize("n", [True, False, 0, 2.0])
+def test_config_band_count_must_be_an_integer_not_a_bool(n):
+    with pytest.raises(ProblemDefinitionError,
+                       match=f"n must be a positive integer, got {n!r}$"):
+        problem_from_mapping(_mapping(n=n))
+
+
+def test_config_integer_horizon_is_accepted():
+    horizon = problem_from_mapping(_mapping(T=2)).horizon
+    assert horizon == 2.0 and isinstance(horizon, float)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf, True,
+                                     np.nan, "1", 10**400])
+def test_curve_family_rejects_a_bad_horizon(horizon):
+    with pytest.raises(ProblemDefinitionError,
+                       match="horizon T must be a positive finite number"):
+        CurveFamily(horizon=horizon, interior=("t/2",))
+
+
+def test_curve_family_accepts_numpy_and_integer_horizons():
+    for horizon in (np.float64(1.5), 2, np.int64(3)):
+        stored = CurveFamily(horizon=horizon, interior=()).horizon
+        assert stored == horizon and type(stored) is float
 
 
 def test_validate_names_a_non_finite_guess_inside_its_domain(model01):
