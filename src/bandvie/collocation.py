@@ -18,7 +18,8 @@ that row's piece by a binomial shift (:func:`quadrature.power_shift`).
 The outer iteration hands the plan, K and A on to its right-hand-side
 evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
-psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows; so the
+psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows, taking
+sum A * xm of a polynomial iterate from the same product A @ U.T; so the
 frozen kernel is evaluated once per run.  Solutions are immutable.
 """
 

@@ -15,19 +15,24 @@ A pair with G_ij = x adds nothing to psi (for a finite iterate its bracket
 is 1 * xm - xm = 0 exactly), so the evaluator skips it
 (:attr:`LinearizedSystem.nonlinear_equations`).
 
-Psi is summed one way for every plan, with or without mesh cuts: per
-piece of the band plan, w * (sum A * xm - sum K * G(xm)) with A = K *
-dG/dx(x0) the frozen kernel, and the pieces of an outer time are added in
-plan order (:class:`PsiEvaluator`).  No bracket is built per abscissa.
-A polynomial iterate is evaluated on the plan as one product with the
-plan's table of reference powers (:func:`quadrature.reference_powers`),
-through a binomial shift per piece; every other iterate evaluates its
-own components.
+Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
+G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
+Since the derivative is frozen, sum A * xm is the frozen operator applied
+to the iterate: for an iterate that is a polynomial on every piece (a
+collocation iterate, or a pc iterate on the mesh of the plan's cuts, of
+degree 0) it is D_k . R_k, with D_k the iterate's coefficients on piece k
+in the plan's reference powers u^r (:func:`quadrature.reference_powers`)
+and R = A @ U.T the same moments of A the collocation matrix is built
+from.  So no iteration but the first sums A over the plan.  For a pc
+iterate and a G free of s, sum K * G(xm) is G(xm_k) times the row sum of
+K, and a psi call costs O(pieces); otherwise K * G(xm) is summed on the
+plan.  The guess, an expression iterate, is summed on the plan.
 
 One run is sequential in the iteration index.  A :class:`PsiEvaluator`
-keeps nothing between calls but the power table of the last polynomial
-degree it was given, which depends on the plan and that degree alone, so
-independent runs can share it as they share the immutable problem data.
+keeps between calls the moments of the last degree it was given, which
+depend on the plan and that degree alone, and per band a buffer that a
+call fills before reading it; so runs may share an evaluator one after
+another, as they share the immutable problem data, but not at once.
 """
 
 from __future__ import annotations
@@ -46,7 +51,12 @@ from .collocation import (
     PolynomialSolution,
 )
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
-from .pc import HISTORY_PANELS, Mesh, PCDiscretization
+from .pc import (
+    HISTORY_PANELS,
+    Mesh,
+    PCDiscretization,
+    PiecewiseConstantSolution,
+)
 from .problem import linearize, validate
 from .report import measure_errors
 
@@ -144,9 +154,13 @@ class _PsiBand(NamedTuple):
 
     Row p of every (n_pieces, panels) array is piece p of the plan: outer
     time ``piece_time[p]``, panel width ``piece_width[p]``, lower edge
-    ``piece_lo[p]``; a time owns one piece without cuts and several with
-    them.  ``abscissas`` is the plan, flat, and ``pairs`` holds (0-based
-    equation, A = K * dG/dx(x0), K) for each equation whose G is not x.
+    ``piece_lo[p]`` and, on a plan cut at mesh nodes, 0-based mesh segment
+    ``segment[p]`` (None without cuts); a time owns one piece without cuts
+    and several with them, consecutive, and ``runs`` holds the first piece
+    of each time that owns one.  ``abscissas`` is the plan, flat, ``pairs``
+    holds (0-based equation, A = K * dG/dx(x0), K) for each equation whose
+    G is not x, and ``buffer`` takes a polynomial iterate on the plan when
+    a call needs it there.
     """
 
     band: int  # 0-based
@@ -154,76 +168,135 @@ class _PsiBand(NamedTuple):
     piece_time: np.ndarray
     piece_width: np.ndarray
     piece_lo: np.ndarray
+    segment: np.ndarray
+    runs: np.ndarray
     abscissas: np.ndarray
     pairs: tuple
+    buffer: np.ndarray
 
     @property
     def panels(self):
-        return self.abscissas.size // self.piece_time.size
+        return self.buffer.shape[1]
 
-    def add_to(self, out, xm, nonlinearities):
-        """Add w * (sum A * xm - sum K * G(xm)) per piece to its time's psi."""
-        shape = self.pairs[0][1].shape
-        xm_rows = xm.reshape(shape)
+    def add_on_plan(self, out, xm, nonlinearities):
+        """Add w * (sum A * xm - sum K * G(xm)) per piece, xm on the plan."""
+        xm_rows = xm.reshape(self.buffer.shape)
         for i, frozen, kernel in self.pairs:
-            gm = np.broadcast_to(nonlinearities[i][self.band](
-                s=self.abscissas, x=xm), xm.shape)
             # einsum runs its own loop: a BLAS product would make the last
             # bits depend on the BLAS build and thread count
             rows = np.einsum("kp,kp->k", frozen, xm_rows)
-            rows -= np.einsum("kp,kp->k", kernel, gm.reshape(shape))
+            rows -= self._nonlinear_rows(kernel, nonlinearities[i][self.band],
+                                         xm)
             rows *= self.piece_width
             # with cuts a time owns several pieces: add.at adds repeated
             # times one by one, in plan order
             np.add.at(out[i], self.piece_time, rows)
 
+    def add_from_coefficients(self, out, coefficients, table, moments,
+                              nonlinearities):
+        """Add w * (D_k . R_k - sum K * G(xm)) per piece.
+
+        Row k of ``coefficients`` is the iterate on piece k in the
+        reference powers ``table``, and ``moments`` holds per pair R = A @
+        table.T and, at degree 0 and for a G free of s, the row sums of K,
+        so sum K * G(xm) is G(xm) times them.  Otherwise the iterate is put
+        on the plan, once per call, into ``buffer``.
+        """
+        xm = None
+        for (i, _, kernel), (linear, kernel_sums) in zip(self.pairs, moments):
+            rows = np.einsum("kr,kr->k", coefficients, linear)
+            g = nonlinearities[i][self.band]
+            if kernel_sums is not None:
+                rows -= np.broadcast_to(
+                    g(x=coefficients[:, 0]), rows.shape) * kernel_sums
+            else:
+                if xm is None:
+                    xm = np.matmul(coefficients, table,
+                                   out=self.buffer).reshape(-1)
+                rows -= self._nonlinear_rows(kernel, g, xm)
+            rows *= self.piece_width
+            # the pieces of a time are summed (pairwise) before f is added:
+            # on pc iterates this rounds about 3x closer to an exact sum
+            # than adding them to f one by one
+            out[i, self.piece_time[self.runs]] += np.add.reduceat(
+                rows, self.runs)
+
+    def _nonlinear_rows(self, kernel, g, xm):
+        """Per piece, sum K * G(xm) over the plan."""
+        gm = np.broadcast_to(g(s=self.abscissas, x=xm), xm.shape)
+        return np.einsum("kp,kp->k", kernel, gm.reshape(kernel.shape))
+
+
+class _Moments(NamedTuple):
+    """What psi keeps for the iterates of one degree d.
+
+    ``table`` holds the reference powers u^r, r <= d, of the plan
+    (:func:`quadrature.reference_powers`); per band, ``shifts`` holds the
+    binomial shifts of its pieces (None at d = 0, where the shift is 1)
+    and ``moments`` per pair (R = A @ table.T, the row sums of K or None).
+    The row sums are kept at d = 0 for a G free of s only.
+    """
+
+    degree: int
+    table: np.ndarray
+    shifts: list
+    moments: list
+
 
 class PsiEvaluator:
     """Right-hand-side evaluator with a precomputed quadrature plan.
 
-    The plan (abscissas, weights, kernel values, frozen-kernel values) only
-    depends on the linearized system and the evaluation times, so one
-    evaluator serves every outer iteration; per iteration only the iterate
-    and the nonlinearity are re-evaluated on the fixed abscissas.
+    The plan only depends on the linearized system and the evaluation
+    times, so one evaluator serves every outer iteration.  Per band with a
+    pair whose G is not x it keeps the abscissas, A = K * dG/dx(x0) and K
+    (:class:`_PsiBand`), and for the iterates of the last degree d it was
+    given the table of reference powers, the shifts and the moments R = A
+    @ table.T (:class:`_Moments`).  A band where every G is x is neither
+    planned nor evaluated, and a system whose G are all x plans nothing.
 
     Without ``cuts`` each band segment is one smooth piece with ``panels``
-    midpoint panels.  ``cuts`` lists global breakpoints (mesh nodes for
-    piecewise-constant iterates) at which band segments are split into
-    pieces of ``pc.HISTORY_PANELS`` midpoint panels each, so a time owns a
-    varying number of pieces.  Either way psi_i(t_k) = f_i(t_k) + the sum
-    over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)), with
-    A = K * dG/dx(x0) and w the piece's panel width: two row dot products
-    per pair.  Instead of building its own plan, the evaluator can take
-    ``frozen``, the band plans a :class:`CollocationDiscretization` took
-    its moments from (:meth:`~CollocationDiscretization.take_frozen_plan`,
-    planned over ``times`` without cuts, with A already formed); it then
-    evaluates no kernel itself.
+    midpoint panels.  ``cuts`` lists global breakpoints (the interior mesh
+    nodes of piecewise-constant iterates) at which band segments are split
+    into pieces of ``pc.HISTORY_PANELS`` midpoint panels each, so a time
+    owns a varying number of pieces, each inside one mesh segment.  Either
+    way psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of w *
+    (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
+    Instead of building its own plan, the evaluator can take ``frozen``,
+    the band plans a :class:`CollocationDiscretization` took its moments
+    from (:meth:`~CollocationDiscretization.take_frozen_plan`, planned
+    over ``times`` without cuts, with A already formed); it then evaluates
+    no kernel itself.
 
-    Only pairs with G_ij other than x are kept: a band where every G is x
-    is neither planned nor evaluated, and a system whose G are all x
-    plans nothing.
+    An iterate that is a polynomial on every piece gives per piece its
+    coefficients D_k in the reference powers, and sum A * xm is D_k . R_k:
 
-    A :class:`~bandvie.collocation.PolynomialSolution` iterate of degree d
-    is evaluated on a band as D @ U: U holds the reference powers u^r of
-    the plan's midpoints, r <= d, and row k of D is c_hat @ S_k, with
-    c_hat_l = c_l * T^l its coefficients in s/T and S_k the binomial
-    shift of piece k.  U and the shifts are built at the first polynomial
-    iterate and kept until one of another degree comes.  Every other
-    iterate evaluates ``component_values`` on the abscissas.
+    * a :class:`~bandvie.collocation.PolynomialSolution` of degree d has
+      D_k = c_hat @ S_k, with c_hat_l = c_l * T^l its coefficients in s/T
+      and S_k the binomial shift of piece k;
+    * a :class:`~bandvie.pc.PiecewiseConstantSolution` on the mesh of the
+      cuts has degree 0: D_k is its value on the segment of piece k.
+
+    Its sum K * G(xm) is G(xm_k) times the row sum of K at degree 0 (a
+    step iterate) and a G free of s, one G value per piece; otherwise the
+    iterate is put on the plan as D @ table, in a buffer kept per band,
+    and K * G(xm) is summed there.  Every other iterate (the guess)
+    evaluates ``component_values`` on the abscissas and sums both terms
+    on the plan.
     """
 
     def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
                  frozen=None):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
+        self._cuts = None if cuts is None else np.asarray(cuts, dtype=float)
         self._scale = float(lin.curves.horizon)
-        self._power_table = None
+        self._moments = None
         system = lin.system
         n_bands = lin.n_bands
         active = lin.nonlinear_equations
         if frozen is None:
             frozen = ((plan, kvs, avs) for plan, kvs, _, avs in self._plan(
-                active, cuts, panels if cuts is None else HISTORY_PANELS))
+                active, panels if cuts is None else HISTORY_PANELS))
         self._bands = [self._band(plan, kvs, avs, active[plan.band - 1])
                        for plan, kvs, avs in frozen
                        if active[plan.band - 1] and plan.abscissas.size]
@@ -238,7 +311,7 @@ class PsiEvaluator:
                   for j in range(n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))
 
-    def _plan(self, active, cuts, panels):
+    def _plan(self, active, panels):
         """``(plan, K, dG/dx, A)`` per band that has a pair with G not x.
 
         Every piece gets ``panels`` panels, so each plan is a (pieces,
@@ -250,8 +323,8 @@ class PsiEvaluator:
         lin = self.lin
         # with cuts, band edges within roundoff of a cut are moved onto it,
         # as the pc assembly moves them
-        edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
-        for pieces in quadrature.band_pieces(edges, cuts):
+        edges = quadrature.band_edges(self.times, lin.curves, snap=self._cuts)
+        for pieces in quadrature.band_pieces(edges, self._cuts):
             if active[pieces.band - 1]:
                 plan = quadrature.midpoint_plan(pieces, panels)
                 yield (plan, *lin.frozen_factors(
@@ -261,51 +334,89 @@ class PsiEvaluator:
     def _band(self, plan, kvs, avs, equations):
         """One band: its (pieces, panels) rows of A and K per pair.
 
-        A is copied here, after the set-up.  The temporaries of every call
-        (the iterate and the G values on the plan) then reuse the freed
-        original, which the allocator keeps mapped; without the copy they
-        were mapped afresh at every call, about 80k minor page faults per
-        colloc-sweep pass against about 10 with it.
+        On a cut plan a piece starts at a cut or at a band edge between
+        two cuts, so the cuts at or below its lower edge count its mesh
+        segment.
         """
-        shape = (plan.piece_time.size, -1)
+        shape = plan.abscissas.shape
         return _PsiBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
             piece_time=plan.piece_time, piece_width=plan.piece_width,
-            piece_lo=plan.piece_lo, abscissas=plan.abscissas.reshape(-1),
-            pairs=tuple((i, avs[i].reshape(shape).copy(),
-                         kvs[i].reshape(shape)) for i in equations))
+            piece_lo=plan.piece_lo,
+            segment=None if self._cuts is None else np.searchsorted(
+                self._cuts, plan.piece_lo, side="right"),
+            runs=np.flatnonzero(np.diff(plan.piece_time, prepend=-1)),
+            abscissas=plan.abscissas.reshape(-1),
+            pairs=tuple((i, avs[i].reshape(shape), kvs[i].reshape(shape))
+                        for i in equations),
+            buffer=np.empty(shape))
 
     def values(self, iterate):
         """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
         nonlinearities = self.lin.system.nonlinearities
         out = self._f_vals.copy()
-        for band, xm in zip(self._bands, self._iterate_values(iterate)):
-            band.add_to(out, xm, nonlinearities)
+        kept, coefficients = self._piece_coefficients(iterate)
+        if coefficients is None:
+            for band in self._bands:
+                band.add_on_plan(out, np.asarray(iterate.component_values(
+                    band.component, band.abscissas), dtype=float),
+                    nonlinearities)
+            return out
+        for band, d, moments in zip(self._bands, coefficients, kept.moments):
+            band.add_from_coefficients(out, d, kept.table, moments,
+                                       nonlinearities)
         return out
 
-    def _iterate_values(self, iterate):
-        """Per band, the iterate's component on the flat abscissas."""
-        if not (self._bands and isinstance(iterate, PolynomialSolution)):
-            return (np.asarray(iterate.component_values(
-                band.component, band.abscissas), dtype=float)
-                for band in self._bands)
-        degree = iterate.degree
-        # read and replaced whole, so runs sharing the evaluator with
-        # iterates of other degrees never mix their tables and shifts
-        kept = self._power_table
-        if kept is None or kept[0] != degree:
-            kept = (degree,
-                    quadrature.reference_powers(self._bands[0].panels, degree),
-                    [quadrature.power_shift(band.piece_lo,
-                                            band.piece_width * band.panels,
-                                            self._scale, degree)
-                     for band in self._bands])
-            self._power_table = kept
-        _, table, shifts = kept
-        scaled = iterate.coefficients * self._scale ** np.arange(degree + 1)
-        return (((scaled[band.component - 1] @ shift) @ table).reshape(-1)
-                for band, shift in zip(self._bands, shifts))
+    def _piece_coefficients(self, iterate):
+        """The :class:`_Moments` of the iterate's degree and per band its D_k.
+
+        ``(None, None)`` for an iterate that is not a polynomial on every
+        piece of the plan, and when nothing is planned.
+        """
+        if not self._bands:
+            return None, None
+        if isinstance(iterate, PolynomialSolution):
+            degree = iterate.degree
+            kept = self._moments_of(degree)
+            scaled = iterate.coefficients * self._scale ** np.arange(
+                degree + 1)
+            if not degree:
+                return kept, [np.full((band.piece_time.size, 1),
+                                      scaled[band.component - 1, 0])
+                              for band in self._bands]
+            return kept, [scaled[band.component - 1] @ shift
+                          for band, shift in zip(self._bands, kept.shifts)]
+        if (isinstance(iterate, PiecewiseConstantSolution)
+                and self._cuts is not None
+                and np.array_equal(iterate.mesh.nodes[1:-1], self._cuts)):
+            return self._moments_of(0), [
+                iterate.values[band.component - 1][band.segment, None]
+                for band in self._bands]
+        return None, None
+
+    def _moments_of(self, degree):
+        """The :class:`_Moments` of ``degree``, built once and kept.
+
+        Read and replaced whole, so runs sharing the evaluator with
+        iterates of other degrees never mix their tables and moments.
+        """
+        kept = self._moments
+        if kept is not None and kept.degree == degree:
+            return kept
+        nonlinearities = self.lin.system.nonlinearities
+        table = quadrature.reference_powers(self._bands[0].panels, degree)
+        shifts = [quadrature.power_shift(band.piece_lo,
+                                         band.piece_width * band.panels,
+                                         self._scale, degree)
+                  for band in self._bands] if degree else None
+        moments = [[(frozen @ table.T,
+                     kernel.sum(axis=1) if not degree and "s" not in
+                     nonlinearities[i][band.band].free_variables else None)
+                    for i, frozen, kernel in band.pairs]
+                   for band in self._bands]
+        self._moments = kept = _Moments(degree, table, shifts, moments)
+        return kept
 
     def derivative_at_zero(self, iterate):
         """d(psi)/dt at t = 0: only the band boundary terms survive.
@@ -336,10 +447,13 @@ class _PsiRhs:
         self._it = iterate
 
     def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        if ts.shape != self._ev.times.shape or not np.array_equal(
-                ts, self._ev.times):
-            raise ValueError("psi evaluator was planned for different times")
+        planned = self._ev.times
+        # the inner solvers pass the very array the evaluator was built on
+        if ts is not planned:
+            ts = np.asarray(ts, dtype=float)
+            if ts.shape != planned.shape or not np.array_equal(ts, planned):
+                raise ValueError(
+                    "psi evaluator was planned for different times")
         return self._ev.values(self._it)
 
     def derivative_at_zero(self):
@@ -362,7 +476,8 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         the right-hand-side integrals use ``DEFAULT_PSI_PANELS`` per band
         segment for polynomial iterates and ``pc.HISTORY_PANELS`` per mesh
         piece for piecewise-constant ones, and both are summed per piece
-        as w * (sum A * xm - sum K * G(xm)).  At the default, collocation
+        as w * (D . R - sum K * G(xm)), R the moments of the frozen
+        kernel (:class:`PsiEvaluator`).  At the default, collocation
         moments and right-hand sides share one plan and one evaluation of
         the frozen kernel
 
@@ -396,7 +511,7 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         mesh = Mesh.uniform(system.curves.horizon, n_segments)
         disc = PCDiscretization(lin, mesh, panels=(
             quadrature.DEFAULT_PANELS if panels is None else panels))
-        evaluator = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+        evaluator = PsiEvaluator(lin, disc.times, cuts=mesh.nodes[1:-1])
     elif method == "collocation":
         if degree is None:
             raise ValueError("the collocation method needs degree")

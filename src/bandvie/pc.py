@@ -147,6 +147,8 @@ class PCDiscretization:
             raise ValueError("mesh horizon differs from the problem horizon")
         self.lin = lin
         self.mesh = mesh
+        #: the collocation times t_1..t_N, the array every solve passes on
+        self.times = mesh.nodes[1:]
         self.panels = int(panels)
         self._bands = self._assemble()
 
@@ -164,7 +166,7 @@ class PCDiscretization:
         """
         lin = self.lin
         mesh = self.mesh
-        times = mesh.nodes[1:]
+        times = self.times
         n_steps, n_eq = mesh.n_segments, lin.n_equations
         cuts = mesh.nodes[1:-1]
         edges = quadrature.band_edges(times, lin.curves, snap=cuts)
@@ -309,7 +311,7 @@ class PCDiscretization:
         """Solve for the step values given a right-hand side object."""
         lin, mesh = self.lin, self.mesh
         start = lin.start_values(rhs.derivative_at_zero())
-        rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], lin.n_equations)
+        rhs_values = rhs_at_nodes(rhs, self.times, lin.n_equations)
         op = self._steps
         # segments beyond a component's domain are never assigned
         values = np.full(lin.n_components * mesh.n_segments, np.nan)

@@ -1,15 +1,19 @@
 """PsiEvaluator.values and the Horner iterates against the loops they replace.
 
-Every plan, with or without mesh cuts, sums f + w * (sum A * xm - sum K *
-G(xm)) per piece and adds the pieces of a time in plan order.
-``_per_node_values`` is that formula one piece at a time and must match
-bit for bit, given the evaluator's own values of a polynomial iterate
-(products with the plan's table of reference powers);
-``_cumsum_values_without_cuts`` is the prefix-sum loop the plans without
-cuts used before, and ``_fsum_values`` an exactly rounded sum of the same
-terms with the iterate evaluated by ``polyval``.  Both must agree to
-``SUM_RTOL`` of the sum of the magnitudes of the terms plus |f|: w * A *
-xm and w * K * G(xm) per abscissa.
+Every plan, with or without mesh cuts, sums w * (sum A * xm - sum K *
+G(xm)) per piece.  An iterate that is a polynomial on every piece (a
+polynomial, or steps on the mesh of the cuts) gives per piece its
+coefficients D_k in the plan's reference powers, and its linear term is
+D_k . R_k with R = A @ table.T; the pieces of a time are summed before f
+is added.  Every other iterate (the guess) is summed on the plan, piece by
+piece into f.  ``_per_node_values`` is that formula one piece at a time
+and must match bit for bit, given the evaluator's own D, R and reference
+powers; ``_cumsum_values_without_cuts`` is the prefix-sum loop the plans
+without cuts used before, and ``_fsum_values`` an exactly rounded sum of
+the terms per abscissa with the iterate evaluated by ``polyval`` or its
+own ``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of
+the magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
+abscissa.
 """
 
 import math
@@ -22,12 +26,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
-from bandvie import collocation
+from bandvie import collocation, quadrature
 from bandvie.collocation import PolynomialSolution, collocation_nodes
 from bandvie.expr import Expression
-from bandvie.newton import PsiEvaluator, iterate as run_newton
-from bandvie.pc import Mesh, solve_linear_pc
-from bandvie.problem import LinearizedSystem, linearize
+from bandvie.newton import DEFAULT_PSI_PANELS, PsiEvaluator, _PsiRhs
+from bandvie.newton import iterate as run_newton
+from bandvie.pc import (
+    HISTORY_PANELS,
+    Mesh,
+    PiecewiseConstantSolution,
+    solve_linear_pc,
+)
+from bandvie.problem import (
+    CurveFamily,
+    LinearizedSystem,
+    VolterraSystem,
+    linearize,
+)
 from bandvie.registry import builtin
 
 from helpers import empty_band_system
@@ -35,6 +50,26 @@ from helpers import empty_band_system
 #: agreement of the psi sums with the other summation orders, relative to
 #: the sum of the magnitudes of their terms plus |f|
 SUM_RTOL = 1e-13
+
+BUILTINS = ("model01", "model02", "nonlinear-scalar", "nonlinear-sys1",
+            "nonlinear-sys2")
+
+
+def _s_dependent_system():
+    """The kernels of nonlinear-sys2 with two nonlinearities that use s."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2",)),
+        kernels=[["s*(t+s)", "1"], ["1+t-s", "-1"]],
+        nonlinearities=[["x^2+s*x", "3*x+x^3"], ["x-x^2", "x+s*x^4"]],
+        rhs=["t", "t^2"], guess=["0.9*cos(t)", "0.9*sin(t)"])
+
+
+def _system(name):
+    if name == "empty-band":
+        return empty_band_system()
+    if name == "s-dependent":
+        return _s_dependent_system()
+    return builtin(name)
 
 
 def _iterate_values(lin, iterate, j, s):
@@ -59,19 +94,38 @@ def _pieces(band):
 def _per_node_values(ev, iterate):
     lin = ev.lin
     out = ev._f_vals.copy()
-    if isinstance(iterate, PolynomialSolution):
-        xms = list(ev._iterate_values(iterate))
-    else:
-        xms = [_iterate_values(lin, iterate, band.band, band.abscissas)
-               for band in ev._bands]
-    for band, xm in zip(ev._bands, xms):
+    kept, coefficients = ev._piece_coefficients(iterate)
+    for b, band in enumerate(ev._bands):
         j, s = band.band, band.abscissas
-        for i, frozen, kernel in band.pairs:
+        if coefficients is None:
+            xm = _iterate_values(lin, iterate, j, s)
+        else:
+            d = coefficients[b]
+            xm = np.matmul(d, kept.table).reshape(-1)
+        for q, (i, frozen, kernel) in enumerate(band.pairs):
             gm = _g_values(lin.system, i, j, s, xm)
+            if coefficients is None:
+                for p, (r, w, cut) in enumerate(_pieces(band)):
+                    linear = np.einsum("p,p->", frozen[p], xm[cut])
+                    nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
+                    out[i, r] += w * (linear - nonlinear)
+                continue
+            moments, kernel_sums = kept.moments[b][q]
+            if kernel_sums is not None:
+                g_pieces = np.broadcast_to(lin.system.nonlinearities[i][j](
+                    x=d[:, 0]), band.piece_time.shape)
+            by_time = {}
             for p, (r, w, cut) in enumerate(_pieces(band)):
-                linear = np.einsum("p,p->", frozen[p], xm[cut])
-                nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
-                out[i, r] += w * (linear - nonlinear)
+                linear = np.einsum("r,r->", d[p], moments[p])
+                if kernel_sums is None:
+                    nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
+                else:
+                    nonlinear = g_pieces[p] * kernel_sums[p]
+                by_time.setdefault(r, []).append(w * (linear - nonlinear))
+            for r, rows in by_time.items():
+                # one segment of a reduceat: rows[0] + the pairwise sum of
+                # the rest
+                out[i, r] += np.add.reduceat(rows, [0])[0]
     return out
 
 
@@ -177,15 +231,14 @@ def test_sys2_collocation_nodes_bit_identical(sys2):
 
 
 @lru_cache(maxsize=None)
-def _node_evaluator(name, nodes, frozen):
-    """A psi evaluator at ``nodes`` collocation nodes; given ``frozen``, on
+def _node_evaluator(name, nodes, frozen, panels=DEFAULT_PSI_PANELS):
+    """A psi evaluator at ``nodes`` collocation nodes: given ``frozen``, on
     the plan a collocation discretization of that degree took its moments
-    from."""
-    system = empty_band_system() if name == "empty-band" else builtin(name)
-    lin = linearize(system)
+    from, else on its own plan of ``panels`` panels."""
+    lin = linearize(_system(name))
     if not frozen:
-        return PsiEvaluator(lin, collocation_nodes(system.curves.horizon,
-                                                   nodes))
+        return PsiEvaluator(lin, collocation_nodes(lin.curves.horizon, nodes),
+                            panels=panels)
     # the empty-band system's moment matrix is singular; only its plan is
     # needed here
     with mock.patch.object(collocation, "LUFactorization",
@@ -196,26 +249,89 @@ def _node_evaluator(name, nodes, frozen):
 
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar",
-                             "empty-band"]),
+                             "empty-band", "s-dependent"]),
        degree=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
-       nodes=st.sampled_from([1, 3, 7]), frozen=st.booleans())
+       nodes=st.sampled_from([1, 3, 7]), frozen=st.booleans(),
+       panels=st.sampled_from([DEFAULT_PSI_PANELS, 300, 1001]))
 # polynomial iterates of degree below, at and above the discretization's
-@example(name="nonlinear-sys2", degree=0, seed=1, nodes=7, frozen=True)
-@example(name="nonlinear-sys2", degree=7, seed=2, nodes=7, frozen=True)
-@example(name="nonlinear-sys2", degree=12, seed=3, nodes=7, frozen=True)
-@example(name="nonlinear-scalar", degree=1, seed=4, nodes=1, frozen=True)
-@example(name="nonlinear-scalar", degree=12, seed=5, nodes=3, frozen=True)
-@example(name="empty-band", degree=3, seed=6, nodes=3, frozen=True)
-@example(name="empty-band", degree=12, seed=7, nodes=1, frozen=True)
+@example(name="nonlinear-sys2", degree=0, seed=1, nodes=7, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+@example(name="nonlinear-sys2", degree=7, seed=2, nodes=7, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+@example(name="nonlinear-sys2", degree=12, seed=3, nodes=7, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+@example(name="nonlinear-scalar", degree=1, seed=4, nodes=1, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+@example(name="nonlinear-scalar", degree=12, seed=5, nodes=3, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+@example(name="empty-band", degree=3, seed=6, nodes=3, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+@example(name="empty-band", degree=12, seed=7, nodes=1, frozen=True,
+         panels=DEFAULT_PSI_PANELS)
+# an own plan of another panel count, at the ends of the degree range
+@example(name="nonlinear-sys2", degree=1, seed=8, nodes=7, frozen=False,
+         panels=300)
+@example(name="nonlinear-sys2", degree=12, seed=9, nodes=7, frozen=False,
+         panels=1001)
+@example(name="s-dependent", degree=12, seed=10, nodes=3, frozen=False,
+         panels=300)
 def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
-                                                       nodes, frozen):
-    ev = _node_evaluator(name, nodes, frozen)
+                                                       nodes, frozen, panels):
+    # the linear term comes from the moments R = A @ table.T
+    ev = _node_evaluator(name, nodes, frozen, panels)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, (system.n_components, degree + 1))
     iterate = PolynomialSolution(coeffs, system.component_domains())
     exact, scale = _fsum_values(ev, iterate)
     _assert_sums_agree(ev.values(iterate), exact, scale)
+
+
+@lru_cache(maxsize=None)
+def _cut_evaluator(name, n_segments):
+    """A psi evaluator on the cut plan of a uniform pc mesh, and the mesh."""
+    lin = linearize(_system(name))
+    mesh = Mesh.uniform(lin.curves.horizon, n_segments)
+    return PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1]), mesh
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["nonlinear-sys1", "nonlinear-sys2",
+                             "nonlinear-scalar", "s-dependent"]),
+       n_segments=st.sampled_from([2, 7, 16, 33]),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="nonlinear-sys2", n_segments=33, seed=1)
+@example(name="s-dependent", n_segments=16, seed=2)
+def test_step_iterate_psi_agrees_with_an_exactly_rounded_sum(name, n_segments,
+                                                             seed):
+    # a step iterate is one coefficient per piece, gathered by the piece's
+    # mesh segment; the reference locates every abscissa instead
+    ev, mesh = _cut_evaluator(name, n_segments)
+    system = ev.lin.system
+    rng = np.random.default_rng(seed)
+    n = system.n_components
+    iterate = PiecewiseConstantSolution(
+        mesh, rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.5, 1.5, (n, n_segments)), system.component_domains())
+    exact, scale = _fsum_values(ev, iterate)
+    _assert_sums_agree(ev.values(iterate), exact, scale)
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "s-dependent"])
+@pytest.mark.parametrize("cut", [False, True])
+def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
+    system = _system(name)
+    if cut:
+        ev, mesh = _cut_evaluator(name, 16)
+        steps = solve_linear_pc(system, n_segments=16)
+        iterates = [system.guess_iterate(), steps, _polynomial(system, 1)]
+    else:
+        ev = _node_evaluator(name, 5, False, 700)
+        iterates = [system.guess_iterate(), _polynomial(system, 1),
+                    _polynomial(system, 2, degree=0)]
+    for iterate in iterates:
+        assert np.array_equal(ev.values(iterate),
+                              _per_node_values(ev, iterate))
 
 
 def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
@@ -299,3 +415,78 @@ def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
         for iterate in (a, b, a, b):
             fresh = PsiEvaluator(lin, times, cuts=cuts, panels=700)
             assert np.array_equal(ev.values(iterate), fresh.values(iterate))
+
+
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
+def test_step_psi_evaluates_g_once_per_piece_and_locates_no_abscissa(
+        name, monkeypatch):
+    system = builtin(name)
+    lin = linearize(system)
+    mesh = Mesh.uniform(system.curves.horizon, 32)
+    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    steps = solve_linear_pc(system, n_segments=32)
+    ev.values(steps)            # the moments of degree 0 are built here
+    evaluated, located = [], []
+    call = Expression.__call__
+
+    def counting_call(self, t=None, s=None, x=None):
+        evaluated.append((self, s is None, np.size(x)))
+        return call(self, t=t, s=s, x=x)
+
+    monkeypatch.setattr(Expression, "__call__", counting_call)
+    monkeypatch.setattr(Mesh, "segment_indices",
+                        lambda self, vs: located.append(np.size(vs)))
+    ev.values(steps)
+    # every G is free of s: one G value per piece, and nothing else is
+    # evaluated or located
+    assert evaluated == [(system.nonlinearities[i][band.band], True,
+                          band.piece_time.size)
+                         for band in ev._bands for i, *_ in band.pairs]
+    assert located == []
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("n_segments", [16, 24, 32, 48, 64, 96, 128])
+def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
+    # model02's curves t/3 and 2t/3 meet mesh nodes only in exact
+    # arithmetic (at N = 24, 48 and 96 a band edge is snapped onto a node)
+    lin = linearize(builtin(name))
+    # every pair planned, G = x too, so every band is checked
+    lin.nonlinear_equations = tuple(tuple(range(lin.n_equations))
+                                    for _ in range(lin.n_bands))
+    mesh = Mesh.uniform(lin.curves.horizon, n_segments)
+    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    assert [band.band for band in ev._bands] == list(range(lin.n_bands))
+    for band in ev._bands:
+        located = mesh.segment_indices(band.abscissas) - 1
+        assert np.array_equal(located.reshape(band.piece_time.size, -1),
+                              np.repeat(band.segment[:, None], HISTORY_PANELS,
+                                        axis=1))
+
+
+def test_psi_rhs_takes_the_planned_times_and_no_others(scalar):
+    lin = linearize(scalar)
+    mesh = Mesh.uniform(scalar.curves.horizon, 8)
+    times = mesh.nodes[1:]
+    ev = PsiEvaluator(lin, times, cuts=mesh.nodes[1:-1])
+    assert ev.times is times
+    rhs = _PsiRhs(ev, scalar.guess_iterate())
+    planned = rhs.values(times)
+    assert np.array_equal(rhs.values(list(times)), planned)
+    for other in (times[:-1], times + 1e-3):
+        with pytest.raises(ValueError, match="different times"):
+            rhs.values(other)
+
+
+def test_collocation_psi_moments_are_the_assembly_products(sys2):
+    # R = A @ table.T is the product the moment assembly takes, bit for bit
+    lin = linearize(sys2)
+    disc = collocation.CollocationDiscretization(lin, 4)
+    frozen = disc.take_frozen_plan()
+    table = quadrature.reference_powers(disc.panels, 4)
+    products = [[avs[i] @ table.T for i in lin.nonlinear_equations[
+        plan.band - 1]] for plan, _, avs in frozen]
+    ev = PsiEvaluator(lin, disc.nodes, frozen=frozen)
+    ev.values(_polynomial(sys2, 5, degree=4))
+    assert [[r.tobytes() for r, _ in band] for band in ev._moments.moments] \
+        == [[r.tobytes() for r in band] for band in products]
