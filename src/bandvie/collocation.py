@@ -176,13 +176,10 @@ class CollocationDiscretization:
         """Hand over the band plans the moments were taken from, once.
 
         Per band ``(plan, K values, A values)``: the plan over the
-        collocation nodes at ``panels`` panels, on which every node owns
-        one row of ``panels`` abscissas, and by equation the
-        K values :meth:`LinearizedSystem.frozen_factors` returned on it
-        and the frozen kernel A = K * dG/dx(x0) the moments were taken
-        from.  Only the equations in
-        :attr:`LinearizedSystem.nonlinear_equations` are kept; the others
-        add nothing to the right-hand side.  Afterwards the discretization
+        collocation nodes, one row of ``panels`` abscissas per node, and
+        by equation of the pairs whose G is not x
+        (:attr:`LinearizedSystem.nonlinear_equations`) K and the frozen
+        kernel A = K * dG/dx(x0) on it.  Afterwards the discretization
         holds none of it; a second call returns None.
         """
         frozen, self._frozen = self._frozen, None

@@ -17,16 +17,13 @@ is 1 * xm - xm = 0 exactly), so the evaluator skips it
 
 Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
 G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
-Since the derivative is frozen, sum A * xm is the frozen operator applied
-to the iterate: for an iterate that is a polynomial on every piece (a
-collocation iterate, or a pc iterate on the mesh of the plan's cuts, of
-degree 0) it is D_k . R_k, with D_k the iterate's coefficients on piece k
-in the plan's reference powers u^r (:func:`quadrature.reference_powers`)
-and R = A @ U.T the same moments of A the collocation matrix is built
-from.  So no iteration but the first sums A over the plan.  For a pc
-iterate and a G free of s, sum K * G(xm) is G(xm_k) times the row sum of
-K, and a psi call costs O(pieces); otherwise K * G(xm) is summed on the
-plan.  The guess, an expression iterate, is summed on the plan.
+Each inner solver builds one plan, evaluates the frozen kernel on it and
+hands both to psi: collocation the plan of its moments, pc the plan of its
+history weights, each band segment cut at the mesh nodes.  Since the
+derivative is frozen, sum A * xm is the frozen operator applied to the
+iterate, taken from moments of A for an iterate that is a polynomial on
+every piece (collocation and pc iterates); only the guess, an expression
+iterate, is summed on the plan.
 
 One run is sequential in the iteration index.  A :class:`PsiEvaluator`
 keeps between calls the moments of the last degree it was given, which
@@ -39,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,12 +49,7 @@ from .collocation import (
     PolynomialSolution,
 )
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
-from .pc import (
-    HISTORY_PANELS,
-    Mesh,
-    PCDiscretization,
-    PiecewiseConstantSolution,
-)
+from .pc import Mesh, PCDiscretization, PiecewiseConstantSolution
 from .problem import linearize, validate
 from .report import measure_errors
 
@@ -154,13 +147,13 @@ class _PsiBand(NamedTuple):
 
     Row p of every (n_pieces, panels) array is piece p of the plan: outer
     time ``piece_time[p]``, panel width ``piece_width[p]``, lower edge
-    ``piece_lo[p]`` and, on a plan cut at mesh nodes, 0-based mesh segment
-    ``segment[p]`` (None without cuts); a time owns one piece without cuts
-    and several with them, consecutive, and ``runs`` holds the first piece
-    of each time that owns one.  ``abscissas`` is the plan, flat, ``pairs``
-    holds (0-based equation, A = K * dG/dx(x0), K) for each equation whose
-    G is not x, and ``buffer`` takes a polynomial iterate on the plan when
-    a call needs it there.
+    ``piece_lo[p]`` and, on a pc plan, cut at mesh nodes, 0-based mesh
+    segment ``segment[p]`` (None otherwise); a time owns one piece on a
+    collocation plan and several, consecutive, on a pc plan, and ``runs``
+    holds the first piece of each time that owns one.  ``abscissas`` is
+    the plan, flat, ``pairs`` holds (0-based equation, A = K * dG/dx(x0),
+    K) for each equation whose G is not x, and ``buffer`` takes a
+    polynomial iterate on the plan when a call needs it there.
     """
 
     band: int  # 0-based
@@ -188,7 +181,7 @@ class _PsiBand(NamedTuple):
             rows -= self._nonlinear_rows(kernel, nonlinearities[i][self.band],
                                          xm)
             rows *= self.piece_width
-            # with cuts a time owns several pieces: add.at adds repeated
+            # on a pc plan a time owns several pieces: add.at adds repeated
             # times one by one, in plan order
             np.add.at(out[i], self.piece_time, rows)
 
@@ -244,7 +237,7 @@ class _Moments(NamedTuple):
 
 
 class PsiEvaluator:
-    """Right-hand-side evaluator with a precomputed quadrature plan.
+    """Right-hand-side evaluator on the quadrature plan of the inner solver.
 
     The plan only depends on the linearized system and the evaluation
     times, so one evaluator serves every outer iteration.  Per band with a
@@ -254,18 +247,16 @@ class PsiEvaluator:
     @ table.T (:class:`_Moments`).  A band where every G is x is neither
     planned nor evaluated, and a system whose G are all x plans nothing.
 
-    Without ``cuts`` each band segment is one smooth piece with ``panels``
-    midpoint panels.  ``cuts`` lists global breakpoints (the interior mesh
-    nodes of piecewise-constant iterates) at which band segments are split
-    into pieces of ``pc.HISTORY_PANELS`` midpoint panels each, so a time
-    owns a varying number of pieces, each inside one mesh segment.  Either
-    way psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of w *
-    (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
-    Instead of building its own plan, the evaluator can take ``frozen``,
-    the band plans a :class:`CollocationDiscretization` took its moments
-    from (:meth:`~CollocationDiscretization.take_frozen_plan`, planned
-    over ``times`` without cuts, with A already formed); it then evaluates
-    no kernel itself.
+    Given ``frozen``, the band plans an inner solver built over ``times``
+    with K and A on them (its ``take_frozen_plan``), it evaluates no
+    kernel itself: a :class:`~bandvie.collocation.CollocationDiscretization`
+    hands over its moment plans, one piece per time, and a
+    :class:`~bandvie.pc.PCDiscretization`, over its mesh nodes t_1..t_N,
+    its history plans: each band segment cut at the nodes into pieces of
+    ``pc.HISTORY_PANELS`` panels, each with its mesh segment.  Without
+    ``frozen`` each band segment is one piece of ``panels`` panels.
+    Either way psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of
+    w * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
 
     An iterate that is a polynomial on every piece gives per piece its
     coefficients D_k in the reference powers, and sum A * xm is D_k . R_k:
@@ -273,8 +264,9 @@ class PsiEvaluator:
     * a :class:`~bandvie.collocation.PolynomialSolution` of degree d has
       D_k = c_hat @ S_k, with c_hat_l = c_l * T^l its coefficients in s/T
       and S_k the binomial shift of piece k;
-    * a :class:`~bandvie.pc.PiecewiseConstantSolution` on the mesh of the
-      cuts has degree 0: D_k is its value on the segment of piece k.
+    * a :class:`~bandvie.pc.PiecewiseConstantSolution` on the mesh a pc
+      plan was cut at, the mesh of nodes 0 and ``times``, has degree 0:
+      D_k is its value on the segment of piece k.
 
     Its sum K * G(xm) is G(xm_k) times the row sum of K at degree 0 (a
     step iterate) and a G free of s, one G value per piece; otherwise the
@@ -284,22 +276,18 @@ class PsiEvaluator:
     on the plan.
     """
 
-    def __init__(self, lin, times, cuts=None, panels=DEFAULT_PSI_PANELS,
-                 frozen=None):
+    def __init__(self, lin, times, panels=DEFAULT_PSI_PANELS, frozen=None):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
-        self._cuts = None if cuts is None else np.asarray(cuts, dtype=float)
         self._scale = float(lin.curves.horizon)
         self._moments = None
         system = lin.system
-        n_bands = lin.n_bands
         active = lin.nonlinear_equations
         if frozen is None:
-            frozen = ((plan, kvs, avs) for plan, kvs, _, avs in self._plan(
-                active, panels if cuts is None else HISTORY_PANELS))
-        self._bands = [self._band(plan, kvs, avs, active[plan.band - 1])
-                       for plan, kvs, avs in frozen
-                       if active[plan.band - 1] and plan.abscissas.size]
+            frozen = self._plan(active, panels)
+        self._bands = [self._band(active[entry[0].band - 1], *entry)
+                       for entry in frozen if active[entry[0].band - 1]
+                       and entry[0].abscissas.size]
 
         self._f_vals = np.vstack([
             np.broadcast_to(np.asarray(f(t=self.times), float),
@@ -308,44 +296,32 @@ class PsiEvaluator:
         self._fp0 = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
         self._k00, self._gx0_at0, _ = lin.origin_factors
         slopes = [float(lin.curves.alpha_prime(j, 0.0))
-                  for j in range(n_bands + 1)]
+                  for j in range(lin.n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))
 
     def _plan(self, active, panels):
-        """``(plan, K, dG/dx, A)`` per band that has a pair with G not x.
-
-        Every piece gets ``panels`` panels, so each plan is a (pieces,
-        panels) block, and the outer times are passed as a column.  When
-        every G is x, no band is planned and no curve is evaluated.
-        """
+        """``(plan, K, A)`` per band with a pair whose G is not x, each
+        band segment one piece of ``panels`` panels; when every G is x, no
+        curve is evaluated."""
         if not any(active):
             return
         lin = self.lin
-        # with cuts, band edges within roundoff of a cut are moved onto it,
-        # as the pc assembly moves them
-        edges = quadrature.band_edges(self.times, lin.curves, snap=self._cuts)
-        for pieces in quadrature.band_pieces(edges, self._cuts):
-            if active[pieces.band - 1]:
-                plan = quadrature.midpoint_plan(pieces, panels)
-                yield (plan, *lin.frozen_factors(
+        for plan in quadrature.band_plan(self.times, lin.curves, panels):
+            if active[plan.band - 1]:
+                kvs, _, avs = lin.frozen_factors(
                     plan.band, self.times[plan.piece_time, None],
-                    plan.abscissas))
+                    plan.abscissas)
+                yield plan, kvs, avs
 
-    def _band(self, plan, kvs, avs, equations):
-        """One band: its (pieces, panels) rows of A and K per pair.
-
-        On a cut plan a piece starts at a cut or at a band edge between
-        two cuts, so the cuts at or below its lower edge count its mesh
-        segment.
-        """
+    def _band(self, equations, plan, kvs, avs, segment=None):
+        """One band: its (pieces, panels) rows of A and K per pair; a pc
+        plan comes with the 0-based mesh ``segment`` of each piece."""
         shape = plan.abscissas.shape
         return _PsiBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
             piece_time=plan.piece_time, piece_width=plan.piece_width,
-            piece_lo=plan.piece_lo,
-            segment=None if self._cuts is None else np.searchsorted(
-                self._cuts, plan.piece_lo, side="right"),
+            piece_lo=plan.piece_lo, segment=segment,
             runs=np.flatnonzero(np.diff(plan.piece_time, prepend=-1)),
             abscissas=plan.abscissas.reshape(-1),
             pairs=tuple((i, avs[i].reshape(shape), kvs[i].reshape(shape))
@@ -388,8 +364,9 @@ class PsiEvaluator:
             return kept, [scaled[band.component - 1] @ shift
                           for band, shift in zip(self._bands, kept.shifts)]
         if (isinstance(iterate, PiecewiseConstantSolution)
-                and self._cuts is not None
-                and np.array_equal(iterate.mesh.nodes[1:-1], self._cuts)):
+                and self._bands[0].segment is not None
+                # a pc plan is cut at the mesh of nodes 0 and the times
+                and np.array_equal(iterate.mesh.nodes[1:], self.times)):
             return self._moments_of(0), [
                 iterate.values[band.component - 1][band.segment, None]
                 for band in self._bands]
@@ -472,14 +449,12 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     n_segments : mesh segments for the piecewise-constant inner solver
     max_iters : iteration cap
     tol : stop once the sampled correction sup-norm drops this low
-    panels : inner-solver quadrature panels (moment/coefficient integrals);
-        the right-hand-side integrals use ``DEFAULT_PSI_PANELS`` per band
-        segment for polynomial iterates and ``pc.HISTORY_PANELS`` per mesh
-        piece for piecewise-constant ones, and both are summed per piece
-        as w * (D . R - sum K * G(xm)), R the moments of the frozen
-        kernel (:class:`PsiEvaluator`).  At the default, collocation
-        moments and right-hand sides share one plan and one evaluation of
-        the frozen kernel
+    panels : inner-solver quadrature panels (collocation moments, pc
+        unknown-range coefficients).  Each inner solver hands its plan and
+        frozen kernel to the right-hand side (:class:`PsiEvaluator`): pc its
+        ``pc.HISTORY_PANELS`` history plan at any ``panels``, collocation
+        its moment plan at ``DEFAULT_PSI_PANELS`` only; at other values
+        psi plans that many panels per band segment itself
 
     Returns
     -------
@@ -493,6 +468,10 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    for name, n in (("degree", degree), ("n_segments", n_segments),
+                    ("max_iters", max_iters), ("panels", panels)):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral | None):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if panels is not None and panels < 1:
@@ -508,10 +487,11 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     if method == "pc":
         if n_segments is None:
             raise ValueError("the pc method needs n_segments")
-        mesh = Mesh.uniform(system.curves.horizon, n_segments)
-        disc = PCDiscretization(lin, mesh, panels=(
-            quadrature.DEFAULT_PANELS if panels is None else panels))
-        evaluator = PsiEvaluator(lin, disc.times, cuts=mesh.nodes[1:-1])
+        disc = PCDiscretization(
+            lin, Mesh.uniform(system.curves.horizon, n_segments),
+            panels=quadrature.DEFAULT_PANELS if panels is None else panels)
+        evaluator = PsiEvaluator(lin, disc.times,
+                                 frozen=disc.take_frozen_plan())
     elif method == "collocation":
         if degree is None:
             raise ValueError("the collocation method needs degree")

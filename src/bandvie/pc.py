@@ -20,8 +20,12 @@ assigned, a history segment never assigned, a singular step matrix, a
 jump of more than one segment) are checked as masks, and the first in
 node order is raised.  Every solve then takes one gather, one product
 and one scatter per step.  Band edges within roundoff of a mesh node are
-moved onto it, here and in the psi plan, so a curve that meets a node in
-exact arithmetic leaves no sub-ulp unknown range.
+moved onto it, so a curve that meets a node in exact arithmetic leaves no
+sub-ulp unknown range.
+
+The history weights are summed on one plan per band of the segments cut
+at the mesh nodes; the outer iteration hands that plan and the frozen
+kernel on it to psi (:meth:`PCDiscretization.take_frozen_plan`).
 
 The stepping is sequential by construction; distinct solves may run
 concurrently (two first solves may both build the step operator; the
@@ -132,14 +136,10 @@ class _StepOperator(NamedTuple):
 class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 
-    Everything that does not depend on the right-hand side is built once per
-    discretization: the per-step coefficient integrals and history piece
-    weights here, and at the first :meth:`solve` the step operator.  It
-    holds the inverse of every step matrix, all factorized in one stacked
-    elimination (:func:`~bandvie.linalg.lu_factor_stack`), and per step
-    one index array and one weight block that move the known step values
-    of every band to the right-hand side.  Every solve then does one
-    gather, one product and one scatter per step.
+    Everything that does not depend on the right-hand side is built once:
+    the per-step coefficient integrals and history piece weights here,
+    with the plan of the weights kept for psi (:meth:`take_frozen_plan`),
+    and at the first :meth:`solve` the step operator (:attr:`_steps`).
     """
 
     def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS):
@@ -150,52 +150,70 @@ class PCDiscretization:
         #: the collocation times t_1..t_N, the array every solve passes on
         self.times = mesh.nodes[1:]
         self.panels = int(panels)
-        self._bands = self._assemble()
+        self._bands, self._frozen = self._assemble()
 
     def _assemble(self):
-        """Per band ``(u, segments, coeff, hist, size, weights)``.
+        """Per band ``(u, segments, coeff, hist, size, weights)``; the plans.
 
         Per step k: segments[k-1] is the 1-based mesh segment holding
         alpha_j(t_k), whose step value is unknown, and coeff[k-1] the (n_eq,)
         integrals of Ktilde over the unknown range.  The history pieces,
         in step order, ``size[k-1]`` of them at step k, have a 0-based
         segment in ``hist`` and their integrals in the (n_eq, pieces)
-        ``weights``.  Band edges within roundoff of a mesh node are moved
-        onto it first (:func:`~bandvie.quadrature.band_edges`), as the psi
-        plan does.
+        ``weights``, rows of one ``HISTORY_PANELS`` plan of every piece,
+        the unknown ranges too, kept for :meth:`take_frozen_plan`.
         """
-        lin = self.lin
-        mesh = self.mesh
-        times = self.times
+        lin, mesh = self.lin, self.mesh
+        nonlinear = lin.nonlinear_equations
         n_steps, n_eq = mesh.n_segments, lin.n_equations
         cuts = mesh.nodes[1:-1]
-        edges = quadrature.band_edges(times, lin.curves, snap=cuts)
+        edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
         segments = mesh.segment_indices(edges[:, 1:])
-        bands = []
-        for pieces in quadrature.band_pieces(edges, cuts=cuts):
+        bands, frozen = [None] * lin.n_bands, []
+        # the bands psi keeps nothing of first, so no kept plan is held
+        # while they are evaluated; the kept ones stay in band order
+        for pieces in sorted(quadrature.band_pieces(edges, cuts=cuts),
+                             key=lambda p: bool(nonlinear[p.band - 1])):
             j = pieces.band
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
             last = np.diff(pieces.time_index, append=-1) != 0
             coeff_plan = quadrature.midpoint_plan(pieces.take(last), self.panels)
-            hist_plan = quadrature.midpoint_plan(pieces.take(~last),
-                                                 HISTORY_PANELS)
             coeff = np.zeros((n_steps, n_eq))
             coeff[coeff_plan.piece_time] = self._piece_integrals(
-                times, coeff_plan).T
-            bands.append((
+                coeff_plan)[0].T
+            plan = quadrature.midpoint_plan(pieces, HISTORY_PANELS)
+            kept = nonlinear[j - 1]     # psi keeps K and A of these pairs
+            weights, kvs, avs = self._piece_integrals(plan, kept)
+            segment = mesh.segment_indices(pieces.hi) - 1
+            bands[j - 1] = (
                 lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
-                mesh.segment_indices(pieces.hi[~last]) - 1,
-                np.bincount(hist_plan.piece_time, minlength=n_steps),
-                self._piece_integrals(times, hist_plan)))
-        return bands
+                segment[~last],
+                np.bincount(plan.piece_time[~last], minlength=n_steps),
+                weights[:, ~last])
+            if kept:
+                frozen.append((plan, kvs, avs, segment))
+        return bands, frozen
 
-    def _piece_integrals(self, times, plan):
-        """(n_eq, pieces) integrals of the frozen kernel over each piece."""
-        avs = self.lin.frozen_factors(
-            plan.band, times[plan.piece_time, None], plan.abscissas)[2]
-        return np.array([plan.piece_sums(a) * plan.piece_width for a in avs])
+    def _piece_integrals(self, plan, kept=()):
+        """(n_eq, pieces) integrals of A per piece; K and A of ``kept``."""
+        kvs, _, avs = self.lin.frozen_factors(
+            plan.band, self.times[plan.piece_time, None], plan.abscissas)
+        return (np.array([plan.piece_sums(a) * plan.piece_width for a in avs]),
+                {i: kvs[i] for i in kept}, {i: avs[i] for i in kept})
+
+    def take_frozen_plan(self):
+        """Hand over the history weights' band plans, once.
+
+        Per band with a pair whose G is not x, ``(plan, K values, A values,
+        segment)``: the ``HISTORY_PANELS`` plan of every piece, by equation
+        of those pairs K and the frozen kernel A = K * dG/dx(x0) on it, and
+        the 0-based mesh segment of each piece.  Afterwards the
+        discretization holds none of it; a second call returns None.
+        """
+        frozen, self._frozen = self._frozen, None
+        return frozen
 
     @cached_property
     def _steps(self):

@@ -174,6 +174,10 @@ class VolterraSystem:
 
         if unknown_of_band is None:
             unknown_of_band = tuple(range(1, n_bands + 1))
+        for u in unknown_of_band:
+            if isinstance(u, bool) or not isinstance(u, numbers.Integral):
+                raise ProblemDefinitionError(
+                    f"unknown_of_band entries must be integers, got {u!r}")
         self.unknown_of_band = tuple(int(u) for u in unknown_of_band)
         if len(self.unknown_of_band) != n_bands:
             raise ProblemDefinitionError(

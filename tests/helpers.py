@@ -10,6 +10,7 @@ from bandvie.linalg import (
     refined_solve,
 )
 from bandvie.newton import DEFAULT_PSI_PANELS, NORM_SAMPLES, PsiEvaluator
+from bandvie.pc import PCDiscretization
 from bandvie.problem import (
     CurveFamily,
     VolterraSystem,
@@ -84,19 +85,18 @@ class CallableRhs:
 def psi(system, x0, xm, ts, panels=DEFAULT_PSI_PANELS):
     """Right-hand side Psi at the times ts for guess x0 and iterate xm.
 
-    ``x0`` and ``xm`` follow the iterate protocol (ExpressionIterate,
-    piecewise-constant or polynomial solutions).  Band segments are split
-    at the iterate's breakpoints before integration.
+    ``x0`` and ``xm`` follow the iterate protocol (expression iterates or
+    polynomial solutions); each band segment is one piece of ``panels``
+    panels.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    lin = linearize(system, x0)
-    horizon = system.curves.horizon
-    cuts = np.asarray(xm.breakpoints_in(0.0, horizon), dtype=float)
-    if cuts.size:
-        ev = PsiEvaluator(lin, ts, cuts=cuts)
-    else:
-        ev = PsiEvaluator(lin, ts, panels=panels)
-    return ev.values(xm)
+    return PsiEvaluator(linearize(system, x0), ts, panels=panels).values(xm)
+
+
+def pc_psi_evaluator(lin, mesh):
+    """A pc discretization and the psi evaluator on the plan it hands over."""
+    disc = PCDiscretization(lin, mesh)
+    return disc, PsiEvaluator(lin, disc.times, frozen=disc.take_frozen_plan())
 
 
 def composite_midpoint(f, lo, hi, panels=DEFAULT_PANELS):

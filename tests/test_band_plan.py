@@ -19,7 +19,7 @@ from bandvie import collocation, quadrature
 from bandvie.config import load_problem
 from bandvie.errors import CurveOrderingError
 from bandvie.newton import PsiEvaluator
-from bandvie.pc import Mesh, PCDiscretization, solve_linear_pc
+from bandvie.pc import HISTORY_PANELS, Mesh, PCDiscretization, solve_linear_pc
 from bandvie.problem import (
     CurveFamily,
     VolterraSystem,
@@ -28,7 +28,7 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import empty_band_system, segment_index
+from helpers import empty_band_system, pc_psi_evaluator, segment_index
 
 RTOL = 1e-12
 
@@ -364,7 +364,8 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
     for name, system in (("model01", model01), ("nonlinear-scalar", scalar)):
         lin = linearize(system)
         mesh = Mesh.uniform(system.curves.horizon, 16)
-        ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+        # psi evaluates on the plan the pc assembly hands over
+        _, ev = pc_psi_evaluator(lin, mesh)
         ref = _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
         assert [(band.band, [i for i, *_ in band.pairs])
                 for band in ev._bands] == ACTIVE_PAIRS[name]
@@ -382,6 +383,30 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
                 np.testing.assert_array_equal(kernel.ravel(), kern[i])
                 np.testing.assert_array_equal(frozen.ravel(),
                                               kern[i] * slope[i])
+
+
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
+@pytest.mark.parametrize("n", [16, 64])
+def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
+    # the history weights and psi read one 4-panel plan of every piece;
+    # its last piece per time, the unknown range, carries no history
+    lin = linearize(builtin(name))
+    disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, n))
+    frozen = disc.take_frozen_plan()
+    assert [plan.band for plan, *_ in frozen] == [
+        j for j in range(1, lin.n_bands + 1) if lin.nonlinear_equations[j - 1]]
+    for plan, kvs, avs, segment in frozen:
+        _, _, _, hist, size, weights = disc._bands[plan.band - 1]
+        history = np.diff(plan.piece_time, append=-1) == 0
+        assert plan.abscissas.shape == (plan.piece_time.size, HISTORY_PANELS)
+        assert np.array_equal(hist, segment[history])
+        assert np.array_equal(size, np.bincount(plan.piece_time[history],
+                                                minlength=n))
+        assert sorted(avs) == sorted(kvs) == list(
+            lin.nonlinear_equations[plan.band - 1])
+        for i, a in avs.items():
+            expected = a.sum(axis=1) * plan.piece_width
+            assert weights[i].tobytes() == expected[history].tobytes()
 
 
 def _moment_case(name):

@@ -70,14 +70,22 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
     ("T: -2.0", "horizon T must be a positive finite number, got -2.0"),
     ("T: true", "horizon T must be a positive finite number, got True"),
     ("n: true", "n must be a positive integer, got True"),
+    ("unknown_of_band: [1.7, 2]",
+     "unknown_of_band entries must be integers, got 1.7"),
+    ("unknown_of_band: [true, 2]",
+     "unknown_of_band entries must be integers, got True"),
+    ('unknown_of_band: "12"',
+     "unknown_of_band entries must be integers, got '1'"),
 ])
 def test_run_bad_horizon_or_band_count_exits_2_with_one_error(
         tmp_path, capsys, line, message):
     key = line.split(":")[0]
+    rows = MODEL01_YAML.splitlines()
+    if not any(row.startswith(key + ":") for row in rows):
+        rows.append(key + ": null")     # an optional key the config omits
     bad = tmp_path / "bad.yaml"
     bad.write_text("\n".join(
-        line if row.startswith(key + ":") else row
-        for row in MODEL01_YAML.splitlines()) + "\n")
+        line if row.startswith(key + ":") else row for row in rows) + "\n")
     code = main(["run", "--config", str(bad), "--method", "pc",
                  "--nodes", "16"])
     assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from bandvie import quadrature
 from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
 from bandvie.newton import correction_norm, iterate
+from bandvie.pc import HISTORY_PANELS, Mesh
 from bandvie.problem import (
     CurveFamily,
     ExpressionIterate,
@@ -177,6 +178,42 @@ def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
                                    + [(j, 4 * 8000) for j in psi_bands])
 
 
+@pytest.mark.parametrize("name", ["model01", "nonlinear-scalar",
+                                  "nonlinear-sys2"])
+def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
+                                                             monkeypatch):
+    # the history weights and psi share one 4-panel plan of every piece:
+    # one frozen_factors call per band on it, one per band on the
+    # unknown ranges, one per band for the t = 0 values of the start matrix
+    system = builtin(name)
+    mesh = Mesh.uniform(system.curves.horizon, 16)
+    cuts = mesh.nodes[1:-1]
+    expected = []
+    for pieces in quadrature.band_pieces(quadrature.band_edges(
+            mesh.nodes[1:], system.curves, snap=cuts), cuts):
+        j = pieces.band
+        expected += [(j, 1), (j, HISTORY_PANELS * pieces.lo.size),
+                     (j, 50 * np.unique(pieces.time_index).size)]
+    calls, cut = [], []
+    original = LinearizedSystem.frozen_factors
+    band_pieces = quadrature.band_pieces
+
+    def counting(self, j, t, s):
+        calls.append((j, np.size(s)))
+        return original(self, j, t, s)
+
+    def counting_pieces(*args, **kwargs):
+        cut.append(args)
+        return band_pieces(*args, **kwargs)
+
+    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting)
+    monkeypatch.setattr(quadrature, "band_pieces", counting_pieces)
+    iterate(system, method="pc", n_segments=16, max_iters=3, tol=1e-15,
+            panels=50)
+    assert sorted(calls) == sorted(expected)
+    assert len(cut) == 1
+
+
 def test_linear_problem_converges_in_one_step(model01):
     for kwargs in (dict(method="collocation", degree=5),
                    dict(method="pc", n_segments=32)):
@@ -306,7 +343,11 @@ def test_records_are_indexed_from_one(sys2):
 
 @pytest.mark.parametrize("kwargs, name", [
     (dict(tol=float("nan")), "tol"), (dict(tol=float("inf")), "tol"),
-    (dict(panels=0), "panels")])
+    (dict(panels=0), "panels"), (dict(panels=10.7), "panels"),
+    (dict(degree=2.5), "degree"), (dict(degree=True), "degree"),
+    (dict(max_iters=2.5), "max_iters"),
+    (dict(method="pc", n_segments=32.5), "n_segments"),
+    (dict(method="pc", n_segments=np.float64(32)), "n_segments")])
 def test_iterate_rejects_unusable_numbers(model01, kwargs, name):
     with pytest.raises(ValueError, match=name):
-        iterate(model01, method="collocation", degree=3, **kwargs)
+        iterate(model01, **{"method": "collocation", "degree": 3, **kwargs})

@@ -21,7 +21,12 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import initial_values, pc_solve_reference, segment_index
+from helpers import (
+    initial_values,
+    pc_psi_evaluator,
+    pc_solve_reference,
+    segment_index,
+)
 
 SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
                   / "bench" / "problems" / "sample_problem.yaml")
@@ -143,9 +148,7 @@ def test_scalar_linearized_at_exact_matches_table_order(scalar):
     # the linear inner solve alone, frozen and driven at the exact solution,
     # must show the same first-order error level as the full iteration
     lin = linearize(scalar, scalar.exact_iterate())
-    evaluator = PsiEvaluator(
-        lin, Mesh.uniform(1.0, 128).nodes[1:],
-        cuts=Mesh.uniform(1.0, 128).nodes[1:-1])
+    disc, evaluator = pc_psi_evaluator(lin, Mesh.uniform(1.0, 128))
     exact = scalar.exact_iterate()
 
     class _Rhs:
@@ -155,7 +158,7 @@ def test_scalar_linearized_at_exact_matches_table_order(scalar):
         def derivative_at_zero(self):
             return evaluator.derivative_at_zero(exact)
 
-    sol = PCDiscretization(lin, Mesh.uniform(1.0, 128)).solve(_Rhs())
+    sol = disc.solve(_Rhs())
     err = sup_errors(scalar, sol)[0]
     assert 7.30057e-4 <= err <= 7.30057e-2  # within a factor 10 of 7.30057e-3
 
@@ -383,9 +386,8 @@ def test_solve_matches_step_loop_with_band_edges_on_nodes(model02, n):
 def test_solve_matches_step_loop_for_psi(sys2, n):
     # psi at the guess and at the first pc iterate, not only f
     lin = linearize(sys2)
-    mesh = Mesh.uniform(sys2.curves.horizon, n)
-    disc = PCDiscretization(lin, mesh)
-    evaluator = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    disc, evaluator = pc_psi_evaluator(
+        lin, Mesh.uniform(sys2.curves.horizon, n))
     current = sys2.guess_iterate()
     for _ in range(2):
         rhs = _PsiRhs(evaluator, current)

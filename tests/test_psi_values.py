@@ -1,9 +1,9 @@
 """PsiEvaluator.values and the Horner iterates against the loops they replace.
 
-Every plan, with or without mesh cuts, sums w * (sum A * xm - sum K *
-G(xm)) per piece.  An iterate that is a polynomial on every piece (a
-polynomial, or steps on the mesh of the cuts) gives per piece its
-coefficients D_k in the plan's reference powers, and its linear term is
+Every plan, a collocation plan or the pc plan cut at mesh nodes, sums w *
+(sum A * xm - sum K * G(xm)) per piece.  An iterate that is a polynomial
+on every piece (a polynomial, or steps on the mesh of a pc plan) gives
+per piece its coefficients D_k in the plan's reference powers, and its linear term is
 D_k . R_k with R = A @ table.T; the pieces of a time are summed before f
 is added.  Every other iterate (the guess) is summed on the plan, piece by
 piece into f.  ``_per_node_values`` is that formula one piece at a time
@@ -34,6 +34,7 @@ from bandvie.newton import iterate as run_newton
 from bandvie.pc import (
     HISTORY_PANELS,
     Mesh,
+    PCDiscretization,
     PiecewiseConstantSolution,
     solve_linear_pc,
 )
@@ -45,7 +46,7 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import empty_band_system
+from helpers import empty_band_system, pc_psi_evaluator
 
 #: agreement of the psi sums with the other summation orders, relative to
 #: the sum of the magnitudes of their terms plus |f|
@@ -289,10 +290,11 @@ def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
 
 @lru_cache(maxsize=None)
 def _cut_evaluator(name, n_segments):
-    """A psi evaluator on the cut plan of a uniform pc mesh, and the mesh."""
+    """A psi evaluator on the plan a pc discretization of a uniform mesh
+    hands over, and the mesh."""
     lin = linearize(_system(name))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    return PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1]), mesh
+    return pc_psi_evaluator(lin, mesh)[1], mesh
 
 
 @settings(max_examples=25, deadline=None)
@@ -336,8 +338,7 @@ def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
 
 def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
     lin = linearize(scalar)
-    mesh = Mesh.uniform(scalar.curves.horizon, 16)
-    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    _, ev = pc_psi_evaluator(lin, Mesh.uniform(scalar.curves.horizon, 16))
     for iterate in (scalar.guess_iterate(),
                     solve_linear_pc(scalar, n_segments=16)):
         assert np.array_equal(ev.values(iterate),
@@ -353,8 +354,8 @@ def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
     # a prefix sum over the whole band, differenced per time, missed by
     # 1.8e-12 of the scale at N = 256 on this iterate
     lin = linearize(sys2)
-    nodes = Mesh.uniform(sys2.curves.horizon, n_segments).nodes
-    ev = PsiEvaluator(lin, nodes[1:], cuts=nodes[1:-1])
+    _, ev = pc_psi_evaluator(lin, Mesh.uniform(sys2.curves.horizon,
+                                               n_segments))
     pc_iterate, _ = run_newton(sys2, method="pc", n_segments=n_segments,
                                max_iters=3)
     exact, scale = _fsum_values(ev, pc_iterate)
@@ -378,6 +379,10 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
                                                             monkeypatch):
     lin = linearize(model01)
     lin.origin_factors          # the t = 0 values belong to the start matrix
+    disc = PCDiscretization(lin, Mesh.uniform(model01.curves.horizon, 16))
+    # every G is x: the assembly hands psi no band
+    handed = disc.take_frozen_plan()
+    assert handed == []
     evaluated, frozen_calls = [], []
     call, frozen = Expression.__call__, LinearizedSystem.frozen_factors
 
@@ -391,8 +396,7 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
 
     monkeypatch.setattr(Expression, "__call__", counting_call)
     monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting_frozen)
-    mesh = Mesh.uniform(model01.curves.horizon, 16)
-    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    ev = PsiEvaluator(lin, disc.times, frozen=handed)
     assert frozen_calls == []
     kernels = [e for row in model01.kernels + model01.g_x for e in row]
     assert not any(any(e is k for k in kernels) for e in evaluated)
@@ -404,17 +408,20 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
 
 
 def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
-    nodes = Mesh.uniform(scalar.curves.horizon, 8).nodes
-    cases = [(sys2, collocation_nodes(sys2.curves.horizon, 5), None),
-             (scalar, nodes[1:], nodes[1:-1])]
-    for system, times, cuts in cases:
+    mesh = Mesh.uniform(scalar.curves.horizon, 8)
+    # a collocation plan of its own and the plan of a pc discretization
+    builds = [
+        (sys2, lambda lin: PsiEvaluator(
+            lin, collocation_nodes(sys2.curves.horizon, 5), panels=700)),
+        (scalar, lambda lin: pc_psi_evaluator(lin, mesh)[1])]
+    for system, build in builds:
         lin = linearize(system)
         # of two degrees, so the kept power table is rebuilt between calls
         a, b = _polynomial(system, 3), _polynomial(system, 4, degree=9)
-        ev = PsiEvaluator(lin, times, cuts=cuts, panels=700)
+        ev = build(lin)
         for iterate in (a, b, a, b):
-            fresh = PsiEvaluator(lin, times, cuts=cuts, panels=700)
-            assert np.array_equal(ev.values(iterate), fresh.values(iterate))
+            assert np.array_equal(ev.values(iterate),
+                                  build(lin).values(iterate))
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
@@ -422,8 +429,7 @@ def test_step_psi_evaluates_g_once_per_piece_and_locates_no_abscissa(
         name, monkeypatch):
     system = builtin(name)
     lin = linearize(system)
-    mesh = Mesh.uniform(system.curves.horizon, 32)
-    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    _, ev = pc_psi_evaluator(lin, Mesh.uniform(system.curves.horizon, 32))
     steps = solve_linear_pc(system, n_segments=32)
     ev.values(steps)            # the moments of degree 0 are built here
     evaluated, located = [], []
@@ -455,7 +461,7 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
     lin.nonlinear_equations = tuple(tuple(range(lin.n_equations))
                                     for _ in range(lin.n_bands))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    ev = PsiEvaluator(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
+    _, ev = pc_psi_evaluator(lin, mesh)
     assert [band.band for band in ev._bands] == list(range(lin.n_bands))
     for band in ev._bands:
         located = mesh.segment_indices(band.abscissas) - 1
@@ -466,9 +472,8 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
 
 def test_psi_rhs_takes_the_planned_times_and_no_others(scalar):
     lin = linearize(scalar)
-    mesh = Mesh.uniform(scalar.curves.horizon, 8)
-    times = mesh.nodes[1:]
-    ev = PsiEvaluator(lin, times, cuts=mesh.nodes[1:-1])
+    disc, ev = pc_psi_evaluator(lin, Mesh.uniform(scalar.curves.horizon, 8))
+    times = disc.times
     assert ev.times is times
     rhs = _PsiRhs(ev, scalar.guess_iterate())
     planned = rhs.values(times)
