@@ -31,10 +31,9 @@ _VALIDATION_ERRORS = (
     FileNotFoundError, IsADirectoryError, PermissionError,
 )
 
-#: sample times and panels for the residual report of problems without
-#: a known exact solution
+#: sample times for the residual report of problems without a known exact
+#: solution
 _RESIDUAL_SAMPLES = 51
-_RESIDUAL_PANELS = 2000
 
 
 def _add_common(parser):
@@ -119,7 +118,7 @@ def _solve_once(system, args, param_name, value):
     else:
         ts = np.linspace(0.0, system.curves.horizon, _RESIDUAL_SAMPLES)[1:]
         rep.residual_sup = float(np.max(np.abs(band_quadrature_residual(
-            system, solution, ts, panels=_RESIDUAL_PANELS))))
+            system, solution, ts))))
     return rep
 
 

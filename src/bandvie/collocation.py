@@ -49,9 +49,7 @@ class ConditioningWarning(UserWarning):
 
 def collocation_nodes(horizon, degree):
     """Uniform collocation nodes t_k = k T / m, k = 1..m."""
-    m = int(degree)
-    if m < 1:
-        raise ValueError("degree must be >= 1")
+    m = quadrature.checked_count("degree", degree)
     return np.arange(1, m + 1) * (float(horizon) / m)
 
 
@@ -105,11 +103,10 @@ class CollocationDiscretization:
     """
 
     def __init__(self, lin, degree, panels=DEFAULT_MOMENT_PANELS):
-        m = int(degree)
-        self.nodes = collocation_nodes(lin.curves.horizon, m)
+        self.nodes = collocation_nodes(lin.curves.horizon, degree)
         self.lin = lin
-        self.degree = m
-        self.panels = int(panels)
+        self.degree = m = self.nodes.size
+        self.panels = quadrature.checked_count("panels", panels)
         self.scale = float(lin.curves.horizon)
         self._powers = self.scale ** np.arange(1, m + 1)
 

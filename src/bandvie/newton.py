@@ -18,12 +18,13 @@ is 1 * xm - xm = 0 exactly), so the evaluator skips it
 Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
 G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
 Each inner solver builds one plan, evaluates the frozen kernel on it and
-hands both to psi: collocation the plan of its moments, pc the plan of its
-history weights, each band segment cut at the mesh nodes.  Since the
-derivative is frozen, sum A * xm is the frozen operator applied to the
-iterate, taken from moments of A for an iterate that is a polynomial on
-every piece (collocation and pc iterates); only the guess, an expression
-iterate, is summed on the plan.
+hands both to psi, which plans nothing of its own: collocation the plan of
+its moments, at any panel count, pc the plan of its history weights, each
+band segment cut at the mesh nodes.  Since the derivative is frozen, sum
+A * xm is the frozen operator applied to the iterate, taken from moments
+of A for an iterate that is a polynomial on every piece (collocation and
+pc iterates); only the guess, an expression iterate, is summed on the
+plan.
 
 One run is sequential in the iteration index.  A :class:`PsiEvaluator`
 keeps between calls the moments of the last degree it was given, which
@@ -52,9 +53,6 @@ from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .pc import Mesh, PCDiscretization, PiecewiseConstantSolution
 from .problem import linearize, validate
 from .report import measure_errors
-
-#: midpoint panels per smooth band segment for the right-hand-side integrals
-DEFAULT_PSI_PANELS = 8000
 
 #: sample count per component for the correction sup-norm
 NORM_SAMPLES = 1001
@@ -239,24 +237,25 @@ class _Moments(NamedTuple):
 class PsiEvaluator:
     """Right-hand-side evaluator on the quadrature plan of the inner solver.
 
-    The plan only depends on the linearized system and the evaluation
-    times, so one evaluator serves every outer iteration.  Per band with a
-    pair whose G is not x it keeps the abscissas, A = K * dG/dx(x0) and K
-    (:class:`_PsiBand`), and for the iterates of the last degree d it was
-    given the table of reference powers, the shifts and the moments R = A
-    @ table.T (:class:`_Moments`).  A band where every G is x is neither
-    planned nor evaluated, and a system whose G are all x plans nothing.
-
-    Given ``frozen``, the band plans an inner solver built over ``times``
-    with K and A on them (its ``take_frozen_plan``), it evaluates no
-    kernel itself: a :class:`~bandvie.collocation.CollocationDiscretization`
-    hands over its moment plans, one piece per time, and a
+    ``frozen`` holds the band plans an inner solver built over ``times``,
+    with K and A = K * dG/dx(x0) on them (its ``take_frozen_plan``); the
+    evaluator plans and evaluates no kernel itself.  A
+    :class:`~bandvie.collocation.CollocationDiscretization` hands over its
+    moment plans, one piece per time, and a
     :class:`~bandvie.pc.PCDiscretization`, over its mesh nodes t_1..t_N,
     its history plans: each band segment cut at the nodes into pieces of
-    ``pc.HISTORY_PANELS`` panels, each with its mesh segment.  Without
-    ``frozen`` each band segment is one piece of ``panels`` panels.
-    Either way psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of
-    w * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
+    ``pc.HISTORY_PANELS`` panels, each with its mesh segment.  An empty
+    hand-off plans no band: psi is f.  psi_i(t_k) = f_i(t_k) + the sum
+    over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)), w
+    the piece's panel width.
+
+    The plan only depends on the linearized system and the evaluation
+    times, so one evaluator serves every outer iteration.  Per band with a
+    pair whose G is not x it keeps the abscissas, A and K
+    (:class:`_PsiBand`), and for the iterates of the last degree d it was
+    given the table of reference powers, the shifts and the moments R = A
+    @ table.T (:class:`_Moments`).  A band where every G is x is not
+    evaluated.
 
     An iterate that is a polynomial on every piece gives per piece its
     coefficients D_k in the reference powers, and sum A * xm is D_k . R_k:
@@ -276,15 +275,13 @@ class PsiEvaluator:
     on the plan.
     """
 
-    def __init__(self, lin, times, panels=DEFAULT_PSI_PANELS, frozen=None):
+    def __init__(self, lin, times, frozen):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
         self._scale = float(lin.curves.horizon)
         self._moments = None
         system = lin.system
         active = lin.nonlinear_equations
-        if frozen is None:
-            frozen = self._plan(active, panels)
         self._bands = [self._band(active[entry[0].band - 1], *entry)
                        for entry in frozen if active[entry[0].band - 1]
                        and entry[0].abscissas.size]
@@ -298,20 +295,6 @@ class PsiEvaluator:
         slopes = [float(lin.curves.alpha_prime(j, 0.0))
                   for j in range(lin.n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))
-
-    def _plan(self, active, panels):
-        """``(plan, K, A)`` per band with a pair whose G is not x, each
-        band segment one piece of ``panels`` panels; when every G is x, no
-        curve is evaluated."""
-        if not any(active):
-            return
-        lin = self.lin
-        for plan in quadrature.band_plan(self.times, lin.curves, panels):
-            if active[plan.band - 1]:
-                kvs, _, avs = lin.frozen_factors(
-                    plan.band, self.times[plan.piece_time, None],
-                    plan.abscissas)
-                yield plan, kvs, avs
 
     def _band(self, equations, plan, kvs, avs, segment=None):
         """One band: its (pieces, panels) rows of A and K per pair; a pc
@@ -449,12 +432,11 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     n_segments : mesh segments for the piecewise-constant inner solver
     max_iters : iteration cap
     tol : stop once the sampled correction sup-norm drops this low
-    panels : inner-solver quadrature panels (collocation moments, pc
-        unknown-range coefficients).  Each inner solver hands its plan and
-        frozen kernel to the right-hand side (:class:`PsiEvaluator`): pc its
-        ``pc.HISTORY_PANELS`` history plan at any ``panels``, collocation
-        its moment plan at ``DEFAULT_PSI_PANELS`` only; at other values
-        psi plans that many panels per band segment itself
+    panels : quadrature panels per band segment of the inner solver's own
+        plan: collocation takes its moments on it, and psi sums on it too;
+        pc takes its unknown-range coefficients on it, while its history
+        weights and psi share a ``pc.HISTORY_PANELS`` plan of the pieces
+        cut at the mesh nodes
 
     Returns
     -------
@@ -462,20 +444,27 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
 
     Raises
     ------
+    ValueError
+        If a number is unusable, or ``degree`` / ``n_segments`` is missing
+        for its method or given to the other one; the argument is named.
     DivergenceError
         If the correction norm grows by more than a factor of 1e3 over
         three consecutive iterations; the partial report is attached.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    for name, n in (("degree", degree), ("n_segments", n_segments),
-                    ("max_iters", max_iters), ("panels", panels)):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral | None):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if panels is not None and panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0)):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    quadrature.checked_count("max_iters", max_iters)
+    own = {"pc": "n_segments", "collocation": "degree"}.get(method)
+    if own is None:
+        raise ValueError(f"unknown inner method {method!r}")
+    # degree, n_segments and panels are checked where they are used
+    for name, value in (("degree", degree), ("n_segments", n_segments)):
+        if name == own and value is None:
+            raise ValueError(f"the {method} method needs {name}")
+        if name != own and value is not None:
+            raise ValueError(
+                f"the {method} method takes no {name}, got {value!r}")
     if not skip_validation:
         diagnostics = validate(system)
         if diagnostics:
@@ -485,28 +474,17 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
 
     lin = linearize(system)
     if method == "pc":
-        if n_segments is None:
-            raise ValueError("the pc method needs n_segments")
         disc = PCDiscretization(
             lin, Mesh.uniform(system.curves.horizon, n_segments),
             panels=quadrature.DEFAULT_PANELS if panels is None else panels)
-        evaluator = PsiEvaluator(lin, disc.times,
-                                 frozen=disc.take_frozen_plan())
-    elif method == "collocation":
-        if degree is None:
-            raise ValueError("the collocation method needs degree")
+        times = disc.times
+    else:
         disc = CollocationDiscretization(
             lin, degree,
             panels=DEFAULT_MOMENT_PANELS if panels is None else panels)
-        # the moments' plan is the psi plan when the panel counts agree;
-        # what psi does not keep of it is freed here
-        frozen = disc.take_frozen_plan()
-        if disc.panels != DEFAULT_PSI_PANELS:
-            frozen = None
-        evaluator = PsiEvaluator(lin, disc.nodes, frozen=frozen)
-        del frozen
-    else:
-        raise ValueError(f"unknown inner method {method!r}")
+        times = disc.nodes
+    # what psi does not keep of the handed-over plan is freed here
+    evaluator = PsiEvaluator(lin, times, disc.take_frozen_plan())
 
     report = IterationReport()
     current = system.guess_iterate()

@@ -66,8 +66,7 @@ class Mesh:
 
     @classmethod
     def uniform(cls, horizon, n_segments):
-        if n_segments < 2:
-            raise ValueError("need at least 2 segments")
+        n_segments = quadrature.checked_count("n_segments", n_segments, 2)
         return cls(np.linspace(0.0, float(horizon), n_segments + 1))
 
     @property
@@ -149,7 +148,7 @@ class PCDiscretization:
         self.mesh = mesh
         #: the collocation times t_1..t_N, the array every solve passes on
         self.times = mesh.nodes[1:]
-        self.panels = int(panels)
+        self.panels = quadrature.checked_count("panels", panels)
         self._bands, self._frozen = self._assemble()
 
     def _assemble(self):

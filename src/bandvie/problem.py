@@ -698,8 +698,10 @@ def band_quadrature_residual(system, solution, t, panels=2000):
     The share depends on the horizon T only, so a time reads the same
     alone as in any batch.  ``t`` may be a scalar (result shape
     (n_equations,)) or an array of times (result shape (n_equations,) +
-    t.shape), all integrated in one quadrature plan.
+    t.shape), all integrated in one quadrature plan.  ``panels`` must be
+    an integer >= 1 (ValueError otherwise).
     """
+    panels = quadrature.checked_count("panels", panels)
     t = np.asarray(t, dtype=float)
     times = t.ravel()
     cuts = solution.breakpoints_in(0.0, system.curves.horizon)

@@ -27,6 +27,7 @@ iterates of psi are products with that table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,22 @@ DEFAULT_PANELS = 200
 
 #: tolerance for curve-ordering violations and tiling checks
 ORDER_TOL = 1e-12
+
+
+def checked_count(name, value, minimum=1):
+    """``value`` as an int: a count such as panels, a degree or a segment
+    number must be an integer, not a bool, of at least ``minimum``.
+
+    Raises
+    ------
+    ValueError
+        Naming ``name`` otherwise.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def midpoints(lo, hi, panels):

@@ -2,14 +2,18 @@
 
 import numpy as np
 
-from bandvie.collocation import PolynomialSolution, flatten_index
+from bandvie.collocation import (
+    DEFAULT_MOMENT_PANELS,
+    PolynomialSolution,
+    flatten_index,
+)
 from bandvie.linalg import (
     LUFactorization,
     lu_factor_stack,
     lu_substitute,
     refined_solve,
 )
-from bandvie.newton import DEFAULT_PSI_PANELS, NORM_SAMPLES, PsiEvaluator
+from bandvie.newton import NORM_SAMPLES, PsiEvaluator
 from bandvie.pc import PCDiscretization
 from bandvie.problem import (
     CurveFamily,
@@ -18,7 +22,7 @@ from bandvie.problem import (
     linearize,
     rhs_at_nodes,
 )
-from bandvie.quadrature import DEFAULT_PANELS, midpoints
+from bandvie.quadrature import DEFAULT_PANELS, band_plan, midpoints
 from bandvie.report import ERROR_SAMPLES
 
 
@@ -82,15 +86,24 @@ class CallableRhs:
         return self._d0.copy()
 
 
-def psi(system, x0, xm, ts, panels=DEFAULT_PSI_PANELS):
+def psi(system, x0, xm, ts, panels=DEFAULT_MOMENT_PANELS):
     """Right-hand side Psi at the times ts for guess x0 and iterate xm.
 
     ``x0`` and ``xm`` follow the iterate protocol (expression iterates or
-    polynomial solutions); each band segment is one piece of ``panels``
-    panels.
+    polynomial solutions).  Psi sums on the hand-off a collocation
+    discretization makes, here at any times, t = 0 included: per band
+    with a pair whose G is not x, the plan of each band segment as one
+    piece of ``panels`` panels, with K and A on it.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return PsiEvaluator(linearize(system, x0), ts, panels=panels).values(xm)
+    lin = linearize(system, x0)
+    frozen = []
+    for plan in band_plan(ts, lin.curves, panels):
+        if lin.nonlinear_equations[plan.band - 1]:
+            kvs, _, avs = lin.frozen_factors(
+                plan.band, ts[plan.piece_time, None], plan.abscissas)
+            frozen.append((plan, kvs, avs))
+    return PsiEvaluator(lin, ts, frozen).values(xm)
 
 
 def pc_psi_evaluator(lin, mesh):

@@ -191,8 +191,8 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
         system = builtin(name)
         lin = linearize(system)
         exact_it = system.exact_iterate()
-        evaluator = PsiEvaluator(
-            lin, np.array([system.curves.horizon]), panels=100)
+        # only d(psi)/dt at 0 is read: an empty hand-off plans no band
+        evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]), ())
         rhs = CallableRhs(
             [lambda t: 0.0] * system.n_equations,
             evaluator.derivative_at_zero(exact_it))

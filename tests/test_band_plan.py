@@ -278,6 +278,15 @@ def test_residual_with_zero_length_band():
         assert np.max(np.abs(got - ref)) <= RTOL * _scale(system, times)
 
 
+@pytest.mark.parametrize("panels", [2.5, -5, 0, True, np.float64(2000)])
+def test_residual_rejects_unusable_panel_counts(model01, panels):
+    # unchecked, 2.5 would lay 3 panels of width (hi - lo) / 2.5, -5 return
+    # -f and 0 nan
+    with pytest.raises(ValueError, match="panels"):
+        band_quadrature_residual(model01, model01.exact_iterate(), 1.0,
+                                 panels=panels)
+
+
 @pytest.mark.parametrize("name, n", [("model01", 16), ("model02", 12),
                                      ("nonlinear-scalar", 10), ("repeated", 8)])
 def test_pc_assembly_matches_loop(name, n):
@@ -338,11 +347,12 @@ ACTIVE_PAIRS = {"model01": [], "model02": [], "nonlinear-scalar": [(0, [0])],
 
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
 def test_psi_plan_without_cuts_is_bit_identical(name):
+    # psi keeps the moment plan a collocation discretization hands over
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
-    times = np.concatenate(([0.0], np.linspace(0.1, system.curves.horizon, 6)))
-    ev = PsiEvaluator(lin, times, panels=500)
-    ref = _loop_psi_plan(lin, times, panels=500)
+    disc = collocation.CollocationDiscretization(lin, 6, panels=500)
+    ev = PsiEvaluator(lin, disc.nodes, disc.take_frozen_plan())
+    ref = _loop_psi_plan(lin, disc.nodes, panels=500)
     # the evaluator keeps the pairs whose G is not x, and only those
     assert [(band.band, [i for i, *_ in band.pairs]) for band in ev._bands] \
         == ACTIVE_PAIRS[name]

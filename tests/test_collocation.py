@@ -57,6 +57,20 @@ def test_collocation_nodes():
         collocation_nodes(2.0, 0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(panels=0), "panels"), (dict(panels=-3), "panels"),
+    (dict(panels=2.5), "panels"), (dict(degree=2.5), "degree"),
+    (dict(degree=True), "degree"), (dict(degree=0), "degree")])
+def test_one_shot_collocation_rejects_unusable_counts(model01, kwargs, name):
+    # a count is not truncated (2.5 is not degree 2, True not degree 1),
+    # and one below its minimum is named before any plan is laid
+    with pytest.raises(ValueError, match=name):
+        solve_linear_collocation(model01, **kwargs)
+    with pytest.raises(ValueError, match=name):
+        CollocationDiscretization(linearize(model01),
+                                  **{"degree": 3, **kwargs})
+
+
 def test_moment_unit_kernel_single_band():
     system = VolterraSystem(
         curves=CurveFamily(2.0, ()),
@@ -231,8 +245,9 @@ def test_scalar_problem_collocation_via_shared_unknown(scalar):
     lin = linearize(scalar, scalar.exact_iterate())
     from bandvie.newton import PsiEvaluator
 
-    nodes = collocation_nodes(1.0, 2)
-    evaluator = PsiEvaluator(lin, nodes)
+    # psi sums on the plan the moments were taken from
+    disc = CollocationDiscretization(lin, degree=2)
+    evaluator = PsiEvaluator(lin, disc.nodes, disc.take_frozen_plan())
     exact = scalar.exact_iterate()
 
     class _Rhs:
@@ -242,7 +257,7 @@ def test_scalar_problem_collocation_via_shared_unknown(scalar):
         def derivative_at_zero(self):
             return evaluator.derivative_at_zero(exact)
 
-    sol = CollocationDiscretization(lin, degree=2).solve(_Rhs())
+    sol = disc.solve(_Rhs())
     assert np.allclose(sol.coefficients, [[0.0, 0.0, 1.0]], atol=1e-7)
 
 

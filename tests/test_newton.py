@@ -167,15 +167,13 @@ def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
     bands = range(1, system.n_bands + 1)
     assert sorted(calls) == sorted([(j, 1) for j in bands]
                                    + [(j, 4 * 8000) for j in bands])
-    # moments on other panel counts leave psi its own 8000-panel plan, on
-    # the bands whose G is not x
+    # at other panel counts psi still sums on the moments' plan: no
+    # 8000-panel plan of its own
     calls.clear()
     iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15,
             panels=500)
-    psi_bands = bands if name == "nonlinear-sys2" else []
     assert sorted(calls) == sorted([(j, 1) for j in bands]
-                                   + [(j, 4 * 500) for j in bands]
-                                   + [(j, 4 * 8000) for j in psi_bands])
+                                   + [(j, 4 * 500) for j in bands])
 
 
 @pytest.mark.parametrize("name", ["model01", "nonlinear-scalar",
@@ -346,8 +344,13 @@ def test_records_are_indexed_from_one(sys2):
     (dict(panels=0), "panels"), (dict(panels=10.7), "panels"),
     (dict(degree=2.5), "degree"), (dict(degree=True), "degree"),
     (dict(max_iters=2.5), "max_iters"),
-    (dict(method="pc", n_segments=32.5), "n_segments"),
-    (dict(method="pc", n_segments=np.float64(32)), "n_segments")])
+    (dict(method="pc", degree=None, n_segments=32.5), "n_segments"),
+    (dict(method="pc", degree=None, n_segments=np.float64(32)),
+     "n_segments"),
+    (dict(max_iters=None), "max_iters"), (dict(tol="1e-3"), "tol"),
+    (dict(tol=True), "tol"),
+    (dict(method="pc", degree=5, n_segments=8), "degree"),
+    (dict(n_segments=8), "n_segments")])
 def test_iterate_rejects_unusable_numbers(model01, kwargs, name):
     with pytest.raises(ValueError, match=name):
         iterate(model01, **{"method": "collocation", "degree": 3, **kwargs})

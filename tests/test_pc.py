@@ -65,6 +65,20 @@ def test_mesh_validation():
     assert Mesh.uniform(2.0, 8).h == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(panels=2.5), "panels"), (dict(panels=0), "panels"),
+    (dict(panels=-3), "panels"), (dict(panels=True), "panels"),
+    (dict(n_segments=8.7), "n_segments"), (dict(n_segments=1), "n_segments")])
+def test_one_shot_pc_rejects_unusable_counts(model01, kwargs, name):
+    # a count is not truncated (2.5 is not 2 panels), and one below its
+    # minimum is named before any plan is laid
+    with pytest.raises(ValueError, match=name):
+        solve_linear_pc(model01, **kwargs)
+    with pytest.raises(ValueError, match=name):
+        PCDiscretization(linearize(model01), Mesh.uniform(
+            2.0, kwargs.get("n_segments", 8)), kwargs.get("panels", 200))
+
+
 def test_initial_values_match_exact_starts(model01, model02, scalar, sys1):
     assert np.allclose(initial_values(model01), [1.0, 0.0], atol=1e-10)
     assert np.allclose(initial_values(model02), [1.0, 0.0, 0.0], atol=1e-10)
@@ -81,8 +95,8 @@ def test_initial_values_match_exact_for_all_builtins():
         system = builtin(name)
         lin = linearize(system)
         exact = system.exact_iterate()
-        evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]),
-                                 panels=200)
+        # only d(psi)/dt at 0 is read: an empty hand-off plans no band
+        evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]), ())
 
         class _Rhs:
             def values(self, ts):  # pragma: no cover - unused here

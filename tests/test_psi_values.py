@@ -27,9 +27,9 @@ from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from bandvie import collocation, quadrature
-from bandvie.collocation import PolynomialSolution, collocation_nodes
+from bandvie.collocation import DEFAULT_MOMENT_PANELS, PolynomialSolution
 from bandvie.expr import Expression
-from bandvie.newton import DEFAULT_PSI_PANELS, PsiEvaluator, _PsiRhs
+from bandvie.newton import PsiEvaluator, _PsiRhs
 from bandvie.newton import iterate as run_newton
 from bandvie.pc import (
     HISTORY_PANELS,
@@ -222,7 +222,7 @@ def test_horner_matches_polyval_bit_for_bit(degree):
 
 def test_sys2_collocation_nodes_bit_identical(sys2):
     lin = linearize(sys2)
-    ev = PsiEvaluator(lin, collocation_nodes(sys2.curves.horizon, 6))
+    ev = _collocation_evaluator(lin, 6)
     for iterate in (sys2.guess_iterate(), _polynomial(sys2, 1)):
         got = ev.values(iterate)
         assert np.array_equal(got, _per_node_values(ev, iterate))
@@ -231,55 +231,53 @@ def test_sys2_collocation_nodes_bit_identical(sys2):
                            scale)
 
 
-@lru_cache(maxsize=None)
-def _node_evaluator(name, nodes, frozen, panels=DEFAULT_PSI_PANELS):
-    """A psi evaluator at ``nodes`` collocation nodes: given ``frozen``, on
-    the plan a collocation discretization of that degree took its moments
-    from, else on its own plan of ``panels`` panels."""
-    lin = linearize(_system(name))
-    if not frozen:
-        return PsiEvaluator(lin, collocation_nodes(lin.curves.horizon, nodes),
-                            panels=panels)
+def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
+    """A psi evaluator on the plan of ``panels`` panels that a collocation
+    discretization of ``degree`` took its moments from."""
     # the empty-band system's moment matrix is singular; only its plan is
     # needed here
     with mock.patch.object(collocation, "LUFactorization",
                            lambda matrix: None):
-        disc = collocation.CollocationDiscretization(lin, nodes)
-    return PsiEvaluator(lin, disc.nodes, frozen=disc.take_frozen_plan())
+        disc = collocation.CollocationDiscretization(lin, degree,
+                                                     panels=panels)
+    return PsiEvaluator(lin, disc.nodes, disc.take_frozen_plan())
+
+
+@lru_cache(maxsize=None)
+def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
+    """:func:`_collocation_evaluator` of a test system at ``nodes`` nodes."""
+    return _collocation_evaluator(linearize(_system(name)), nodes, panels)
 
 
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar",
                              "empty-band", "s-dependent"]),
        degree=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
-       nodes=st.sampled_from([1, 3, 7]), frozen=st.booleans(),
-       panels=st.sampled_from([DEFAULT_PSI_PANELS, 300, 1001]))
+       nodes=st.sampled_from([1, 3, 7]),
+       panels=st.sampled_from([DEFAULT_MOMENT_PANELS, 300, 1001]))
 # polynomial iterates of degree below, at and above the discretization's
-@example(name="nonlinear-sys2", degree=0, seed=1, nodes=7, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-@example(name="nonlinear-sys2", degree=7, seed=2, nodes=7, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-@example(name="nonlinear-sys2", degree=12, seed=3, nodes=7, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-@example(name="nonlinear-scalar", degree=1, seed=4, nodes=1, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-@example(name="nonlinear-scalar", degree=12, seed=5, nodes=3, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-@example(name="empty-band", degree=3, seed=6, nodes=3, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-@example(name="empty-band", degree=12, seed=7, nodes=1, frozen=True,
-         panels=DEFAULT_PSI_PANELS)
-# an own plan of another panel count, at the ends of the degree range
-@example(name="nonlinear-sys2", degree=1, seed=8, nodes=7, frozen=False,
-         panels=300)
-@example(name="nonlinear-sys2", degree=12, seed=9, nodes=7, frozen=False,
-         panels=1001)
-@example(name="s-dependent", degree=12, seed=10, nodes=3, frozen=False,
-         panels=300)
+@example(name="nonlinear-sys2", degree=0, seed=1, nodes=7,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="nonlinear-sys2", degree=7, seed=2, nodes=7,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="nonlinear-sys2", degree=12, seed=3, nodes=7,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="nonlinear-scalar", degree=1, seed=4, nodes=1,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="nonlinear-scalar", degree=12, seed=5, nodes=3,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="empty-band", degree=3, seed=6, nodes=3,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="empty-band", degree=12, seed=7, nodes=1,
+         panels=DEFAULT_MOMENT_PANELS)
+# a moment plan of another panel count, at the ends of the degree range
+@example(name="nonlinear-sys2", degree=1, seed=8, nodes=7, panels=300)
+@example(name="nonlinear-sys2", degree=12, seed=9, nodes=7, panels=1001)
+@example(name="s-dependent", degree=12, seed=10, nodes=3, panels=300)
 def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
-                                                       nodes, frozen, panels):
+                                                       nodes, panels):
     # the linear term comes from the moments R = A @ table.T
-    ev = _node_evaluator(name, nodes, frozen, panels)
+    ev = _node_evaluator(name, nodes, panels)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, (system.n_components, degree + 1))
@@ -328,7 +326,7 @@ def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
         steps = solve_linear_pc(system, n_segments=16)
         iterates = [system.guess_iterate(), steps, _polynomial(system, 1)]
     else:
-        ev = _node_evaluator(name, 5, False, 700)
+        ev = _node_evaluator(name, 5, 700)
         iterates = [system.guess_iterate(), _polynomial(system, 1),
                     _polynomial(system, 2, degree=0)]
     for iterate in iterates:
@@ -364,8 +362,7 @@ def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
 
 def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
     lin = linearize(model02)
-    ev = PsiEvaluator(lin, collocation_nodes(model02.curves.horizon, 5),
-                      panels=500)
+    ev = _collocation_evaluator(lin, 5, 500)
     iterate = _polynomial(model02, 2)
     got = ev.values(iterate)
     assert np.array_equal(got, ev._f_vals)
@@ -409,11 +406,9 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
 
 def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
     mesh = Mesh.uniform(scalar.curves.horizon, 8)
-    # a collocation plan of its own and the plan of a pc discretization
-    builds = [
-        (sys2, lambda lin: PsiEvaluator(
-            lin, collocation_nodes(sys2.curves.horizon, 5), panels=700)),
-        (scalar, lambda lin: pc_psi_evaluator(lin, mesh)[1])]
+    # the plans of a 700-panel collocation and of a pc discretization
+    builds = [(sys2, lambda lin: _collocation_evaluator(lin, 5, 700)),
+              (scalar, lambda lin: pc_psi_evaluator(lin, mesh)[1])]
     for system, build in builds:
         lin = linearize(system)
         # of two degrees, so the kept power table is rebuilt between calls

@@ -112,8 +112,8 @@ def test_iterate_samples_each_iterate_once_for_its_norms(sys2, monkeypatch,
 def test_derivative_at_zero_matches_the_full_loop(name):
     system = builtin(name)
     lin = linearize(system)
-    evaluator = PsiEvaluator(lin, collocation_nodes(system.horizon, 3),
-                             panels=20)
+    # d(psi)/dt at 0 reads no plan: an empty hand-off plans no band
+    evaluator = PsiEvaluator(lin, collocation_nodes(system.horizon, 3), ())
     domains = system.component_domains()
     n = system.n_components
     iterates = [system.guess_iterate(),
