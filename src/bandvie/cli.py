@@ -53,7 +53,7 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, default=1e-12, metavar="X",
                         help="correction-norm stopping tolerance (default 1e-12)")
     parser.add_argument("--panels", type=int, default=None, metavar="P",
-                        help="quadrature panels per band segment override")
+                        help="collocation panels per band segment override")
     parser.add_argument("--format", choices=("table", "csv", "json"),
                         default="table", help="output format (default table)")
     parser.add_argument("--out", metavar="PATH",
@@ -81,6 +81,8 @@ def _check_limits(args, parser):
         parser.error(f"--tol must be finite and positive, got {args.tol}")
     if args.panels is not None and args.panels < 1:
         parser.error(f"--panels must be at least 1, got {args.panels}")
+    if args.panels is not None and args.method == "pc":
+        parser.error("--method pc takes no --panels")
 
 
 def _method_parameter(args, parser):

@@ -177,9 +177,11 @@ class CollocationDiscretization:
         by equation of the pairs whose G is not x
         (:attr:`LinearizedSystem.nonlinear_equations`) K and the frozen
         kernel A = K * dG/dx(x0) on it.  Afterwards the discretization
-        holds none of it; a second call returns None.
+        holds none of it; a second call raises :class:`SolverError`.
         """
         frozen, self._frozen = self._frozen, None
+        if frozen is None:
+            raise SolverError("the collocation plan was handed over already")
         return frozen
 
     def solve(self, rhs):

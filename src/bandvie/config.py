@@ -60,6 +60,10 @@ def problem_from_mapping(data, name=""):
             f"alpha must list the {n - 1} interior curves, "
             f"got {len(alpha) if isinstance(alpha, list) else alpha!r}")
 
+    for key in ("f", "exact", "guess", "unknown_of_band"):
+        value = data.get(key)
+        if not isinstance(value, list) and (key == "f" or value is not None):
+            raise ProblemDefinitionError(f"{key} must be a list, got {value!r}")
     for key in ("K", "G"):
         rows = data[key]
         if (not isinstance(rows, list)

@@ -19,8 +19,8 @@ Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
 G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
 Each inner solver builds one plan, evaluates the frozen kernel on it and
 hands both to psi, which plans nothing of its own: collocation the plan of
-its moments, at any panel count, pc the plan of its history weights, each
-band segment cut at the mesh nodes.  Since the derivative is frozen, sum
+its moments, at any panel count, pc the one plan of its steps, each band
+segment cut at the mesh nodes.  Since the derivative is frozen, sum
 A * xm is the frozen operator applied to the iterate, taken from moments
 of A for an iterate that is a polynomial on every piece (collocation and
 pc iterates); only the guess, an expression iterate, is summed on the
@@ -243,11 +243,12 @@ class PsiEvaluator:
     :class:`~bandvie.collocation.CollocationDiscretization` hands over its
     moment plans, one piece per time, and a
     :class:`~bandvie.pc.PCDiscretization`, over its mesh nodes t_1..t_N,
-    its history plans: each band segment cut at the nodes into pieces of
-    ``pc.HISTORY_PANELS`` panels, each with its mesh segment.  An empty
-    hand-off plans no band: psi is f.  psi_i(t_k) = f_i(t_k) + the sum
-    over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)), w
-    the piece's panel width.
+    the plans its steps were summed on: each band segment cut at the
+    nodes into pieces of ``pc.PIECE_PANELS`` panels, unknown ranges and
+    history alike, each with its mesh segment.  A discretization hands its
+    plan over once.  An empty hand-off plans no band: psi is f.
+    psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of w * (sum
+    A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
 
     The plan only depends on the linearized system and the evaluation
     times, so one evaluator serves every outer iteration.  Per band with a
@@ -432,11 +433,8 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     n_segments : mesh segments for the piecewise-constant inner solver
     max_iters : iteration cap
     tol : stop once the sampled correction sup-norm drops this low
-    panels : quadrature panels per band segment of the inner solver's own
-        plan: collocation takes its moments on it, and psi sums on it too;
-        pc takes its unknown-range coefficients on it, while its history
-        weights and psi share a ``pc.HISTORY_PANELS`` plan of the pieces
-        cut at the mesh nodes
+    panels : collocation only: panels per band segment of the moment plan,
+        which psi sums on too (pc sums on its ``pc.PIECE_PANELS`` pieces)
 
     Returns
     -------
@@ -445,8 +443,8 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     Raises
     ------
     ValueError
-        If a number is unusable, or ``degree`` / ``n_segments`` is missing
-        for its method or given to the other one; the argument is named.
+        If a number is unusable, or a method misses the parameter it needs
+        or is given one it does not take; the argument is named.
     DivergenceError
         If the correction norm grows by more than a factor of 1e3 over
         three consecutive iterations; the partial report is attached.
@@ -455,14 +453,17 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             or not (math.isfinite(tol) and tol > 0)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     quadrature.checked_count("max_iters", max_iters)
-    own = {"pc": "n_segments", "collocation": "degree"}.get(method)
+    # per method, the parameter it needs, then one it takes optionally
+    own = {"pc": ("n_segments",),
+           "collocation": ("degree", "panels")}.get(method)
     if own is None:
         raise ValueError(f"unknown inner method {method!r}")
     # degree, n_segments and panels are checked where they are used
-    for name, value in (("degree", degree), ("n_segments", n_segments)):
-        if name == own and value is None:
+    for name, value in (("degree", degree), ("n_segments", n_segments),
+                        ("panels", panels)):
+        if name == own[0] and value is None:
             raise ValueError(f"the {method} method needs {name}")
-        if name != own and value is not None:
+        if name not in own and value is not None:
             raise ValueError(
                 f"the {method} method takes no {name}, got {value!r}")
     if not skip_validation:
@@ -475,8 +476,7 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     lin = linearize(system)
     if method == "pc":
         disc = PCDiscretization(
-            lin, Mesh.uniform(system.curves.horizon, n_segments),
-            panels=quadrature.DEFAULT_PANELS if panels is None else panels)
+            lin, Mesh.uniform(system.curves.horizon, n_segments))
         times = disc.times
     else:
         disc = CollocationDiscretization(

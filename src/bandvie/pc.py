@@ -7,35 +7,30 @@ already-computed step values.  Bands sharing an unknown component
 accumulate into the same column; a re-visited segment is re-solved and
 overwritten (later nodes give equally valid, fresher equations).
 
+Every integral is summed on one plan per band of the segments cut at the
+mesh nodes: the last piece of a step is its unknown range and gives the
+step coefficients, the pieces before it the history weights.  The outer
+iteration hands that plan and the frozen kernel on it to psi
+(:meth:`PCDiscretization.take_frozen_plan`).
+
 The step systems depend on the frozen operator only, not on the
-right-hand side, so each discretization builds the step operator once, at
-its first solve, from arrays over all steps: the active segment of each
-component per step, the frontier of assigned segments before each step,
-the (steps, n_eq, n_comp) step matrices, factorized in one stacked
-elimination and inverted from the factors, and per step the known step
-values it reads, every band's known segment and history merged into one
-index array into a flat buffer of step values and one weight block with
-the step inverse applied.  The step faults (a segment read before it is
-assigned, a history segment never assigned, a singular step matrix, a
-jump of more than one segment) are checked as masks, and the first in
-node order is raised.  Every solve then takes one gather, one product
-and one scatter per step.  Band edges within roundoff of a mesh node are
-moved onto it, so a curve that meets a node in exact arithmetic leaves no
-sub-ulp unknown range.
-
-The history weights are summed on one plan per band of the segments cut
-at the mesh nodes; the outer iteration hands that plan and the frozen
-kernel on it to psi (:meth:`PCDiscretization.take_frozen_plan`).
-
-The stepping is sequential by construction; distinct solves may run
-concurrently (two first solves may both build the step operator; the
-builds are equal).
+right-hand side, so the constructor builds the step operator
+(:meth:`PCDiscretization._step_operator`): the step matrices of all
+steps, factorized in one stacked elimination and inverted, and per
+step its reads of known step values, merged over the bands into one
+index array and one weight block with the step inverse applied.  The
+step faults (a segment read before it is assigned, a history segment
+never assigned, a singular step matrix, a jump of more than one segment)
+are checked as masks, and the first in node order is raised.  Every
+solve then takes one gather, one product and one scatter per step, and
+distinct solves may run concurrently.  Band edges within roundoff of a
+mesh node are moved onto it, so a curve that meets a node in exact
+arithmetic leaves no sub-ulp unknown range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,9 +40,9 @@ from .errors import SingularMatrixError, SolverError
 from .linalg import lu_factor_stack, lu_inverse_stack
 from .problem import linear_problem, rhs_at_nodes
 
-#: panels for the per-piece history integrals (each piece spans at most one
+#: panels per piece, unknown range or history (each piece spans at most one
 #: mesh segment, so a handful of panels keeps the quadrature error at O(h^2))
-HISTORY_PANELS = 4
+PIECE_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,11 @@ class Mesh:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("mesh needs at least nodes t_0 < t_1 < t_2")
-        if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("mesh nodes must start at 0 and strictly increase")
+        # NaN fails every comparison, and increasing from 0 ends below inf
+        if not (nodes[0] == 0.0 and np.all(np.diff(nodes) > 0.0)
+                and nodes[-1] < np.inf):
+            raise ValueError("mesh nodes must be finite, start at 0 and "
+                             "strictly increase")
         object.__setattr__(self, "nodes", nodes)
 
     @classmethod
@@ -135,32 +133,38 @@ class _StepOperator(NamedTuple):
 class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 
-    Everything that does not depend on the right-hand side is built once:
-    the per-step coefficient integrals and history piece weights here,
-    with the plan of the weights kept for psi (:meth:`take_frozen_plan`),
-    and at the first :meth:`solve` the step operator (:attr:`_steps`).
+    Everything that does not depend on the right-hand side is built here,
+    once: the per-step coefficients and history piece weights, with their
+    plan kept for psi (:meth:`take_frozen_plan`), and the step operator
+    (:attr:`_steps`).  A band map that does not give one component per
+    equation, and the first step fault, raise :class:`SolverError`.
     """
 
-    def __init__(self, lin, mesh, panels=quadrature.DEFAULT_PANELS):
+    def __init__(self, lin, mesh):
         if abs(mesh.horizon - lin.curves.horizon) > 1e-12 * max(1.0, lin.curves.horizon):
             raise ValueError("mesh horizon differs from the problem horizon")
+        if lin.n_components != lin.n_equations:
+            raise SolverError(
+                f"pc step system is {lin.n_equations}x{lin.n_components}; "
+                f"the band-to-unknown map {lin.unknown_of_band} must give "
+                f"one component per equation")
         self.lin = lin
         self.mesh = mesh
         #: the collocation times t_1..t_N, the array every solve passes on
         self.times = mesh.nodes[1:]
-        self.panels = quadrature.checked_count("panels", panels)
-        self._bands, self._frozen = self._assemble()
+        bands, self._frozen = self._assemble()
+        self._steps = self._step_operator(bands)
 
     def _assemble(self):
         """Per band ``(u, segments, coeff, hist, size, weights)``; the plans.
 
-        Per step k: segments[k-1] is the 1-based mesh segment holding
-        alpha_j(t_k), whose step value is unknown, and coeff[k-1] the (n_eq,)
-        integrals of Ktilde over the unknown range.  The history pieces,
-        in step order, ``size[k-1]`` of them at step k, have a 0-based
-        segment in ``hist`` and their integrals in the (n_eq, pieces)
-        ``weights``, rows of one ``HISTORY_PANELS`` plan of every piece,
-        the unknown ranges too, kept for :meth:`take_frozen_plan`.
+        Each band is cut, planned on ``PIECE_PANELS`` panels per piece and
+        evaluated once.  Per step k: segments[k-1] is the 1-based mesh
+        segment holding alpha_j(t_k), whose step value is unknown, and
+        coeff[k-1] the (n_eq,) integrals of Ktilde over the unknown range,
+        its last piece.  The history pieces, in step order, ``size[k-1]``
+        of them at step k, have a 0-based segment in ``hist`` and their
+        integrals in the (n_eq, pieces) ``weights``.
         """
         lin, mesh = self.lin, self.mesh
         nonlinear = lin.nonlinear_equations
@@ -174,49 +178,47 @@ class PCDiscretization:
         for pieces in sorted(quadrature.band_pieces(edges, cuts=cuts),
                              key=lambda p: bool(nonlinear[p.band - 1])):
             j = pieces.band
+            plan = quadrature.midpoint_plan(pieces, PIECE_PANELS)
+            kvs, _, avs = lin.frozen_factors(
+                j, self.times[plan.piece_time, None], plan.abscissas)
+            weights = np.array([plan.piece_sums(a) * plan.piece_width
+                                for a in avs])
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
             last = np.diff(pieces.time_index, append=-1) != 0
-            coeff_plan = quadrature.midpoint_plan(pieces.take(last), self.panels)
             coeff = np.zeros((n_steps, n_eq))
-            coeff[coeff_plan.piece_time] = self._piece_integrals(
-                coeff_plan)[0].T
-            plan = quadrature.midpoint_plan(pieces, HISTORY_PANELS)
-            kept = nonlinear[j - 1]     # psi keeps K and A of these pairs
-            weights, kvs, avs = self._piece_integrals(plan, kept)
+            coeff[plan.piece_time[last]] = weights[:, last].T
             segment = mesh.segment_indices(pieces.hi) - 1
             bands[j - 1] = (
                 lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
                 segment[~last],
                 np.bincount(plan.piece_time[~last], minlength=n_steps),
                 weights[:, ~last])
+            kept = nonlinear[j - 1]     # psi keeps K and A of these pairs
             if kept:
-                frozen.append((plan, kvs, avs, segment))
+                frozen.append((plan, {i: kvs[i] for i in kept},
+                               {i: avs[i] for i in kept}, segment))
+            # the pairs psi does not keep go before the next band is evaluated
+            del kvs, _, avs
         return bands, frozen
 
-    def _piece_integrals(self, plan, kept=()):
-        """(n_eq, pieces) integrals of A per piece; K and A of ``kept``."""
-        kvs, _, avs = self.lin.frozen_factors(
-            plan.band, self.times[plan.piece_time, None], plan.abscissas)
-        return (np.array([plan.piece_sums(a) * plan.piece_width for a in avs]),
-                {i: kvs[i] for i in kept}, {i: avs[i] for i in kept})
-
     def take_frozen_plan(self):
-        """Hand over the history weights' band plans, once.
+        """Hand over the band plans the steps were summed on, once.
 
         Per band with a pair whose G is not x, ``(plan, K values, A values,
-        segment)``: the ``HISTORY_PANELS`` plan of every piece, by equation
+        segment)``: the ``PIECE_PANELS`` plan of every piece, by equation
         of those pairs K and the frozen kernel A = K * dG/dx(x0) on it, and
         the 0-based mesh segment of each piece.  Afterwards the
-        discretization holds none of it; a second call returns None.
+        discretization holds none of it; a second call raises.
         """
         frozen, self._frozen = self._frozen, None
+        if frozen is None:
+            raise SolverError("the pc plan was handed over already")
         return frozen
 
-    @cached_property
-    def _steps(self):
-        """The :class:`_StepOperator`, built from arrays on the first solve.
+    def _step_operator(self, bands):
+        """The :class:`_StepOperator`, built from the arrays of ``bands``.
 
         Per step and component the active segment is the highest segment
         of its bands; the frontier before a step, the running maximum of
@@ -234,10 +236,9 @@ class PCDiscretization:
         """
         lin, nodes = self.lin, self.mesh.nodes
         n_steps = self.mesh.n_segments
-        units = [band[0] for band in self._bands]
-        comps = np.array(list(dict.fromkeys(units))) - 1
+        comps = np.array(list(dict.fromkeys(band[0] for band in bands))) - 1
         active = np.zeros((n_steps, lin.n_components), dtype=int)
-        for u, segments, *_ in self._bands:
+        for u, segments, *_ in bands:
             np.maximum(active[:, u - 1], segments, out=active[:, u - 1])
         frontier = np.zeros_like(active)
         np.maximum.accumulate(active[:-1], axis=0, out=frontier[1:])
@@ -245,8 +246,7 @@ class PCDiscretization:
         mats = np.zeros((n_steps, lin.n_equations, lin.n_components))
         faults = []   # (first step, rank within a node, message)
         known = []    # per band, the steps that read its segment as known
-        for rank, (u, segments, coeff, hist, size, _) in enumerate(
-                self._bands):
+        for rank, (u, segments, coeff, hist, size, _) in enumerate(bands):
             front = frontier[:, u - 1]
             on = segments == active[:, u - 1]
             mats[on, :, u - 1] += coeff[on]
@@ -264,7 +264,7 @@ class PCDiscretization:
                 faults.append((k, 2 * rank + 1, (
                     f"step {k + 1}: history for component {u} needs segment "
                     f"{hist[gap[0]] + 1} which was never assigned")))
-        singular_rank = 2 * len(self._bands)
+        singular_rank = 2 * len(bands)
         for rank, c in enumerate(comps, start=singular_rank + 1):
             jump = np.flatnonzero(active[:, c] > frontier[:, c] + 1)
             if jump.size:
@@ -285,7 +285,7 @@ class PCDiscretization:
         if first[2] is not None:
             raise SolverError(first[2])
         inverse = lu_inverse_stack(lu, perm)[:, comps]
-        idx, weights, reads = self._merged_terms(known)
+        idx, weights, reads = self._merged_terms(bands, known)
         # apply each step's inverse rows to its weights once
         folded = np.zeros((comps.size, idx.size))
         for r, j in np.ndindex(inverse.shape[1:]):
@@ -296,7 +296,7 @@ class PCDiscretization:
             [(idx[lo:hi], folded[:, lo:hi])
              for lo, hi in zip(cut[:-1], cut[1:])])
 
-    def _merged_terms(self, known):
+    def _merged_terms(self, bands, known):
         """Every step's reads of known step values, all bands merged.
 
         Returns the flat positions ``idx``, their (n_eq, reads) ``weights``
@@ -306,13 +306,13 @@ class PCDiscretization:
         """
         n_steps = self.mesh.n_segments
         counts = np.array([reads + band[4]
-                           for reads, band in zip(known, self._bands)]).T
+                           for reads, band in zip(known, bands)]).T
         ends = np.cumsum(counts)
         begin = (ends - counts.ravel()).reshape(counts.shape)
         idx = np.empty(ends[-1], dtype=np.intp)
         weights = np.empty((self.lin.n_equations, idx.size))
         for b, (reads, (u, segments, coeff, hist, size, hist_w)) in enumerate(
-                zip(known, self._bands)):
+                zip(known, bands)):
             base = (u - 1) * n_steps
             at = begin[reads, b]
             idx[at] = base + segments[reads] - 1
@@ -341,8 +341,7 @@ class PCDiscretization:
             lin.system.component_domains())
 
 
-def solve_linear_pc(lin, rhs=None, n_segments=64,
-                    panels=quadrature.DEFAULT_PANELS):
+def solve_linear_pc(lin, rhs=None, n_segments=64):
     """One-shot piecewise-constant solve of a linearized system.
 
     ``rhs`` defaults to the system's own f.  ``n_segments`` is the number
@@ -350,5 +349,5 @@ def solve_linear_pc(lin, rhs=None, n_segments=64,
     """
     lin, rhs = linear_problem(lin, rhs)
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    disc = PCDiscretization(lin, mesh, panels=panels)
+    disc = PCDiscretization(lin, mesh)
     return disc.solve(rhs)

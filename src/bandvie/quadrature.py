@@ -34,9 +34,6 @@ import numpy as np
 
 from .errors import CurveOrderingError
 
-#: default number of midpoint panels per smooth band segment
-DEFAULT_PANELS = 200
-
 #: tolerance for curve-ordering violations and tiling checks
 ORDER_TOL = 1e-12
 
@@ -182,11 +179,6 @@ class BandPieces:
     lo: np.ndarray
     hi: np.ndarray
     time_index: np.ndarray
-
-    def take(self, mask):
-        """The pieces selected by a boolean mask (or index array)."""
-        return BandPieces(self.band, self.lo[mask], self.hi[mask],
-                          self.time_index[mask])
 
 
 def band_pieces(edges, cuts=None):

@@ -22,7 +22,7 @@ from bandvie.problem import (
     linearize,
     rhs_at_nodes,
 )
-from bandvie.quadrature import DEFAULT_PANELS, band_plan, midpoints
+from bandvie.quadrature import band_plan, midpoints
 from bandvie.report import ERROR_SAMPLES
 
 
@@ -112,7 +112,7 @@ def pc_psi_evaluator(lin, mesh):
     return disc, PsiEvaluator(lin, disc.times, frozen=disc.take_frozen_plan())
 
 
-def composite_midpoint(f, lo, hi, panels=DEFAULT_PANELS):
+def composite_midpoint(f, lo, hi, panels=200):
     """Integrate ``f`` over (lo, hi) with the composite midpoint rule.
 
     ``f`` receives a numpy array of abscissas and should return values of
@@ -239,7 +239,7 @@ def pc_solve_reference(disc, rhs):
     """
     lin, mesh = disc.lin, disc.mesh
     n_steps, n_eq = mesh.n_segments, lin.n_equations
-    bands = disc._bands
+    bands = disc._assemble()[0]
     comps = np.array(list(dict.fromkeys(band[0] for band in bands))) - 1
     active = np.zeros((n_steps, lin.n_components), dtype=int)
     for u, segments, *_ in bands:

@@ -17,9 +17,9 @@ import pytest
 
 from bandvie import collocation, quadrature
 from bandvie.config import load_problem
-from bandvie.errors import CurveOrderingError
+from bandvie.errors import CurveOrderingError, SolverError
 from bandvie.newton import PsiEvaluator
-from bandvie.pc import HISTORY_PANELS, Mesh, PCDiscretization, solve_linear_pc
+from bandvie.pc import PIECE_PANELS, Mesh, PCDiscretization, solve_linear_pc
 from bandvie.problem import (
     CurveFamily,
     VolterraSystem,
@@ -87,8 +87,11 @@ def _frozen(lin, i, j, t, s):
     return kv * gv
 
 
-def _loop_pc_plans(lin, mesh, panels=quadrature.DEFAULT_PANELS, hp=4):
-    """Per step k, per band: (component, segment, coeff, hist segs, hist weights)."""
+def _loop_pc_plans(lin, mesh, hp=4):
+    """Per step k, per band: (component, segment, coeff, hist segs, hist weights).
+
+    The unknown range and every history piece get ``hp`` panels each.
+    """
     nodes = mesh.nodes
     n_eq = lin.n_equations
     plans = []
@@ -102,7 +105,7 @@ def _loop_pc_plans(lin, mesh, panels=quadrature.DEFAULT_PANELS, hp=4):
             lo_unknown = max(float(nodes[l - 1]), a)
             coeff = np.zeros(n_eq)
             if b > lo_unknown:
-                mids, width = quadrature.midpoints(lo_unknown, b, panels)
+                mids, width = quadrature.midpoints(lo_unknown, b, hp)
                 for i in range(n_eq):
                     coeff[i] = _frozen(lin, i, j, tk, mids).sum() * width
             hist_hi = float(nodes[l - 1])
@@ -398,17 +401,21 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
 @pytest.mark.parametrize("n", [16, 64])
 def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
-    # the history weights and psi read one 4-panel plan of every piece;
-    # its last piece per time, the unknown range, carries no history
+    # the step coefficients, the history weights and psi read one 4-panel
+    # plan of every piece; its last piece per time, the unknown range,
+    # gives the coefficients and carries no history
     lin = linearize(builtin(name))
     disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, n))
     frozen = disc.take_frozen_plan()
+    bands = disc._assemble()[0]
     assert [plan.band for plan, *_ in frozen] == [
         j for j in range(1, lin.n_bands + 1) if lin.nonlinear_equations[j - 1]]
     for plan, kvs, avs, segment in frozen:
-        _, _, _, hist, size, weights = disc._bands[plan.band - 1]
+        _, _, coeff, hist, size, weights = bands[plan.band - 1]
         history = np.diff(plan.piece_time, append=-1) == 0
-        assert plan.abscissas.shape == (plan.piece_time.size, HISTORY_PANELS)
+        last = plan.piece_time[~history]
+        assert not np.any(coeff[np.setdiff1d(np.arange(n), last)])
+        assert plan.abscissas.shape == (plan.piece_time.size, PIECE_PANELS)
         assert np.array_equal(hist, segment[history])
         assert np.array_equal(size, np.bincount(plan.piece_time[history],
                                                 minlength=n))
@@ -417,6 +424,10 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
         for i, a in avs.items():
             expected = a.sum(axis=1) * plan.piece_width
             assert weights[i].tobytes() == expected[history].tobytes()
+            assert coeff[last, i].tobytes() == expected[~history].tobytes()
+    # the plan is handed over, not shared: a second take is named
+    with pytest.raises(SolverError, match="pc plan was handed over already"):
+        disc.take_frozen_plan()
 
 
 def _moment_case(name):
@@ -451,7 +462,9 @@ def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
     frozen = disc.take_frozen_plan()
     assert [plan.band for plan, _, _ in frozen] == \
         list(range(1, lin.n_bands + 1))
-    assert disc.take_frozen_plan() is None
+    with pytest.raises(SolverError,
+                       match="collocation plan was handed over already"):
+        disc.take_frozen_plan()
 
 
 def test_band_pieces_drop_zero_length_pieces_like_split_interval():

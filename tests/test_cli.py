@@ -74,8 +74,12 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
      "unknown_of_band entries must be integers, got 1.7"),
     ("unknown_of_band: [true, 2]",
      "unknown_of_band entries must be integers, got True"),
-    ('unknown_of_band: "12"',
-     "unknown_of_band entries must be integers, got '1'"),
+    ('unknown_of_band: "12"', "unknown_of_band must be a list, got '12'"),
+    ("unknown_of_band: 1", "unknown_of_band must be a list, got 1"),
+    ("f: 5", "f must be a list, got 5"),
+    ("f: null", "f must be a list, got None"),
+    ('exact: "t^2"', "exact must be a list, got 't^2'"),
+    ('guess: "0"', "guess must be a list, got '0'"),
 ])
 def test_run_bad_horizon_or_band_count_exits_2_with_one_error(
         tmp_path, capsys, line, message):
@@ -83,9 +87,17 @@ def test_run_bad_horizon_or_band_count_exits_2_with_one_error(
     rows = MODEL01_YAML.splitlines()
     if not any(row.startswith(key + ":") for row in rows):
         rows.append(key + ": null")     # an optional key the config omits
+    # the key's line is replaced, and the indented block under it dropped
+    kept, owner = [], None
+    for row in rows:
+        if not row.startswith(" "):
+            owner = row.split(":")[0]
+        if owner != key:
+            kept.append(row)
+        elif not row.startswith(" "):
+            kept.append(line)
     bad = tmp_path / "bad.yaml"
-    bad.write_text("\n".join(
-        line if row.startswith(key + ":") else row for row in rows) + "\n")
+    bad.write_text("\n".join(kept) + "\n")
     code = main(["run", "--config", str(bad), "--method", "pc",
                  "--nodes", "16"])
     assert code == 2
@@ -267,6 +279,9 @@ def test_study_residuals_of_the_sample_problem_are_pinned(
     (["run", "--method", "collocation", "--degree", "3", "--panels", "0"],
      "--panels"),
     (["run", "--method", "pc", "--nodes", "8", "--panels", "-3"], "--panels"),
+    (["run", "--method", "pc", "--nodes", "8", "--panels", "100"], "--panels"),
+    (["study", "--method", "pc", "--sweep", "8", "--panels", "100"],
+     "--panels"),
 ])
 def test_numeric_options_out_of_range_exit_2(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import pytest
 from bandvie import quadrature
 from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
 from bandvie.newton import correction_norm, iterate
-from bandvie.pc import HISTORY_PANELS, Mesh
+from bandvie.pc import PIECE_PANELS, Mesh
 from bandvie.problem import (
     CurveFamily,
     ExpressionIterate,
@@ -180,21 +180,22 @@ def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
                                   "nonlinear-sys2"])
 def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
                                                              monkeypatch):
-    # the history weights and psi share one 4-panel plan of every piece:
-    # one frozen_factors call per band on it, one per band on the
-    # unknown ranges, one per band for the t = 0 values of the start matrix
+    # the step coefficients, the history weights and psi share one
+    # 4-panel plan of every piece: one midpoint plan and one frozen_factors
+    # call per band on it, one per band for the t = 0 values of the start
+    # matrix, and no call on the unknown ranges alone
     system = builtin(name)
     mesh = Mesh.uniform(system.curves.horizon, 16)
     cuts = mesh.nodes[1:-1]
     expected = []
     for pieces in quadrature.band_pieces(quadrature.band_edges(
             mesh.nodes[1:], system.curves, snap=cuts), cuts):
-        j = pieces.band
-        expected += [(j, 1), (j, HISTORY_PANELS * pieces.lo.size),
-                     (j, 50 * np.unique(pieces.time_index).size)]
-    calls, cut = [], []
+        expected += [(pieces.band, 1),
+                     (pieces.band, PIECE_PANELS * pieces.lo.size)]
+    calls, cut, planned = [], [], []
     original = LinearizedSystem.frozen_factors
     band_pieces = quadrature.band_pieces
+    midpoint_plan = quadrature.midpoint_plan
 
     def counting(self, j, t, s):
         calls.append((j, np.size(s)))
@@ -204,12 +205,18 @@ def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
         cut.append(args)
         return band_pieces(*args, **kwargs)
 
+    def counting_plan(pieces, panels):
+        planned.append((pieces.band, panels))
+        return midpoint_plan(pieces, panels)
+
     monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting)
     monkeypatch.setattr(quadrature, "band_pieces", counting_pieces)
-    iterate(system, method="pc", n_segments=16, max_iters=3, tol=1e-15,
-            panels=50)
+    monkeypatch.setattr(quadrature, "midpoint_plan", counting_plan)
+    iterate(system, method="pc", n_segments=16, max_iters=3, tol=1e-15)
     assert sorted(calls) == sorted(expected)
     assert len(cut) == 1
+    assert sorted(planned) == [(j, PIECE_PANELS)
+                               for j in range(1, system.n_bands + 1)]
 
 
 def test_linear_problem_converges_in_one_step(model01):
@@ -350,7 +357,8 @@ def test_records_are_indexed_from_one(sys2):
     (dict(max_iters=None), "max_iters"), (dict(tol="1e-3"), "tol"),
     (dict(tol=True), "tol"),
     (dict(method="pc", degree=5, n_segments=8), "degree"),
-    (dict(n_segments=8), "n_segments")])
+    (dict(n_segments=8), "n_segments"),
+    (dict(method="pc", degree=None, n_segments=8, panels=50), "panels")])
 def test_iterate_rejects_unusable_numbers(model01, kwargs, name):
     with pytest.raises(ValueError, match=name):
         iterate(model01, **{"method": "collocation", "degree": 3, **kwargs})

@@ -62,21 +62,25 @@ def test_mesh_validation():
         Mesh(np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError):
         Mesh(np.array([0.1, 0.5, 1.0]))
+    # NaN compares false both ways: a node must be finite and increase
+    for bad in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Mesh(np.array(bad))
     assert Mesh.uniform(2.0, 8).h == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("kwargs, name", [
-    (dict(panels=2.5), "panels"), (dict(panels=0), "panels"),
-    (dict(panels=-3), "panels"), (dict(panels=True), "panels"),
+    (dict(n_segments=2.5), "n_segments"), (dict(n_segments=0), "n_segments"),
+    (dict(n_segments=-3), "n_segments"), (dict(n_segments=True), "n_segments"),
     (dict(n_segments=8.7), "n_segments"), (dict(n_segments=1), "n_segments")])
 def test_one_shot_pc_rejects_unusable_counts(model01, kwargs, name):
-    # a count is not truncated (2.5 is not 2 panels), and one below its
-    # minimum is named before any plan is laid
+    # a count is not truncated (8.7 is not 8 segments), is not a bool, and
+    # one below its minimum is named before any plan is laid
     with pytest.raises(ValueError, match=name):
         solve_linear_pc(model01, **kwargs)
     with pytest.raises(ValueError, match=name):
         PCDiscretization(linearize(model01), Mesh.uniform(
-            2.0, kwargs.get("n_segments", 8)), kwargs.get("panels", 200))
+            2.0, kwargs["n_segments"]))
 
 
 def test_initial_values_match_exact_starts(model01, model02, scalar, sys1):
@@ -246,8 +250,8 @@ def _fault_system(curves, unknown_of_band):
 
 #: (system, N, message) of every step fault, the messages pinned word for
 #: word.  The fault systems other than the history gap have curves flat at
-#: t = 0, so their start-value systems are singular; the step operator is
-#: built directly
+#: t = 0, so their start-value systems are singular; the constructor
+#: raises the step fault before any solve reaches them
 STEP_FAULTS = {
     "history-gap-8": (_gap_system, 8,
                       "step 7: history for component 1 needs segment 6 "
@@ -278,15 +282,13 @@ STEP_FAULTS = {
 def test_step_faults_keep_their_message_and_node(name):
     make, n, message = STEP_FAULTS[name]
     system = make()
-    disc = PCDiscretization(linearize(system),
-                            Mesh.uniform(system.curves.horizon, n))
     with pytest.raises(SolverError) as exc:
-        disc._steps
+        PCDiscretization(linearize(system),
+                         Mesh.uniform(system.curves.horizon, n))
     assert str(exc.value) == message
-    if name.startswith("history-gap"):
-        with pytest.raises(SolverError) as exc:
-            solve_linear_pc(system, n_segments=n)
-        assert str(exc.value) == message
+    with pytest.raises(SolverError) as exc:
+        solve_linear_pc(system, n_segments=n)
+    assert str(exc.value) == message
 
 
 def test_non_square_band_map_rejected(model01):
@@ -343,13 +345,14 @@ def test_step_systems_are_factorized_once_per_discretization(model01,
     monkeypatch.setattr(linalg.LUFactorization, "__init__", counting)
     monkeypatch.setattr(pc, "lu_factor_stack", counting_stack)
     disc = PCDiscretization(linearize(model01), Mesh.uniform(2.0, 16))
-    assert shapes == []
+    # the 16 step systems in one stack, at construction
+    assert shapes == [(16, 2, 2)]
     rhs = ExpressionRhs(model01)
     first = disc.solve(rhs)
     second = disc.solve(rhs)
-    # the start-value system, then the 16 step systems in one stack, each
-    # factorized once
-    assert shapes == [(2, 2), (16, 2, 2)]
+    # then the start-value system, at the first solve; no step system is
+    # factorized per solve
+    assert shapes == [(16, 2, 2), (2, 2)]
     assert np.array_equal(first.values, second.values, equal_nan=True)
 
 

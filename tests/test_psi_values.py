@@ -32,7 +32,7 @@ from bandvie.expr import Expression
 from bandvie.newton import PsiEvaluator, _PsiRhs
 from bandvie.newton import iterate as run_newton
 from bandvie.pc import (
-    HISTORY_PANELS,
+    PIECE_PANELS,
     Mesh,
     PCDiscretization,
     PiecewiseConstantSolution,
@@ -461,7 +461,7 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
     for band in ev._bands:
         located = mesh.segment_indices(band.abscissas) - 1
         assert np.array_equal(located.reshape(band.piece_time.size, -1),
-                              np.repeat(band.segment[:, None], HISTORY_PANELS,
+                              np.repeat(band.segment[:, None], PIECE_PANELS,
                                         axis=1))
 
 
