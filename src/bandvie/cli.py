@@ -217,8 +217,8 @@ def main(argv=None):
         if args.command == "list":
             return _cmd_list(args)
         if args.command == "run":
-            return _cmd_run(args, parser)
-        return _cmd_study(args, parser)
+            return _cmd_run(args, p_run)
+        return _cmd_study(args, p_study)
     except _VALIDATION_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

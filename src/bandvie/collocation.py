@@ -15,12 +15,13 @@ row of that plan, and of A.  The moments of a row are one product of A
 with the plan's table of reference powers u^r
 (:func:`quadrature.reference_powers`), mapped to the powers (s/T)^l of
 that row's piece by a binomial shift (:func:`quadrature.power_shift`).
-The outer iteration hands the plan, K and A on to its right-hand-side
-evaluator
+The outer iteration hands the plan, K and A on to its psi evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
 psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows, taking
 sum A * xm of a polynomial iterate from the same product A @ U.T; so the
-frozen kernel is evaluated once per run.  Solutions are immutable.
+frozen kernel is evaluated once per run.  A solve takes psi as an array
+at the collocation nodes and its d/dt at 0
+(:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import LUFactorization, refined_solve
-from .problem import linear_problem, rhs_at_nodes
+from .problem import f_at_times, linearize, rhs_at_nodes
 
 #: midpoint panels per band segment for moment integrals; the error tables
 #: ask for moment errors well below 1e-8, which plain 200-panel quadrature
@@ -95,7 +96,7 @@ class PolynomialSolution:
 
 
 class CollocationDiscretization:
-    """Moment system assembled once; solve() consumes right-hand sides.
+    """Moment system assembled once; :meth:`solve` takes psi at :attr:`times`.
 
     The matrix (and its factorization) is shared across outer iterations,
     matching the frozen linear operator of the iteration; so is the
@@ -103,28 +104,24 @@ class CollocationDiscretization:
     """
 
     def __init__(self, lin, degree, panels=DEFAULT_MOMENT_PANELS):
-        self.nodes = collocation_nodes(lin.curves.horizon, degree)
+        #: the collocation nodes t_k = k T / m, where :meth:`solve` takes psi
+        self.times = collocation_nodes(lin.curves.horizon, degree)
         self.lin = lin
-        self.degree = m = self.nodes.size
+        self.degree = m = self.times.size
         self.panels = quadrature.checked_count("panels", panels)
         self.scale = float(lin.curves.horizon)
         self._powers = self.scale ** np.arange(1, m + 1)
 
         n_eq = lin.n_equations
-        n_comp = lin.n_components
         size = n_eq * m
-        if n_comp * m != size:
-            raise SolverError(
-                f"collocation system is {size}x{n_comp * m}; the band map "
-                f"must give one component per equation")
         matrix = np.zeros((size, size))
         zeroth = np.zeros((n_eq, m, lin.n_bands))
         self._frozen = []
         table = quadrature.reference_powers(self.panels, m)
-        for plan in quadrature.band_plan(self.nodes, lin.curves, self.panels):
+        for plan in quadrature.band_plan(self.times, lin.curves, self.panels):
             j = plan.band
             kvs, _, avs = lin.frozen_factors(
-                j, self.nodes[plan.piece_time, None], plan.abscissas)
+                j, self.times[plan.piece_time, None], plan.abscissas)
             self._add_moments(matrix, zeroth, plan, avs, table)
             # the right-hand side needs K and A of the pairs whose G is not x
             kept = lin.nonlinear_equations[j - 1]
@@ -184,14 +181,15 @@ class CollocationDiscretization:
             raise SolverError("the collocation plan was handed over already")
         return frozen
 
-    def solve(self, rhs):
-        """Coefficients for a right-hand side object; returns a polynomial."""
+    def solve(self, psi, dpsi0):
+        """The polynomial for psi at :attr:`times`, shape (n_eq, m), with
+        d(psi)/dt at 0, shape (n_eq,), giving the constant coefficients."""
         lin = self.lin
         m = self.degree
         n_eq = lin.n_equations
         n_comp = lin.n_components
-        a0 = lin.start_values(rhs.derivative_at_zero())
-        psi = rhs_at_nodes(rhs, self.nodes, n_eq)
+        a0 = lin.start_values(dpsi0)
+        psi = rhs_at_nodes(psi, self.times, n_eq)
         # the start values' share of every row, added band by band; row
         # (i, k) sits at flatten_index(i, k, m), the row-major order
         contrib = np.zeros((n_eq, m))
@@ -206,9 +204,10 @@ class CollocationDiscretization:
                                   self.condition_number)
 
 
-def solve_linear_collocation(lin, rhs=None, degree=5,
-                             panels=DEFAULT_MOMENT_PANELS):
-    """One-shot polynomial collocation solve of a linearized system."""
-    lin, rhs = linear_problem(lin, rhs)
-    disc = CollocationDiscretization(lin, degree, panels=panels)
-    return disc.solve(rhs)
+def solve_linear_collocation(system, degree=5, panels=DEFAULT_MOMENT_PANELS):
+    """One-shot polynomial collocation solve of a system with its own f.
+
+    The kernels are frozen along the initial guess.
+    """
+    disc = CollocationDiscretization(linearize(system), degree, panels=panels)
+    return disc.solve(*f_at_times(system, disc.times))

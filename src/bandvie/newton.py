@@ -9,7 +9,9 @@ right-hand side
 
 is rebuilt from the current iterate xm.  (Writing the step for the new
 iterate rather than the correction puts the bracket on the right with the
-sign above; with it, the exact solution is a fixed point.)
+sign above; with it, the exact solution is a fixed point.)  Each step hands
+the inner solver plain arrays: psi at the solver's ``times``, shape
+(n_eq, n_times), and d(psi)/dt at 0, shape (n_eq,).
 
 A pair with G_ij = x adds nothing to psi (for a finite iterate its bracket
 is 1 * xm - xm = 0 exactly), so the evaluator skips it
@@ -51,7 +53,7 @@ from .collocation import (
 )
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .pc import Mesh, PCDiscretization, PiecewiseConstantSolution
-from .problem import linearize, validate
+from .problem import f_at_times, linearize, validate
 from .report import measure_errors
 
 #: sample count per component for the correction sup-norm
@@ -237,8 +239,9 @@ class _Moments(NamedTuple):
 class PsiEvaluator:
     """Right-hand-side evaluator on the quadrature plan of the inner solver.
 
-    ``frozen`` holds the band plans an inner solver built over ``times``,
-    with K and A = K * dG/dx(x0) on them (its ``take_frozen_plan``); the
+    ``times`` are the inner solver's ``times``, where its ``solve`` takes
+    psi, and ``frozen`` holds the band plans it built over them, with K
+    and A = K * dG/dx(x0) on them (its ``take_frozen_plan``); the
     evaluator plans and evaluates no kernel itself.  A
     :class:`~bandvie.collocation.CollocationDiscretization` hands over its
     moment plans, one piece per time, and a
@@ -281,17 +284,12 @@ class PsiEvaluator:
         self.times = np.asarray(times, dtype=float)
         self._scale = float(lin.curves.horizon)
         self._moments = None
-        system = lin.system
         active = lin.nonlinear_equations
         self._bands = [self._band(active[entry[0].band - 1], *entry)
                        for entry in frozen if active[entry[0].band - 1]
                        and entry[0].abscissas.size]
 
-        self._f_vals = np.vstack([
-            np.broadcast_to(np.asarray(f(t=self.times), float),
-                            self.times.shape)
-            for f in system.rhs])
-        self._fp0 = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
+        self._f_vals, self._fp0 = f_at_times(lin.system, self.times)
         self._k00, self._gx0_at0, _ = lin.origin_factors
         slopes = [float(lin.curves.alpha_prime(j, 0.0))
                   for j in range(lin.n_bands + 1)]
@@ -400,27 +398,6 @@ class PsiEvaluator:
         return out
 
 
-class _PsiRhs:
-    """Adapter binding a PsiEvaluator to one iterate (RightHandSide shape)."""
-
-    def __init__(self, evaluator, iterate):
-        self._ev = evaluator
-        self._it = iterate
-
-    def values(self, ts):
-        planned = self._ev.times
-        # the inner solvers pass the very array the evaluator was built on
-        if ts is not planned:
-            ts = np.asarray(ts, dtype=float)
-            if ts.shape != planned.shape or not np.array_equal(ts, planned):
-                raise ValueError(
-                    "psi evaluator was planned for different times")
-        return self._ev.values(self._it)
-
-    def derivative_at_zero(self):
-        return self._ev.derivative_at_zero(self._it)
-
-
 def iterate(system, method="collocation", degree=None, n_segments=None,
             max_iters=20, tol=1e-12, panels=None, skip_validation=False):
     """Run the frozen-derivative outer iteration with an inner linear solver.
@@ -477,22 +454,20 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     if method == "pc":
         disc = PCDiscretization(
             lin, Mesh.uniform(system.curves.horizon, n_segments))
-        times = disc.times
     else:
         disc = CollocationDiscretization(
             lin, degree,
             panels=DEFAULT_MOMENT_PANELS if panels is None else panels)
-        times = disc.nodes
     # what psi does not keep of the handed-over plan is freed here
-    evaluator = PsiEvaluator(lin, times, disc.take_frozen_plan())
+    evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
 
     report = IterationReport()
     current = system.guess_iterate()
     prev_correction = None
     solution = None
     for step in range(1, max_iters + 1):
-        rhs = _PsiRhs(evaluator, current)
-        solution = disc.solve(rhs)
+        solution = disc.solve(evaluator.values(current),
+                              evaluator.derivative_at_zero(current))
         try:
             corr = correction_norm(current, solution)
         except SolverError as exc:

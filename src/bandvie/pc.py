@@ -14,7 +14,8 @@ iteration hands that plan and the frozen kernel on it to psi
 (:meth:`PCDiscretization.take_frozen_plan`).
 
 The step systems depend on the frozen operator only, not on the
-right-hand side, so the constructor builds the step operator
+right-hand side psi, which a solve takes as an array at the nodes
+t_1..t_N with its d/dt at 0; so the constructor builds the step operator
 (:meth:`PCDiscretization._step_operator`): the step matrices of all
 steps, factorized in one stacked elimination and inverted, and per
 step its reads of known step values, merged over the bands into one
@@ -38,7 +39,7 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import lu_factor_stack, lu_inverse_stack
-from .problem import linear_problem, rhs_at_nodes
+from .problem import f_at_times, linearize, rhs_at_nodes
 
 #: panels per piece, unknown range or history (each piece spans at most one
 #: mesh segment, so a handful of panels keeps the quadrature error at O(h^2))
@@ -136,21 +137,16 @@ class PCDiscretization:
     Everything that does not depend on the right-hand side is built here,
     once: the per-step coefficients and history piece weights, with their
     plan kept for psi (:meth:`take_frozen_plan`), and the step operator
-    (:attr:`_steps`).  A band map that does not give one component per
-    equation, and the first step fault, raise :class:`SolverError`.
+    (:attr:`_steps`).  The first step fault raises :class:`SolverError`.
+    :meth:`solve` takes psi at :attr:`times` and its d/dt at 0.
     """
 
     def __init__(self, lin, mesh):
         if abs(mesh.horizon - lin.curves.horizon) > 1e-12 * max(1.0, lin.curves.horizon):
             raise ValueError("mesh horizon differs from the problem horizon")
-        if lin.n_components != lin.n_equations:
-            raise SolverError(
-                f"pc step system is {lin.n_equations}x{lin.n_components}; "
-                f"the band-to-unknown map {lin.unknown_of_band} must give "
-                f"one component per equation")
         self.lin = lin
         self.mesh = mesh
-        #: the collocation times t_1..t_N, the array every solve passes on
+        #: the collocation times t_1..t_N, where :meth:`solve` takes psi
         self.times = mesh.nodes[1:]
         bands, self._frozen = self._assemble()
         self._steps = self._step_operator(bands)
@@ -324,16 +320,17 @@ class PCDiscretization:
             weights[:, at] = hist_w
         return idx, weights, counts.sum(axis=1)
 
-    def solve(self, rhs):
-        """Solve for the step values given a right-hand side object."""
+    def solve(self, psi, dpsi0):
+        """Step values for psi at :attr:`times`, shape (n_eq, N), with
+        d(psi)/dt at 0, shape (n_eq,), giving the start values."""
         lin, mesh = self.lin, self.mesh
-        start = lin.start_values(rhs.derivative_at_zero())
-        rhs_values = rhs_at_nodes(rhs, self.times, lin.n_equations)
+        start = lin.start_values(dpsi0)
+        psi = rhs_at_nodes(psi, self.times, lin.n_equations)
         op = self._steps
         # segments beyond a component's domain are never assigned
         values = np.full(lin.n_components * mesh.n_segments, np.nan)
         for out, y, (idx, weights) in zip(
-                op.out, np.einsum("kri,ik->kr", op.inverse, rhs_values),
+                op.out, np.einsum("kri,ik->kr", op.inverse, psi),
                 op.terms):
             values[out] = y - weights @ values[idx]
         return PiecewiseConstantSolution(
@@ -341,13 +338,12 @@ class PCDiscretization:
             lin.system.component_domains())
 
 
-def solve_linear_pc(lin, rhs=None, n_segments=64):
-    """One-shot piecewise-constant solve of a linearized system.
+def solve_linear_pc(system, n_segments=64):
+    """One-shot piecewise-constant solve of a system with its own f.
 
-    ``rhs`` defaults to the system's own f.  ``n_segments`` is the number
-    of uniform mesh segments on [0, T].
+    The kernels are frozen along the initial guess.  ``n_segments`` is the
+    number of uniform mesh segments on [0, T].
     """
-    lin, rhs = linear_problem(lin, rhs)
-    mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    disc = PCDiscretization(lin, mesh)
-    return disc.solve(rhs)
+    mesh = Mesh.uniform(system.curves.horizon, n_segments)
+    disc = PCDiscretization(linearize(system), mesh)
+    return disc.solve(*f_at_times(system, disc.times))

@@ -127,7 +127,8 @@ class VolterraSystem:
     rhs : sequence
         f_i expressions in t, one per equation.
     unknown_of_band : sequence of int, optional
-        1-based component index per band; identity when omitted.
+        1-based component index per band; identity when omitted.  The
+        components must be 1..n_equations, one per equation.
     exact : sequence, optional
         Exact solution expressions in t, one per component.
     guess : sequence, optional
@@ -137,8 +138,9 @@ class VolterraSystem:
     Raises
     ------
     ProblemDefinitionError
-        If the shapes do not fit, or an entry uses a variable outside its
-        role; the entry (``K_1,2``, ``G_2,1``, ``f_1``, ...) is named.
+        If the shapes do not fit, the band map does not give one component
+        per equation, or an entry uses a variable outside its role; the
+        entry (``K_1,2``, ``G_2,1``, ``f_1``, ...) is named.
     """
 
     def __init__(self, curves, kernels, nonlinearities, rhs,
@@ -189,6 +191,11 @@ class VolterraSystem:
                 "unknown_of_band must use the contiguous component indices 1..n"
             )
         self.n_components = len(comps)
+        if self.n_components != n_eq:
+            raise ProblemDefinitionError(
+                f"unknown_of_band {self.unknown_of_band} gives "
+                f"{self.n_components} component(s) for {n_eq} equation(s); "
+                f"it must give one component per equation")
 
         self.rhs_prime = tuple(f.diff("t") for f in self.rhs)
         self.g_x = tuple(
@@ -293,11 +300,12 @@ def validate(system, samples=VALIDATION_SAMPLES):
     An empty list means the system passed: curves start at 0, stay ordered
     and nondecreasing, their t=0 slopes are ordered below 1, f_i(0) = 0
     and f_i'(0) is finite, the last-band kernels do not vanish on the
-    diagonal, the band-to-unknown map is usable, each initial-guess
-    component is finite at the sample times inside its own domain, the
-    frozen kernels K_ij * dG_ij/dx are finite along the initial guess at
-    the sample times, and the stored symbolic derivatives agree with
-    central finite differences.
+    diagonal, each initial-guess component is finite at the sample times
+    inside its own domain, the frozen kernels K_ij * dG_ij/dx are finite
+    along the initial guess at the sample times, and the stored symbolic
+    derivatives agree with central finite differences.  The band map is
+    not checked here: :class:`VolterraSystem` rejects one that does not
+    give one component per equation when it is built.
     """
     out = []
     curves = system.curves
@@ -361,12 +369,6 @@ def validate(system, samples=VALIDATION_SAMPLES):
             out.append(Diagnostic(
                 f"K_{i + 1},{system.n_bands}(t, t) vanishes", float(ts[k]),
                 f"|value| = {vals[k]:.3e}"))
-
-    if system.n_components != system.n_equations:
-        out.append(Diagnostic(
-            "band-to-unknown map size mismatch", 0.0,
-            f"{system.n_components} components for {system.n_equations} "
-            f"equations; the per-step systems cannot be square"))
 
     guess = system.guess_iterate()
     for i, domain in enumerate(system.component_domains(), start=1):
@@ -600,11 +602,6 @@ class LinearizedSystem:
     @cached_property
     def _start_factorization(self):
         mat = self.start_value_matrix()
-        if mat.shape[0] != mat.shape[1]:
-            raise SolverError(
-                f"start-value system is {mat.shape[0]}x{mat.shape[1]}; "
-                f"the band-to-unknown map must give one component per equation"
-            )
         try:
             return mat, LUFactorization(mat)
         except SingularMatrixError as exc:
@@ -643,42 +640,20 @@ def linearize(system, x0=None):
     return LinearizedSystem(system, x0)
 
 
-class ExpressionRhs:
-    """Right-hand side built from the f_i expressions of a system.
-
-    Used when the inner solvers run directly on a linear system; the outer
-    iteration substitutes its own iteration-dependent right-hand side with
-    the same interface.
-    """
-
-    def __init__(self, system):
-        self._f = system.rhs
-        self._fp = system.rhs_prime
-
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.vstack([
-            np.broadcast_to(np.asarray(f(t=ts), float), ts.shape) for f in self._f
-        ])
-
-    def derivative_at_zero(self):
-        return np.array([float(fp(t=0.0)) for fp in self._fp])
+def f_at_times(system, times):
+    """f at ``times``, shape (n_eq, n_times), and f'(0), shape (n_eq,)."""
+    values = np.vstack([
+        np.broadcast_to(np.asarray(f(t=times), float), times.shape)
+        for f in system.rhs])
+    return values, np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
 
 
-def linear_problem(lin, rhs):
-    """``(lin, rhs)`` for a :class:`VolterraSystem`, frozen along its initial
-    guess, or a :class:`LinearizedSystem`; an ``rhs`` of None means f.
-    """
-    if isinstance(lin, VolterraSystem):
-        lin = linearize(lin)
-    return lin, ExpressionRhs(lin.system) if rhs is None else rhs
-
-
-def rhs_at_nodes(rhs, nodes, n_equations):
-    """``rhs.values(nodes)``, checked: shape (n_equations, n_nodes), all finite."""
-    values = np.asarray(rhs.values(nodes), dtype=float)
+def rhs_at_nodes(values, nodes, n_equations):
+    """A right-hand side at ``nodes``, checked: shape (n_equations,
+    n_nodes), all finite."""
+    values = np.asarray(values, dtype=float)
     if values.shape != (n_equations, nodes.size):
-        raise SolverError(f"right-hand side returned shape {values.shape}, "
+        raise SolverError(f"right-hand side has shape {values.shape}, "
                           f"expected {(n_equations, nodes.size)}")
     if not np.all(np.isfinite(values)):
         r, i = np.argwhere(~np.isfinite(values.T))[0]

@@ -18,7 +18,7 @@ from bandvie.pc import PCDiscretization
 from bandvie.problem import (
     CurveFamily,
     VolterraSystem,
-    linear_problem,
+    f_at_times,
     linearize,
     rhs_at_nodes,
 )
@@ -54,36 +54,25 @@ def lu_solve(a, b):
     return refined_solve(LUFactorization(a), a, b)
 
 
-def initial_values(lin, rhs=None):
-    """Start values x(0) from the differentiated equations at t = 0.
-
-    Accepts a plain :class:`VolterraSystem` (frozen along its initial
-    guess, right-hand side f) or a :class:`LinearizedSystem` plus an
-    explicit right-hand side.
-    """
-    lin, rhs = linear_problem(lin, rhs)
-    return lin.start_values(rhs.derivative_at_zero())
+def initial_values(system):
+    """Start values x(0) from the differentiated equations at t = 0, the
+    kernels frozen along the initial guess and the right-hand side f."""
+    _, derivative_at_zero = f_at_times(system, np.zeros(1))
+    return linearize(system).start_values(derivative_at_zero)
 
 
-class CallableRhs:
-    """Right-hand side from plain callables plus an explicit t=0 derivative.
+def system_rhs(disc):
+    """f of the discretized system at the discretization's times and
+    f'(0): the arguments of its ``solve`` for the system's own f."""
+    return f_at_times(disc.lin.system, disc.times)
+
+
+def callable_values(functions, ts):
+    """Plain callables of one t each, at the times ts: shape (n, ts.size).
 
     Handy for manufactured problems where f is only known through quadrature.
     """
-
-    def __init__(self, functions, derivative_at_zero):
-        self._functions = tuple(functions)
-        self._d0 = np.asarray(derivative_at_zero, dtype=float)
-
-    def values(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.vstack([
-            np.broadcast_to(np.asarray([f(t) for t in ts], float), ts.shape)
-            for f in self._functions
-        ])
-
-    def derivative_at_zero(self):
-        return self._d0.copy()
+    return np.array([[f(t) for t in ts] for f in functions], dtype=float)
 
 
 def psi(system, x0, xm, ts, panels=DEFAULT_MOMENT_PANELS):
@@ -178,11 +167,11 @@ def derivative_at_zero_reference(lin, iterate):
     return out
 
 
-def collocation_solve_reference(disc, rhs, derivative_at_zero):
+def collocation_solve_reference(disc, psi, derivative_at_zero):
     """:meth:`CollocationDiscretization.solve` by scalar loops over (i, k, j)."""
     lin, m = disc.lin, disc.degree
     a0 = lin.start_values(derivative_at_zero)
-    psi = rhs_at_nodes(rhs, disc.nodes, lin.n_equations)
+    psi = rhs_at_nodes(psi, disc.times, lin.n_equations)
     f_vec = np.empty(lin.n_equations * m)
     for i in range(1, lin.n_equations + 1):
         for k in range(1, m + 1):
@@ -226,7 +215,7 @@ def errors_reference(solution, system, samples=ERROR_SAMPLES):
     return out, float(np.sqrt(sum(e ** 2 for e, _ in out)))
 
 
-def pc_solve_reference(disc, rhs):
+def pc_solve_reference(disc, psi):
     """The step values of :meth:`PCDiscretization.solve` by a step loop.
 
     Per step and band the terms are built on their own: a band on its
@@ -258,7 +247,7 @@ def pc_solve_reference(disc, rhs):
             terms[k].append((u - 1, known, coeff[k], hist[lo:hi],
                              weights[:, lo:hi]))
     lu, perm = lu_factor_stack(mats)
-    rhs_values = rhs_at_nodes(rhs, mesh.nodes[1:], n_eq)
+    rhs_values = rhs_at_nodes(psi, mesh.nodes[1:], n_eq)
     values = np.full((lin.n_components, n_steps), np.nan)
     for k in range(n_steps):
         b = rhs_values[:, k].copy()

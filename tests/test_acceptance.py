@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from bandvie import quadrature
-from bandvie.collocation import flatten_index, solve_linear_collocation
+from bandvie.collocation import (
+    CollocationDiscretization,
+    flatten_index,
+    solve_linear_collocation,
+)
 from bandvie.expr import parse
 from bandvie.linalg import residual
 from bandvie.newton import PsiEvaluator, iterate
@@ -20,9 +24,8 @@ from bandvie.registry import builtin
 from bandvie.report import measure_errors
 
 from helpers import (
-    CallableRhs,
+    callable_values,
     composite_midpoint,
-    initial_values,
     lu_solve,
     unflatten_index,
 )
@@ -193,10 +196,7 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
         exact_it = system.exact_iterate()
         # only d(psi)/dt at 0 is read: an empty hand-off plans no band
         evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]), ())
-        rhs = CallableRhs(
-            [lambda t: 0.0] * system.n_equations,
-            evaluator.derivative_at_zero(exact_it))
-        starts = initial_values(lin, rhs)
+        starts = lin.start_values(evaluator.derivative_at_zero(exact_it))
         expected = [float(system.exact[i](t=0.0))
                     for i in range(system.n_components)]
         start_ok = start_ok and np.allclose(starts, expected, atol=1e-10)
@@ -219,8 +219,9 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
             return total
         return f
 
-    rhs = CallableRhs([make_f(0), make_f(1)], [0.0, 0.0])
-    sol = solve_linear_collocation(lin, rhs=rhs, degree=3, panels=2000)
+    disc = CollocationDiscretization(lin, degree=3, panels=2000)
+    sol = disc.solve(callable_values([make_f(0), make_f(1)], disc.times),
+                     [0.0, 0.0])
     manufactured_ok = np.allclose(
         sol.coefficients, [[0, 0, 1, 0], [0, 0, 1, 0]], atol=1e-8)
     checks.append(("manufactured degree-2 recovery", manufactured_ok))

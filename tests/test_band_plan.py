@@ -354,8 +354,8 @@ def test_psi_plan_without_cuts_is_bit_identical(name):
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     disc = collocation.CollocationDiscretization(lin, 6, panels=500)
-    ev = PsiEvaluator(lin, disc.nodes, disc.take_frozen_plan())
-    ref = _loop_psi_plan(lin, disc.nodes, panels=500)
+    ev = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
+    ref = _loop_psi_plan(lin, disc.times, panels=500)
     # the evaluator keeps the pairs whose G is not x, and only those
     assert [(band.band, [i for i, *_ in band.pairs]) for band in ev._bands] \
         == ACTIVE_PAIRS[name]

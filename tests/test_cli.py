@@ -76,6 +76,9 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
      "unknown_of_band entries must be integers, got True"),
     ('unknown_of_band: "12"', "unknown_of_band must be a list, got '12'"),
     ("unknown_of_band: 1", "unknown_of_band must be a list, got 1"),
+    ("unknown_of_band: [1, 1]",
+     "unknown_of_band (1, 1) gives 1 component(s) for 2 equation(s); it "
+     "must give one component per equation"),
     ("f: 5", "f must be a list, got 5"),
     ("f: null", "f must be a list, got None"),
     ('exact: "t^2"', "exact must be a list, got 't^2'"),
@@ -165,18 +168,18 @@ def test_run_non_finite_guess_exits_2(tmp_path, capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--builtin", "model01", "--method", "pc",
-              "--degree", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "--builtin", "model01", "--method", "collocation",
-              "--sweep", "", "--degree", "3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["study", "--builtin", "model01", "--method", "collocation",
-              "--sweep", "5,3"])
-    assert exc.value.code == 2
+    for argv in (
+            ["run", "--method", "pc", "--degree", "3"],
+            ["study", "--method", "collocation", "--sweep", "", "--degree",
+             "3"],
+            ["study", "--method", "collocation", "--sweep", "5,3"],
+            ["study", "--method", "pc", "--sweep", "8", "--degree", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--builtin", "model01"] + argv[1:])
+        assert exc.value.code == 2
+        # the usage line is the subcommand's, not the top-level one
+        assert capsys.readouterr().err.startswith(
+            f"usage: bandvie {argv[0]} ")
 
 
 def test_study_csv_json_agree_and_are_deterministic(tmp_path, capsys):
@@ -287,4 +290,7 @@ def test_numeric_options_out_of_range_exit_2(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:
         main(argv[:1] + ["--builtin", "model01"] + argv[1:])
     assert exc.value.code == 2
-    assert option in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the usage line is the subcommand's, not the top-level one
+    assert err.startswith(f"usage: bandvie {argv[0]} ")
+    assert option in err

@@ -13,15 +13,15 @@ from bandvie.collocation import (
 from bandvie.errors import SolverError
 from bandvie.problem import (
     CurveFamily,
-    ExpressionRhs,
     VolterraSystem,
     linearize,
 )
 
 from helpers import (
-    CallableRhs,
+    callable_values,
     composite_midpoint,
     initial_values,
+    system_rhs,
     unflatten_index,
 )
 
@@ -106,10 +106,10 @@ def test_moment_model01_hand_value(model01):
     assert got == pytest.approx(brute, abs=1e-12)
 
 
-def _rhs_entry(disc, rhs, a0, i, k):
-    """F_ik: rhs_i(t_k) minus the constant part a0 carried by each band."""
+def _rhs_entry(disc, a0, i, k):
+    """F_ik: f_i(t_k) minus the constant part a0 carried by each band."""
     lin = disc.lin
-    value = float(rhs.values(disc.nodes)[i - 1, k - 1])
+    value = float(system_rhs(disc)[0][i - 1, k - 1])
     for j in range(1, lin.n_bands + 1):
         value -= (a0[lin.unknown_of_band[j - 1] - 1]
                   * disc.zeroth_moments[i - 1, k - 1, j - 1])
@@ -123,16 +123,14 @@ def test_rhs_entry_zero_kernel_returns_rhs_value():
         kernels=[["0", "1"], ["1", "1"]],
         nonlinearities=[["x", "x"], ["x", "x"]], rhs=["t^2", "t"])
     disc = CollocationDiscretization(linearize(system), degree=2)
-    got = _rhs_entry(disc, ExpressionRhs(system), [3.0, 0.0], 1, 2)
+    got = _rhs_entry(disc, [3.0, 0.0], 1, 2)
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rhs_entry_model01_against_brute_force(model01):
-    lin = linearize(model01)
-    rhs = ExpressionRhs(model01)
-    disc = CollocationDiscretization(lin, degree=1)  # single node at t = 2
-    a0 = initial_values(lin, rhs)
-    got = _rhs_entry(disc, rhs, a0, 1, 1)
+    disc = CollocationDiscretization(linearize(model01), degree=1)
+    a0 = initial_values(model01)    # a single node at t = 2
+    got = _rhs_entry(disc, a0, 1, 1)
     f1 = float(model01.rhs[0](t=2.0))
     brute = f1 \
         - a0[0] * composite_midpoint(
@@ -168,10 +166,11 @@ def test_manufactured_polynomial_recovered(model01):
             return total
         return f
 
-    rhs = CallableRhs([make_f(0), make_f(1)], derivative_at_zero=[0.0, 0.0])
+    disc = CollocationDiscretization(lin, degree=3, panels=2000)
     # the same 2000-panel rule on both sides keeps the discrete system
     # consistent, so the quadratic is recovered to solver roundoff
-    sol = solve_linear_collocation(lin, rhs=rhs, degree=3, panels=2000)
+    sol = disc.solve(callable_values([make_f(0), make_f(1)], disc.times),
+                     [0.0, 0.0])
     assert np.allclose(sol.coefficients,
                        [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
                        atol=1e-8)
@@ -232,9 +231,9 @@ def test_solve_is_deterministic_and_reuses_matrix(model01):
     lin = linearize(model01)
     disc = CollocationDiscretization(lin, degree=5)
     matrix_before = disc.matrix.copy()
-    rhs = ExpressionRhs(model01)
-    a = disc.solve(rhs)
-    b = disc.solve(rhs)
+    rhs = system_rhs(disc)
+    a = disc.solve(*rhs)
+    b = disc.solve(*rhs)
     assert np.array_equal(a.coefficients, b.coefficients)
     assert np.array_equal(disc.matrix, matrix_before)
 
@@ -247,27 +246,25 @@ def test_scalar_problem_collocation_via_shared_unknown(scalar):
 
     # psi sums on the plan the moments were taken from
     disc = CollocationDiscretization(lin, degree=2)
-    evaluator = PsiEvaluator(lin, disc.nodes, disc.take_frozen_plan())
+    evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
     exact = scalar.exact_iterate()
-
-    class _Rhs:
-        def values(self, ts):
-            return evaluator.values(exact)
-
-        def derivative_at_zero(self):
-            return evaluator.derivative_at_zero(exact)
-
-    sol = disc.solve(_Rhs())
+    sol = disc.solve(evaluator.values(exact),
+                     evaluator.derivative_at_zero(exact))
     assert np.allclose(sol.coefficients, [[0.0, 0.0, 1.0]], atol=1e-7)
 
 
 def test_non_finite_rhs_names_equation_node_and_time(model01):
-    class NanRhs(ExpressionRhs):
-        def values(self, ts):
-            out = super().values(ts)
-            out[1, 2] = np.nan
-            return out
-
+    disc = CollocationDiscretization(linearize(model01), degree=5)
+    values, derivative_at_zero = system_rhs(disc)
+    values[1, 2] = np.nan
     with pytest.raises(SolverError, match=r"right-hand side of equation 2 is "
                                           r"nan at node 3 \(t = 1\.2\)"):
-        solve_linear_collocation(model01, rhs=NanRhs(model01), degree=5)
+        disc.solve(values, derivative_at_zero)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (1, 5), (10,)])
+def test_rhs_of_the_wrong_shape_names_the_expected_one(model01, shape):
+    disc = CollocationDiscretization(linearize(model01), degree=5)
+    with pytest.raises(SolverError, match=r"right-hand side has shape "
+                       rf"\({shape[0]},.*expected \(2, 5\)"):
+        disc.solve(np.zeros(shape), np.zeros(2))

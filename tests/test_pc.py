@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bandvie.config import load_problem
-from bandvie.errors import SolverError
-from bandvie.newton import PsiEvaluator, _PsiRhs, iterate
+from bandvie.errors import ProblemDefinitionError, SolverError
+from bandvie.newton import PsiEvaluator, iterate
 from bandvie.pc import (
     Mesh,
     PCDiscretization,
@@ -14,7 +14,6 @@ from bandvie.pc import (
 )
 from bandvie.problem import (
     CurveFamily,
-    ExpressionRhs,
     VolterraSystem,
     band_quadrature_residual,
     linearize,
@@ -26,6 +25,7 @@ from helpers import (
     pc_psi_evaluator,
     pc_solve_reference,
     segment_index,
+    system_rhs,
 )
 
 SAMPLE_PROBLEM = (Path(__file__).resolve().parents[1]
@@ -101,15 +101,7 @@ def test_initial_values_match_exact_for_all_builtins():
         exact = system.exact_iterate()
         # only d(psi)/dt at 0 is read: an empty hand-off plans no band
         evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]), ())
-
-        class _Rhs:
-            def values(self, ts):  # pragma: no cover - unused here
-                return evaluator.values(exact)
-
-            def derivative_at_zero(self):
-                return evaluator.derivative_at_zero(exact)
-
-        x0 = initial_values(lin, _Rhs())
+        x0 = lin.start_values(evaluator.derivative_at_zero(exact))
         expected = [float(system.exact[i](t=0.0))
                     for i in range(system.n_components)]
         assert np.allclose(x0, expected, atol=1e-10), name
@@ -168,15 +160,8 @@ def test_scalar_linearized_at_exact_matches_table_order(scalar):
     lin = linearize(scalar, scalar.exact_iterate())
     disc, evaluator = pc_psi_evaluator(lin, Mesh.uniform(1.0, 128))
     exact = scalar.exact_iterate()
-
-    class _Rhs:
-        def values(self, ts):
-            return evaluator.values(exact)
-
-        def derivative_at_zero(self):
-            return evaluator.derivative_at_zero(exact)
-
-    sol = disc.solve(_Rhs())
+    sol = disc.solve(evaluator.values(exact),
+                     evaluator.derivative_at_zero(exact))
     err = sup_errors(scalar, sol)[0]
     assert 7.30057e-4 <= err <= 7.30057e-2  # within a factor 10 of 7.30057e-3
 
@@ -198,7 +183,7 @@ def test_residual_oracle_decreases_with_mesh(model01):
 
 
 def test_scalar_shared_unknown_assigns_every_segment(scalar):
-    sol = solve_linear_pc(scalar, rhs=ExpressionRhs(scalar), n_segments=40)
+    sol = solve_linear_pc(scalar, n_segments=40)
     assert np.all(np.isfinite(sol.values))
 
 
@@ -213,9 +198,9 @@ def test_model01_components_assigned_up_to_their_domains(model01):
 def test_discretization_solve_is_deterministic(model01):
     lin = linearize(model01)
     disc = PCDiscretization(lin, Mesh.uniform(2.0, 32))
-    rhs = ExpressionRhs(model01)
-    a = disc.solve(rhs)
-    b = disc.solve(rhs)
+    rhs = system_rhs(disc)
+    a = disc.solve(*rhs)
+    b = disc.solve(*rhs)
     assert np.array_equal(a.values, b.values, equal_nan=True)
     assert np.array_equal(a.start, b.start)
 
@@ -292,38 +277,36 @@ def test_step_faults_keep_their_message_and_node(name):
 
 
 def test_non_square_band_map_rejected(model01):
-    system = VolterraSystem(
-        curves=model01.curves,
-        kernels=model01.kernels,
-        nonlinearities=model01.nonlinearities,
-        rhs=model01.rhs,
-        unknown_of_band=(1, 1),
-        guess=["0"],
-    )
-    with pytest.raises(SolverError, match="cannot be solved|band-to-unknown"):
-        solve_linear_pc(system, n_segments=16)
-
-
-class _NanRhs:
-    """The system's own right-hand side with one value replaced by NaN."""
-
-    def __init__(self, system, equation, node):
-        self._rhs = ExpressionRhs(system)
-        self._at = (equation - 1, node - 1)
-
-    def values(self, ts):
-        out = self._rhs.values(ts)
-        out[self._at] = np.nan
-        return out
-
-    def derivative_at_zero(self):
-        return self._rhs.derivative_at_zero()
+    # two equations, one component: no step system can be square
+    with pytest.raises(ProblemDefinitionError) as exc:
+        VolterraSystem(
+            curves=model01.curves,
+            kernels=model01.kernels,
+            nonlinearities=model01.nonlinearities,
+            rhs=model01.rhs,
+            unknown_of_band=(1, 1),
+            guess=["0"],
+        )
+    assert str(exc.value) == (
+        "unknown_of_band (1, 1) gives 1 component(s) for 2 equation(s); "
+        "it must give one component per equation")
 
 
 def test_non_finite_rhs_names_equation_node_and_time(model01):
+    disc = PCDiscretization(linearize(model01), Mesh.uniform(2.0, 16))
+    values, derivative_at_zero = system_rhs(disc)
+    values[0, 5] = np.nan
     with pytest.raises(SolverError, match=r"right-hand side of equation 1 is "
                                           r"nan at node 6 \(t = 0\.75\)"):
-        solve_linear_pc(model01, rhs=_NanRhs(model01, 1, 6), n_segments=16)
+        disc.solve(values, derivative_at_zero)
+
+
+@pytest.mark.parametrize("shape", [(2, 15), (1, 16), (32,)])
+def test_rhs_of_the_wrong_shape_names_the_expected_one(model01, shape):
+    disc = PCDiscretization(linearize(model01), Mesh.uniform(2.0, 16))
+    with pytest.raises(SolverError, match=r"right-hand side has shape "
+                       rf"\({shape[0]},.*expected \(2, 16\)"):
+        disc.solve(np.zeros(shape), np.zeros(2))
 
 
 def test_step_systems_are_factorized_once_per_discretization(model01,
@@ -347,9 +330,9 @@ def test_step_systems_are_factorized_once_per_discretization(model01,
     disc = PCDiscretization(linearize(model01), Mesh.uniform(2.0, 16))
     # the 16 step systems in one stack, at construction
     assert shapes == [(16, 2, 2)]
-    rhs = ExpressionRhs(model01)
-    first = disc.solve(rhs)
-    second = disc.solve(rhs)
+    rhs = system_rhs(disc)
+    first = disc.solve(*rhs)
+    second = disc.solve(*rhs)
     # then the start-value system, at the first solve; no step system is
     # factorized per solve
     assert shapes == [(16, 2, 2), (2, 2)]
@@ -369,9 +352,9 @@ def test_model02_solves_where_a_curve_meets_a_node_in_exact_arithmetic(
     assert 1.4 <= errors[24] / errors[48] <= 3.0
 
 
-def _assert_solve_matches_step_loop(disc, rhs):
-    got = disc.solve(rhs).values
-    ref = pc_solve_reference(disc, rhs)
+def _assert_solve_matches_step_loop(disc, psi, derivative_at_zero):
+    got = disc.solve(psi, derivative_at_zero).values
+    ref = pc_solve_reference(disc, psi)
     np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
     known = ~np.isnan(ref)
     assert known.any()
@@ -387,7 +370,7 @@ def test_solve_matches_step_loop(name, n):
     system = load_problem(SAMPLE_PROBLEM) if name == "sample" else builtin(name)
     disc = PCDiscretization(linearize(system),
                             Mesh.uniform(system.curves.horizon, n))
-    _assert_solve_matches_step_loop(disc, ExpressionRhs(system))
+    _assert_solve_matches_step_loop(disc, *system_rhs(disc))
 
 
 @pytest.mark.parametrize("n", [12, 24, 48])
@@ -396,7 +379,7 @@ def test_solve_matches_step_loop_with_band_edges_on_nodes(model02, n):
     # onto it
     disc = PCDiscretization(linearize(model02),
                             Mesh.uniform(model02.curves.horizon, n))
-    _assert_solve_matches_step_loop(disc, ExpressionRhs(model02))
+    _assert_solve_matches_step_loop(disc, *system_rhs(disc))
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -407,6 +390,7 @@ def test_solve_matches_step_loop_for_psi(sys2, n):
         lin, Mesh.uniform(sys2.curves.horizon, n))
     current = sys2.guess_iterate()
     for _ in range(2):
-        rhs = _PsiRhs(evaluator, current)
-        _assert_solve_matches_step_loop(disc, rhs)
-        current = disc.solve(rhs)
+        rhs = (evaluator.values(current),
+               evaluator.derivative_at_zero(current))
+        _assert_solve_matches_step_loop(disc, *rhs)
+        current = disc.solve(*rhs)

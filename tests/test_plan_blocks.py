@@ -109,7 +109,7 @@ def _moment_plan(system, degree=4, panels=DEFAULT_MOMENT_PANELS):
 def _one_equation(kernel):
     return VolterraSystem(curves=CurveFamily(1.0, ("t/2",)),
                           kernels=[[kernel, "1"]], nonlinearities=[["x", "x"]],
-                          rhs=["t"])
+                          rhs=["t"], unknown_of_band=(1, 1))
 
 
 def test_a_finite_kernel_whose_sum_overflows_is_not_reported():

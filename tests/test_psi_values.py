@@ -29,7 +29,7 @@ from numpy.polynomial.polynomial import polyval
 from bandvie import collocation, quadrature
 from bandvie.collocation import DEFAULT_MOMENT_PANELS, PolynomialSolution
 from bandvie.expr import Expression
-from bandvie.newton import PsiEvaluator, _PsiRhs
+from bandvie.newton import PsiEvaluator
 from bandvie.newton import iterate as run_newton
 from bandvie.pc import (
     PIECE_PANELS,
@@ -240,7 +240,7 @@ def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
                            lambda matrix: None):
         disc = collocation.CollocationDiscretization(lin, degree,
                                                      panels=panels)
-    return PsiEvaluator(lin, disc.nodes, disc.take_frozen_plan())
+    return PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
 
 
 @lru_cache(maxsize=None)
@@ -465,19 +465,6 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
                                         axis=1))
 
 
-def test_psi_rhs_takes_the_planned_times_and_no_others(scalar):
-    lin = linearize(scalar)
-    disc, ev = pc_psi_evaluator(lin, Mesh.uniform(scalar.curves.horizon, 8))
-    times = disc.times
-    assert ev.times is times
-    rhs = _PsiRhs(ev, scalar.guess_iterate())
-    planned = rhs.values(times)
-    assert np.array_equal(rhs.values(list(times)), planned)
-    for other in (times[:-1], times + 1e-3):
-        with pytest.raises(ValueError, match="different times"):
-            rhs.values(other)
-
-
 def test_collocation_psi_moments_are_the_assembly_products(sys2):
     # R = A @ table.T is the product the moment assembly takes, bit for bit
     lin = linearize(sys2)
@@ -486,7 +473,7 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
     table = quadrature.reference_powers(disc.panels, 4)
     products = [[avs[i] @ table.T for i in lin.nonlinear_equations[
         plan.band - 1]] for plan, _, avs in frozen]
-    ev = PsiEvaluator(lin, disc.nodes, frozen=frozen)
+    ev = PsiEvaluator(lin, disc.times, frozen=frozen)
     ev.values(_polynomial(sys2, 5, degree=4))
     assert [[r.tobytes() for r, _ in band] for band in ev._moments.moments] \
         == [[r.tobytes() for r in band] for band in products]

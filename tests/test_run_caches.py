@@ -55,26 +55,15 @@ def test_measure_errors_reads_a_read_only_cache(model01):
     assert error_samples(model01, 11)[0][0].size == 11
 
 
-class _Rhs:
-    """The outer iteration's right-hand side for one iterate."""
-
-    def __init__(self, evaluator, current):
-        self._ev = evaluator
-        self._it = current
-
-    def values(self, ts):
-        return self._ev.values(self._it)
-
-
 def test_sys2_collocation_records_match_an_uncached_loop(sys2):
     _, report = iterate(sys2, method="collocation", degree=5)
     lin = linearize(sys2)
     disc = CollocationDiscretization(lin, 5)
-    evaluator = PsiEvaluator(lin, disc.nodes, frozen=disc.take_frozen_plan())
+    evaluator = PsiEvaluator(lin, disc.times, frozen=disc.take_frozen_plan())
     current, previous = sys2.guess_iterate(), None
     for record in report.records:
         solution = collocation_solve_reference(
-            disc, _Rhs(evaluator, current),
+            disc, evaluator.values(current),
             derivative_at_zero_reference(lin, current))
         correction = correction_norm_reference(current, solution)
         errors, aggregate = errors_reference(solution, sys2)
