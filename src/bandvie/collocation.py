@@ -18,8 +18,11 @@ that row's piece by a binomial shift (:func:`quadrature.power_shift`).
 The outer iteration hands the plan, K and A on to its psi evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
 psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows, taking
-sum A * xm of a polynomial iterate from the same product A @ U.T; so the
-frozen kernel is evaluated once per run.  A solve takes psi as an array
+sum A * xm of a polynomial iterate from the same product A @ U.T and,
+for a G that is a polynomial in x, sum K * G(xm) from moments K @ U.T
+of the powers up to that of G(xm); so the frozen kernel is evaluated
+once per run, and after the guess only a G with s or one that is not a
+polynomial is evaluated on the plan.  A solve takes psi as an array
 at the collocation nodes and its d/dt at 0
 (:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
 """
@@ -116,17 +119,7 @@ class CollocationDiscretization:
         size = n_eq * m
         matrix = np.zeros((size, size))
         zeroth = np.zeros((n_eq, m, lin.n_bands))
-        self._frozen = []
-        table = quadrature.reference_powers(self.panels, m)
-        for plan in quadrature.band_plan(self.times, lin.curves, self.panels):
-            j = plan.band
-            kvs, _, avs = lin.frozen_factors(
-                j, self.times[plan.piece_time, None], plan.abscissas)
-            self._add_moments(matrix, zeroth, plan, avs, table)
-            # the right-hand side needs K and A of the pairs whose G is not x
-            kept = lin.nonlinear_equations[j - 1]
-            self._frozen.append((plan, {i: kvs[i] for i in kept},
-                                 {i: avs[i] for i in kept}))
+        self._frozen = self._assemble(matrix, zeroth)
         self.matrix = matrix
         self.zeroth_moments = zeroth
         self.condition_number = float(np.linalg.cond(matrix)) if size else 0.0
@@ -139,9 +132,32 @@ class CollocationDiscretization:
         try:
             self._fact = LUFactorization(matrix)
         except SingularMatrixError as exc:
+            # the error's traceback holds this frame: it keeps no plan
+            self._frozen = None
             raise SolverError(
                 f"singular collocation matrix at degree {m} "
                 f"(condition ~ {self.condition_number:.3e}): {exc}") from exc
+
+    def _assemble(self, matrix, zeroth):
+        """Add the moments of every band to ``matrix`` and ``zeroth``, and
+        return per band the plan with K and A of the pairs whose G is not
+        x, which the right-hand side needs.
+
+        One band is evaluated at a time, and its dG/dx is dropped before
+        the next: the plans and kernels not returned are freed here.
+        """
+        lin = self.lin
+        frozen = []
+        table = quadrature.reference_powers(self.panels, self.degree)
+        for plan in quadrature.band_plan(self.times, lin.curves, self.panels):
+            j = plan.band
+            kvs, avs = lin.frozen_factors(
+                j, self.times[plan.piece_time, None], plan.abscissas)[::2]
+            self._add_moments(matrix, zeroth, plan, avs, table)
+            kept = lin.nonlinear_equations[j - 1]
+            frozen.append((plan, {i: kvs[i] for i in kept},
+                           {i: avs[i] for i in kept}))
+        return frozen
 
     def _add_moments(self, matrix, zeroth, plan, avs, table):
         """Add the moments of the frozen kernel ``avs`` on one band's plan.

@@ -487,6 +487,69 @@ def _diff_node(node, wrt):
     raise TypeError(node)
 
 
+def _integer_power(coefficients, n):
+    """``coefficients`` to the n-th power, by repeated squaring."""
+    out = np.ones(1)
+    while n:
+        if n & 1:
+            out = np.convolve(out, coefficients)
+        n >>= 1
+        if n:
+            coefficients = np.convolve(coefficients, coefficients)
+    return out
+
+
+def _polynomial(node, max_degree):
+    """Coefficients in x of a subtree, constant first, or None."""
+    if isinstance(node, _Const):
+        return np.array([node.value])
+    if isinstance(node, _Var):
+        return np.array([0.0, 1.0]) if node.name == "x" else None
+    if isinstance(node, _Neg):
+        arg = _polynomial(node.arg, max_degree)
+        return None if arg is None else -arg
+    if not isinstance(node, _Bin):
+        return None
+    lhs = _polynomial(node.lhs, max_degree)
+    rhs = _polynomial(node.rhs, max_degree)
+    if lhs is None or rhs is None:
+        return None
+    if node.op in "+-":
+        out = np.zeros(max(lhs.size, rhs.size))
+        out[:lhs.size] = lhs
+        if node.op == "+":
+            out[:rhs.size] += rhs
+        else:
+            out[:rhs.size] -= rhs
+        return out
+    if node.op == "*":
+        return (np.convolve(lhs, rhs)
+                if lhs.size + rhs.size - 2 <= max_degree else None)
+    if rhs.size != 1:
+        return None
+    if node.op == "/":
+        return lhs / rhs[0] if rhs[0] != 0.0 else None
+    n = rhs[0]
+    if n < 0 or n != int(n) or (lhs.size - 1) * n > max_degree:
+        return None
+    return _integer_power(lhs, int(n))
+
+
+def polynomial_in_x(expression, max_degree):
+    """The coefficients of ``expression`` in x, constant first, or None.
+
+    An expression built from x and constants by ``+``, ``-``, ``*``,
+    division by a nonzero constant and non-negative integer constant powers
+    is a polynomial; one that uses ``t`` or ``s``, calls a function or
+    takes any other power or quotient is not.  Coefficients are formed by
+    convolution, so a sum may keep a top coefficient of 0 (``x^2 - x^2``
+    has three).  None too when that count would exceed ``max_degree`` + 1.
+    A coefficient that overflows is inf, as in evaluation.
+    """
+    with np.errstate(all="ignore"):
+        return _polynomial(expression._root, max_degree)
+
+
 def _numeric(value):
     return np.float64(value) if isinstance(value, (int, float)) else value
 

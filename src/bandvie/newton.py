@@ -25,14 +25,19 @@ its moments, at any panel count, pc the one plan of its steps, each band
 segment cut at the mesh nodes.  Since the derivative is frozen, sum
 A * xm is the frozen operator applied to the iterate, taken from moments
 of A for an iterate that is a polynomial on every piece (collocation and
-pc iterates); only the guess, an expression iterate, is summed on the
-plan.
+pc iterates).  Sum K * G(xm) of such an iterate is taken from moments of
+K as well: G(xm) times the row sum of K for a step iterate and a G free
+of s, and for a polynomial iterate and a G that is a polynomial in x
+(:func:`~bandvie.expr.polynomial_in_x`) the coefficients of G(xm) on the
+piece dotted with the moments of K up to its degree.  The plan is read
+after the moments are built only for the guess, an expression iterate,
+and for a G that uses s or is not a polynomial.
 
 One run is sequential in the iteration index.  A :class:`PsiEvaluator`
 keeps between calls the moments of the last degree it was given, which
-depend on the plan and that degree alone, and per band a buffer that a
-call fills before reading it; so runs may share an evaluator one after
-another, as they share the immutable problem data, but not at once.
+depend on the plan and that degree alone, and with them per band a buffer
+that a call fills before reading it; so runs may share an evaluator one
+after another, as they share the immutable problem data, but not at once.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .collocation import (
     PolynomialSolution,
 )
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
+from .expr import polynomial_in_x
 from .pc import Mesh, PCDiscretization, PiecewiseConstantSolution
 from .problem import f_at_times, linearize, validate
 from .report import measure_errors
@@ -142,6 +148,37 @@ def correction_norm(prev, nxt):
     return worst
 
 
+def _row_products(p, d):
+    """Per row, the coefficients of the product of two polynomials.
+
+    Rows of ``p`` and ``d`` hold coefficients, constant first; every row of
+    ``p`` is convolved with the same row of ``d`` at once, by sliding a
+    window of ``d``'s width over ``p`` padded with zeros.  The windows are
+    gathered by an index array: numpy's ``sliding_window_view`` keeps a
+    little memory per call that it never gives back.
+    """
+    width = d.shape[1]
+    size = p.shape[1] + width - 1
+    padded = np.zeros((p.shape[0], size + width - 1))
+    padded[:, width - 1:width - 1 + p.shape[1]] = p
+    windows = padded[:, np.add.outer(np.arange(size), np.arange(width))]
+    return (windows * d[:, None, ::-1]).sum(axis=2)
+
+
+def _composed(polynomial, powers):
+    """Per row, the coefficients of G(D) for G with coefficients
+    ``polynomial`` in x; ``powers`` holds D, D^2, ... and is extended as
+    far as G needs."""
+    while len(powers) < polynomial.size - 1:
+        powers.append(_row_products(powers[-1], powers[0]))
+    out = np.zeros((powers[0].shape[0],
+                    (polynomial.size - 1) * (powers[0].shape[1] - 1) + 1))
+    out[:, 0] = polynomial[0]
+    for a, power in zip(polynomial[1:], powers):
+        out[:, :power.shape[1]] += a * power
+    return out
+
+
 class _PsiBand(NamedTuple):
     """One band of a psi plan that has a pair with G not x.
 
@@ -152,8 +189,10 @@ class _PsiBand(NamedTuple):
     collocation plan and several, consecutive, on a pc plan, and ``runs``
     holds the first piece of each time that owns one.  ``abscissas`` is
     the plan, flat, ``pairs`` holds (0-based equation, A = K * dG/dx(x0),
-    K) for each equation whose G is not x, and ``buffer`` takes a
-    polynomial iterate on the plan when a call needs it there.
+    K) for each equation whose G is not x, and ``polynomials`` per pair the
+    coefficients of G in x (:func:`~bandvie.expr.polynomial_in_x`), or None
+    for a G that uses s, is not a polynomial or has a degree of at least
+    the panel count.
     """
 
     band: int  # 0-based
@@ -165,15 +204,15 @@ class _PsiBand(NamedTuple):
     runs: np.ndarray
     abscissas: np.ndarray
     pairs: tuple
-    buffer: np.ndarray
+    polynomials: tuple
 
     @property
     def panels(self):
-        return self.buffer.shape[1]
+        return self.pairs[0][2].shape[1]
 
     def add_on_plan(self, out, xm, nonlinearities):
         """Add w * (sum A * xm - sum K * G(xm)) per piece, xm on the plan."""
-        xm_rows = xm.reshape(self.buffer.shape)
+        xm_rows = xm.reshape(-1, self.panels)
         for i, frozen, kernel in self.pairs:
             # einsum runs its own loop: a BLAS product would make the last
             # bits depend on the BLAS build and thread count
@@ -186,27 +225,36 @@ class _PsiBand(NamedTuple):
             np.add.at(out[i], self.piece_time, rows)
 
     def add_from_coefficients(self, out, coefficients, table, moments,
-                              nonlinearities):
+                              buffer, nonlinearities):
         """Add w * (D_k . R_k - sum K * G(xm)) per piece.
 
         Row k of ``coefficients`` is the iterate on piece k in the
         reference powers ``table``, and ``moments`` holds per pair R = A @
-        table.T and, at degree 0 and for a G free of s, the row sums of K,
-        so sum K * G(xm) is G(xm) times them.  Otherwise the iterate is put
-        on the plan, once per call, into ``buffer``.
+        table.T and the moments of K that sum K * G(xm) is taken from
+        (:class:`_Moments`): at degree 0 the row sums of K, times G(xm_k);
+        at degree d the moments M = K @ U.T of the powers of degree g * d,
+        dotted with the coefficients of G(xm) = G(D_k), whose powers D_k^n
+        are formed once per call for every pair.  Where a pair has None,
+        the iterate is put on the plan, once per call, into ``buffer``, and
+        K * G(xm) is summed there.
         """
         xm = None
-        for (i, _, kernel), (linear, kernel_sums) in zip(self.pairs, moments):
+        powers = [coefficients]
+        for (i, _, kernel), polynomial, (linear, nonlinear) in zip(
+                self.pairs, self.polynomials, moments):
             rows = np.einsum("kr,kr->k", coefficients, linear)
             g = nonlinearities[i][self.band]
-            if kernel_sums is not None:
-                rows -= np.broadcast_to(
-                    g(x=coefficients[:, 0]), rows.shape) * kernel_sums
-            else:
+            if nonlinear is None:
                 if xm is None:
                     xm = np.matmul(coefficients, table,
-                                   out=self.buffer).reshape(-1)
+                                   out=buffer).reshape(-1)
                 rows -= self._nonlinear_rows(kernel, g, xm)
+            elif coefficients.shape[1] == 1:
+                rows -= np.broadcast_to(
+                    g(x=coefficients[:, 0]), rows.shape) * nonlinear
+            else:
+                rows -= np.einsum("kr,kr->k", _composed(polynomial, powers),
+                                  nonlinear)
             rows *= self.piece_width
             # the pieces of a time are summed (pairwise) before f is added:
             # on pc iterates this rounds about 3x closer to an exact sum
@@ -226,14 +274,20 @@ class _Moments(NamedTuple):
     ``table`` holds the reference powers u^r, r <= d, of the plan
     (:func:`quadrature.reference_powers`); per band, ``shifts`` holds the
     binomial shifts of its pieces (None at d = 0, where the shift is 1)
-    and ``moments`` per pair (R = A @ table.T, the row sums of K or None).
-    The row sums are kept at d = 0 for a G free of s only.
+    and ``moments`` per pair (R = A @ table.T, the moments of K or None).
+    The moments of K are, at d = 0 and for a G free of s, its row sums;
+    at d > 0 and for a G that is a polynomial of degree g in x with g * d
+    below the panel count, M = K @ U.T, U the reference powers up to
+    g * d.  None marks a pair whose K * G(xm) is summed on the plan;
+    ``buffers`` holds per band a (pieces, panels) array that takes the
+    iterate on the plan for those pairs, None for a band without one.
     """
 
     degree: int
     table: np.ndarray
     shifts: list
     moments: list
+    buffers: list
 
 
 class PsiEvaluator:
@@ -255,11 +309,12 @@ class PsiEvaluator:
 
     The plan only depends on the linearized system and the evaluation
     times, so one evaluator serves every outer iteration.  Per band with a
-    pair whose G is not x it keeps the abscissas, A and K
+    pair whose G is not x it keeps the abscissas, A, K and the
+    coefficients of each G that is a polynomial in x, taken once
     (:class:`_PsiBand`), and for the iterates of the last degree d it was
-    given the table of reference powers, the shifts and the moments R = A
-    @ table.T (:class:`_Moments`).  A band where every G is x is not
-    evaluated.
+    given the table of reference powers, the shifts, the moments R = A @
+    table.T and the moments of K (:class:`_Moments`).  A band where every
+    G is x is not evaluated.
 
     An iterate that is a polynomial on every piece gives per piece its
     coefficients D_k in the reference powers, and sum A * xm is D_k . R_k:
@@ -271,12 +326,24 @@ class PsiEvaluator:
       plan was cut at, the mesh of nodes 0 and ``times``, has degree 0:
       D_k is its value on the segment of piece k.
 
-    Its sum K * G(xm) is G(xm_k) times the row sum of K at degree 0 (a
-    step iterate) and a G free of s, one G value per piece; otherwise the
-    iterate is put on the plan as D @ table, in a buffer kept per band,
-    and K * G(xm) is summed there.  Every other iterate (the guess)
-    evaluates ``component_values`` on the abscissas and sums both terms
-    on the plan.
+    Its sum K * G(xm) is, per piece:
+
+    * at degree 0 (a step iterate) and for a G free of s, G(xm_k) times
+      the row sum of K: one G value per piece;
+    * at degree d > 0 and for a G that is a polynomial of degree g in x
+      with g * d below the panel count, G(D_k) . M_k: G(xm) is a
+      polynomial of degree g * d on the piece, its coefficients G(D_k)
+      are formed from the powers D_k^n (row convolutions, once per band
+      and call), and M = K @ U.T holds the moments of K over the
+      reference powers U up to g * d, built once per degree.  It is the
+      plan's midpoint sum in another rounding order, and no G is
+      evaluated;
+    * otherwise (a G with s, or not a polynomial) the sum on the plan of K
+      * G(xm), the iterate put there as D @ table, in a buffer kept per
+      band.
+
+    Every other iterate (the guess) evaluates ``component_values`` on the
+    abscissas and sums both terms on the plan.
     """
 
     def __init__(self, lin, times, frozen):
@@ -299,6 +366,12 @@ class PsiEvaluator:
         """One band: its (pieces, panels) rows of A and K per pair; a pc
         plan comes with the 0-based mesh ``segment`` of each piece."""
         shape = plan.abscissas.shape
+        nonlinearities = self.lin.system.nonlinearities
+        # a G of degree >= panels would be summed on the plan at every
+        # degree d >= 1 (see _kernel_moments)
+        polynomials = tuple(
+            polynomial_in_x(nonlinearities[i][plan.band - 1], shape[1] - 1)
+            for i in equations)
         return _PsiBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
@@ -308,7 +381,7 @@ class PsiEvaluator:
             abscissas=plan.abscissas.reshape(-1),
             pairs=tuple((i, avs[i].reshape(shape), kvs[i].reshape(shape))
                         for i in equations),
-            buffer=np.empty(shape))
+            polynomials=polynomials)
 
     def values(self, iterate):
         """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
@@ -321,8 +394,9 @@ class PsiEvaluator:
                     band.component, band.abscissas), dtype=float),
                     nonlinearities)
             return out
-        for band, d, moments in zip(self._bands, coefficients, kept.moments):
-            band.add_from_coefficients(out, d, kept.table, moments,
+        for band, d, moments, buffer in zip(self._bands, coefficients,
+                                            kept.moments, kept.buffers):
+            band.add_from_coefficients(out, d, kept.table, moments, buffer,
                                        nonlinearities)
         return out
 
@@ -363,19 +437,60 @@ class PsiEvaluator:
         kept = self._moments
         if kept is not None and kept.degree == degree:
             return kept
-        nonlinearities = self.lin.system.nonlinearities
         table = quadrature.reference_powers(self._bands[0].panels, degree)
         shifts = [quadrature.power_shift(band.piece_lo,
                                          band.piece_width * band.panels,
                                          self._scale, degree)
                   for band in self._bands] if degree else None
-        moments = [[(frozen @ table.T,
-                     kernel.sum(axis=1) if not degree and "s" not in
-                     nonlinearities[i][band.band].free_variables else None)
-                    for i, frozen, kernel in band.pairs]
-                   for band in self._bands]
-        self._moments = kept = _Moments(degree, table, shifts, moments)
+        if degree:
+            nonlinear = self._kernel_moments(degree, table)
+        else:
+            nonlinearities = self.lin.system.nonlinearities
+            nonlinear = [[kernel.sum(axis=1) if "s" not in nonlinearities[
+                i][band.band].free_variables else None
+                for i, _, kernel in band.pairs] for band in self._bands]
+        moments = [[(frozen @ table.T, of_kernel)
+                    for (_, frozen, _), of_kernel in zip(band.pairs, of_band)]
+                   for band, of_band in zip(self._bands, nonlinear)]
+        buffers = [np.empty((band.piece_time.size, band.panels))
+                   if any(m is None for m in of_band) else None
+                   for band, of_band in zip(self._bands, nonlinear)]
+        self._moments = kept = _Moments(degree, table, shifts, moments,
+                                        buffers)
         return kept
+
+    def _kernel_moments(self, degree, table):
+        """Per band and pair, M = K @ U.T for a G that is a polynomial of
+        degree g with g * d below the panel count (its moments are then
+        fewer numbers than the plan's), U the reference powers up to g * d;
+        None for every other pair.
+
+        U is formed d + 1 powers at a time, each block the block before
+        times u^(d+1), in place, and shared by every pair, so besides
+        ``table`` one block of its size is alive.
+        """
+        panels = table.shape[1]
+        widths = [[None if p is None or (p.size - 1) * degree >= panels
+                   else (p.size - 1) * degree + 1 for p in band.polynomials]
+                  for band in self._bands]
+        out = [[None if w is None else np.empty((band.piece_time.size, w))
+                for w in band_widths]
+               for band, band_widths in zip(self._bands, widths)]
+        top = max((w for band_widths in widths for w in band_widths
+                   if w is not None), default=0)
+        block, step = table, table[degree] * table[1]
+        for start in range(0, top, degree + 1):
+            if start == degree + 1:
+                block = block * step    # the first block is ``table``
+            elif start:
+                block *= step
+            for band, band_widths, band_out in zip(self._bands, widths, out):
+                for (_, _, kernel), w, m in zip(band.pairs, band_widths,
+                                                band_out):
+                    if w is not None and w > start:
+                        stop = min(w, start + degree + 1)
+                        m[:, start:stop] = kernel @ block[:stop - start].T
+        return out
 
     def derivative_at_zero(self, iterate):
         """d(psi)/dt at t = 0: only the band boundary terms survive.

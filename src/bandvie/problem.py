@@ -532,24 +532,22 @@ class LinearizedSystem:
         """:meth:`frozen_factors` without the finiteness check."""
         s = np.asarray(s, dtype=float)
         nonlinear = self.nonlinear_equations[j - 1]
-        x0v = None
-        kvs, gvs, avs = [], [], []
-        for i in range(self.n_equations):
-            kv = np.broadcast_to(np.asarray(
-                self.system.kernels[i][j - 1](t=t, s=s), float), s.shape)
-            kvs.append(kv)
-            if i not in nonlinear:
-                # a kernel constant in s is a broadcast view; A is laid out
-                # in memory as K * 1.0 was, so its sums add in the same order
-                gvs.append(None)
-                avs.append(np.ascontiguousarray(kv))
-                continue
-            if x0v is None:
-                x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
-            gv = np.broadcast_to(np.asarray(
-                self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
-            gvs.append(gv)
-            avs.append(kv * gv)
+        kvs = [np.broadcast_to(np.asarray(
+            self.system.kernels[i][j - 1](t=t, s=s), float), s.shape)
+            for i in range(self.n_equations)]
+        gvs = [None] * self.n_equations
+        if nonlinear:
+            # every dG/dx is formed before any A, so the guess on the
+            # abscissas is freed before the products are
+            x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
+            for i in nonlinear:
+                gvs[i] = np.broadcast_to(np.asarray(
+                    self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
+            del x0v
+        # a kernel constant in s is a broadcast view; for G = x, A is laid
+        # out in memory as K * 1.0 was, so its sums add in the same order
+        avs = [np.ascontiguousarray(kv) if gv is None else kv * gv
+               for kv, gv in zip(kvs, gvs)]
         return kvs, gvs, avs
 
     @cached_property

@@ -227,6 +227,26 @@ def test_degree_15_is_flagged_numerically_singular(model01):
             solve_linear_collocation(model01, degree=15)
 
 
+def test_a_failed_factorization_keeps_no_plan_in_its_traceback(model01):
+    # the error's traceback holds the constructor's frame: the band plans,
+    # the kernels on them and the power table are freed all the same
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        with pytest.raises(SolverError, match="singular") as info:
+            CollocationDiscretization(linearize(model01), degree=15)
+    frames, tb = [], info.value.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame)
+        tb = tb.tb_next
+    init = [f for f in frames
+            if f.f_code is CollocationDiscretization.__init__.__code__]
+    assert len(init) == 1 and init[0].f_locals["self"]._frozen is None
+    assert not [name for f in frames for name, v in f.f_locals.items()
+                if isinstance(v, np.ndarray) and v.size >= 15 * 100]
+
+
 def test_solve_is_deterministic_and_reuses_matrix(model01):
     lin = linearize(model01)
     disc = CollocationDiscretization(lin, degree=5)

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bandvie.errors import ExpressionSyntaxError
-from bandvie.expr import parse
+from bandvie.expr import parse, polynomial_in_x
 
 # expressions exercised by the derivative and round-trip batteries; points
 # are kept where log/sqrt stay in-domain
@@ -231,3 +232,52 @@ def test_constant_expressions_give_numpy_floats():
         for arg in (0.5, np.ones(3)):
             got = e(t=arg)
             assert isinstance(got, np.float64) and got == value, text
+
+
+POLYNOMIALS = [
+    "x^2", "3*x + x^3", "x - x^2", "x + x^4", "x + x^2", "-x", "2",
+    "x/3", "-(x - 2)^3/4", "(1 + x)*(2 - x)^2", "x^5 - 2*x^7",
+    "(x^2 + 1)^3*x", "x*x*x - x^2/2", "0.5*(x - 1)^6", "-(-x)^3 + 1",
+]
+
+
+@pytest.mark.parametrize("text", POLYNOMIALS)
+def test_polynomial_coefficients_reproduce_the_compiled_expression(text):
+    expr = parse(text)
+    coefficients = polynomial_in_x(expr, 64)
+    assert coefficients is not None and coefficients.dtype == float
+    xs = np.random.default_rng(len(text)).uniform(-2.0, 2.0, 200)
+    for x in xs:
+        # the exactly rounded value of the coefficients' polynomial, against
+        # the size of its terms
+        terms = [c * x ** n for n, c in enumerate(coefficients)]
+        exact = math.fsum(terms)
+        scale = math.fsum(map(abs, terms))
+        assert abs(float(expr(x=x)) - exact) <= 1e-15 * scale
+
+
+def test_polynomial_coefficients_in_order_with_the_top_kept():
+    assert polynomial_in_x(parse("x^2 - x^2"), 8).tolist() == [0, 0, 0]
+    assert polynomial_in_x(parse("(1 + x)^2"), 8).tolist() == [1, 2, 1]
+    assert polynomial_in_x(parse("2 - x/4"), 8).tolist() == [2, -0.25]
+    assert polynomial_in_x(parse("x^3*x^2"), 8).tolist() == [0] * 5 + [1]
+    # an unfolded constant power overflows to inf, as the compiled form does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polynomial_in_x(parse("x + 10^400"), 8).tolist() == [
+            math.inf, 1]
+    assert float(parse("x + 10^400")(x=1.0)) == math.inf
+
+
+@pytest.mark.parametrize("text", [
+    "s", "t", "sin(x)", "x^0.5", "x/x", "x*s", "x + t", "exp(x)",
+    "x^-1", "2^x", "x^x", "x/0", "1/x", "x/(x - x + 2)"])
+def test_non_polynomials_have_no_coefficients(text):
+    assert polynomial_in_x(parse(text), 64) is None
+
+
+@pytest.mark.parametrize("text", ["x^5", "x^2*x^3", "(x^2 + 1)^3",
+                                  "x^1e15", "(x + 1)^1e300"])
+def test_polynomials_above_the_degree_bound_have_no_coefficients(text):
+    assert polynomial_in_x(parse(text), 4) is None
+    assert polynomial_in_x(parse("x^4 + x^2*x^2"), 4).size == 5

@@ -92,6 +92,30 @@ def _pieces(band):
             for p, (r, w) in enumerate(zip(band.piece_time, band.piece_width))]
 
 
+def _product(p, d):
+    """The coefficients of the polynomial p * d, one at a time: coefficient
+    w sums p[w - q] * d[q] over q, from the highest q down, as one pairwise
+    sum."""
+    out = np.empty(p.size + d.size - 1)
+    for w in range(out.size):
+        out[w] = np.array([p[w - q] * d[q] if 0 <= w - q < p.size else
+                           0.0 * d[q] for q in range(d.size - 1, -1, -1)]
+                          ).sum()
+    return out
+
+
+def _composed(polynomial, d):
+    """The coefficients of G(D) for G with ``polynomial`` in x, D = d."""
+    power = d
+    out = np.zeros((polynomial.size - 1) * (d.size - 1) + 1)
+    out[0] = polynomial[0]
+    for n, a in enumerate(polynomial[1:], start=1):
+        if n > 1:
+            power = _product(power, d)
+        out[:power.size] += a * power
+    return out
+
+
 def _per_node_values(ev, iterate):
     lin = ev.lin
     out = ev._f_vals.copy()
@@ -104,6 +128,7 @@ def _per_node_values(ev, iterate):
             d = coefficients[b]
             xm = np.matmul(d, kept.table).reshape(-1)
         for q, (i, frozen, kernel) in enumerate(band.pairs):
+            g = lin.system.nonlinearities[i][j]
             gm = _g_values(lin.system, i, j, s, xm)
             if coefficients is None:
                 for p, (r, w, cut) in enumerate(_pieces(band)):
@@ -111,17 +136,24 @@ def _per_node_values(ev, iterate):
                     nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
                     out[i, r] += w * (linear - nonlinear)
                 continue
-            moments, kernel_sums = kept.moments[b][q]
-            if kernel_sums is not None:
-                g_pieces = np.broadcast_to(lin.system.nonlinearities[i][j](
-                    x=d[:, 0]), band.piece_time.shape)
+            moments, of_kernel = kept.moments[b][q]
+            if d.shape[1] == 1 and of_kernel is not None:
+                g_pieces = np.broadcast_to(g(x=d[:, 0]),
+                                           band.piece_time.shape)
             by_time = {}
             for p, (r, w, cut) in enumerate(_pieces(band)):
                 linear = np.einsum("r,r->", d[p], moments[p])
-                if kernel_sums is None:
+                if of_kernel is None:
+                    # summed on the plan
                     nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
+                elif d.shape[1] == 1:
+                    # G(xm) times the row sum of K
+                    nonlinear = g_pieces[p] * of_kernel[p]
                 else:
-                    nonlinear = g_pieces[p] * kernel_sums[p]
+                    # the coefficients of G(xm) dotted with M = K @ U.T
+                    nonlinear = np.einsum(
+                        "r,r->", _composed(band.polynomials[q], d[p]),
+                        of_kernel[p])
                 by_time.setdefault(r, []).append(w * (linear - nonlinear))
             for r, rows in by_time.items():
                 # one segment of a reduceat: rows[0] + the pairwise sum of
@@ -252,7 +284,7 @@ def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar",
                              "empty-band", "s-dependent"]),
-       degree=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       degree=st.integers(0, 15), seed=st.integers(0, 2**32 - 1),
        nodes=st.sampled_from([1, 3, 7]),
        panels=st.sampled_from([DEFAULT_MOMENT_PANELS, 300, 1001]))
 # polynomial iterates of degree below, at and above the discretization's
@@ -262,6 +294,10 @@ def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
          panels=DEFAULT_MOMENT_PANELS)
 @example(name="nonlinear-sys2", degree=12, seed=3, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
+# G(xm) of degree up to 4 * 15 from the moments of K
+@example(name="nonlinear-sys2", degree=15, seed=11, nodes=7,
+         panels=DEFAULT_MOMENT_PANELS)
+@example(name="nonlinear-scalar", degree=14, seed=12, nodes=3, panels=300)
 @example(name="nonlinear-scalar", degree=1, seed=4, nodes=1,
          panels=DEFAULT_MOMENT_PANELS)
 @example(name="nonlinear-scalar", degree=12, seed=5, nodes=3,
@@ -276,7 +312,8 @@ def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
 @example(name="s-dependent", degree=12, seed=10, nodes=3, panels=300)
 def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
                                                        nodes, panels):
-    # the linear term comes from the moments R = A @ table.T
+    # the linear term comes from the moments R = A @ table.T, and for a
+    # polynomial G the nonlinear one from M = K @ U.T
     ev = _node_evaluator(name, nodes, panels)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
@@ -477,3 +514,49 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
     ev.values(_polynomial(sys2, 5, degree=4))
     assert [[r.tobytes() for r, _ in band] for band in ev._moments.moments] \
         == [[r.tobytes() for r in band] for band in products]
+
+
+@pytest.mark.parametrize("name", ["nonlinear-sys2", "nonlinear-scalar"])
+def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
+    system = builtin(name)
+    ev = _node_evaluator(name, 6)
+    iterate = _polynomial(system, 6)
+    ev.values(system.guess_iterate())
+    ev.values(iterate)          # the moments of degree 6 are built here
+    evaluated = []
+    call = Expression.__call__
+
+    def counting_call(self, t=None, s=None, x=None):
+        evaluated.append((self, np.size(s), np.size(x)))
+        return call(self, t=t, s=s, x=x)
+
+    monkeypatch.setattr(Expression, "__call__", counting_call)
+    got = ev.values(iterate)
+    # every G is a polynomial: G(xm) comes from its coefficients and the
+    # moments of K, and no expression is evaluated, on the plan or off it
+    assert evaluated == []
+    assert all(of_kernel is not None and of_kernel.shape[1] > 7
+               for band in ev._moments.moments for _, of_kernel in band)
+    assert np.array_equal(got, _per_node_values(ev, iterate))
+
+
+@pytest.mark.parametrize("name, planned", [
+    ("nonlinear-sys2", [False, False]), ("nonlinear-scalar", [False]),
+    # x^2 + s*x in band 1 and x + s*x^4 in band 2
+    ("s-dependent", [True, True])])
+def test_only_a_band_with_g_summed_on_the_plan_holds_a_buffer(name, planned):
+    system = _system(name)
+    ev = _node_evaluator(name, 5, 700)
+    ev.values(_polynomial(system, 7))
+    buffers = ev._moments.buffers
+    assert [buffer is not None for buffer in buffers] == planned
+    for band, buffer in zip(ev._bands, buffers):
+        if buffer is not None:
+            assert buffer.shape == (band.piece_time.size, 700)
+    # a step iterate: only a G with s is summed on the plan
+    ev, mesh = _cut_evaluator(name, 16)
+    steps = PiecewiseConstantSolution(
+        mesh, np.zeros(system.n_components),
+        np.ones((system.n_components, 16)), system.component_domains())
+    ev.values(steps)
+    assert [buffer is not None for buffer in ev._moments.buffers] == planned
