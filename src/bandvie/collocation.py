@@ -17,12 +17,13 @@ with the plan's table of reference powers u^r
 that row's piece by a binomial shift (:func:`quadrature.power_shift`).
 The outer iteration hands the plan, K and A on to its psi evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
-psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows, taking
-sum A * xm of a polynomial iterate from the same product A @ U.T and,
-for a G that is a polynomial in x, sum K * G(xm) from moments K @ U.T
-of the powers up to that of G(xm); so the frozen kernel is evaluated
-once per run, and after the guess only a G with s or one that is not a
-polynomial is evaluated on the plan.  A solve takes psi as an array
+psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows: at the
+guess on the plan, and for a polynomial iterate sum A * xm from the same
+product A @ U.T and, for a G that is a polynomial in x, sum K * G(xm)
+from moments K @ U.T of the powers up to that of G(xm); so the frozen
+kernel is evaluated once per run, and psi reads K and A only up to its
+first polynomial iterate, after which it keeps the plan only for a G
+with s or one that is not a polynomial.  A solve takes psi as an array
 at the collocation nodes and its d/dt at 0
 (:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
 """
@@ -190,7 +191,8 @@ class CollocationDiscretization:
         by equation of the pairs whose G is not x
         (:attr:`LinearizedSystem.nonlinear_equations`) K and the frozen
         kernel A = K * dG/dx(x0) on it.  Afterwards the discretization
-        holds none of it; a second call raises :class:`SolverError`.
+        holds none of it, and psi reads K and A only up to its first
+        polynomial iterate; a second call raises :class:`SolverError`.
         """
         frozen, self._frozen = self._frozen, None
         if frozen is None:

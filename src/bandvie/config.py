@@ -2,7 +2,7 @@
 
 Schema (formulas use the expression grammar of :mod:`bandvie.expr`)::
 
-    name: my-problem        # optional
+    name: my-problem        # optional, defaults to the file path
     n: 2                    # number of kernel bands
     T: 2.0                  # horizon
     alpha: ["t/2"]          # n-1 interior discontinuity curves (in t)
@@ -60,6 +60,9 @@ def problem_from_mapping(data, name=""):
             f"alpha must list the {n - 1} interior curves, "
             f"got {len(alpha) if isinstance(alpha, list) else alpha!r}")
 
+    label = data.get("name")
+    if label is not None and not isinstance(label, str):
+        raise ProblemDefinitionError(f"name must be a string, got {label!r}")
     for key in ("f", "exact", "guess", "unknown_of_band"):
         value = data.get(key)
         if not isinstance(value, list) and (key == "f" or value is not None):
@@ -83,7 +86,7 @@ def problem_from_mapping(data, name=""):
             unknown_of_band=data.get("unknown_of_band"),
             exact=data.get("exact"),
             guess=data.get("guess"),
-            name=str(data.get("name", name)),
+            name=name if label is None else label,
         )
     except ProblemDefinitionError:
         raise

@@ -22,22 +22,14 @@ G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
 Each inner solver builds one plan, evaluates the frozen kernel on it and
 hands both to psi, which plans nothing of its own: collocation the plan of
 its moments, at any panel count, pc the one plan of its steps, each band
-segment cut at the mesh nodes.  Since the derivative is frozen, sum
-A * xm is the frozen operator applied to the iterate, taken from moments
-of A for an iterate that is a polynomial on every piece (collocation and
-pc iterates).  Sum K * G(xm) of such an iterate is taken from moments of
-K as well: G(xm) times the row sum of K for a step iterate and a G free
-of s, and for a polynomial iterate and a G that is a polynomial in x
-(:func:`~bandvie.expr.polynomial_in_x`) the coefficients of G(xm) on the
-piece dotted with the moments of K up to its degree.  The plan is read
-after the moments are built only for the guess, an expression iterate,
-and for a G that uses s or is not a polynomial.
-
-One run is sequential in the iteration index.  A :class:`PsiEvaluator`
-keeps between calls the moments of the last degree it was given, which
-depend on the plan and that degree alone, and with them per band a buffer
-that a call fills before reading it; so runs may share an evaluator one
-after another, as they share the immutable problem data, but not at once.
+segment cut at the mesh nodes.  Psi at the guess is summed on that plan
+once.  Every later step takes an iterate of the inner solver, whose sum
+A * xm, the frozen operator applied to it, comes from moments of A, and
+sum K * G(xm) from moments of K where G allows; they are built at the
+first such iterate, and from then on psi keeps the plan only for a G that
+uses s or is not a polynomial.  A :class:`PsiEvaluator` serves one run,
+which is sequential in the iteration index: it keeps per band a buffer
+that a call fills before reading it.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -179,7 +170,8 @@ def _composed(polynomial, powers):
     return out
 
 
-class _PsiBand(NamedTuple):
+@dataclass(eq=False)
+class _PsiBand:
     """One band of a psi plan that has a pair with G not x.
 
     Row p of every (n_pieces, panels) array is piece p of the plan: outer
@@ -193,10 +185,16 @@ class _PsiBand(NamedTuple):
     coefficients of G in x (:func:`~bandvie.expr.polynomial_in_x`), or None
     for a G that uses s, is not a polynomial or has a degree of at least
     the panel count.
+
+    The first solver iterate sets the rest (:meth:`keep_moments`): on a
+    collocation plan the binomial ``shift`` of each piece, per pair
+    ``moments`` (R = A @ table.T, the moments of K or None) and, for a
+    pair with None, a ``buffer`` that takes the iterate on the plan.
     """
 
     band: int  # 0-based
     component: int  # 1-based
+    panels: int
     piece_time: np.ndarray
     piece_width: np.ndarray
     piece_lo: np.ndarray
@@ -205,13 +203,15 @@ class _PsiBand(NamedTuple):
     abscissas: np.ndarray
     pairs: tuple
     polynomials: tuple
+    shift: np.ndarray = None
+    moments: list = None
+    buffer: np.ndarray = None
 
-    @property
-    def panels(self):
-        return self.pairs[0][2].shape[1]
-
-    def add_on_plan(self, out, xm, nonlinearities):
-        """Add w * (sum A * xm - sum K * G(xm)) per piece, xm on the plan."""
+    def add_on_plan(self, out, iterate, nonlinearities):
+        """Add w * (sum A * xm - sum K * G(xm)) per piece, summed on the
+        plan, for xm the ``iterate``."""
+        xm = np.asarray(iterate.component_values(self.component,
+                                                 self.abscissas), dtype=float)
         xm_rows = xm.reshape(-1, self.panels)
         for i, frozen, kernel in self.pairs:
             # einsum runs its own loop: a BLAS product would make the last
@@ -224,30 +224,46 @@ class _PsiBand(NamedTuple):
             # times one by one, in plan order
             np.add.at(out[i], self.piece_time, rows)
 
-    def add_from_coefficients(self, out, coefficients, table, moments,
-                              buffer, nonlinearities):
+    def keep_moments(self, table, of_kernel, scale):
+        """Keep per pair R = A @ table.T and the moments of K ``of_kernel``
+        and, on a collocation plan, the shift to powers of s/``scale``; drop
+        A, and K and the abscissas unless a pair has None (its K * G(xm) is
+        summed on the plan, in ``buffer``)."""
+        self.moments = [(frozen @ table.T, m)
+                        for (_, frozen, _), m in zip(self.pairs, of_kernel)]
+        if self.segment is None:
+            self.shift = quadrature.power_shift(
+                self.piece_lo, self.piece_width * self.panels, scale,
+                table.shape[0] - 1)
+        self.piece_lo = None
+        self.pairs = tuple((i, None, kernel if m is None else None)
+                           for (i, _, kernel), m in zip(self.pairs, of_kernel))
+        if any(m is None for m in of_kernel):
+            self.buffer = np.empty((self.piece_time.size, self.panels))
+        else:
+            self.abscissas = None
+
+    def add_from_coefficients(self, out, coefficients, table,
+                              nonlinearities):
         """Add w * (D_k . R_k - sum K * G(xm)) per piece.
 
         Row k of ``coefficients`` is the iterate on piece k in the
-        reference powers ``table``, and ``moments`` holds per pair R = A @
-        table.T and the moments of K that sum K * G(xm) is taken from
-        (:class:`_Moments`): at degree 0 the row sums of K, times G(xm_k);
-        at degree d the moments M = K @ U.T of the powers of degree g * d,
-        dotted with the coefficients of G(xm) = G(D_k), whose powers D_k^n
-        are formed once per call for every pair.  Where a pair has None,
-        the iterate is put on the plan, once per call, into ``buffer``, and
-        K * G(xm) is summed there.
+        reference powers ``table``.  Sum K * G(xm) is G(xm_k) times the
+        row sums of K at degree 0, and G(D_k) . M_k at degree d, the
+        powers D_k^n formed once per call for every pair; where a pair has
+        no moments of K, it is summed on the plan, the iterate put there
+        once per call, into :attr:`buffer`.
         """
         xm = None
         powers = [coefficients]
         for (i, _, kernel), polynomial, (linear, nonlinear) in zip(
-                self.pairs, self.polynomials, moments):
+                self.pairs, self.polynomials, self.moments):
             rows = np.einsum("kr,kr->k", coefficients, linear)
             g = nonlinearities[i][self.band]
             if nonlinear is None:
                 if xm is None:
                     xm = np.matmul(coefficients, table,
-                                   out=buffer).reshape(-1)
+                                   out=self.buffer).reshape(-1)
                 rows -= self._nonlinear_rows(kernel, g, xm)
             elif coefficients.shape[1] == 1:
                 rows -= np.broadcast_to(
@@ -268,26 +284,14 @@ class _PsiBand(NamedTuple):
         return np.einsum("kp,kp->k", kernel, gm.reshape(kernel.shape))
 
 
-class _Moments(NamedTuple):
-    """What psi keeps for the iterates of one degree d.
-
-    ``table`` holds the reference powers u^r, r <= d, of the plan
-    (:func:`quadrature.reference_powers`); per band, ``shifts`` holds the
-    binomial shifts of its pieces (None at d = 0, where the shift is 1)
-    and ``moments`` per pair (R = A @ table.T, the moments of K or None).
-    The moments of K are, at d = 0 and for a G free of s, its row sums;
-    at d > 0 and for a G that is a polynomial of degree g in x with g * d
-    below the panel count, M = K @ U.T, U the reference powers up to
-    g * d.  None marks a pair whose K * G(xm) is summed on the plan;
-    ``buffers`` holds per band a (pieces, panels) array that takes the
-    iterate on the plan for those pairs, None for a band without one.
-    """
-
-    degree: int
-    table: np.ndarray
-    shifts: list
-    moments: list
-    buffers: list
+def _described(iterate):
+    """The class of ``iterate``, with its degree or its mesh if it has one."""
+    name = type(iterate).__name__
+    if isinstance(iterate, PolynomialSolution):
+        return f"{name} of degree {iterate.degree}"
+    if isinstance(iterate, PiecewiseConstantSolution):
+        return f"{name} on a mesh of {iterate.mesh.n_segments} segments"
+    return name
 
 
 class PsiEvaluator:
@@ -303,28 +307,24 @@ class PsiEvaluator:
     the plans its steps were summed on: each band segment cut at the
     nodes into pieces of ``pc.PIECE_PANELS`` panels, unknown ranges and
     history alike, each with its mesh segment.  A discretization hands its
-    plan over once.  An empty hand-off plans no band: psi is f.
-    psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of w * (sum
-    A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
+    plan over once.  An empty hand-off plans no band: psi is f, for any
+    iterate.  psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of w
+    * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
 
-    The plan only depends on the linearized system and the evaluation
-    times, so one evaluator serves every outer iteration.  Per band with a
-    pair whose G is not x it keeps the abscissas, A, K and the
-    coefficients of each G that is a polynomial in x, taken once
-    (:class:`_PsiBand`), and for the iterates of the last degree d it was
-    given the table of reference powers, the shifts, the moments R = A @
-    table.T and the moments of K (:class:`_Moments`).  A band where every
-    G is x is not evaluated.
+    Per band with a pair whose G is not x the evaluator takes the plan, A,
+    K and the coefficients of each G that is a polynomial in x
+    (:class:`_PsiBand`).  On it, it sums psi at the linearization point
+    ``lin.x0`` once, and ``values(lin.x0)`` returns a copy of that sum.
+    Every other call takes an iterate of the inner solver, a polynomial on
+    every piece, whose coefficients D_k in the reference powers give sum A
+    * xm = D_k . R_k:
 
-    An iterate that is a polynomial on every piece gives per piece its
-    coefficients D_k in the reference powers, and sum A * xm is D_k . R_k:
-
-    * a :class:`~bandvie.collocation.PolynomialSolution` of degree d has
-      D_k = c_hat @ S_k, with c_hat_l = c_l * T^l its coefficients in s/T
-      and S_k the binomial shift of piece k;
-    * a :class:`~bandvie.pc.PiecewiseConstantSolution` on the mesh a pc
-      plan was cut at, the mesh of nodes 0 and ``times``, has degree 0:
-      D_k is its value on the segment of piece k.
+    * on a collocation plan a :class:`~bandvie.collocation.PolynomialSolution`
+      of degree d, with D_k = c_hat @ S_k, c_hat_l = c_l * T^l its
+      coefficients in s/T and S_k the binomial shift of piece k;
+    * on a pc plan a :class:`~bandvie.pc.PiecewiseConstantSolution` on the
+      mesh the plan was cut at, the mesh of nodes 0 and ``times``, of
+      degree 0: D_k is its value on the segment of piece k.
 
     Its sum K * G(xm) is, per piece:
 
@@ -335,22 +335,25 @@ class PsiEvaluator:
       polynomial of degree g * d on the piece, its coefficients G(D_k)
       are formed from the powers D_k^n (row convolutions, once per band
       and call), and M = K @ U.T holds the moments of K over the
-      reference powers U up to g * d, built once per degree.  It is the
-      plan's midpoint sum in another rounding order, and no G is
-      evaluated;
+      reference powers U up to g * d.  It is the plan's midpoint sum in
+      another rounding order, and no G is evaluated;
     * otherwise (a G with s, or not a polynomial) the sum on the plan of K
       * G(xm), the iterate put there as D @ table, in a buffer kept per
       band.
 
-    Every other iterate (the guess) evaluates ``component_values`` on the
-    abscissas and sums both terms on the plan.
+    The first solver iterate sets the degree; the reference powers, the
+    shifts and the moments R = A @ table.T and of K are built then, once,
+    and A goes, with K and the abscissas of every pair whose G term comes
+    from moments.  An iterate of another kind, of a second degree or on
+    another mesh raises :class:`SolverError`.
     """
 
     def __init__(self, lin, times, frozen):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
         self._scale = float(lin.curves.horizon)
-        self._moments = None
+        # the first solver iterate's degree and reference powers up to it
+        self._degree = self._table = None
         active = lin.nonlinear_equations
         self._bands = [self._band(active[entry[0].band - 1], *entry)
                        for entry in frozen if active[entry[0].band - 1]
@@ -361,6 +364,9 @@ class PsiEvaluator:
         slopes = [float(lin.curves.alpha_prime(j, 0.0))
                   for j in range(lin.n_bands + 1)]
         self._dslopes = np.diff(np.asarray(slopes))
+        self._at_x0 = self._f_vals.copy()
+        for band in self._bands:
+            band.add_on_plan(self._at_x0, lin.x0, lin.system.nonlinearities)
 
     def _band(self, equations, plan, kvs, avs, segment=None):
         """One band: its (pieces, panels) rows of A and K per pair; a pc
@@ -375,6 +381,7 @@ class PsiEvaluator:
         return _PsiBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
+            panels=shape[1],
             piece_time=plan.piece_time, piece_width=plan.piece_width,
             piece_lo=plan.piece_lo, segment=segment,
             runs=np.flatnonzero(np.diff(plan.piece_time, prepend=-1)),
@@ -384,80 +391,63 @@ class PsiEvaluator:
             polynomials=polynomials)
 
     def values(self, iterate):
-        """Psi at the planned times for the given iterate; shape (n_eq, n_times)."""
-        nonlinearities = self.lin.system.nonlinearities
+        """Psi at the planned times, shape (n_eq, n_times), for ``lin.x0``
+        or an iterate of the inner solver that built the plan."""
+        if iterate is self.lin.x0 or not self._bands:
+            return self._at_x0.copy()
         out = self._f_vals.copy()
-        kept, coefficients = self._piece_coefficients(iterate)
-        if coefficients is None:
-            for band in self._bands:
-                band.add_on_plan(out, np.asarray(iterate.component_values(
-                    band.component, band.abscissas), dtype=float),
-                    nonlinearities)
-            return out
-        for band, d, moments, buffer in zip(self._bands, coefficients,
-                                            kept.moments, kept.buffers):
-            band.add_from_coefficients(out, d, kept.table, moments, buffer,
-                                       nonlinearities)
+        nonlinearities = self.lin.system.nonlinearities
+        for band, d in zip(self._bands, self._piece_coefficients(iterate)):
+            band.add_from_coefficients(out, d, self._table, nonlinearities)
         return out
 
     def _piece_coefficients(self, iterate):
-        """The :class:`_Moments` of the iterate's degree and per band its D_k.
-
-        ``(None, None)`` for an iterate that is not a polynomial on every
-        piece of the plan, and when nothing is planned.
-        """
-        if not self._bands:
-            return None, None
-        if isinstance(iterate, PolynomialSolution):
-            degree = iterate.degree
-            kept = self._moments_of(degree)
-            scaled = iterate.coefficients * self._scale ** np.arange(
-                degree + 1)
-            if not degree:
-                return kept, [np.full((band.piece_time.size, 1),
-                                      scaled[band.component - 1, 0])
-                              for band in self._bands]
-            return kept, [scaled[band.component - 1] @ shift
-                          for band, shift in zip(self._bands, kept.shifts)]
-        if (isinstance(iterate, PiecewiseConstantSolution)
-                and self._bands[0].segment is not None
-                # a pc plan is cut at the mesh of nodes 0 and the times
-                and np.array_equal(iterate.mesh.nodes[1:], self.times)):
-            return self._moments_of(0), [
-                iterate.values[band.component - 1][band.segment, None]
+        """Per band the iterate's coefficients D_k on every piece; the
+        first call sets the degree (:meth:`_keep_moments`).  An iterate
+        the plan's solver does not make (a polynomial on a collocation
+        plan, of the degree of the first, or steps on the mesh of a pc
+        plan) raises :class:`SolverError`."""
+        on_mesh = self._bands[0].segment is not None
+        if on_mesh:
+            # a pc plan is cut at the mesh of nodes 0 and the times
+            served = (isinstance(iterate, PiecewiseConstantSolution)
+                      and np.array_equal(iterate.mesh.nodes[1:], self.times))
+            degree = 0
+        else:
+            served = isinstance(iterate, PolynomialSolution)
+            degree = iterate.degree if served else None
+        if not served or self._degree not in (None, degree):
+            wanted = (f"steps on its mesh of {self.times.size} segments"
+                      if on_mesh else "a polynomial" if self._degree is None
+                      else f"a polynomial of degree {self._degree}")
+            raise SolverError(
+                f"psi takes the linearization point or {wanted}, got "
+                f"{_described(iterate)}")
+        if self._degree is None:
+            self._keep_moments(degree)
+        if on_mesh:
+            return [iterate.values[band.component - 1][band.segment, None]
+                    for band in self._bands]
+        scaled = iterate.coefficients * self._scale ** np.arange(degree + 1)
+        return [scaled[band.component - 1] @ band.shift
                 for band in self._bands]
-        return None, None
 
-    def _moments_of(self, degree):
-        """The :class:`_Moments` of ``degree``, built once and kept.
-
-        Read and replaced whole, so runs sharing the evaluator with
-        iterates of other degrees never mix their tables and moments.
-        """
-        kept = self._moments
-        if kept is not None and kept.degree == degree:
-            return kept
-        table = quadrature.reference_powers(self._bands[0].panels, degree)
-        shifts = [quadrature.power_shift(band.piece_lo,
-                                         band.piece_width * band.panels,
-                                         self._scale, degree)
-                  for band in self._bands] if degree else None
+    def _keep_moments(self, degree):
+        """Set the degree and build its table and moments, once: of K
+        the row sums at degree 0 for a G free of s, at d > 0 those of
+        :meth:`_kernel_moments`, and None for a pair summed on the plan."""
+        self._degree = degree
+        self._table = table = quadrature.reference_powers(
+            self._bands[0].panels, degree)
         if degree:
-            nonlinear = self._kernel_moments(degree, table)
+            of_kernel = self._kernel_moments(degree, table)
         else:
             nonlinearities = self.lin.system.nonlinearities
-            nonlinear = [[kernel.sum(axis=1) if "s" not in nonlinearities[
+            of_kernel = [[kernel.sum(axis=1) if "s" not in nonlinearities[
                 i][band.band].free_variables else None
                 for i, _, kernel in band.pairs] for band in self._bands]
-        moments = [[(frozen @ table.T, of_kernel)
-                    for (_, frozen, _), of_kernel in zip(band.pairs, of_band)]
-                   for band, of_band in zip(self._bands, nonlinear)]
-        buffers = [np.empty((band.piece_time.size, band.panels))
-                   if any(m is None for m in of_band) else None
-                   for band, of_band in zip(self._bands, nonlinear)]
-        self._moments = kept = _Moments(degree, table, shifts, moments,
-                                        buffers)
-        return kept
+        for band, of_band in zip(self._bands, of_kernel):
+            band.keep_moments(table, of_band, self._scale)
 
     def _kernel_moments(self, degree, table):
         """Per band and pair, M = K @ U.T for a G that is a polynomial of
@@ -573,11 +563,12 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         disc = CollocationDiscretization(
             lin, degree,
             panels=DEFAULT_MOMENT_PANELS if panels is None else panels)
-    # what psi does not keep of the handed-over plan is freed here
+    # psi sums the guess on the handed-over plan; what it keeps of the plan
+    # after its first solver iterate is only what later calls read
     evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
 
     report = IterationReport()
-    current = system.guess_iterate()
+    current = lin.x0
     prev_correction = None
     solution = None
     for step in range(1, max_iters + 1):

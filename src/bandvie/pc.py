@@ -11,7 +11,9 @@ Every integral is summed on one plan per band of the segments cut at the
 mesh nodes: the last piece of a step is its unknown range and gives the
 step coefficients, the pieces before it the history weights.  The outer
 iteration hands that plan and the frozen kernel on it to psi
-(:meth:`PCDiscretization.take_frozen_plan`).
+(:meth:`PCDiscretization.take_frozen_plan`), which sums the guess on it
+and reads K and A only up to its first step iterate; after that it keeps
+per piece the row sums of A and, for a G free of s, of K.
 
 The step systems depend on the frozen operator only, not on the
 right-hand side psi, which a solve takes as an array at the nodes
@@ -206,7 +208,8 @@ class PCDiscretization:
         segment)``: the ``PIECE_PANELS`` plan of every piece, by equation
         of those pairs K and the frozen kernel A = K * dG/dx(x0) on it, and
         the 0-based mesh segment of each piece.  Afterwards the
-        discretization holds none of it; a second call raises.
+        discretization holds none of it, and psi reads K and A only up to
+        its first step iterate; a second call raises.
         """
         frozen, self._frozen = self._frozen, None
         if frozen is None:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from bandvie.cli import main
+from bandvie.config import load_problem
 
 MODEL01_YAML = """\
 n: 2
@@ -83,6 +84,8 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
     ("f: null", "f must be a list, got None"),
     ('exact: "t^2"', "exact must be a list, got 't^2'"),
     ('guess: "0"', "guess must be a list, got '0'"),
+    ("name: [a]", "name must be a string, got ['a']"),
+    ("name: 3", "name must be a string, got 3"),
 ])
 def test_run_bad_horizon_or_band_count_exits_2_with_one_error(
         tmp_path, capsys, line, message):
@@ -106,6 +109,14 @@ def test_run_bad_horizon_or_band_count_exits_2_with_one_error(
     assert code == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("line, name", [("name: sample", "sample"),
+                                        ("name:", None), ("", None)])
+def test_config_name_falls_back_to_the_path(tmp_path, line, name):
+    cfg = tmp_path / "named.yaml"
+    cfg.write_text(MODEL01_YAML + line + "\n")
+    assert load_problem(cfg).name == (str(cfg) if name is None else name)
 
 
 def test_run_variable_outside_its_role_exits_2(tmp_path, capsys):

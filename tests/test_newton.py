@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bandvie import quadrature
+from bandvie.collocation import PolynomialSolution
 from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
 from bandvie.newton import correction_norm, iterate
 from bandvie.pc import PIECE_PANELS, Mesh
@@ -61,9 +62,12 @@ def test_psi_reduces_to_f_for_linear_g(model02):
 
 
 def test_psi_matches_brute_force_oracle(scalar, sys1):
-    for system in (scalar, sys1):
+    # the exact solutions as collocation iterates: t^2, and (t^2, t^3)
+    for system, exact in ((scalar, [[0.0, 0.0, 1.0]]),
+                          (sys1, [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])):
         x0 = system.guess_iterate()
-        for xm in (x0, system.exact_iterate()):
+        polynomial = PolynomialSolution(exact, system.component_domains())
+        for xm in (x0, polynomial):
             ts = np.linspace(0.15, system.curves.horizon, 10)
             vals = psi(system, x0, xm, ts)
             for col, t in enumerate(ts):

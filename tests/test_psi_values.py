@@ -1,21 +1,25 @@
 """PsiEvaluator.values and the Horner iterates against the loops they replace.
 
 Every plan, a collocation plan or the pc plan cut at mesh nodes, sums w *
-(sum A * xm - sum K * G(xm)) per piece.  An iterate that is a polynomial
-on every piece (a polynomial, or steps on the mesh of a pc plan) gives
-per piece its coefficients D_k in the plan's reference powers, and its linear term is
-D_k . R_k with R = A @ table.T; the pieces of a time are summed before f
-is added.  Every other iterate (the guess) is summed on the plan, piece by
-piece into f.  ``_per_node_values`` is that formula one piece at a time
-and must match bit for bit, given the evaluator's own D, R and reference
-powers; ``_cumsum_values_without_cuts`` is the prefix-sum loop the plans
-without cuts used before, and ``_fsum_values`` an exactly rounded sum of
-the terms per abscissa with the iterate evaluated by ``polyval`` or its
-own ``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of
-the magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
+(sum A * xm - sum K * G(xm)) per piece.  Psi at the linearization point
+is summed on the plan, piece by piece into f, when the evaluator is
+built.  A solver iterate (a polynomial on a collocation plan, steps on the
+mesh of a pc plan) gives per piece its coefficients D_k in the plan's
+reference powers, and its linear term is D_k . R_k with R = A @ table.T;
+the pieces of a time are summed before f is added.  After its first
+solver iterate the evaluator keeps of the plan only what a G summed on
+it needs, so the references read a copy of the plan the test keeps
+(:func:`_kept`).  ``_per_node_values`` is that formula one piece at a
+time and must match bit for bit, given the evaluator's own moments;
+``_cumsum_values_without_cuts`` is the prefix-sum loop the plans without
+cuts used before, and ``_fsum_values`` an exactly rounded sum of the
+terms per abscissa with the iterate evaluated by ``polyval`` or its own
+``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of the
+magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
 abscissa.
 """
 
+import copy
 import math
 from functools import lru_cache
 from unittest import mock
@@ -28,6 +32,7 @@ from numpy.polynomial.polynomial import polyval
 
 from bandvie import collocation, quadrature
 from bandvie.collocation import DEFAULT_MOMENT_PANELS, PolynomialSolution
+from bandvie.errors import SolverError
 from bandvie.expr import Expression
 from bandvie.newton import PsiEvaluator
 from bandvie.newton import iterate as run_newton
@@ -87,7 +92,7 @@ def _g_values(system, i, j, s, xm):
 
 def _pieces(band):
     """(outer-time index, panel width, abscissa slice) per piece of a band."""
-    panels = band.abscissas.size // band.piece_time.size
+    panels = band.panels
     return [(r, w, slice(p * panels, (p + 1) * panels))
             for p, (r, w) in enumerate(zip(band.piece_time, band.piece_width))]
 
@@ -116,27 +121,48 @@ def _composed(polynomial, d):
     return out
 
 
-def _per_node_values(ev, iterate):
+def _kept(ev):
+    """A copy of every band of a new evaluator: the plan it was handed,
+    which the evaluator drops in part at its first solver iterate."""
+    return [copy.copy(band) for band in ev._bands]
+
+
+def _piece_coefficients(lin, plan, iterate):
+    """Per band the solver iterate's coefficients D_k on every piece."""
+    if isinstance(iterate, PiecewiseConstantSolution):
+        return [iterate.values[band.component - 1][band.segment, None]
+                for band in plan]
+    scale = float(lin.curves.horizon)
+    scaled = iterate.coefficients * scale ** np.arange(iterate.degree + 1)
+    return [scaled[band.component - 1] @ quadrature.power_shift(
+        band.piece_lo, band.piece_width * band.panels, scale, iterate.degree)
+        for band in plan]
+
+
+def _per_node_values(ev, plan, iterate):
     lin = ev.lin
     out = ev._f_vals.copy()
-    kept, coefficients = ev._piece_coefficients(iterate)
-    for b, band in enumerate(ev._bands):
+    on_plan = iterate is lin.x0
+    if not on_plan:
+        coefficients = _piece_coefficients(lin, plan, iterate)
+    for b, band in enumerate(plan):
         j, s = band.band, band.abscissas
-        if coefficients is None:
+        if on_plan:
             xm = _iterate_values(lin, iterate, j, s)
         else:
             d = coefficients[b]
-            xm = np.matmul(d, kept.table).reshape(-1)
+            table = quadrature.reference_powers(band.panels, d.shape[1] - 1)
+            xm = np.matmul(d, table).reshape(-1)
         for q, (i, frozen, kernel) in enumerate(band.pairs):
             g = lin.system.nonlinearities[i][j]
             gm = _g_values(lin.system, i, j, s, xm)
-            if coefficients is None:
+            if on_plan:
                 for p, (r, w, cut) in enumerate(_pieces(band)):
                     linear = np.einsum("p,p->", frozen[p], xm[cut])
                     nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
                     out[i, r] += w * (linear - nonlinear)
                 continue
-            moments, of_kernel = kept.moments[b][q]
+            moments, of_kernel = ev._bands[b].moments[q]
             if d.shape[1] == 1 and of_kernel is not None:
                 g_pieces = np.broadcast_to(g(x=d[:, 0]),
                                            band.piece_time.shape)
@@ -162,11 +188,11 @@ def _per_node_values(ev, iterate):
     return out
 
 
-def _terms(ev, iterate):
+def _terms(ev, plan, iterate):
     """Per (equation, time): the list of terms w * A * xm, -w * K * G(xm)."""
     lin = ev.lin
     terms = [[[] for _ in ev.times] for _ in range(lin.n_equations)]
-    for band in ev._bands:
+    for band in plan:
         j, s = band.band, band.abscissas
         xm = _iterate_values(lin, iterate, j, s)
         for i, frozen, kernel in band.pairs:
@@ -177,9 +203,9 @@ def _terms(ev, iterate):
     return terms
 
 
-def _fsum_values(ev, iterate):
+def _fsum_values(ev, plan, iterate):
     """Exactly rounded f + sum of the terms, and the tolerance scale."""
-    terms = _terms(ev, iterate)
+    terms = _terms(ev, plan, iterate)
     f = ev._f_vals
     exact = np.array([[math.fsum([f[i, r]] + terms[i][r])
                        for r in range(f.shape[1])] for i in range(f.shape[0])])
@@ -188,11 +214,11 @@ def _fsum_values(ev, iterate):
     return exact, scale
 
 
-def _cumsum_values_without_cuts(ev, iterate):
+def _cumsum_values_without_cuts(ev, plan, iterate):
     """The prefix-sum loop on K * w and dG/dx(x0), re-evaluated on the plan."""
     lin = ev.lin
     out = ev._f_vals.copy()
-    for band in ev._bands:
+    for band in plan:
         j, s = band.band, band.abscissas
         panels = s.size // band.piece_time.size
         time_index = np.repeat(band.piece_time, panels)
@@ -218,6 +244,16 @@ def _polynomial(system, seed, degree=6):
     rng = np.random.default_rng(seed)
     coeffs = 0.3 * rng.standard_normal((system.n_components, degree + 1))
     return PolynomialSolution(coeffs, system.component_domains())
+
+
+def _steps(system, mesh, seed):
+    """A step iterate on ``mesh``: random start and segment values."""
+    rng = np.random.default_rng(seed)
+    n = system.n_components
+    return PiecewiseConstantSolution(
+        mesh, rng.uniform(-1.0, 1.0, n),
+        rng.uniform(-1.5, 1.5, (n, mesh.n_segments)),
+        system.component_domains())
 
 
 class _Counting:
@@ -254,17 +290,17 @@ def test_horner_matches_polyval_bit_for_bit(degree):
 
 def test_sys2_collocation_nodes_bit_identical(sys2):
     lin = linearize(sys2)
-    ev = _collocation_evaluator(lin, 6)
-    for iterate in (sys2.guess_iterate(), _polynomial(sys2, 1)):
+    ev, plan = _collocation_evaluator(lin, 6)
+    for iterate in (lin.x0, _polynomial(sys2, 1)):
         got = ev.values(iterate)
-        assert np.array_equal(got, _per_node_values(ev, iterate))
-        _, scale = _fsum_values(ev, iterate)
-        _assert_sums_agree(got, _cumsum_values_without_cuts(ev, iterate),
-                           scale)
+        assert np.array_equal(got, _per_node_values(ev, plan, iterate))
+        _, scale = _fsum_values(ev, plan, iterate)
+        _assert_sums_agree(
+            got, _cumsum_values_without_cuts(ev, plan, iterate), scale)
 
 
-def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
-    """A psi evaluator on the plan of ``panels`` panels that a collocation
+def _collocation_hand_off(lin, degree, panels=DEFAULT_MOMENT_PANELS):
+    """The times and the plan of ``panels`` panels that a collocation
     discretization of ``degree`` took its moments from."""
     # the empty-band system's moment matrix is singular; only its plan is
     # needed here
@@ -272,23 +308,36 @@ def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
                            lambda matrix: None):
         disc = collocation.CollocationDiscretization(lin, degree,
                                                      panels=panels)
-    return PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
+    return disc.times, disc.take_frozen_plan()
+
+
+def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
+    """A psi evaluator on that plan, and a copy of the plan."""
+    ev = PsiEvaluator(lin, *_collocation_hand_off(lin, degree, panels))
+    return ev, _kept(ev)
 
 
 @lru_cache(maxsize=None)
+def _node_hand_off(name, nodes, panels):
+    lin = linearize(_system(name))
+    return (lin, *_collocation_hand_off(lin, nodes, panels))
+
+
 def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
-    """:func:`_collocation_evaluator` of a test system at ``nodes`` nodes."""
-    return _collocation_evaluator(linearize(_system(name)), nodes, panels)
+    """A new psi evaluator on the collocation plan of a test system at
+    ``nodes`` nodes, built once, and a copy of the plan."""
+    ev = PsiEvaluator(*_node_hand_off(name, nodes, panels))
+    return ev, _kept(ev)
 
 
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(["nonlinear-sys2", "nonlinear-scalar",
                              "empty-band", "s-dependent"]),
-       degree=st.integers(0, 15), seed=st.integers(0, 2**32 - 1),
+       degree=st.integers(1, 15), seed=st.integers(0, 2**32 - 1),
        nodes=st.sampled_from([1, 3, 7]),
        panels=st.sampled_from([DEFAULT_MOMENT_PANELS, 300, 1001]))
 # polynomial iterates of degree below, at and above the discretization's
-@example(name="nonlinear-sys2", degree=0, seed=1, nodes=7,
+@example(name="nonlinear-sys2", degree=2, seed=1, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
 @example(name="nonlinear-sys2", degree=7, seed=2, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
@@ -313,23 +362,31 @@ def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
 def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
                                                        nodes, panels):
     # the linear term comes from the moments R = A @ table.T, and for a
-    # polynomial G the nonlinear one from M = K @ U.T
-    ev = _node_evaluator(name, nodes, panels)
+    # polynomial G the nonlinear one from M = K @ U.T; the first iterate
+    # sets the degree, so every degree has an evaluator of its own
+    ev, plan = _node_evaluator(name, nodes, panels)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, (system.n_components, degree + 1))
     iterate = PolynomialSolution(coeffs, system.component_domains())
-    exact, scale = _fsum_values(ev, iterate)
+    exact, scale = _fsum_values(ev, plan, iterate)
     _assert_sums_agree(ev.values(iterate), exact, scale)
 
 
 @lru_cache(maxsize=None)
-def _cut_evaluator(name, n_segments):
-    """A psi evaluator on the plan a pc discretization of a uniform mesh
-    hands over, and the mesh."""
+def _cut_hand_off(name, n_segments):
     lin = linearize(_system(name))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    return pc_psi_evaluator(lin, mesh)[1], mesh
+    disc = PCDiscretization(lin, mesh)
+    return mesh, lin, disc.times, disc.take_frozen_plan()
+
+
+def _cut_evaluator(name, n_segments):
+    """A new psi evaluator on the plan a pc discretization of a uniform
+    mesh hands over, built once, a copy of the plan, and the mesh."""
+    mesh, *hand_off = _cut_hand_off(name, n_segments)
+    ev = PsiEvaluator(*hand_off)
+    return ev, _kept(ev), mesh
 
 
 @settings(max_examples=25, deadline=None)
@@ -343,14 +400,9 @@ def test_step_iterate_psi_agrees_with_an_exactly_rounded_sum(name, n_segments,
                                                              seed):
     # a step iterate is one coefficient per piece, gathered by the piece's
     # mesh segment; the reference locates every abscissa instead
-    ev, mesh = _cut_evaluator(name, n_segments)
-    system = ev.lin.system
-    rng = np.random.default_rng(seed)
-    n = system.n_components
-    iterate = PiecewiseConstantSolution(
-        mesh, rng.uniform(-1.0, 1.0, n),
-        rng.uniform(-1.5, 1.5, (n, n_segments)), system.component_domains())
-    exact, scale = _fsum_values(ev, iterate)
+    ev, plan, mesh = _cut_evaluator(name, n_segments)
+    iterate = _steps(ev.lin.system, mesh, seed)
+    exact, scale = _fsum_values(ev, plan, iterate)
     _assert_sums_agree(ev.values(iterate), exact, scale)
 
 
@@ -359,29 +411,32 @@ def test_step_iterate_psi_agrees_with_an_exactly_rounded_sum(name, n_segments,
 def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
     system = _system(name)
     if cut:
-        ev, mesh = _cut_evaluator(name, 16)
-        steps = solve_linear_pc(system, n_segments=16)
-        iterates = [system.guess_iterate(), steps, _polynomial(system, 1)]
+        ev, plan, mesh = _cut_evaluator(name, 16)
+        iterates = [ev.lin.x0, solve_linear_pc(system, n_segments=16),
+                    _steps(system, mesh, 1)]
     else:
-        ev = _node_evaluator(name, 5, 700)
-        iterates = [system.guess_iterate(), _polynomial(system, 1),
-                    _polynomial(system, 2, degree=0)]
+        ev, plan = _node_evaluator(name, 5, 700)
+        iterates = [ev.lin.x0, _polynomial(system, 1),
+                    _polynomial(system, 2)]
     for iterate in iterates:
         assert np.array_equal(ev.values(iterate),
-                              _per_node_values(ev, iterate))
+                              _per_node_values(ev, plan, iterate))
 
 
 def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
-    lin = linearize(scalar)
-    _, ev = pc_psi_evaluator(lin, Mesh.uniform(scalar.curves.horizon, 16))
-    for iterate in (scalar.guess_iterate(),
-                    solve_linear_pc(scalar, n_segments=16)):
-        assert np.array_equal(ev.values(iterate),
-                              _per_node_values(ev, iterate))
-    # band 2 has G = x: the iterate is evaluated for band 1 only
     counting = _Counting(scalar.guess_iterate())
-    ev.values(counting)
+    lin = linearize(scalar, counting)
+    disc = PCDiscretization(lin, Mesh.uniform(scalar.curves.horizon, 16))
+    handed = disc.take_frozen_plan()
+    lin.origin_factors          # the t = 0 values belong to the start matrix
+    counting.components.clear()
+    ev = PsiEvaluator(lin, disc.times, handed)
+    # band 2 has G = x: the linearization point is summed for band 1 only
     assert counting.components == [1]
+    plan = _kept(ev)
+    for iterate in (lin.x0, solve_linear_pc(scalar, n_segments=16)):
+        assert np.array_equal(ev.values(iterate),
+                              _per_node_values(ev, plan, iterate))
 
 
 @pytest.mark.parametrize("n_segments", [64, 256])
@@ -391,19 +446,20 @@ def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
     lin = linearize(sys2)
     _, ev = pc_psi_evaluator(lin, Mesh.uniform(sys2.curves.horizon,
                                                n_segments))
+    plan = _kept(ev)
     pc_iterate, _ = run_newton(sys2, method="pc", n_segments=n_segments,
                                max_iters=3)
-    exact, scale = _fsum_values(ev, pc_iterate)
+    exact, scale = _fsum_values(ev, plan, pc_iterate)
     _assert_sums_agree(ev.values(pc_iterate), exact, scale)
 
 
 def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
     lin = linearize(model02)
-    ev = _collocation_evaluator(lin, 5, 500)
+    ev, plan = _collocation_evaluator(lin, 5, 500)
     iterate = _polynomial(model02, 2)
     got = ev.values(iterate)
     assert np.array_equal(got, ev._f_vals)
-    assert np.array_equal(got, _per_node_values(ev, iterate))
+    assert np.array_equal(got, _per_node_values(ev, plan, iterate))
     counting = _Counting(iterate)
     ev.values(counting)
     assert counting.components == []
@@ -441,19 +497,21 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
     assert ev._bands == []
 
 
-def test_reused_buffer_carries_no_state_between_calls(sys2, scalar):
-    mesh = Mesh.uniform(scalar.curves.horizon, 8)
-    # the plans of a 700-panel collocation and of a pc discretization
-    builds = [(sys2, lambda lin: _collocation_evaluator(lin, 5, 700)),
-              (scalar, lambda lin: pc_psi_evaluator(lin, mesh)[1])]
-    for system, build in builds:
-        lin = linearize(system)
-        # of two degrees, so the kept power table is rebuilt between calls
-        a, b = _polynomial(system, 3), _polynomial(system, 4, degree=9)
-        ev = build(lin)
+def test_reused_buffer_carries_no_state_between_calls():
+    # the G with s are summed on the plan, through a buffer kept per band
+    system = _s_dependent_system()
+    lin = linearize(system)
+    mesh = Mesh.uniform(lin.curves.horizon, 8)
+    builds = [(lambda: _collocation_evaluator(lin, 5, 700)[0],
+               _polynomial(system, 3), _polynomial(system, 4)),
+              (lambda: pc_psi_evaluator(lin, mesh)[1],
+               _steps(system, mesh, 3), _steps(system, mesh, 4))]
+    for build, a, b in builds:
+        ev = build()
         for iterate in (a, b, a, b):
             assert np.array_equal(ev.values(iterate),
-                                  build(lin).values(iterate))
+                                  build().values(iterate))
+        assert all(band.buffer is not None for band in ev._bands)
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
@@ -512,16 +570,16 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
         plan.band - 1]] for plan, _, avs in frozen]
     ev = PsiEvaluator(lin, disc.times, frozen=frozen)
     ev.values(_polynomial(sys2, 5, degree=4))
-    assert [[r.tobytes() for r, _ in band] for band in ev._moments.moments] \
+    assert [[r.tobytes() for r, _ in band.moments] for band in ev._bands] \
         == [[r.tobytes() for r in band] for band in products]
 
 
 @pytest.mark.parametrize("name", ["nonlinear-sys2", "nonlinear-scalar"])
 def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     system = builtin(name)
-    ev = _node_evaluator(name, 6)
+    ev, plan = _node_evaluator(name, 6)
     iterate = _polynomial(system, 6)
-    ev.values(system.guess_iterate())
+    ev.values(ev.lin.x0)
     ev.values(iterate)          # the moments of degree 6 are built here
     evaluated = []
     call = Expression.__call__
@@ -536,8 +594,8 @@ def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     # moments of K, and no expression is evaluated, on the plan or off it
     assert evaluated == []
     assert all(of_kernel is not None and of_kernel.shape[1] > 7
-               for band in ev._moments.moments for _, of_kernel in band)
-    assert np.array_equal(got, _per_node_values(ev, iterate))
+               for band in ev._bands for _, of_kernel in band.moments)
+    assert np.array_equal(got, _per_node_values(ev, plan, iterate))
 
 
 @pytest.mark.parametrize("name, planned", [
@@ -546,17 +604,86 @@ def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     ("s-dependent", [True, True])])
 def test_only_a_band_with_g_summed_on_the_plan_holds_a_buffer(name, planned):
     system = _system(name)
-    ev = _node_evaluator(name, 5, 700)
+    ev, _ = _node_evaluator(name, 5, 700)
     ev.values(_polynomial(system, 7))
-    buffers = ev._moments.buffers
-    assert [buffer is not None for buffer in buffers] == planned
-    for band, buffer in zip(ev._bands, buffers):
-        if buffer is not None:
-            assert buffer.shape == (band.piece_time.size, 700)
+    assert [band.buffer is not None for band in ev._bands] == planned
+    for band in ev._bands:
+        if band.buffer is not None:
+            assert band.buffer.shape == (band.piece_time.size, 700)
     # a step iterate: only a G with s is summed on the plan
-    ev, mesh = _cut_evaluator(name, 16)
+    ev, _, mesh = _cut_evaluator(name, 16)
     steps = PiecewiseConstantSolution(
         mesh, np.zeros(system.n_components),
         np.ones((system.n_components, 16)), system.component_domains())
     ev.values(steps)
-    assert [buffer is not None for buffer in ev._moments.buffers] == planned
+    assert [band.buffer is not None for band in ev._bands] == planned
+
+
+#: per band (0-based) of the s-dependent system, the 0-based equations
+#: whose G uses s: x^2 + s*x in band 1, x + s*x^4 in band 2
+S_PAIRS = {0: [0], 1: [1]}
+
+
+@pytest.mark.parametrize("name", ["nonlinear-sys2", "nonlinear-scalar",
+                                  "s-dependent"])
+@pytest.mark.parametrize("cut", [False, True])
+def test_psi_keeps_only_what_its_later_calls_read(name, cut):
+    system = _system(name)
+    if cut:
+        ev, _, mesh = _cut_evaluator(name, 16)
+        iterate = _steps(system, mesh, 5)
+    else:
+        ev, _ = _node_evaluator(name, 5, 700)
+        iterate = _polynomial(system, 5, degree=5)
+    ev.values(ev.lin.x0)
+    ev.values(iterate)
+    # after the first solver iterate no pair keeps A, and only a pair whose
+    # G uses s keeps K, its band the abscissas and a buffer
+    on_plan = S_PAIRS if name == "s-dependent" else {}
+    for band in ev._bands:
+        summed = on_plan.get(band.band, [])
+        assert all(frozen is None for _, frozen, _ in band.pairs)
+        assert [i for i, _, kernel in band.pairs
+                if kernel is not None] == summed
+        assert (band.abscissas is not None) == bool(summed)
+        assert (band.buffer is not None) == bool(summed)
+        assert band.piece_lo is None
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_psi_refuses_an_iterate_its_solver_does_not_make(sys2, cut):
+    if cut:
+        ev, _, mesh = _cut_evaluator("nonlinear-sys2", 16)
+        first, second = _steps(sys2, mesh, 1), _polynomial(sys2, 2, degree=4)
+    else:
+        ev, _ = _node_evaluator("nonlinear-sys2", 4)
+        first = _polynomial(sys2, 1, degree=4)
+        second = _polynomial(sys2, 2, degree=5)
+    other_mesh = _steps(sys2, Mesh.uniform(sys2.curves.horizon, 32), 3)
+    # an expression iterate is served only as the linearization point
+    for expression in (sys2.exact_iterate(), sys2.guess_iterate()):
+        with pytest.raises(SolverError, match="got ExpressionIterate$"):
+            ev.values(expression)
+    want = ev.values(first)
+    with pytest.raises(SolverError, match="got PolynomialSolution of "
+                                          f"degree {second.degree}$"):
+        ev.values(second)
+    with pytest.raises(SolverError, match="got PiecewiseConstantSolution on "
+                                          "a mesh of 32 segments$"):
+        ev.values(other_mesh)
+    # a refused iterate leaves the evaluator as it was
+    assert np.array_equal(ev.values(first), want)
+
+
+@pytest.mark.parametrize("name, cut", [("model01", True), ("model02", False)])
+def test_an_empty_hand_off_gives_f_for_any_iterate(name, cut):
+    system = builtin(name)
+    if cut:
+        ev, plan, _ = _cut_evaluator(name, 16)
+    else:
+        ev, plan = _node_evaluator(name, 4)
+    assert plan == []
+    mesh = Mesh.uniform(system.curves.horizon, 32)
+    for iterate in (system.exact_iterate(), _polynomial(system, 1),
+                    _polynomial(system, 2, degree=9), _steps(system, mesh, 3)):
+        assert np.array_equal(ev.values(iterate), ev._f_vals)

@@ -60,7 +60,7 @@ def test_sys2_collocation_records_match_an_uncached_loop(sys2):
     lin = linearize(sys2)
     disc = CollocationDiscretization(lin, 5)
     evaluator = PsiEvaluator(lin, disc.times, frozen=disc.take_frozen_plan())
-    current, previous = sys2.guess_iterate(), None
+    current, previous = lin.x0, None
     for record in report.records:
         solution = collocation_solve_reference(
             disc, evaluator.values(current),
