@@ -15,17 +15,18 @@ row of that plan, and of A.  The moments of a row are one product of A
 with the plan's table of reference powers u^r
 (:func:`quadrature.reference_powers`), mapped to the powers (s/T)^l of
 that row's piece by a binomial shift (:func:`quadrature.power_shift`).
-The outer iteration hands the plan, K and A on to its psi evaluator
+The outer iteration hands the plan, K, A, the products A @ table.T and
+the shifts on to its psi evaluator
 (:meth:`CollocationDiscretization.take_frozen_plan`), which sums
 psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows: at the
-guess on the plan, and for a polynomial iterate sum A * xm from the same
-product A @ U.T and, for a G that is a polynomial in x, sum K * G(xm)
-from moments K @ U.T of the powers up to that of G(xm); so the frozen
-kernel is evaluated once per run, and psi reads K and A only up to its
-first polynomial iterate, after which it keeps the plan only for a G
-with s or one that is not a polynomial.  A solve takes psi as an array
-at the collocation nodes and its d/dt at 0
-(:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
+guess on the plan, and for a polynomial iterate sum A * xm from those
+products and, for a G that is a polynomial in x, sum K * G(xm) from
+weights of K at Chebyshev points; so the frozen kernel is evaluated once
+per run, and psi reads K only up to its first polynomial iterate, after
+which it keeps the plan only for a G with s or one that is not a
+polynomial.  A solve takes psi as an array at the collocation nodes and
+its d/dt at 0 (:meth:`CollocationDiscretization.solve`).  Solutions are
+immutable.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import LUFactorization, refined_solve
-from .problem import f_at_times, linearize, rhs_at_nodes
+from .problem import FrozenBand, f_at_times, linearize, rhs_at_nodes
 
 #: midpoint panels per band segment for moment integrals; the error tables
 #: ask for moment errors well below 1e-8, which plain 200-panel quadrature
@@ -141,8 +142,8 @@ class CollocationDiscretization:
 
     def _assemble(self, matrix, zeroth):
         """Add the moments of every band to ``matrix`` and ``zeroth``, and
-        return per band the plan with K and A of the pairs whose G is not
-        x, which the right-hand side needs.
+        return per band the :class:`~bandvie.problem.FrozenBand` of the
+        pairs whose G is not x, which the right-hand side needs.
 
         One band is evaluated at a time, and its dG/dx is dropped before
         the next: the plans and kernels not returned are freed here.
@@ -154,30 +155,34 @@ class CollocationDiscretization:
             j = plan.band
             kvs, avs = lin.frozen_factors(
                 j, self.times[plan.piece_time, None], plan.abscissas)[::2]
-            self._add_moments(matrix, zeroth, plan, avs, table)
+            shift = quadrature.power_shift(
+                plan.piece_lo, plan.piece_width * self.panels, self.scale,
+                self.degree)
+            products = [a @ table.T for a in avs]
+            self._add_moments(matrix, zeroth, plan, shift, products)
             kept = lin.nonlinear_equations[j - 1]
-            frozen.append((plan, {i: kvs[i] for i in kept},
-                           {i: avs[i] for i in kept}))
+            frozen.append(FrozenBand(
+                plan, {i: kvs[i] for i in kept}, {i: avs[i] for i in kept},
+                {i: products[i] for i in kept}, shift=shift))
         return frozen
 
-    def _add_moments(self, matrix, zeroth, plan, avs, table):
-        """Add the moments of the frozen kernel ``avs`` on one band's plan.
+    def _add_moments(self, matrix, zeroth, plan, shift, products):
+        """Add the moments of the frozen kernel on one band's plan.
 
         One piece, a row of the plan, per node whose band segment is not
-        empty; the entries accumulate in band order.  With ``table`` the
-        reference powers of the plan (:func:`quadrature.reference_powers`)
-        and S its binomial shift, the moments of a piece of width w are
-        w * S @ (A @ table.T): column 0 the zeroth moment, columns 1..m
-        those of the scaled powers (s/T)^l.
+        empty; the entries accumulate in band order.  With ``products``
+        per equation A @ table.T, ``table`` the reference powers of the
+        plan (:func:`quadrature.reference_powers`), and ``shift`` S its
+        binomial shift, the moments of a piece of width w are w * S @ (A @
+        table.T): column 0 the zeroth moment, columns 1..m those of the
+        scaled powers (s/T)^l.
         """
         m = self.degree
         j = plan.band
         cols = flatten_index(self.lin.unknown_of_band[j - 1],
                              np.arange(1, m + 1), m)
-        shift = quadrature.power_shift(
-            plan.piece_lo, plan.piece_width * self.panels, self.scale, m)
-        for i, a in enumerate(avs):
-            moments = np.einsum("klr,kr->kl", shift, a @ table.T)
+        for i, product in enumerate(products):
+            moments = np.einsum("klr,kr->kl", shift, product)
             moments *= plan.piece_width[:, None]
             zeroth[i, plan.piece_time, j - 1] += moments[:, 0]
             rows = flatten_index(i + 1, plan.piece_time + 1, m)
@@ -186,13 +191,11 @@ class CollocationDiscretization:
     def take_frozen_plan(self):
         """Hand over the band plans the moments were taken from, once.
 
-        Per band ``(plan, K values, A values)``: the plan over the
-        collocation nodes, one row of ``panels`` abscissas per node, and
-        by equation of the pairs whose G is not x
-        (:attr:`LinearizedSystem.nonlinear_equations`) K and the frozen
-        kernel A = K * dG/dx(x0) on it.  Afterwards the discretization
-        holds none of it, and psi reads K and A only up to its first
-        polynomial iterate; a second call raises :class:`SolverError`.
+        Per band a :class:`~bandvie.problem.FrozenBand`: the plan over the
+        collocation nodes, one row of ``panels`` abscissas per node, K, A
+        and the products R = A @ table.T the moments were taken from, and
+        the binomial shift of each row.  Afterwards the discretization
+        holds none of it; a second call raises :class:`SolverError`.
         """
         frozen, self._frozen = self._frozen, None
         if frozen is None:

@@ -20,14 +20,16 @@ is 1 * xm - xm = 0 exactly), so the evaluator skips it
 Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
 G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
 Each inner solver builds one plan, evaluates the frozen kernel on it and
-hands both to psi, which plans nothing of its own: collocation the plan of
-its moments, at any panel count, pc the one plan of its steps, each band
-segment cut at the mesh nodes.  Psi at the guess is summed on that plan
-once.  Every later step takes an iterate of the inner solver, whose sum
-A * xm, the frozen operator applied to it, comes from moments of A, and
-sum K * G(xm) from moments of K where G allows; they are built at the
-first such iterate, and from then on psi keeps the plan only for a G that
-uses s or is not a polynomial.  A :class:`PsiEvaluator` serves one run,
+hands both to psi with the moments of A it took, so psi plans nothing of
+its own: collocation the plan of its moments, at any panel count, pc the
+one plan of its steps, each band segment cut at the mesh nodes.  Psi at
+the guess is summed on that plan once.  Every later step takes an
+iterate of the inner solver, whose sum A * xm, the frozen operator
+applied to it, comes from those moments, and sum K * G(xm), where G
+allows, from weights of K at the Chebyshev points that interpolate G(xm)
+exactly; they are built at the first such iterate, and from then on psi
+keeps the plan only for a G that uses s or is not a polynomial.  A
+:class:`PsiEvaluator` serves one run,
 which is sequential in the iteration index: it keeps per band a buffer
 that a call fills before reading it.
 """
@@ -139,35 +141,45 @@ def correction_norm(prev, nxt):
     return worst
 
 
-def _row_products(p, d):
-    """Per row, the coefficients of the product of two polynomials.
-
-    Rows of ``p`` and ``d`` hold coefficients, constant first; every row of
-    ``p`` is convolved with the same row of ``d`` at once, by sliding a
-    window of ``d``'s width over ``p`` padded with zeros.  The windows are
-    gathered by an index array: numpy's ``sliding_window_view`` keeps a
-    little memory per call that it never gives back.
-    """
-    width = d.shape[1]
-    size = p.shape[1] + width - 1
-    padded = np.zeros((p.shape[0], size + width - 1))
-    padded[:, width - 1:width - 1 + p.shape[1]] = p
-    windows = padded[:, np.add.outer(np.arange(size), np.arange(width))]
-    return (windows * d[:, None, ::-1]).sum(axis=2)
+def _chebyshev(n, degree):
+    """V and C of the n Chebyshev points v_j of [0, 1]: V[r, j] = v_j^r
+    for r <= ``degree``, and C[r, j] = (2/n) T_r(2 v_j - 1), row 0
+    halved, so that column j of C holds the coefficients in T_r(2u - 1)
+    of the Lagrange polynomial of v_j."""
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    c = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
+    c[0] /= 2.0
+    return np.power.outer((1.0 + np.cos(angles)) / 2.0,
+                          np.arange(degree + 1)).T, c
 
 
-def _composed(polynomial, powers):
-    """Per row, the coefficients of G(D) for G with coefficients
-    ``polynomial`` in x; ``powers`` holds D, D^2, ... and is extended as
-    far as G needs."""
-    while len(powers) < polynomial.size - 1:
-        powers.append(_row_products(powers[-1], powers[0]))
-    out = np.zeros((powers[0].shape[0],
-                    (polynomial.size - 1) * (powers[0].shape[1] - 1) + 1))
-    out[:, 0] = polynomial[0]
-    for a, power in zip(polynomial[1:], powers):
-        out[:, :power.shape[1]] += a * power
-    return out
+def _chebyshev_rows(panels, count, size):
+    """Yield (r0, rows): T_r(2u - 1) for r0 <= r < r0 + ``size``, r <
+    ``count``, on the reference midpoints u of ``panels``, by the
+    three-term recurrence; every block is in one buffer, after the last
+    two rows of the block before (``size`` >= 2)."""
+    twice = (4.0 * np.arange(panels) + 2.0) / panels - 2.0
+    buffer = np.empty((size + 2, panels))
+    for start in range(0, count, size):
+        if not start:
+            buffer[2], buffer[3] = 1.0, twice / 2.0
+        stop = min(count, start + size) - start + 2
+        for at in range(2 if start else 4, stop):
+            np.multiply(twice, buffer[at - 1], out=buffer[at])
+            buffer[at] -= buffer[at - 2]
+        yield start, buffer[2:stop]
+        buffer[:2] = buffer[stop - 2:stop]
+
+
+def _points(g, degree, panels):
+    """The n Chebyshev points that interpolate G(xm) exactly for an
+    iterate of ``degree``: 1 at degree 0 for a G free of s, g * d + 1 at
+    d > 0 for a G that is a polynomial of degree g in x, if that is at
+    most ``panels``; None otherwise (summed on the plan)."""
+    if not degree:
+        return None if "s" in g.free_variables else 1
+    polynomial = polynomial_in_x(g, (panels - 1) // degree)
+    return None if polynomial is None else (polynomial.size - 1) * degree + 1
 
 
 @dataclass(eq=False)
@@ -175,21 +187,17 @@ class _PsiBand:
     """One band of a psi plan that has a pair with G not x.
 
     Row p of every (n_pieces, panels) array is piece p of the plan: outer
-    time ``piece_time[p]``, panel width ``piece_width[p]``, lower edge
-    ``piece_lo[p]`` and, on a pc plan, cut at mesh nodes, 0-based mesh
-    segment ``segment[p]`` (None otherwise); a time owns one piece on a
-    collocation plan and several, consecutive, on a pc plan, and ``runs``
-    holds the first piece of each time that owns one.  ``abscissas`` is
-    the plan, flat, ``pairs`` holds (0-based equation, A = K * dG/dx(x0),
-    K) for each equation whose G is not x, and ``polynomials`` per pair the
-    coefficients of G in x (:func:`~bandvie.expr.polynomial_in_x`), or None
-    for a G that uses s, is not a polynomial or has a degree of at least
-    the panel count.
-
-    The first solver iterate sets the rest (:meth:`keep_moments`): on a
-    collocation plan the binomial ``shift`` of each piece, per pair
-    ``moments`` (R = A @ table.T, the moments of K or None) and, for a
-    pair with None, a ``buffer`` that takes the iterate on the plan.
+    time ``piece_time[p]``, panel width ``piece_width[p]`` and, on a pc
+    plan, 0-based mesh segment ``segment[p]`` (None otherwise); a time
+    owns one piece on a collocation plan and several, consecutive, on a pc
+    plan, and ``runs`` holds the first piece of each time that owns one.
+    ``abscissas`` is the plan, flat, ``pairs`` holds (0-based equation, A
+    = K * dG/dx(x0), K) for each equation whose G is not x, ``moments``
+    per pair R and ``points`` its n (:func:`_points`); ``shift`` is the
+    hand-off's.  The first solver iterate sets per pair the ``weights`` of
+    K, or a ``buffer`` for a pair summed on the plan, and the times of the
+    runs, ``run_time``, which replace ``piece_time``
+    (:meth:`keep_weights`).
     """
 
     band: int  # 0-based
@@ -197,14 +205,15 @@ class _PsiBand:
     panels: int
     piece_time: np.ndarray
     piece_width: np.ndarray
-    piece_lo: np.ndarray
     segment: np.ndarray
     runs: np.ndarray
     abscissas: np.ndarray
     pairs: tuple
-    polynomials: tuple
-    shift: np.ndarray = None
-    moments: list = None
+    moments: list
+    shift: np.ndarray
+    points: tuple
+    run_time: np.ndarray = None
+    weights: list = None
     buffer: np.ndarray = None
 
     def add_on_plan(self, out, iterate, nonlinearities):
@@ -224,59 +233,55 @@ class _PsiBand:
             # times one by one, in plan order
             np.add.at(out[i], self.piece_time, rows)
 
-    def keep_moments(self, table, of_kernel, scale):
-        """Keep per pair R = A @ table.T and the moments of K ``of_kernel``
-        and, on a collocation plan, the shift to powers of s/``scale``; drop
-        A, and K and the abscissas unless a pair has None (its K * G(xm) is
-        summed on the plan, in ``buffer``)."""
-        self.moments = [(frozen @ table.T, m)
-                        for (_, frozen, _), m in zip(self.pairs, of_kernel)]
-        if self.segment is None:
-            self.shift = quadrature.power_shift(
-                self.piece_lo, self.piece_width * self.panels, scale,
-                table.shape[0] - 1)
-        self.piece_lo = None
-        self.pairs = tuple((i, None, kernel if m is None else None)
-                           for (i, _, kernel), m in zip(self.pairs, of_kernel))
-        if any(m is None for m in of_kernel):
-            self.buffer = np.empty((self.piece_time.size, self.panels))
+    def keep_weights(self, weights):
+        """Keep the ``weights`` of K per pair and the times of the runs;
+        drop A and the piece times, and K and the abscissas unless a pair
+        has None (its K * G(xm) is summed on the plan, in ``buffer``)."""
+        self.weights = weights
+        self.run_time = self.piece_time[self.runs]
+        self.piece_time = None
+        self.pairs = tuple((i, None, kernel if w is None else None)
+                           for (i, _, kernel), w in zip(self.pairs, weights))
+        if any(w is None for w in weights):
+            self.buffer = np.empty((self.piece_width.size, self.panels))
         else:
             self.abscissas = None
 
-    def add_from_coefficients(self, out, coefficients, table,
+    def add_from_coefficients(self, out, coefficients, nodes, table,
                               nonlinearities):
         """Add w * (D_k . R_k - sum K * G(xm)) per piece.
 
         Row k of ``coefficients`` is the iterate on piece k in the
-        reference powers ``table``.  Sum K * G(xm) is G(xm_k) times the
-        row sums of K at degree 0, and G(D_k) . M_k at degree d, the
-        powers D_k^n formed once per call for every pair; where a pair has
-        no moments of K, it is summed on the plan, the iterate put there
-        once per call, into :attr:`buffer`.
+        reference powers ``table``.  Sum K * G(xm) is W_k . G(D_k(v)), the
+        iterate at the n Chebyshev points, D_k @ ``nodes[n]``, formed once
+        per call for every pair of n points, and G(D_k0) times the row sums
+        W_k of K for n = 1 (a step iterate, or a G constant in x); where a
+        pair has no weights, it is summed on the plan, the iterate put
+        there once per call, into :attr:`buffer`.
         """
-        xm = None
-        powers = [coefficients]
-        for (i, _, kernel), polynomial, (linear, nonlinear) in zip(
-                self.pairs, self.polynomials, self.moments):
+        xm, at_points = None, {}
+        for (i, _, kernel), linear, n, weights in zip(
+                self.pairs, self.moments, self.points, self.weights):
             rows = np.einsum("kr,kr->k", coefficients, linear)
             g = nonlinearities[i][self.band]
-            if nonlinear is None:
+            if weights is None:
                 if xm is None:
                     xm = np.matmul(coefficients, table,
                                    out=self.buffer).reshape(-1)
                 rows -= self._nonlinear_rows(kernel, g, xm)
-            elif coefficients.shape[1] == 1:
-                rows -= np.broadcast_to(
-                    g(x=coefficients[:, 0]), rows.shape) * nonlinear
+            elif n == 1:
+                rows -= g(x=coefficients[:, 0]) * weights
             else:
-                rows -= np.einsum("kr,kr->k", _composed(polynomial, powers),
-                                  nonlinear)
+                x = at_points.get(n)
+                if x is None:
+                    x = at_points[n] = coefficients @ nodes[n]
+                # a row adds in the same (pairwise) order as it would alone
+                rows -= (weights * g(x=x)).sum(axis=1)
             rows *= self.piece_width
             # the pieces of a time are summed (pairwise) before f is added:
             # on pc iterates this rounds about 3x closer to an exact sum
             # than adding them to f one by one
-            out[i, self.piece_time[self.runs]] += np.add.reduceat(
-                rows, self.runs)
+            out[i, self.run_time] += np.add.reduceat(rows, self.runs)
 
     def _nonlinear_rows(self, kernel, g, xm):
         """Per piece, sum K * G(xm) over the plan."""
@@ -298,66 +303,58 @@ class PsiEvaluator:
     """Right-hand-side evaluator on the quadrature plan of the inner solver.
 
     ``times`` are the inner solver's ``times``, where its ``solve`` takes
-    psi, and ``frozen`` holds the band plans it built over them, with K
-    and A = K * dG/dx(x0) on them (its ``take_frozen_plan``); the
+    psi, and ``frozen`` holds the :class:`~bandvie.problem.FrozenBand`
+    plans it built over them (its ``take_frozen_plan``), once; the
     evaluator plans and evaluates no kernel itself.  A
     :class:`~bandvie.collocation.CollocationDiscretization` hands over its
     moment plans, one piece per time, and a
     :class:`~bandvie.pc.PCDiscretization`, over its mesh nodes t_1..t_N,
     the plans its steps were summed on: each band segment cut at the
-    nodes into pieces of ``pc.PIECE_PANELS`` panels, unknown ranges and
-    history alike, each with its mesh segment.  A discretization hands its
-    plan over once.  An empty hand-off plans no band: psi is f, for any
-    iterate.  psi_i(t_k) = f_i(t_k) + the sum over the pieces of t_k of w
-    * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width.
+    nodes into pieces of ``pc.PIECE_PANELS`` panels.  An empty hand-off
+    plans no band: psi is f, for any iterate.  psi_i(t_k) = f_i(t_k) + the
+    sum over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)),
+    w the piece's panel width.
 
     Per band with a pair whose G is not x the evaluator takes the plan, A,
-    K and the coefficients of each G that is a polynomial in x
-    (:class:`_PsiBand`).  On it, it sums psi at the linearization point
-    ``lin.x0`` once, and ``values(lin.x0)`` returns a copy of that sum.
-    Every other call takes an iterate of the inner solver, a polynomial on
-    every piece, whose coefficients D_k in the reference powers give sum A
-    * xm = D_k . R_k:
+    K and R = A @ table.T (:class:`_PsiBand`).  It sums psi at the
+    linearization point ``lin.x0`` on the plan once, and
+    ``values(lin.x0)`` returns a copy of that sum.  Every other call takes
+    an iterate of the inner solver, of the degree d of R on every piece,
+    whose coefficients D_k in the reference powers give sum A * xm = D_k .
+    R_k: a :class:`~bandvie.collocation.PolynomialSolution` on a
+    collocation plan, D_k = c_hat @ S_k with c_hat_l = c_l * T^l and S_k
+    the shift of piece k, or a :class:`~bandvie.pc.PiecewiseConstantSolution`
+    on the mesh a pc plan was cut at, D_k its value on the segment of
+    piece k (d = 0).
 
-    * on a collocation plan a :class:`~bandvie.collocation.PolynomialSolution`
-      of degree d, with D_k = c_hat @ S_k, c_hat_l = c_l * T^l its
-      coefficients in s/T and S_k the binomial shift of piece k;
-    * on a pc plan a :class:`~bandvie.pc.PiecewiseConstantSolution` on the
-      mesh the plan was cut at, the mesh of nodes 0 and ``times``, of
-      degree 0: D_k is its value on the segment of piece k.
-
-    Its sum K * G(xm) is, per piece:
-
-    * at degree 0 (a step iterate) and for a G free of s, G(xm_k) times
-      the row sum of K: one G value per piece;
-    * at degree d > 0 and for a G that is a polynomial of degree g in x
-      with g * d below the panel count, G(D_k) . M_k: G(xm) is a
-      polynomial of degree g * d on the piece, its coefficients G(D_k)
-      are formed from the powers D_k^n (row convolutions, once per band
-      and call), and M = K @ U.T holds the moments of K over the
-      reference powers U up to g * d.  It is the plan's midpoint sum in
-      another rounding order, and no G is evaluated;
-    * otherwise (a G with s, or not a polynomial) the sum on the plan of K
-      * G(xm), the iterate put there as D @ table, in a buffer kept per
-      band.
-
-    The first solver iterate sets the degree; the reference powers, the
-    shifts and the moments R = A @ table.T and of K are built then, once,
-    and A goes, with K and the abscissas of every pair whose G term comes
-    from moments.  An iterate of another kind, of a second degree or on
-    another mesh raises :class:`SolverError`.
+    Where G(xm) is a polynomial of degree n - 1 < panels on every piece
+    (:func:`_points`: n = 1 at d = 0 for a G free of s, n = g * d + 1 for
+    a G that is a polynomial of degree g in x), sum K * G(xm) is W_k .
+    G(D_k(v)): the iterate at the n Chebyshev points v_j of [0, 1], G once
+    on that (pieces, n) block, and W = (K @ T.T) @ C with T_r(2u - 1) on
+    the reference midpoints u and C the coefficients of the Lagrange basis
+    on the v_j.  Interpolation at n points is exact for G(xm), so this is
+    the plan's midpoint sum in another rounding order.  Every other pair
+    (a G with s, or not a polynomial) is summed on the plan, the iterate
+    put there as D @ table, in a buffer kept per band.  The weights are
+    built at the first solver iterate, and A goes then, with K and the
+    abscissas of every pair with weights.  An iterate of another kind, of
+    another degree or on another mesh raises :class:`SolverError`.
     """
 
     def __init__(self, lin, times, frozen):
         self.lin = lin
         self.times = np.asarray(times, dtype=float)
         self._scale = float(lin.curves.horizon)
-        # the first solver iterate's degree and reference powers up to it
-        self._degree = self._table = None
         active = lin.nonlinear_equations
-        self._bands = [self._band(active[entry[0].band - 1], *entry)
-                       for entry in frozen if active[entry[0].band - 1]
-                       and entry[0].abscissas.size]
+        self._bands = [self._band(active[entry.plan.band - 1], entry)
+                       for entry in frozen if active[entry.plan.band - 1]
+                       and entry.plan.abscissas.size]
+        # the degree of the solver's iterates, and per n > 1 the nodes V of
+        # the n Chebyshev points (built at its first iterate)
+        self._degree = (self._bands[0].moments[0].shape[1] - 1
+                        if self._bands else None)
+        self._nodes = self._table = None
 
         self._f_vals, self._fp0 = f_at_times(lin.system, self.times)
         self._k00, self._gx0_at0, _ = lin.origin_factors
@@ -368,119 +365,93 @@ class PsiEvaluator:
         for band in self._bands:
             band.add_on_plan(self._at_x0, lin.x0, lin.system.nonlinearities)
 
-    def _band(self, equations, plan, kvs, avs, segment=None):
-        """One band: its (pieces, panels) rows of A and K per pair; a pc
-        plan comes with the 0-based mesh ``segment`` of each piece."""
+    def _band(self, equations, entry):
+        """One band: its (pieces, panels) rows of A and K per pair."""
+        plan = entry.plan
         shape = plan.abscissas.shape
+        degree = entry.moments[equations[0]].shape[1] - 1
         nonlinearities = self.lin.system.nonlinearities
-        # a G of degree >= panels would be summed on the plan at every
-        # degree d >= 1 (see _kernel_moments)
-        polynomials = tuple(
-            polynomial_in_x(nonlinearities[i][plan.band - 1], shape[1] - 1)
-            for i in equations)
         return _PsiBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
             panels=shape[1],
             piece_time=plan.piece_time, piece_width=plan.piece_width,
-            piece_lo=plan.piece_lo, segment=segment,
+            segment=entry.segment,
             runs=np.flatnonzero(np.diff(plan.piece_time, prepend=-1)),
             abscissas=plan.abscissas.reshape(-1),
-            pairs=tuple((i, avs[i].reshape(shape), kvs[i].reshape(shape))
-                        for i in equations),
-            polynomials=polynomials)
+            pairs=tuple((i, entry.frozen[i].reshape(shape),
+                         entry.kernel[i].reshape(shape)) for i in equations),
+            moments=[entry.moments[i] for i in equations],
+            shift=entry.shift,
+            points=tuple(_points(nonlinearities[i][plan.band - 1], degree,
+                                 shape[1]) for i in equations))
 
     def values(self, iterate):
         """Psi at the planned times, shape (n_eq, n_times), for ``lin.x0``
         or an iterate of the inner solver that built the plan."""
         if iterate is self.lin.x0 or not self._bands:
             return self._at_x0.copy()
+        coefficients = self._piece_coefficients(iterate)
+        if self._nodes is None:
+            self._keep_weights()
         out = self._f_vals.copy()
         nonlinearities = self.lin.system.nonlinearities
-        for band, d in zip(self._bands, self._piece_coefficients(iterate)):
-            band.add_from_coefficients(out, d, self._table, nonlinearities)
+        for band, d in zip(self._bands, coefficients):
+            band.add_from_coefficients(out, d, self._nodes, self._table,
+                                       nonlinearities)
         return out
 
     def _piece_coefficients(self, iterate):
-        """Per band the iterate's coefficients D_k on every piece; the
-        first call sets the degree (:meth:`_keep_moments`).  An iterate
-        the plan's solver does not make (a polynomial on a collocation
-        plan, of the degree of the first, or steps on the mesh of a pc
-        plan) raises :class:`SolverError`."""
-        on_mesh = self._bands[0].segment is not None
-        if on_mesh:
-            # a pc plan is cut at the mesh of nodes 0 and the times
-            served = (isinstance(iterate, PiecewiseConstantSolution)
-                      and np.array_equal(iterate.mesh.nodes[1:], self.times))
-            degree = 0
-        else:
-            served = isinstance(iterate, PolynomialSolution)
-            degree = iterate.degree if served else None
-        if not served or self._degree not in (None, degree):
-            wanted = (f"steps on its mesh of {self.times.size} segments"
-                      if on_mesh else "a polynomial" if self._degree is None
-                      else f"a polynomial of degree {self._degree}")
-            raise SolverError(
-                f"psi takes the linearization point or {wanted}, got "
-                f"{_described(iterate)}")
-        if self._degree is None:
-            self._keep_moments(degree)
-        if on_mesh:
+        """Per band the iterate's coefficients D_k on every piece.  An
+        iterate the plan's solver does not make (a polynomial of the
+        degree of R on a collocation plan, or steps on the mesh of a pc
+        plan, cut at nodes 0 and the times) raises :class:`SolverError`."""
+        degree, on_mesh = self._degree, self._bands[0].segment is not None
+        if on_mesh and isinstance(iterate, PiecewiseConstantSolution) \
+                and np.array_equal(iterate.mesh.nodes[1:], self.times):
             return [iterate.values[band.component - 1][band.segment, None]
                     for band in self._bands]
-        scaled = iterate.coefficients * self._scale ** np.arange(degree + 1)
-        return [scaled[band.component - 1] @ band.shift
-                for band in self._bands]
+        if not on_mesh and isinstance(iterate, PolynomialSolution) \
+                and iterate.degree == degree:
+            scaled = iterate.coefficients * self._scale ** np.arange(
+                degree + 1)
+            return [scaled[band.component - 1] @ band.shift
+                    for band in self._bands]
+        wanted = (f"steps on its mesh of {self.times.size} segments"
+                  if on_mesh else f"a polynomial of degree {degree}")
+        raise SolverError(f"psi takes the linearization point or {wanted}, "
+                          f"got {_described(iterate)}")
 
-    def _keep_moments(self, degree):
-        """Set the degree and build its table and moments, once: of K
-        the row sums at degree 0 for a G free of s, at d > 0 those of
-        :meth:`_kernel_moments`, and None for a pair summed on the plan."""
-        self._degree = degree
-        self._table = table = quadrature.reference_powers(
-            self._bands[0].panels, degree)
-        if degree:
-            of_kernel = self._kernel_moments(degree, table)
-        else:
-            nonlinearities = self.lin.system.nonlinearities
-            of_kernel = [[kernel.sum(axis=1) if "s" not in nonlinearities[
-                i][band.band].free_variables else None
-                for i, _, kernel in band.pairs] for band in self._bands]
-        for band, of_band in zip(self._bands, of_kernel):
-            band.keep_moments(table, of_band, self._scale)
-
-    def _kernel_moments(self, degree, table):
-        """Per band and pair, M = K @ U.T for a G that is a polynomial of
-        degree g with g * d below the panel count (its moments are then
-        fewer numbers than the plan's), U the reference powers up to g * d;
-        None for every other pair.
-
-        U is formed d + 1 powers at a time, each block the block before
-        times u^(d+1), in place, and shared by every pair, so besides
-        ``table`` one block of its size is alive.
-        """
-        panels = table.shape[1]
-        widths = [[None if p is None or (p.size - 1) * degree >= panels
-                   else (p.size - 1) * degree + 1 for p in band.polynomials]
-                  for band in self._bands]
-        out = [[None if w is None else np.empty((band.piece_time.size, w))
-                for w in band_widths]
-               for band, band_widths in zip(self._bands, widths)]
-        top = max((w for band_widths in widths for w in band_widths
-                   if w is not None), default=0)
-        block, step = table, table[degree] * table[1]
-        for start in range(0, top, degree + 1):
-            if start == degree + 1:
-                block = block * step    # the first block is ``table``
-            elif start:
-                block *= step
-            for band, band_widths, band_out in zip(self._bands, widths, out):
-                for (_, _, kernel), w, m in zip(band.pairs, band_widths,
-                                                band_out):
-                    if w is not None and w > start:
-                        stop = min(w, start + degree + 1)
-                        m[:, start:stop] = kernel @ block[:stop - start].T
-        return out
+    def _keep_weights(self):
+        """Build, once, per pair its weights: W = (K @ T.T) @ C for n > 1
+        points, T the rows T_r(2u - 1), r < n, on the reference midpoints
+        (:func:`_chebyshev_rows`) and C of :func:`_chebyshev`, the row sums
+        of K for n = 1, and None for a pair summed on the plan; with the
+        nodes V of each n > 1 and the reference powers that pair needs."""
+        degree = self._degree
+        chebyshev = {n: _chebyshev(n, degree) for band in self._bands
+                     for n in band.points if (n or 0) > 1}
+        self._nodes = {n: v for n, (v, _) in chebyshev.items()}
+        if None in (n for band in self._bands for n in band.points):
+            self._table = quadrature.reference_powers(self._bands[0].panels,
+                                                      degree)
+        products = [[np.empty((kernel.shape[0], n)) if (n or 0) > 1 else None
+                     for (_, _, kernel), n in zip(band.pairs, band.points)]
+                    for band in self._bands]
+        top = max(chebyshev, default=0)
+        for start, rows in _chebyshev_rows(self._bands[0].panels, top,
+                                           degree + 1):
+            for band, of_band in zip(self._bands, products):
+                for (_, _, kernel), kt in zip(band.pairs, of_band):
+                    if kt is not None and kt.shape[1] > start:
+                        kt[:, start:start + rows.shape[0]] = (
+                            kernel @ rows[:kt.shape[1] - start].T)
+        for band, of_band in zip(self._bands, products):
+            band.keep_weights([
+                None if n is None else kernel.sum(axis=1)
+                if n == 1 else kt @ chebyshev[n][1]
+                for (_, _, kernel), n, kt in zip(band.pairs, band.points,
+                                                 of_band)])
 
     def derivative_at_zero(self, iterate):
         """d(psi)/dt at t = 0: only the band boundary terms survive.

@@ -11,9 +11,10 @@ Every integral is summed on one plan per band of the segments cut at the
 mesh nodes: the last piece of a step is its unknown range and gives the
 step coefficients, the pieces before it the history weights.  The outer
 iteration hands that plan and the frozen kernel on it to psi
-(:meth:`PCDiscretization.take_frozen_plan`), which sums the guess on it
-and reads K and A only up to its first step iterate; after that it keeps
-per piece the row sums of A and, for a G free of s, of K.
+(:meth:`PCDiscretization.take_frozen_plan`) with the row sums of A on
+it; psi sums the guess on the plan and reads K only up to its first step
+iterate, after which it keeps per piece, for a G free of s, the row sums
+of K.
 
 The step systems depend on the frozen operator only, not on the
 right-hand side psi, which a solve takes as an array at the nodes
@@ -41,7 +42,7 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import lu_factor_stack, lu_inverse_stack
-from .problem import f_at_times, linearize, rhs_at_nodes
+from .problem import FrozenBand, f_at_times, linearize, rhs_at_nodes
 
 #: panels per piece, unknown range or history (each piece spans at most one
 #: mesh segment, so a handful of panels keeps the quadrature error at O(h^2))
@@ -171,6 +172,8 @@ class PCDiscretization:
         edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
         segments = mesh.segment_indices(edges[:, 1:])
         bands, frozen = [None] * lin.n_bands, []
+        # a step iterate is one reference power, u^0, per piece
+        table = quadrature.reference_powers(PIECE_PANELS, 0)
         # the bands psi keeps nothing of first, so no kept plan is held
         # while they are evaluated; the kept ones stay in band order
         for pieces in sorted(quadrature.band_pieces(edges, cuts=cuts),
@@ -195,8 +198,10 @@ class PCDiscretization:
                 weights[:, ~last])
             kept = nonlinear[j - 1]     # psi keeps K and A of these pairs
             if kept:
-                frozen.append((plan, {i: kvs[i] for i in kept},
-                               {i: avs[i] for i in kept}, segment))
+                frozen.append(FrozenBand(
+                    plan, {i: kvs[i] for i in kept}, {i: avs[i] for i in kept},
+                    {i: avs[i] @ table.T for i in kept},
+                    segment=segment.astype(np.int32)))
             # the pairs psi does not keep go before the next band is evaluated
             del kvs, _, avs
         return bands, frozen
@@ -204,12 +209,11 @@ class PCDiscretization:
     def take_frozen_plan(self):
         """Hand over the band plans the steps were summed on, once.
 
-        Per band with a pair whose G is not x, ``(plan, K values, A values,
-        segment)``: the ``PIECE_PANELS`` plan of every piece, by equation
-        of those pairs K and the frozen kernel A = K * dG/dx(x0) on it, and
-        the 0-based mesh segment of each piece.  Afterwards the
-        discretization holds none of it, and psi reads K and A only up to
-        its first step iterate; a second call raises.
+        Per band with a pair whose G is not x a
+        :class:`~bandvie.problem.FrozenBand`: the ``PIECE_PANELS`` plan of
+        every piece, K, A and the row sums R = A @ table.T of A, with the
+        0-based mesh segment of each piece.  Afterwards the discretization
+        holds none of it; a second call raises.
         """
         frozen, self._frozen = self._frozen, None
         if frozen is None:

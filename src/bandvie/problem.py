@@ -24,6 +24,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -629,6 +630,22 @@ class LinearizedSystem:
                 f"is {d0[i]}; the start values need it finite")
         mat, fact = self._start_factorization
         return refined_solve(fact, mat, d0)
+
+
+class FrozenBand(NamedTuple):
+    """One band of the plan an inner solver hands to psi: its ``plan`` and,
+    by equation of the pairs whose G is not x, K, A = K * dG/dx(x0) and
+    R = A @ table.T on it, ``table`` the reference powers up to the degree
+    of the solver's iterates; the binomial ``shift`` of each piece of a
+    collocation plan, or the 0-based mesh ``segment`` of each piece of a
+    pc plan."""
+
+    plan: quadrature.BandPlan
+    kernel: dict
+    frozen: dict
+    moments: dict
+    shift: np.ndarray = None
+    segment: np.ndarray = None
 
 
 def linearize(system, x0=None):

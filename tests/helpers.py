@@ -17,12 +17,18 @@ from bandvie.newton import NORM_SAMPLES, PsiEvaluator
 from bandvie.pc import PCDiscretization
 from bandvie.problem import (
     CurveFamily,
+    FrozenBand,
     VolterraSystem,
     f_at_times,
     linearize,
     rhs_at_nodes,
 )
-from bandvie.quadrature import band_plan, midpoints
+from bandvie.quadrature import (
+    band_plan,
+    midpoints,
+    power_shift,
+    reference_powers,
+)
 from bandvie.report import ERROR_SAMPLES
 
 
@@ -75,24 +81,39 @@ def callable_values(functions, ts):
     return np.array([[f(t) for t in ts] for f in functions], dtype=float)
 
 
+def collocation_hand_off(lin, ts, degree, panels=DEFAULT_MOMENT_PANELS):
+    """The plan a collocation discretization of ``degree`` hands to psi,
+    here over any times ``ts``: per band, the plan of each band segment as
+    one piece of ``panels`` panels, with K and A of the pairs whose G is
+    not x, R = A @ table.T and the binomial shift of each piece."""
+    table = reference_powers(panels, degree)
+    frozen = []
+    for plan in band_plan(ts, lin.curves, panels):
+        kept = lin.nonlinear_equations[plan.band - 1]
+        kvs, _, avs = lin.frozen_factors(
+            plan.band, ts[plan.piece_time, None], plan.abscissas)
+        frozen.append(FrozenBand(
+            plan, {i: kvs[i] for i in kept}, {i: avs[i] for i in kept},
+            {i: avs[i] @ table.T for i in kept},
+            shift=power_shift(plan.piece_lo, plan.piece_width * panels,
+                              lin.curves.horizon, degree)))
+    return frozen
+
+
 def psi(system, x0, xm, ts, panels=DEFAULT_MOMENT_PANELS):
     """Right-hand side Psi at the times ts for guess x0 and iterate xm.
 
     ``x0`` and ``xm`` follow the iterate protocol (expression iterates or
     polynomial solutions).  Psi sums on the hand-off a collocation
-    discretization makes, here at any times, t = 0 included: per band
-    with a pair whose G is not x, the plan of each band segment as one
-    piece of ``panels`` panels, with K and A on it.
+    discretization of the degree of ``xm`` (0 for an expression iterate)
+    makes (:func:`collocation_hand_off`), here at any times, t = 0
+    included.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lin = linearize(system, x0)
-    frozen = []
-    for plan in band_plan(ts, lin.curves, panels):
-        if lin.nonlinear_equations[plan.band - 1]:
-            kvs, _, avs = lin.frozen_factors(
-                plan.band, ts[plan.piece_time, None], plan.abscissas)
-            frozen.append((plan, kvs, avs))
-    return PsiEvaluator(lin, ts, frozen).values(xm)
+    degree = xm.degree if isinstance(xm, PolynomialSolution) else 0
+    return PsiEvaluator(lin, ts, collocation_hand_off(
+        lin, ts, degree, panels)).values(xm)
 
 
 def pc_psi_evaluator(lin, mesh):

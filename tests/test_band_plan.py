@@ -410,8 +410,12 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
     bands = disc._assemble()[0]
     assert [plan.band for plan, *_ in frozen] == [
         j for j in range(1, lin.n_bands + 1) if lin.nonlinear_equations[j - 1]]
-    for plan, kvs, avs, segment in frozen:
+    for plan, kvs, avs, moments, shift, segment in frozen:
         _, _, coeff, hist, size, weights = bands[plan.band - 1]
+        # a step iterate is one value per piece: psi's R is A's row sums
+        assert shift is None and sorted(moments) == sorted(avs)
+        assert all(moments[i].shape == (plan.piece_time.size, 1)
+                   for i in avs)
         history = np.diff(plan.piece_time, append=-1) == 0
         last = plan.piece_time[~history]
         assert not np.any(coeff[np.setdiff1d(np.arange(n), last)])
@@ -460,7 +464,7 @@ def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
     assert np.array_equal(again.zeroth_moments, disc.zeroth_moments)
     # the plan the moments came from is handed over once, every band of it
     frozen = disc.take_frozen_plan()
-    assert [plan.band for plan, _, _ in frozen] == \
+    assert [entry.plan.band for entry in frozen] == \
         list(range(1, lin.n_bands + 1))
     with pytest.raises(SolverError,
                        match="collocation plan was handed over already"):

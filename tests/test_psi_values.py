@@ -6,16 +6,18 @@ is summed on the plan, piece by piece into f, when the evaluator is
 built.  A solver iterate (a polynomial on a collocation plan, steps on the
 mesh of a pc plan) gives per piece its coefficients D_k in the plan's
 reference powers, and its linear term is D_k . R_k with R = A @ table.T;
+its G term is W_k . G(D_k(v)), G at the n Chebyshev points v_j and W the
+weights of K, for a pair whose G(xm) is a polynomial of degree n - 1;
 the pieces of a time are summed before f is added.  After its first
 solver iterate the evaluator keeps of the plan only what a G summed on
 it needs, so the references read a copy of the plan the test keeps
 (:func:`_kept`).  ``_per_node_values`` is that formula one piece at a
-time and must match bit for bit, given the evaluator's own moments;
-``_cumsum_values_without_cuts`` is the prefix-sum loop the plans without
-cuts used before, and ``_fsum_values`` an exactly rounded sum of the
-terms per abscissa with the iterate evaluated by ``polyval`` or its own
-``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of the
-magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
+time and must match bit for bit, given the evaluator's own moments and
+weights; ``_cumsum_values_without_cuts`` is the prefix-sum loop the plans
+without cuts used before, and ``_fsum_values`` an exactly rounded sum of
+the terms per abscissa with the iterate evaluated by ``polyval`` or its
+own ``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of
+the magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
 abscissa.
 """
 
@@ -33,7 +35,7 @@ from numpy.polynomial.polynomial import polyval
 from bandvie import collocation, quadrature
 from bandvie.collocation import DEFAULT_MOMENT_PANELS, PolynomialSolution
 from bandvie.errors import SolverError
-from bandvie.expr import Expression
+from bandvie.expr import Expression, polynomial_in_x
 from bandvie.newton import PsiEvaluator
 from bandvie.newton import iterate as run_newton
 from bandvie.pc import (
@@ -51,7 +53,11 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import empty_band_system, pc_psi_evaluator
+from helpers import (
+    collocation_hand_off,
+    empty_band_system,
+    pc_psi_evaluator,
+)
 
 #: agreement of the psi sums with the other summation orders, relative to
 #: the sum of the magnitudes of their terms plus |f|
@@ -70,11 +76,23 @@ def _s_dependent_system():
         rhs=["t", "t^2"], guess=["0.9*cos(t)", "0.9*sin(t)"])
 
 
+def _constant_g_system():
+    """Kernels like nonlinear-sys2's with a G constant in x: a polynomial
+    of degree 0, taken at one point for every iterate."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2",)),
+        kernels=[["1+s*(t+s)", "1"], ["1+t-s", "-1"]],
+        nonlinearities=[["x^2", "2"], ["x-x^2", "x"]],
+        rhs=["t", "t^2"], guess=["0.9*cos(t)", "0.9*sin(t)"])
+
+
 def _system(name):
     if name == "empty-band":
         return empty_band_system()
     if name == "s-dependent":
         return _s_dependent_system()
+    if name == "constant-g":
+        return _constant_g_system()
     return builtin(name)
 
 
@@ -97,28 +115,11 @@ def _pieces(band):
             for p, (r, w) in enumerate(zip(band.piece_time, band.piece_width))]
 
 
-def _product(p, d):
-    """The coefficients of the polynomial p * d, one at a time: coefficient
-    w sums p[w - q] * d[q] over q, from the highest q down, as one pairwise
-    sum."""
-    out = np.empty(p.size + d.size - 1)
-    for w in range(out.size):
-        out[w] = np.array([p[w - q] * d[q] if 0 <= w - q < p.size else
-                           0.0 * d[q] for q in range(d.size - 1, -1, -1)]
-                          ).sum()
-    return out
-
-
-def _composed(polynomial, d):
-    """The coefficients of G(D) for G with ``polynomial`` in x, D = d."""
-    power = d
-    out = np.zeros((polynomial.size - 1) * (d.size - 1) + 1)
-    out[0] = polynomial[0]
-    for n, a in enumerate(polynomial[1:], start=1):
-        if n > 1:
-            power = _product(power, d)
-        out[:power.size] += a * power
-    return out
+def _chebyshev_nodes(n, degree):
+    """V[r, j] = v_j^r, r <= ``degree``, for the n Chebyshev points v_j =
+    (1 + cos(pi (j + 1/2) / n)) / 2 of [0, 1]."""
+    v = (1.0 + np.cos(np.pi * (np.arange(n) + 0.5) / n)) / 2.0
+    return np.power.outer(v, np.arange(degree + 1)).T
 
 
 def _kept(ev):
@@ -134,9 +135,7 @@ def _piece_coefficients(lin, plan, iterate):
                 for band in plan]
     scale = float(lin.curves.horizon)
     scaled = iterate.coefficients * scale ** np.arange(iterate.degree + 1)
-    return [scaled[band.component - 1] @ quadrature.power_shift(
-        band.piece_lo, band.piece_width * band.panels, scale, iterate.degree)
-        for band in plan]
+    return [scaled[band.component - 1] @ band.shift for band in plan]
 
 
 def _per_node_values(ev, plan, iterate):
@@ -162,24 +161,26 @@ def _per_node_values(ev, plan, iterate):
                     nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
                     out[i, r] += w * (linear - nonlinear)
                 continue
-            moments, of_kernel = ev._bands[b].moments[q]
-            if d.shape[1] == 1 and of_kernel is not None:
-                g_pieces = np.broadcast_to(g(x=d[:, 0]),
-                                           band.piece_time.shape)
+            moments = ev._bands[b].moments[q]
+            weights = ev._bands[b].weights[q]
+            if weights is not None and weights.ndim == 1:
+                # a step iterate: G at its values, times the row sums of K
+                x = np.broadcast_to(g(x=d[:, 0]), weights.shape)
+            elif weights is not None:
+                # the iterate at the n Chebyshev points, one product per
+                # band as psi forms it
+                x = d @ _chebyshev_nodes(weights.shape[1], d.shape[1] - 1)
             by_time = {}
             for p, (r, w, cut) in enumerate(_pieces(band)):
                 linear = np.einsum("r,r->", d[p], moments[p])
-                if of_kernel is None:
+                if weights is None:
                     # summed on the plan
                     nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
-                elif d.shape[1] == 1:
-                    # G(xm) times the row sum of K
-                    nonlinear = g_pieces[p] * of_kernel[p]
+                elif weights.ndim == 1:
+                    nonlinear = x[p] * weights[p]
                 else:
-                    # the coefficients of G(xm) dotted with M = K @ U.T
-                    nonlinear = np.einsum(
-                        "r,r->", _composed(band.polynomials[q], d[p]),
-                        of_kernel[p])
+                    # the weights of K dotted with G at the points
+                    nonlinear = (weights[p] * g(x=x[p])).sum()
                 by_time.setdefault(r, []).append(w * (linear - nonlinear))
             for r, rows in by_time.items():
                 # one segment of a reduceat: rows[0] + the pairwise sum of
@@ -318,15 +319,47 @@ def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
 
 
 @lru_cache(maxsize=None)
-def _node_hand_off(name, nodes, panels):
+def _node_hand_off(name, nodes, panels, degree):
+    """The discretization's hand-off where ``degree`` is the node count,
+    else the helper's (pinned to it by
+    test_collocation_hand_off_helper_is_the_discretizations)."""
     lin = linearize(_system(name))
-    return (lin, *_collocation_hand_off(lin, nodes, panels))
+    if degree == nodes:
+        return (lin, *_collocation_hand_off(lin, nodes, panels))
+    times = collocation.collocation_nodes(lin.curves.horizon, nodes)
+    return lin, times, collocation_hand_off(lin, times, degree, panels)
 
 
-def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
+@pytest.mark.parametrize("name", ["nonlinear-sys2", "s-dependent",
+                                  "empty-band"])
+@pytest.mark.parametrize("degree,panels", [(1, 300), (4, 1001)])
+def test_collocation_hand_off_helper_is_the_discretizations(
+        name, degree, panels):
+    lin = linearize(_system(name))
+    times, frozen = _collocation_hand_off(lin, degree, panels)
+    helper = collocation_hand_off(lin, times, degree, panels)
+    assert len(helper) == len(frozen)
+    for got, want in zip(helper, frozen):
+        assert got.plan.band == want.plan.band
+        for field in ("abscissas", "piece_time", "piece_width", "piece_lo"):
+            assert np.array_equal(getattr(got.plan, field),
+                                  getattr(want.plan, field))
+        for field in ("kernel", "frozen", "moments"):
+            got_arrays, want_arrays = getattr(got, field), getattr(want, field)
+            assert got_arrays.keys() == want_arrays.keys()
+            for i in want_arrays:
+                assert got_arrays[i].tobytes() == want_arrays[i].tobytes()
+        assert got.shift.tobytes() == want.shift.tobytes()
+        assert got.segment is want.segment is None
+
+
+def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS, degree=None):
     """A new psi evaluator on the collocation plan of a test system at
-    ``nodes`` nodes, built once, and a copy of the plan."""
-    ev = PsiEvaluator(*_node_hand_off(name, nodes, panels))
+    ``nodes`` nodes, built once, for iterates of ``degree`` (default: the
+    node count, as a collocation discretization hands it over), and a copy
+    of the plan."""
+    ev = PsiEvaluator(*_node_hand_off(name, nodes, panels,
+                                      nodes if degree is None else degree))
     return ev, _kept(ev)
 
 
@@ -336,14 +369,14 @@ def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
        degree=st.integers(1, 15), seed=st.integers(0, 2**32 - 1),
        nodes=st.sampled_from([1, 3, 7]),
        panels=st.sampled_from([DEFAULT_MOMENT_PANELS, 300, 1001]))
-# polynomial iterates of degree below, at and above the discretization's
+# polynomial iterates of degree below, at and above the node count
 @example(name="nonlinear-sys2", degree=2, seed=1, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
 @example(name="nonlinear-sys2", degree=7, seed=2, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
 @example(name="nonlinear-sys2", degree=12, seed=3, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
-# G(xm) of degree up to 4 * 15 from the moments of K
+# G(xm) of degree up to 4 * 15 from the weights of K
 @example(name="nonlinear-sys2", degree=15, seed=11, nodes=7,
          panels=DEFAULT_MOMENT_PANELS)
 @example(name="nonlinear-scalar", degree=14, seed=12, nodes=3, panels=300)
@@ -362,9 +395,10 @@ def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS):
 def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
                                                        nodes, panels):
     # the linear term comes from the moments R = A @ table.T, and for a
-    # polynomial G the nonlinear one from M = K @ U.T; the first iterate
-    # sets the degree, so every degree has an evaluator of its own
-    ev, plan = _node_evaluator(name, nodes, panels)
+    # polynomial G the nonlinear one from the weights of K at g * d + 1
+    # Chebyshev points; R is handed over at the degree of the iterates, so
+    # every degree has a hand-off of its own
+    ev, plan = _node_evaluator(name, nodes, panels, degree)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, (system.n_components, degree + 1))
@@ -406,7 +440,7 @@ def test_step_iterate_psi_agrees_with_an_exactly_rounded_sum(name, n_segments,
     _assert_sums_agree(ev.values(iterate), exact, scale)
 
 
-@pytest.mark.parametrize("name", [*BUILTINS, "s-dependent"])
+@pytest.mark.parametrize("name", [*BUILTINS, "s-dependent", "constant-g"])
 @pytest.mark.parametrize("cut", [False, True])
 def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
     system = _system(name)
@@ -415,7 +449,7 @@ def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
         iterates = [ev.lin.x0, solve_linear_pc(system, n_segments=16),
                     _steps(system, mesh, 1)]
     else:
-        ev, plan = _node_evaluator(name, 5, 700)
+        ev, plan = _node_evaluator(name, 5, 700, degree=6)
         iterates = [ev.lin.x0, _polynomial(system, 1),
                     _polynomial(system, 2)]
     for iterate in iterates:
@@ -451,6 +485,24 @@ def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
                                max_iters=3)
     exact, scale = _fsum_values(ev, plan, pc_iterate)
     _assert_sums_agree(ev.values(pc_iterate), exact, scale)
+
+
+#: agreement of psi on the iterates of a real run, whose coefficients reach
+#: 1.9e7 at m = 12, with an exactly rounded sum, relative to the same scale
+REAL_ITERATE_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("degree", [10, 12])
+def test_psi_of_real_sys2_iterates_agrees_with_an_exactly_rounded_sum(
+        sys2, degree):
+    # G(D) formed from the powers D^n missed this sum by 5.3e-11 of the
+    # scale at m = 10 and by 1.4e-8 at m = 12, on the third iterate
+    iterate, _ = run_newton(sys2, method="collocation", degree=degree,
+                            max_iters=3)
+    ev, plan = _collocation_evaluator(linearize(sys2), degree)
+    exact, scale = _fsum_values(ev, plan, iterate)
+    assert np.all(np.abs(ev.values(iterate) - exact)
+                  <= REAL_ITERATE_RTOL * scale)
 
 
 def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
@@ -503,7 +555,8 @@ def test_reused_buffer_carries_no_state_between_calls():
     lin = linearize(system)
     mesh = Mesh.uniform(lin.curves.horizon, 8)
     builds = [(lambda: _collocation_evaluator(lin, 5, 700)[0],
-               _polynomial(system, 3), _polynomial(system, 4)),
+               _polynomial(system, 3, degree=5),
+               _polynomial(system, 4, degree=5)),
               (lambda: pc_psi_evaluator(lin, mesh)[1],
                _steps(system, mesh, 3), _steps(system, mesh, 4))]
     for build, a, b in builds:
@@ -536,7 +589,7 @@ def test_step_psi_evaluates_g_once_per_piece_and_locates_no_abscissa(
     # every G is free of s: one G value per piece, and nothing else is
     # evaluated or located
     assert evaluated == [(system.nonlinearities[i][band.band], True,
-                          band.piece_time.size)
+                          band.piece_width.size)
                          for band in ev._bands for i, *_ in band.pairs]
     assert located == []
 
@@ -566,11 +619,11 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
     disc = collocation.CollocationDiscretization(lin, 4)
     frozen = disc.take_frozen_plan()
     table = quadrature.reference_powers(disc.panels, 4)
-    products = [[avs[i] @ table.T for i in lin.nonlinear_equations[
-        plan.band - 1]] for plan, _, avs in frozen]
+    products = [[entry.frozen[i] @ table.T for i in lin.nonlinear_equations[
+        entry.plan.band - 1]] for entry in frozen]
     ev = PsiEvaluator(lin, disc.times, frozen=frozen)
     ev.values(_polynomial(sys2, 5, degree=4))
-    assert [[r.tobytes() for r, _ in band.moments] for band in ev._bands] \
+    assert [[r.tobytes() for r in band.moments] for band in ev._bands] \
         == [[r.tobytes() for r in band] for band in products]
 
 
@@ -579,22 +632,60 @@ def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     system = builtin(name)
     ev, plan = _node_evaluator(name, 6)
     iterate = _polynomial(system, 6)
-    ev.values(ev.lin.x0)
-    ev.values(iterate)          # the moments of degree 6 are built here
     evaluated = []
     call = Expression.__call__
 
     def counting_call(self, t=None, s=None, x=None):
-        evaluated.append((self, np.size(s), np.size(x)))
+        evaluated.append((s is None, np.shape(x)))
+        return call(self, t=t, s=s, x=x)
+
+    monkeypatch.setattr(Expression, "__call__", counting_call)
+    guess = ev.values(ev.lin.x0)
+    # psi at the guess is the value the evaluator was built with
+    assert evaluated == []
+    first = ev.values(iterate)
+    got = ev.values(iterate)
+    # every G is a polynomial: after the guess no G is evaluated on the
+    # plan, with its abscissas or at the iterate on its panels, and neither
+    # A nor K is kept
+    panels = {band.panels for band in ev._bands}
+    assert evaluated and all(free and shape[-1] not in panels
+                             for free, shape in evaluated)
+    assert all(kernel is None and band.buffer is None
+               for band in ev._bands for _, _, kernel in band.pairs)
+    assert np.array_equal(guess, ev.values(ev.lin.x0))
+    assert np.array_equal(first, got)
+    assert np.array_equal(got, _per_node_values(ev, plan, iterate))
+
+
+@pytest.mark.parametrize("name", ["nonlinear-sys2", "nonlinear-scalar"])
+def test_collocation_psi_evaluates_each_g_once_on_its_chebyshev_points(
+        name, monkeypatch):
+    system = builtin(name)
+    ev, plan = _node_evaluator(name, 6)
+    iterate = _polynomial(system, 6)
+    ev.values(ev.lin.x0)
+    ev.values(iterate)          # the weights of degree 6 are built here
+    evaluated = []
+    call = Expression.__call__
+
+    def counting_call(self, t=None, s=None, x=None):
+        evaluated.append((self, s is None, np.shape(x)))
         return call(self, t=t, s=s, x=x)
 
     monkeypatch.setattr(Expression, "__call__", counting_call)
     got = ev.values(iterate)
-    # every G is a polynomial: G(xm) comes from its coefficients and the
-    # moments of K, and no expression is evaluated, on the plan or off it
-    assert evaluated == []
-    assert all(of_kernel is not None and of_kernel.shape[1] > 7
-               for band in ev._bands for _, of_kernel in band.moments)
+    # every G is a polynomial of degree g in x: one call per pair, on the
+    # iterate at g * 6 + 1 Chebyshev points of every piece, and no plan
+    # abscissa is kept or read
+    nonlinearities = system.nonlinearities
+    assert evaluated == [
+        (nonlinearities[i][band.band], True, (
+            band.piece_width.size,
+            (polynomial_in_x(nonlinearities[i][band.band], 60).size - 1) * 6
+            + 1))
+        for band in ev._bands for i, *_ in band.pairs]
+    assert all(band.abscissas is None for band in ev._bands)
     assert np.array_equal(got, _per_node_values(ev, plan, iterate))
 
 
@@ -604,12 +695,12 @@ def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     ("s-dependent", [True, True])])
 def test_only_a_band_with_g_summed_on_the_plan_holds_a_buffer(name, planned):
     system = _system(name)
-    ev, _ = _node_evaluator(name, 5, 700)
+    ev, _ = _node_evaluator(name, 5, 700, degree=6)
     ev.values(_polynomial(system, 7))
     assert [band.buffer is not None for band in ev._bands] == planned
     for band in ev._bands:
         if band.buffer is not None:
-            assert band.buffer.shape == (band.piece_time.size, 700)
+            assert band.buffer.shape == (band.piece_width.size, 700)
     # a step iterate: only a G with s is summed on the plan
     ev, _, mesh = _cut_evaluator(name, 16)
     steps = PiecewiseConstantSolution(
@@ -647,7 +738,28 @@ def test_psi_keeps_only_what_its_later_calls_read(name, cut):
                 if kernel is not None] == summed
         assert (band.abscissas is not None) == bool(summed)
         assert (band.buffer is not None) == bool(summed)
-        assert band.piece_lo is None
+        # the times of the runs replace those of the pieces
+        assert band.piece_time is None
+        assert band.run_time.shape == band.runs.shape
+
+
+@pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
+def test_pc_psi_keeps_per_piece_only_the_width_segment_and_sums(name):
+    ev, _, mesh = _cut_evaluator(name, 64)
+    pieces = [band.piece_time.size for band in ev._bands]
+    ev.values(_steps(ev.lin.system, mesh, 1))
+    for band, size in zip(ev._bands, pieces):
+        assert band.piece_time is None and band.abscissas is None
+        # one time per run, at most one run per mesh node
+        assert band.run_time.shape == band.runs.shape
+        assert band.runs.size <= 64
+        # per piece the panel width, the int32 mesh segment, and per pair
+        # the row sums of A and of K
+        assert band.segment.dtype == np.int32
+        kept = [band.piece_width, band.segment, *band.moments,
+                *band.weights]
+        assert sum(a.nbytes for a in kept) == size * (
+            8 + 4 + 16 * len(band.pairs))
 
 
 @pytest.mark.parametrize("cut", [False, True])
