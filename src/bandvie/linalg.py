@@ -10,8 +10,14 @@ pc step matrices) in one elimination, one column at a time over the
 stack, with the same pivoting and threshold as :class:`LUFactorization`
 and the same bits per matrix; :func:`lu_inverse_stack` inverts the whole
 stack from those factors.  The two eliminations share only the order of
-substitution (:func:`lu_substitute`): for a single matrix the column
-loop of :class:`LUFactorization` is the faster one.
+substitution: for a single matrix the column loop of
+:class:`LUFactorization` is the faster one.
+
+:meth:`LUFactorization.solve` substitutes forward, row k taking the dot
+product of L's row k left of the diagonal with x[:k], then backward, row k
+taking that of U's row k right of the diagonal with x[k+1:] and dividing
+by the pivot.  Those rows and the pivots are copied out of the factors
+once, when the matrix is factorized, so a solve slices nothing but x.
 """
 
 from __future__ import annotations
@@ -54,13 +60,24 @@ class LUFactorization:
         self._lu = a
         self._perm = perm
         self.shape = (n, n)
+        # per row of the substitutions: L's row left of the diagonal, and
+        # from the last row up U's row right of it and the pivot
+        self._lower = [(k, a[k, :k].copy()) for k in range(1, n)]
+        self._upper = [(k, a[k, k + 1:].copy(), float(a[k, k]))
+                       for k in range(n - 1, -1, -1)]
 
     def solve(self, b):
+        """x with A x = b, substituted from the rows kept at factorization."""
         b = np.asarray(b, dtype=float)
         n = self.shape[0]
         if b.shape != (n,):
             raise ValueError(f"right-hand side must have shape ({n},)")
-        return lu_substitute(self._lu, self._perm, b)
+        x = b[self._perm]
+        for k, row in self._lower:
+            x[k] -= row.dot(x[:k])
+        for k, row, pivot in self._upper:
+            x[k] = (x[k] - row.dot(x[k + 1:])) / pivot
+        return x
 
 
 def lu_factor_stack(a):
@@ -118,7 +135,7 @@ def lu_inverse_stack(lu, perm):
 
     ``lu`` and ``perm`` are as :func:`lu_factor_stack` returns them; the
     unit columns of P are substituted over the whole stack at once, in
-    the order of :func:`lu_substitute`.
+    the order of :meth:`LUFactorization.solve`.
     """
     count, n = perm.shape
     x = np.zeros((count, n, n))
@@ -128,16 +145,6 @@ def lu_inverse_stack(lu, perm):
     for k in range(n - 1, -1, -1):
         x[:, k] -= (lu[:, k, None, k + 1:] @ x[:, k + 1:])[:, 0]
         x[:, k] /= lu[:, k, k, None]
-    return x
-
-
-def lu_substitute(lu, perm, b):
-    """Solve A x = b from the factors PA = LU; ``perm`` is P's row order."""
-    x = b[perm]
-    for k in range(1, x.size):
-        x[k] -= lu[k, :k] @ x[:k]
-    for k in range(x.size - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
     return x
 
 

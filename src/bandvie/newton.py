@@ -32,6 +32,10 @@ keeps the plan only for a G that uses s or is not a polynomial.  A
 :class:`PsiEvaluator` serves one run,
 which is sequential in the iteration index: it keeps per band a buffer
 that a call fills before reading it.
+
+A step costs psi, the inner solve and the correction norm.  The step's
+:class:`IterationRecord` keeps its iterate; the errors against a known
+exact solution are measured only when a record's are first read.
 """
 
 from __future__ import annotations
@@ -64,13 +68,37 @@ DIVERGENCE_FACTOR = 1e3
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One outer step: correction norm plus errors when the exact is known."""
+    """One outer step: its correction norm and the ``iterate`` it made.
+
+    The errors of the iterate against the exact solution of ``system``
+    are measured on first read, by
+    :func:`~bandvie.report.measure_errors`, and kept: the iteration itself
+    reads none of them, and a caller that reads only the last record's
+    pays for one measurement.  Without an exact solution they read ``()``
+    and None.
+    """
 
     index: int
     correction: float
     ratio: float = None              # correction / previous correction
-    component_errors: tuple = ()
-    aggregate_error: float = None
+    iterate: object = field(default=None, repr=False)
+    system: object = field(default=None, repr=False)
+
+    @functools.cached_property
+    def _errors(self):
+        if self.system is None or self.system.exact is None:
+            return (), None
+        return measure_errors(self.iterate, self.system)
+
+    @property
+    def component_errors(self):
+        """Per component :class:`~bandvie.report.ComponentError`."""
+        return self._errors[0]
+
+    @property
+    def aggregate_error(self):
+        """Euclidean norm of the component sup errors."""
+        return self._errors[1]
 
 
 @dataclass
@@ -95,7 +123,8 @@ def _norm_grid(domain):
 def _norm_samples(iterate, i, domain):
     """Component i of ``iterate`` on the norm grid of ``domain``.
 
-    The values are kept on the iterate, keyed by component and domain:
+    The values are kept on the iterate, keyed by component and domain,
+    until :func:`correction_norm` has read them as the previous iterate's:
     iterates are not changed after they are built, so an iterate that is
     first the next and then the previous one of a correction is sampled
     once.
@@ -118,7 +147,9 @@ def correction_norm(prev, nxt):
     (:func:`_norm_samples`), so along an outer iteration every iterate is
     sampled once, not once as ``nxt`` and again as ``prev``.  That is safe
     because iterates (solutions, expression iterates) are not changed after
-    they are built.
+    they are built.  Once read, the samples of ``prev`` are dropped: an
+    outer iteration never reads them again, and the records of a run keep
+    their iterates.
 
     Raises
     ------
@@ -138,6 +169,7 @@ def correction_norm(prev, nxt):
                 f"correction of component {i} is {diff[k]} at t = "
                 f"{_norm_grid(domain)[k]:.6g} (previous {a[k]}, next {b[k]})")
         worst = max(worst, top)
+    vars(prev).pop("_norm_samples", None)
     return worst
 
 
@@ -278,10 +310,14 @@ class _PsiBand:
                 # a row adds in the same (pairwise) order as it would alone
                 rows -= (weights * g(x=x)).sum(axis=1)
             rows *= self.piece_width
-            # the pieces of a time are summed (pairwise) before f is added:
-            # on pc iterates this rounds about 3x closer to an exact sum
-            # than adding them to f one by one
-            out[i, self.run_time] += np.add.reduceat(rows, self.runs)
+            if self.runs.size == rows.size:
+                # one piece per time, as on a collocation plan
+                out[i, self.run_time] += rows
+            else:
+                # the pieces of a time are summed (pairwise) before f is
+                # added: on pc iterates this rounds about 3x closer to an
+                # exact sum than adding them to f one by one
+                out[i, self.run_time] += np.add.reduceat(rows, self.runs)
 
     def _nonlinear_rows(self, kernel, g, xm):
         """Per piece, sum K * G(xm) over the plan."""
@@ -357,10 +393,7 @@ class PsiEvaluator:
         self._nodes = self._table = None
 
         self._f_vals, self._fp0 = f_at_times(lin.system, self.times)
-        self._k00, self._gx0_at0, _ = lin.origin_factors
-        slopes = [float(lin.curves.alpha_prime(j, 0.0))
-                  for j in range(lin.n_bands + 1)]
-        self._dslopes = np.diff(np.asarray(slopes))
+        self._origin = self._origin_pairs()
         self._at_x0 = self._f_vals.copy()
         for band in self._bands:
             band.add_on_plan(self._at_x0, lin.x0, lin.system.nonlinearities)
@@ -453,6 +486,22 @@ class PsiEvaluator:
                 for (_, _, kernel), n, kt in zip(band.pairs, band.points,
                                                  of_band)])
 
+    def _origin_pairs(self):
+        """Per band with a pair whose G is not x, its unknown and per such
+        pair (0-based equation, G, K(0, 0) times the jump of the curve
+        slopes at 0, dG/dx(0, x0(0)))."""
+        lin = self.lin
+        k00, gx0, _ = lin.origin_factors
+        slopes = [float(lin.curves.alpha_prime(j, 0.0))
+                  for j in range(lin.n_bands + 1)]
+        dslopes = np.diff(np.asarray(slopes))
+        nonlinearities = lin.system.nonlinearities
+        return [(lin.unknown_of_band[j],
+                 [(i, nonlinearities[i][j], float(k00[i, j] * dslopes[j]),
+                   float(gx0[i, j])) for i in equations])
+                for j, equations in enumerate(lin.nonlinear_equations)
+                if equations]
+
     def derivative_at_zero(self, iterate):
         """d(psi)/dt at t = 0: only the band boundary terms survive.
 
@@ -460,17 +509,11 @@ class PsiEvaluator:
         is 1 * xm0 - xm0 = 0 exactly), so only the pairs of
         :attr:`LinearizedSystem.nonlinear_equations` are evaluated.
         """
-        lin = self.lin
-        nonlinearities = lin.system.nonlinearities
         out = self._fp0.copy()
-        for j, equations in enumerate(lin.nonlinear_equations):
-            if not equations:
-                continue
-            xm0 = iterate.value_at_zero(lin.unknown_of_band[j])
-            for i in equations:
-                g0 = float(nonlinearities[i][j](s=0.0, x=xm0))
-                out[i] += (self._k00[i, j] * self._dslopes[j]
-                           * (self._gx0_at0[i, j] * xm0 - g0))
+        for component, pairs in self._origin:
+            xm0 = iterate.value_at_zero(component)
+            for i, g, weight, gx0 in pairs:
+                out[i] += weight * (gx0 * xm0 - float(g(s=0.0, x=xm0)))
         return out
 
 
@@ -550,12 +593,9 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         except SolverError as exc:
             raise SolverError(f"iteration {step}: {exc}") from exc
         ratio = None if prev_correction in (None, 0.0) else corr / prev_correction
-        comp_errors, aggregate = (), None
-        if system.exact is not None:
-            comp_errors, aggregate = measure_errors(solution, system)
         report.records.append(IterationRecord(
-            index=step, correction=corr, ratio=ratio,
-            component_errors=comp_errors, aggregate_error=aggregate))
+            index=step, correction=corr, ratio=ratio, iterate=solution,
+            system=system))
         current = solution
         prev_correction = corr
         if corr <= tol:
@@ -565,9 +605,13 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             base = report.records[step - 4].correction
             if base > 0.0 and corr > DIVERGENCE_FACTOR * base:
                 report.stop_reason = "divergence"
-                raise DivergenceError(
-                    f"correction norm grew from {base:.3e} to {corr:.3e} "
-                    f"over three iterations (step {step})", report)
+                break
+    # the records keep their iterates, and no iterate its norm samples
+    vars(solution).pop("_norm_samples", None)
+    if report.stop_reason == "divergence":
+        raise DivergenceError(
+            f"correction norm grew from {base:.3e} to {corr:.3e} "
+            f"over three iterations (step {step})", report)
     if report.stop_reason is None:
         report.stop_reason = "max-iterations"
     return solution, report

@@ -7,12 +7,7 @@ from bandvie.collocation import (
     PolynomialSolution,
     flatten_index,
 )
-from bandvie.linalg import (
-    LUFactorization,
-    lu_factor_stack,
-    lu_substitute,
-    refined_solve,
-)
+from bandvie.linalg import LUFactorization, lu_factor_stack, refined_solve
 from bandvie.newton import NORM_SAMPLES, PsiEvaluator
 from bandvie.pc import PCDiscretization
 from bandvie.problem import (
@@ -58,6 +53,19 @@ def lu_solve(a, b):
     """
     a = np.asarray(a, dtype=float)
     return refined_solve(LUFactorization(a), a, b)
+
+
+def lu_substitute(lu, perm, b):
+    """Solve A x = b from the factors PA = LU, ``perm`` P's row order, one
+    row of ``lu`` sliced per step: the reference for
+    :meth:`~bandvie.linalg.LUFactorization.solve` and
+    :func:`~bandvie.linalg.lu_inverse_stack`."""
+    x = b[perm]
+    for k in range(1, x.size):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(x.size - 1, -1, -1):
+        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+    return x
 
 
 def initial_values(system):

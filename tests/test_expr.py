@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bandvie.errors import ExpressionSyntaxError
 from bandvie.expr import parse, polynomial_in_x
@@ -117,6 +119,60 @@ def test_derivative_matches_central_difference():
                 lo[wrt] -= step
                 fd = (e(**hi) - e(**lo)) / (2 * step)
                 assert abs(d(**bindings) - fd) <= 1e-6, (text, wrt)
+
+
+def _wrapped(template, *parts):
+    return st.tuples(*parts).map(lambda p: template.format(*p))
+
+
+def _grown(children):
+    """One more node over ``children``: every rule of the differentiator,
+    log, sqrt and the general power on arguments kept positive."""
+    return st.one_of(
+        _wrapped("({}) + ({})", children, children),
+        _wrapped("({}) - ({})", children, children),
+        _wrapped("({}) * ({})", children, children),
+        _wrapped("({}) / (1 + ({})^2)", children, children),
+        _wrapped("-({})", children),
+        _wrapped("({})^{}", children, st.sampled_from(["2", "3", "4"])),
+        _wrapped("(1 + ({})^2)^({})", children, children),
+        _wrapped("{}({})", st.sampled_from(["sin", "cos", "exp"]), children),
+        _wrapped("{}(1 + ({})^2)", st.sampled_from(["log", "sqrt"]),
+                 children),
+    )
+
+
+_TREES = st.recursive(st.sampled_from(["t", "s", "x", "1.5"]), _grown,
+                      max_leaves=8)
+
+
+@settings(max_examples=300)
+@given(text=_TREES, data=st.data(), t=st.floats(0.1, 2.0),
+       s=st.floats(0.1, 2.0), x=st.floats(-1.5, 1.5))
+def test_derivative_of_generated_trees_matches_central_difference(
+        text, data, t, s, x):
+    # the derivatives validate() checks against finite differences on
+    # every run come from this differentiator
+    e = parse(text)
+    assume(e.free_variables)
+    wrt = data.draw(st.sampled_from(sorted(e.free_variables)))
+    at = {"t": t, "s": s, "x": x}
+
+    def central(step):
+        hi, lo = dict(at), dict(at)
+        hi[wrt] += step
+        lo[wrt] -= step
+        values = float(e(**hi)), float(e(**lo))
+        assume(all(math.isfinite(v) and abs(v) < 1e4 for v in values))
+        return (values[0] - values[1]) / (2 * step)
+
+    coarse, fine = central(2e-4), central(1e-4)
+    # the steps resolve e (not so where it oscillates fast); Richardson's
+    # extrapolation then holds to within the coarse-to-fine change
+    assume(abs(fine - coarse) <= 1e-3 * max(1.0, abs(fine)))
+    extrapolated = fine + (fine - coarse) / 3
+    assert abs(e.diff(wrt)(**at) - extrapolated) <= (
+        1e-6 * max(1.0, abs(extrapolated)) + abs(fine - coarse)), text
 
 
 def test_print_parse_round_trip_is_exact():

@@ -4,16 +4,18 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandvie.collocation import CollocationDiscretization
 from bandvie.errors import SingularMatrixError
 from bandvie.linalg import (
     LUFactorization,
     lu_factor_stack,
     lu_inverse_stack,
-    lu_substitute,
     residual,
 )
+from bandvie.problem import linearize
+from bandvie.registry import builtin
 
-from helpers import lu_solve
+from helpers import lu_solve, lu_substitute
 
 
 def test_identity():
@@ -221,3 +223,37 @@ def test_stacked_inverse_solves_every_unit_column(seed, count, n, ties):
         assert np.max(np.abs(inverse[i] - columns)) <= 1e-13 * scale
         assert np.max(np.abs(inverse[i] @ a[i] - np.eye(n))) <= \
             1e-12 * scale * np.abs(a[i]).max() * n
+
+
+def _solves_like_the_reference(matrix, rhs):
+    """Every right-hand side of ``rhs`` solves to the bits of
+    :func:`helpers.lu_substitute` on the same factors."""
+    fact = LUFactorization(matrix)
+    for b in rhs:
+        assert np.array_equal(fact.solve(b),
+                              lu_substitute(fact._lu, fact._perm, b))
+
+
+def test_solve_is_the_row_substitution_bit_for_bit():
+    # entries and right-hand sides spread over 1e-5 .. 1e5, so that every
+    # dot product rounds
+    rng = np.random.default_rng(24)
+    for n in range(1, 37):
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-5, 5, (n, n))
+        a += np.diag(np.abs(a).sum(axis=1))
+        rhs = rng.normal(size=(20, n)) * 10.0 ** rng.uniform(-5, 5, (20, n))
+        _solves_like_the_reference(a, rhs)
+
+
+@pytest.mark.parametrize("name, degrees", [("nonlinear-sys2", range(2, 13)),
+                                           ("model02", range(2, 11))])
+def test_solve_is_the_row_substitution_on_the_solvers_matrices(name,
+                                                               degrees):
+    system = builtin(name)
+    lin = linearize(system)
+    rng = np.random.default_rng(7)
+    matrices = [lin.start_value_matrix()] + [
+        CollocationDiscretization(lin, degree).matrix for degree in degrees]
+    for matrix in matrices:
+        n = matrix.shape[0]
+        _solves_like_the_reference(matrix, rng.normal(size=(20, n)))

@@ -13,6 +13,7 @@ from bandvie.problem import (
     VolterraSystem,
 )
 from bandvie.registry import builtin
+from bandvie.report import measure_errors
 
 from helpers import composite_midpoint, psi
 
@@ -319,6 +320,11 @@ def test_divergence_guard_raises_with_report():
     assert report.stop_reason == "divergence"
     assert len(report.records) >= 4
     assert report.records[-1].correction > 1e3 * report.records[-4].correction
+    # the partial report still measures the errors of its iterates
+    last = report.records[-1]
+    assert (last.component_errors, last.aggregate_error) == measure_errors(
+        last.iterate, system)
+    assert last.aggregate_error > 0.0
 
 
 def test_invalid_system_rejected(model01):

@@ -1,13 +1,14 @@
 """What one run computes once: the error grids, the norm samples of each
-iterate and the component domains; and the psi derivative at t = 0 over
-the pairs whose G is not x.  Each is checked against an uncached loop from
-``helpers``."""
+iterate, the errors of a record (on first read) and the component
+domains; and the psi derivative at t = 0 over the pairs whose G is not x.
+Each is checked against an uncached loop from ``helpers``."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from bandvie import cli, newton
 from bandvie.collocation import (
     CollocationDiscretization,
     PolynomialSolution,
@@ -95,6 +96,50 @@ def test_iterate_samples_each_iterate_once_for_its_norms(sys2, monkeypatch,
     assert set(counts.values()) == {1}
     # the guess and every solution, once per component
     assert len(counts) == (len(report.records) + 1) * sys2.n_components
+
+
+def _counted_measure_errors(monkeypatch, module):
+    """The iterates ``module.measure_errors`` is called for, in order."""
+    measured = []
+
+    def counting(solution, system, *args, _original=module.measure_errors):
+        measured.append(solution)
+        return _original(solution, system, *args)
+    monkeypatch.setattr(module, "measure_errors", counting)
+    return measured
+
+
+@pytest.mark.parametrize("method, size", [("collocation", 4), ("pc", 32)])
+def test_records_measure_their_errors_once_on_first_read(sys2, monkeypatch,
+                                                         method, size):
+    measured = _counted_measure_errors(monkeypatch, newton)
+    key = "degree" if method == "collocation" else "n_segments"
+    _, report = iterate(sys2, method=method, max_iters=6, **{key: size})
+    assert measured == []
+    # the records keep their iterates, but no norm samples
+    assert not any("_norm_samples" in vars(record.iterate)
+                   for record in report.records)
+    first = [(record.component_errors, record.aggregate_error)
+             for record in report.records]
+    assert first == [measure_errors(record.iterate, sys2)
+                     for record in report.records]
+    assert [(record.component_errors, record.aggregate_error)
+            for record in report.records] == first
+    assert len(measured) == len(report.records)
+    assert all(it is record.iterate
+               for it, record in zip(measured, report.records))
+
+
+def test_a_study_measures_each_solved_point_once(monkeypatch, capsys):
+    in_cli = _counted_measure_errors(monkeypatch, cli)
+    in_newton = _counted_measure_errors(monkeypatch, newton)
+    # model02 solves at m = 10; its matrix at m = 11 fails the pivot check
+    assert cli.main(["study", "--builtin", "model02", "--method",
+                     "collocation", "--sweep", "10,11", "--format",
+                     "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 3 and rows[2].startswith("11,,")
+    assert len(in_cli) == 1 and in_newton == []
 
 
 @pytest.mark.parametrize("name", BUILTINS)
