@@ -2,8 +2,8 @@
 
 The config next to this script declares a linear 2x2 system without an
 exact solution.  The script loads it, runs the validator (curve ordering,
-f(0) = 0, non-vanishing outer-band kernels, derivative cross-checks),
-solves with both inner methods, and checks the results against each other
+f(0) = 0, non-vanishing outer-band kernels, finite frozen kernels and G
+along the initial guess), solves with both inner methods, and checks the results against each other
 and against the residual of the original equations.
 
 Run:  python demos/04_custom_problem.py

@@ -52,8 +52,6 @@ def _add_common(parser):
                         help="outer iteration cap (default 20)")
     parser.add_argument("--tol", type=float, default=1e-12, metavar="X",
                         help="correction-norm stopping tolerance (default 1e-12)")
-    parser.add_argument("--panels", type=int, default=None, metavar="P",
-                        help="collocation panels per band segment override")
     parser.add_argument("--format", choices=("table", "csv", "json"),
                         default="table", help="output format (default table)")
     parser.add_argument("--out", metavar="PATH",
@@ -79,10 +77,6 @@ def _check_limits(args, parser):
         parser.error(f"--iters must be at least 1, got {args.iters}")
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         parser.error(f"--tol must be finite and positive, got {args.tol}")
-    if args.panels is not None and args.panels < 1:
-        parser.error(f"--panels must be at least 1, got {args.panels}")
-    if args.panels is not None and args.method == "pc":
-        parser.error("--method pc takes no --panels")
 
 
 def _method_parameter(args, parser):
@@ -102,7 +96,7 @@ def _method_parameter(args, parser):
 def _solve_once(system, args, param_name, value):
     start = time.perf_counter()
     kwargs = dict(method=args.method, max_iters=args.iters, tol=args.tol,
-                  panels=args.panels, skip_validation=True)
+                  skip_validation=True)
     if param_name == "N":
         kwargs["n_segments"] = value
     else:
@@ -212,7 +206,11 @@ def main(argv=None):
                          help="strictly increasing N (pc) or m (collocation) "
                               "values")
 
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # an unknown option is a usage error of its subcommand
+        {"run": p_run, "study": p_study}.get(args.command, parser).error(
+            f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.command == "list":
             return _cmd_list(args)

@@ -225,10 +225,10 @@ class CollocationDiscretization:
                                   self.condition_number)
 
 
-def solve_linear_collocation(system, degree=5, panels=DEFAULT_MOMENT_PANELS):
+def solve_linear_collocation(system, degree=5):
     """One-shot polynomial collocation solve of a system with its own f.
 
     The kernels are frozen along the initial guess.
     """
-    disc = CollocationDiscretization(linearize(system), degree, panels=panels)
+    disc = CollocationDiscretization(linearize(system), degree)
     return disc.solve(*f_at_times(system, disc.times))

@@ -48,11 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .collocation import (
-    DEFAULT_MOMENT_PANELS,
-    CollocationDiscretization,
-    PolynomialSolution,
-)
+from .collocation import CollocationDiscretization, PolynomialSolution
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .expr import polynomial_in_x
 from .pc import Mesh, PCDiscretization, PiecewiseConstantSolution
@@ -518,7 +514,7 @@ class PsiEvaluator:
 
 
 def iterate(system, method="collocation", degree=None, n_segments=None,
-            max_iters=20, tol=1e-12, panels=None, skip_validation=False):
+            max_iters=20, tol=1e-12, skip_validation=False):
     """Run the frozen-derivative outer iteration with an inner linear solver.
 
     Parameters
@@ -529,8 +525,10 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     n_segments : mesh segments for the piecewise-constant inner solver
     max_iters : iteration cap
     tol : stop once the sampled correction sup-norm drops this low
-    panels : collocation only: panels per band segment of the moment plan,
-        which psi sums on too (pc sums on its ``pc.PIECE_PANELS`` pieces)
+
+    Collocation integrates on ``collocation.DEFAULT_MOMENT_PANELS`` panels
+    per band segment and pc on its ``pc.PIECE_PANELS`` pieces; psi sums on
+    the same plan.
 
     Returns
     -------
@@ -549,17 +547,15 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             or not (math.isfinite(tol) and tol > 0)):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     quadrature.checked_count("max_iters", max_iters)
-    # per method, the parameter it needs, then one it takes optionally
-    own = {"pc": ("n_segments",),
-           "collocation": ("degree", "panels")}.get(method)
+    # per method, the count it needs; degree and n_segments are checked
+    # where they are used
+    own = {"pc": "n_segments", "collocation": "degree"}.get(method)
     if own is None:
         raise ValueError(f"unknown inner method {method!r}")
-    # degree, n_segments and panels are checked where they are used
-    for name, value in (("degree", degree), ("n_segments", n_segments),
-                        ("panels", panels)):
-        if name == own[0] and value is None:
+    for name, value in (("degree", degree), ("n_segments", n_segments)):
+        if name == own and value is None:
             raise ValueError(f"the {method} method needs {name}")
-        if name not in own and value is not None:
+        if name != own and value is not None:
             raise ValueError(
                 f"the {method} method takes no {name}, got {value!r}")
     if not skip_validation:
@@ -574,9 +570,7 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
         disc = PCDiscretization(
             lin, Mesh.uniform(system.curves.horizon, n_segments))
     else:
-        disc = CollocationDiscretization(
-            lin, degree,
-            panels=DEFAULT_MOMENT_PANELS if panels is None else panels)
+        disc = CollocationDiscretization(lin, degree)
     # psi sums the guess on the handed-over plan; what it keeps of the plan
     # after its first solver iterate is only what later calls read
     evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())

@@ -41,9 +41,6 @@ from .linalg import LUFactorization, refined_solve
 #: sample count used by validate() for the sampled invariants
 VALIDATION_SAMPLES = 1000
 
-_FD_STEP = 1e-6
-_FD_TOL = 1e-6
-
 #: the nonlinearity whose psi bracket G'(x0) * xm - G(xm) is exactly zero
 _IDENTITY = parse("x")
 
@@ -70,14 +67,15 @@ def _check_variables(label, expr, allowed):
 class CurveFamily:
     """Discontinuity curves alpha_1..alpha_{n-1} on [0, T].
 
-    alpha_0 == 0 and alpha_{n_bands}(t) == t are implicit.  Derivatives are
-    obtained symbolically at construction.  The horizon T must be a
-    positive finite real number (not a boolean); it is stored as a float.
+    alpha_0 == 0 and alpha_{n_bands}(t) == t are implicit.  The
+    derivatives ``interior_prime`` come from :meth:`Expression.diff` at
+    construction.  The horizon T must be a positive finite real number
+    (not a boolean); it is stored as a float.
     """
 
     horizon: float
     interior: tuple
-    interior_prime: tuple = field(default=())
+    interior_prime: tuple = field(init=False)
 
     def __post_init__(self):
         T = self.horizon
@@ -90,10 +88,8 @@ class CurveFamily:
         for j, e in enumerate(exprs, start=1):
             _check_variables(f"alpha_{j}", e, ("t",))
         object.__setattr__(self, "interior", exprs)
-        if not self.interior_prime:
-            object.__setattr__(
-                self, "interior_prime", tuple(e.diff("t") for e in exprs)
-            )
+        object.__setattr__(self, "interior_prime",
+                           tuple(e.diff("t") for e in exprs))
 
     @property
     def n_bands(self):
@@ -295,23 +291,25 @@ class Diagnostic:
         return f"{self.condition} at t = {self.witness:.6g}: {self.detail}"
 
 
-def validate(system, samples=VALIDATION_SAMPLES):
+def validate(system):
     """Check the sampled problem invariants; returns a list of diagnostics.
 
     An empty list means the system passed: curves start at 0, stay ordered
     and nondecreasing, their t=0 slopes are ordered below 1, f_i(0) = 0
     and f_i'(0) is finite, the last-band kernels do not vanish on the
     diagonal, each initial-guess component is finite at the sample times
-    inside its own domain, the frozen kernels K_ij * dG_ij/dx are finite
-    along the initial guess at the sample times, and the stored symbolic
-    derivatives agree with central finite differences.  The band map is
-    not checked here: :class:`VolterraSystem` rejects one that does not
-    give one component per equation when it is built.
+    inside its own domain, and along the initial guess X0 the frozen
+    kernels K_ij * dG_ij/dx and the nonlinearities G_ij(s, x0(s)) are
+    finite where the solvers evaluate them.  The derivatives are
+    bandvie's own, from :meth:`Expression.diff`, and are not re-checked
+    here.  The band map is not checked here either:
+    :class:`VolterraSystem` rejects one that does not give one component
+    per equation when it is built.
     """
     out = []
     curves = system.curves
     T = curves.horizon
-    ts = np.linspace(0.0, T, samples)
+    ts = np.linspace(0.0, T, VALIDATION_SAMPLES)
 
     for j in range(1, curves.n_bands):
         a0 = float(curves.alpha(j, 0.0))
@@ -383,16 +381,19 @@ def validate(system, samples=VALIDATION_SAMPLES):
                 float(inside[k]),
                 f"value {vals[k]}, inside its domain [0, {domain:.6g}]"))
 
-    out.extend(_derivative_diagnostics(system, ts))
-    out.extend(_frozen_kernel_diagnostics(system, ts))
+    out.extend(_along_guess_diagnostics(system, ts))
     return out
 
 
-def _frozen_kernel_diagnostics(system, ts):
-    """Non-finite K * dG/dx along the initial guess, one per (equation, band).
+def _along_guess_diagnostics(system, ts):
+    """Non-finite K * dG/dx and G(s, x0(s)) along the initial guess X0.
 
-    Sampled where the solvers evaluate it: at the middle of each band
-    segment at the sample times, which is t = s = 0 at the first.
+    The frozen kernel is the operator every outer step inverts, and G at
+    the guess is the value psi takes first; each (equation, band) pair gets
+    at most one diagnostic for either.  Sampled where the solvers evaluate
+    them: at the middle of each band segment at the sample times, which is
+    t = s = 0 at the first.  G is not evaluated for a pair whose G is x,
+    which adds nothing to psi.
     """
     try:
         edges = quadrature.band_edges(ts, system.curves)
@@ -402,87 +403,40 @@ def _frozen_kernel_diagnostics(system, ts):
     out = []
     for j in range(1, system.n_bands + 1):
         s = 0.5 * (edges[:, j - 1] + edges[:, j])
+        x0 = lin.x0.component_values(system.unknown_of_band[j - 1], s)
         for i, a in enumerate(lin._frozen_values(j, ts, s)[2]):
-            fault = _frozen_fault(i, j, ts, s, a)
-            if fault is not None:
-                condition, t, s_bad = fault
+            k = _first_non_finite(a)
+            if k is not None:
                 out.append(Diagnostic(
-                    condition, t, f"s = {s_bad:.6g}, along the initial guess"))
+                    f"non-finite frozen kernel in equation {i + 1}, band {j}",
+                    float(ts[k]), f"s = {s[k]:.6g}, along the initial guess"))
+        for i in lin.nonlinear_equations[j - 1]:
+            g = np.broadcast_to(np.asarray(
+                system.nonlinearities[i][j - 1](s=s, x=x0), float), s.shape)
+            k = _first_non_finite(g)
+            if k is not None:
+                out.append(Diagnostic(
+                    f"non-finite G along the initial guess in equation "
+                    f"{i + 1}, band {j}", float(ts[k]),
+                    f"s = {s[k]:.6g}, G_{i + 1},{j} = {g[k]}"))
     return out
 
 
-def _fd_check(expr, dexpr, wrt, points, label, out):
-    """Compare ``dexpr`` with central differences of ``expr`` in ``wrt``.
+def _first_non_finite(values):
+    """Flat index of the first non-finite entry of ``values`` in row-major
+    order, or None when all are finite.
 
-    ``points`` maps variable names to equal-length arrays of sample
-    points.  Points where either side is not finite are left out; when
-    none is left the check reports that it could not run.
-    """
-    n = points[wrt].size
-    hi = dict(points, **{wrt: points[wrt] + _FD_STEP})
-    lo = dict(points, **{wrt: points[wrt] - _FD_STEP})
-    with np.errstate(all="ignore"):
-        fd = (np.broadcast_to(expr(**hi), n)
-              - np.broadcast_to(expr(**lo), n)) / (2 * _FD_STEP)
-        sym = np.broadcast_to(dexpr(**points), n)
-        finite = np.isfinite(fd) & np.isfinite(sym)
-        bad = finite & (np.abs(fd - sym) > _FD_TOL * np.maximum(1.0, np.abs(fd)))
-    witness = points["t"] if "t" in points else points["s"]
-    if bad.any():
-        k = int(np.argmax(bad))
-        out.append(Diagnostic(
-            f"symbolic derivative of {label} disagrees with finite difference",
-            float(witness[k]),
-            f"symbolic {sym[k]:.8g}, finite difference {fd[k]:.8g}"))
-    elif not finite.any():
-        first = ", ".join(f"{v} = {points[v][0]:.6g}" for v in points)
-        out.append(Diagnostic(
-            f"derivative of {label} unchecked", float(witness[0]),
-            f"none of the {n} sample points evaluates "
-            f"(first: {first} gives symbolic {sym[0]:.8g}, "
-            f"finite difference {fd[0]:.8g})"))
-
-
-def _derivative_diagnostics(system, ts):
-    out = []
-    T = system.curves.horizon
-    tpts = np.linspace(0.05 * T, 0.95 * T, 7)
-    for i, (f, fp) in enumerate(zip(system.rhs, system.rhs_prime), start=1):
-        _fd_check(f, fp, "t", {"t": tpts}, f"f_{i}", out)
-    for j, (a, ap) in enumerate(
-            zip(system.curves.interior, system.curves.interior_prime), start=1):
-        _fd_check(a, ap, "t", {"t": tpts}, f"alpha_{j}", out)
-    xpts = np.linspace(-1.5, 1.5, 5)
-    # every x at each s, s in sample order
-    gpts = {"s": np.repeat(tpts[::3], xpts.size),
-            "x": np.tile(xpts, tpts[::3].size)}
-    for i in range(system.n_equations):
-        for j in range(system.n_bands):
-            _fd_check(system.nonlinearities[i][j], system.g_x[i][j], "x",
-                      gpts, f"G_{i + 1},{j + 1}", out)
-    return out
-
-
-def _frozen_fault(i, j, t, s, a):
-    """``(condition, t, s)`` at the first non-finite frozen kernel value
-    ``a`` of equation i + 1 on band j, in row-major order, or None when all
-    are finite.
-
-    One sum over ``a`` settles the usual, finite case without a temporary;
-    a non-finite value makes the sum non-finite, and only then (or when
-    finite values overflow the sum) is each value checked.
+    One sum over ``values`` settles the usual, finite case without a
+    temporary; a non-finite value makes the sum non-finite, and only then
+    (or when finite values overflow the sum) is each value checked.
     """
     with np.errstate(all="ignore"):
-        if math.isfinite(np.add.reduce(a, axis=None)):
+        if math.isfinite(np.add.reduce(values, axis=None)):
             return None
-        bad = ~np.isfinite(a)
+        bad = ~np.isfinite(values)
     if not bad.any():
         return None
-    k = int(np.argmax(bad))
-    s = np.asarray(s)
-    t = np.broadcast_to(t, s.shape).reshape(-1)
-    return (f"non-finite frozen kernel in equation {i + 1}, band {j}",
-            float(t[k]), float(s.reshape(-1)[k]))
+    return int(np.argmax(bad))
 
 
 class LinearizedSystem:
@@ -523,10 +477,12 @@ class LinearizedSystem:
         """
         kvs, gvs, avs = self._frozen_values(j, t, s)
         for i, a in enumerate(avs):
-            fault = _frozen_fault(i, j, t, s, a)
-            if fault is not None:
-                raise SolverError(f"{fault[0]} at t = {fault[1]:.6g}, "
-                                  f"s = {fault[2]:.6g}")
+            k = _first_non_finite(a)
+            if k is not None:
+                raise SolverError(
+                    f"non-finite frozen kernel in equation {i + 1}, band {j} "
+                    f"at t = {np.broadcast_to(t, np.shape(s)).flat[k]:.6g}, "
+                    f"s = {np.asarray(s).flat[k]:.6g}")
         return kvs, gvs, avs
 
     def _frozen_values(self, j, t, s):

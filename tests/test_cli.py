@@ -178,6 +178,20 @@ def test_run_non_finite_guess_exits_2(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def test_run_g_not_finite_along_the_guess_exits_2(tmp_path, capsys):
+    # G_1,2 = log(x - 1) is nan at the guess 0; validation names it before
+    # the start values meet psi's nan derivative at t = 0 (exit 3)
+    cfg = tmp_path / "log.yaml"
+    cfg.write_text(SQRT_AT_ZERO_YAML.replace(
+        '["sqrt(x)", "x"]', '["x", "log(x-1)"]'))
+    code = main(["run", "--config", str(cfg), "--method", "pc",
+                 "--nodes", "8"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite G along the initial guess in equation 1, band 2" in err
+    assert "G_1,2 = nan" in err
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
             ["run", "--method", "pc", "--degree", "3"],
@@ -290,6 +304,8 @@ def test_study_residuals_of_the_sample_problem_are_pinned(
     (["run", "--method", "pc", "--nodes", "8", "--tol", "0"], "--tol"),
     (["run", "--method", "pc", "--nodes", "8", "--tol", "nan"], "--tol"),
     (["run", "--method", "pc", "--nodes", "8", "--tol", "inf"], "--tol"),
+    # there is no --panels option: the collocation plan's panel count is
+    # fixed, and an unknown option is a usage error of the subcommand
     (["run", "--method", "collocation", "--degree", "3", "--panels", "0"],
      "--panels"),
     (["run", "--method", "pc", "--nodes", "8", "--panels", "-3"], "--panels"),

@@ -151,8 +151,9 @@ _TREES = st.recursive(st.sampled_from(["t", "s", "x", "1.5"]), _grown,
        s=st.floats(0.1, 2.0), x=st.floats(-1.5, 1.5))
 def test_derivative_of_generated_trees_matches_central_difference(
         text, data, t, s, x):
-    # the derivatives validate() checks against finite differences on
-    # every run come from this differentiator
+    # every derivative a run uses (f', the curve slopes, dG/dx) comes
+    # from this differentiator, and this is its only check against finite
+    # differences: validate() does not re-check them
     e = parse(text)
     assume(e.free_variables)
     wrt = data.draw(st.sampled_from(sorted(e.free_variables)))

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from bandvie import quadrature
+from bandvie import newton, quadrature
 from bandvie.collocation import PolynomialSolution
 from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
 from bandvie.newton import correction_norm, iterate
@@ -175,8 +177,9 @@ def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
     # at other panel counts psi still sums on the moments' plan: no
     # 8000-panel plan of its own
     calls.clear()
-    iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15,
-            panels=500)
+    monkeypatch.setattr(newton, "CollocationDiscretization", functools.partial(
+        newton.CollocationDiscretization, panels=500))
+    iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15)
     assert sorted(calls) == sorted([(j, 1) for j in bands]
                                    + [(j, 4 * 500) for j in bands])
 
@@ -370,5 +373,8 @@ def test_records_are_indexed_from_one(sys2):
     (dict(n_segments=8), "n_segments"),
     (dict(method="pc", degree=None, n_segments=8, panels=50), "panels")])
 def test_iterate_rejects_unusable_numbers(model01, kwargs, name):
-    with pytest.raises(ValueError, match=name):
+    # iterate takes no panels: the panel count of a collocation plan is the
+    # constructor's, and an unknown keyword is a TypeError naming it
+    with pytest.raises(TypeError if name == "panels" else ValueError,
+                       match=name):
         iterate(model01, **{"method": "collocation", "degree": 3, **kwargs})

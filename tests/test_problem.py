@@ -149,56 +149,60 @@ def test_validate_flags_component_count_mismatch(model01):
         )
 
 
-def _with_band2_derivative(model01, g, dg=None, guess=None):
-    """model01 with G_1,2 = g and, when given, a stored derivative dg."""
-    system = VolterraSystem(
+def _with_band2(model01, g, guess=None):
+    """model01 with G_1,2 = g."""
+    return VolterraSystem(
         curves=model01.curves,
         kernels=model01.kernels,
         nonlinearities=[["x", g], ["x", "x"]],
         rhs=model01.rhs,
         guess=guess,
     )
-    if dg is not None:
-        dg = parse(dg) if isinstance(dg, str) else dg
-        system.g_x = ((system.g_x[0][0], dg), system.g_x[1])
-    return system
 
 
-def test_validate_flags_derivative_check_that_never_evaluates(model01):
-    # log(x - 5) is undefined at every sample x in [-1.5, 1.5], so no point
-    # can expose the wrong derivative 17
-    diags = validate(_with_band2_derivative(model01, "log(x-5)", "17"))
-    assert [d.condition for d in diags] == ["derivative of G_1,2 unchecked"]
-    assert ("(first: s = 0.1, x = -1.5 gives symbolic 17, "
-            "finite difference nan)") in str(diags[0])
+def test_validate_flags_a_g_that_never_evaluates_along_the_guess(model01):
+    # log(x - 5) is nan at the guess 0 everywhere; its derivative 1/(x - 5)
+    # is finite there, so only G itself is flagged
+    diags = validate(_with_band2(model01, "log(x-5)"))
+    assert [d.condition for d in diags] == [
+        "non-finite G along the initial guess in equation 1, band 2"]
 
 
-def test_validate_flags_derivative_check_on_infinite_values(model01):
-    # x*1e200*1e200 and its derivative overflow to inf near every sample x,
-    # so no point compares
-    diags = validate(_with_band2_derivative(model01, "x*1e200*1e200"))
-    assert "derivative of G_1,2 unchecked" in [d.condition for d in diags]
+def test_validate_flags_an_overflowing_frozen_kernel(model01):
+    # x*1e200*1e200 has the derivative 1e200*1e200 = inf, so the frozen
+    # kernel K * dG/dx overflows along the guess
+    diags = validate(_with_band2(model01, "x*1e200*1e200"))
+    assert ("non-finite frozen kernel in equation 1, band 2"
+            in [d.condition for d in diags])
 
 
 def test_validate_checks_the_points_that_evaluate(model01):
-    # sqrt(x) fails at the negative samples only; the others still compare.
-    # The guess 1 keeps dG/dx = 1/(2 sqrt(x)) finite along it
-    guess = ["1", "1"]
-    assert validate(_with_band2_derivative(model01, "sqrt(x)",
-                                           guess=guess)) == []
-    diags = validate(_with_band2_derivative(model01, "sqrt(x)", "17",
-                                            guess=guess))
-    assert len(diags) == 1
-    assert "G_1,2 disagrees" in diags[0].condition
+    # sqrt(x) is nan at negative x, but validation evaluates G and dG/dx
+    # only along the guess 1, where both are finite
+    assert validate(_with_band2(model01, "sqrt(x)", guess=["1", "1"])) == []
 
 
-def test_derivative_check_lets_unexpected_errors_through(model01):
-    class Broken:
-        def __call__(self, t=None, s=None, x=None):
-            raise TypeError("not an expression")
+def test_validate_names_a_g_that_is_not_finite_along_the_guess(model01):
+    # log(x - 1) is nan at the guess 0, where its derivative 1/(x - 1) is
+    # finite: left unflagged, the solve fails on psi's nan d/dt at t = 0
+    diags = validate(_with_band2(model01, "log(x-1)"))
+    assert [str(d) for d in diags] == [
+        "non-finite G along the initial guess in equation 1, band 2 "
+        "at t = 0: s = 0, G_1,2 = nan"]
 
-    with pytest.raises(TypeError, match="not an expression"):
-        validate(_with_band2_derivative(model01, "x", Broken()))
+
+def test_validate_accepts_a_g_defined_only_around_the_guess(model01):
+    # log(x - 2) is nan for every x < 2 but finite along the guess 3
+    assert validate(_with_band2(model01, "log(x-2)", guess=["3", "3"])) == []
+
+
+def test_curve_derivatives_are_the_differentiators_own():
+    curves = CurveFamily(1.0, ("t/2", "t^2/3"))
+    assert curves.interior_prime == tuple(
+        parse(a).diff("t") for a in ("t/2", "t^2/3"))
+    # no derivative is taken from the caller
+    with pytest.raises(TypeError):
+        CurveFamily(1.0, ("t/2",), ("1/2",))
 
 
 def test_linearize_linear_system_freezes_to_plain_kernels(model01):
