@@ -8,29 +8,31 @@ assembled in the rescaled variable s/T and the coefficients mapped back,
 which tames the growth of the high powers when T > 1.
 
 The moments come from one :func:`quadrature.band_plan` per band over the
-collocation nodes, a (nodes, panels) block, with the frozen kernel
-A = K * dG/dx(x0) evaluated and formed once on it
-(:meth:`LinearizedSystem.frozen_factors`); each node's band segment is a
-row of that plan, and of A.  The moments of a row are one product of A
-with the plan's table of reference powers u^r
-(:func:`quadrature.reference_powers`), mapped to the powers (s/T)^l of
-that row's piece by a binomial shift (:func:`quadrature.power_shift`).
-The outer iteration hands the plan, K, A, the products A @ table.T and
-the shifts on to its psi evaluator
-(:meth:`CollocationDiscretization.take_frozen_plan`), which sums
-psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows: at the
-guess on the plan, and for a polynomial iterate sum A * xm from those
-products and, for a G that is a polynomial in x, sum K * G(xm) from
-weights of K at Chebyshev points; so the frozen kernel is evaluated once
-per run, and psi reads K only up to its first polynomial iterate, after
-which it keeps the plan only for a G with s or one that is not a
-polynomial.  A solve takes psi as an array at the collocation nodes and
-its d/dt at 0 (:meth:`CollocationDiscretization.solve`).  Solutions are
-immutable.
+collocation nodes, a (nodes, panels) block; each node's band segment is a
+row of that plan.  The frozen kernel A = K * dG/dx(x0) is formed on it
+one equation at a time, in row blocks, into one buffer reused by every
+pair and band (:meth:`LinearizedSystem.frozen_pairs`), and read once:
+the moments of a row are one product of A with the plan's table of
+reference powers u^r (:func:`quadrature.reference_powers`), mapped to
+the powers (s/T)^l of that row's piece by a binomial shift
+(:func:`quadrature.power_shift`).  The same pass sums psi at the guess
+per row, sum A * x0 - sum K * G(s, x0).  The outer iteration hands the
+plan, K, those sums, the products A @ table.T and the shifts on to its
+psi evaluator (:meth:`CollocationDiscretization.take_frozen_plan`), not
+A: psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows is
+then the handed sum at the guess, and for a polynomial iterate sum A *
+xm comes from those products and, for a G that is a polynomial in x, sum
+K * G(xm) from weights of K at Chebyshev points; so the frozen kernel is
+evaluated once per run, and psi reads K only up to its first polynomial
+iterate, after which it keeps K and the plan only for a G with s or one
+that is not a polynomial.  A solve takes psi as an array at the
+collocation nodes and its d/dt at 0
+(:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -51,6 +53,17 @@ CONDITION_WARN = 1e10
 
 class ConditioningWarning(UserWarning):
     """The collocation matrix is ill-conditioned (high degree, monomials)."""
+
+
+def _caller_level():
+    """The ``stacklevel`` of a warning raised where this is called that
+    names the first frame outside the bandvie package: the caller's own
+    line, however deep in bandvie the warning is raised."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").partition(".")[0] == "bandvie":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def collocation_nodes(horizon, degree):
@@ -130,7 +143,7 @@ class CollocationDiscretization:
                 f"collocation matrix at degree {m} has condition number "
                 f"{self.condition_number:.3e}; coefficients may lose up to "
                 f"{np.log10(max(self.condition_number, 1.0)):.0f} digits",
-                ConditioningWarning, stacklevel=2)
+                ConditioningWarning, stacklevel=_caller_level())
         try:
             self._fact = LUFactorization(matrix)
         except SingularMatrixError as exc:
@@ -145,25 +158,29 @@ class CollocationDiscretization:
         return per band the :class:`~bandvie.problem.FrozenBand` of the
         pairs whose G is not x, which the right-hand side needs.
 
-        One band is evaluated at a time, and its dG/dx is dropped before
-        the next: the plans and kernels not returned are freed here.
+        A of each pair is formed into one buffer, reused by every pair and
+        band (:meth:`~bandvie.problem.LinearizedSystem.frozen_pairs`), and
+        read once, for its moments; what is kept is K of the pairs whose G
+        is not x, with their sums at the guess.
         """
         lin = self.lin
         frozen = []
         table = quadrature.reference_powers(self.panels, self.degree)
+        buffer = np.empty(2 * self.degree * self.panels)
         for plan in quadrature.band_plan(self.times, lin.curves, self.panels):
-            j = plan.band
-            kvs, avs = lin.frozen_factors(
-                j, self.times[plan.piece_time, None], plan.abscissas)[::2]
             shift = quadrature.power_shift(
                 plan.piece_lo, plan.piece_width * self.panels, self.scale,
                 self.degree)
-            products = [a @ table.T for a in avs]
+            products, kernels, guess, moments = [], {}, {}, {}
+            for i, a, kernel, at_guess in lin.frozen_pairs(plan, self.times,
+                                                           buffer):
+                products.append(a @ table.T)
+                if kernel is not None:
+                    kernels[i], guess[i] = kernel, at_guess
+                    moments[i] = products[-1]
             self._add_moments(matrix, zeroth, plan, shift, products)
-            kept = lin.nonlinear_equations[j - 1]
-            frozen.append(FrozenBand(
-                plan, {i: kvs[i] for i in kept}, {i: avs[i] for i in kept},
-                {i: products[i] for i in kept}, shift=shift))
+            frozen.append(FrozenBand(plan, kernels, guess, moments,
+                                     shift=shift))
         return frozen
 
     def _add_moments(self, matrix, zeroth, plan, shift, products):
@@ -192,10 +209,12 @@ class CollocationDiscretization:
         """Hand over the band plans the moments were taken from, once.
 
         Per band a :class:`~bandvie.problem.FrozenBand`: the plan over the
-        collocation nodes, one row of ``panels`` abscissas per node, K, A
-        and the products R = A @ table.T the moments were taken from, and
-        the binomial shift of each row.  Afterwards the discretization
-        holds none of it; a second call raises :class:`SolverError`.
+        collocation nodes, one row of ``panels`` abscissas per node, and,
+        per pair whose G is not x, K, the sums at the guess and the
+        products R = A @ table.T the moments were taken from, with the
+        binomial shift of each row; A itself is not kept.  Afterwards the
+        discretization holds none of it; a second call raises
+        :class:`SolverError`.
         """
         frozen, self._frozen = self._frozen, None
         if frozen is None:

@@ -19,19 +19,20 @@ is 1 * xm - xm = 0 exactly), so the evaluator skips it
 
 Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
 G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
-Each inner solver builds one plan, evaluates the frozen kernel on it and
-hands both to psi with the moments of A it took, so psi plans nothing of
+Each inner solver builds one plan and forms the frozen kernel on it in
+one pass (:meth:`LinearizedSystem.frozen_pairs`), which also sums psi at
+the guess per piece; it hands psi the plan, K, those sums and the
+moments of A it took, but not A, so psi plans and evaluates nothing of
 its own: collocation the plan of its moments, at any panel count, pc the
-one plan of its steps, each band segment cut at the mesh nodes.  Psi at
-the guess is summed on that plan once.  Every later step takes an
-iterate of the inner solver, whose sum A * xm, the frozen operator
-applied to it, comes from those moments, and sum K * G(xm), where G
-allows, from weights of K at the Chebyshev points that interpolate G(xm)
-exactly; they are built at the first such iterate, and from then on psi
-keeps the plan only for a G that uses s or is not a polynomial.  A
-:class:`PsiEvaluator` serves one run,
-which is sequential in the iteration index: it keeps per band a buffer
-that a call fills before reading it.
+one plan of its steps, each band segment cut at the mesh nodes.  Every
+later step takes an iterate of the inner solver, whose sum A * xm, the
+frozen operator applied to it, comes from those moments, and sum K *
+G(xm), where G allows, from weights of K at the Chebyshev points that
+interpolate G(xm) exactly; they are built at the first such iterate, and
+from then on psi keeps K and the plan only for a G that uses s or is not
+a polynomial.  A :class:`PsiEvaluator` serves one run, which is
+sequential in the iteration index: it keeps per band a buffer that a
+call fills before reading it.
 
 A step costs psi, the inner solve and the correction norm.  The step's
 :class:`IterationRecord` keeps its iterate; the errors against a known
@@ -219,12 +220,13 @@ class _PsiBand:
     plan, 0-based mesh segment ``segment[p]`` (None otherwise); a time
     owns one piece on a collocation plan and several, consecutive, on a pc
     plan, and ``runs`` holds the first piece of each time that owns one.
-    ``abscissas`` is the plan, flat, ``pairs`` holds (0-based equation, A
-    = K * dG/dx(x0), K) for each equation whose G is not x, ``moments``
-    per pair R and ``points`` its n (:func:`_points`); ``shift`` is the
-    hand-off's.  The first solver iterate sets per pair the ``weights`` of
-    K, or a ``buffer`` for a pair summed on the plan, and the times of the
-    runs, ``run_time``, which replace ``piece_time``
+    ``pairs`` holds (0-based equation, K) for each equation whose G is
+    not x, ``moments`` per pair R and ``points`` its n (:func:`_points`);
+    ``shift`` is the hand-off's.  ``abscissas`` is the plan, flat, formed
+    only for a band with a pair summed on it (n None), else None.  The
+    first solver iterate sets per pair the ``weights`` of K, and a
+    ``buffer`` for a band with a pair summed on the plan, and the times of
+    the runs, ``run_time``, which replace ``piece_time``
     (:meth:`keep_weights`).
     """
 
@@ -244,36 +246,17 @@ class _PsiBand:
     weights: list = None
     buffer: np.ndarray = None
 
-    def add_on_plan(self, out, iterate, nonlinearities):
-        """Add w * (sum A * xm - sum K * G(xm)) per piece, summed on the
-        plan, for xm the ``iterate``."""
-        xm = np.asarray(iterate.component_values(self.component,
-                                                 self.abscissas), dtype=float)
-        xm_rows = xm.reshape(-1, self.panels)
-        for i, frozen, kernel in self.pairs:
-            # einsum runs its own loop: a BLAS product would make the last
-            # bits depend on the BLAS build and thread count
-            rows = np.einsum("kp,kp->k", frozen, xm_rows)
-            rows -= self._nonlinear_rows(kernel, nonlinearities[i][self.band],
-                                         xm)
-            rows *= self.piece_width
-            # on a pc plan a time owns several pieces: add.at adds repeated
-            # times one by one, in plan order
-            np.add.at(out[i], self.piece_time, rows)
-
     def keep_weights(self, weights):
         """Keep the ``weights`` of K per pair and the times of the runs;
-        drop A and the piece times, and K and the abscissas unless a pair
-        has None (its K * G(xm) is summed on the plan, in ``buffer``)."""
+        drop the piece times, and K unless a pair has None (its K * G(xm)
+        is summed on the plan, in ``buffer``)."""
         self.weights = weights
         self.run_time = self.piece_time[self.runs]
         self.piece_time = None
-        self.pairs = tuple((i, None, kernel if w is None else None)
-                           for (i, _, kernel), w in zip(self.pairs, weights))
-        if any(w is None for w in weights):
+        self.pairs = tuple((i, kernel if w is None else None)
+                           for (i, kernel), w in zip(self.pairs, weights))
+        if self.abscissas is not None:
             self.buffer = np.empty((self.piece_width.size, self.panels))
-        else:
-            self.abscissas = None
 
     def add_from_coefficients(self, out, coefficients, nodes, table,
                               nonlinearities):
@@ -288,7 +271,7 @@ class _PsiBand:
         there once per call, into :attr:`buffer`.
         """
         xm, at_points = None, {}
-        for (i, _, kernel), linear, n, weights in zip(
+        for (i, kernel), linear, n, weights in zip(
                 self.pairs, self.moments, self.points, self.weights):
             rows = np.einsum("kr,kr->k", coefficients, linear)
             g = nonlinearities[i][self.band]
@@ -347,13 +330,13 @@ class PsiEvaluator:
     sum over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)),
     w the piece's panel width.
 
-    Per band with a pair whose G is not x the evaluator takes the plan, A,
-    K and R = A @ table.T (:class:`_PsiBand`).  It sums psi at the
-    linearization point ``lin.x0`` on the plan once, and
-    ``values(lin.x0)`` returns a copy of that sum.  Every other call takes
-    an iterate of the inner solver, of the degree d of R on every piece,
-    whose coefficients D_k in the reference powers give sum A * xm = D_k .
-    R_k: a :class:`~bandvie.collocation.PolynomialSolution` on a
+    Per band with a pair whose G is not x the evaluator takes the plan, K
+    and R = A @ table.T (:class:`_PsiBand`), and the solver's per-piece
+    sums at the linearization point ``lin.x0``, which it adds into f
+    once; ``values(lin.x0)`` returns a copy of that sum.  Every other call
+    takes an iterate of the inner solver, of the degree d of R on every
+    piece, whose coefficients D_k in the reference powers give sum A * xm
+    = D_k . R_k: a :class:`~bandvie.collocation.PolynomialSolution` on a
     collocation plan, D_k = c_hat @ S_k with c_hat_l = c_l * T^l and S_k
     the shift of piece k, or a :class:`~bandvie.pc.PiecewiseConstantSolution`
     on the mesh a pc plan was cut at, D_k its value on the segment of
@@ -368,10 +351,11 @@ class PsiEvaluator:
     on the v_j.  Interpolation at n points is exact for G(xm), so this is
     the plan's midpoint sum in another rounding order.  Every other pair
     (a G with s, or not a polynomial) is summed on the plan, the iterate
-    put there as D @ table, in a buffer kept per band.  The weights are
-    built at the first solver iterate, and A goes then, with K and the
-    abscissas of every pair with weights.  An iterate of another kind, of
-    another degree or on another mesh raises :class:`SolverError`.
+    put there as D @ table, in a buffer kept per band; only such a band
+    forms the plan's abscissas.  The weights are built at the first solver
+    iterate, and K goes then for every pair with weights.  An iterate of
+    another kind, of another degree or on another mesh raises
+    :class:`SolverError`.
     """
 
     def __init__(self, lin, times, frozen):
@@ -379,9 +363,10 @@ class PsiEvaluator:
         self.times = np.asarray(times, dtype=float)
         self._scale = float(lin.curves.horizon)
         active = lin.nonlinear_equations
+        frozen = [entry for entry in frozen if active[entry.plan.band - 1]
+                  and entry.plan.piece_width.size]
         self._bands = [self._band(active[entry.plan.band - 1], entry)
-                       for entry in frozen if active[entry.plan.band - 1]
-                       and entry.plan.abscissas.size]
+                       for entry in frozen]
         # the degree of the solver's iterates, and per n > 1 the nodes V of
         # the n Chebyshev points (built at its first iterate)
         self._degree = (self._bands[0].moments[0].shape[1] - 1
@@ -391,29 +376,34 @@ class PsiEvaluator:
         self._f_vals, self._fp0 = f_at_times(lin.system, self.times)
         self._origin = self._origin_pairs()
         self._at_x0 = self._f_vals.copy()
-        for band in self._bands:
-            band.add_on_plan(self._at_x0, lin.x0, lin.system.nonlinearities)
+        for entry in frozen:
+            plan = entry.plan
+            for i in active[plan.band - 1]:
+                # on a pc plan a time owns several pieces: add.at adds
+                # repeated times one by one, in plan order
+                np.add.at(self._at_x0[i], plan.piece_time,
+                          entry.guess[i] * plan.piece_width)
 
     def _band(self, equations, entry):
-        """One band: its (pieces, panels) rows of A and K per pair."""
+        """One band: its K per pair, and the plan if a pair is summed on
+        it."""
         plan = entry.plan
-        shape = plan.abscissas.shape
         degree = entry.moments[equations[0]].shape[1] - 1
         nonlinearities = self.lin.system.nonlinearities
+        points = tuple(_points(nonlinearities[i][plan.band - 1], degree,
+                               plan.panels) for i in equations)
         return _PsiBand(
             band=plan.band - 1,
             component=self.lin.unknown_of_band[plan.band - 1],
-            panels=shape[1],
+            panels=plan.panels,
             piece_time=plan.piece_time, piece_width=plan.piece_width,
             segment=entry.segment,
             runs=np.flatnonzero(np.diff(plan.piece_time, prepend=-1)),
-            abscissas=plan.abscissas.reshape(-1),
-            pairs=tuple((i, entry.frozen[i].reshape(shape),
-                         entry.kernel[i].reshape(shape)) for i in equations),
+            abscissas=(plan.abscissas.reshape(-1) if None in points
+                       else None),
+            pairs=tuple((i, entry.kernel[i]) for i in equations),
             moments=[entry.moments[i] for i in equations],
-            shift=entry.shift,
-            points=tuple(_points(nonlinearities[i][plan.band - 1], degree,
-                                 shape[1]) for i in equations))
+            shift=entry.shift, points=points)
 
     def values(self, iterate):
         """Psi at the planned times, shape (n_eq, n_times), for ``lin.x0``
@@ -465,13 +455,13 @@ class PsiEvaluator:
             self._table = quadrature.reference_powers(self._bands[0].panels,
                                                       degree)
         products = [[np.empty((kernel.shape[0], n)) if (n or 0) > 1 else None
-                     for (_, _, kernel), n in zip(band.pairs, band.points)]
+                     for (_, kernel), n in zip(band.pairs, band.points)]
                     for band in self._bands]
         top = max(chebyshev, default=0)
         for start, rows in _chebyshev_rows(self._bands[0].panels, top,
                                            degree + 1):
             for band, of_band in zip(self._bands, products):
-                for (_, _, kernel), kt in zip(band.pairs, of_band):
+                for (_, kernel), kt in zip(band.pairs, of_band):
                     if kt is not None and kt.shape[1] > start:
                         kt[:, start:start + rows.shape[0]] = (
                             kernel @ rows[:kt.shape[1] - start].T)
@@ -479,8 +469,8 @@ class PsiEvaluator:
             band.keep_weights([
                 None if n is None else kernel.sum(axis=1)
                 if n == 1 else kt @ chebyshev[n][1]
-                for (_, _, kernel), n, kt in zip(band.pairs, band.points,
-                                                 of_band)])
+                for (_, kernel), n, kt in zip(band.pairs, band.points,
+                                              of_band)])
 
     def _origin_pairs(self):
         """Per band with a pair whose G is not x, its unknown and per such
@@ -571,8 +561,8 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             lin, Mesh.uniform(system.curves.horizon, n_segments))
     else:
         disc = CollocationDiscretization(lin, degree)
-    # psi sums the guess on the handed-over plan; what it keeps of the plan
-    # after its first solver iterate is only what later calls read
+    # psi starts from the guess sums of the solver's pass; what it keeps of
+    # the plan after its first solver iterate is only what later calls read
     evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
 
     report = IterationReport()

@@ -9,10 +9,13 @@ overwritten (later nodes give equally valid, fresher equations).
 
 Every integral is summed on one plan per band of the segments cut at the
 mesh nodes: the last piece of a step is its unknown range and gives the
-step coefficients, the pieces before it the history weights.  The outer
-iteration hands that plan and the frozen kernel on it to psi
-(:meth:`PCDiscretization.take_frozen_plan`) with the row sums of A on
-it; psi sums the guess on the plan and reads K only up to its first step
+step coefficients, the pieces before it the history weights.  The frozen
+kernel A is formed on that plan one equation at a time, in row blocks,
+into one buffer reused by every pair and band
+(:meth:`LinearizedSystem.frozen_pairs`), which also sums psi at the guess
+per piece.  The outer iteration hands the plan to psi
+(:meth:`PCDiscretization.take_frozen_plan`) with K, those sums and the
+row sums of A, not A itself; psi reads K only up to its first step
 iterate, after which it keeps per piece, for a G free of s, the row sums
 of K.
 
@@ -158,10 +161,10 @@ class PCDiscretization:
         """Per band ``(u, segments, coeff, hist, size, weights)``; the plans.
 
         Each band is cut, planned on ``PIECE_PANELS`` panels per piece and
-        evaluated once.  Per step k: segments[k-1] is the 1-based mesh
-        segment holding alpha_j(t_k), whose step value is unknown, and
-        coeff[k-1] the (n_eq,) integrals of Ktilde over the unknown range,
-        its last piece.  The history pieces, in step order, ``size[k-1]``
+        evaluated once, pair by pair into one buffer.  Per step k:
+        segments[k-1] is the 1-based mesh segment holding alpha_j(t_k),
+        whose step value is unknown, and coeff[k-1] the (n_eq,) integrals
+        of Ktilde over the unknown range, its last piece.  The history pieces, in step order, ``size[k-1]``
         of them at step k, have a 0-based segment in ``hist`` and their
         integrals in the (n_eq, pieces) ``weights``.
         """
@@ -176,14 +179,20 @@ class PCDiscretization:
         table = quadrature.reference_powers(PIECE_PANELS, 0)
         # the bands psi keeps nothing of first, so no kept plan is held
         # while they are evaluated; the kept ones stay in band order
-        for pieces in sorted(quadrature.band_pieces(edges, cuts=cuts),
-                             key=lambda p: bool(nonlinear[p.band - 1])):
+        cut = sorted(quadrature.band_pieces(edges, cuts=cuts),
+                     key=lambda p: bool(nonlinear[p.band - 1]))
+        buffer = np.empty(2 * PIECE_PANELS * max(p.lo.size for p in cut))
+        for pieces in cut:
             j = pieces.band
             plan = quadrature.midpoint_plan(pieces, PIECE_PANELS)
-            kvs, _, avs = lin.frozen_factors(
-                j, self.times[plan.piece_time, None], plan.abscissas)
-            weights = np.array([plan.piece_sums(a) * plan.piece_width
-                                for a in avs])
+            weights = np.empty((n_eq, pieces.lo.size))
+            kernels, guess, moments = {}, {}, {}
+            for i, a, kernel, at_guess in lin.frozen_pairs(plan, self.times,
+                                                           buffer):
+                weights[i] = plan.piece_sums(a) * plan.piece_width
+                if kernel is not None:      # psi keeps K of this pair
+                    kernels[i], guess[i] = kernel, at_guess
+                    moments[i] = a @ table.T
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
@@ -196,14 +205,9 @@ class PCDiscretization:
                 segment[~last],
                 np.bincount(plan.piece_time[~last], minlength=n_steps),
                 weights[:, ~last])
-            kept = nonlinear[j - 1]     # psi keeps K and A of these pairs
-            if kept:
-                frozen.append(FrozenBand(
-                    plan, {i: kvs[i] for i in kept}, {i: avs[i] for i in kept},
-                    {i: avs[i] @ table.T for i in kept},
-                    segment=segment.astype(np.int32)))
-            # the pairs psi does not keep go before the next band is evaluated
-            del kvs, _, avs
+            if kernels:
+                frozen.append(FrozenBand(plan, kernels, guess, moments,
+                                         segment=segment.astype(np.int32)))
         return bands, frozen
 
     def take_frozen_plan(self):
@@ -211,8 +215,9 @@ class PCDiscretization:
 
         Per band with a pair whose G is not x a
         :class:`~bandvie.problem.FrozenBand`: the ``PIECE_PANELS`` plan of
-        every piece, K, A and the row sums R = A @ table.T of A, with the
-        0-based mesh segment of each piece.  Afterwards the discretization
+        every piece, and per such pair K, the sums at the guess and the
+        row sums R = A @ table.T of A, with the 0-based mesh segment of
+        each piece.  Afterwards the discretization
         holds none of it; a second call raises.
         """
         frozen, self._frozen = self._frozen, None

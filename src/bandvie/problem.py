@@ -14,7 +14,12 @@ Linearization freezes the kernels at an initial guess X0:
 
     Ktilde_ij(t, s) = K_ij(t, s) * dG_ij/dx (s, x0_{u(j)}(s)),
 
-which is the operator inverted at every outer iteration.
+which is the operator inverted at every outer iteration.  One evaluator
+forms it on an inner solver's band plans
+(:meth:`LinearizedSystem.frozen_pairs`): pair by pair into one reused
+buffer, in row blocks that stay in cache, and with the sums psi takes at
+the guess; a solver keeps of it only its moments or weights, and hands
+psi K and those sums (:class:`FrozenBand`).
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ from .linalg import LUFactorization, refined_solve
 
 #: sample count used by validate() for the sampled invariants
 VALIDATION_SAMPLES = 1000
+
+#: values per row block of :meth:`LinearizedSystem.frozen_pairs` (128 KB
+#: of floats): the blocks of K, dG/dx, G and the abscissas stay in cache
+BLOCK_VALUES = 16384
 
 #: the nonlinearity whose psi bracket G'(x0) * xm - G(xm) is exactly zero
 _IDENTITY = parse("x")
@@ -422,6 +431,14 @@ def _along_guess_diagnostics(system, ts):
     return out
 
 
+def _of_shape(values, shape):
+    """``values`` as floats of ``shape``: the array itself when it has that
+    shape, else a broadcast view (``np.broadcast_to`` costs more than the
+    values of a small block)."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def _first_non_finite(values):
     """Flat index of the first non-finite entry of ``values`` in row-major
     order, or None when all are finite.
@@ -456,18 +473,94 @@ class LinearizedSystem:
         self.n_bands = system.n_bands
         self.n_components = system.n_components
 
+    def frozen_pairs(self, plan, times, buffer):
+        """The frozen kernel on a band plan, one equation at a time.
+
+        Yields, for every equation i in order, ``(i, a, kernel, guess)``
+        on the band of ``plan``, whose ``piece_time`` indexes the outer
+        ``times``: ``a`` is A_ij = K_ij * dG_ij/dx(s, x0(s)) on the plan, a
+        (pieces, panels) view of ``buffer`` that the next pair overwrites.
+        For a pair whose G is not x, ``kernel`` is K_ij on the plan (a
+        broadcast view for a K free of s) and ``guess`` per piece the sum
+        at the guess, sum A * x0 - sum K * G(s, x0), which psi starts
+        from; for G = x both are None.  ``buffer`` is a flat array of two
+        plan sizes at least, and x0 fills the second once per band.
+
+        Every value is formed in blocks of about ``BLOCK_VALUES`` values,
+        whole rows, the abscissas too: only A, x0 and the K handed back
+        reach plan size.  A block holds the bits of the whole-plan values,
+        and each row of a sum adds alone, so the blocks do not show.
+
+        Raises
+        ------
+        SolverError
+            If A is non-finite; the equation, the band and the first bad
+            outer time and abscissa in row-major order are named.
+        """
+        j = plan.band
+        shape = (plan.piece_width.size, plan.panels)
+        size = shape[0] * shape[1]
+        a = buffer[:size].reshape(shape)
+        t = times[plan.piece_time, None]
+        step = max(1, BLOCK_VALUES // shape[1])
+        blocks = [slice(r, r + step) for r in range(0, shape[0], step)]
+        nonlinear = self.nonlinear_equations[j - 1]
+        if nonlinear:
+            x0 = buffer[size:2 * size].reshape(shape)
+            u = self.unknown_of_band[j - 1]
+            for rows in blocks:
+                x0[rows] = self.x0.component_values(u, plan.rows(rows))
+        system = self.system
+        for i in range(self.n_equations):
+            kept = i in nonlinear
+            # a K free of s is formed once, on the column of times
+            whole = None
+            if "s" not in system.kernels[i][j - 1].free_variables:
+                whole = self._kernel(i, j, t, None, shape)
+            needs_s = whole is None or kept and any(
+                "s" in e.free_variables for e in (
+                    system.g_x[i][j - 1], system.nonlinearities[i][j - 1]))
+            kernel = guess = None
+            if kept:
+                kernel = np.empty(shape) if whole is None else whole
+                guess = np.empty(shape[0])
+            for rows in blocks:
+                s = plan.rows(rows) if needs_s else None
+                if whole is None:
+                    k = self._kernel(i, j, t[rows], s, s.shape)
+                    if kept:
+                        kernel[rows] = k
+                else:
+                    k = whole[rows]
+                block = a[rows]
+                self._product(i, j, k, s, x0[rows] if kept else None, block)
+                bad = _first_non_finite(block)
+                if bad is not None:
+                    row, col = divmod(bad, shape[1])
+                    raise self._non_finite(
+                        i, j, t[rows][row, 0], plan.rows(rows)[row, col])
+                if kept:
+                    xm = x0[rows]
+                    gm = _of_shape(
+                        system.nonlinearities[i][j - 1](s=s, x=xm), xm.shape)
+                    # einsum runs its own loop, row by row: a BLAS product
+                    # would make the last bits depend on the BLAS build
+                    sums = np.einsum("kp,kp->k", block, xm)
+                    sums -= np.einsum("kp,kp->k", k, gm)
+                    guess[rows] = sums
+            yield i, a, kernel, guess
+
     def frozen_factors(self, j, t, s):
         """K_ij, dG_ij/dx(s, x0_{u(j)}(s)) and their product A_ij on band j.
 
-        Every value of the frozen kernel A_ij = K_ij * dG_ij/dx, for every
-        equation i, comes from here, formed once and returned.  ``s`` holds
-        the abscissas, flat or a (pieces, panels) block, and ``t`` the
-        outer times: a scalar, an array of the shape of ``s`` or a
-        (pieces, 1) column; the guess x0 is evaluated once for all
+        The values of :meth:`frozen_pairs`, for every equation i, at any
+        abscissas ``s``, flat or a (pieces, panels) block, and outer times
+        ``t``: a scalar, an array of the shape of ``s`` or a (pieces, 1)
+        column; formed as one block, the guess x0 evaluated once for all
         equations.  Returns three lists indexed by equation: the K values,
-        the dG/dx values and A, checked finite.  For a pair with G = x,
-        dG/dx is 1 and is not evaluated: its entry is None and A is K
-        itself (K * 1.0 is K bit for bit).
+        the dG/dx values and A, a new array, checked finite.  For a pair
+        with G = x, dG/dx is 1 and is not evaluated: its entry is None and
+        A holds K.
 
         Raises
         ------
@@ -479,33 +572,47 @@ class LinearizedSystem:
         for i, a in enumerate(avs):
             k = _first_non_finite(a)
             if k is not None:
-                raise SolverError(
-                    f"non-finite frozen kernel in equation {i + 1}, band {j} "
-                    f"at t = {np.broadcast_to(t, np.shape(s)).flat[k]:.6g}, "
-                    f"s = {np.asarray(s).flat[k]:.6g}")
+                raise self._non_finite(
+                    i, j, np.broadcast_to(t, np.shape(s)).flat[k],
+                    np.asarray(s).flat[k])
         return kvs, gvs, avs
 
     def _frozen_values(self, j, t, s):
         """:meth:`frozen_factors` without the finiteness check."""
         s = np.asarray(s, dtype=float)
         nonlinear = self.nonlinear_equations[j - 1]
-        kvs = [np.broadcast_to(np.asarray(
-            self.system.kernels[i][j - 1](t=t, s=s), float), s.shape)
-            for i in range(self.n_equations)]
-        gvs = [None] * self.n_equations
+        x0 = None
         if nonlinear:
-            # every dG/dx is formed before any A, so the guess on the
-            # abscissas is freed before the products are
-            x0v = self.x0.component_values(self.unknown_of_band[j - 1], s)
-            for i in nonlinear:
-                gvs[i] = np.broadcast_to(np.asarray(
-                    self.system.g_x[i][j - 1](s=s, x=x0v), float), s.shape)
-            del x0v
-        # a kernel constant in s is a broadcast view; for G = x, A is laid
-        # out in memory as K * 1.0 was, so its sums add in the same order
-        avs = [np.ascontiguousarray(kv) if gv is None else kv * gv
-               for kv, gv in zip(kvs, gvs)]
+            x0 = self.x0.component_values(self.unknown_of_band[j - 1], s)
+        kvs, gvs, avs = [], [], []
+        for i in range(self.n_equations):
+            kvs.append(self._kernel(i, j, t, s, s.shape))
+            avs.append(np.empty(s.shape))
+            gvs.append(self._product(i, j, kvs[-1], s,
+                                     x0 if i in nonlinear else None, avs[-1]))
         return kvs, gvs, avs
+
+    def _kernel(self, i, j, t, s, shape):
+        """K_ij at ``t`` and ``s``, of ``shape``; a K constant in s stays a
+        broadcast view."""
+        return _of_shape(self.system.kernels[i][j - 1](t=t, s=s), shape)
+
+    def _product(self, i, j, kernel, s, x0, out):
+        """A_ij = K_ij * dG_ij/dx(s, x0) into ``out``; returns dG/dx, or
+        None for ``x0`` None, a pair with G = x, whose A is K (K * 1.0 is
+        K bit for bit)."""
+        if x0 is None:
+            out[...] = kernel
+            return None
+        slope = _of_shape(self.system.g_x[i][j - 1](s=s, x=x0), out.shape)
+        np.multiply(kernel, slope, out=out)
+        return slope
+
+    @staticmethod
+    def _non_finite(i, j, t, s):
+        return SolverError(
+            f"non-finite frozen kernel in equation {i + 1}, band {j} "
+            f"at t = {t:.6g}, s = {s:.6g}")
 
     @cached_property
     def nonlinear_equations(self):
@@ -589,16 +696,20 @@ class LinearizedSystem:
 
 
 class FrozenBand(NamedTuple):
-    """One band of the plan an inner solver hands to psi: its ``plan`` and,
-    by equation of the pairs whose G is not x, K, A = K * dG/dx(x0) and
-    R = A @ table.T on it, ``table`` the reference powers up to the degree
-    of the solver's iterates; the binomial ``shift`` of each piece of a
-    collocation plan, or the 0-based mesh ``segment`` of each piece of a
-    pc plan."""
+    """One band of the plan an inner solver hands to psi.
+
+    Its ``plan`` and, by equation of the pairs whose G is not x, K on it,
+    the ``guess`` sums per piece, sum A * x0 - sum K * G(s, x0) at the
+    linearization point, and R = A @ table.T, with A = K * dG/dx(x0) from
+    :meth:`LinearizedSystem.frozen_pairs` and ``table`` the reference
+    powers up to the degree of the solver's iterates; the binomial
+    ``shift`` of each piece of a collocation plan, or the 0-based mesh
+    ``segment`` of each piece of a pc plan.  A itself is not handed over.
+    """
 
     plan: quadrature.BandPlan
     kernel: dict
-    frozen: dict
+    guess: dict
     moments: dict
     shift: np.ndarray = None
     segment: np.ndarray = None

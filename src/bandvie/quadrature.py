@@ -11,7 +11,9 @@ cuts the band segments, and :func:`midpoint_plan` lays out the abscissas,
 so a caller evaluates each kernel once per band instead of once per time
 and piece.  Every piece of a plan gets the same panel count, so the
 abscissas form one (pieces, panels) block, built by broadcasting, and a
-caller passes the outer times as a (pieces, 1) column.  A caller that
+caller passes the outer times as a (pieces, 1) column.  A plan stores
+only its pieces; a caller forms the block, or a run of its rows at a
+time (:meth:`BandPlan.rows`), where it evaluates on it.  A caller that
 cuts the segments at k points and wants a panel budget per segment gives
 each piece ceil(panels / (k + 1)) panels, as the residual oracle
 (:func:`bandvie.problem.band_quadrature_residual`) does.
@@ -212,16 +214,35 @@ def band_pieces(edges, cuts=None):
 class BandPlan:
     """Composite midpoint abscissas of one band over a vector of outer times.
 
-    ``abscissas`` is a (pieces, panels) block whose row p is piece p, of
+    The abscissas form a (pieces, panels) block whose row p is piece p, of
     lower edge ``piece_lo[p]``, panel width ``piece_width[p]`` and outer
     time ``piece_time[p]``; pieces are ordered by time and then along s.
+    The block is not stored: :meth:`rows` forms any run of its rows, and
+    :attr:`abscissas` all of them, each value lo + ``offsets[k]`` * width
+    with ``offsets`` the panel midpoints k + 1/2, the same bits either way.
     """
 
     band: int  # 1-based band index
-    abscissas: np.ndarray
     piece_time: np.ndarray
     piece_width: np.ndarray
     piece_lo: np.ndarray
+    offsets: np.ndarray
+
+    @property
+    def panels(self):
+        return self.offsets.size
+
+    @property
+    def abscissas(self):
+        """The whole (pieces, panels) block, formed afresh."""
+        return self.rows(slice(None))
+
+    def rows(self, rows):
+        """The abscissas of the pieces ``rows`` (a slice), a new block."""
+        # in the order lo + ((k + 0.5) * width), broadcast over the pieces
+        x = self.offsets * self.piece_width[rows, None]
+        x += self.piece_lo[rows, None]
+        return x
 
     def piece_sums(self, values):
         """Sum of ``values`` (shaped as the abscissas) per piece."""
@@ -230,18 +251,14 @@ class BandPlan:
 
 
 def midpoint_plan(pieces, panels):
-    """Expand pieces into a (pieces, panels) block of midpoint abscissas.
+    """The plan of ``panels`` midpoint panels on every piece.
 
-    Each piece gets ``lo + (k + 0.5) * width`` for k < ``panels``, the same
+    Piece p gets ``lo + (k + 0.5) * width`` for k < ``panels``, the same
     numbers :func:`midpoints` gives for that piece alone.
     """
-    width = (pieces.hi - pieces.lo) / panels
-    # in the order lo + ((k + 0.5) * width), broadcast over the pieces
-    x = (np.arange(panels) + 0.5) * width[:, None]
-    x += pieces.lo[:, None]
-    return BandPlan(band=pieces.band, abscissas=x,
-                    piece_time=pieces.time_index, piece_width=width,
-                    piece_lo=pieces.lo)
+    return BandPlan(band=pieces.band, piece_time=pieces.time_index,
+                    piece_width=(pieces.hi - pieces.lo) / panels,
+                    piece_lo=pieces.lo, offsets=np.arange(panels) + 0.5)
 
 
 def reference_powers(panels, degree):
@@ -281,8 +298,7 @@ def band_plan(times, curves, panels, cuts=None):
 
     Each band segment at each outer time is cut at the ``cuts`` strictly
     inside it, and every piece gets ``panels`` midpoint panels.  Plans are
-    built band by band, so a caller that consumes each before the next
-    holds one band's abscissas at a time.
+    built band by band and hold no abscissas (:class:`BandPlan`).
     """
     for pieces in band_pieces(band_edges(times, curves), cuts):
         yield midpoint_plan(pieces, panels)

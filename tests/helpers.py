@@ -92,20 +92,66 @@ def callable_values(functions, ts):
 def collocation_hand_off(lin, ts, degree, panels=DEFAULT_MOMENT_PANELS):
     """The plan a collocation discretization of ``degree`` hands to psi,
     here over any times ``ts``: per band, the plan of each band segment as
-    one piece of ``panels`` panels, with K and A of the pairs whose G is
-    not x, R = A @ table.T and the binomial shift of each piece."""
+    one piece of ``panels`` panels, with K of the pairs whose G is not x,
+    their sums at the guess, R = A @ table.T and the binomial shift of
+    each piece."""
     table = reference_powers(panels, degree)
+    buffer = np.empty(2 * ts.size * panels)
     frozen = []
     for plan in band_plan(ts, lin.curves, panels):
-        kept = lin.nonlinear_equations[plan.band - 1]
-        kvs, _, avs = lin.frozen_factors(
-            plan.band, ts[plan.piece_time, None], plan.abscissas)
+        kernels, guess, moments = {}, {}, {}
+        for i, a, kernel, at_guess in lin.frozen_pairs(plan, ts, buffer):
+            if kernel is not None:
+                kernels[i], guess[i] = kernel, at_guess
+                moments[i] = a @ table.T
         frozen.append(FrozenBand(
-            plan, {i: kvs[i] for i in kept}, {i: avs[i] for i in kept},
-            {i: avs[i] @ table.T for i in kept},
+            plan, kernels, guess, moments,
             shift=power_shift(plan.piece_lo, plan.piece_width * panels,
                               lin.curves.horizon, degree)))
     return frozen
+
+
+def whole_plan_frozen(lin, plan, times):
+    """K and A = K * dG/dx(x0) per equation on the whole (pieces, panels)
+    plan at once, each formed as one array: the values the blocked pass
+    of :meth:`~bandvie.problem.LinearizedSystem.frozen_pairs` must give.
+    A of a pair with G = x is K laid out in memory."""
+    j = plan.band
+    s = plan.abscissas
+    t = times[plan.piece_time, None]
+    system = lin.system
+    x0 = lin.x0.component_values(lin.unknown_of_band[j - 1], s)
+    kvs, avs = [], []
+    for i in range(lin.n_equations):
+        kv = np.broadcast_to(np.asarray(
+            system.kernels[i][j - 1](t=t, s=s), float), s.shape)
+        if i in lin.nonlinear_equations[j - 1]:
+            avs.append(kv * np.broadcast_to(np.asarray(
+                system.g_x[i][j - 1](s=s, x=x0), float), s.shape))
+        else:
+            avs.append(np.ascontiguousarray(kv))
+        kvs.append(kv)
+    return kvs, avs
+
+
+def guess_sums_reference(lin, plan, times):
+    """Per equation whose G is not x, the per-piece sums psi took at the
+    guess on the whole plan: sum A * x0 - sum K * G(s, x0), with K and A
+    of :func:`whole_plan_frozen`, and x0 and G on the flat abscissas."""
+    j = plan.band
+    kvs, avs = whole_plan_frozen(lin, plan, times)
+    s = plan.abscissas.reshape(-1)
+    xm = np.asarray(lin.x0.component_values(lin.unknown_of_band[j - 1], s),
+                    dtype=float)
+    xm_rows = xm.reshape(-1, plan.panels)
+    out = {}
+    for i in lin.nonlinear_equations[j - 1]:
+        gm = np.broadcast_to(lin.system.nonlinearities[i][j - 1](s=s, x=xm),
+                             xm.shape)
+        rows = np.einsum("kp,kp->k", avs[i], xm_rows)
+        rows -= np.einsum("kp,kp->k", kvs[i], gm.reshape(kvs[i].shape))
+        out[i] = rows
+    return out
 
 
 def psi(system, x0, xm, ts, panels=DEFAULT_MOMENT_PANELS):

@@ -28,7 +28,12 @@ from bandvie.problem import (
 )
 from bandvie.registry import builtin
 
-from helpers import empty_band_system, pc_psi_evaluator, segment_index
+from helpers import (
+    empty_band_system,
+    guess_sums_reference,
+    segment_index,
+    whole_plan_frozen,
+)
 
 RTOL = 1e-12
 
@@ -348,28 +353,44 @@ ACTIVE_PAIRS = {"model01": [], "model02": [], "nonlinear-scalar": [(0, [0])],
                 "repeated": [(2, [0])]}
 
 
+def _assert_hand_off_is_the_loop(lin, times, entry, ref, pieces):
+    """The handed-over band ``entry`` holds the loop's plan and K, and
+    the guess sums of the whole-plan formula, whose A is the loop's K * G'
+    bit for bit; ``pieces`` per time the loop's count."""
+    starts, ends, s, w, kern, slope = ref
+    plan = entry.plan
+    panels = plan.panels
+    np.testing.assert_array_equal(
+        plan.piece_time, np.repeat(np.arange(starts.size), pieces))
+    np.testing.assert_array_equal(plan.piece_width, w[::panels])
+    np.testing.assert_array_equal(plan.abscissas.ravel(), s)
+    kvs, avs = whole_plan_frozen(lin, plan, times)
+    guess = guess_sums_reference(lin, plan, times)
+    assert sorted(entry.kernel) == sorted(entry.guess) == sorted(guess)
+    for i, kernel in entry.kernel.items():
+        assert kernel.shape == (pieces.sum(), panels)
+        np.testing.assert_array_equal(kernel.ravel(), kern[i])
+        np.testing.assert_array_equal(avs[i].ravel(), kern[i] * slope[i])
+        assert entry.guess[i].tobytes() == guess[i].tobytes()
+
+
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
 def test_psi_plan_without_cuts_is_bit_identical(name):
-    # psi keeps the moment plan a collocation discretization hands over
+    # psi is handed the moment plan of a collocation discretization
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     disc = collocation.CollocationDiscretization(lin, 6, panels=500)
-    ev = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
+    frozen = disc.take_frozen_plan()
+    ev = PsiEvaluator(lin, disc.times, frozen)
     ref = _loop_psi_plan(lin, disc.times, panels=500)
     # the evaluator keeps the pairs whose G is not x, and only those
     assert [(band.band, [i for i, *_ in band.pairs]) for band in ev._bands] \
         == ACTIVE_PAIRS[name]
     for band in ev._bands:
-        starts, ends, s, w, kern, slope = ref[band.band]
-        # one piece per time with a non-empty segment, rows of the pairs
-        times = np.flatnonzero(ends > starts)
-        np.testing.assert_array_equal(band.piece_time, times)
-        np.testing.assert_array_equal(band.piece_width, w[starts[times]])
-        np.testing.assert_array_equal(band.abscissas, s)
-        for i, frozen, kernel in band.pairs:
-            assert frozen.shape == kernel.shape == (times.size, 500)
-            np.testing.assert_array_equal(kernel.ravel(), kern[i])
-            np.testing.assert_array_equal(frozen.ravel(), kern[i] * slope[i])
+        starts, ends = ref[band.band][:2]
+        # one piece per time with a non-empty segment
+        _assert_hand_off_is_the_loop(lin, disc.times, frozen[band.band],
+                                     ref[band.band], (ends > starts) * 1)
 
 
 def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
@@ -378,24 +399,19 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
         lin = linearize(system)
         mesh = Mesh.uniform(system.curves.horizon, 16)
         # psi evaluates on the plan the pc assembly hands over
-        _, ev = pc_psi_evaluator(lin, mesh)
+        disc = PCDiscretization(lin, mesh)
+        frozen = disc.take_frozen_plan()
+        ev = PsiEvaluator(lin, disc.times, frozen)
         ref = _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
         assert [(band.band, [i for i, *_ in band.pairs])
                 for band in ev._bands] == ACTIVE_PAIRS[name]
-        for band in ev._bands:
-            starts, ends, s, w, kern, slope = ref[band.band]
+        for band, entry in zip(ev._bands, frozen):
+            starts, ends = ref[band.band][:2]
             # a time owns one 4-panel piece per mesh segment it crosses
             pieces = (ends - starts) // 4
             assert np.array_equal(pieces * 4, ends - starts)
-            np.testing.assert_array_equal(
-                band.piece_time, np.repeat(np.arange(starts.size), pieces))
-            np.testing.assert_array_equal(band.piece_width, w[::4])
-            np.testing.assert_array_equal(band.abscissas, s)
-            for i, frozen, kernel in band.pairs:
-                assert frozen.shape == kernel.shape == (pieces.sum(), 4)
-                np.testing.assert_array_equal(kernel.ravel(), kern[i])
-                np.testing.assert_array_equal(frozen.ravel(),
-                                              kern[i] * slope[i])
+            _assert_hand_off_is_the_loop(lin, disc.times, entry,
+                                         ref[band.band], pieces)
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
@@ -410,12 +426,12 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
     bands = disc._assemble()[0]
     assert [plan.band for plan, *_ in frozen] == [
         j for j in range(1, lin.n_bands + 1) if lin.nonlinear_equations[j - 1]]
-    for plan, kvs, avs, moments, shift, segment in frozen:
+    for plan, kvs, guess, moments, shift, segment in frozen:
         _, _, coeff, hist, size, weights = bands[plan.band - 1]
         # a step iterate is one value per piece: psi's R is A's row sums
-        assert shift is None and sorted(moments) == sorted(avs)
+        assert shift is None and sorted(moments) == sorted(guess)
         assert all(moments[i].shape == (plan.piece_time.size, 1)
-                   for i in avs)
+                   for i in guess)
         history = np.diff(plan.piece_time, append=-1) == 0
         last = plan.piece_time[~history]
         assert not np.any(coeff[np.setdiff1d(np.arange(n), last)])
@@ -423,10 +439,12 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
         assert np.array_equal(hist, segment[history])
         assert np.array_equal(size, np.bincount(plan.piece_time[history],
                                                 minlength=n))
-        assert sorted(avs) == sorted(kvs) == list(
+        assert sorted(guess) == sorted(kvs) == list(
             lin.nonlinear_equations[plan.band - 1])
-        for i, a in avs.items():
-            expected = a.sum(axis=1) * plan.piece_width
+        # A is not handed over: the weights are those of the whole-plan A
+        avs = whole_plan_frozen(lin, plan, disc.times)[1]
+        for i in guess:
+            expected = avs[i].sum(axis=1) * plan.piece_width
             assert weights[i].tobytes() == expected[history].tobytes()
             assert coeff[last, i].tobytes() == expected[~history].tobytes()
     # the plan is handed over, not shared: a second take is named

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,24 @@ def test_high_degree_warns_and_reports_condition(model01):
     # degree 12 still resolves the solution near the conditioning floor
     agg = float(np.sqrt(np.sum(np.square(sup_errors(model01, sol)))))
     assert agg <= 1e-6
+
+
+def test_conditioning_warning_names_the_callers_line(sys2):
+    # however deep in bandvie the matrix is built, the warning points at
+    # the first frame outside the package: here, this file
+    import warnings
+
+    from bandvie.newton import iterate
+
+    for build in (lambda: iterate(sys2, degree=12, max_iters=1),
+                  lambda: CollocationDiscretization(linearize(sys2), 12)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build()
+        found = [w for w in caught
+                 if issubclass(w.category, ConditioningWarning)]
+        assert len(found) == 1
+        assert Path(found[0].filename).resolve() == Path(__file__).resolve()
 
 
 def test_degree_15_is_flagged_numerically_singular(model01):

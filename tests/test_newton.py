@@ -156,20 +156,34 @@ def test_non_finite_frozen_kernel_is_named_without_validation(model01,
         iterate(system, skip_validation=True, **kwargs)
 
 
+def _count_frozen_kernel(monkeypatch):
+    """Record (band, values) of every frozen-kernel evaluation: a pass on
+    a plan, or the t = 0 values of the start matrix."""
+    calls = []
+    frozen_pairs = LinearizedSystem.frozen_pairs
+    frozen_factors = LinearizedSystem.frozen_factors
+
+    def counting_pairs(self, plan, times, buffer):
+        calls.append((plan.band, plan.piece_width.size * plan.panels))
+        return frozen_pairs(self, plan, times, buffer)
+
+    def counting_factors(self, j, t, s):
+        calls.append((j, np.size(s)))
+        return frozen_factors(self, j, t, s)
+
+    monkeypatch.setattr(LinearizedSystem, "frozen_pairs", counting_pairs)
+    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting_factors)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["model01", "nonlinear-sys2"])
 def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
         name, monkeypatch):
-    # the moments and psi share one plan: one frozen_factors call per band
-    # on it, plus one per band for the t = 0 values of the start matrix
+    # the moments and psi share one plan: one frozen-kernel pass per band
+    # on it, plus one evaluation per band for the t = 0 values of the start
+    # matrix
     system = builtin(name)
-    calls = []
-    original = LinearizedSystem.frozen_factors
-
-    def counting(self, j, t, s):
-        calls.append((j, np.size(s)))
-        return original(self, j, t, s)
-
-    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting)
+    calls = _count_frozen_kernel(monkeypatch)
     iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15)
     bands = range(1, system.n_bands + 1)
     assert sorted(calls) == sorted([(j, 1) for j in bands]
@@ -189,9 +203,9 @@ def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
 def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
                                                              monkeypatch):
     # the step coefficients, the history weights and psi share one
-    # 4-panel plan of every piece: one midpoint plan and one frozen_factors
-    # call per band on it, one per band for the t = 0 values of the start
-    # matrix, and no call on the unknown ranges alone
+    # 4-panel plan of every piece: one midpoint plan and one frozen-kernel
+    # pass per band on it, one evaluation per band for the t = 0 values of
+    # the start matrix, and none on the unknown ranges alone
     system = builtin(name)
     mesh = Mesh.uniform(system.curves.horizon, 16)
     cuts = mesh.nodes[1:-1]
@@ -200,14 +214,10 @@ def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
             mesh.nodes[1:], system.curves, snap=cuts), cuts):
         expected += [(pieces.band, 1),
                      (pieces.band, PIECE_PANELS * pieces.lo.size)]
-    calls, cut, planned = [], [], []
-    original = LinearizedSystem.frozen_factors
+    cut, planned = [], []
+    calls = _count_frozen_kernel(monkeypatch)
     band_pieces = quadrature.band_pieces
     midpoint_plan = quadrature.midpoint_plan
-
-    def counting(self, j, t, s):
-        calls.append((j, np.size(s)))
-        return original(self, j, t, s)
 
     def counting_pieces(*args, **kwargs):
         cut.append(args)
@@ -217,7 +227,6 @@ def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
         planned.append((pieces.band, panels))
         return midpoint_plan(pieces, panels)
 
-    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting)
     monkeypatch.setattr(quadrature, "band_pieces", counting_pieces)
     monkeypatch.setattr(quadrature, "midpoint_plan", counting_plan)
     iterate(system, method="pc", n_segments=16, max_iters=3, tol=1e-15)

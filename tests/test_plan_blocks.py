@@ -1,11 +1,13 @@
-"""Block band plans and the frozen kernel formed and checked in one product.
+"""Block band plans and the frozen kernel formed and checked in row blocks.
 
 A band plan is a (pieces, panels) block built by broadcasting; it must
 hold bit for bit the numbers of the per-abscissa formula
 lo + (k + 0.5) * width, and sum each piece as its row alone.
-``LinearizedSystem.frozen_factors`` forms A = K * dG/dx(x0) once and
-checks it with one sum; the element-wise check behind that sum must name
-the same value as before.
+``LinearizedSystem.frozen_pairs`` forms A = K * dG/dx(x0), K and psi's
+sums at the guess in blocks of rows; they must hold the bits of the same
+values formed on the whole plan at once, and the check of A, one sum per
+block, must name the first bad value in row-major order, as the whole
+plan does.  ``frozen_factors`` is that evaluator on one block.
 """
 
 import numpy as np
@@ -17,8 +19,17 @@ from bandvie import quadrature
 from bandvie.collocation import DEFAULT_MOMENT_PANELS, collocation_nodes
 from bandvie.errors import SolverError
 from bandvie.expr import Expression
-from bandvie.problem import CurveFamily, VolterraSystem, linearize, validate
+from bandvie.pc import PIECE_PANELS
+from bandvie.problem import (
+    BLOCK_VALUES,
+    CurveFamily,
+    VolterraSystem,
+    linearize,
+    validate,
+)
 from bandvie.quadrature import BandPieces, band_plan, midpoint_plan
+
+from helpers import guess_sums_reference, whole_plan_frozen
 
 #: piece starts: zero, so that subnormal lengths stay subnormal widths, or
 #: any moderate number
@@ -163,7 +174,9 @@ def test_a_g_equal_x_pair_takes_k_as_a_and_evaluates_no_g_x(model01,
     assert all(e is k for e, k in zip(evaluated, kernels))
     assert gvs == [None, None]
     for kv, a in zip(kvs, avs):
-        assert a is kv           # model01's first-band kernels use s
+        # model01's first-band kernels use s: A holds K, in an array of its
+        # own
+        assert np.array_equal(a, kv) and a is not kv
     # a kernel constant in s is laid out in memory, as K * 1.0 was
     kvs, gvs, avs = lin.frozen_factors(2, t, plan.abscissas)
     assert gvs == [None, None]
@@ -185,3 +198,80 @@ def test_origin_factors_hold_one_as_the_slope_of_g_equal_x(scalar):
     assert gx00[0, 1] == 1.0 and a00[0, 1] == k00[0, 1]
     assert a00[0, 0] == k00[0, 0] * gx00[0, 0]
 
+
+
+def _pass_system():
+    """Every kind of pair of the pass: K with s, K = 1 - t (a column) and
+    K = -1 (a constant), G = x, G a polynomial and a G that uses s."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2",)),
+        kernels=[["1+t*s", "1-t"], ["-1", "s*(t+s)"]],
+        nonlinearities=[["x+s*x^2", "x^2"], ["x", "3*x+x^3"]],
+        rhs=["t", "t^2"], guess=["0.9*cos(t)", "0.9*sin(t)"])
+
+
+def _plans(system, cut):
+    """The band plans over the collocation nodes of degree 12, one 8000-panel
+    row per node, or over a 256-segment mesh cut at its nodes, 4 panels
+    per piece; and their outer times."""
+    if not cut:
+        times = collocation_nodes(system.curves.horizon, 12)
+        return list(band_plan(times, system.curves,
+                              DEFAULT_MOMENT_PANELS)), times
+    times = np.linspace(0.0, system.curves.horizon, 257)[1:]
+    edges = quadrature.band_edges(times, system.curves, snap=times[:-1])
+    return [midpoint_plan(pieces, PIECE_PANELS)
+            for pieces in quadrature.band_pieces(edges, times[:-1])], times
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_blocked_pass_holds_the_bits_of_the_whole_plan(cut):
+    system = _pass_system()
+    lin = linearize(system)
+    plans, times = _plans(system, cut)
+    buffer = np.empty(2 * max(p.piece_width.size * p.panels for p in plans))
+    for plan in plans:
+        assert plan.piece_width.size * plan.panels > 2 * BLOCK_VALUES
+        kvs, avs = whole_plan_frozen(lin, plan, times)
+        guess = guess_sums_reference(lin, plan, times)
+        kept = lin.nonlinear_equations[plan.band - 1]
+        seen = []
+        for i, a, kernel, at_guess in lin.frozen_pairs(plan, times, buffer):
+            seen.append(i)
+            assert a.tobytes() == avs[i].tobytes()
+            if i not in kept:
+                assert kernel is None and at_guess is None
+                continue
+            # a K free of s stays a broadcast view, as on the whole plan
+            assert kernel.strides == kvs[i].strides
+            assert np.array_equal(kernel, kvs[i])
+            assert at_guess.tobytes() == guess[i].tobytes()
+        assert seen == list(range(lin.n_equations))
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_a_bad_value_in_a_later_block_is_named_as_on_the_whole_plan(cut):
+    # band 2 runs from t/2 to t: sqrt(0.9 - s) is first nan at the last
+    # node of the collocation plan, and on the cut plan many blocks of
+    # rows after the first
+    system = VolterraSystem(curves=CurveFamily(1.0, ("t/2",)),
+                            kernels=[["1", "sqrt(0.9-s)"]],
+                            nonlinearities=[["x", "x"]], rhs=["t"],
+                            unknown_of_band=(1, 1))
+    lin = linearize(system)
+    plans, times = _plans(system, cut)
+    plan = plans[1]
+    buffer = np.empty(2 * plan.piece_width.size * plan.panels)
+    with pytest.raises(SolverError) as blocked:
+        list(lin.frozen_pairs(plan, times, buffer))
+    t = times[plan.piece_time, None]
+    with pytest.raises(SolverError) as whole:
+        lin.frozen_factors(2, t, plan.abscissas)
+    assert str(blocked.value) == str(whole.value)
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(system.kernels[0][1](t=t, s=plan.abscissas))
+    r, c = np.argwhere(bad)[0]
+    assert r * plan.panels >= 2 * BLOCK_VALUES
+    assert str(blocked.value) == (
+        f"non-finite frozen kernel in equation 1, band 2 at t = "
+        f"{t[r, 0]:.6g}, s = {plan.abscissas[r, c]:.6g}")

@@ -21,9 +21,9 @@ the magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
 abscissa.
 """
 
-import copy
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -46,6 +46,7 @@ from bandvie.pc import (
     solve_linear_pc,
 )
 from bandvie.problem import (
+    BLOCK_VALUES,
     CurveFamily,
     LinearizedSystem,
     VolterraSystem,
@@ -56,7 +57,9 @@ from bandvie.registry import builtin
 from helpers import (
     collocation_hand_off,
     empty_band_system,
+    guess_sums_reference,
     pc_psi_evaluator,
+    whole_plan_frozen,
 )
 
 #: agreement of the psi sums with the other summation orders, relative to
@@ -122,10 +125,26 @@ def _chebyshev_nodes(n, degree):
     return np.power.outer(v, np.arange(degree + 1)).T
 
 
-def _kept(ev):
-    """A copy of every band of a new evaluator: the plan it was handed,
-    which the evaluator drops in part at its first solver iterate."""
-    return [copy.copy(band) for band in ev._bands]
+def _kept(lin, times, frozen):
+    """Per band psi keeps, in its order, the plan it was handed with K
+    and A of each pair formed on the whole plan (:func:`whole_plan_frozen`):
+    psi is not handed A, and it drops K and the plan at its first solver
+    iterate, so the references read these."""
+    out = []
+    for entry in frozen:
+        plan = entry.plan
+        equations = lin.nonlinear_equations[plan.band - 1]
+        if not equations or not plan.piece_width.size:
+            continue
+        kvs, avs = whole_plan_frozen(lin, plan, times)
+        out.append(SimpleNamespace(
+            band=plan.band - 1, component=lin.unknown_of_band[plan.band - 1],
+            panels=plan.panels, piece_time=plan.piece_time,
+            piece_width=plan.piece_width,
+            abscissas=plan.abscissas.reshape(-1), segment=entry.segment,
+            shift=entry.shift,
+            pairs=[(i, avs[i], kvs[i]) for i in equations]))
+    return out
 
 
 def _piece_coefficients(lin, plan, iterate):
@@ -313,9 +332,9 @@ def _collocation_hand_off(lin, degree, panels=DEFAULT_MOMENT_PANELS):
 
 
 def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
-    """A psi evaluator on that plan, and a copy of the plan."""
-    ev = PsiEvaluator(lin, *_collocation_hand_off(lin, degree, panels))
-    return ev, _kept(ev)
+    """A psi evaluator on that plan, and the plan (:func:`_kept`)."""
+    times, frozen = _collocation_hand_off(lin, degree, panels)
+    return PsiEvaluator(lin, times, frozen), _kept(lin, times, frozen)
 
 
 @lru_cache(maxsize=None)
@@ -344,7 +363,7 @@ def test_collocation_hand_off_helper_is_the_discretizations(
         for field in ("abscissas", "piece_time", "piece_width", "piece_lo"):
             assert np.array_equal(getattr(got.plan, field),
                                   getattr(want.plan, field))
-        for field in ("kernel", "frozen", "moments"):
+        for field in ("kernel", "guess", "moments"):
             got_arrays, want_arrays = getattr(got, field), getattr(want, field)
             assert got_arrays.keys() == want_arrays.keys()
             for i in want_arrays:
@@ -356,11 +375,11 @@ def test_collocation_hand_off_helper_is_the_discretizations(
 def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS, degree=None):
     """A new psi evaluator on the collocation plan of a test system at
     ``nodes`` nodes, built once, for iterates of ``degree`` (default: the
-    node count, as a collocation discretization hands it over), and a copy
-    of the plan."""
-    ev = PsiEvaluator(*_node_hand_off(name, nodes, panels,
-                                      nodes if degree is None else degree))
-    return ev, _kept(ev)
+    node count, as a collocation discretization hands it over), and the
+    plan (:func:`_kept`)."""
+    hand_off = _node_hand_off(name, nodes, panels,
+                              nodes if degree is None else degree)
+    return PsiEvaluator(*hand_off), _kept(*hand_off)
 
 
 @settings(max_examples=25, deadline=None)
@@ -417,10 +436,9 @@ def _cut_hand_off(name, n_segments):
 
 def _cut_evaluator(name, n_segments):
     """A new psi evaluator on the plan a pc discretization of a uniform
-    mesh hands over, built once, a copy of the plan, and the mesh."""
+    mesh hands over, built once, the plan (:func:`_kept`), and the mesh."""
     mesh, *hand_off = _cut_hand_off(name, n_segments)
-    ev = PsiEvaluator(*hand_off)
-    return ev, _kept(ev), mesh
+    return PsiEvaluator(*hand_off), _kept(*hand_off), mesh
 
 
 @settings(max_examples=25, deadline=None)
@@ -460,14 +478,17 @@ def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
 def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
     counting = _Counting(scalar.guess_iterate())
     lin = linearize(scalar, counting)
-    disc = PCDiscretization(lin, Mesh.uniform(scalar.curves.horizon, 16))
-    handed = disc.take_frozen_plan()
     lin.origin_factors          # the t = 0 values belong to the start matrix
     counting.components.clear()
-    ev = PsiEvaluator(lin, disc.times, handed)
-    # band 2 has G = x: the linearization point is summed for band 1 only
+    disc = PCDiscretization(lin, Mesh.uniform(scalar.curves.horizon, 16))
+    # band 2 has G = x: the linearization point is evaluated, and summed,
+    # for band 1 only, in the pass that forms the frozen kernel, and psi
+    # evaluates it nowhere
     assert counting.components == [1]
-    plan = _kept(ev)
+    handed = disc.take_frozen_plan()
+    ev = PsiEvaluator(lin, disc.times, handed)
+    assert counting.components == [1]
+    plan = _kept(lin, disc.times, handed)
     for iterate in (lin.x0, solve_linear_pc(scalar, n_segments=16)):
         assert np.array_equal(ev.values(iterate),
                               _per_node_values(ev, plan, iterate))
@@ -478,9 +499,11 @@ def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
     # a prefix sum over the whole band, differenced per time, missed by
     # 1.8e-12 of the scale at N = 256 on this iterate
     lin = linearize(sys2)
-    _, ev = pc_psi_evaluator(lin, Mesh.uniform(sys2.curves.horizon,
-                                               n_segments))
-    plan = _kept(ev)
+    disc = PCDiscretization(lin, Mesh.uniform(sys2.curves.horizon,
+                                              n_segments))
+    handed = disc.take_frozen_plan()
+    ev = PsiEvaluator(lin, disc.times, handed)
+    plan = _kept(lin, disc.times, handed)
     pc_iterate, _ = run_newton(sys2, method="pc", n_segments=n_segments,
                                max_iters=3)
     exact, scale = _fsum_values(ev, plan, pc_iterate)
@@ -604,13 +627,13 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
     lin.nonlinear_equations = tuple(tuple(range(lin.n_equations))
                                     for _ in range(lin.n_bands))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    _, ev = pc_psi_evaluator(lin, mesh)
-    assert [band.band for band in ev._bands] == list(range(lin.n_bands))
-    for band in ev._bands:
-        located = mesh.segment_indices(band.abscissas) - 1
-        assert np.array_equal(located.reshape(band.piece_time.size, -1),
-                              np.repeat(band.segment[:, None], PIECE_PANELS,
-                                        axis=1))
+    frozen = PCDiscretization(lin, mesh).take_frozen_plan()
+    assert [entry.plan.band for entry in frozen] == list(
+        range(1, lin.n_bands + 1))
+    for entry in frozen:
+        located = mesh.segment_indices(entry.plan.abscissas) - 1
+        assert np.array_equal(located, np.repeat(entry.segment[:, None],
+                                                 PIECE_PANELS, axis=1))
 
 
 def test_collocation_psi_moments_are_the_assembly_products(sys2):
@@ -619,8 +642,10 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
     disc = collocation.CollocationDiscretization(lin, 4)
     frozen = disc.take_frozen_plan()
     table = quadrature.reference_powers(disc.panels, 4)
-    products = [[entry.frozen[i] @ table.T for i in lin.nonlinear_equations[
-        entry.plan.band - 1]] for entry in frozen]
+    products = [[whole_plan_frozen(lin, entry.plan, disc.times)[1][i]
+                 @ table.T
+                 for i in lin.nonlinear_equations[entry.plan.band - 1]]
+                for entry in frozen]
     ev = PsiEvaluator(lin, disc.times, frozen=frozen)
     ev.values(_polynomial(sys2, 5, degree=4))
     assert [[r.tobytes() for r in band.moments] for band in ev._bands] \
@@ -652,7 +677,7 @@ def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     assert evaluated and all(free and shape[-1] not in panels
                              for free, shape in evaluated)
     assert all(kernel is None and band.buffer is None
-               for band in ev._bands for _, _, kernel in band.pairs)
+               for band in ev._bands for _, kernel in band.pairs)
     assert np.array_equal(guess, ev.values(ev.lin.x0))
     assert np.array_equal(first, got)
     assert np.array_equal(got, _per_node_values(ev, plan, iterate))
@@ -728,19 +753,40 @@ def test_psi_keeps_only_what_its_later_calls_read(name, cut):
         iterate = _polynomial(system, 5, degree=5)
     ev.values(ev.lin.x0)
     ev.values(iterate)
-    # after the first solver iterate no pair keeps A, and only a pair whose
-    # G uses s keeps K, its band the abscissas and a buffer
+    # psi is handed no A, and after the first solver iterate only a pair
+    # whose G uses s keeps K, its band the abscissas and a buffer
     on_plan = S_PAIRS if name == "s-dependent" else {}
     for band in ev._bands:
         summed = on_plan.get(band.band, [])
-        assert all(frozen is None for _, frozen, _ in band.pairs)
-        assert [i for i, _, kernel in band.pairs
+        assert all(len(pair) == 2 for pair in band.pairs)
+        assert [i for i, kernel in band.pairs
                 if kernel is not None] == summed
         assert (band.abscissas is not None) == bool(summed)
         assert (band.buffer is not None) == bool(summed)
         # the times of the runs replace those of the pieces
         assert band.piece_time is None
         assert band.run_time.shape == band.runs.shape
+
+
+@pytest.mark.parametrize("name", ["nonlinear-sys2", "nonlinear-scalar",
+                                  "s-dependent"])
+@pytest.mark.parametrize("cut", [False, True])
+def test_handed_over_guess_sums_are_the_whole_plan_sums(name, cut):
+    # the solver's pass sums psi at the guess block by block; the sums must
+    # be the ones psi took on the whole plan when it was handed A
+    lin = linearize(_system(name))
+    if cut:
+        disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, 128))
+    else:
+        disc = collocation.CollocationDiscretization(lin, 7)
+    frozen = disc.take_frozen_plan()
+    for entry in frozen:
+        # each plan spans more than one block of the pass
+        assert entry.plan.piece_width.size * entry.plan.panels > BLOCK_VALUES
+        reference = guess_sums_reference(lin, entry.plan, disc.times)
+        assert sorted(entry.guess) == sorted(reference)
+        for i, sums in reference.items():
+            assert entry.guess[i].tobytes() == sums.tobytes()
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
