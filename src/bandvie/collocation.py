@@ -16,18 +16,21 @@ the moments of a row are one product of A with the plan's table of
 reference powers u^r (:func:`quadrature.reference_powers`), mapped to
 the powers (s/T)^l of that row's piece by a binomial shift
 (:func:`quadrature.power_shift`).  The same pass sums psi at the guess
-per row, sum A * x0 - sum K * G(s, x0).  The outer iteration hands the
-plan, K, those sums, the products A @ table.T and the shifts on to its
-psi evaluator (:meth:`CollocationDiscretization.take_frozen_plan`), not
-A: psi = f + w * (sum A * xm - sum K * G(xm)) over the same rows is
-then the handed sum at the guess, and for a polynomial iterate sum A *
-xm comes from those products and, for a G that is a polynomial in x, sum
-K * G(xm) from weights of K at Chebyshev points; so the frozen kernel is
-evaluated once per run, and psi reads K only up to its first polynomial
-iterate, after which it keeps K and the plan only for a G with s or one
-that is not a polynomial.  A solve takes psi as an array at the
-collocation nodes and its d/dt at 0
-(:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
+per row, sum A * x0 - sum K * G(s, x0).
+
+The discretization sums its own share of psi, w * (sum A * xm - sum K *
+G(xm)) per row, and the outer iteration adds f
+(:meth:`CollocationDiscretization.add_psi`).  It keeps, per band with a
+pair whose G is not x, K, the guess sums, the products A @ table.T and
+the shifts (:class:`~bandvie.problem.PsiBand`), not A.  For a polynomial
+iterate sum A * xm comes from those products and, for a G that is a
+polynomial in x, sum K * G(xm) from weights of K at the Chebyshev points
+that interpolate G(xm) exactly; so the frozen kernel is evaluated once
+per run, and K is read only up to the first polynomial iterate, after
+which it is kept only for a G with s or one that is not a polynomial,
+summed on the plan.  A solve takes psi as an array at the collocation
+nodes and its d/dt at 0 (:meth:`CollocationDiscretization.solve`).
+Solutions are immutable.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import numpy as np
 
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
+from .expr import polynomial_degree
 from .linalg import LUFactorization, refined_solve
-from .problem import FrozenBand, f_at_times, linearize, rhs_at_nodes
+from .problem import PsiBand, f_at_times, linearize, rhs_at_nodes
 
 #: midpoint panels per band segment for moment integrals; the error tables
 #: ask for moment errors well below 1e-8, which plain 200-panel quadrature
@@ -75,6 +79,56 @@ def collocation_nodes(horizon, degree):
 def flatten_index(i, k, m):
     """0-based row/column of the moment system for 1-based (i, k), k <= m."""
     return (i - 1) * m + (k - 1)
+
+
+def _chebyshev(n, degree):
+    """V and C of the n Chebyshev points v_j of [0, 1]: V[r, j] = v_j^r
+    for r <= ``degree``, and C[r, j] = (2/n) T_r(2 v_j - 1), row 0
+    halved, so that column j of C holds the coefficients in T_r(2u - 1)
+    of the Lagrange polynomial of v_j."""
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    c = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
+    c[0] /= 2.0
+    return np.power.outer((1.0 + np.cos(angles)) / 2.0,
+                          np.arange(degree + 1)).T, c
+
+
+def _chebyshev_rows(panels, count, size):
+    """Yield (r0, rows): T_r(2u - 1) for r0 <= r < r0 + ``size``, r <
+    ``count``, on the reference midpoints u of ``panels``, by the
+    three-term recurrence; every block is in one buffer, after the last
+    two rows of the block before (``size`` >= 2)."""
+    twice = (4.0 * np.arange(panels) + 2.0) / panels - 2.0
+    buffer = np.empty((size + 2, panels))
+    for start in range(0, count, size):
+        if not start:
+            buffer[2], buffer[3] = 1.0, twice / 2.0
+        stop = min(count, start + size) - start + 2
+        for at in range(2 if start else 4, stop):
+            np.multiply(twice, buffer[at - 1], out=buffer[at])
+            buffer[at] -= buffer[at - 2]
+        yield start, buffer[2:stop]
+        buffer[:2] = buffer[stop - 2:stop]
+
+
+def _points(g, degree, panels):
+    """The n Chebyshev points that interpolate G(xm) exactly for a
+    polynomial iterate of ``degree`` >= 1: g * degree + 1 for a G that is
+    a polynomial of degree g in x, if that is at most ``panels``; None
+    otherwise (summed on the plan)."""
+    g_degree = polynomial_degree(g, (panels - 1) // degree)
+    return None if g_degree is None else g_degree * degree + 1
+
+
+class _PsiBand(PsiBand):
+    """A :class:`~bandvie.problem.PsiBand` of a collocation plan: one piece
+    per node whose band segment is not empty, at the node index
+    ``times[k]``, with the binomial ``shift`` of each piece."""
+
+    def __init__(self, plan, lin, kept, shift):
+        super().__init__(plan, lin, kept)
+        self.times = plan.piece_time
+        self.shift = shift
 
 
 class PolynomialSolution:
@@ -134,7 +188,7 @@ class CollocationDiscretization:
         size = n_eq * m
         matrix = np.zeros((size, size))
         zeroth = np.zeros((n_eq, m, lin.n_bands))
-        self._frozen = self._assemble(matrix, zeroth)
+        self._psi = self._assemble(matrix, zeroth)
         self.matrix = matrix
         self.zeroth_moments = zeroth
         self.condition_number = float(np.linalg.cond(matrix)) if size else 0.0
@@ -148,15 +202,15 @@ class CollocationDiscretization:
             self._fact = LUFactorization(matrix)
         except SingularMatrixError as exc:
             # the error's traceback holds this frame: it keeps no plan
-            self._frozen = None
+            self._psi = None
             raise SolverError(
                 f"singular collocation matrix at degree {m} "
                 f"(condition ~ {self.condition_number:.3e}): {exc}") from exc
 
     def _assemble(self, matrix, zeroth):
         """Add the moments of every band to ``matrix`` and ``zeroth``, and
-        return per band the :class:`~bandvie.problem.FrozenBand` of the
-        pairs whose G is not x, which the right-hand side needs.
+        return per band with a pair whose G is not x the
+        :class:`_PsiBand` its psi sums on.
 
         A of each pair is formed into one buffer, reused by every pair and
         band (:meth:`~bandvie.problem.LinearizedSystem.frozen_pairs`), and
@@ -164,24 +218,23 @@ class CollocationDiscretization:
         is not x, with their sums at the guess.
         """
         lin = self.lin
-        frozen = []
+        bands = []
         table = quadrature.reference_powers(self.panels, self.degree)
-        buffer = np.empty(2 * self.degree * self.panels)
+        buffer = np.empty(2 * self.times.size * self.panels)
         for plan in quadrature.band_plan(self.times, lin.curves, self.panels):
             shift = quadrature.power_shift(
                 plan.piece_lo, plan.piece_width * self.panels, self.scale,
                 self.degree)
-            products, kernels, guess, moments = [], {}, {}, {}
-            for i, a, kernel, at_guess in lin.frozen_pairs(plan, self.times,
-                                                           buffer):
+            products, kept = [], []
+            for i, a, kernel, guess in lin.frozen_pairs(plan, self.times,
+                                                        buffer):
                 products.append(a @ table.T)
                 if kernel is not None:
-                    kernels[i], guess[i] = kernel, at_guess
-                    moments[i] = products[-1]
+                    kept.append((i, kernel, guess, products[-1]))
             self._add_moments(matrix, zeroth, plan, shift, products)
-            frozen.append(FrozenBand(plan, kernels, guess, moments,
-                                     shift=shift))
-        return frozen
+            if kept and plan.piece_width.size:
+                bands.append(_PsiBand(plan, lin, kept, shift))
+        return bands
 
     def _add_moments(self, matrix, zeroth, plan, shift, products):
         """Add the moments of the frozen kernel on one band's plan.
@@ -205,21 +258,72 @@ class CollocationDiscretization:
             rows = flatten_index(i + 1, plan.piece_time + 1, m)
             matrix[rows[:, None], cols] += moments[:, 1:]
 
-    def take_frozen_plan(self):
-        """Hand over the band plans the moments were taken from, once.
+    def add_psi(self, out, iterate):
+        """Add this solver's share of psi at :attr:`times` into ``out``,
+        f there, shape (n_eq, m): per node the sum over its pieces of w *
+        (sum A * xm - sum K * G(xm)), w the panel width.
 
-        Per band a :class:`~bandvie.problem.FrozenBand`: the plan over the
-        collocation nodes, one row of ``panels`` abscissas per node, and,
-        per pair whose G is not x, K, the sums at the guess and the
-        products R = A @ table.T the moments were taken from, with the
-        binomial shift of each row; A itself is not kept.  Afterwards the
-        discretization holds none of it; a second call raises
-        :class:`SolverError`.
+        ``iterate`` is ``lin.x0``, whose sums the set-up pass took, or a
+        :class:`PolynomialSolution` of :attr:`degree`: its coefficients
+        c_hat_l = c_l * T^l on piece k, D_k = c_hat @ S_k with S_k the
+        shift of the piece, give sum A * xm = D_k . R_k, and sum K * G(xm)
+        comes from the weights built at the first such iterate
+        (:meth:`_keep_weights`).  Any other iterate raises
+        :class:`SolverError` and changes nothing.  With no band to sum,
+        psi is f, for any iterate.
         """
-        frozen, self._frozen = self._frozen, None
-        if frozen is None:
-            raise SolverError("the collocation plan was handed over already")
-        return frozen
+        if iterate is self.lin.x0 or not self._psi:
+            for band in self._psi:
+                band.add_guess(out)
+            return
+        m = self.degree
+        if not (isinstance(iterate, PolynomialSolution)
+                and iterate.degree == m):
+            got = type(iterate).__name__
+            if isinstance(iterate, PolynomialSolution):
+                got += f" of degree {iterate.degree}"
+            raise SolverError(f"collocation psi takes the linearization point "
+                              f"or a polynomial of degree {m}, got {got}")
+        if self._psi[0].weights is None:
+            self._keep_weights()
+        scaled = iterate.coefficients * self.scale ** np.arange(m + 1)
+        for band in self._psi:
+            for i, rows in band.pair_rows(scaled[band.component - 1]
+                                          @ band.shift, self._table,
+                                          self._nodes):
+                out[i, band.times] += rows
+
+    def _keep_weights(self):
+        """Build, once, per pair its weights: W = (K @ T.T) @ C for n > 1
+        points (:func:`_points`), T the rows T_r(2u - 1), r < n, on the
+        reference midpoints (:func:`_chebyshev_rows`) and C of
+        :func:`_chebyshev`, the row sums of K for n = 1, and None for a
+        pair summed on the plan; with the nodes V of each n > 1 and the
+        reference powers that pair needs."""
+        m, panels = self.degree, self.panels
+        points = [[_points(g, m, panels) for g in band.nonlinearities]
+                  for band in self._psi]
+        chebyshev = {n: _chebyshev(n, m) for of_band in points
+                     for n in of_band if (n or 0) > 1}
+        self._nodes = {n: v for n, (v, _) in chebyshev.items()}
+        self._table = (quadrature.reference_powers(panels, m)
+                       if any(None in of_band for of_band in points)
+                       else None)
+        products = [[np.empty((kernel.shape[0], n)) if (n or 0) > 1 else None
+                     for kernel, n in zip(band.kernels, of_band)]
+                    for band, of_band in zip(self._psi, points)]
+        top = max(chebyshev, default=0)
+        for start, rows in _chebyshev_rows(panels, top, m + 1):
+            for band, of_band in zip(self._psi, products):
+                for kernel, kt in zip(band.kernels, of_band):
+                    if kt is not None and kt.shape[1] > start:
+                        kt[:, start:start + rows.shape[0]] = (
+                            kernel @ rows[:kt.shape[1] - start].T)
+        for band, of_band, ns in zip(self._psi, products, points):
+            band.keep_weights([
+                None if n is None else kernel.sum(axis=1)
+                if n == 1 else kt @ chebyshev[n][1]
+                for kernel, n, kt in zip(band.kernels, ns, of_band)])
 
     def solve(self, psi, dpsi0):
         """The polynomial for psi at :attr:`times`, shape (n_eq, m), with

@@ -487,67 +487,58 @@ def _diff_node(node, wrt):
     raise TypeError(node)
 
 
-def _integer_power(coefficients, n):
-    """``coefficients`` to the n-th power, by repeated squaring."""
-    out = np.ones(1)
-    while n:
-        if n & 1:
-            out = np.convolve(out, coefficients)
-        n >>= 1
-        if n:
-            coefficients = np.convolve(coefficients, coefficients)
-    return out
-
-
-def _polynomial(node, max_degree):
-    """Coefficients in x of a subtree, constant first, or None."""
+def _degree(node, max_degree):
+    """(degree bound in x, value) of a subtree, the value only for a bound
+    of 0, else None; None for a subtree that is not a polynomial."""
     if isinstance(node, _Const):
-        return np.array([node.value])
+        return 0, np.float64(node.value)
     if isinstance(node, _Var):
-        return np.array([0.0, 1.0]) if node.name == "x" else None
+        return (1, None) if node.name == "x" else None
     if isinstance(node, _Neg):
-        arg = _polynomial(node.arg, max_degree)
-        return None if arg is None else -arg
+        arg = _degree(node.arg, max_degree)
+        return None if arg is None else (
+            arg[0], None if arg[1] is None else -arg[1])
     if not isinstance(node, _Bin):
         return None
-    lhs = _polynomial(node.lhs, max_degree)
-    rhs = _polynomial(node.rhs, max_degree)
+    lhs = _degree(node.lhs, max_degree)
+    rhs = _degree(node.rhs, max_degree)
     if lhs is None or rhs is None:
         return None
+    (dl, a), (dr, b) = lhs, rhs
     if node.op in "+-":
-        out = np.zeros(max(lhs.size, rhs.size))
-        out[:lhs.size] = lhs
-        if node.op == "+":
-            out[:rhs.size] += rhs
-        else:
-            out[:rhs.size] -= rhs
-        return out
+        degree = max(dl, dr)
+        return degree, (a + b if node.op == "+" else a - b) if not degree \
+            else None
     if node.op == "*":
-        return (np.convolve(lhs, rhs)
-                if lhs.size + rhs.size - 2 <= max_degree else None)
-    if rhs.size != 1:
+        if dl + dr > max_degree:
+            return None
+        return dl + dr, a * b if not dl + dr else None
+    if dr:
         return None
     if node.op == "/":
-        return lhs / rhs[0] if rhs[0] != 0.0 else None
-    n = rhs[0]
-    if n < 0 or n != int(n) or (lhs.size - 1) * n > max_degree:
+        return None if b == 0.0 else (dl, a / b if not dl else None)
+    # a non-negative integer power; a non-finite exponent is none
+    if not 0.0 <= b < math.inf or b != int(b) or dl * b > max_degree:
         return None
-    return _integer_power(lhs, int(n))
+    degree = dl * int(b)
+    return degree, (a ** b if not dl else 1.0) if not degree else None
 
 
-def polynomial_in_x(expression, max_degree):
-    """The coefficients of ``expression`` in x, constant first, or None.
+def polynomial_degree(expression, max_degree):
+    """The degree bound in x of ``expression`` if it is a polynomial in x,
+    or None.
 
     An expression built from x and constants by ``+``, ``-``, ``*``,
     division by a nonzero constant and non-negative integer constant powers
     is a polynomial; one that uses ``t`` or ``s``, calls a function or
-    takes any other power or quotient is not.  Coefficients are formed by
-    convolution, so a sum may keep a top coefficient of 0 (``x^2 - x^2``
-    has three).  None too when that count would exceed ``max_degree`` + 1.
-    A coefficient that overflows is inf, as in evaluation.
+    takes any other power or quotient is not.  The bound is that of its
+    coefficients: a sum keeps the larger degree even where the top terms
+    cancel (``x^2 - x^2`` has degree 2).  None too when the bound would
+    exceed ``max_degree``.
     """
     with np.errstate(all="ignore"):
-        return _polynomial(expression._root, max_degree)
+        walked = _degree(expression._root, max_degree)
+    return None if walked is None else walked[0]
 
 
 def _numeric(value):

@@ -14,29 +14,15 @@ the inner solver plain arrays: psi at the solver's ``times``, shape
 (n_eq, n_times), and d(psi)/dt at 0, shape (n_eq,).
 
 A pair with G_ij = x adds nothing to psi (for a finite iterate its bracket
-is 1 * xm - xm = 0 exactly), so the evaluator skips it
+is 1 * xm - xm = 0 exactly), so it is skipped
 (:attr:`LinearizedSystem.nonlinear_equations`).
 
-Psi is summed per piece of a band plan, w * (sum A * xm - sum K *
-G(xm)) with A = K * dG/dx(x0) the frozen kernel (:class:`PsiEvaluator`).
-Each inner solver builds one plan and forms the frozen kernel on it in
-one pass (:meth:`LinearizedSystem.frozen_pairs`), which also sums psi at
-the guess per piece; it hands psi the plan, K, those sums and the
-moments of A it took, but not A, so psi plans and evaluates nothing of
-its own: collocation the plan of its moments, at any panel count, pc the
-one plan of its steps, each band segment cut at the mesh nodes.  Every
-later step takes an iterate of the inner solver, whose sum A * xm, the
-frozen operator applied to it, comes from those moments, and sum K *
-G(xm), where G allows, from weights of K at the Chebyshev points that
-interpolate G(xm) exactly; they are built at the first such iterate, and
-from then on psi keeps K and the plan only for a G that uses s or is not
-a polynomial.  A :class:`PsiEvaluator` serves one run, which is
-sequential in the iteration index: it keeps per band a buffer that a
-call fills before reading it.
-
-A step costs psi, the inner solve and the correction norm.  The step's
-:class:`IterationRecord` keeps its iterate; the errors against a known
-exact solution are measured only when a record's are first read.
+Each inner solver sums its own share of psi, the integrals, on the plan
+its operator was built from, and reads only its own iterates (its
+``add_psi``); :class:`PsiEvaluator` adds f and keeps the t = 0 terms of
+d(psi)/dt.  A step costs psi, the inner solve and the correction norm.
+The step's :class:`IterationRecord` keeps its iterate; the errors against
+a known exact solution are measured only when a record's are first read.
 """
 
 from __future__ import annotations
@@ -49,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .collocation import CollocationDiscretization, PolynomialSolution
+from .collocation import CollocationDiscretization
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
-from .expr import polynomial_in_x
-from .pc import Mesh, PCDiscretization, PiecewiseConstantSolution
+from .pc import Mesh, PCDiscretization
 from .problem import f_at_times, linearize, validate
 from .report import measure_errors
 
@@ -170,307 +155,34 @@ def correction_norm(prev, nxt):
     return worst
 
 
-def _chebyshev(n, degree):
-    """V and C of the n Chebyshev points v_j of [0, 1]: V[r, j] = v_j^r
-    for r <= ``degree``, and C[r, j] = (2/n) T_r(2 v_j - 1), row 0
-    halved, so that column j of C holds the coefficients in T_r(2u - 1)
-    of the Lagrange polynomial of v_j."""
-    angles = np.pi * (np.arange(n) + 0.5) / n
-    c = np.cos(np.outer(np.arange(n), angles)) * (2.0 / n)
-    c[0] /= 2.0
-    return np.power.outer((1.0 + np.cos(angles)) / 2.0,
-                          np.arange(degree + 1)).T, c
-
-
-def _chebyshev_rows(panels, count, size):
-    """Yield (r0, rows): T_r(2u - 1) for r0 <= r < r0 + ``size``, r <
-    ``count``, on the reference midpoints u of ``panels``, by the
-    three-term recurrence; every block is in one buffer, after the last
-    two rows of the block before (``size`` >= 2)."""
-    twice = (4.0 * np.arange(panels) + 2.0) / panels - 2.0
-    buffer = np.empty((size + 2, panels))
-    for start in range(0, count, size):
-        if not start:
-            buffer[2], buffer[3] = 1.0, twice / 2.0
-        stop = min(count, start + size) - start + 2
-        for at in range(2 if start else 4, stop):
-            np.multiply(twice, buffer[at - 1], out=buffer[at])
-            buffer[at] -= buffer[at - 2]
-        yield start, buffer[2:stop]
-        buffer[:2] = buffer[stop - 2:stop]
-
-
-def _points(g, degree, panels):
-    """The n Chebyshev points that interpolate G(xm) exactly for an
-    iterate of ``degree``: 1 at degree 0 for a G free of s, g * d + 1 at
-    d > 0 for a G that is a polynomial of degree g in x, if that is at
-    most ``panels``; None otherwise (summed on the plan)."""
-    if not degree:
-        return None if "s" in g.free_variables else 1
-    polynomial = polynomial_in_x(g, (panels - 1) // degree)
-    return None if polynomial is None else (polynomial.size - 1) * degree + 1
-
-
-@dataclass(eq=False)
-class _PsiBand:
-    """One band of a psi plan that has a pair with G not x.
-
-    Row p of every (n_pieces, panels) array is piece p of the plan: outer
-    time ``piece_time[p]``, panel width ``piece_width[p]`` and, on a pc
-    plan, 0-based mesh segment ``segment[p]`` (None otherwise); a time
-    owns one piece on a collocation plan and several, consecutive, on a pc
-    plan, and ``runs`` holds the first piece of each time that owns one.
-    ``pairs`` holds (0-based equation, K) for each equation whose G is
-    not x, ``moments`` per pair R and ``points`` its n (:func:`_points`);
-    ``shift`` is the hand-off's.  ``abscissas`` is the plan, flat, formed
-    only for a band with a pair summed on it (n None), else None.  The
-    first solver iterate sets per pair the ``weights`` of K, and a
-    ``buffer`` for a band with a pair summed on the plan, and the times of
-    the runs, ``run_time``, which replace ``piece_time``
-    (:meth:`keep_weights`).
-    """
-
-    band: int  # 0-based
-    component: int  # 1-based
-    panels: int
-    piece_time: np.ndarray
-    piece_width: np.ndarray
-    segment: np.ndarray
-    runs: np.ndarray
-    abscissas: np.ndarray
-    pairs: tuple
-    moments: list
-    shift: np.ndarray
-    points: tuple
-    run_time: np.ndarray = None
-    weights: list = None
-    buffer: np.ndarray = None
-
-    def keep_weights(self, weights):
-        """Keep the ``weights`` of K per pair and the times of the runs;
-        drop the piece times, and K unless a pair has None (its K * G(xm)
-        is summed on the plan, in ``buffer``)."""
-        self.weights = weights
-        self.run_time = self.piece_time[self.runs]
-        self.piece_time = None
-        self.pairs = tuple((i, kernel if w is None else None)
-                           for (i, kernel), w in zip(self.pairs, weights))
-        if self.abscissas is not None:
-            self.buffer = np.empty((self.piece_width.size, self.panels))
-
-    def add_from_coefficients(self, out, coefficients, nodes, table,
-                              nonlinearities):
-        """Add w * (D_k . R_k - sum K * G(xm)) per piece.
-
-        Row k of ``coefficients`` is the iterate on piece k in the
-        reference powers ``table``.  Sum K * G(xm) is W_k . G(D_k(v)), the
-        iterate at the n Chebyshev points, D_k @ ``nodes[n]``, formed once
-        per call for every pair of n points, and G(D_k0) times the row sums
-        W_k of K for n = 1 (a step iterate, or a G constant in x); where a
-        pair has no weights, it is summed on the plan, the iterate put
-        there once per call, into :attr:`buffer`.
-        """
-        xm, at_points = None, {}
-        for (i, kernel), linear, n, weights in zip(
-                self.pairs, self.moments, self.points, self.weights):
-            rows = np.einsum("kr,kr->k", coefficients, linear)
-            g = nonlinearities[i][self.band]
-            if weights is None:
-                if xm is None:
-                    xm = np.matmul(coefficients, table,
-                                   out=self.buffer).reshape(-1)
-                rows -= self._nonlinear_rows(kernel, g, xm)
-            elif n == 1:
-                rows -= g(x=coefficients[:, 0]) * weights
-            else:
-                x = at_points.get(n)
-                if x is None:
-                    x = at_points[n] = coefficients @ nodes[n]
-                # a row adds in the same (pairwise) order as it would alone
-                rows -= (weights * g(x=x)).sum(axis=1)
-            rows *= self.piece_width
-            if self.runs.size == rows.size:
-                # one piece per time, as on a collocation plan
-                out[i, self.run_time] += rows
-            else:
-                # the pieces of a time are summed (pairwise) before f is
-                # added: on pc iterates this rounds about 3x closer to an
-                # exact sum than adding them to f one by one
-                out[i, self.run_time] += np.add.reduceat(rows, self.runs)
-
-    def _nonlinear_rows(self, kernel, g, xm):
-        """Per piece, sum K * G(xm) over the plan."""
-        gm = np.broadcast_to(g(s=self.abscissas, x=xm), xm.shape)
-        return np.einsum("kp,kp->k", kernel, gm.reshape(kernel.shape))
-
-
-def _described(iterate):
-    """The class of ``iterate``, with its degree or its mesh if it has one."""
-    name = type(iterate).__name__
-    if isinstance(iterate, PolynomialSolution):
-        return f"{name} of degree {iterate.degree}"
-    if isinstance(iterate, PiecewiseConstantSolution):
-        return f"{name} on a mesh of {iterate.mesh.n_segments} segments"
-    return name
-
-
 class PsiEvaluator:
-    """Right-hand-side evaluator on the quadrature plan of the inner solver.
+    """Psi at the ``times`` of an inner solver ``disc``, for ``lin.x0`` or
+    an iterate of that solver.
 
-    ``times`` are the inner solver's ``times``, where its ``solve`` takes
-    psi, and ``frozen`` holds the :class:`~bandvie.problem.FrozenBand`
-    plans it built over them (its ``take_frozen_plan``), once; the
-    evaluator plans and evaluates no kernel itself.  A
-    :class:`~bandvie.collocation.CollocationDiscretization` hands over its
-    moment plans, one piece per time, and a
-    :class:`~bandvie.pc.PCDiscretization`, over its mesh nodes t_1..t_N,
-    the plans its steps were summed on: each band segment cut at the
-    nodes into pieces of ``pc.PIECE_PANELS`` panels.  An empty hand-off
-    plans no band: psi is f, for any iterate.  psi_i(t_k) = f_i(t_k) + the
-    sum over the pieces of t_k of w * (sum A_i * xm - sum K_i * G_i(xm)),
-    w the piece's panel width.
-
-    Per band with a pair whose G is not x the evaluator takes the plan, K
-    and R = A @ table.T (:class:`_PsiBand`), and the solver's per-piece
-    sums at the linearization point ``lin.x0``, which it adds into f
-    once; ``values(lin.x0)`` returns a copy of that sum.  Every other call
-    takes an iterate of the inner solver, of the degree d of R on every
-    piece, whose coefficients D_k in the reference powers give sum A * xm
-    = D_k . R_k: a :class:`~bandvie.collocation.PolynomialSolution` on a
-    collocation plan, D_k = c_hat @ S_k with c_hat_l = c_l * T^l and S_k
-    the shift of piece k, or a :class:`~bandvie.pc.PiecewiseConstantSolution`
-    on the mesh a pc plan was cut at, D_k its value on the segment of
-    piece k (d = 0).
-
-    Where G(xm) is a polynomial of degree n - 1 < panels on every piece
-    (:func:`_points`: n = 1 at d = 0 for a G free of s, n = g * d + 1 for
-    a G that is a polynomial of degree g in x), sum K * G(xm) is W_k .
-    G(D_k(v)): the iterate at the n Chebyshev points v_j of [0, 1], G once
-    on that (pieces, n) block, and W = (K @ T.T) @ C with T_r(2u - 1) on
-    the reference midpoints u and C the coefficients of the Lagrange basis
-    on the v_j.  Interpolation at n points is exact for G(xm), so this is
-    the plan's midpoint sum in another rounding order.  Every other pair
-    (a G with s, or not a polynomial) is summed on the plan, the iterate
-    put there as D @ table, in a buffer kept per band; only such a band
-    forms the plan's abscissas.  The weights are built at the first solver
-    iterate, and K goes then for every pair with weights.  An iterate of
-    another kind, of another degree or on another mesh raises
-    :class:`SolverError`.
+    psi_i(t_k) = f_i(t_k) plus the solver's sums over the pieces of t_k
+    of w * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width
+    (``disc.add_psi``, which refuses an iterate it does not make).  The
+    evaluator keeps f and f'(0) at the times, psi at the linearization
+    point, summed once here (``values(lin.x0)`` returns a copy), and the
+    t = 0 terms of :meth:`derivative_at_zero`.
     """
 
-    def __init__(self, lin, times, frozen):
+    def __init__(self, lin, disc):
         self.lin = lin
-        self.times = np.asarray(times, dtype=float)
-        self._scale = float(lin.curves.horizon)
-        active = lin.nonlinear_equations
-        frozen = [entry for entry in frozen if active[entry.plan.band - 1]
-                  and entry.plan.piece_width.size]
-        self._bands = [self._band(active[entry.plan.band - 1], entry)
-                       for entry in frozen]
-        # the degree of the solver's iterates, and per n > 1 the nodes V of
-        # the n Chebyshev points (built at its first iterate)
-        self._degree = (self._bands[0].moments[0].shape[1] - 1
-                        if self._bands else None)
-        self._nodes = self._table = None
-
-        self._f_vals, self._fp0 = f_at_times(lin.system, self.times)
+        self.disc = disc
+        self._f_vals, self._fp0 = f_at_times(lin.system, disc.times)
         self._origin = self._origin_pairs()
         self._at_x0 = self._f_vals.copy()
-        for entry in frozen:
-            plan = entry.plan
-            for i in active[plan.band - 1]:
-                # on a pc plan a time owns several pieces: add.at adds
-                # repeated times one by one, in plan order
-                np.add.at(self._at_x0[i], plan.piece_time,
-                          entry.guess[i] * plan.piece_width)
-
-    def _band(self, equations, entry):
-        """One band: its K per pair, and the plan if a pair is summed on
-        it."""
-        plan = entry.plan
-        degree = entry.moments[equations[0]].shape[1] - 1
-        nonlinearities = self.lin.system.nonlinearities
-        points = tuple(_points(nonlinearities[i][plan.band - 1], degree,
-                               plan.panels) for i in equations)
-        return _PsiBand(
-            band=plan.band - 1,
-            component=self.lin.unknown_of_band[plan.band - 1],
-            panels=plan.panels,
-            piece_time=plan.piece_time, piece_width=plan.piece_width,
-            segment=entry.segment,
-            runs=np.flatnonzero(np.diff(plan.piece_time, prepend=-1)),
-            abscissas=(plan.abscissas.reshape(-1) if None in points
-                       else None),
-            pairs=tuple((i, entry.kernel[i]) for i in equations),
-            moments=[entry.moments[i] for i in equations],
-            shift=entry.shift, points=points)
+        disc.add_psi(self._at_x0, lin.x0)
 
     def values(self, iterate):
-        """Psi at the planned times, shape (n_eq, n_times), for ``lin.x0``
-        or an iterate of the inner solver that built the plan."""
-        if iterate is self.lin.x0 or not self._bands:
+        """Psi at the solver's times, shape (n_eq, n_times), for
+        ``lin.x0`` or an iterate of the solver."""
+        if iterate is self.lin.x0:
             return self._at_x0.copy()
-        coefficients = self._piece_coefficients(iterate)
-        if self._nodes is None:
-            self._keep_weights()
         out = self._f_vals.copy()
-        nonlinearities = self.lin.system.nonlinearities
-        for band, d in zip(self._bands, coefficients):
-            band.add_from_coefficients(out, d, self._nodes, self._table,
-                                       nonlinearities)
+        self.disc.add_psi(out, iterate)
         return out
-
-    def _piece_coefficients(self, iterate):
-        """Per band the iterate's coefficients D_k on every piece.  An
-        iterate the plan's solver does not make (a polynomial of the
-        degree of R on a collocation plan, or steps on the mesh of a pc
-        plan, cut at nodes 0 and the times) raises :class:`SolverError`."""
-        degree, on_mesh = self._degree, self._bands[0].segment is not None
-        if on_mesh and isinstance(iterate, PiecewiseConstantSolution) \
-                and np.array_equal(iterate.mesh.nodes[1:], self.times):
-            return [iterate.values[band.component - 1][band.segment, None]
-                    for band in self._bands]
-        if not on_mesh and isinstance(iterate, PolynomialSolution) \
-                and iterate.degree == degree:
-            scaled = iterate.coefficients * self._scale ** np.arange(
-                degree + 1)
-            return [scaled[band.component - 1] @ band.shift
-                    for band in self._bands]
-        wanted = (f"steps on its mesh of {self.times.size} segments"
-                  if on_mesh else f"a polynomial of degree {degree}")
-        raise SolverError(f"psi takes the linearization point or {wanted}, "
-                          f"got {_described(iterate)}")
-
-    def _keep_weights(self):
-        """Build, once, per pair its weights: W = (K @ T.T) @ C for n > 1
-        points, T the rows T_r(2u - 1), r < n, on the reference midpoints
-        (:func:`_chebyshev_rows`) and C of :func:`_chebyshev`, the row sums
-        of K for n = 1, and None for a pair summed on the plan; with the
-        nodes V of each n > 1 and the reference powers that pair needs."""
-        degree = self._degree
-        chebyshev = {n: _chebyshev(n, degree) for band in self._bands
-                     for n in band.points if (n or 0) > 1}
-        self._nodes = {n: v for n, (v, _) in chebyshev.items()}
-        if None in (n for band in self._bands for n in band.points):
-            self._table = quadrature.reference_powers(self._bands[0].panels,
-                                                      degree)
-        products = [[np.empty((kernel.shape[0], n)) if (n or 0) > 1 else None
-                     for (_, kernel), n in zip(band.pairs, band.points)]
-                    for band in self._bands]
-        top = max(chebyshev, default=0)
-        for start, rows in _chebyshev_rows(self._bands[0].panels, top,
-                                           degree + 1):
-            for band, of_band in zip(self._bands, products):
-                for (_, kernel), kt in zip(band.pairs, of_band):
-                    if kt is not None and kt.shape[1] > start:
-                        kt[:, start:start + rows.shape[0]] = (
-                            kernel @ rows[:kt.shape[1] - start].T)
-        for band, of_band in zip(self._bands, products):
-            band.keep_weights([
-                None if n is None else kernel.sum(axis=1)
-                if n == 1 else kt @ chebyshev[n][1]
-                for (_, kernel), n, kt in zip(band.pairs, band.points,
-                                              of_band)])
 
     def _origin_pairs(self):
         """Per band with a pair whose G is not x, its unknown and per such
@@ -517,8 +229,8 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
     tol : stop once the sampled correction sup-norm drops this low
 
     Collocation integrates on ``collocation.DEFAULT_MOMENT_PANELS`` panels
-    per band segment and pc on its ``pc.PIECE_PANELS`` pieces; psi sums on
-    the same plan.
+    per band segment and pc on its ``pc.PIECE_PANELS`` pieces; each sums
+    its psi on the same plan.
 
     Returns
     -------
@@ -561,9 +273,9 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             lin, Mesh.uniform(system.curves.horizon, n_segments))
     else:
         disc = CollocationDiscretization(lin, degree)
-    # psi starts from the guess sums of the solver's pass; what it keeps of
-    # the plan after its first solver iterate is only what later calls read
-    evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
+    # psi starts from the guess sums of the solver's pass; what the solver
+    # keeps of its plan after its first iterate is only what psi reads
+    evaluator = PsiEvaluator(lin, disc)
 
     report = IterationReport()
     current = lin.x0

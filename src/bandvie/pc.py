@@ -13,11 +13,12 @@ step coefficients, the pieces before it the history weights.  The frozen
 kernel A is formed on that plan one equation at a time, in row blocks,
 into one buffer reused by every pair and band
 (:meth:`LinearizedSystem.frozen_pairs`), which also sums psi at the guess
-per piece.  The outer iteration hands the plan to psi
-(:meth:`PCDiscretization.take_frozen_plan`) with K, those sums and the
-row sums of A, not A itself; psi reads K only up to its first step
-iterate, after which it keeps per piece, for a G free of s, the row sums
-of K.
+per piece.  The discretization sums its own share of psi on the same
+plan, and the outer iteration adds f (:meth:`PCDiscretization.add_psi`).
+It keeps, per band with a pair whose G is not x, K, those sums and the
+row sums of A, not A itself (:class:`~bandvie.problem.PsiBand`); a step
+iterate is one value per piece, so K is read only up to the first one,
+after which only its row sums are kept, for a G free of s.
 
 The step systems depend on the frozen operator only, not on the
 right-hand side psi, which a solve takes as an array at the nodes
@@ -45,11 +46,14 @@ import numpy as np
 from . import quadrature
 from .errors import SingularMatrixError, SolverError
 from .linalg import lu_factor_stack, lu_inverse_stack
-from .problem import FrozenBand, f_at_times, linearize, rhs_at_nodes
+from .problem import PsiBand, f_at_times, linearize, rhs_at_nodes
 
 #: panels per piece, unknown range or history (each piece spans at most one
 #: mesh segment, so a handful of panels keeps the quadrature error at O(h^2))
 PIECE_PANELS = 4
+
+#: a step iterate is one reference power, u^0, per piece
+_STEP_POWERS = quadrature.reference_powers(PIECE_PANELS, 0)
 
 
 @dataclass(frozen=True)
@@ -117,6 +121,19 @@ class PiecewiseConstantSolution:
         return nodes[(nodes > lo) & (nodes < hi)]
 
 
+class _PsiBand(PsiBand):
+    """A :class:`~bandvie.problem.PsiBand` of a pc plan: a time owns
+    several pieces, consecutive, each in the 0-based mesh ``segment``;
+    ``runs`` holds the first piece of each time that owns one, and
+    ``times`` that time."""
+
+    def __init__(self, plan, lin, kept, segment):
+        super().__init__(plan, lin, kept)
+        self.segment = segment
+        self.runs = np.flatnonzero(np.diff(plan.piece_time, prepend=-1))
+        self.times = plan.piece_time[self.runs]
+
+
 class _StepOperator(NamedTuple):
     """The frozen step operator: each step as one gather, product and scatter.
 
@@ -141,8 +158,8 @@ class PCDiscretization:
     """Iterate-independent discretization of a linearized system on a mesh.
 
     Everything that does not depend on the right-hand side is built here,
-    once: the per-step coefficients and history piece weights, with their
-    plan kept for psi (:meth:`take_frozen_plan`), and the step operator
+    once: the per-step coefficients and history piece weights, with what
+    psi reads of their plan (:meth:`add_psi`), and the step operator
     (:attr:`_steps`).  The first step fault raises :class:`SolverError`.
     :meth:`solve` takes psi at :attr:`times` and its d/dt at 0.
     """
@@ -154,11 +171,12 @@ class PCDiscretization:
         self.mesh = mesh
         #: the collocation times t_1..t_N, where :meth:`solve` takes psi
         self.times = mesh.nodes[1:]
-        bands, self._frozen = self._assemble()
+        bands, self._psi = self._assemble()
         self._steps = self._step_operator(bands)
 
     def _assemble(self):
-        """Per band ``(u, segments, coeff, hist, size, weights)``; the plans.
+        """Per band ``(u, segments, coeff, hist, size, weights)``; per band
+        with a pair whose G is not x the :class:`_PsiBand` psi sums on.
 
         Each band is cut, planned on ``PIECE_PANELS`` panels per piece and
         evaluated once, pair by pair into one buffer.  Per step k:
@@ -174,9 +192,7 @@ class PCDiscretization:
         cuts = mesh.nodes[1:-1]
         edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
         segments = mesh.segment_indices(edges[:, 1:])
-        bands, frozen = [None] * lin.n_bands, []
-        # a step iterate is one reference power, u^0, per piece
-        table = quadrature.reference_powers(PIECE_PANELS, 0)
+        bands, psi = [None] * lin.n_bands, []
         # the bands psi keeps nothing of first, so no kept plan is held
         # while they are evaluated; the kept ones stay in band order
         cut = sorted(quadrature.band_pieces(edges, cuts=cuts),
@@ -186,13 +202,12 @@ class PCDiscretization:
             j = pieces.band
             plan = quadrature.midpoint_plan(pieces, PIECE_PANELS)
             weights = np.empty((n_eq, pieces.lo.size))
-            kernels, guess, moments = {}, {}, {}
-            for i, a, kernel, at_guess in lin.frozen_pairs(plan, self.times,
-                                                           buffer):
+            kept = []
+            for i, a, kernel, guess in lin.frozen_pairs(plan, self.times,
+                                                        buffer):
                 weights[i] = plan.piece_sums(a) * plan.piece_width
                 if kernel is not None:      # psi keeps K of this pair
-                    kernels[i], guess[i] = kernel, at_guess
-                    moments[i] = a @ table.T
+                    kept.append((i, kernel, guess, a @ _STEP_POWERS.T))
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
@@ -205,25 +220,48 @@ class PCDiscretization:
                 segment[~last],
                 np.bincount(plan.piece_time[~last], minlength=n_steps),
                 weights[:, ~last])
-            if kernels:
-                frozen.append(FrozenBand(plan, kernels, guess, moments,
-                                         segment=segment.astype(np.int32)))
-        return bands, frozen
+            if kept and plan.piece_width.size:
+                psi.append(_PsiBand(plan, lin, kept,
+                                    segment.astype(np.int32)))
+        return bands, psi
 
-    def take_frozen_plan(self):
-        """Hand over the band plans the steps were summed on, once.
+    def add_psi(self, out, iterate):
+        """Add this solver's share of psi at :attr:`times` into ``out``,
+        f there, shape (n_eq, N): per node the sum over its pieces of w *
+        (sum A * xm - sum K * G(xm)), w the panel width.
 
-        Per band with a pair whose G is not x a
-        :class:`~bandvie.problem.FrozenBand`: the ``PIECE_PANELS`` plan of
-        every piece, and per such pair K, the sums at the guess and the
-        row sums R = A @ table.T of A, with the 0-based mesh segment of
-        each piece.  Afterwards the discretization
-        holds none of it; a second call raises.
+        ``iterate`` is ``lin.x0``, whose sums the set-up pass took, or a
+        :class:`PiecewiseConstantSolution` on this mesh: D_k, its value on
+        the segment of piece k, gives sum A * xm = D_k * R_k and, for a G
+        free of s, sum K * G(xm) = G(D_k) times the row sums of K, kept at
+        the first such iterate; a G with s is summed on the plan.  Any
+        other iterate raises :class:`SolverError` and changes nothing.
+        With no band to sum, psi is f, for any iterate.
         """
-        frozen, self._frozen = self._frozen, None
-        if frozen is None:
-            raise SolverError("the pc plan was handed over already")
-        return frozen
+        if iterate is self.lin.x0 or not self._psi:
+            for band in self._psi:
+                band.add_guess(out)
+            return
+        if not (isinstance(iterate, PiecewiseConstantSolution)
+                and np.array_equal(iterate.mesh.nodes[1:], self.times)):
+            got = type(iterate).__name__
+            if isinstance(iterate, PiecewiseConstantSolution):
+                got += f" on a mesh of {iterate.mesh.n_segments} segments"
+            raise SolverError(f"pc psi takes the linearization point or steps "
+                              f"on its mesh of {self.times.size} segments, "
+                              f"got {got}")
+        if self._psi[0].weights is None:
+            for band in self._psi:
+                band.keep_weights([
+                    None if "s" in g.free_variables else kernel.sum(axis=1)
+                    for g, kernel in zip(band.nonlinearities, band.kernels)])
+        for band in self._psi:
+            d = iterate.values[band.component - 1][band.segment, None]
+            for i, rows in band.pair_rows(d, _STEP_POWERS):
+                # the pieces of a time are summed (pairwise) before f is
+                # added: on pc iterates this rounds about 3x closer to an
+                # exact sum than adding them to f one by one
+                out[i, band.times] += np.add.reduceat(rows, band.runs)
 
     def _step_operator(self, bands):
         """The :class:`_StepOperator`, built from the arrays of ``bands``.

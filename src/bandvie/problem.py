@@ -18,8 +18,8 @@ which is the operator inverted at every outer iteration.  One evaluator
 forms it on an inner solver's band plans
 (:meth:`LinearizedSystem.frozen_pairs`): pair by pair into one reused
 buffer, in row blocks that stay in cache, and with the sums psi takes at
-the guess; a solver keeps of it only its moments or weights, and hands
-psi K and those sums (:class:`FrozenBand`).
+the guess; a solver keeps of it only its moments or weights, and, for
+the psi it sums itself, K and those sums (:class:`PsiBand`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -695,24 +694,90 @@ class LinearizedSystem:
         return refined_solve(fact, mat, d0)
 
 
-class FrozenBand(NamedTuple):
-    """One band of the plan an inner solver hands to psi.
+class PsiBand:
+    """One band of an inner solver's plan with a pair whose G is not x:
+    what the solver keeps of its set-up pass to sum its share of psi.
 
-    Its ``plan`` and, by equation of the pairs whose G is not x, K on it,
-    the ``guess`` sums per piece, sum A * x0 - sum K * G(s, x0) at the
-    linearization point, and R = A @ table.T, with A = K * dG/dx(x0) from
-    :meth:`LinearizedSystem.frozen_pairs` and ``table`` the reference
-    powers up to the degree of the solver's iterates; the binomial
-    ``shift`` of each piece of a collocation plan, or the 0-based mesh
-    ``segment`` of each piece of a pc plan.  A itself is not handed over.
+    ``kept`` holds, per such pair in equation order, its 0-based equation,
+    K on ``plan``, its sums at the guess per piece, sum A * x0 - sum K *
+    G(s, x0), and R = A @ table.T, all from
+    :meth:`LinearizedSystem.frozen_pairs`, ``table`` the reference powers
+    up to the degree of the solver's iterates; A itself is not kept.  Row
+    k of each is piece k of the plan, of panel width ``piece_width[k]``.
+    The solver's first iterate sets the weights of K
+    (:meth:`keep_weights`).
     """
 
-    plan: quadrature.BandPlan
-    kernel: dict
-    guess: dict
-    moments: dict
-    shift: np.ndarray = None
-    segment: np.ndarray = None
+    def __init__(self, plan, lin, kept):
+        self.band = plan.band - 1                       # 0-based
+        self.component = lin.unknown_of_band[self.band]  # 1-based
+        self.plan = plan
+        self.piece_width = plan.piece_width
+        self.equations, self.kernels, self.guess, self.moments = (
+            list(column) for column in zip(*kept))
+        self.nonlinearities = [lin.system.nonlinearities[i][self.band]
+                               for i in self.equations]
+        self.weights = self.abscissas = self.buffer = None
+
+    def add_guess(self, out):
+        """Add psi's sums at the guess, times the panel widths, into
+        ``out`` at the plan's times; :func:`numpy.add.at` adds the pieces
+        of a time one by one, in plan order."""
+        if self.guess is None:
+            raise SolverError("psi at the guess is summed before the "
+                              "solver's first iterate, which drops its sums")
+        for i, guess in zip(self.equations, self.guess):
+            np.add.at(out[i], self.plan.piece_time, guess * self.piece_width)
+
+    def keep_weights(self, weights):
+        """Keep per pair the ``weights`` of K: its row sums, a (pieces, n)
+        block W for n points, or None for a pair summed on the plan.  The
+        guess sums go, and K of every pair with weights; a band with a
+        pair without them keeps the plan's abscissas, flat, and a buffer of
+        their shape, and no band keeps the plan."""
+        self.weights, self.guess = weights, None
+        self.kernels = [kernel if w is None else None
+                        for kernel, w in zip(self.kernels, weights)]
+        if any(w is None for w in weights):
+            self.abscissas = self.plan.abscissas.reshape(-1)
+            self.buffer = np.empty((self.piece_width.size, self.plan.panels))
+        self.plan = None
+
+    def pair_rows(self, coefficients, table, nodes=None):
+        """Yield per pair its 0-based equation and, per piece k, w * (D_k
+        . R_k - sum K * G(xm)).
+
+        Row k of ``coefficients`` is the iterate on piece k in the
+        reference powers ``table``.  Sum K * G(xm) is G(D_k0) times the row
+        sums of K for a pair with one point (a step iterate, or a G
+        constant in x), and W_k . G(D_k(v)) for the weights W of n points
+        v, the iterate there D_k @ ``nodes[n]``, formed once per call for
+        every pair of n points.  A pair without weights is summed on the
+        plan, the iterate put there once per call, into :attr:`buffer`.
+        """
+        xm, at_points = None, {}
+        for i, g, kernel, moments, weights in zip(
+                self.equations, self.nonlinearities, self.kernels,
+                self.moments, self.weights):
+            rows = np.einsum("kr,kr->k", coefficients, moments)
+            if weights is None:
+                if xm is None:
+                    xm = np.matmul(coefficients, table,
+                                   out=self.buffer).reshape(-1)
+                gm = np.broadcast_to(g(s=self.abscissas, x=xm), xm.shape)
+                rows -= np.einsum("kp,kp->k", kernel,
+                                  gm.reshape(kernel.shape))
+            elif weights.ndim == 1:
+                rows -= g(x=coefficients[:, 0]) * weights
+            else:
+                n = weights.shape[1]
+                x = at_points.get(n)
+                if x is None:
+                    x = at_points[n] = coefficients @ nodes[n]
+                # a row adds in the same (pairwise) order as it would alone
+                rows -= (weights * g(x=x)).sum(axis=1)
+            rows *= self.piece_width
+            yield i, rows
 
 
 def linearize(system, x0=None):

@@ -2,8 +2,11 @@
 
 import numpy as np
 
+from types import SimpleNamespace
+
 from bandvie.collocation import (
     DEFAULT_MOMENT_PANELS,
+    CollocationDiscretization,
     PolynomialSolution,
     flatten_index,
 )
@@ -12,18 +15,12 @@ from bandvie.newton import NORM_SAMPLES, PsiEvaluator
 from bandvie.pc import PCDiscretization
 from bandvie.problem import (
     CurveFamily,
-    FrozenBand,
     VolterraSystem,
     f_at_times,
     linearize,
     rhs_at_nodes,
 )
-from bandvie.quadrature import (
-    band_plan,
-    midpoints,
-    power_shift,
-    reference_powers,
-)
+from bandvie.quadrature import midpoints
 from bandvie.report import ERROR_SAMPLES
 
 
@@ -89,26 +86,19 @@ def callable_values(functions, ts):
     return np.array([[f(t) for t in ts] for f in functions], dtype=float)
 
 
-def collocation_hand_off(lin, ts, degree, panels=DEFAULT_MOMENT_PANELS):
-    """The plan a collocation discretization of ``degree`` hands to psi,
-    here over any times ``ts``: per band, the plan of each band segment as
-    one piece of ``panels`` panels, with K of the pairs whose G is not x,
-    their sums at the guess, R = A @ table.T and the binomial shift of
-    each piece."""
-    table = reference_powers(panels, degree)
-    buffer = np.empty(2 * ts.size * panels)
-    frozen = []
-    for plan in band_plan(ts, lin.curves, panels):
-        kernels, guess, moments = {}, {}, {}
-        for i, a, kernel, at_guess in lin.frozen_pairs(plan, ts, buffer):
-            if kernel is not None:
-                kernels[i], guess[i] = kernel, at_guess
-                moments[i] = a @ table.T
-        frozen.append(FrozenBand(
-            plan, kernels, guess, moments,
-            shift=power_shift(plan.piece_lo, plan.piece_width * panels,
-                              lin.curves.horizon, degree)))
-    return frozen
+class CollocationPsi(CollocationDiscretization):
+    """A collocation discretization of ``degree`` cut down to its psi, here
+    over any times ``ts``: the discretization's own set-up pass builds the
+    bands psi sums on, each band segment one piece of ``panels`` panels,
+    and no moment system is assembled or factorized."""
+
+    def __init__(self, lin, ts, degree, panels=DEFAULT_MOMENT_PANELS):
+        self.lin, self.times, self.degree = lin, ts, degree
+        self.panels, self.scale = panels, float(lin.curves.horizon)
+        self._psi = self._assemble(None, None)
+
+    def _add_moments(self, *args):
+        pass
 
 
 def whole_plan_frozen(lin, plan, times):
@@ -158,22 +148,29 @@ def psi(system, x0, xm, ts, panels=DEFAULT_MOMENT_PANELS):
     """Right-hand side Psi at the times ts for guess x0 and iterate xm.
 
     ``x0`` and ``xm`` follow the iterate protocol (expression iterates or
-    polynomial solutions).  Psi sums on the hand-off a collocation
-    discretization of the degree of ``xm`` (0 for an expression iterate)
-    makes (:func:`collocation_hand_off`), here at any times, t = 0
-    included.
+    polynomial solutions).  Psi is summed by a collocation discretization
+    of the degree of ``xm`` (0 for an expression iterate), here at any
+    times, t = 0 included (:class:`CollocationPsi`).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lin = linearize(system, x0)
     degree = xm.degree if isinstance(xm, PolynomialSolution) else 0
-    return PsiEvaluator(lin, ts, collocation_hand_off(
-        lin, ts, degree, panels)).values(xm)
+    return PsiEvaluator(lin, CollocationPsi(lin, ts, degree,
+                                            panels)).values(xm)
 
 
 def pc_psi_evaluator(lin, mesh):
-    """A pc discretization and the psi evaluator on the plan it hands over."""
+    """A pc discretization and the psi evaluator that its psi serves."""
     disc = PCDiscretization(lin, mesh)
-    return disc, PsiEvaluator(lin, disc.times, frozen=disc.take_frozen_plan())
+    return disc, PsiEvaluator(lin, disc)
+
+
+def origin_terms(lin, times):
+    """A psi evaluator whose solver sums nothing, over ``times``: f there,
+    and the t = 0 terms of d(psi)/dt, which read no plan."""
+    return PsiEvaluator(lin, SimpleNamespace(
+        times=np.asarray(times, dtype=float),
+        add_psi=lambda out, iterate: None))
 
 
 def composite_midpoint(f, lo, hi, panels=200):

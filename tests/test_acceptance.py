@@ -18,7 +18,7 @@ from bandvie.collocation import (
 )
 from bandvie.expr import parse
 from bandvie.linalg import residual
-from bandvie.newton import PsiEvaluator, iterate
+from bandvie.newton import iterate
 from bandvie.problem import band_quadrature_residual, linearize
 from bandvie.registry import builtin
 from bandvie.report import measure_errors
@@ -27,6 +27,7 @@ from helpers import (
     callable_values,
     composite_midpoint,
     lu_solve,
+    origin_terms,
     unflatten_index,
 )
 
@@ -194,8 +195,8 @@ def test_criterion_6_property_suite(model01, scalar, sys2):
         system = builtin(name)
         lin = linearize(system)
         exact_it = system.exact_iterate()
-        # only d(psi)/dt at 0 is read: an empty hand-off plans no band
-        evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]), ())
+        # only d(psi)/dt at 0 is read: a solver that sums nothing will do
+        evaluator = origin_terms(lin, [system.curves.horizon])
         starts = lin.start_values(evaluator.derivative_at_zero(exact_it))
         expected = [float(system.exact[i](t=0.0))
                     for i in range(system.n_components)]

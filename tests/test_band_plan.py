@@ -17,7 +17,7 @@ import pytest
 
 from bandvie import collocation, quadrature
 from bandvie.config import load_problem
-from bandvie.errors import CurveOrderingError, SolverError
+from bandvie.errors import CurveOrderingError
 from bandvie.newton import PsiEvaluator
 from bandvie.pc import PIECE_PANELS, Mesh, PCDiscretization, solve_linear_pc
 from bandvie.problem import (
@@ -353,12 +353,12 @@ ACTIVE_PAIRS = {"model01": [], "model02": [], "nonlinear-scalar": [(0, [0])],
                 "repeated": [(2, [0])]}
 
 
-def _assert_hand_off_is_the_loop(lin, times, entry, ref, pieces):
-    """The handed-over band ``entry`` holds the loop's plan and K, and
-    the guess sums of the whole-plan formula, whose A is the loop's K * G'
+def _assert_psi_band_is_the_loop(lin, times, band, ref, pieces):
+    """The solver's psi ``band`` holds the loop's plan and K, and the
+    guess sums of the whole-plan formula, whose A is the loop's K * G'
     bit for bit; ``pieces`` per time the loop's count."""
     starts, ends, s, w, kern, slope = ref
-    plan = entry.plan
+    plan = band.plan
     panels = plan.panels
     np.testing.assert_array_equal(
         plan.piece_time, np.repeat(np.arange(starts.size), pieces))
@@ -366,31 +366,29 @@ def _assert_hand_off_is_the_loop(lin, times, entry, ref, pieces):
     np.testing.assert_array_equal(plan.abscissas.ravel(), s)
     kvs, avs = whole_plan_frozen(lin, plan, times)
     guess = guess_sums_reference(lin, plan, times)
-    assert sorted(entry.kernel) == sorted(entry.guess) == sorted(guess)
-    for i, kernel in entry.kernel.items():
+    assert band.equations == sorted(guess)
+    for i, kernel, sums in zip(band.equations, band.kernels, band.guess):
         assert kernel.shape == (pieces.sum(), panels)
         np.testing.assert_array_equal(kernel.ravel(), kern[i])
         np.testing.assert_array_equal(avs[i].ravel(), kern[i] * slope[i])
-        assert entry.guess[i].tobytes() == guess[i].tobytes()
+        assert sums.tobytes() == guess[i].tobytes()
 
 
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
 def test_psi_plan_without_cuts_is_bit_identical(name):
-    # psi is handed the moment plan of a collocation discretization
+    # collocation sums psi on the plan of its moments
     system = _repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     disc = collocation.CollocationDiscretization(lin, 6, panels=500)
-    frozen = disc.take_frozen_plan()
-    ev = PsiEvaluator(lin, disc.times, frozen)
     ref = _loop_psi_plan(lin, disc.times, panels=500)
-    # the evaluator keeps the pairs whose G is not x, and only those
-    assert [(band.band, [i for i, *_ in band.pairs]) for band in ev._bands] \
+    # psi keeps the pairs whose G is not x, and only those
+    assert [(band.band, band.equations) for band in disc._psi] \
         == ACTIVE_PAIRS[name]
-    for band in ev._bands:
+    for band in disc._psi:
         starts, ends = ref[band.band][:2]
         # one piece per time with a non-empty segment
-        _assert_hand_off_is_the_loop(lin, disc.times, frozen[band.band],
-                                     ref[band.band], (ends > starts) * 1)
+        _assert_psi_band_is_the_loop(lin, disc.times, band, ref[band.band],
+                                     (ends > starts) * 1)
 
 
 def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
@@ -398,19 +396,17 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
     for name, system in (("model01", model01), ("nonlinear-scalar", scalar)):
         lin = linearize(system)
         mesh = Mesh.uniform(system.curves.horizon, 16)
-        # psi evaluates on the plan the pc assembly hands over
+        # pc sums psi on the plan of its steps
         disc = PCDiscretization(lin, mesh)
-        frozen = disc.take_frozen_plan()
-        ev = PsiEvaluator(lin, disc.times, frozen)
         ref = _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
-        assert [(band.band, [i for i, *_ in band.pairs])
-                for band in ev._bands] == ACTIVE_PAIRS[name]
-        for band, entry in zip(ev._bands, frozen):
+        assert [(band.band, band.equations)
+                for band in disc._psi] == ACTIVE_PAIRS[name]
+        for band in disc._psi:
             starts, ends = ref[band.band][:2]
             # a time owns one 4-panel piece per mesh segment it crosses
             pieces = (ends - starts) // 4
             assert np.array_equal(pieces * 4, ends - starts)
-            _assert_hand_off_is_the_loop(lin, disc.times, entry,
+            _assert_psi_band_is_the_loop(lin, disc.times, band,
                                          ref[band.band], pieces)
 
 
@@ -422,34 +418,35 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
     # gives the coefficients and carries no history
     lin = linearize(builtin(name))
     disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, n))
-    frozen = disc.take_frozen_plan()
     bands = disc._assemble()[0]
-    assert [plan.band for plan, *_ in frozen] == [
+    assert [band.band + 1 for band in disc._psi] == [
         j for j in range(1, lin.n_bands + 1) if lin.nonlinear_equations[j - 1]]
-    for plan, kvs, guess, moments, shift, segment in frozen:
+    for band in disc._psi:
+        plan = band.plan
         _, _, coeff, hist, size, weights = bands[plan.band - 1]
         # a step iterate is one value per piece: psi's R is A's row sums
-        assert shift is None and sorted(moments) == sorted(guess)
-        assert all(moments[i].shape == (plan.piece_time.size, 1)
-                   for i in guess)
+        assert not hasattr(band, "shift")
+        assert all(moments.shape == (plan.piece_time.size, 1)
+                   for moments in band.moments)
         history = np.diff(plan.piece_time, append=-1) == 0
         last = plan.piece_time[~history]
         assert not np.any(coeff[np.setdiff1d(np.arange(n), last)])
         assert plan.abscissas.shape == (plan.piece_time.size, PIECE_PANELS)
-        assert np.array_equal(hist, segment[history])
+        assert np.array_equal(hist, band.segment[history])
         assert np.array_equal(size, np.bincount(plan.piece_time[history],
                                                 minlength=n))
-        assert sorted(guess) == sorted(kvs) == list(
-            lin.nonlinear_equations[plan.band - 1])
-        # A is not handed over: the weights are those of the whole-plan A
+        assert band.equations == list(lin.nonlinear_equations[plan.band - 1])
+        assert len(band.kernels) == len(band.guess) == len(band.equations)
+        # A is not kept: the weights are those of the whole-plan A
         avs = whole_plan_frozen(lin, plan, disc.times)[1]
-        for i in guess:
+        for i in band.equations:
             expected = avs[i].sum(axis=1) * plan.piece_width
             assert weights[i].tobytes() == expected[history].tobytes()
             assert coeff[last, i].tobytes() == expected[~history].tobytes()
-    # the plan is handed over, not shared: a second take is named
-    with pytest.raises(SolverError, match="pc plan was handed over already"):
-        disc.take_frozen_plan()
+    # psi keeps the plan only up to the first step iterate
+    ev = PsiEvaluator(lin, disc)
+    ev.values(disc.solve(ev.values(lin.x0), ev.derivative_at_zero(lin.x0)))
+    assert all(band.plan is None for band in disc._psi)
 
 
 def _moment_case(name):
@@ -480,13 +477,13 @@ def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
     again = collocation.CollocationDiscretization(lin, degree)
     assert np.array_equal(again.matrix, disc.matrix)
     assert np.array_equal(again.zeroth_moments, disc.zeroth_moments)
-    # the plan the moments came from is handed over once, every band of it
-    frozen = disc.take_frozen_plan()
-    assert [entry.plan.band for entry in frozen] == \
-        list(range(1, lin.n_bands + 1))
-    with pytest.raises(SolverError,
-                       match="collocation plan was handed over already"):
-        disc.take_frozen_plan()
+    # psi keeps the plan the moments came from, of every band with a pair
+    # whose G is not x and a segment that is not empty
+    edges = quadrature.band_edges(disc.times, lin.curves)
+    assert [band.band for band in disc._psi] == [
+        j for j, equations in enumerate(lin.nonlinear_equations)
+        if equations and np.any(edges[:, j + 1] > edges[:, j])]
+    assert all(band.plan.panels == disc.panels for band in disc._psi)
 
 
 def test_band_pieces_drop_zero_length_pieces_like_split_interval():

@@ -265,7 +265,7 @@ def test_a_failed_factorization_keeps_no_plan_in_its_traceback(model01):
         tb = tb.tb_next
     init = [f for f in frames
             if f.f_code is CollocationDiscretization.__init__.__code__]
-    assert len(init) == 1 and init[0].f_locals["self"]._frozen is None
+    assert len(init) == 1 and init[0].f_locals["self"]._psi is None
     assert not [name for f in frames for name, v in f.f_locals.items()
                 if isinstance(v, np.ndarray) and v.size >= 15 * 100]
 
@@ -289,7 +289,7 @@ def test_scalar_problem_collocation_via_shared_unknown(scalar):
 
     # psi sums on the plan the moments were taken from
     disc = CollocationDiscretization(lin, degree=2)
-    evaluator = PsiEvaluator(lin, disc.times, disc.take_frozen_plan())
+    evaluator = PsiEvaluator(lin, disc)
     sol = disc.solve(evaluator.values(lin.x0),
                      evaluator.derivative_at_zero(lin.x0))
     assert np.allclose(sol.coefficients, [[0.0, 0.0, 1.0]], atol=1e-7)

@@ -5,7 +5,7 @@ import pytest
 
 from bandvie.config import load_problem
 from bandvie.errors import ProblemDefinitionError, SolverError
-from bandvie.newton import PsiEvaluator, iterate
+from bandvie.newton import iterate
 from bandvie.pc import (
     Mesh,
     PCDiscretization,
@@ -22,6 +22,7 @@ from bandvie.registry import builtin
 
 from helpers import (
     initial_values,
+    origin_terms,
     pc_psi_evaluator,
     pc_solve_reference,
     segment_index,
@@ -99,8 +100,8 @@ def test_initial_values_match_exact_for_all_builtins():
         system = builtin(name)
         lin = linearize(system)
         exact = system.exact_iterate()
-        # only d(psi)/dt at 0 is read: an empty hand-off plans no band
-        evaluator = PsiEvaluator(lin, np.array([system.curves.horizon]), ())
+        # only d(psi)/dt at 0 is read: a solver that sums nothing will do
+        evaluator = origin_terms(lin, [system.curves.horizon])
         x0 = lin.start_values(evaluator.derivative_at_zero(exact))
         expected = [float(system.exact[i](t=0.0))
                     for i in range(system.n_components)]

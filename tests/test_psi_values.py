@@ -1,28 +1,30 @@
-"""PsiEvaluator.values and the Horner iterates against the loops they replace.
+"""Each solver's psi and the Horner iterates against the loops they replace.
 
 Every plan, a collocation plan or the pc plan cut at mesh nodes, sums w *
-(sum A * xm - sum K * G(xm)) per piece.  Psi at the linearization point
-is summed on the plan, piece by piece into f, when the evaluator is
-built.  A solver iterate (a polynomial on a collocation plan, steps on the
-mesh of a pc plan) gives per piece its coefficients D_k in the plan's
-reference powers, and its linear term is D_k . R_k with R = A @ table.T;
-its G term is W_k . G(D_k(v)), G at the n Chebyshev points v_j and W the
-weights of K, for a pair whose G(xm) is a polynomial of degree n - 1;
-the pieces of a time are summed before f is added.  After its first
-solver iterate the evaluator keeps of the plan only what a G summed on
-it needs, so the references read a copy of the plan the test keeps
-(:func:`_kept`).  ``_per_node_values`` is that formula one piece at a
-time and must match bit for bit, given the evaluator's own moments and
-weights; ``_cumsum_values_without_cuts`` is the prefix-sum loop the plans
-without cuts used before, and ``_fsum_values`` an exactly rounded sum of
-the terms per abscissa with the iterate evaluated by ``polyval`` or its
-own ``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of
+(sum A * xm - sum K * G(xm)) per piece, in the solver that built it
+(``add_psi``), and :class:`~bandvie.newton.PsiEvaluator` adds f.  Psi at
+the linearization point is summed on the plan, piece by piece into f,
+when the evaluator is built.  A solver iterate (a polynomial on a
+collocation plan, steps on the mesh of a pc plan) gives per piece its
+coefficients D_k in the plan's reference powers, and its linear term is
+D_k . R_k with R = A @ table.T; its G term is W_k . G(D_k(v)), G at the n
+Chebyshev points v_j and W the weights of K, for a pair whose G(xm) is a
+polynomial of degree n - 1; the pieces of a time are summed before f is
+added.  After its first iterate the solver keeps of the plan only what a
+G summed on it needs, so the references read a copy of the plan the test
+takes before (:func:`_kept`).  ``_per_node_values`` is that formula one
+piece at a time and must match bit for bit, given the solver's own
+moments and weights; ``_cumsum_values_without_cuts`` is the prefix-sum
+loop the plans without cuts used before, and ``_fsum_values`` an exactly
+rounded sum of the terms per abscissa with the iterate evaluated by
+``polyval`` or its own ``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of
 the magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
 abscissa.
 """
 
+import gc
 import math
-from functools import lru_cache
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -35,7 +37,7 @@ from numpy.polynomial.polynomial import polyval
 from bandvie import collocation, quadrature
 from bandvie.collocation import DEFAULT_MOMENT_PANELS, PolynomialSolution
 from bandvie.errors import SolverError
-from bandvie.expr import Expression, polynomial_in_x
+from bandvie.expr import Expression, polynomial_degree
 from bandvie.newton import PsiEvaluator
 from bandvie.newton import iterate as run_newton
 from bandvie.pc import (
@@ -55,7 +57,7 @@ from bandvie.problem import (
 from bandvie.registry import builtin
 
 from helpers import (
-    collocation_hand_off,
+    CollocationPsi,
     empty_band_system,
     guess_sums_reference,
     pc_psi_evaluator,
@@ -125,29 +127,27 @@ def _chebyshev_nodes(n, degree):
     return np.power.outer(v, np.arange(degree + 1)).T
 
 
-def _kept(lin, times, frozen):
-    """Per band psi keeps, in its order, the plan it was handed with K
-    and A of each pair formed on the whole plan (:func:`whole_plan_frozen`):
-    psi is not handed A, and it drops K and the plan at its first solver
-    iterate, so the references read these."""
+def _kept(disc):
+    """Per band the solver's psi keeps, in its order, its plan with K and
+    A of each pair formed on the whole plan (:func:`whole_plan_frozen`):
+    the solver keeps no A, and drops K and the plan at its first iterate,
+    so the references read these, taken before it."""
     out = []
-    for entry in frozen:
-        plan = entry.plan
-        equations = lin.nonlinear_equations[plan.band - 1]
-        if not equations or not plan.piece_width.size:
-            continue
-        kvs, avs = whole_plan_frozen(lin, plan, times)
+    for band in disc._psi:
+        plan = band.plan
+        kvs, avs = whole_plan_frozen(disc.lin, plan, disc.times)
         out.append(SimpleNamespace(
-            band=plan.band - 1, component=lin.unknown_of_band[plan.band - 1],
+            band=band.band, component=band.component,
             panels=plan.panels, piece_time=plan.piece_time,
             piece_width=plan.piece_width,
-            abscissas=plan.abscissas.reshape(-1), segment=entry.segment,
-            shift=entry.shift,
-            pairs=[(i, avs[i], kvs[i]) for i in equations]))
+            abscissas=plan.abscissas.reshape(-1),
+            segment=getattr(band, "segment", None),
+            shift=getattr(band, "shift", None),
+            pairs=[(i, avs[i], kvs[i]) for i in band.equations]))
     return out
 
 
-def _piece_coefficients(lin, plan, iterate):
+def _coefficients_per_piece(lin, plan, iterate):
     """Per band the solver iterate's coefficients D_k on every piece."""
     if isinstance(iterate, PiecewiseConstantSolution):
         return [iterate.values[band.component - 1][band.segment, None]
@@ -162,7 +162,7 @@ def _per_node_values(ev, plan, iterate):
     out = ev._f_vals.copy()
     on_plan = iterate is lin.x0
     if not on_plan:
-        coefficients = _piece_coefficients(lin, plan, iterate)
+        coefficients = _coefficients_per_piece(lin, plan, iterate)
     for b, band in enumerate(plan):
         j, s = band.band, band.abscissas
         if on_plan:
@@ -180,8 +180,8 @@ def _per_node_values(ev, plan, iterate):
                     nonlinear = np.einsum("p,p->", kernel[p], gm[cut])
                     out[i, r] += w * (linear - nonlinear)
                 continue
-            moments = ev._bands[b].moments[q]
-            weights = ev._bands[b].weights[q]
+            moments = ev.disc._psi[b].moments[q]
+            weights = ev.disc._psi[b].weights[q]
             if weights is not None and weights.ndim == 1:
                 # a step iterate: G at its values, times the row sums of K
                 x = np.broadcast_to(g(x=d[:, 0]), weights.shape)
@@ -211,7 +211,7 @@ def _per_node_values(ev, plan, iterate):
 def _terms(ev, plan, iterate):
     """Per (equation, time): the list of terms w * A * xm, -w * K * G(xm)."""
     lin = ev.lin
-    terms = [[[] for _ in ev.times] for _ in range(lin.n_equations)]
+    terms = [[[] for _ in ev.disc.times] for _ in range(lin.n_equations)]
     for band in plan:
         j, s = band.band, band.abscissas
         xm = _iterate_values(lin, iterate, j, s)
@@ -242,9 +242,10 @@ def _cumsum_values_without_cuts(ev, plan, iterate):
         j, s = band.band, band.abscissas
         panels = s.size // band.piece_time.size
         time_index = np.repeat(band.piece_time, panels)
-        kvs, gvs, _ = lin.frozen_factors(j + 1, ev.times[time_index], s)
+        kvs, gvs, _ = lin.frozen_factors(j + 1, ev.disc.times[time_index], s)
         weights = np.repeat(band.piece_width, panels)
-        ends = np.cumsum(np.bincount(time_index, minlength=ev.times.size))
+        ends = np.cumsum(np.bincount(time_index,
+                                     minlength=ev.disc.times.size))
         starts = np.concatenate(([0], ends[:-1]))
         xm = _iterate_values(lin, iterate, j, s)
         for i, *_ in band.pairs:
@@ -319,34 +320,22 @@ def test_sys2_collocation_nodes_bit_identical(sys2):
             got, _cumsum_values_without_cuts(ev, plan, iterate), scale)
 
 
-def _collocation_hand_off(lin, degree, panels=DEFAULT_MOMENT_PANELS):
-    """The times and the plan of ``panels`` panels that a collocation
-    discretization of ``degree`` took its moments from."""
-    # the empty-band system's moment matrix is singular; only its plan is
+def _collocation_disc(lin, degree, panels=DEFAULT_MOMENT_PANELS):
+    """A collocation discretization of ``degree`` on moment plans of
+    ``panels`` panels, used for its psi."""
+    # the empty-band system's moment matrix is singular; only its psi is
     # needed here
     with mock.patch.object(collocation, "LUFactorization",
                            lambda matrix: None):
-        disc = collocation.CollocationDiscretization(lin, degree,
+        return collocation.CollocationDiscretization(lin, degree,
                                                      panels=panels)
-    return disc.times, disc.take_frozen_plan()
 
 
 def _collocation_evaluator(lin, degree, panels=DEFAULT_MOMENT_PANELS):
-    """A psi evaluator on that plan, and the plan (:func:`_kept`)."""
-    times, frozen = _collocation_hand_off(lin, degree, panels)
-    return PsiEvaluator(lin, times, frozen), _kept(lin, times, frozen)
-
-
-@lru_cache(maxsize=None)
-def _node_hand_off(name, nodes, panels, degree):
-    """The discretization's hand-off where ``degree`` is the node count,
-    else the helper's (pinned to it by
-    test_collocation_hand_off_helper_is_the_discretizations)."""
-    lin = linearize(_system(name))
-    if degree == nodes:
-        return (lin, *_collocation_hand_off(lin, nodes, panels))
-    times = collocation.collocation_nodes(lin.curves.horizon, nodes)
-    return lin, times, collocation_hand_off(lin, times, degree, panels)
+    """A psi evaluator of that discretization, and its plan
+    (:func:`_kept`)."""
+    disc = _collocation_disc(lin, degree, panels)
+    return PsiEvaluator(lin, disc), _kept(disc)
 
 
 @pytest.mark.parametrize("name", ["nonlinear-sys2", "s-dependent",
@@ -354,32 +343,38 @@ def _node_hand_off(name, nodes, panels, degree):
 @pytest.mark.parametrize("degree,panels", [(1, 300), (4, 1001)])
 def test_collocation_hand_off_helper_is_the_discretizations(
         name, degree, panels):
+    # the helper's psi, at any times, is the discretization's at its nodes
     lin = linearize(_system(name))
-    times, frozen = _collocation_hand_off(lin, degree, panels)
-    helper = collocation_hand_off(lin, times, degree, panels)
-    assert len(helper) == len(frozen)
-    for got, want in zip(helper, frozen):
-        assert got.plan.band == want.plan.band
+    disc = _collocation_disc(lin, degree, panels)
+    helper = CollocationPsi(lin, disc.times, degree, panels)
+    assert len(helper._psi) == len(disc._psi)
+    for got, want in zip(helper._psi, disc._psi):
+        assert (got.band, got.component) == (want.band, want.component)
+        assert got.equations == want.equations
         for field in ("abscissas", "piece_time", "piece_width", "piece_lo"):
             assert np.array_equal(getattr(got.plan, field),
                                   getattr(want.plan, field))
-        for field in ("kernel", "guess", "moments"):
-            got_arrays, want_arrays = getattr(got, field), getattr(want, field)
-            assert got_arrays.keys() == want_arrays.keys()
-            for i in want_arrays:
-                assert got_arrays[i].tobytes() == want_arrays[i].tobytes()
+        for field in ("kernels", "guess", "moments"):
+            assert [a.tobytes() for a in getattr(got, field)] \
+                == [a.tobytes() for a in getattr(want, field)]
         assert got.shift.tobytes() == want.shift.tobytes()
-        assert got.segment is want.segment is None
+        assert np.array_equal(got.times, want.times)
 
 
 def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS, degree=None):
     """A new psi evaluator on the collocation plan of a test system at
-    ``nodes`` nodes, built once, for iterates of ``degree`` (default: the
-    node count, as a collocation discretization hands it over), and the
+    ``nodes`` nodes, for iterates of ``degree`` (default: the node count,
+    the discretization's own; else the helper's, pinned to it by
+    test_collocation_hand_off_helper_is_the_discretizations), and the
     plan (:func:`_kept`)."""
-    hand_off = _node_hand_off(name, nodes, panels,
-                              nodes if degree is None else degree)
-    return PsiEvaluator(*hand_off), _kept(*hand_off)
+    lin = linearize(_system(name))
+    if degree is None or degree == nodes:
+        disc = _collocation_disc(lin, nodes, panels)
+    else:
+        disc = CollocationPsi(
+            lin, collocation.collocation_nodes(lin.curves.horizon, nodes),
+            degree, panels)
+    return PsiEvaluator(lin, disc), _kept(disc)
 
 
 @settings(max_examples=25, deadline=None)
@@ -415,8 +410,8 @@ def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
                                                        nodes, panels):
     # the linear term comes from the moments R = A @ table.T, and for a
     # polynomial G the nonlinear one from the weights of K at g * d + 1
-    # Chebyshev points; R is handed over at the degree of the iterates, so
-    # every degree has a hand-off of its own
+    # Chebyshev points; R is kept at the degree of the iterates, so every
+    # degree has a psi of its own
     ev, plan = _node_evaluator(name, nodes, panels, degree)
     system = ev.lin.system
     rng = np.random.default_rng(seed)
@@ -426,19 +421,13 @@ def test_no_cut_psi_agrees_with_an_exactly_rounded_sum(name, degree, seed,
     _assert_sums_agree(ev.values(iterate), exact, scale)
 
 
-@lru_cache(maxsize=None)
-def _cut_hand_off(name, n_segments):
+def _cut_evaluator(name, n_segments):
+    """A new psi evaluator of a pc discretization of a uniform mesh, its
+    plan (:func:`_kept`), and the mesh."""
     lin = linearize(_system(name))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
     disc = PCDiscretization(lin, mesh)
-    return mesh, lin, disc.times, disc.take_frozen_plan()
-
-
-def _cut_evaluator(name, n_segments):
-    """A new psi evaluator on the plan a pc discretization of a uniform
-    mesh hands over, built once, the plan (:func:`_kept`), and the mesh."""
-    mesh, *hand_off = _cut_hand_off(name, n_segments)
-    return PsiEvaluator(*hand_off), _kept(*hand_off), mesh
+    return PsiEvaluator(lin, disc), _kept(disc), mesh
 
 
 @settings(max_examples=25, deadline=None)
@@ -485,10 +474,9 @@ def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
     # for band 1 only, in the pass that forms the frozen kernel, and psi
     # evaluates it nowhere
     assert counting.components == [1]
-    handed = disc.take_frozen_plan()
-    ev = PsiEvaluator(lin, disc.times, handed)
+    ev = PsiEvaluator(lin, disc)
     assert counting.components == [1]
-    plan = _kept(lin, disc.times, handed)
+    plan = _kept(disc)
     for iterate in (lin.x0, solve_linear_pc(scalar, n_segments=16)):
         assert np.array_equal(ev.values(iterate),
                               _per_node_values(ev, plan, iterate))
@@ -501,9 +489,8 @@ def test_mesh_cut_psi_agrees_with_an_exactly_rounded_sum(sys2, n_segments):
     lin = linearize(sys2)
     disc = PCDiscretization(lin, Mesh.uniform(sys2.curves.horizon,
                                               n_segments))
-    handed = disc.take_frozen_plan()
-    ev = PsiEvaluator(lin, disc.times, handed)
-    plan = _kept(lin, disc.times, handed)
+    ev = PsiEvaluator(lin, disc)
+    plan = _kept(disc)
     pc_iterate, _ = run_newton(sys2, method="pc", n_segments=n_segments,
                                max_iters=3)
     exact, scale = _fsum_values(ev, plan, pc_iterate)
@@ -545,9 +532,8 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
     lin = linearize(model01)
     lin.origin_factors          # the t = 0 values belong to the start matrix
     disc = PCDiscretization(lin, Mesh.uniform(model01.curves.horizon, 16))
-    # every G is x: the assembly hands psi no band
-    handed = disc.take_frozen_plan()
-    assert handed == []
+    # every G is x: psi keeps no band
+    assert disc._psi == []
     evaluated, frozen_calls = [], []
     call, frozen = Expression.__call__, LinearizedSystem.frozen_factors
 
@@ -561,7 +547,7 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
 
     monkeypatch.setattr(Expression, "__call__", counting_call)
     monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting_frozen)
-    ev = PsiEvaluator(lin, disc.times, frozen=handed)
+    ev = PsiEvaluator(lin, disc)
     assert frozen_calls == []
     kernels = [e for row in model01.kernels + model01.g_x for e in row]
     assert not any(any(e is k for k in kernels) for e in evaluated)
@@ -569,7 +555,7 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
     assert model01.curves.interior
     assert not any(any(e is c for c in model01.curves.interior)
                    for e in evaluated)
-    assert ev._bands == []
+    assert np.array_equal(ev.values(lin.x0), ev._f_vals)
 
 
 def test_reused_buffer_carries_no_state_between_calls():
@@ -587,7 +573,7 @@ def test_reused_buffer_carries_no_state_between_calls():
         for iterate in (a, b, a, b):
             assert np.array_equal(ev.values(iterate),
                                   build().values(iterate))
-        assert all(band.buffer is not None for band in ev._bands)
+        assert all(band.buffer is not None for band in ev.disc._psi)
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
@@ -613,7 +599,7 @@ def test_step_psi_evaluates_g_once_per_piece_and_locates_no_abscissa(
     # evaluated or located
     assert evaluated == [(system.nonlinearities[i][band.band], True,
                           band.piece_width.size)
-                         for band in ev._bands for i, *_ in band.pairs]
+                         for band in ev.disc._psi for i in band.equations]
     assert located == []
 
 
@@ -627,12 +613,11 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
     lin.nonlinear_equations = tuple(tuple(range(lin.n_equations))
                                     for _ in range(lin.n_bands))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    frozen = PCDiscretization(lin, mesh).take_frozen_plan()
-    assert [entry.plan.band for entry in frozen] == list(
-        range(1, lin.n_bands + 1))
-    for entry in frozen:
-        located = mesh.segment_indices(entry.plan.abscissas) - 1
-        assert np.array_equal(located, np.repeat(entry.segment[:, None],
+    bands = PCDiscretization(lin, mesh)._psi
+    assert [band.band for band in bands] == list(range(lin.n_bands))
+    for band in bands:
+        located = mesh.segment_indices(band.plan.abscissas) - 1
+        assert np.array_equal(located, np.repeat(band.segment[:, None],
                                                  PIECE_PANELS, axis=1))
 
 
@@ -640,15 +625,12 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
     # R = A @ table.T is the product the moment assembly takes, bit for bit
     lin = linearize(sys2)
     disc = collocation.CollocationDiscretization(lin, 4)
-    frozen = disc.take_frozen_plan()
     table = quadrature.reference_powers(disc.panels, 4)
-    products = [[whole_plan_frozen(lin, entry.plan, disc.times)[1][i]
-                 @ table.T
-                 for i in lin.nonlinear_equations[entry.plan.band - 1]]
-                for entry in frozen]
-    ev = PsiEvaluator(lin, disc.times, frozen=frozen)
+    products = [[whole_plan_frozen(lin, band.plan, disc.times)[1][i]
+                 @ table.T for i in band.equations] for band in disc._psi]
+    ev = PsiEvaluator(lin, disc)
     ev.values(_polynomial(sys2, 5, degree=4))
-    assert [[r.tobytes() for r in band.moments] for band in ev._bands] \
+    assert [[r.tobytes() for r in band.moments] for band in disc._psi] \
         == [[r.tobytes() for r in band] for band in products]
 
 
@@ -673,11 +655,10 @@ def test_collocation_psi_after_the_guess_evaluates_no_g(name, monkeypatch):
     # every G is a polynomial: after the guess no G is evaluated on the
     # plan, with its abscissas or at the iterate on its panels, and neither
     # A nor K is kept
-    panels = {band.panels for band in ev._bands}
-    assert evaluated and all(free and shape[-1] not in panels
+    assert evaluated and all(free and shape[-1] != ev.disc.panels
                              for free, shape in evaluated)
     assert all(kernel is None and band.buffer is None
-               for band in ev._bands for _, kernel in band.pairs)
+               for band in ev.disc._psi for kernel in band.kernels)
     assert np.array_equal(guess, ev.values(ev.lin.x0))
     assert np.array_equal(first, got)
     assert np.array_equal(got, _per_node_values(ev, plan, iterate))
@@ -707,10 +688,9 @@ def test_collocation_psi_evaluates_each_g_once_on_its_chebyshev_points(
     assert evaluated == [
         (nonlinearities[i][band.band], True, (
             band.piece_width.size,
-            (polynomial_in_x(nonlinearities[i][band.band], 60).size - 1) * 6
-            + 1))
-        for band in ev._bands for i, *_ in band.pairs]
-    assert all(band.abscissas is None for band in ev._bands)
+            polynomial_degree(nonlinearities[i][band.band], 60) * 6 + 1))
+        for band in ev.disc._psi for i in band.equations]
+    assert all(band.abscissas is None for band in ev.disc._psi)
     assert np.array_equal(got, _per_node_values(ev, plan, iterate))
 
 
@@ -722,8 +702,8 @@ def test_only_a_band_with_g_summed_on_the_plan_holds_a_buffer(name, planned):
     system = _system(name)
     ev, _ = _node_evaluator(name, 5, 700, degree=6)
     ev.values(_polynomial(system, 7))
-    assert [band.buffer is not None for band in ev._bands] == planned
-    for band in ev._bands:
+    assert [band.buffer is not None for band in ev.disc._psi] == planned
+    for band in ev.disc._psi:
         if band.buffer is not None:
             assert band.buffer.shape == (band.piece_width.size, 700)
     # a step iterate: only a G with s is summed on the plan
@@ -732,7 +712,7 @@ def test_only_a_band_with_g_summed_on_the_plan_holds_a_buffer(name, planned):
         mesh, np.zeros(system.n_components),
         np.ones((system.n_components, 16)), system.component_domains())
     ev.values(steps)
-    assert [band.buffer is not None for band in ev._bands] == planned
+    assert [band.buffer is not None for band in ev.disc._psi] == planned
 
 
 #: per band (0-based) of the s-dependent system, the 0-based equations
@@ -753,19 +733,22 @@ def test_psi_keeps_only_what_its_later_calls_read(name, cut):
         iterate = _polynomial(system, 5, degree=5)
     ev.values(ev.lin.x0)
     ev.values(iterate)
-    # psi is handed no A, and after the first solver iterate only a pair
+    # psi keeps no A, and after the first solver iterate only a pair
     # whose G uses s keeps K, its band the abscissas and a buffer
     on_plan = S_PAIRS if name == "s-dependent" else {}
-    for band in ev._bands:
+    for band in ev.disc._psi:
         summed = on_plan.get(band.band, [])
-        assert all(len(pair) == 2 for pair in band.pairs)
-        assert [i for i, kernel in band.pairs
+        assert len(band.kernels) == len(band.moments) == len(band.weights) \
+            == len(band.equations)
+        assert [i for i, kernel in zip(band.equations, band.kernels)
                 if kernel is not None] == summed
         assert (band.abscissas is not None) == bool(summed)
         assert (band.buffer is not None) == bool(summed)
-        # the times of the runs replace those of the pieces
-        assert band.piece_time is None
-        assert band.run_time.shape == band.runs.shape
+        # neither the plan nor the guess sums are kept; a pc band keeps
+        # the time of each run, not of each piece
+        assert band.plan is None and band.guess is None
+        assert band.times.shape == (band.runs.shape if cut
+                                    else band.piece_width.shape)
 
 
 @pytest.mark.parametrize("name", ["nonlinear-sys2", "nonlinear-scalar",
@@ -779,58 +762,102 @@ def test_handed_over_guess_sums_are_the_whole_plan_sums(name, cut):
         disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, 128))
     else:
         disc = collocation.CollocationDiscretization(lin, 7)
-    frozen = disc.take_frozen_plan()
-    for entry in frozen:
+    for band in disc._psi:
         # each plan spans more than one block of the pass
-        assert entry.plan.piece_width.size * entry.plan.panels > BLOCK_VALUES
-        reference = guess_sums_reference(lin, entry.plan, disc.times)
-        assert sorted(entry.guess) == sorted(reference)
-        for i, sums in reference.items():
-            assert entry.guess[i].tobytes() == sums.tobytes()
+        assert band.plan.piece_width.size * band.plan.panels > BLOCK_VALUES
+        reference = guess_sums_reference(lin, band.plan, disc.times)
+        assert band.equations == sorted(reference)
+        for i, sums in zip(band.equations, band.guess):
+            assert sums.tobytes() == reference[i].tobytes()
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
 def test_pc_psi_keeps_per_piece_only_the_width_segment_and_sums(name):
     ev, _, mesh = _cut_evaluator(name, 64)
-    pieces = [band.piece_time.size for band in ev._bands]
     ev.values(_steps(ev.lin.system, mesh, 1))
-    for band, size in zip(ev._bands, pieces):
-        assert band.piece_time is None and band.abscissas is None
+    for band in ev.disc._psi:
+        assert band.plan is None and band.abscissas is None
         # one time per run, at most one run per mesh node
-        assert band.run_time.shape == band.runs.shape
+        assert band.times.shape == band.runs.shape
         assert band.runs.size <= 64
         # per piece the panel width, the int32 mesh segment, and per pair
         # the row sums of A and of K
         assert band.segment.dtype == np.int32
         kept = [band.piece_width, band.segment, *band.moments,
                 *band.weights]
-        assert sum(a.nbytes for a in kept) == size * (
-            8 + 4 + 16 * len(band.pairs))
+        assert sum(a.nbytes for a in kept) == band.piece_width.size * (
+            8 + 4 + 16 * len(band.equations))
 
 
 @pytest.mark.parametrize("cut", [False, True])
 def test_psi_refuses_an_iterate_its_solver_does_not_make(sys2, cut):
-    if cut:
-        ev, _, mesh = _cut_evaluator("nonlinear-sys2", 16)
-        first, second = _steps(sys2, mesh, 1), _polynomial(sys2, 2, degree=4)
-    else:
-        ev, _ = _node_evaluator("nonlinear-sys2", 4)
-        first = _polynomial(sys2, 1, degree=4)
-        second = _polynomial(sys2, 2, degree=5)
+    mesh = Mesh.uniform(sys2.curves.horizon, 16)
     other_mesh = _steps(sys2, Mesh.uniform(sys2.curves.horizon, 32), 3)
+    if cut:
+        build = lambda: _cut_evaluator("nonlinear-sys2", 16)[0]  # noqa: E731
+        first = _steps(sys2, mesh, 1)
+        refused = [(_polynomial(sys2, 2, degree=4), "PolynomialSolution"),
+                   (other_mesh, "PiecewiseConstantSolution on a mesh of 32 "
+                                "segments")]
+    else:
+        build = lambda: _node_evaluator("nonlinear-sys2", 4)[0]  # noqa: E731
+        first = _polynomial(sys2, 1, degree=4)
+        refused = [(_polynomial(sys2, 2, degree=5),
+                    "PolynomialSolution of degree 5"),
+                   (_steps(sys2, mesh, 2), "PiecewiseConstantSolution"),
+                   (other_mesh, "PiecewiseConstantSolution")]
     # an expression iterate is served only as the linearization point
-    for expression in (sys2.exact_iterate(), sys2.guess_iterate()):
-        with pytest.raises(SolverError, match="got ExpressionIterate$"):
-            ev.values(expression)
-    want = ev.values(first)
-    with pytest.raises(SolverError, match="got PolynomialSolution of "
-                                          f"degree {second.degree}$"):
-        ev.values(second)
-    with pytest.raises(SolverError, match="got PiecewiseConstantSolution on "
-                                          "a mesh of 32 segments$"):
-        ev.values(other_mesh)
-    # a refused iterate leaves the evaluator as it was
-    assert np.array_equal(ev.values(first), want)
+    refused += [(sys2.exact_iterate(), "ExpressionIterate"),
+                (sys2.guess_iterate(), "ExpressionIterate")]
+    ev = build()
+    for _ in range(2):
+        for iterate, got in refused:
+            with pytest.raises(SolverError, match=f"got {got}$"):
+                ev.values(iterate)
+        # a refused iterate leaves the solver as it was: before its first
+        # iterate it still holds K and its guess sums, and psi reads as on
+        # a solver that never saw one
+        if ev.disc._psi[0].weights is None:
+            assert all(band.guess is not None and all(
+                kernel is not None for kernel in band.kernels)
+                for band in ev.disc._psi)
+            assert np.array_equal(ev.values(first), build().values(first))
+    assert np.array_equal(ev.values(first), build().values(first))
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("name, summed", [
+    ("nonlinear-sys2", {}), ("nonlinear-scalar", {}),
+    ("s-dependent", S_PAIRS)])
+def test_k_of_a_pair_with_weights_goes_at_the_first_solver_iterate(
+        name, summed, cut, monkeypatch):
+    # K of every pair that gets weights is reachable neither from the
+    # solver nor from psi once its first iterate is summed; only K of a G
+    # summed on the plan stays
+    kept = []
+    frozen_pairs = LinearizedSystem.frozen_pairs
+
+    def recording(self, *args):
+        for i, a, kernel, guess in frozen_pairs(self, *args):
+            if kernel is not None:
+                kept.append((args[0].band - 1, i, weakref.ref(kernel)))
+            yield i, a, kernel, guess
+
+    monkeypatch.setattr(LinearizedSystem, "frozen_pairs", recording)
+    system = _system(name)
+    if cut:
+        ev, _, mesh = _cut_evaluator(name, 16)
+        iterate = _steps(system, mesh, 1)
+    else:
+        ev, _ = _node_evaluator(name, 5, 700)
+        iterate = _polynomial(system, 1, degree=5)
+    gc.collect()
+    assert kept and all(ref() is not None for *_, ref in kept)
+    ev.values(ev.lin.x0)
+    ev.values(iterate)
+    gc.collect()
+    assert [(j, i) for j, i, ref in kept if ref() is not None] == [
+        (j, i) for j, i, _ in kept if i in summed.get(j, [])]
 
 
 @pytest.mark.parametrize("name, cut", [("model01", True), ("model02", False)])
@@ -840,7 +867,7 @@ def test_an_empty_hand_off_gives_f_for_any_iterate(name, cut):
         ev, plan, _ = _cut_evaluator(name, 16)
     else:
         ev, plan = _node_evaluator(name, 4)
-    assert plan == []
+    assert plan == [] and ev.disc._psi == []
     mesh = Mesh.uniform(system.curves.horizon, 32)
     for iterate in (system.exact_iterate(), _polynomial(system, 1),
                     _polynomial(system, 2, degree=9), _steps(system, mesh, 3)):

@@ -26,6 +26,7 @@ from helpers import (
     correction_norm_reference,
     derivative_at_zero_reference,
     errors_reference,
+    origin_terms,
 )
 
 BUILTINS = [name for name, _ in list_builtins()]
@@ -60,7 +61,7 @@ def test_sys2_collocation_records_match_an_uncached_loop(sys2):
     _, report = iterate(sys2, method="collocation", degree=5)
     lin = linearize(sys2)
     disc = CollocationDiscretization(lin, 5)
-    evaluator = PsiEvaluator(lin, disc.times, frozen=disc.take_frozen_plan())
+    evaluator = PsiEvaluator(lin, disc)
     current, previous = lin.x0, None
     for record in report.records:
         solution = collocation_solve_reference(
@@ -146,8 +147,8 @@ def test_a_study_measures_each_solved_point_once(monkeypatch, capsys):
 def test_derivative_at_zero_matches_the_full_loop(name):
     system = builtin(name)
     lin = linearize(system)
-    # d(psi)/dt at 0 reads no plan: an empty hand-off plans no band
-    evaluator = PsiEvaluator(lin, collocation_nodes(system.horizon, 3), ())
+    # d(psi)/dt at 0 reads no plan: a solver that sums nothing will do
+    evaluator = origin_terms(lin, collocation_nodes(system.horizon, 3))
     domains = system.component_domains()
     n = system.n_components
     iterates = [system.guess_iterate(),
