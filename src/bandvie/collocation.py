@@ -160,6 +160,22 @@ class PolynomialSolution:
             acc += ck
         return acc
 
+    def plan_values(self, i, plan):
+        """Component i on the pieces of a band ``plan``, as
+        :meth:`bandvie.problem.ExpressionIterate.plan_values`: per piece
+        its coefficients D in the plan's reference powers, c_hat @ S with
+        c_hat_l = c_l * T^l, T the horizon (the largest component domain),
+        and S the piece's :func:`quadrature.power_shift`; the values on a
+        block are one product of its rows of D with the table of
+        :func:`quadrature.reference_powers`."""
+        m = self.degree
+        scale = max(self.component_domains)
+        shift = quadrature.power_shift(
+            plan.piece_lo, plan.piece_width * plan.panels, scale, m)
+        d = (self.coefficients[i - 1] * scale ** np.arange(m + 1)) @ shift
+        table = quadrature.reference_powers(plan.panels, m)
+        return lambda rows, s: d[rows] @ table
+
     def value_at_zero(self, i):
         return float(self.coefficients[i - 1, 0])
 

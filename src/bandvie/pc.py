@@ -113,6 +113,30 @@ class PiecewiseConstantSolution:
         out = self.values[i - 1][idx - 1]
         return np.where(ts == 0.0, self.start[i - 1], out)
 
+    def plan_values(self, i, plan):
+        """Component i on the pieces of a band ``plan``, as
+        :meth:`bandvie.problem.ExpressionIterate.plan_values`: a (rows, 1)
+        column, the value of each piece's first abscissa.
+
+        On a plan cut at the mesh nodes, as the residual oracle's are, a
+        piece lies in one segment, or is a few ulps long beside a node,
+        with some abscissas rounded onto the node and the others above
+        it.  So a piece whose first and last abscissas read one value
+        reads it at every abscissa; a block with a piece that does not is
+        read at every abscissa.
+        """
+        first, last = (
+            self.component_values(i, plan.offsets[q] * plan.piece_width
+                                  + plan.piece_lo) for q in (0, -1))
+        split = first != last
+        column = first[:, None]
+
+        def values(rows, s):
+            if split[rows].any():
+                return self.component_values(i, s)
+            return column[rows]
+        return values
+
     def value_at_zero(self, i):
         return float(self.start[i - 1])
 

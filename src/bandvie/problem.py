@@ -280,6 +280,12 @@ class ExpressionIterate:
             values = np.broadcast_to(values, ts.shape).copy()
         return values
 
+    def plan_values(self, i, plan):
+        """Component i on the pieces of a band ``plan``: a function of a
+        slice of its pieces and their abscissas ``s`` that gives the
+        values there, here the expression at every abscissa."""
+        return lambda rows, s: self.component_values(i, s)
+
     def value_at_zero(self, i):
         return float(self.exprs[i - 1](t=0.0))
 
@@ -817,16 +823,37 @@ def band_quadrature_residual(system, solution, t, panels=2000):
     path.  Each band segment is split further at the solution's k
     breakpoints in (0, T), and every piece gets ceil(panels / (k + 1))
     panels, so a smooth solution (k = 0) gets ``panels`` per band segment.
-    The share depends on the horizon T only, so a time reads the same
-    alone as in any batch.  ``t`` may be a scalar (result shape
-    (n_equations,)) or an array of times (result shape (n_equations,) +
-    t.shape), all integrated in one quadrature plan.  ``panels`` must be
-    an integer >= 1 (ValueError otherwise).
+    The share depends on the horizon T only, so a time gets the same
+    panels alone as in any batch, and the same bits but for a polynomial
+    solution, whose values on a block of one row take another BLAS path.
+    ``t`` may be a scalar (result shape (n_equations,)) or an array of
+    times (result shape (n_equations,) + t.shape), all integrated in one
+    quadrature plan per band.
+
+    Each plan is walked in row blocks of about ``BLOCK_VALUES`` values,
+    whole pieces: a block forms its own abscissas, K and G, and keeps
+    only its per-piece sums, each piece summed alone.  The solution is
+    read once per plan (its ``plan_values``), which hands back its values
+    per block: one value per piece for a step function, a product with
+    the plan's reference powers for a polynomial.
+
+    Raises
+    ------
+    ValueError
+        If ``panels`` is not an integer >= 1, or a time is not finite or
+        lies outside [0, T]; the first such time is named.
+    CurveOrderingError
+        If a curve drops below the one before it at a time.
     """
     panels = quadrature.checked_count("panels", panels)
     t = np.asarray(t, dtype=float)
     times = t.ravel()
-    cuts = solution.breakpoints_in(0.0, system.curves.horizon)
+    horizon = system.curves.horizon
+    outside = ~((times >= 0.0) & (times <= horizon))    # nan is outside
+    if outside.any():
+        raise ValueError(f"t must be finite and lie in [0, T = {horizon}], "
+                         f"got {times[np.argmax(outside)]}")
+    cuts = solution.breakpoints_in(0.0, horizon)
     plans = quadrature.band_plan(times, system.curves,
                                  -(-panels // (cuts.size + 1)), cuts=cuts)
     # bincount adds in array order: per time -f_i(t) first, then the piece
@@ -836,16 +863,25 @@ def band_quadrature_residual(system, solution, t, panels=2000):
              for f in system.rhs]
     for plan in plans:
         j = plan.band - 1
-        s = plan.abscissas
+        kernels = [row[j] for row in system.kernels]
+        nonlinearities = [row[j] for row in system.nonlinearities]
+        values = solution.plan_values(system.unknown_of_band[j], plan)
         tv = times[plan.piece_time, None]
-        xvals = solution.component_values(system.unknown_of_band[j], s)
+        sums = np.empty((system.n_equations, plan.piece_width.size))
+        step = max(1, BLOCK_VALUES // plan.panels)
+        product = np.empty((min(step, sums.shape[1]), plan.panels))
+        for start in range(0, sums.shape[1], step):
+            rows = slice(start, start + step)
+            s = plan.rows(rows)
+            x = values(rows, s)
+            block = product[:s.shape[0]]
+            for i, (k, g) in enumerate(zip(kernels, nonlinearities)):
+                np.multiply(k(t=tv[rows], s=s), g(s=s, x=x), out=block)
+                sums[i, rows] = plan.piece_sums(block)
+        sums *= plan.piece_width
         index.append(plan.piece_time)
-        for i in range(system.n_equations):
-            kv = np.broadcast_to(np.asarray(
-                system.kernels[i][j](t=tv, s=s), float), s.shape)
-            gv = np.broadcast_to(np.asarray(
-                system.nonlinearities[i][j](s=s, x=xvals), float), s.shape)
-            terms[i].append(plan.piece_sums(kv * gv) * plan.piece_width)
+        for row, piece_sums in zip(terms, sums):
+            row.append(piece_sums)
     index = np.concatenate(index)
     out = np.vstack([
         np.bincount(index, weights=np.concatenate(row), minlength=times.size)

@@ -16,14 +16,17 @@ only its pieces; a caller forms the block, or a run of its rows at a
 time (:meth:`BandPlan.rows`), where it evaluates on it.  A caller that
 cuts the segments at k points and wants a panel budget per segment gives
 each piece ceil(panels / (k + 1)) panels, as the residual oracle
-(:func:`bandvie.problem.band_quadrature_residual`) does.
+(:func:`bandvie.problem.band_quadrature_residual`) does; it walks each
+plan in row blocks and reads the solution once per piece, a polynomial
+through the reference powers below.
 
 Every piece of such a plan is an affine image s = lo + u * (panels *
 width) of one reference grid u_q = (q + 1/2) / panels, so the powers
 (s / T)^l of a polynomial on a plan come from one table of the reference
 powers u_q^r (:func:`reference_powers`) and a small binomial shift per
-piece (:func:`power_shift`): the collocation moments and the polynomial
-iterates of psi are products with that table.
+piece (:func:`power_shift`): the collocation moments, the polynomial
+iterates of psi and a polynomial solution in the residual oracle are
+products with that table.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 
 from types import SimpleNamespace
 
+from bandvie import quadrature
 from bandvie.collocation import (
     DEFAULT_MOMENT_PANELS,
     CollocationDiscretization,
@@ -30,12 +31,57 @@ def unflatten_index(r, m):
 
 
 def empty_band_system():
-    """Three bands with alpha_1 = t: band 2 is empty at every t, band 3 not."""
+    """Three bands with alpha_1 = alpha_2 = t/2: band 2 is empty at every
+    t, band 3, whose G_1,3 = x^2 adds to psi, is not."""
     return VolterraSystem(
-        curves=CurveFamily(1.0, ("t", "t")),
+        curves=CurveFamily(1.0, ("t/2", "t/2")),
         kernels=[["1+t+s", "2", "1"], ["1+t-s", "-1", "3"]],
         nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
         rhs=["t", "t^2"], unknown_of_band=(1, 2, 2), guess=["1+t", "t"])
+
+
+def repeated_curve_system():
+    """Three bands, the middle one of zero length at every t."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2", "t/2")),
+        kernels=[["1+t+s", "3", "1"], ["1+t-s", "5", "-1"]],
+        nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
+        rhs=["t", "t^2"], unknown_of_band=(1, 1, 2), guess=["1+t", "t"])
+
+
+def residual_reference(system, solution, t, panels=2000, magnitude=False):
+    """:func:`~bandvie.problem.band_quadrature_residual` on each whole
+    (pieces, panels) plan at once, the solution read at every abscissa:
+    the values the blocked oracle must give.  With ``magnitude``, the sum
+    of the magnitudes of its terms, |f| and w * |K * G|, instead."""
+    t = np.asarray(t, dtype=float)
+    times = t.ravel()
+    cuts = solution.breakpoints_in(0.0, system.curves.horizon)
+    plans = quadrature.band_plan(times, system.curves,
+                                 -(-panels // (cuts.size + 1)), cuts=cuts)
+    sign = np.abs if magnitude else np.negative
+    index = [np.arange(times.size)]
+    terms = [[sign(np.broadcast_to(np.asarray(f(t=times), float),
+                                   times.shape))]
+             for f in system.rhs]
+    for plan in plans:
+        j = plan.band - 1
+        s = plan.abscissas
+        tv = times[plan.piece_time, None]
+        xvals = solution.component_values(system.unknown_of_band[j], s)
+        index.append(plan.piece_time)
+        for i in range(system.n_equations):
+            kv = np.broadcast_to(np.asarray(
+                system.kernels[i][j](t=tv, s=s), float), s.shape)
+            gv = np.broadcast_to(np.asarray(
+                system.nonlinearities[i][j](s=s, x=xvals), float), s.shape)
+            product = np.abs(kv * gv) if magnitude else kv * gv
+            terms[i].append(plan.piece_sums(product) * plan.piece_width)
+    index = np.concatenate(index)
+    out = np.vstack([
+        np.bincount(index, weights=np.concatenate(row), minlength=times.size)
+        for row in terms])
+    return out.reshape((system.n_equations,) + t.shape)
 
 
 def lu_solve(a, b):

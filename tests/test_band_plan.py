@@ -31,6 +31,7 @@ from bandvie.registry import builtin
 from helpers import (
     empty_band_system,
     guess_sums_reference,
+    repeated_curve_system,
     segment_index,
     whole_plan_frozen,
 )
@@ -214,18 +215,6 @@ def _loop_moments(lin, degree, panels=collocation.DEFAULT_MOMENT_PANELS):
     return out["matrix"], out["zeroth"]
 
 
-def _repeated_curve_system():
-    """Three bands, the middle one of zero length at every t."""
-    return VolterraSystem(
-        curves=CurveFamily(1.0, ("t/2", "t/2")),
-        kernels=[["1+t+s", "3", "1"], ["1+t-s", "5", "-1"]],
-        nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
-        rhs=["t", "t^2"],
-        unknown_of_band=(1, 1, 2),
-        guess=["1+t", "t"],
-    )
-
-
 @pytest.fixture(scope="module")
 def model01_pc(model01):
     # N = 16 on [0, 2]: t/2 lands exactly on a mesh node at every even step
@@ -276,7 +265,7 @@ def test_residual_matches_loop_for_scalar_and_array_times(model01, model01_pc,
 
 
 def test_residual_with_zero_length_band():
-    system = _repeated_curve_system()
+    system = repeated_curve_system()
     times = np.linspace(0.0, 1.0, 11)
     for solution in (system.guess_iterate(),
                      solve_linear_pc(system, n_segments=8)):
@@ -308,7 +297,7 @@ def test_pc_assembly_matches_loop(name, n):
     pieces); the step's weights, summed per flat position, must be the
     rows of inverse times that matrix that the step writes.
     """
-    system = _repeated_curve_system() if name == "repeated" else builtin(name)
+    system = repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     mesh = Mesh.uniform(system.curves.horizon, n)
     got = PCDiscretization(lin, mesh)._steps
@@ -377,7 +366,7 @@ def _assert_psi_band_is_the_loop(lin, times, band, ref, pieces):
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
 def test_psi_plan_without_cuts_is_bit_identical(name):
     # collocation sums psi on the plan of its moments
-    system = _repeated_curve_system() if name == "repeated" else builtin(name)
+    system = repeated_curve_system() if name == "repeated" else builtin(name)
     lin = linearize(system)
     disc = collocation.CollocationDiscretization(lin, 6, panels=500)
     ref = _loop_psi_plan(lin, disc.times, panels=500)

@@ -323,8 +323,7 @@ def test_sys2_collocation_nodes_bit_identical(sys2):
 def _collocation_disc(lin, degree, panels=DEFAULT_MOMENT_PANELS):
     """A collocation discretization of ``degree`` on moment plans of
     ``panels`` panels, used for its psi."""
-    # the empty-band system's moment matrix is singular; only its psi is
-    # needed here
+    # only its psi is needed here, so the moment system is not factorized
     with mock.patch.object(collocation, "LUFactorization",
                            lambda matrix: None):
         return collocation.CollocationDiscretization(lin, degree,
