@@ -35,6 +35,9 @@ _VALIDATION_ERRORS = (
 #: solution
 _RESIDUAL_SAMPLES = 51
 
+#: per method, the least --nodes (pc) or --degree (collocation)
+_LEAST = {"pc": 2, "collocation": 1}
+
 
 def _add_common(parser):
     src = parser.add_mutually_exclusive_group(required=True)
@@ -80,16 +83,17 @@ def _check_limits(args, parser):
 
 
 def _method_parameter(args, parser):
+    least = _LEAST[args.method]
     if args.method == "pc":
         if args.nodes is None or args.degree is not None:
             parser.error("--method pc takes --nodes N (not --degree)")
-        if args.nodes < 2:
-            parser.error("--nodes must be at least 2")
+        if args.nodes < least:
+            parser.error(f"--nodes must be at least {least}")
         return "N", args.nodes
     if args.degree is None or args.nodes is not None:
         parser.error("--method collocation takes --degree M (not --nodes)")
-    if args.degree < 1:
-        parser.error("--degree must be at least 1")
+    if args.degree < least:
+        parser.error(f"--degree must be at least {least}")
     return "m", args.degree
 
 
@@ -169,8 +173,7 @@ def _cmd_study(args, parser):
         parser.error("--method collocation sweeps degrees, drop --nodes")
     param_name = "N" if args.method == "pc" else "m"
     values = _parse_sweep(args.sweep, parser)
-    # the minimums of --nodes and --degree in 'run'
-    least = 2 if param_name == "N" else 1
+    least = _LEAST[args.method]
     if values[0] < least:
         parser.error(f"--sweep values must be at least {least} for "
                      f"--method {args.method}, got {values[0]}")

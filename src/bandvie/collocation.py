@@ -370,4 +370,5 @@ def solve_linear_collocation(system, degree=5):
     The kernels are frozen along the initial guess.
     """
     disc = CollocationDiscretization(linearize(system), degree)
-    return disc.solve(*f_at_times(system, disc.times))
+    return disc.solve(f_at_times(system, disc.times),
+                      disc.lin.f_prime_at_zero)

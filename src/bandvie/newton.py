@@ -19,10 +19,13 @@ is 1 * xm - xm = 0 exactly), so it is skipped
 
 Each inner solver sums its own share of psi, the integrals, on the plan
 its operator was built from, and reads only its own iterates (its
-``add_psi``); :class:`PsiEvaluator` adds f and keeps the t = 0 terms of
-d(psi)/dt.  A step costs psi, the inner solve and the correction norm.
-The step's :class:`IterationRecord` keeps its iterate; the errors against
-a known exact solution are measured only when a record's are first read.
+``add_psi``); :class:`PsiEvaluator` adds f, and the linearization gives
+d(psi)/dt at 0 (:meth:`LinearizedSystem.derivative_at_zero`).  A step
+costs psi, the inner solve and the correction norm; the loop keeps the
+norm grids and the current iterate's samples on them, so every iterate is
+sampled once.  The step's :class:`IterationRecord` keeps its iterate; the
+errors against a known exact solution are measured only when a record's
+are first read.  Nothing is stored on an iterate or a system.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from . import quadrature
 from .collocation import CollocationDiscretization
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .pc import Mesh, PCDiscretization
-from .problem import f_at_times, linearize, validate
+from .problem import _first_non_finite, f_at_times, linearize, validate
 from .report import measure_errors
 
 #: sample count per component for the correction sup-norm
@@ -94,44 +97,14 @@ class IterationReport:
         return tuple(r.ratio for r in self.records if r.ratio is not None)
 
 
-@functools.lru_cache(maxsize=64)
-def _norm_grid(domain):
-    """``NORM_SAMPLES`` uniform points on [0, domain], built once, read-only."""
-    ts = np.linspace(0.0, domain, NORM_SAMPLES)
-    ts.flags.writeable = False
-    return ts
-
-
-def _norm_samples(iterate, i, domain):
-    """Component i of ``iterate`` on the norm grid of ``domain``.
-
-    The values are kept on the iterate, keyed by component and domain,
-    until :func:`correction_norm` has read them as the previous iterate's:
-    iterates are not changed after they are built, so an iterate that is
-    first the next and then the previous one of a correction is sampled
-    once.
-    """
-    kept = vars(iterate).setdefault("_norm_samples", {})
-    values = kept.get((i, domain))
-    if values is None:
-        values = np.asarray(
-            iterate.component_values(i, _norm_grid(domain)), dtype=float)
-        kept[i, domain] = values
-    return values
-
-
-def correction_norm(prev, nxt):
+def correction_norm(prev, nxt, samples):
     """Sup over components of the sup over sampled t of |next - prev|.
 
     Each component is sampled at ``NORM_SAMPLES`` uniform points on its own
-    interval of definition (endpoints included).  The grid of a domain is
-    built once, read-only, and each iterate keeps its samples on itself
-    (:func:`_norm_samples`), so along an outer iteration every iterate is
-    sampled once, not once as ``nxt`` and again as ``prev``.  That is safe
-    because iterates (solutions, expression iterates) are not changed after
-    they are built.  Once read, the samples of ``prev`` are dropped: an
-    outer iteration never reads them again, and the records of a run keep
-    their iterates.
+    interval of definition (endpoints included).  ``samples`` is the
+    caller's list of (grid, values) per component: filled for ``prev``
+    when empty, it is left holding nxt's values, so along an outer
+    iteration every grid is built once and every iterate sampled once.
 
     Raises
     ------
@@ -139,19 +112,23 @@ def correction_norm(prev, nxt):
         If the correction of a component is not finite; the component and
         the first bad t are named.
     """
+    if not samples:
+        for i, domain in enumerate(nxt.component_domains, start=1):
+            ts = np.linspace(0.0, domain, NORM_SAMPLES)
+            samples.append((ts, np.asarray(prev.component_values(i, ts),
+                                           dtype=float)))
     worst = 0.0
-    for i, domain in enumerate(nxt.component_domains, start=1):
-        a = _norm_samples(prev, i, domain)
-        b = _norm_samples(nxt, i, domain)
+    for i, (ts, a) in enumerate(samples, start=1):
+        b = np.asarray(nxt.component_values(i, ts), dtype=float)
+        samples[i - 1] = ts, b
         diff = np.abs(b - a)
         top = float(np.max(diff))      # nan propagates through max
         if not math.isfinite(top):
-            k = int(np.argmax(~np.isfinite(diff)))
+            k = _first_non_finite(diff)
             raise SolverError(
                 f"correction of component {i} is {diff[k]} at t = "
-                f"{_norm_grid(domain)[k]:.6g} (previous {a[k]}, next {b[k]})")
+                f"{ts[k]:.6g} (previous {a[k]}, next {b[k]})")
         worst = max(worst, top)
-    vars(prev).pop("_norm_samples", None)
     return worst
 
 
@@ -162,16 +139,14 @@ class PsiEvaluator:
     psi_i(t_k) = f_i(t_k) plus the solver's sums over the pieces of t_k
     of w * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width
     (``disc.add_psi``, which refuses an iterate it does not make).  The
-    evaluator keeps f and f'(0) at the times, psi at the linearization
-    point, summed once here (``values(lin.x0)`` returns a copy), and the
-    t = 0 terms of :meth:`derivative_at_zero`.
+    evaluator keeps f at the times and psi at the linearization point,
+    summed once here (``values(lin.x0)`` returns a copy).
     """
 
     def __init__(self, lin, disc):
         self.lin = lin
         self.disc = disc
-        self._f_vals, self._fp0 = f_at_times(lin.system, disc.times)
-        self._origin = self._origin_pairs()
+        self._f_vals = f_at_times(lin.system, disc.times)
         self._at_x0 = self._f_vals.copy()
         disc.add_psi(self._at_x0, lin.x0)
 
@@ -182,36 +157,6 @@ class PsiEvaluator:
             return self._at_x0.copy()
         out = self._f_vals.copy()
         self.disc.add_psi(out, iterate)
-        return out
-
-    def _origin_pairs(self):
-        """Per band with a pair whose G is not x, its unknown and per such
-        pair (0-based equation, G, K(0, 0) times the jump of the curve
-        slopes at 0, dG/dx(0, x0(0)))."""
-        lin = self.lin
-        k00, gx0, _ = lin.origin_factors
-        slopes = [float(lin.curves.alpha_prime(j, 0.0))
-                  for j in range(lin.n_bands + 1)]
-        dslopes = np.diff(np.asarray(slopes))
-        nonlinearities = lin.system.nonlinearities
-        return [(lin.unknown_of_band[j],
-                 [(i, nonlinearities[i][j], float(k00[i, j] * dslopes[j]),
-                   float(gx0[i, j])) for i in equations])
-                for j, equations in enumerate(lin.nonlinear_equations)
-                if equations]
-
-    def derivative_at_zero(self, iterate):
-        """d(psi)/dt at t = 0: only the band boundary terms survive.
-
-        As in :meth:`values`, a pair with G = x adds nothing (its bracket
-        is 1 * xm0 - xm0 = 0 exactly), so only the pairs of
-        :attr:`LinearizedSystem.nonlinear_equations` are evaluated.
-        """
-        out = self._fp0.copy()
-        for component, pairs in self._origin:
-            xm0 = iterate.value_at_zero(component)
-            for i, g, weight, gx0 in pairs:
-                out[i] += weight * (gx0 * xm0 - float(g(s=0.0, x=xm0)))
         return out
 
 
@@ -279,13 +224,14 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
 
     report = IterationReport()
     current = lin.x0
+    samples = []                     # the norm grids and current's values
     prev_correction = None
     solution = None
     for step in range(1, max_iters + 1):
         solution = disc.solve(evaluator.values(current),
-                              evaluator.derivative_at_zero(current))
+                              lin.derivative_at_zero(current))
         try:
-            corr = correction_norm(current, solution)
+            corr = correction_norm(current, solution, samples)
         except SolverError as exc:
             raise SolverError(f"iteration {step}: {exc}") from exc
         ratio = None if prev_correction in (None, 0.0) else corr / prev_correction
@@ -302,8 +248,6 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             if base > 0.0 and corr > DIVERGENCE_FACTOR * base:
                 report.stop_reason = "divergence"
                 break
-    # the records keep their iterates, and no iterate its norm samples
-    vars(solution).pop("_norm_samples", None)
     if report.stop_reason == "divergence":
         raise DivergenceError(
             f"correction norm grew from {base:.3e} to {corr:.3e} "

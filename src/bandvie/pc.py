@@ -420,4 +420,5 @@ def solve_linear_pc(system, n_segments=64):
     """
     mesh = Mesh.uniform(system.curves.horizon, n_segments)
     disc = PCDiscretization(linearize(system), mesh)
-    return disc.solve(*f_at_times(system, disc.times))
+    return disc.solve(f_at_times(system, disc.times),
+                      disc.lin.f_prime_at_zero)

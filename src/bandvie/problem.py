@@ -19,7 +19,10 @@ forms it on an inner solver's band plans
 (:meth:`LinearizedSystem.frozen_pairs`): pair by pair into one reused
 buffer, in row blocks that stay in cache, and with the sums psi takes at
 the guess; a solver keeps of it only its moments or weights, and, for
-the psi it sums itself, K and those sums (:class:`PsiBand`).
+the psi it sums itself, K and those sums (:class:`PsiBand`).  The
+linearization also keeps the t = 0 terms, K(0, 0) and A(0, 0) times the
+jumps of the curve slopes at 0: the start-value matrix and d(psi)/dt at 0
+(:meth:`LinearizedSystem.derivative_at_zero`) both read them.
 """
 
 from __future__ import annotations
@@ -387,9 +390,8 @@ def validate(system):
     for i, domain in enumerate(system.component_domains(), start=1):
         inside = ts[ts <= domain]
         vals = guess.component_values(i, inside)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = int(np.argmax(bad))
+        k = _first_non_finite(vals)
+        if k is not None:
             out.append(Diagnostic(
                 f"initial guess of component {i} is not finite",
                 float(inside[k]),
@@ -633,23 +635,32 @@ class LinearizedSystem:
                      for j in range(self.n_bands))
 
     @cached_property
-    def origin_factors(self):
-        """:meth:`frozen_factors` at t = s = 0: three (n_eq, n_bands) arrays.
+    def f_prime_at_zero(self):
+        """f'(0), shape (n_eq,), read-only: d(psi)/dt at 0 of a linear
+        solve for the system's own f."""
+        out = np.array([float(fp(t=0.0)) for fp in self.system.rhs_prime])
+        out.flags.writeable = False
+        return out
 
-        K, dG/dx (1 for G = x) and A.  Evaluated once; the start-value
-        matrix and the psi plan share them.
+    @cached_property
+    def _origin(self):
+        """The t = 0 terms: three (n_eq, n_bands) arrays, per pair (i, j)
+        K_ij(0, 0) * dalpha'_j, dG_ij/dx(0, x0(0)) (1 for G = x) and
+        A_ij(0, 0) * dalpha'_j, where dalpha'_j = alpha'_j(0) -
+        alpha'_{j-1}(0) is the jump of the curve slopes at 0.
+
+        From :meth:`frozen_factors` at t = s = 0, evaluated once.
         """
-        zero = np.zeros(1)
-        k00 = np.empty((self.n_equations, self.n_bands))
-        gx00 = np.ones_like(k00)
-        a00 = np.empty_like(k00)
+        jumps = np.diff([float(self.curves.alpha_prime(j, 0.0))
+                         for j in range(self.n_bands + 1)])
+        k00, gx00, a00 = np.ones((3, self.n_equations, self.n_bands))
         for j in range(self.n_bands):
-            kvs, gvs, avs = self.frozen_factors(j + 1, 0.0, zero)
-            for i, (kv, gv, a) in enumerate(zip(kvs, gvs, avs)):
+            factors = self.frozen_factors(j + 1, 0.0, np.zeros(1))
+            for i, (kv, gv, a) in enumerate(zip(*factors)):
                 k00[i, j], a00[i, j] = kv[0], a[0]
                 if gv is not None:
                     gx00[i, j] = gv[0]
-        return k00, gx00, a00
+        return k00 * jumps, gx00, a00 * jumps
 
     def start_value_matrix(self):
         """Coefficient matrix of the start-value system at t = 0.
@@ -657,14 +668,28 @@ class LinearizedSystem:
         Entry (i, u) accumulates Ktilde_ij(0,0) * (alpha'_j(0) - alpha'_{j-1}(0))
         over the bands j mapped to component u.
         """
-        ktilde = self.origin_factors[2]
-        slopes = [float(self.curves.alpha_prime(j, 0.0))
-                  for j in range(self.n_bands + 1)]
+        a00 = self._origin[2]
         mat = np.zeros((self.n_equations, self.n_components))
-        for j in range(self.n_bands):
-            dal = slopes[j + 1] - slopes[j]
-            mat[:, self.unknown_of_band[j] - 1] += ktilde[:, j] * dal
+        for j, u in enumerate(self.unknown_of_band):
+            mat[:, u - 1] += a00[:, j]
         return mat
+
+    def derivative_at_zero(self, iterate):
+        """d(psi)/dt at t = 0 for ``iterate``: f'(0) plus per pair the
+        band boundary term K(0, 0) * dalpha'_j * (dG/dx(0, x0(0)) * xm(0)
+        - G(0, xm(0))), for the pairs of :attr:`nonlinear_equations` only
+        (a pair with G = x adds 1 * xm0 - xm0 = 0 exactly)."""
+        weights, gx00, _ = self._origin
+        nonlinearities = self.system.nonlinearities
+        out = self.f_prime_at_zero.copy()
+        for j, equations in enumerate(self.nonlinear_equations):
+            if not equations:
+                continue
+            xm0 = iterate.value_at_zero(self.unknown_of_band[j])
+            for i in equations:
+                g0 = float(nonlinearities[i][j](s=0.0, x=xm0))
+                out[i] += weights[i, j] * (gx00[i, j] * xm0 - g0)
+        return out
 
     @cached_property
     def _start_factorization(self):
@@ -690,9 +715,8 @@ class LinearizedSystem:
             If a derivative at 0 is not finite; the equation is named.
         """
         d0 = np.asarray(derivative_at_zero, dtype=float)
-        bad = ~np.isfinite(d0)
-        if bad.any():
-            i = int(np.argmax(bad))
+        i = _first_non_finite(d0)
+        if i is not None:
             raise SolverError(
                 f"d/dt of the right-hand side of equation {i + 1} at t = 0 "
                 f"is {d0[i]}; the start values need it finite")
@@ -794,11 +818,11 @@ def linearize(system, x0=None):
 
 
 def f_at_times(system, times):
-    """f at ``times``, shape (n_eq, n_times), and f'(0), shape (n_eq,)."""
-    values = np.vstack([
+    """f at ``times``, shape (n_eq, n_times); f'(0) is the linearization's
+    (:attr:`LinearizedSystem.f_prime_at_zero`)."""
+    return np.vstack([
         np.broadcast_to(np.asarray(f(t=times), float), times.shape)
         for f in system.rhs])
-    return values, np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
 
 
 def rhs_at_nodes(values, nodes, n_equations):
@@ -808,8 +832,9 @@ def rhs_at_nodes(values, nodes, n_equations):
     if values.shape != (n_equations, nodes.size):
         raise SolverError(f"right-hand side has shape {values.shape}, "
                           f"expected {(n_equations, nodes.size)}")
-    if not np.all(np.isfinite(values)):
-        r, i = np.argwhere(~np.isfinite(values.T))[0]
+    bad = _first_non_finite(values.T)       # node-major
+    if bad is not None:
+        r, i = divmod(bad, n_equations)
         raise SolverError(f"right-hand side of equation {i + 1} is "
                           f"{values[i, r]} at node {r + 1} (t = {nodes[r]:.6g})")
     return values

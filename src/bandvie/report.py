@@ -3,14 +3,16 @@
 The sup-norm error of component i is measured over [0, D_i], where D_i is
 the right end of the interval on which the component is determined (the
 largest curve value at the horizon among the bands feeding it), on a dense
-uniform sample.  The aggregate error is the Euclidean norm of the
-per-component sup errors.
+uniform sample, built once per system and kept in a table of this module
+(:func:`error_samples`).  The aggregate error is the Euclidean norm of
+the per-component sup errors.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,46 +28,45 @@ class ComponentError:
     t_max: float
 
 
+#: per system, its :func:`error_samples`, dropped with the system
+_ERROR_GRIDS = weakref.WeakKeyDictionary()
+
+
 def _read_only(values):
     values.flags.writeable = False
     return values
 
 
-def error_samples(system, samples=ERROR_SAMPLES):
+def error_samples(system):
     """Per component ``(ts, exact values)``: the grid errors are measured on.
 
-    ``ts`` holds ``samples`` uniform points on [0, D_i].  Computed once per
-    (system, samples) and kept on the system, read-only: the domains and
-    the exact expressions of a system do not change, and an ``exact``
-    attribute that is replaced is sampled afresh.
+    ``ts`` holds ``ERROR_SAMPLES`` uniform points on [0, D_i].  Computed on
+    the first call for a system and kept, read-only, while the system
+    lives: its domains and exact expressions do not change.  Raises
+    ``ValueError`` for a system without an exact solution.
     """
-    kept = vars(system).setdefault("_error_samples", {})
-    exact, grids = kept.get(samples, (None, None))
-    if exact is not system.exact:
-        exact, grids = system.exact, []
-        for domain, expr in zip(system.component_domains(), exact):
-            ts = np.linspace(0.0, domain, samples)
+    grids = _ERROR_GRIDS.get(system)
+    if grids is None:
+        if system.exact is None:
+            raise ValueError(f"system {system.name!r} has no exact solution")
+        grids = []
+        for domain, expr in zip(system.component_domains(), system.exact):
+            ts = np.linspace(0.0, domain, ERROR_SAMPLES)
             grids.append((_read_only(ts), _read_only(np.array(
                 np.broadcast_to(np.asarray(expr(t=ts), float), ts.shape)))))
-        grids = tuple(grids)
-        kept[samples] = (exact, grids)
+        grids = _ERROR_GRIDS[system] = tuple(grids)
     return grids
 
 
-def measure_errors(solution, system, samples=ERROR_SAMPLES):
+def measure_errors(solution, system):
     """Per-component sup errors against the exact solution plus the aggregate.
 
-    Returns (tuple of ComponentError, aggregate).  Requires ``system.exact``.
-    The sample grid and the exact values on it come from
-    :func:`error_samples`, computed on the first call for a (system,
-    samples) and kept on the system; only the solution is evaluated per
-    call.  That is safe because neither the domains nor the exact solution
-    of a system change, and the kept arrays are read-only.
+    Returns (tuple of ComponentError, aggregate).  The grids and the exact
+    values come from :func:`error_samples`; only the solution is evaluated
+    per call.
     """
-    if system.exact is None:
-        raise ValueError(f"system {system.name!r} has no exact solution")
     out = []
-    for i, (ts, exact) in enumerate(error_samples(system, samples), start=1):
+    for i, (ts, exact) in enumerate(error_samples(system), start=1):
         got = np.asarray(solution.component_values(i, ts), dtype=float)
         diff = np.abs(exact - got)
         arg = int(np.argmax(diff))

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from types import SimpleNamespace
-
 from bandvie import quadrature
 from bandvie.collocation import (
     DEFAULT_MOMENT_PANELS,
@@ -114,14 +112,14 @@ def lu_substitute(lu, perm, b):
 def initial_values(system):
     """Start values x(0) from the differentiated equations at t = 0, the
     kernels frozen along the initial guess and the right-hand side f."""
-    _, derivative_at_zero = f_at_times(system, np.zeros(1))
-    return linearize(system).start_values(derivative_at_zero)
+    lin = linearize(system)
+    return lin.start_values(lin.f_prime_at_zero)
 
 
 def system_rhs(disc):
     """f of the discretized system at the discretization's times and
     f'(0): the arguments of its ``solve`` for the system's own f."""
-    return f_at_times(disc.lin.system, disc.times)
+    return f_at_times(disc.lin.system, disc.times), disc.lin.f_prime_at_zero
 
 
 def callable_values(functions, ts):
@@ -211,14 +209,6 @@ def pc_psi_evaluator(lin, mesh):
     return disc, PsiEvaluator(lin, disc)
 
 
-def origin_terms(lin, times):
-    """A psi evaluator whose solver sums nothing, over ``times``: f there,
-    and the t = 0 terms of d(psi)/dt, which read no plan."""
-    return PsiEvaluator(lin, SimpleNamespace(
-        times=np.asarray(times, dtype=float),
-        add_psi=lambda out, iterate: None))
-
-
 def composite_midpoint(f, lo, hi, panels=200):
     """Integrate ``f`` over (lo, hi) with the composite midpoint rule.
 
@@ -269,20 +259,41 @@ def component_domains(system):
         for i in range(1, system.n_components + 1))
 
 
-def derivative_at_zero_reference(lin, iterate):
-    """d(psi)/dt at t = 0 with a term for every (equation, band) pair."""
-    system = lin.system
-    k00, gx0, _ = lin.origin_factors
+def _slope_jumps(lin):
+    """alpha'_j(0) - alpha'_{j-1}(0) per band j = 1..n_bands, 0-based."""
     slopes = [float(lin.curves.alpha_prime(j, 0.0))
               for j in range(lin.n_bands + 1)]
-    dslopes = np.diff(np.asarray(slopes))
+    return [b - a for a, b in zip(slopes, slopes[1:])]
+
+
+def derivative_at_zero_reference(lin, iterate):
+    """d(psi)/dt at t = 0 with a term for every (equation, band) pair,
+    K and dG/dx at t = s = 0 from ``frozen_factors``, band by band."""
+    system = lin.system
+    jumps = _slope_jumps(lin)
     out = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
     for j in range(lin.n_bands):
+        kvs, gvs, _ = lin.frozen_factors(j + 1, 0.0, np.zeros(1))
         xm0 = iterate.value_at_zero(lin.unknown_of_band[j])
         for i in range(lin.n_equations):
+            gx0 = 1.0 if gvs[i] is None else float(gvs[i][0])
             g0 = float(system.nonlinearities[i][j](s=0.0, x=xm0))
-            out[i] += k00[i, j] * dslopes[j] * (gx0[i, j] * xm0 - g0)
+            out[i] += float(kvs[i][0]) * jumps[j] * (gx0 * xm0 - g0)
     return out
+
+
+def start_value_matrix_reference(lin):
+    """The start-value matrix band by band: A_ij(0, 0) from
+    ``frozen_factors`` times the jump of the curve slopes at 0, added into
+    the column of band j's component."""
+    jumps = _slope_jumps(lin)
+    mat = np.zeros((lin.n_equations, lin.n_components))
+    for j in range(lin.n_bands):
+        avs = lin.frozen_factors(j + 1, 0.0, np.zeros(1))[2]
+        u = lin.unknown_of_band[j]
+        for i in range(lin.n_equations):
+            mat[i, u - 1] += float(avs[i][0]) * jumps[j]
+    return mat
 
 
 def collocation_solve_reference(disc, psi, derivative_at_zero):

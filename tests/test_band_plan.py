@@ -434,7 +434,7 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
             assert coeff[last, i].tobytes() == expected[~history].tobytes()
     # psi keeps the plan only up to the first step iterate
     ev = PsiEvaluator(lin, disc)
-    ev.values(disc.solve(ev.values(lin.x0), ev.derivative_at_zero(lin.x0)))
+    ev.values(disc.solve(ev.values(lin.x0), lin.derivative_at_zero(lin.x0)))
     assert all(band.plan is None for band in disc._psi)
 
 

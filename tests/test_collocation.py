@@ -291,7 +291,7 @@ def test_scalar_problem_collocation_via_shared_unknown(scalar):
     disc = CollocationDiscretization(lin, degree=2)
     evaluator = PsiEvaluator(lin, disc)
     sol = disc.solve(evaluator.values(lin.x0),
-                     evaluator.derivative_at_zero(lin.x0))
+                     lin.derivative_at_zero(lin.x0))
     assert np.allclose(sol.coefficients, [[0.0, 0.0, 1.0]], atol=1e-7)
 
 

@@ -6,7 +6,7 @@ import pytest
 from bandvie import newton, quadrature
 from bandvie.collocation import PolynomialSolution
 from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
-from bandvie.newton import correction_norm, iterate
+from bandvie.newton import NORM_SAMPLES, correction_norm, iterate
 from bandvie.pc import PIECE_PANELS, Mesh
 from bandvie.problem import (
     CurveFamily,
@@ -97,11 +97,19 @@ def test_psi_square_bracket_case():
 def test_correction_norm_cases():
     domains = (2.0,)
     a = ExpressionIterate(["cos(t)"], domains)
-    assert correction_norm(a, a) == 0.0
+    assert correction_norm(a, a, []) == 0.0
     b = ExpressionIterate(["cos(t) + 0.25"], domains)
-    assert correction_norm(a, b) == pytest.approx(0.25, abs=1e-14)
+    assert correction_norm(a, b, []) == pytest.approx(0.25, abs=1e-14)
     c = ExpressionIterate(["0.9*cos(t)"], domains)
-    assert correction_norm(a, c) == pytest.approx(0.1, abs=1e-12)
+    assert correction_norm(a, c, []) == pytest.approx(0.1, abs=1e-12)
+    # the list keeps the grids and the last iterate's values
+    samples = []
+    correction_norm(a, b, samples)
+    assert correction_norm(None, c, samples) == pytest.approx(0.35,
+                                                              abs=1e-12)
+    ts, values = samples[0]
+    assert ts.size == NORM_SAMPLES
+    assert np.array_equal(values, c.component_values(1, ts))
 
 
 def test_non_finite_correction_names_the_component(model01):
@@ -110,7 +118,7 @@ def test_non_finite_correction_names_the_component(model01):
     b = ExpressionIterate(["cos(t)", "sqrt(t-1)"], domains)
     with pytest.raises(SolverError, match=r"correction of component 2 is nan "
                                           r"at t = 0 "):
-        correction_norm(a, b)
+        correction_norm(a, b, [])
 
 
 def test_non_finite_guess_is_an_error_not_a_converged_run(model01):

@@ -22,7 +22,6 @@ from bandvie.registry import builtin
 
 from helpers import (
     initial_values,
-    origin_terms,
     pc_psi_evaluator,
     pc_solve_reference,
     segment_index,
@@ -100,9 +99,7 @@ def test_initial_values_match_exact_for_all_builtins():
         system = builtin(name)
         lin = linearize(system)
         exact = system.exact_iterate()
-        # only d(psi)/dt at 0 is read: a solver that sums nothing will do
-        evaluator = origin_terms(lin, [system.curves.horizon])
-        x0 = lin.start_values(evaluator.derivative_at_zero(exact))
+        x0 = lin.start_values(lin.derivative_at_zero(exact))
         expected = [float(system.exact[i](t=0.0))
                     for i in range(system.n_components)]
         assert np.allclose(x0, expected, atol=1e-10), name
@@ -161,7 +158,7 @@ def test_scalar_linearized_at_exact_matches_table_order(scalar):
     lin = linearize(scalar, scalar.exact_iterate())
     disc, evaluator = pc_psi_evaluator(lin, Mesh.uniform(1.0, 128))
     sol = disc.solve(evaluator.values(lin.x0),
-                     evaluator.derivative_at_zero(lin.x0))
+                     lin.derivative_at_zero(lin.x0))
     err = sup_errors(scalar, sol)[0]
     assert 7.30057e-4 <= err <= 7.30057e-2  # within a factor 10 of 7.30057e-3
 
@@ -390,7 +387,6 @@ def test_solve_matches_step_loop_for_psi(sys2, n):
         lin, Mesh.uniform(sys2.curves.horizon, n))
     current = lin.x0
     for _ in range(2):
-        rhs = (evaluator.values(current),
-               evaluator.derivative_at_zero(current))
+        rhs = (evaluator.values(current), lin.derivative_at_zero(current))
         _assert_solve_matches_step_loop(disc, *rhs)
         current = disc.solve(*rhs)

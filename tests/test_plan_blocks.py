@@ -193,10 +193,16 @@ def test_a_nonlinear_pair_gets_the_product_of_its_factors(sys2):
 
 
 def test_origin_factors_hold_one_as_the_slope_of_g_equal_x(scalar):
-    k00, gx00, a00 = linearize(scalar).origin_factors
+    lin = linearize(scalar)
+    weights, gx00, a00 = lin._origin
     # band 2 has G = x: slope 1 and A = K
-    assert gx00[0, 1] == 1.0 and a00[0, 1] == k00[0, 1]
-    assert a00[0, 0] == k00[0, 0] * gx00[0, 0]
+    assert gx00[0, 1] == 1.0 and a00[0, 1] == weights[0, 1]
+    # band 1: K, dG/dx and A at t = s = 0, K and A times the slope jump
+    kvs, gvs, avs = lin.frozen_factors(1, 0.0, np.zeros(1))
+    jump = float(scalar.curves.alpha_prime(1, 0.0))
+    assert weights[0, 0] == kvs[0][0] * jump
+    assert gx00[0, 0] == gvs[0][0]
+    assert a00[0, 0] == avs[0][0] * jump
 
 
 

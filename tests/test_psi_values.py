@@ -466,8 +466,6 @@ def test_every_iterate_is_bit_identical_to_the_per_node_loop(name, cut):
 def test_scalar_with_mesh_cuts_bit_identical_and_skips_band_2(scalar):
     counting = _Counting(scalar.guess_iterate())
     lin = linearize(scalar, counting)
-    lin.origin_factors          # the t = 0 values belong to the start matrix
-    counting.components.clear()
     disc = PCDiscretization(lin, Mesh.uniform(scalar.curves.horizon, 16))
     # band 2 has G = x: the linearization point is evaluated, and summed,
     # for band 1 only, in the pass that forms the frozen kernel, and psi
@@ -529,7 +527,6 @@ def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
 def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
                                                             monkeypatch):
     lin = linearize(model01)
-    lin.origin_factors          # the t = 0 values belong to the start matrix
     disc = PCDiscretization(lin, Mesh.uniform(model01.curves.horizon, 16))
     # every G is x: psi keeps no band
     assert disc._psi == []

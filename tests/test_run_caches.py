@@ -1,7 +1,8 @@
 """What one run computes once: the error grids, the norm samples of each
 iterate, the errors of a record (on first read) and the component
 domains; and the psi derivative at t = 0 over the pairs whose G is not x.
-Each is checked against an uncached loop from ``helpers``."""
+Each is checked against an uncached loop from ``helpers``, and none is
+stored on the system or on an iterate."""
 
 from collections import Counter
 
@@ -12,21 +13,22 @@ from bandvie import cli, newton
 from bandvie.collocation import (
     CollocationDiscretization,
     PolynomialSolution,
-    collocation_nodes,
 )
 from bandvie.newton import NORM_SAMPLES, PsiEvaluator, iterate
 from bandvie.pc import PiecewiseConstantSolution
 from bandvie.problem import ExpressionIterate, linearize
 from bandvie.registry import builtin, list_builtins
-from bandvie.report import error_samples, measure_errors
+from bandvie.report import ERROR_SAMPLES, error_samples, measure_errors
 
 from helpers import (
     collocation_solve_reference,
     component_domains,
     correction_norm_reference,
     derivative_at_zero_reference,
+    empty_band_system,
     errors_reference,
-    origin_terms,
+    repeated_curve_system,
+    start_value_matrix_reference,
 )
 
 BUILTINS = [name for name, _ in list_builtins()]
@@ -52,9 +54,12 @@ def test_measure_errors_reads_a_read_only_cache(model01):
     assert grids is error_samples(model01)
     assert len(grids) == model01.n_components
     for ts, exact in grids:
+        assert ts.size == exact.size == ERROR_SAMPLES
         assert not ts.flags.writeable
         assert not exact.flags.writeable
-    assert error_samples(model01, 11)[0][0].size == 11
+    # a system without an exact solution has no error grid
+    with pytest.raises(ValueError, match="has no exact solution"):
+        error_samples(repeated_curve_system())
 
 
 def test_sys2_collocation_records_match_an_uncached_loop(sys2):
@@ -117,9 +122,6 @@ def test_records_measure_their_errors_once_on_first_read(sys2, monkeypatch,
     key = "degree" if method == "collocation" else "n_segments"
     _, report = iterate(sys2, method=method, max_iters=6, **{key: size})
     assert measured == []
-    # the records keep their iterates, but no norm samples
-    assert not any("_norm_samples" in vars(record.iterate)
-                   for record in report.records)
     first = [(record.component_errors, record.aggregate_error)
              for record in report.records]
     assert first == [measure_errors(record.iterate, sys2)
@@ -147,8 +149,6 @@ def test_a_study_measures_each_solved_point_once(monkeypatch, capsys):
 def test_derivative_at_zero_matches_the_full_loop(name):
     system = builtin(name)
     lin = linearize(system)
-    # d(psi)/dt at 0 reads no plan: a solver that sums nothing will do
-    evaluator = origin_terms(lin, collocation_nodes(system.horizon, 3))
     domains = system.component_domains()
     n = system.n_components
     iterates = [system.guess_iterate(),
@@ -157,6 +157,46 @@ def test_derivative_at_zero_matches_the_full_loop(name):
     if system.exact is not None:
         iterates.append(system.exact_iterate())
     for it in iterates:
-        got = evaluator.derivative_at_zero(it)
+        got = lin.derivative_at_zero(it)
         assert got.tobytes() == derivative_at_zero_reference(
             lin, it).tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["repeated", "empty-band"])
+def test_start_value_matrix_matches_a_per_band_loop(name):
+    system = {"repeated": repeated_curve_system,
+              "empty-band": empty_band_system}.get(
+                  name, lambda: builtin(name))()
+    lin = linearize(system)
+    assert lin.start_value_matrix().tobytes() == (
+        start_value_matrix_reference(lin).tobytes())
+
+
+@pytest.mark.parametrize("method, size", [("collocation", 4), ("pc", 32)])
+def test_a_run_stores_nothing_on_its_system_or_iterates(monkeypatch, method,
+                                                        size):
+    built = []
+    for cls in (ExpressionIterate, PolynomialSolution,
+                PiecewiseConstantSolution):
+        def recording(self, *args, _original=cls.__init__, **kwargs):
+            _original(self, *args, **kwargs)
+            built.append((self, dict(vars(self))))
+        monkeypatch.setattr(cls, "__init__", recording)
+    # a system of its own: no earlier test has measured its errors
+    system = builtin("nonlinear-sys2")
+    before = dict(vars(system))
+    key = "degree" if method == "collocation" else "n_segments"
+    solution, report = iterate(system, method=method, max_iters=5,
+                               **{key: size})
+    measure_errors(solution, system)
+    for record in report.records:
+        assert record.aggregate_error is not None
+    assert vars(system).keys() == before.keys()
+    assert all(vars(system)[k] is v for k, v in before.items())
+    # the guess and every solution, each as its constructor left it
+    assert len(built) >= len(report.records) + 1
+    assert all(r.iterate is it for r, (it, _) in zip(
+        report.records, built[-len(report.records):]))
+    for it, attributes in built:
+        assert vars(it).keys() == attributes.keys(), type(it).__name__
+        assert all(vars(it)[k] is v for k, v in attributes.items())
