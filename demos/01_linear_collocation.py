@@ -36,7 +36,6 @@ def sweep(name, degrees):
                 solution = solve_linear_collocation(system, degree=m)
             rep.component_errors, rep.aggregate_error = measure_errors(
                 solution, system)
-            rep.condition_number = solution.condition_number
             if caught:
                 print(f"   note (m={m}): {caught[0].message}")
         except SolverError as exc:

@@ -110,8 +110,7 @@ def _solve_once(system, args, param_name, value):
     rep = SolveReport(
         problem=system.name, method=args.method,
         parameter_name=param_name, parameter_value=value,
-        iterations=iteration_report, wall_time=wall,
-        condition_number=getattr(solution, "condition_number", None))
+        iterations=iteration_report, wall_time=wall)
     if system.exact is not None:
         rep.component_errors, rep.aggregate_error = measure_errors(
             solution, system)

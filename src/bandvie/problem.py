@@ -22,7 +22,9 @@ the guess; a solver keeps of it only its moments or weights, and, for
 the psi it sums itself, K and those sums (:class:`PsiBand`).  The
 linearization also keeps the t = 0 terms, K(0, 0) and A(0, 0) times the
 jumps of the curve slopes at 0: the start-value matrix and d(psi)/dt at 0
-(:meth:`LinearizedSystem.derivative_at_zero`) both read them.
+(:meth:`LinearizedSystem.derivative_at_zero`) both read them.  These
+terms, and validation's sample along the guess, are formed pair by pair
+by the evaluator's own code for K and for A.
 """
 
 from __future__ import annotations
@@ -328,9 +330,11 @@ def validate(system):
     T = curves.horizon
     ts = np.linspace(0.0, T, VALIDATION_SAMPLES)
 
+    # each t = 0 and diagonal test is written to fail for nan, too: a value
+    # that is not finite breaks the condition it was to satisfy
     for j in range(1, curves.n_bands):
         a0 = float(curves.alpha(j, 0.0))
-        if abs(a0) > 1e-12:
+        if not abs(a0) <= 1e-12:
             out.append(Diagnostic(
                 f"alpha_{j}(0) != 0", 0.0, f"value {a0:.3e}"))
 
@@ -356,19 +360,19 @@ def validate(system):
 
     slopes = [float(curves.alpha_prime(j, 0.0)) for j in range(1, curves.n_bands)]
     for j in range(1, len(slopes)):
-        if slopes[j] < slopes[j - 1] - 1e-12:
+        if not slopes[j] >= slopes[j - 1] - 1e-12:
             out.append(Diagnostic(
                 "curve slopes at 0 out of order", 0.0,
-                f"alpha'_{j}(0) = {slopes[j - 1]:.6g} > "
+                f"alpha'_{j}(0) = {slopes[j - 1]:.6g}, "
                 f"alpha'_{j + 1}(0) = {slopes[j]:.6g}"))
-    if slopes and slopes[-1] >= 1.0 - 1e-12:
+    if slopes and not slopes[-1] < 1.0 - 1e-12:
         out.append(Diagnostic(
             "alpha'_{n-1}(0) must stay below 1", 0.0,
             f"value {slopes[-1]:.6g}"))
 
     for i, (f, fp) in enumerate(zip(system.rhs, system.rhs_prime), start=1):
         f0 = float(f(t=0.0))
-        if abs(f0) > 1e-12:
+        if not abs(f0) <= 1e-12:
             out.append(Diagnostic(f"f_{i}(0) != 0", 0.0, f"value {f0:.6g}"))
         d0 = float(fp(t=0.0))
         if not math.isfinite(d0):
@@ -380,10 +384,12 @@ def validate(system):
     for i in range(system.n_equations):
         vals = np.abs(np.broadcast_to(
             np.asarray(system.kernels[i][last](t=ts, s=ts), float), ts.shape))
-        if (vals <= 1e-10).any():
-            k = int(np.argmax(vals <= 1e-10))
+        bad = ~(vals > 1e-10)
+        if bad.any():
+            k = int(np.argmax(bad))
+            fault = "vanishes" if math.isfinite(vals[k]) else "is not finite"
             out.append(Diagnostic(
-                f"K_{i + 1},{system.n_bands}(t, t) vanishes", float(ts[k]),
+                f"K_{i + 1},{system.n_bands}(t, t) {fault}", float(ts[k]),
                 f"|value| = {vals[k]:.3e}"))
 
     guess = system.guess_iterate()
@@ -417,16 +423,21 @@ def _along_guess_diagnostics(system, ts):
         return []               # the curve-ordering diagnostic names it
     lin = linearize(system)
     out = []
-    for j in range(1, system.n_bands + 1):
+    for j, nonlinear in enumerate(lin.nonlinear_equations, start=1):
         s = 0.5 * (edges[:, j - 1] + edges[:, j])
-        x0 = lin.x0.component_values(system.unknown_of_band[j - 1], s)
-        for i, a in enumerate(lin._frozen_values(j, ts, s)[2]):
+        x0 = None
+        if nonlinear:
+            x0 = lin.x0.component_values(system.unknown_of_band[j - 1], s)
+        a = np.empty(s.shape)
+        for i in range(system.n_equations):
+            lin._product(i, j, lin._kernel(i, j, ts, s, s.shape), s,
+                         x0 if i in nonlinear else None, a)
             k = _first_non_finite(a)
             if k is not None:
                 out.append(Diagnostic(
                     f"non-finite frozen kernel in equation {i + 1}, band {j}",
                     float(ts[k]), f"s = {s[k]:.6g}, along the initial guess"))
-        for i in lin.nonlinear_equations[j - 1]:
+        for i in nonlinear:
             g = np.broadcast_to(np.asarray(
                 system.nonlinearities[i][j - 1](s=s, x=x0), float), s.shape)
             k = _first_non_finite(g)
@@ -557,48 +568,6 @@ class LinearizedSystem:
                     guess[rows] = sums
             yield i, a, kernel, guess
 
-    def frozen_factors(self, j, t, s):
-        """K_ij, dG_ij/dx(s, x0_{u(j)}(s)) and their product A_ij on band j.
-
-        The values of :meth:`frozen_pairs`, for every equation i, at any
-        abscissas ``s``, flat or a (pieces, panels) block, and outer times
-        ``t``: a scalar, an array of the shape of ``s`` or a (pieces, 1)
-        column; formed as one block, the guess x0 evaluated once for all
-        equations.  Returns three lists indexed by equation: the K values,
-        the dG/dx values and A, a new array, checked finite.  For a pair
-        with G = x, dG/dx is 1 and is not evaluated: its entry is None and
-        A holds K.
-
-        Raises
-        ------
-        SolverError
-            If A is non-finite; the equation, the band and the first bad
-            outer time and abscissa are named.
-        """
-        kvs, gvs, avs = self._frozen_values(j, t, s)
-        for i, a in enumerate(avs):
-            k = _first_non_finite(a)
-            if k is not None:
-                raise self._non_finite(
-                    i, j, np.broadcast_to(t, np.shape(s)).flat[k],
-                    np.asarray(s).flat[k])
-        return kvs, gvs, avs
-
-    def _frozen_values(self, j, t, s):
-        """:meth:`frozen_factors` without the finiteness check."""
-        s = np.asarray(s, dtype=float)
-        nonlinear = self.nonlinear_equations[j - 1]
-        x0 = None
-        if nonlinear:
-            x0 = self.x0.component_values(self.unknown_of_band[j - 1], s)
-        kvs, gvs, avs = [], [], []
-        for i in range(self.n_equations):
-            kvs.append(self._kernel(i, j, t, s, s.shape))
-            avs.append(np.empty(s.shape))
-            gvs.append(self._product(i, j, kvs[-1], s,
-                                     x0 if i in nonlinear else None, avs[-1]))
-        return kvs, gvs, avs
-
     def _kernel(self, i, j, t, s, shape):
         """K_ij at ``t`` and ``s``, of ``shape``; a K constant in s stays a
         broadcast view."""
@@ -649,17 +618,41 @@ class LinearizedSystem:
         A_ij(0, 0) * dalpha'_j, where dalpha'_j = alpha'_j(0) -
         alpha'_{j-1}(0) is the jump of the curve slopes at 0.
 
-        From :meth:`frozen_factors` at t = s = 0, evaluated once.
+        Formed once, pair by pair, band by band, by the code of
+        :meth:`frozen_pairs` on the abscissa s = 0 at t = 0.
+
+        Raises
+        ------
+        SolverError
+            If A is non-finite at t = s = 0, naming the first such pair
+            (band by band, equation by equation), or else if a slope jump is
+            not finite, naming the first such band.
         """
-        jumps = np.diff([float(self.curves.alpha_prime(j, 0.0))
-                         for j in range(self.n_bands + 1)])
+        s = np.zeros(1)
         k00, gx00, a00 = np.ones((3, self.n_equations, self.n_bands))
-        for j in range(self.n_bands):
-            factors = self.frozen_factors(j + 1, 0.0, np.zeros(1))
-            for i, (kv, gv, a) in enumerate(zip(*factors)):
-                k00[i, j], a00[i, j] = kv[0], a[0]
-                if gv is not None:
-                    gx00[i, j] = gv[0]
+        for j, nonlinear in enumerate(self.nonlinear_equations, start=1):
+            x0 = None
+            if nonlinear:
+                x0 = self.x0.component_values(self.unknown_of_band[j - 1], s)
+            for i in range(self.n_equations):
+                kernel = self._kernel(i, j, 0.0, s, s.shape)
+                a = a00[i, j - 1:j]
+                slope = self._product(i, j, kernel, s,
+                                      x0 if i in nonlinear else None, a)
+                if not math.isfinite(a[0]):
+                    raise self._non_finite(i, j, 0.0, 0.0)
+                k00[i, j - 1] = kernel[0]
+                if slope is not None:
+                    gx00[i, j - 1] = slope[0]
+        slopes = [float(self.curves.alpha_prime(j, 0.0))
+                  for j in range(self.n_bands + 1)]
+        jumps = np.diff(slopes)
+        j = _first_non_finite(jumps)
+        if j is not None:
+            raise SolverError(
+                f"the curve slopes at t = 0 jump by {jumps[j]} into band "
+                f"{j + 1} (alpha'_{j}(0) = {slopes[j]:.6g}, alpha'_{j + 1}(0)"
+                f" = {slopes[j + 1]:.6g}); the start values need it finite")
         return k00 * jumps, gx00, a00 * jumps
 
     def start_value_matrix(self):

@@ -89,7 +89,6 @@ class SolveReport:
     residual_sup: float = None       # reported when no exact solution exists
     iterations: object = None        # IterationReport or None
     wall_time: float = None
-    condition_number: float = None
     error_message: str = None        # set for failed sweep points
 
 

@@ -145,26 +145,35 @@ class CollocationPsi(CollocationDiscretization):
         pass
 
 
-def whole_plan_frozen(lin, plan, times):
-    """K and A = K * dG/dx(x0) per equation on the whole (pieces, panels)
-    plan at once, each formed as one array: the values the blocked pass
-    of :meth:`~bandvie.problem.LinearizedSystem.frozen_pairs` must give.
-    A of a pair with G = x is K laid out in memory."""
-    j = plan.band
-    s = plan.abscissas
-    t = times[plan.piece_time, None]
+def frozen_values(lin, j, t, s):
+    """K, dG/dx and A = K * dG/dx(x0) per equation on band j at outer
+    times ``t`` and abscissas ``s``, each formed as one array by direct
+    evaluation of the expressions: the values the frozen kernel of
+    :class:`~bandvie.problem.LinearizedSystem` must give.  For a pair with
+    G = x, dG/dx is None and A is K laid out in memory."""
     system = lin.system
+    s = np.asarray(s, dtype=float)
     x0 = lin.x0.component_values(lin.unknown_of_band[j - 1], s)
-    kvs, avs = [], []
+    kvs, gvs, avs = [], [], []
     for i in range(lin.n_equations):
         kv = np.broadcast_to(np.asarray(
             system.kernels[i][j - 1](t=t, s=s), float), s.shape)
+        gv = None
         if i in lin.nonlinear_equations[j - 1]:
-            avs.append(kv * np.broadcast_to(np.asarray(
-                system.g_x[i][j - 1](s=s, x=x0), float), s.shape))
-        else:
-            avs.append(np.ascontiguousarray(kv))
+            gv = np.broadcast_to(np.asarray(
+                system.g_x[i][j - 1](s=s, x=x0), float), s.shape)
         kvs.append(kv)
+        gvs.append(gv)
+        avs.append(np.ascontiguousarray(kv) if gv is None else kv * gv)
+    return kvs, gvs, avs
+
+
+def whole_plan_frozen(lin, plan, times):
+    """K and A per equation on the whole (pieces, panels) plan at once
+    (:func:`frozen_values`): the values the blocked pass of
+    :meth:`~bandvie.problem.LinearizedSystem.frozen_pairs` must give."""
+    kvs, _, avs = frozen_values(lin, plan.band, times[plan.piece_time, None],
+                                plan.abscissas)
     return kvs, avs
 
 
@@ -268,12 +277,12 @@ def _slope_jumps(lin):
 
 def derivative_at_zero_reference(lin, iterate):
     """d(psi)/dt at t = 0 with a term for every (equation, band) pair,
-    K and dG/dx at t = s = 0 from ``frozen_factors``, band by band."""
+    K and dG/dx at t = s = 0 from :func:`frozen_values`, band by band."""
     system = lin.system
     jumps = _slope_jumps(lin)
     out = np.array([float(fp(t=0.0)) for fp in system.rhs_prime])
     for j in range(lin.n_bands):
-        kvs, gvs, _ = lin.frozen_factors(j + 1, 0.0, np.zeros(1))
+        kvs, gvs, _ = frozen_values(lin, j + 1, 0.0, np.zeros(1))
         xm0 = iterate.value_at_zero(lin.unknown_of_band[j])
         for i in range(lin.n_equations):
             gx0 = 1.0 if gvs[i] is None else float(gvs[i][0])
@@ -284,12 +293,12 @@ def derivative_at_zero_reference(lin, iterate):
 
 def start_value_matrix_reference(lin):
     """The start-value matrix band by band: A_ij(0, 0) from
-    ``frozen_factors`` times the jump of the curve slopes at 0, added into
+    :func:`frozen_values` times the jump of the curve slopes at 0, added into
     the column of band j's component."""
     jumps = _slope_jumps(lin)
     mat = np.zeros((lin.n_equations, lin.n_components))
     for j in range(lin.n_bands):
-        avs = lin.frozen_factors(j + 1, 0.0, np.zeros(1))[2]
+        avs = frozen_values(lin, j + 1, 0.0, np.zeros(1))[2]
         u = lin.unknown_of_band[j]
         for i in range(lin.n_equations):
             mat[i, u - 1] += float(avs[i][0]) * jumps[j]

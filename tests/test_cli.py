@@ -65,6 +65,18 @@ def test_run_invalid_problem_exits_2(tmp_path, capsys):
     assert "f_1(0)" in capsys.readouterr().err
 
 
+def test_run_curve_that_is_nan_at_zero_exits_2(tmp_path, capsys):
+    # t^2*log(t) is nan at 0: validation names the curve before the
+    # start-value matrix meets its nan slope
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MODEL01_YAML.replace('"t/2"', '"t/2+t^2*log(t)"')
+                   .replace("T: 2.0", "T: 1.0"))
+    code = main(["run", "--config", str(bad), "--method", "pc",
+                 "--nodes", "8"])
+    assert code == 2
+    assert "alpha_1(0) != 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line, message", [
     ("T: .nan", "horizon T must be a positive finite number, got nan"),
     ("T: .inf", "horizon T must be a positive finite number, got inf"),

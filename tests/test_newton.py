@@ -5,6 +5,7 @@ import pytest
 
 from bandvie import newton, quadrature
 from bandvie.collocation import PolynomialSolution
+from bandvie.config import load_problem
 from bandvie.errors import DivergenceError, ProblemDefinitionError, SolverError
 from bandvie.newton import NORM_SAMPLES, correction_norm, iterate
 from bandvie.pc import PIECE_PANELS, Mesh
@@ -151,6 +152,24 @@ def test_infinite_rhs_slope_at_zero_is_named(model01, kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [dict(method="collocation", degree=4),
+                                    dict(method="pc", n_segments=8)])
+def test_a_slope_jump_at_zero_that_is_not_finite_is_named(tmp_path, kwargs):
+    # alpha_1 = t/2 + t^2*log(t) has the slope nan at 0, which fails
+    # validation; without it the t = 0 table names the first band whose
+    # slope jump is not finite, before the start-value matrix is factorized
+    cfg = tmp_path / "log-curve.yaml"
+    cfg.write_text(
+        'n: 2\nT: 1.0\nalpha: ["t/2+t^2*log(t)"]\n'
+        'K: [["1+t+s", "1"], ["1+t-s", "-1"]]\n'
+        'G: [["x", "x"], ["x", "x"]]\nf: ["t", "t"]\n')
+    with pytest.raises(SolverError, match=(
+            r"^the curve slopes at t = 0 jump by nan into band 1 "
+            r"\(alpha'_0\(0\) = 0, alpha'_1\(0\) = nan\); the start values "
+            r"need it finite$")):
+        iterate(load_problem(cfg), skip_validation=True, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(method="collocation", degree=4),
                                     dict(method="pc", n_segments=32)])
 def test_non_finite_frozen_kernel_is_named_without_validation(model01,
                                                               kwargs):
@@ -166,21 +185,23 @@ def test_non_finite_frozen_kernel_is_named_without_validation(model01,
 
 def _count_frozen_kernel(monkeypatch):
     """Record (band, values) of every frozen-kernel evaluation: a pass on
-    a plan, or the t = 0 values of the start matrix."""
+    a plan, or a pair's K at t = s = 0 for the t = 0 table, the one
+    evaluation of a single value."""
     calls = []
     frozen_pairs = LinearizedSystem.frozen_pairs
-    frozen_factors = LinearizedSystem.frozen_factors
+    kernel = LinearizedSystem._kernel
 
     def counting_pairs(self, plan, times, buffer):
         calls.append((plan.band, plan.piece_width.size * plan.panels))
         return frozen_pairs(self, plan, times, buffer)
 
-    def counting_factors(self, j, t, s):
-        calls.append((j, np.size(s)))
-        return frozen_factors(self, j, t, s)
+    def counting_kernel(self, i, j, t, s, shape):
+        if shape == (1,):
+            calls.append((j, 1))
+        return kernel(self, i, j, t, s, shape)
 
     monkeypatch.setattr(LinearizedSystem, "frozen_pairs", counting_pairs)
-    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting_factors)
+    monkeypatch.setattr(LinearizedSystem, "_kernel", counting_kernel)
     return calls
 
 
@@ -188,22 +209,21 @@ def _count_frozen_kernel(monkeypatch):
 def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
         name, monkeypatch):
     # the moments and psi share one plan: one frozen-kernel pass per band
-    # on it, plus one evaluation per band for the t = 0 values of the start
+    # on it, plus one evaluation per pair for the t = 0 values of the start
     # matrix
     system = builtin(name)
     calls = _count_frozen_kernel(monkeypatch)
     iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15)
     bands = range(1, system.n_bands + 1)
-    assert sorted(calls) == sorted([(j, 1) for j in bands]
-                                   + [(j, 4 * 8000) for j in bands])
+    at_zero = [(j, 1) for j in bands] * system.n_equations
+    assert sorted(calls) == sorted(at_zero + [(j, 4 * 8000) for j in bands])
     # at other panel counts psi still sums on the moments' plan: no
     # 8000-panel plan of its own
     calls.clear()
     monkeypatch.setattr(newton, "CollocationDiscretization", functools.partial(
         newton.CollocationDiscretization, panels=500))
     iterate(system, method="collocation", degree=4, max_iters=3, tol=1e-15)
-    assert sorted(calls) == sorted([(j, 1) for j in bands]
-                                   + [(j, 4 * 500) for j in bands])
+    assert sorted(calls) == sorted(at_zero + [(j, 4 * 500) for j in bands])
 
 
 @pytest.mark.parametrize("name", ["model01", "nonlinear-scalar",
@@ -212,7 +232,7 @@ def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
                                                              monkeypatch):
     # the step coefficients, the history weights and psi share one
     # 4-panel plan of every piece: one midpoint plan and one frozen-kernel
-    # pass per band on it, one evaluation per band for the t = 0 values of
+    # pass per band on it, one evaluation per pair for the t = 0 values of
     # the start matrix, and none on the unknown ranges alone
     system = builtin(name)
     mesh = Mesh.uniform(system.curves.horizon, 16)
@@ -220,8 +240,8 @@ def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
     expected = []
     for pieces in quadrature.band_pieces(quadrature.band_edges(
             mesh.nodes[1:], system.curves, snap=cuts), cuts):
-        expected += [(pieces.band, 1),
-                     (pieces.band, PIECE_PANELS * pieces.lo.size)]
+        expected += [(pieces.band, 1)] * system.n_equations
+        expected.append((pieces.band, PIECE_PANELS * pieces.lo.size))
     cut, planned = [], []
     calls = _count_frozen_kernel(monkeypatch)
     band_pieces = quadrature.band_pieces

@@ -7,7 +7,8 @@ lo + (k + 0.5) * width, and sum each piece as its row alone.
 sums at the guess in blocks of rows; they must hold the bits of the same
 values formed on the whole plan at once, and the check of A, one sum per
 block, must name the first bad value in row-major order, as the whole
-plan does.  ``frozen_factors`` is that evaluator on one block.
+plan does.  The reference values come from the expressions themselves,
+evaluated on the whole plan at once (``helpers.frozen_values``).
 """
 
 import numpy as np
@@ -29,7 +30,11 @@ from bandvie.problem import (
 )
 from bandvie.quadrature import BandPieces, band_plan, midpoint_plan
 
-from helpers import guess_sums_reference, whole_plan_frozen
+from helpers import (
+    frozen_values,
+    guess_sums_reference,
+    whole_plan_frozen,
+)
 
 #: piece starts: zero, so that subnormal lengths stay subnormal widths, or
 #: any moderate number
@@ -110,11 +115,19 @@ def test_band_plan_blocks_over_linear_curve_families(slopes, horizon,
         _assert_piece_sums_are_row_sums(plan, values)
 
 
-def _moment_plan(system, degree=4, panels=DEFAULT_MOMENT_PANELS):
-    """The first band's collocation plan and its outer-time column."""
+def _moment_plan(system, band=1, degree=4, panels=DEFAULT_MOMENT_PANELS):
+    """A band's collocation plan and the outer times, its nodes."""
     nodes = collocation_nodes(system.curves.horizon, degree)
-    plan = next(band_plan(nodes, system.curves, panels))
-    return plan, nodes[plan.piece_time, None]
+    return list(band_plan(nodes, system.curves, panels))[band - 1], nodes
+
+
+def _frozen_pass(lin, plan, times):
+    """Every pair of one :meth:`LinearizedSystem.frozen_pairs` pass on
+    ``plan``: (i, A, K, sums at the guess), A copied out of the buffer
+    that the next pair overwrites."""
+    buffer = np.empty(2 * plan.piece_width.size * plan.panels)
+    return [(i, a.copy(), kernel, guess)
+            for i, a, kernel, guess in lin.frozen_pairs(plan, times, buffer)]
 
 
 def _one_equation(kernel):
@@ -124,12 +137,14 @@ def _one_equation(kernel):
 
 
 def test_a_finite_kernel_whose_sum_overflows_is_not_reported():
+    # every block of rows sums to inf, but no value of A is inf
     system = _one_equation("1e308")
-    plan, t = _moment_plan(system)
-    kvs, _, avs = linearize(system).frozen_factors(1, t, plan.abscissas)
+    plan, times = _moment_plan(system)
+    [(_, a, _, _)] = _frozen_pass(linearize(system), plan, times)
+    step = max(1, BLOCK_VALUES // plan.panels)
     with np.errstate(over="ignore"):
-        assert np.add.reduce(avs[0], axis=None) == np.inf
-    assert np.all(avs[0] == 1e308)
+        assert np.add.reduce(a[:step], axis=None) == np.inf
+    assert np.all(a == 1e308)
     assert not any("frozen kernel" in d.condition for d in validate(system))
 
 
@@ -138,17 +153,13 @@ def test_a_bad_value_in_a_block_is_named_as_on_the_flat_plan(kernel):
     # the rows of later nodes turn bad at smaller column indices, so only
     # the first bad value in row-major order is the one the flat plan names
     system = _one_equation(kernel)
-    lin = linearize(system)
-    plan, t = _moment_plan(system)
+    plan, times = _moment_plan(system)
     with pytest.raises(SolverError) as block:
-        lin.frozen_factors(1, t, plan.abscissas)
-    flat_t = np.broadcast_to(t, plan.abscissas.shape).ravel()
-    with pytest.raises(SolverError) as flat:
-        lin.frozen_factors(1, flat_t, plan.abscissas.ravel())
-    assert str(block.value) == str(flat.value)
+        _frozen_pass(linearize(system), plan, times)
+    t = times[plan.piece_time, None]
     with np.errstate(all="ignore"):
         bad = ~np.isfinite(system.kernels[0][0](t=t, s=plan.abscissas))
-    r, c = np.argwhere(bad)[0]
+    r, c = divmod(int(np.argmax(bad.ravel())), plan.panels)
     assert tuple(np.argwhere(bad.T)[0]) != (c, r)
     assert str(block.value) == (
         f"non-finite frozen kernel in equation 1, band 1 at t = "
@@ -158,7 +169,6 @@ def test_a_bad_value_in_a_block_is_named_as_on_the_flat_plan(kernel):
 def test_a_g_equal_x_pair_takes_k_as_a_and_evaluates_no_g_x(model01,
                                                               monkeypatch):
     lin = linearize(model01)
-    plan, t = _moment_plan(model01)
     evaluated = []
     call = Expression.__call__
 
@@ -166,30 +176,42 @@ def test_a_g_equal_x_pair_takes_k_as_a_and_evaluates_no_g_x(model01,
         evaluated.append(self)
         return call(self, *args, **kwargs)
 
-    monkeypatch.setattr(Expression, "__call__", counting)
-    kvs, gvs, avs = lin.frozen_factors(1, t, plan.abscissas)
-    # the two kernels only: no dG/dx, and no guess to evaluate it at
-    kernels = [row[0] for row in model01.kernels]
-    assert len(evaluated) == 2
-    assert all(e is k for e, k in zip(evaluated, kernels))
-    assert gvs == [None, None]
-    for kv, a in zip(kvs, avs):
-        # model01's first-band kernels use s: A holds K, in an array of its
-        # own
-        assert np.array_equal(a, kv) and a is not kv
-    # a kernel constant in s is laid out in memory, as K * 1.0 was
-    kvs, gvs, avs = lin.frozen_factors(2, t, plan.abscissas)
-    assert gvs == [None, None]
-    for kv, a in zip(kvs, avs):
-        assert np.array_equal(a, kv) and a.flags.c_contiguous
+    for band in (1, 2):
+        plan, times = _moment_plan(model01, band)
+        kvs, _ = whole_plan_frozen(lin, plan, times)
+        evaluated.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Expression, "__call__", counting)
+            pairs = _frozen_pass(lin, plan, times)
+        # the two kernels only: per block of rows for band 1's K with s,
+        # once on the column of times for band 2's K free of s; no dG/dx,
+        # and no guess to evaluate it at
+        blocks = 1
+        if band == 1:
+            blocks = -(-plan.piece_width.size
+                       // max(1, BLOCK_VALUES // plan.panels))
+            assert blocks > 1
+        kernels = [row[band - 1] for row in model01.kernels]
+        assert len(evaluated) == 2 * blocks
+        assert all(e is k for e, k in zip(
+            evaluated, [kernels[0]] * blocks + [kernels[1]] * blocks))
+        assert [i for i, *_ in pairs] == [0, 1]
+        for (_, a, kernel, guess), kv in zip(pairs, kvs):
+            assert kernel is None and guess is None
+            assert a.tobytes() == np.ascontiguousarray(kv).tobytes()
 
 
 def test_a_nonlinear_pair_gets_the_product_of_its_factors(sys2):
-    plan, t = _moment_plan(sys2)
-    kvs, gvs, avs = linearize(sys2).frozen_factors(1, t, plan.abscissas)
-    for kv, gv, a in zip(kvs, gvs, avs):
+    lin = linearize(sys2)
+    plan, times = _moment_plan(sys2)
+    kvs, gvs, _ = frozen_values(lin, 1, times[plan.piece_time, None],
+                                plan.abscissas)
+    pairs = _frozen_pass(lin, plan, times)
+    assert [i for i, *_ in pairs] == [0, 1]
+    for i, a, kernel, _ in pairs:
         assert a.shape == plan.abscissas.shape
-        assert np.array_equal(a, kv * gv)
+        assert np.array_equal(kernel, kvs[i])
+        assert a.tobytes() == (kvs[i] * gvs[i]).tobytes()
 
 
 def test_origin_factors_hold_one_as_the_slope_of_g_equal_x(scalar):
@@ -198,12 +220,11 @@ def test_origin_factors_hold_one_as_the_slope_of_g_equal_x(scalar):
     # band 2 has G = x: slope 1 and A = K
     assert gx00[0, 1] == 1.0 and a00[0, 1] == weights[0, 1]
     # band 1: K, dG/dx and A at t = s = 0, K and A times the slope jump
-    kvs, gvs, avs = lin.frozen_factors(1, 0.0, np.zeros(1))
+    kvs, gvs, avs = frozen_values(lin, 1, 0.0, np.zeros(1))
     jump = float(scalar.curves.alpha_prime(1, 0.0))
     assert weights[0, 0] == kvs[0][0] * jump
     assert gx00[0, 0] == gvs[0][0]
     assert a00[0, 0] == avs[0][0] * jump
-
 
 
 def _pass_system():
@@ -271,9 +292,6 @@ def test_a_bad_value_in_a_later_block_is_named_as_on_the_whole_plan(cut):
     with pytest.raises(SolverError) as blocked:
         list(lin.frozen_pairs(plan, times, buffer))
     t = times[plan.piece_time, None]
-    with pytest.raises(SolverError) as whole:
-        lin.frozen_factors(2, t, plan.abscissas)
-    assert str(blocked.value) == str(whole.value)
     with np.errstate(all="ignore"):
         bad = ~np.isfinite(system.kernels[0][1](t=t, s=plan.abscissas))
     r, c = np.argwhere(bad)[0]

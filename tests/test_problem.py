@@ -17,6 +17,7 @@ from bandvie.problem import (
     linearize,
     validate,
 )
+from bandvie.quadrature import BandPieces, midpoint_plan
 from bandvie.registry import builtin, list_builtins
 
 ALL_BUILTINS = ("model01", "model02", "nonlinear-scalar",
@@ -113,6 +114,45 @@ def test_validate_flags_infinite_rhs_slope_at_zero(model01):
         assert "inf" in diags[0].detail
 
 
+def _scalar_with(curves=("t/2",), last_kernel="1", rhs="t"):
+    """One equation, every band on one unknown, G = x."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, curves),
+        kernels=[["1+t"] + ["1"] * (len(curves) - 1) + [last_kernel]],
+        nonlinearities=[["x"] * (len(curves) + 1)], rhs=[rhs],
+        unknown_of_band=(1,) * (len(curves) + 1))
+
+
+@pytest.mark.parametrize("kwargs, expected", [
+    # t^2*log(t) is 0*(-inf) = nan at 0, in value and slope; K is free of
+    # s, so no frozen kernel turns nan along the nan band edges
+    (dict(curves=("t/2+t^2*log(t)",)), [
+        "alpha_1(0) != 0 at t = 0: value nan",
+        "alpha'_{n-1}(0) must stay below 1 at t = 0: value nan"]),
+    # the slope of sqrt(t)^3 is 3*sqrt(t)^2*(1/(2*sqrt(t))) = 0*inf at 0,
+    # where its value is 0
+    (dict(curves=("t/3+0.01*sqrt(t)^3", "2*t/3")), [
+        "curve slopes at 0 out of order at t = 0: "
+        "alpha'_1(0) = nan, alpha'_2(0) = 0.666667"]),
+    # t*log(t) is nan at 0, and so is its slope log(t) + t*(1/t)
+    (dict(rhs="t*log(t)"), [
+        "f_1(0) != 0 at t = 0: value nan",
+        "f_1'(0) is not finite at t = 0: value nan; the start values need "
+        "it finite"]),
+    # (t-s)/(t-s) is 0/0 on the diagonal: a fault of the diagonal, and of
+    # the frozen kernel at t = s = 0
+    (dict(last_kernel="(t-s)/(t-s)+1"), [
+        "K_1,2(t, t) is not finite at t = 0: |value| = nan",
+        "non-finite frozen kernel in equation 1, band 2 at t = 0: s = 0, "
+        "along the initial guess"]),
+    (dict(last_kernel="t-s"), [
+        "K_1,2(t, t) vanishes at t = 0: |value| = 0.000e+00"]),
+], ids=["curve", "slope", "rhs", "diagonal-nan", "diagonal-zero"])
+def test_validate_flags_a_value_at_zero_or_on_the_diagonal(kwargs, expected):
+    # each condition fails for a value that is not finite, too
+    assert [str(d) for d in validate(_scalar_with(**kwargs))] == expected
+
+
 def test_validate_names_a_non_finite_frozen_kernel(model01):
     # G_1,1 = sqrt(x) along the guess x0 = 0: dG/dx = 1/(2 sqrt(0)) = inf
     system = VolterraSystem(
@@ -205,28 +245,39 @@ def test_curve_derivatives_are_the_differentiators_own():
         CurveFamily(1.0, ("t/2",), ("1/2",))
 
 
+def _frozen_pass(lin, band, times, lo, hi, panels):
+    """A and K per equation from one frozen-kernel pass on a midpoint plan
+    of ``panels`` panels on one piece [lo, hi] per outer time; the plan."""
+    plan = midpoint_plan(BandPieces(band=band, lo=lo, hi=hi,
+                                    time_index=np.arange(times.size)), panels)
+    buffer = np.empty(2 * plan.abscissas.size)
+    return [(a.copy(), kernel) for _, a, kernel, _ in
+            lin.frozen_pairs(plan, times, buffer)], plan
+
+
 def test_linearize_linear_system_freezes_to_plain_kernels(model01):
     lin = linearize(model01)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        t = float(rng.uniform(0.1, 2.0))
-        s = rng.uniform(0.0, t, size=5)
-        for i in (1, 2):
-            for j in (1, 2):
-                frozen = lin.frozen_factors(j, t, s)[2][i - 1]
-                raw = np.broadcast_to(np.asarray(
-                    model01.kernels[i - 1][j - 1](t=t, s=s), float), s.shape)
-                assert np.allclose(frozen, raw, atol=1e-15)
+    times = np.random.default_rng(1).uniform(0.1, 2.0, size=10)
+    for j in (1, 2):
+        pairs, plan = _frozen_pass(lin, j, times, np.zeros(10), times, 5)
+        for i, (frozen, _) in enumerate(pairs):
+            raw = np.broadcast_to(np.asarray(model01.kernels[i][j - 1](
+                t=times[:, None], s=plan.abscissas), float), frozen.shape)
+            assert np.array_equal(frozen, raw)
 
 
 def test_linearize_scalar_frozen_kernel_spot_check(scalar):
     # freezing G(s, x) = x + x^2 along x0(s) = s^2 multiplies the first-band
     # kernel by 1 + 2 s^2
     lin = linearize(scalar, scalar.exact_iterate())
-    s = np.array([0.0, 0.3, 0.9])
-    k, g, a = lin.frozen_factors(1, 0.5, s)
-    assert np.array_equal(a[0], k[0] * g[0])
-    assert np.allclose(a[0], (1 + 0.5 + s) * (1 + 2 * s ** 2), atol=1e-14)
+    [(a, k)], plan = _frozen_pass(lin, 1, np.array([0.5]), np.zeros(1),
+                                  np.array([0.9]), 3)
+    s = plan.abscissas
+    assert np.allclose(s, [[0.15, 0.45, 0.75]], rtol=0, atol=1e-15)
+    assert np.array_equal(k, 1 + 0.5 + s)
+    x0 = lin.x0.component_values(1, s)
+    assert np.array_equal(a, k * scalar.g_x[0][0](s=s, x=x0))
+    assert np.allclose(a, (1 + 0.5 + s) * (1 + 2 * s ** 2), atol=1e-14)
 
 
 def test_expression_iterate_protocol(model01):

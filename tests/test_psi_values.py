@@ -59,6 +59,7 @@ from bandvie.registry import builtin
 from helpers import (
     CollocationPsi,
     empty_band_system,
+    frozen_values,
     guess_sums_reference,
     pc_psi_evaluator,
     whole_plan_frozen,
@@ -242,7 +243,8 @@ def _cumsum_values_without_cuts(ev, plan, iterate):
         j, s = band.band, band.abscissas
         panels = s.size // band.piece_time.size
         time_index = np.repeat(band.piece_time, panels)
-        kvs, gvs, _ = lin.frozen_factors(j + 1, ev.disc.times[time_index], s)
+        kvs, gvs, _ = frozen_values(lin, j + 1, ev.disc.times[time_index],
+                                    s)
         weights = np.repeat(band.piece_width, panels)
         ends = np.cumsum(np.bincount(time_index,
                                      minlength=ev.disc.times.size))
@@ -531,18 +533,18 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
     # every G is x: psi keeps no band
     assert disc._psi == []
     evaluated, frozen_calls = [], []
-    call, frozen = Expression.__call__, LinearizedSystem.frozen_factors
+    call, frozen = Expression.__call__, LinearizedSystem.frozen_pairs
 
     def counting_call(self, *args, **kwargs):
         evaluated.append(self)
         return call(self, *args, **kwargs)
 
-    def counting_frozen(self, *args):
-        frozen_calls.append(args[0])
-        return frozen(self, *args)
+    def counting_frozen(self, plan, *args):
+        frozen_calls.append(plan.band)
+        return frozen(self, plan, *args)
 
     monkeypatch.setattr(Expression, "__call__", counting_call)
-    monkeypatch.setattr(LinearizedSystem, "frozen_factors", counting_frozen)
+    monkeypatch.setattr(LinearizedSystem, "frozen_pairs", counting_frozen)
     ev = PsiEvaluator(lin, disc)
     assert frozen_calls == []
     kernels = [e for row in model01.kernels + model01.g_x for e in row]
