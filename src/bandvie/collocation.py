@@ -15,22 +15,22 @@ pair and band (:meth:`LinearizedSystem.frozen_pairs`), and read once:
 the moments of a row are one product of A with the plan's table of
 reference powers u^r (:func:`quadrature.reference_powers`), mapped to
 the powers (s/T)^l of that row's piece by a binomial shift
-(:func:`quadrature.power_shift`).  The same pass sums psi at the guess
-per row, sum A * x0 - sum K * G(s, x0).
+(:func:`quadrature.power_shift`).  The same pass adds psi at the guess,
+w * (sum A * x0 - sum K * G(s, x0)) per row, into f.
 
 The discretization sums its own share of psi, w * (sum A * xm - sum K *
 G(xm)) per row, and the outer iteration adds f
 (:meth:`CollocationDiscretization.add_psi`).  It keeps, per band with a
-pair whose G is not x, K, the guess sums, the products A @ table.T and
-the shifts (:class:`~bandvie.problem.PsiBand`), not A.  For a polynomial
-iterate sum A * xm comes from those products and, for a G that is a
-polynomial in x, sum K * G(xm) from weights of K at the Chebyshev points
-that interpolate G(xm) exactly; so the frozen kernel is evaluated once
-per run, and K is read only up to the first polynomial iterate, after
-which it is kept only for a G with s or one that is not a polynomial,
-summed on the plan.  A solve takes psi as an array at the collocation
-nodes and its d/dt at 0 (:meth:`CollocationDiscretization.solve`).
-Solutions are immutable.
+pair whose G is not x, K, the products A @ table.T and the shifts
+(:class:`~bandvie.problem.PsiBand`), not A.  For a polynomial iterate
+sum A * xm comes from those products and, for a G that is a polynomial
+in x, sum K * G(xm) from weights of K at the Chebyshev points that
+interpolate G(xm) exactly; so the frozen kernel is evaluated once per
+run, and K is read only up to the first polynomial iterate, which builds
+the weights, after which it is kept only for a G with s or one that is
+not a polynomial, summed on the plan.  A solve takes psi as an array at
+the collocation nodes and its d/dt at 0
+(:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
 """
 
 from __future__ import annotations
@@ -123,12 +123,14 @@ def _points(g, degree, panels):
 class _PsiBand(PsiBand):
     """A :class:`~bandvie.problem.PsiBand` of a collocation plan: one piece
     per node whose band segment is not empty, at the node index
-    ``times[k]``, with the binomial ``shift`` of each piece."""
+    ``times[k]``, with the binomial ``shift`` of each piece, and per pair
+    the ``points`` of its weights (:func:`_points`)."""
 
-    def __init__(self, plan, lin, kept, shift):
-        super().__init__(plan, lin, kept)
+    def __init__(self, plan, lin, kept, shift, points):
+        super().__init__(plan, lin, kept, None in points)
         self.times = plan.piece_time
         self.shift = shift
+        self.points = points
 
 
 class PolynomialSolution:
@@ -188,7 +190,8 @@ class CollocationDiscretization:
 
     The matrix (and its factorization) is shared across outer iterations,
     matching the frozen linear operator of the iteration; so is the
-    start-value factorization behind the constant coefficients.
+    start-value factorization behind the constant coefficients, and
+    :attr:`f` and :attr:`psi_at_guess` at :attr:`times`, read-only.
     """
 
     def __init__(self, lin, degree, panels=DEFAULT_MOMENT_PANELS):
@@ -199,12 +202,14 @@ class CollocationDiscretization:
         self.panels = quadrature.checked_count("panels", panels)
         self.scale = float(lin.curves.horizon)
         self._powers = self.scale ** np.arange(1, m + 1)
+        self.f = f_at_times(lin.system, self.times)
+        self.f.flags.writeable = False
 
         n_eq = lin.n_equations
         size = n_eq * m
         matrix = np.zeros((size, size))
         zeroth = np.zeros((n_eq, m, lin.n_bands))
-        self._psi = self._assemble(matrix, zeroth)
+        self._psi, self.psi_at_guess = self._assemble(matrix, zeroth)
         self.matrix = matrix
         self.zeroth_moments = zeroth
         self.condition_number = float(np.linalg.cond(matrix)) if size else 0.0
@@ -217,7 +222,7 @@ class CollocationDiscretization:
         try:
             self._fact = LUFactorization(matrix)
         except SingularMatrixError as exc:
-            # the error's traceback holds this frame: it keeps no plan
+            # the error's traceback holds this frame: it keeps no K
             self._psi = None
             raise SolverError(
                 f"singular collocation matrix at degree {m} "
@@ -226,31 +231,35 @@ class CollocationDiscretization:
     def _assemble(self, matrix, zeroth):
         """Add the moments of every band to ``matrix`` and ``zeroth``, and
         return per band with a pair whose G is not x the
-        :class:`_PsiBand` its psi sums on.
+        :class:`_PsiBand` its psi sums on, and psi at the guess.
 
         A of each pair is formed into one buffer, reused by every pair and
         band (:meth:`~bandvie.problem.LinearizedSystem.frozen_pairs`), and
         read once, for its moments; what is kept is K of the pairs whose G
-        is not x, with their sums at the guess.
+        is not x.
         """
-        lin = self.lin
+        lin, m, panels = self.lin, self.degree, self.panels
         bands = []
-        table = quadrature.reference_powers(self.panels, self.degree)
-        buffer = np.empty(2 * self.times.size * self.panels)
-        for plan in quadrature.band_plan(self.times, lin.curves, self.panels):
+        table = quadrature.reference_powers(panels, m)
+        buffer = np.empty(2 * self.times.size * panels)
+        guess = self.f.copy()
+        for plan in quadrature.band_plan(self.times, lin.curves, panels):
             shift = quadrature.power_shift(
-                plan.piece_lo, plan.piece_width * self.panels, self.scale,
-                self.degree)
+                plan.piece_lo, plan.piece_width * panels, self.scale, m)
             products, kept = [], []
-            for i, a, kernel, guess in lin.frozen_pairs(plan, self.times,
-                                                        buffer):
+            for i, a, kernel in lin.frozen_pairs(plan, self.times, buffer,
+                                                 guess):
                 products.append(a @ table.T)
                 if kernel is not None:
-                    kept.append((i, kernel, guess, products[-1]))
+                    kept.append((i, kernel, products[-1]))
             self._add_moments(matrix, zeroth, plan, shift, products)
             if kept and plan.piece_width.size:
-                bands.append(_PsiBand(plan, lin, kept, shift))
-        return bands
+                g = lin.system.nonlinearities
+                bands.append(_PsiBand(plan, lin, kept, shift, [
+                    _points(g[i][plan.band - 1], m, panels)
+                    for i, *_ in kept]))
+        guess.flags.writeable = False
+        return bands, guess
 
     def _add_moments(self, matrix, zeroth, plan, shift, products):
         """Add the moments of the frozen kernel on one band's plan.
@@ -279,18 +288,16 @@ class CollocationDiscretization:
         f there, shape (n_eq, m): per node the sum over its pieces of w *
         (sum A * xm - sum K * G(xm)), w the panel width.
 
-        ``iterate`` is ``lin.x0``, whose sums the set-up pass took, or a
-        :class:`PolynomialSolution` of :attr:`degree`: its coefficients
-        c_hat_l = c_l * T^l on piece k, D_k = c_hat @ S_k with S_k the
-        shift of the piece, give sum A * xm = D_k . R_k, and sum K * G(xm)
-        comes from the weights built at the first such iterate
-        (:meth:`_keep_weights`).  Any other iterate raises
+        ``iterate`` is a :class:`PolynomialSolution` of :attr:`degree`:
+        its coefficients c_hat_l = c_l * T^l on piece k, D_k = c_hat @ S_k
+        with S_k the shift of the piece, give sum A * xm = D_k . R_k, and
+        sum K * G(xm) comes from the weights built at the first such
+        iterate (:meth:`_keep_weights`).  Any other iterate, the
+        linearization point too (its psi is :attr:`psi_at_guess`), raises
         :class:`SolverError` and changes nothing.  With no band to sum,
         psi is f, for any iterate.
         """
-        if iterate is self.lin.x0 or not self._psi:
-            for band in self._psi:
-                band.add_guess(out)
+        if not self._psi:
             return
         m = self.degree
         if not (isinstance(iterate, PolynomialSolution)
@@ -298,8 +305,8 @@ class CollocationDiscretization:
             got = type(iterate).__name__
             if isinstance(iterate, PolynomialSolution):
                 got += f" of degree {iterate.degree}"
-            raise SolverError(f"collocation psi takes the linearization point "
-                              f"or a polynomial of degree {m}, got {got}")
+            raise SolverError(f"collocation psi takes a polynomial of degree "
+                              f"{m}, got {got}")
         if self._psi[0].weights is None:
             self._keep_weights()
         scaled = iterate.coefficients * self.scale ** np.arange(m + 1)
@@ -311,23 +318,21 @@ class CollocationDiscretization:
 
     def _keep_weights(self):
         """Build, once, per pair its weights: W = (K @ T.T) @ C for n > 1
-        points (:func:`_points`), T the rows T_r(2u - 1), r < n, on the
-        reference midpoints (:func:`_chebyshev_rows`) and C of
-        :func:`_chebyshev`, the row sums of K for n = 1, and None for a
-        pair summed on the plan; with the nodes V of each n > 1 and the
-        reference powers that pair needs."""
+        points (the band's :attr:`_PsiBand.points`), T the rows T_r(2u -
+        1), r < n, on the reference midpoints (:func:`_chebyshev_rows`)
+        and C of :func:`_chebyshev`, the row sums of K for n = 1, and None
+        for a pair summed on the plan; with the nodes V of each n > 1 and
+        the reference powers that pair needs."""
         m, panels = self.degree, self.panels
-        points = [[_points(g, m, panels) for g in band.nonlinearities]
-                  for band in self._psi]
-        chebyshev = {n: _chebyshev(n, m) for of_band in points
-                     for n in of_band if (n or 0) > 1}
+        chebyshev = {n: _chebyshev(n, m) for band in self._psi
+                     for n in band.points if (n or 0) > 1}
         self._nodes = {n: v for n, (v, _) in chebyshev.items()}
         self._table = (quadrature.reference_powers(panels, m)
-                       if any(None in of_band for of_band in points)
+                       if any(None in band.points for band in self._psi)
                        else None)
         products = [[np.empty((kernel.shape[0], n)) if (n or 0) > 1 else None
-                     for kernel, n in zip(band.kernels, of_band)]
-                    for band, of_band in zip(self._psi, points)]
+                     for kernel, n in zip(band.kernels, band.points)]
+                    for band in self._psi]
         top = max(chebyshev, default=0)
         for start, rows in _chebyshev_rows(panels, top, m + 1):
             for band, of_band in zip(self._psi, products):
@@ -335,11 +340,11 @@ class CollocationDiscretization:
                     if kt is not None and kt.shape[1] > start:
                         kt[:, start:start + rows.shape[0]] = (
                             kernel @ rows[:kt.shape[1] - start].T)
-        for band, of_band, ns in zip(self._psi, products, points):
+        for band, of_band in zip(self._psi, products):
             band.keep_weights([
                 None if n is None else kernel.sum(axis=1)
                 if n == 1 else kt @ chebyshev[n][1]
-                for kernel, n, kt in zip(band.kernels, ns, of_band)])
+                for kernel, n, kt in zip(band.kernels, band.points, of_band)])
 
     def solve(self, psi, dpsi0):
         """The polynomial for psi at :attr:`times`, shape (n_eq, m), with
@@ -370,5 +375,4 @@ def solve_linear_collocation(system, degree=5):
     The kernels are frozen along the initial guess.
     """
     disc = CollocationDiscretization(linearize(system), degree)
-    return disc.solve(f_at_times(system, disc.times),
-                      disc.lin.f_prime_at_zero)
+    return disc.solve(disc.f, disc.lin.f_prime_at_zero)

@@ -19,8 +19,9 @@ is 1 * xm - xm = 0 exactly), so it is skipped
 
 Each inner solver sums its own share of psi, the integrals, on the plan
 its operator was built from, and reads only its own iterates (its
-``add_psi``); :class:`PsiEvaluator` adds f, and the linearization gives
-d(psi)/dt at 0 (:meth:`LinearizedSystem.derivative_at_zero`).  A step
+``add_psi``); its set-up pass has already summed psi at the guess.
+:class:`PsiEvaluator` adds f, and the linearization gives d(psi)/dt at 0
+(:meth:`LinearizedSystem.derivative_at_zero`).  A step
 costs psi, the inner solve and the correction norm; the loop keeps the
 norm grids and the current iterate's samples on them, so every iterate is
 sampled once.  The step's :class:`IterationRecord` keeps its iterate; the
@@ -41,7 +42,7 @@ from . import quadrature
 from .collocation import CollocationDiscretization
 from .errors import DivergenceError, ProblemDefinitionError, SolverError
 from .pc import Mesh, PCDiscretization
-from .problem import _first_non_finite, f_at_times, linearize, validate
+from .problem import _first_non_finite, linearize, validate
 from .report import measure_errors
 
 #: sample count per component for the correction sup-norm
@@ -138,24 +139,22 @@ class PsiEvaluator:
 
     psi_i(t_k) = f_i(t_k) plus the solver's sums over the pieces of t_k
     of w * (sum A_i * xm - sum K_i * G_i(xm)), w the piece's panel width
-    (``disc.add_psi``, which refuses an iterate it does not make).  The
-    evaluator keeps f at the times and psi at the linearization point,
-    summed once here (``values(lin.x0)`` returns a copy).
+    (``disc.add_psi``, which refuses an iterate it does not make, the
+    linearization point too).  f and psi at the linearization point are
+    the solver's own, read-only, from its set-up pass (``disc.f`` and
+    ``disc.psi_at_guess``); ``values(lin.x0)`` returns a copy.
     """
 
     def __init__(self, lin, disc):
         self.lin = lin
         self.disc = disc
-        self._f_vals = f_at_times(lin.system, disc.times)
-        self._at_x0 = self._f_vals.copy()
-        disc.add_psi(self._at_x0, lin.x0)
 
     def values(self, iterate):
         """Psi at the solver's times, shape (n_eq, n_times), for
         ``lin.x0`` or an iterate of the solver."""
         if iterate is self.lin.x0:
-            return self._at_x0.copy()
-        out = self._f_vals.copy()
+            return self.disc.psi_at_guess.copy()
+        out = self.disc.f.copy()
         self.disc.add_psi(out, iterate)
         return out
 
@@ -218,8 +217,6 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
             lin, Mesh.uniform(system.curves.horizon, n_segments))
     else:
         disc = CollocationDiscretization(lin, degree)
-    # psi starts from the guess sums of the solver's pass; what the solver
-    # keeps of its plan after its first iterate is only what psi reads
     evaluator = PsiEvaluator(lin, disc)
 
     report = IterationReport()

@@ -12,13 +12,12 @@ mesh nodes: the last piece of a step is its unknown range and gives the
 step coefficients, the pieces before it the history weights.  The frozen
 kernel A is formed on that plan one equation at a time, in row blocks,
 into one buffer reused by every pair and band
-(:meth:`LinearizedSystem.frozen_pairs`), which also sums psi at the guess
-per piece.  The discretization sums its own share of psi on the same
-plan, and the outer iteration adds f (:meth:`PCDiscretization.add_psi`).
-It keeps, per band with a pair whose G is not x, K, those sums and the
-row sums of A, not A itself (:class:`~bandvie.problem.PsiBand`); a step
-iterate is one value per piece, so K is read only up to the first one,
-after which only its row sums are kept, for a G free of s.
+(:meth:`LinearizedSystem.frozen_pairs`), which also adds psi at the guess
+into f.  The discretization sums its own share of psi on the same plan,
+and the outer iteration adds f (:meth:`PCDiscretization.add_psi`).  A
+step iterate is one value per piece, so it keeps, per band with a pair
+whose G is not x, the row sums of A and of K, K itself only for a G with
+s, and nothing of it changes after set-up (:class:`_PsiBand`).
 
 The step systems depend on the frozen operator only, not on the
 right-hand side psi, which a solve takes as an array at the nodes
@@ -146,13 +145,14 @@ class PiecewiseConstantSolution:
 
 
 class _PsiBand(PsiBand):
-    """A :class:`~bandvie.problem.PsiBand` of a pc plan: a time owns
-    several pieces, consecutive, each in the 0-based mesh ``segment``;
-    ``runs`` holds the first piece of each time that owns one, and
-    ``times`` that time."""
+    """A :class:`~bandvie.problem.PsiBand` of a pc plan, its ``weights``
+    the row sums of K, None for a G with s: a time owns several pieces,
+    consecutive, each in the 0-based mesh ``segment``; ``runs`` holds the
+    first piece of each time that owns one, and ``times`` that time."""
 
-    def __init__(self, plan, lin, kept, segment):
-        super().__init__(plan, lin, kept)
+    def __init__(self, plan, lin, kept, weights, segment):
+        super().__init__(plan, lin, kept, any(w is None for w in weights))
+        self.weights = weights
         self.segment = segment
         self.runs = np.flatnonzero(np.diff(plan.piece_time, prepend=-1))
         self.times = plan.piece_time[self.runs]
@@ -183,9 +183,11 @@ class PCDiscretization:
 
     Everything that does not depend on the right-hand side is built here,
     once: the per-step coefficients and history piece weights, with what
-    psi reads of their plan (:meth:`add_psi`), and the step operator
-    (:attr:`_steps`).  The first step fault raises :class:`SolverError`.
-    :meth:`solve` takes psi at :attr:`times` and its d/dt at 0.
+    psi reads of their plan (:meth:`add_psi`), :attr:`f` and
+    :attr:`psi_at_guess` at :attr:`times`, (n_eq, N) and read-only, and
+    the step operator (:attr:`_steps`).  The first step fault raises
+    :class:`SolverError`.  :meth:`solve` takes psi at :attr:`times` and
+    its d/dt at 0.
     """
 
     def __init__(self, lin, mesh):
@@ -195,12 +197,15 @@ class PCDiscretization:
         self.mesh = mesh
         #: the collocation times t_1..t_N, where :meth:`solve` takes psi
         self.times = mesh.nodes[1:]
-        bands, self._psi = self._assemble()
+        self.f = f_at_times(lin.system, self.times)
+        self.f.flags.writeable = False
+        bands, self._psi, self.psi_at_guess = self._assemble()
         self._steps = self._step_operator(bands)
 
     def _assemble(self):
         """Per band ``(u, segments, coeff, hist, size, weights)``; per band
-        with a pair whose G is not x the :class:`_PsiBand` psi sums on.
+        with a pair whose G is not x the :class:`_PsiBand` psi sums on;
+        psi at the guess, read-only.
 
         Each band is cut, planned on ``PIECE_PANELS`` panels per piece and
         evaluated once, pair by pair into one buffer.  Per step k:
@@ -211,27 +216,28 @@ class PCDiscretization:
         integrals in the (n_eq, pieces) ``weights``.
         """
         lin, mesh = self.lin, self.mesh
-        nonlinear = lin.nonlinear_equations
         n_steps, n_eq = mesh.n_segments, lin.n_equations
         cuts = mesh.nodes[1:-1]
         edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
         segments = mesh.segment_indices(edges[:, 1:])
         bands, psi = [None] * lin.n_bands, []
-        # the bands psi keeps nothing of first, so no kept plan is held
-        # while they are evaluated; the kept ones stay in band order
-        cut = sorted(quadrature.band_pieces(edges, cuts=cuts),
-                     key=lambda p: bool(nonlinear[p.band - 1]))
+        cut = quadrature.band_pieces(edges, cuts=cuts)
         buffer = np.empty(2 * PIECE_PANELS * max(p.lo.size for p in cut))
+        guess = self.f.copy()
         for pieces in cut:
             j = pieces.band
             plan = quadrature.midpoint_plan(pieces, PIECE_PANELS)
             weights = np.empty((n_eq, pieces.lo.size))
-            kept = []
-            for i, a, kernel, guess in lin.frozen_pairs(plan, self.times,
-                                                        buffer):
+            kept, row_sums = [], []
+            for i, a, kernel in lin.frozen_pairs(plan, self.times, buffer,
+                                                 guess):
                 weights[i] = plan.piece_sums(a) * plan.piece_width
-                if kernel is not None:      # psi keeps K of this pair
-                    kept.append((i, kernel, guess, a @ _STEP_POWERS.T))
+                if kernel is not None:      # psi sums this pair
+                    g = lin.system.nonlinearities[i][j - 1]
+                    w = None if "s" in g.free_variables else kernel.sum(axis=1)
+                    kept.append((i, kernel if w is None else None,
+                                 a @ _STEP_POWERS.T))
+                    row_sums.append(w)
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
@@ -245,40 +251,33 @@ class PCDiscretization:
                 np.bincount(plan.piece_time[~last], minlength=n_steps),
                 weights[:, ~last])
             if kept and plan.piece_width.size:
-                psi.append(_PsiBand(plan, lin, kept,
+                psi.append(_PsiBand(plan, lin, kept, row_sums,
                                     segment.astype(np.int32)))
-        return bands, psi
+        guess.flags.writeable = False
+        return bands, psi, guess
 
     def add_psi(self, out, iterate):
         """Add this solver's share of psi at :attr:`times` into ``out``,
         f there, shape (n_eq, N): per node the sum over its pieces of w *
         (sum A * xm - sum K * G(xm)), w the panel width.
 
-        ``iterate`` is ``lin.x0``, whose sums the set-up pass took, or a
-        :class:`PiecewiseConstantSolution` on this mesh: D_k, its value on
-        the segment of piece k, gives sum A * xm = D_k * R_k and, for a G
-        free of s, sum K * G(xm) = G(D_k) times the row sums of K, kept at
-        the first such iterate; a G with s is summed on the plan.  Any
-        other iterate raises :class:`SolverError` and changes nothing.
-        With no band to sum, psi is f, for any iterate.
+        ``iterate`` is a :class:`PiecewiseConstantSolution` on this mesh:
+        D_k, its value on the segment of piece k, gives sum A * xm = D_k *
+        R_k and, for a G free of s, sum K * G(xm) = G(D_k) times the row
+        sums of K; a G with s is summed on the plan.  Any other iterate,
+        the linearization point too (its psi is :attr:`psi_at_guess`),
+        raises :class:`SolverError` and changes nothing.  With no band to
+        sum, psi is f, for any iterate.
         """
-        if iterate is self.lin.x0 or not self._psi:
-            for band in self._psi:
-                band.add_guess(out)
+        if not self._psi:
             return
         if not (isinstance(iterate, PiecewiseConstantSolution)
                 and np.array_equal(iterate.mesh.nodes[1:], self.times)):
             got = type(iterate).__name__
             if isinstance(iterate, PiecewiseConstantSolution):
                 got += f" on a mesh of {iterate.mesh.n_segments} segments"
-            raise SolverError(f"pc psi takes the linearization point or steps "
-                              f"on its mesh of {self.times.size} segments, "
-                              f"got {got}")
-        if self._psi[0].weights is None:
-            for band in self._psi:
-                band.keep_weights([
-                    None if "s" in g.free_variables else kernel.sum(axis=1)
-                    for g, kernel in zip(band.nonlinearities, band.kernels)])
+            raise SolverError(f"pc psi takes steps on its mesh of "
+                              f"{self.times.size} segments, got {got}")
         for band in self._psi:
             d = iterate.values[band.component - 1][band.segment, None]
             for i, rows in band.pair_rows(d, _STEP_POWERS):
@@ -420,5 +419,4 @@ def solve_linear_pc(system, n_segments=64):
     """
     mesh = Mesh.uniform(system.curves.horizon, n_segments)
     disc = PCDiscretization(linearize(system), mesh)
-    return disc.solve(f_at_times(system, disc.times),
-                      disc.lin.f_prime_at_zero)
+    return disc.solve(disc.f, disc.lin.f_prime_at_zero)

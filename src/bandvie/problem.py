@@ -17,11 +17,12 @@ Linearization freezes the kernels at an initial guess X0:
 which is the operator inverted at every outer iteration.  One evaluator
 forms it on an inner solver's band plans
 (:meth:`LinearizedSystem.frozen_pairs`): pair by pair into one reused
-buffer, in row blocks that stay in cache, and with the sums psi takes at
-the guess; a solver keeps of it only its moments or weights, and, for
-the psi it sums itself, K and those sums (:class:`PsiBand`).  The
-linearization also keeps the t = 0 terms, K(0, 0) and A(0, 0) times the
-jumps of the curve slopes at 0: the start-value matrix and d(psi)/dt at 0
+buffer, in row blocks that stay in cache, adding psi at the guess into
+f at the solver's times; a solver keeps of it only its moments or
+weights, and, for the psi it sums itself, what its iterates need of K
+(:class:`PsiBand`).  The linearization also keeps the t = 0 terms,
+K(0, 0) and A(0, 0) times the jumps of the curve slopes at 0: the
+start-value matrix and d(psi)/dt at 0
 (:meth:`LinearizedSystem.derivative_at_zero`) both read them.  These
 terms, and validation's sample along the guess, are formed pair by pair
 by the evaluator's own code for K and for A.
@@ -313,11 +314,11 @@ class Diagnostic:
 def validate(system):
     """Check the sampled problem invariants; returns a list of diagnostics.
 
-    An empty list means the system passed: curves start at 0, stay ordered
-    and nondecreasing, their t=0 slopes are ordered below 1, f_i(0) = 0
-    and f_i'(0) is finite, the last-band kernels do not vanish on the
-    diagonal, each initial-guess component is finite at the sample times
-    inside its own domain, and along the initial guess X0 the frozen
+    An empty list means the system passed: curves start at 0, stay finite,
+    ordered and nondecreasing, their t=0 slopes are ordered below 1,
+    f_i(0) = 0 and f_i'(0) is finite, the last-band kernels do not vanish
+    on the diagonal, each initial-guess component is finite at the sample
+    times inside its own domain, and along the initial guess X0 the frozen
     kernels K_ij * dG_ij/dx and the nonlinearities G_ij(s, x0(s)) are
     finite where the solvers evaluate them.  The derivatives are
     bandvie's own, from :meth:`Expression.diff`, and are not re-checked
@@ -341,6 +342,11 @@ def validate(system):
     prev = np.zeros_like(ts)
     for j in range(1, curves.n_bands + 1):
         vals = np.broadcast_to(np.asarray(curves.alpha(j, ts), float), ts.shape)
+        # the ordering tests below are False for nan; t = 0 is alpha_j(0)'s
+        k = _first_non_finite(vals[1:])
+        if k is not None:
+            out.append(Diagnostic(f"alpha_{j} is not finite",
+                                  float(ts[k + 1]), f"value {vals[k + 1]}"))
         below = vals < prev - 1e-12
         if below.any():
             k = int(np.argmax(below))
@@ -491,18 +497,19 @@ class LinearizedSystem:
         self.n_bands = system.n_bands
         self.n_components = system.n_components
 
-    def frozen_pairs(self, plan, times, buffer):
+    def frozen_pairs(self, plan, times, buffer, guess):
         """The frozen kernel on a band plan, one equation at a time.
 
-        Yields, for every equation i in order, ``(i, a, kernel, guess)``
-        on the band of ``plan``, whose ``piece_time`` indexes the outer
-        ``times``: ``a`` is A_ij = K_ij * dG_ij/dx(s, x0(s)) on the plan, a
-        (pieces, panels) view of ``buffer`` that the next pair overwrites.
-        For a pair whose G is not x, ``kernel`` is K_ij on the plan (a
-        broadcast view for a K free of s) and ``guess`` per piece the sum
-        at the guess, sum A * x0 - sum K * G(s, x0), which psi starts
-        from; for G = x both are None.  ``buffer`` is a flat array of two
-        plan sizes at least, and x0 fills the second once per band.
+        Yields, for every equation i in order, ``(i, a, kernel)`` on the
+        band of ``plan``, whose ``piece_time`` indexes the outer ``times``:
+        ``a`` is A_ij = K_ij * dG_ij/dx(s, x0(s)) on the plan, a (pieces,
+        panels) view of ``buffer`` that the next pair overwrites.  For a
+        pair whose G is not x, ``kernel`` is K_ij on the plan (a broadcast
+        view for a K free of s), and w * (sum A * x0 - sum K * G(s, x0))
+        per piece, w its panel width, is first added into row i of psi at
+        the guess ``guess`` by :func:`numpy.add.at`, piece by piece; for
+        G = x ``kernel`` is None.  ``buffer`` is a flat array of two plan
+        sizes at least, and x0 fills the second once per band.
 
         Every value is formed in blocks of about ``BLOCK_VALUES`` values,
         whole rows, the abscissas too: only A, x0 and the K handed back
@@ -538,10 +545,10 @@ class LinearizedSystem:
             needs_s = whole is None or kept and any(
                 "s" in e.free_variables for e in (
                     system.g_x[i][j - 1], system.nonlinearities[i][j - 1]))
-            kernel = guess = None
+            kernel = None
             if kept:
                 kernel = np.empty(shape) if whole is None else whole
-                guess = np.empty(shape[0])
+                sums = np.empty(shape[0])
             for rows in blocks:
                 s = plan.rows(rows) if needs_s else None
                 if whole is None:
@@ -563,10 +570,11 @@ class LinearizedSystem:
                         system.nonlinearities[i][j - 1](s=s, x=xm), xm.shape)
                     # einsum runs its own loop, row by row: a BLAS product
                     # would make the last bits depend on the BLAS build
-                    sums = np.einsum("kp,kp->k", block, xm)
-                    sums -= np.einsum("kp,kp->k", k, gm)
-                    guess[rows] = sums
-            yield i, a, kernel, guess
+                    sums[rows] = np.einsum("kp,kp->k", block, xm)
+                    sums[rows] -= np.einsum("kp,kp->k", k, gm)
+            if kept:
+                np.add.at(guess[i], plan.piece_time, sums * plan.piece_width)
+            yield i, a, kernel
 
     def _kernel(self, i, j, t, s, shape):
         """K_ij at ``t`` and ``s``, of ``shape``; a K constant in s stays a
@@ -722,49 +730,35 @@ class PsiBand:
     what the solver keeps of its set-up pass to sum its share of psi.
 
     ``kept`` holds, per such pair in equation order, its 0-based equation,
-    K on ``plan``, its sums at the guess per piece, sum A * x0 - sum K *
-    G(s, x0), and R = A @ table.T, all from
-    :meth:`LinearizedSystem.frozen_pairs`, ``table`` the reference powers
-    up to the degree of the solver's iterates; A itself is not kept.  Row
-    k of each is piece k of the plan, of panel width ``piece_width[k]``.
-    The solver's first iterate sets the weights of K
-    (:meth:`keep_weights`).
+    K on ``plan`` (None where only its weights are kept) and R = A @
+    table.T, both from :meth:`LinearizedSystem.frozen_pairs`, ``table``
+    the reference powers up to the degree of the solver's iterates; A is
+    not kept.  Row k of each is piece k of the plan, of panel width
+    ``piece_width[k]``.  A band with a pair whose G is summed ``on_plan``
+    keeps its abscissas, flat, and a buffer of their shape, not the plan.
+    The weights of K are set by :meth:`keep_weights`.
     """
 
-    def __init__(self, plan, lin, kept):
+    def __init__(self, plan, lin, kept, on_plan):
         self.band = plan.band - 1                       # 0-based
         self.component = lin.unknown_of_band[self.band]  # 1-based
-        self.plan = plan
         self.piece_width = plan.piece_width
-        self.equations, self.kernels, self.guess, self.moments = (
+        self.equations, self.kernels, self.moments = (
             list(column) for column in zip(*kept))
         self.nonlinearities = [lin.system.nonlinearities[i][self.band]
                                for i in self.equations]
         self.weights = self.abscissas = self.buffer = None
-
-    def add_guess(self, out):
-        """Add psi's sums at the guess, times the panel widths, into
-        ``out`` at the plan's times; :func:`numpy.add.at` adds the pieces
-        of a time one by one, in plan order."""
-        if self.guess is None:
-            raise SolverError("psi at the guess is summed before the "
-                              "solver's first iterate, which drops its sums")
-        for i, guess in zip(self.equations, self.guess):
-            np.add.at(out[i], self.plan.piece_time, guess * self.piece_width)
+        if on_plan:
+            self.abscissas = plan.abscissas.reshape(-1)
+            self.buffer = np.empty((self.piece_width.size, plan.panels))
 
     def keep_weights(self, weights):
         """Keep per pair the ``weights`` of K: its row sums, a (pieces, n)
-        block W for n points, or None for a pair summed on the plan.  The
-        guess sums go, and K of every pair with weights; a band with a
-        pair without them keeps the plan's abscissas, flat, and a buffer of
-        their shape, and no band keeps the plan."""
-        self.weights, self.guess = weights, None
+        block W for n points, or None for a pair summed on the plan; K of
+        every pair with weights goes."""
+        self.weights = weights
         self.kernels = [kernel if w is None else None
                         for kernel, w in zip(self.kernels, weights)]
-        if any(w is None for w in weights):
-            self.abscissas = self.plan.abscissas.reshape(-1)
-            self.buffer = np.empty((self.piece_width.size, self.plan.panels))
-        self.plan = None
 
     def pair_rows(self, coefficients, table, nodes=None):
         """Yield per pair its 0-based equation and, per piece k, w * (D_k

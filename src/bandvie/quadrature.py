@@ -115,8 +115,9 @@ def band_edges(times, curves, snap=None):
     Raises
     ------
     CurveOrderingError
-        If a curve value drops below its predecessor by more than 1e-12;
-        the first offending time (in the order given) is named.
+        If a curve value is not finite, or else drops below its predecessor
+        by more than 1e-12; the first offending time (in the order given)
+        is named.
     """
     times = np.asarray(times, dtype=float)
     n = curves.n_bands
@@ -126,6 +127,11 @@ def band_edges(times, curves, snap=None):
         values[:, j] = np.broadcast_to(
             np.asarray(curves.alpha(j, times), dtype=float), times.shape)
     values[:, n] = times
+    bad = ~np.isfinite(values[:, 1:n])      # nan passes the test below
+    if bad.any():
+        r, j = np.argwhere(bad)[0]
+        raise CurveOrderingError(
+            f"curve {j + 1} is {values[r, j + 1]} at t = {times[r]}")
     below = values[:, 1:] < values[:, :-1] - ORDER_TOL
     if below.any():
         r, j = np.argwhere(below)[0]

@@ -11,7 +11,7 @@ from bandvie.collocation import (
 )
 from bandvie.linalg import LUFactorization, lu_factor_stack, refined_solve
 from bandvie.newton import NORM_SAMPLES, PsiEvaluator
-from bandvie.pc import PCDiscretization
+from bandvie.pc import PIECE_PANELS, PCDiscretization
 from bandvie.problem import (
     CurveFamily,
     VolterraSystem,
@@ -45,6 +45,16 @@ def repeated_curve_system():
         kernels=[["1+t+s", "3", "1"], ["1+t-s", "5", "-1"]],
         nonlinearities=[["x", "x", "x^2"], ["x", "x", "x"]],
         rhs=["t", "t^2"], unknown_of_band=(1, 1, 2), guess=["1+t", "t"])
+
+
+def nan_curve_system():
+    """One equation over two bands of one unknown whose curve alpha_1 =
+    t/2 + t^2 sqrt(0.5 - t)/10 is nan for t > 0.5, where every test of
+    the curve ordering is False."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2+t^2*sqrt(0.5-t)/10",)),
+        kernels=[["1", "2"]], nonlinearities=[["x", "x"]], rhs=["t"],
+        unknown_of_band=(1, 1))
 
 
 def residual_reference(system, solution, t, panels=2000, magnitude=False):
@@ -134,12 +144,14 @@ class CollocationPsi(CollocationDiscretization):
     """A collocation discretization of ``degree`` cut down to its psi, here
     over any times ``ts``: the discretization's own set-up pass builds the
     bands psi sums on, each band segment one piece of ``panels`` panels,
-    and no moment system is assembled or factorized."""
+    and psi at the guess, and no moment system is assembled or
+    factorized."""
 
     def __init__(self, lin, ts, degree, panels=DEFAULT_MOMENT_PANELS):
         self.lin, self.times, self.degree = lin, ts, degree
         self.panels, self.scale = panels, float(lin.curves.horizon)
-        self._psi = self._assemble(None, None)
+        self.f = f_at_times(lin.system, ts)
+        self._psi, self.psi_at_guess = self._assemble(None, None)
 
     def _add_moments(self, *args):
         pass
@@ -177,6 +189,35 @@ def whole_plan_frozen(lin, plan, times):
     return kvs, avs
 
 
+def psi_plans(disc):
+    """Per band of the psi of ``disc``, a pc or collocation discretization,
+    in its order, the plan its set-up pass summed on, built again as the
+    discretization builds it: the discretization keeps no plan."""
+    lin = disc.lin
+    if isinstance(disc, PCDiscretization):
+        cuts = disc.mesh.nodes[1:-1]
+        edges = quadrature.band_edges(disc.times, lin.curves, snap=cuts)
+        plans = [quadrature.midpoint_plan(pieces, PIECE_PANELS)
+                 for pieces in quadrature.band_pieces(edges, cuts=cuts)]
+    else:
+        plans = quadrature.band_plan(disc.times, lin.curves, disc.panels)
+    by_band = {plan.band - 1: plan for plan in plans}
+    return [by_band[band.band] for band in disc._psi]
+
+
+def guess_reference(disc):
+    """Psi at the guess at the times of ``disc``: f plus, band by band in
+    the order of its psi and equation by equation, the per-piece sums of
+    :func:`guess_sums_reference` on the plans of :func:`psi_plans` times
+    the panel widths, added by :func:`numpy.add.at`."""
+    out = f_at_times(disc.lin.system, disc.times)
+    for plan in psi_plans(disc):
+        sums = guess_sums_reference(disc.lin, plan, disc.times)
+        for i in sorted(sums):
+            np.add.at(out[i], plan.piece_time, sums[i] * plan.piece_width)
+    return out
+
+
 def guess_sums_reference(lin, plan, times):
     """Per equation whose G is not x, the per-piece sums psi took at the
     guess on the whole plan: sum A * x0 - sum K * G(s, x0), with K and A
@@ -202,12 +243,13 @@ def psi(system, x0, xm, ts, panels=DEFAULT_MOMENT_PANELS):
 
     ``x0`` and ``xm`` follow the iterate protocol (expression iterates or
     polynomial solutions).  Psi is summed by a collocation discretization
-    of the degree of ``xm`` (0 for an expression iterate), here at any
-    times, t = 0 included (:class:`CollocationPsi`).
+    of the degree of ``xm`` (1 for an expression iterate, which it serves
+    only as the linearization point), here at any times, t = 0 included
+    (:class:`CollocationPsi`).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     lin = linearize(system, x0)
-    degree = xm.degree if isinstance(xm, PolynomialSolution) else 0
+    degree = xm.degree if isinstance(xm, PolynomialSolution) else 1
     return PsiEvaluator(lin, CollocationPsi(lin, ts, degree,
                                             panels)).values(xm)
 

@@ -18,7 +18,7 @@ import pytest
 from bandvie import collocation, quadrature
 from bandvie.config import load_problem
 from bandvie.errors import CurveOrderingError
-from bandvie.newton import PsiEvaluator
+from bandvie.newton import iterate
 from bandvie.pc import PIECE_PANELS, Mesh, PCDiscretization, solve_linear_pc
 from bandvie.problem import (
     CurveFamily,
@@ -30,7 +30,9 @@ from bandvie.registry import builtin
 
 from helpers import (
     empty_band_system,
-    guess_sums_reference,
+    guess_reference,
+    nan_curve_system,
+    psi_plans,
     repeated_curve_system,
     segment_index,
     whole_plan_frozen,
@@ -342,25 +344,29 @@ ACTIVE_PAIRS = {"model01": [], "model02": [], "nonlinear-scalar": [(0, [0])],
                 "repeated": [(2, [0])]}
 
 
-def _assert_psi_band_is_the_loop(lin, times, band, ref, pieces):
-    """The solver's psi ``band`` holds the loop's plan and K, and the
-    guess sums of the whole-plan formula, whose A is the loop's K * G'
+def _assert_psi_band_is_the_loop(lin, times, band, plan, ref, pieces):
+    """The solver's psi ``band``, on its ``plan`` built again
+    (:func:`psi_plans`), holds the loop's plan and K, or the row sums of
+    K where it keeps only those, and the whole-plan A is the loop's K * G'
     bit for bit; ``pieces`` per time the loop's count."""
     starts, ends, s, w, kern, slope = ref
-    plan = band.plan
     panels = plan.panels
     np.testing.assert_array_equal(
         plan.piece_time, np.repeat(np.arange(starts.size), pieces))
     np.testing.assert_array_equal(plan.piece_width, w[::panels])
+    assert band.piece_width.tobytes() == plan.piece_width.tobytes()
     np.testing.assert_array_equal(plan.abscissas.ravel(), s)
     kvs, avs = whole_plan_frozen(lin, plan, times)
-    guess = guess_sums_reference(lin, plan, times)
-    assert band.equations == sorted(guess)
-    for i, kernel, sums in zip(band.equations, band.kernels, band.guess):
-        assert kernel.shape == (pieces.sum(), panels)
-        np.testing.assert_array_equal(kernel.ravel(), kern[i])
+    for q, (i, kernel) in enumerate(zip(band.equations, band.kernels)):
+        if kernel is not None:
+            assert kernel.shape == (pieces.sum(), panels)
+            np.testing.assert_array_equal(kernel.ravel(), kern[i])
+        if band.weights is not None and band.weights[q] is not None:
+            # a pc band keeps the row sums of K of a G free of s
+            assert band.weights[q].tobytes() \
+                == kvs[i].sum(axis=1).tobytes()
+        np.testing.assert_array_equal(kvs[i].ravel(), kern[i])
         np.testing.assert_array_equal(avs[i].ravel(), kern[i] * slope[i])
-        assert sums.tobytes() == guess[i].tobytes()
 
 
 @pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "repeated"])
@@ -373,11 +379,13 @@ def test_psi_plan_without_cuts_is_bit_identical(name):
     # psi keeps the pairs whose G is not x, and only those
     assert [(band.band, band.equations) for band in disc._psi] \
         == ACTIVE_PAIRS[name]
-    for band in disc._psi:
+    for band, plan in zip(disc._psi, psi_plans(disc)):
         starts, ends = ref[band.band][:2]
         # one piece per time with a non-empty segment
-        _assert_psi_band_is_the_loop(lin, disc.times, band, ref[band.band],
-                                     (ends > starts) * 1)
+        _assert_psi_band_is_the_loop(lin, disc.times, band, plan,
+                                     ref[band.band], (ends > starts) * 1)
+    # the pass summed psi at the guess on those plans
+    assert disc.psi_at_guess.tobytes() == guess_reference(disc).tobytes()
 
 
 def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
@@ -390,13 +398,14 @@ def test_psi_plan_with_mesh_cuts_matches_loop(model01, scalar):
         ref = _loop_psi_plan(lin, mesh.nodes[1:], cuts=mesh.nodes[1:-1])
         assert [(band.band, band.equations)
                 for band in disc._psi] == ACTIVE_PAIRS[name]
-        for band in disc._psi:
+        for band, plan in zip(disc._psi, psi_plans(disc)):
             starts, ends = ref[band.band][:2]
             # a time owns one 4-panel piece per mesh segment it crosses
             pieces = (ends - starts) // 4
             assert np.array_equal(pieces * 4, ends - starts)
-            _assert_psi_band_is_the_loop(lin, disc.times, band,
+            _assert_psi_band_is_the_loop(lin, disc.times, band, plan,
                                          ref[band.band], pieces)
+        assert disc.psi_at_guess.tobytes() == guess_reference(disc).tobytes()
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
@@ -410,8 +419,7 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
     bands = disc._assemble()[0]
     assert [band.band + 1 for band in disc._psi] == [
         j for j in range(1, lin.n_bands + 1) if lin.nonlinear_equations[j - 1]]
-    for band in disc._psi:
-        plan = band.plan
+    for band, plan in zip(disc._psi, psi_plans(disc)):
         _, _, coeff, hist, size, weights = bands[plan.band - 1]
         # a step iterate is one value per piece: psi's R is A's row sums
         assert not hasattr(band, "shift")
@@ -425,17 +433,13 @@ def test_pc_history_weights_are_rows_of_the_handed_over_plan(name, n):
         assert np.array_equal(size, np.bincount(plan.piece_time[history],
                                                 minlength=n))
         assert band.equations == list(lin.nonlinear_equations[plan.band - 1])
-        assert len(band.kernels) == len(band.guess) == len(band.equations)
+        assert len(band.kernels) == len(band.weights) == len(band.equations)
         # A is not kept: the weights are those of the whole-plan A
         avs = whole_plan_frozen(lin, plan, disc.times)[1]
         for i in band.equations:
             expected = avs[i].sum(axis=1) * plan.piece_width
             assert weights[i].tobytes() == expected[history].tobytes()
             assert coeff[last, i].tobytes() == expected[~history].tobytes()
-    # psi keeps the plan only up to the first step iterate
-    ev = PsiEvaluator(lin, disc)
-    ev.values(disc.solve(ev.values(lin.x0), lin.derivative_at_zero(lin.x0)))
-    assert all(band.plan is None for band in disc._psi)
 
 
 def _moment_case(name):
@@ -466,13 +470,13 @@ def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
     again = collocation.CollocationDiscretization(lin, degree)
     assert np.array_equal(again.matrix, disc.matrix)
     assert np.array_equal(again.zeroth_moments, disc.zeroth_moments)
-    # psi keeps the plan the moments came from, of every band with a pair
-    # whose G is not x and a segment that is not empty
+    # psi sums on the plan the moments came from, of every band with a
+    # pair whose G is not x and a segment that is not empty
     edges = quadrature.band_edges(disc.times, lin.curves)
     assert [band.band for band in disc._psi] == [
         j for j, equations in enumerate(lin.nonlinear_equations)
         if equations and np.any(edges[:, j + 1] > edges[:, j])]
-    assert all(band.plan.panels == disc.panels for band in disc._psi)
+    assert all(plan.panels == disc.panels for plan in psi_plans(disc))
 
 
 def test_band_pieces_drop_zero_length_pieces_like_split_interval():
@@ -502,3 +506,19 @@ def test_ordering_error_names_the_first_offending_time():
     with pytest.raises(CurveOrderingError, match=r"curve 2 is below curve 1 "
                                                  r"at t = 0\.75"):
         band_quadrature_residual(system, system.guess_iterate(), times)
+
+
+@pytest.mark.parametrize("method, size", [("pc", 8), ("collocation", 3)])
+def test_a_curve_that_is_not_finite_is_refused_where_the_bands_are_cut(
+        method, size):
+    # nan fails every ordering test: the first time it is met is named
+    system = nan_curve_system()
+    key = "degree" if method == "collocation" else "n_segments"
+    first = {"pc": r"0\.625", "collocation": r"0\.6666"}[method]
+    with pytest.raises(CurveOrderingError,
+                       match=rf"curve 1 is nan at t = {first}"):
+        iterate(system, method=method, skip_validation=True, **{key: size})
+    with pytest.raises(CurveOrderingError,
+                       match=r"curve 1 is nan at t = 0\.75$"):
+        band_quadrature_residual(system, system.guess_iterate(),
+                                 np.array([0.25, 0.75, 1.0]))

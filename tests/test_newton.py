@@ -191,9 +191,9 @@ def _count_frozen_kernel(monkeypatch):
     frozen_pairs = LinearizedSystem.frozen_pairs
     kernel = LinearizedSystem._kernel
 
-    def counting_pairs(self, plan, times, buffer):
+    def counting_pairs(self, plan, times, buffer, guess):
         calls.append((plan.band, plan.piece_width.size * plan.panels))
-        return frozen_pairs(self, plan, times, buffer)
+        return frozen_pairs(self, plan, times, buffer, guess)
 
     def counting_kernel(self, i, j, t, s, shape):
         if shape == (1,):

@@ -5,7 +5,8 @@ hold bit for bit the numbers of the per-abscissa formula
 lo + (k + 0.5) * width, and sum each piece as its row alone.
 ``LinearizedSystem.frozen_pairs`` forms A = K * dG/dx(x0), K and psi's
 sums at the guess in blocks of rows; they must hold the bits of the same
-values formed on the whole plan at once, and the check of A, one sum per
+values formed on the whole plan at once (the sums, once added into psi
+at the guess), and the check of A, one sum per
 block, must name the first bad value in row-major order, as the whole
 plan does.  The reference values come from the expressions themselves,
 evaluated on the whole plan at once (``helpers.frozen_values``).
@@ -123,11 +124,12 @@ def _moment_plan(system, band=1, degree=4, panels=DEFAULT_MOMENT_PANELS):
 
 def _frozen_pass(lin, plan, times):
     """Every pair of one :meth:`LinearizedSystem.frozen_pairs` pass on
-    ``plan``: (i, A, K, sums at the guess), A copied out of the buffer
-    that the next pair overwrites."""
+    ``plan``, (i, A, K), A copied out of the buffer that the next pair
+    overwrites; and what the pass added into psi at the guess, from 0."""
     buffer = np.empty(2 * plan.piece_width.size * plan.panels)
-    return [(i, a.copy(), kernel, guess)
-            for i, a, kernel, guess in lin.frozen_pairs(plan, times, buffer)]
+    guess = np.zeros((lin.n_equations, times.size))
+    return [(i, a.copy(), kernel) for i, a, kernel in
+            lin.frozen_pairs(plan, times, buffer, guess)], guess
 
 
 def _one_equation(kernel):
@@ -140,7 +142,7 @@ def test_a_finite_kernel_whose_sum_overflows_is_not_reported():
     # every block of rows sums to inf, but no value of A is inf
     system = _one_equation("1e308")
     plan, times = _moment_plan(system)
-    [(_, a, _, _)] = _frozen_pass(linearize(system), plan, times)
+    [(_, a, _)], _ = _frozen_pass(linearize(system), plan, times)
     step = max(1, BLOCK_VALUES // plan.panels)
     with np.errstate(over="ignore"):
         assert np.add.reduce(a[:step], axis=None) == np.inf
@@ -182,7 +184,7 @@ def test_a_g_equal_x_pair_takes_k_as_a_and_evaluates_no_g_x(model01,
         evaluated.clear()
         with monkeypatch.context() as patch:
             patch.setattr(Expression, "__call__", counting)
-            pairs = _frozen_pass(lin, plan, times)
+            pairs, guess = _frozen_pass(lin, plan, times)
         # the two kernels only: per block of rows for band 1's K with s,
         # once on the column of times for band 2's K free of s; no dG/dx,
         # and no guess to evaluate it at
@@ -196,8 +198,9 @@ def test_a_g_equal_x_pair_takes_k_as_a_and_evaluates_no_g_x(model01,
         assert all(e is k for e, k in zip(
             evaluated, [kernels[0]] * blocks + [kernels[1]] * blocks))
         assert [i for i, *_ in pairs] == [0, 1]
-        for (_, a, kernel, guess), kv in zip(pairs, kvs):
-            assert kernel is None and guess is None
+        assert not guess.any()
+        for (_, a, kernel), kv in zip(pairs, kvs):
+            assert kernel is None
             assert a.tobytes() == np.ascontiguousarray(kv).tobytes()
 
 
@@ -206,9 +209,9 @@ def test_a_nonlinear_pair_gets_the_product_of_its_factors(sys2):
     plan, times = _moment_plan(sys2)
     kvs, gvs, _ = frozen_values(lin, 1, times[plan.piece_time, None],
                                 plan.abscissas)
-    pairs = _frozen_pass(lin, plan, times)
+    pairs, _ = _frozen_pass(lin, plan, times)
     assert [i for i, *_ in pairs] == [0, 1]
-    for i, a, kernel, _ in pairs:
+    for i, a, kernel in pairs:
         assert a.shape == plan.abscissas.shape
         assert np.array_equal(kernel, kvs[i])
         assert a.tobytes() == (kvs[i] * gvs[i]).tobytes()
@@ -263,16 +266,22 @@ def test_blocked_pass_holds_the_bits_of_the_whole_plan(cut):
         guess = guess_sums_reference(lin, plan, times)
         kept = lin.nonlinear_equations[plan.band - 1]
         seen = []
-        for i, a, kernel, at_guess in lin.frozen_pairs(plan, times, buffer):
+        at_guess = np.zeros((lin.n_equations, times.size))
+        for i, a, kernel in lin.frozen_pairs(plan, times, buffer, at_guess):
             seen.append(i)
             assert a.tobytes() == avs[i].tobytes()
+            # the pair's sums are added into its row before it is yielded
+            expected = np.zeros(times.size)
+            if i in kept:
+                np.add.at(expected, plan.piece_time,
+                          guess[i] * plan.piece_width)
+            assert at_guess[i].tobytes() == expected.tobytes()
             if i not in kept:
-                assert kernel is None and at_guess is None
+                assert kernel is None
                 continue
             # a K free of s stays a broadcast view, as on the whole plan
             assert kernel.strides == kvs[i].strides
             assert np.array_equal(kernel, kvs[i])
-            assert at_guess.tobytes() == guess[i].tobytes()
         assert seen == list(range(lin.n_equations))
 
 
@@ -290,7 +299,7 @@ def test_a_bad_value_in_a_later_block_is_named_as_on_the_whole_plan(cut):
     plan = plans[1]
     buffer = np.empty(2 * plan.piece_width.size * plan.panels)
     with pytest.raises(SolverError) as blocked:
-        list(lin.frozen_pairs(plan, times, buffer))
+        list(lin.frozen_pairs(plan, times, buffer, np.zeros((1, times.size))))
     t = times[plan.piece_time, None]
     with np.errstate(all="ignore"):
         bad = ~np.isfinite(system.kernels[0][1](t=t, s=plan.abscissas))

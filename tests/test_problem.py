@@ -20,6 +20,8 @@ from bandvie.problem import (
 from bandvie.quadrature import BandPieces, midpoint_plan
 from bandvie.registry import builtin, list_builtins
 
+from helpers import nan_curve_system
+
 ALL_BUILTINS = ("model01", "model02", "nonlinear-scalar",
                 "nonlinear-sys1", "nonlinear-sys2")
 
@@ -153,6 +155,12 @@ def test_validate_flags_a_value_at_zero_or_on_the_diagonal(kwargs, expected):
     assert [str(d) for d in validate(_scalar_with(**kwargs))] == expected
 
 
+def test_validate_names_a_curve_that_is_not_finite_inside():
+    # alpha_1 is nan past t = 0.5; at t = 0 it is alpha_1(0)'s test
+    assert [str(d) for d in validate(nan_curve_system())] == [
+        "alpha_1 is not finite at t = 0.500501: value nan"]
+
+
 def test_validate_names_a_non_finite_frozen_kernel(model01):
     # G_1,1 = sqrt(x) along the guess x0 = 0: dG/dx = 1/(2 sqrt(0)) = inf
     system = VolterraSystem(
@@ -251,8 +259,9 @@ def _frozen_pass(lin, band, times, lo, hi, panels):
     plan = midpoint_plan(BandPieces(band=band, lo=lo, hi=hi,
                                     time_index=np.arange(times.size)), panels)
     buffer = np.empty(2 * plan.abscissas.size)
-    return [(a.copy(), kernel) for _, a, kernel, _ in
-            lin.frozen_pairs(plan, times, buffer)], plan
+    guess = np.zeros((lin.n_equations, times.size))
+    return [(a.copy(), kernel) for _, a, kernel in
+            lin.frozen_pairs(plan, times, buffer, guess)], plan
 
 
 def test_linearize_linear_system_freezes_to_plain_kernels(model01):

@@ -3,23 +3,25 @@
 Every plan, a collocation plan or the pc plan cut at mesh nodes, sums w *
 (sum A * xm - sum K * G(xm)) per piece, in the solver that built it
 (``add_psi``), and :class:`~bandvie.newton.PsiEvaluator` adds f.  Psi at
-the linearization point is summed on the plan, piece by piece into f,
-when the evaluator is built.  A solver iterate (a polynomial on a
+the linearization point is summed on the plan, piece by piece into f, by
+the solver's set-up pass, which keeps it read-only; ``add_psi`` refuses
+the linearization point.  A solver iterate (a polynomial on a
 collocation plan, steps on the mesh of a pc plan) gives per piece its
 coefficients D_k in the plan's reference powers, and its linear term is
 D_k . R_k with R = A @ table.T; its G term is W_k . G(D_k(v)), G at the n
 Chebyshev points v_j and W the weights of K, for a pair whose G(xm) is a
 polynomial of degree n - 1; the pieces of a time are summed before f is
-added.  After its first iterate the solver keeps of the plan only what a
-G summed on it needs, so the references read a copy of the plan the test
-takes before (:func:`_kept`).  ``_per_node_values`` is that formula one
-piece at a time and must match bit for bit, given the solver's own
-moments and weights; ``_cumsum_values_without_cuts`` is the prefix-sum
-loop the plans without cuts used before, and ``_fsum_values`` an exactly
-rounded sum of the terms per abscissa with the iterate evaluated by
-``polyval`` or its own ``component_values``.  Both must agree to ``SUM_RTOL`` of the sum of
-the magnitudes of the terms plus |f|: w * A * xm and w * K * G(xm) per
-abscissa.
+added.  pc keeps the weights of K from its set-up, collocation builds
+them at its first iterate, and neither keeps the plan, only the
+abscissas a G summed on it needs, so the references read the plan built
+again, with K and A on it (:func:`_kept`).  ``_per_node_values`` is that
+formula one piece at a time and must match bit for bit, given the
+solver's own moments and weights; ``_cumsum_values_without_cuts`` is the
+prefix-sum loop the plans without cuts used before, and ``_fsum_values``
+an exactly rounded sum of the terms per abscissa with the iterate
+evaluated by ``polyval`` or its own ``component_values``.  Both must
+agree to ``SUM_RTOL`` of the sum of the magnitudes of the terms plus
+|f|: w * A * xm and w * K * G(xm) per abscissa.
 """
 
 import gc
@@ -60,8 +62,9 @@ from helpers import (
     CollocationPsi,
     empty_band_system,
     frozen_values,
-    guess_sums_reference,
+    guess_reference,
     pc_psi_evaluator,
+    psi_plans,
     whole_plan_frozen,
 )
 
@@ -129,13 +132,12 @@ def _chebyshev_nodes(n, degree):
 
 
 def _kept(disc):
-    """Per band the solver's psi keeps, in its order, its plan with K and
-    A of each pair formed on the whole plan (:func:`whole_plan_frozen`):
-    the solver keeps no A, and drops K and the plan at its first iterate,
-    so the references read these, taken before it."""
+    """Per band the solver's psi keeps, in its order, its plan built again
+    (:func:`psi_plans`) with K and A of each pair formed on the whole plan
+    (:func:`whole_plan_frozen`): the solver keeps no plan and no A, and of
+    K only what its iterates need, so the references read these."""
     out = []
-    for band in disc._psi:
-        plan = band.plan
+    for band, plan in zip(disc._psi, psi_plans(disc)):
         kvs, avs = whole_plan_frozen(disc.lin, plan, disc.times)
         out.append(SimpleNamespace(
             band=band.band, component=band.component,
@@ -160,7 +162,7 @@ def _coefficients_per_piece(lin, plan, iterate):
 
 def _per_node_values(ev, plan, iterate):
     lin = ev.lin
-    out = ev._f_vals.copy()
+    out = ev.disc.f.copy()
     on_plan = iterate is lin.x0
     if not on_plan:
         coefficients = _coefficients_per_piece(lin, plan, iterate)
@@ -227,7 +229,7 @@ def _terms(ev, plan, iterate):
 def _fsum_values(ev, plan, iterate):
     """Exactly rounded f + sum of the terms, and the tolerance scale."""
     terms = _terms(ev, plan, iterate)
-    f = ev._f_vals
+    f = ev.disc.f
     exact = np.array([[math.fsum([f[i, r]] + terms[i][r])
                        for r in range(f.shape[1])] for i in range(f.shape[0])])
     scale = np.array([[math.fsum(map(abs, terms[i][r])) + abs(f[i, r])
@@ -238,7 +240,7 @@ def _fsum_values(ev, plan, iterate):
 def _cumsum_values_without_cuts(ev, plan, iterate):
     """The prefix-sum loop on K * w and dG/dx(x0), re-evaluated on the plan."""
     lin = ev.lin
-    out = ev._f_vals.copy()
+    out = ev.disc.f.copy()
     for band in plan:
         j, s = band.band, band.abscissas
         panels = s.size // band.piece_time.size
@@ -352,14 +354,19 @@ def test_collocation_hand_off_helper_is_the_discretizations(
     for got, want in zip(helper._psi, disc._psi):
         assert (got.band, got.component) == (want.band, want.component)
         assert got.equations == want.equations
-        for field in ("abscissas", "piece_time", "piece_width", "piece_lo"):
-            assert np.array_equal(getattr(got.plan, field),
-                                  getattr(want.plan, field))
-        for field in ("kernels", "guess", "moments"):
+        assert got.points == want.points
+        for field in ("piece_width", "shift", "times"):
+            assert getattr(got, field).tobytes() \
+                == getattr(want, field).tobytes()
+        assert (got.abscissas is None) == (want.abscissas is None)
+        if got.abscissas is not None:
+            assert got.abscissas.tobytes() == want.abscissas.tobytes()
+        for field in ("kernels", "moments"):
             assert [a.tobytes() for a in getattr(got, field)] \
                 == [a.tobytes() for a in getattr(want, field)]
-        assert got.shift.tobytes() == want.shift.tobytes()
-        assert np.array_equal(got.times, want.times)
+    for field in ("f", "psi_at_guess"):
+        assert getattr(helper, field).tobytes() \
+            == getattr(disc, field).tobytes()
 
 
 def _node_evaluator(name, nodes, panels=DEFAULT_MOMENT_PANELS, degree=None):
@@ -519,7 +526,7 @@ def test_model02_psi_is_f_and_never_evaluates_the_iterate(model02):
     ev, plan = _collocation_evaluator(lin, 5, 500)
     iterate = _polynomial(model02, 2)
     got = ev.values(iterate)
-    assert np.array_equal(got, ev._f_vals)
+    assert np.array_equal(got, ev.disc.f)
     assert np.array_equal(got, _per_node_values(ev, plan, iterate))
     counting = _Counting(iterate)
     ev.values(counting)
@@ -553,7 +560,7 @@ def test_pc_psi_plan_of_an_all_x_system_evaluates_no_kernel(model01,
     assert model01.curves.interior
     assert not any(any(e is c for c in model01.curves.interior)
                    for e in evaluated)
-    assert np.array_equal(ev.values(lin.x0), ev._f_vals)
+    assert np.array_equal(ev.values(lin.x0), ev.disc.f)
 
 
 def test_reused_buffer_carries_no_state_between_calls():
@@ -581,7 +588,6 @@ def test_step_psi_evaluates_g_once_per_piece_and_locates_no_abscissa(
     lin = linearize(system)
     _, ev = pc_psi_evaluator(lin, Mesh.uniform(system.curves.horizon, 32))
     steps = solve_linear_pc(system, n_segments=32)
-    ev.values(steps)            # the moments of degree 0 are built here
     evaluated, located = [], []
     call = Expression.__call__
 
@@ -611,10 +617,10 @@ def test_every_cut_plan_piece_lies_in_its_mesh_segment(name, n_segments):
     lin.nonlinear_equations = tuple(tuple(range(lin.n_equations))
                                     for _ in range(lin.n_bands))
     mesh = Mesh.uniform(lin.curves.horizon, n_segments)
-    bands = PCDiscretization(lin, mesh)._psi
-    assert [band.band for band in bands] == list(range(lin.n_bands))
-    for band in bands:
-        located = mesh.segment_indices(band.plan.abscissas) - 1
+    disc = PCDiscretization(lin, mesh)
+    assert [band.band for band in disc._psi] == list(range(lin.n_bands))
+    for band, plan in zip(disc._psi, psi_plans(disc)):
+        located = mesh.segment_indices(plan.abscissas) - 1
         assert np.array_equal(located, np.repeat(band.segment[:, None],
                                                  PIECE_PANELS, axis=1))
 
@@ -624,8 +630,9 @@ def test_collocation_psi_moments_are_the_assembly_products(sys2):
     lin = linearize(sys2)
     disc = collocation.CollocationDiscretization(lin, 4)
     table = quadrature.reference_powers(disc.panels, 4)
-    products = [[whole_plan_frozen(lin, band.plan, disc.times)[1][i]
-                 @ table.T for i in band.equations] for band in disc._psi]
+    products = [[whole_plan_frozen(lin, plan, disc.times)[1][i] @ table.T
+                 for i in band.equations]
+                for band, plan in zip(disc._psi, psi_plans(disc))]
     ev = PsiEvaluator(lin, disc)
     ev.values(_polynomial(sys2, 5, degree=4))
     assert [[r.tobytes() for r in band.moments] for band in disc._psi] \
@@ -724,15 +731,14 @@ S_PAIRS = {0: [0], 1: [1]}
 def test_psi_keeps_only_what_its_later_calls_read(name, cut):
     system = _system(name)
     if cut:
-        ev, _, mesh = _cut_evaluator(name, 16)
-        iterate = _steps(system, mesh, 5)
+        # pc keeps what psi reads from its set-up on
+        ev, _, _ = _cut_evaluator(name, 16)
     else:
         ev, _ = _node_evaluator(name, 5, 700)
-        iterate = _polynomial(system, 5, degree=5)
-    ev.values(ev.lin.x0)
-    ev.values(iterate)
-    # psi keeps no A, and after the first solver iterate only a pair
-    # whose G uses s keeps K, its band the abscissas and a buffer
+        ev.values(_polynomial(system, 5, degree=5))
+    # psi keeps no A, and after set-up (pc) or the first solver iterate
+    # (collocation) only a pair whose G uses s keeps K, its band the
+    # abscissas and a buffer
     on_plan = S_PAIRS if name == "s-dependent" else {}
     for band in ev.disc._psi:
         summed = on_plan.get(band.band, [])
@@ -742,9 +748,9 @@ def test_psi_keeps_only_what_its_later_calls_read(name, cut):
                 if kernel is not None] == summed
         assert (band.abscissas is not None) == bool(summed)
         assert (band.buffer is not None) == bool(summed)
-        # neither the plan nor the guess sums are kept; a pc band keeps
+        # neither the plan nor sums at the guess are kept; a pc band keeps
         # the time of each run, not of each piece
-        assert band.plan is None and band.guess is None
+        assert not hasattr(band, "plan") and not hasattr(band, "guess")
         assert band.times.shape == (band.runs.shape if cut
                                     else band.piece_width.shape)
 
@@ -753,28 +759,27 @@ def test_psi_keeps_only_what_its_later_calls_read(name, cut):
                                   "s-dependent"])
 @pytest.mark.parametrize("cut", [False, True])
 def test_handed_over_guess_sums_are_the_whole_plan_sums(name, cut):
-    # the solver's pass sums psi at the guess block by block; the sums must
-    # be the ones psi took on the whole plan when it was handed A
+    # the solver's pass sums psi at the guess block by block into f; the
+    # sums must be the ones taken on each whole plan, added piece by piece
     lin = linearize(_system(name))
     if cut:
         disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, 128))
     else:
         disc = collocation.CollocationDiscretization(lin, 7)
-    for band in disc._psi:
-        # each plan spans more than one block of the pass
-        assert band.plan.piece_width.size * band.plan.panels > BLOCK_VALUES
-        reference = guess_sums_reference(lin, band.plan, disc.times)
-        assert band.equations == sorted(reference)
-        for i, sums in zip(band.equations, band.guess):
-            assert sums.tobytes() == reference[i].tobytes()
+    plans = psi_plans(disc)
+    assert plans
+    # each plan spans more than one block of the pass
+    assert all(plan.piece_width.size * plan.panels > BLOCK_VALUES
+               for plan in plans)
+    assert disc.psi_at_guess.tobytes() == guess_reference(disc).tobytes()
 
 
 @pytest.mark.parametrize("name", ["nonlinear-scalar", "nonlinear-sys2"])
 def test_pc_psi_keeps_per_piece_only_the_width_segment_and_sums(name):
-    ev, _, mesh = _cut_evaluator(name, 64)
-    ev.values(_steps(ev.lin.system, mesh, 1))
-    for band in ev.disc._psi:
-        assert band.plan is None and band.abscissas is None
+    lin = linearize(builtin(name))
+    disc = PCDiscretization(lin, Mesh.uniform(lin.curves.horizon, 64))
+    for band in disc._psi:
+        assert not hasattr(band, "plan") and band.abscissas is None
         # one time per run, at most one run per mesh node
         assert band.times.shape == band.runs.shape
         assert band.runs.size <= 64
@@ -804,7 +809,8 @@ def test_psi_refuses_an_iterate_its_solver_does_not_make(sys2, cut):
                     "PolynomialSolution of degree 5"),
                    (_steps(sys2, mesh, 2), "PiecewiseConstantSolution"),
                    (other_mesh, "PiecewiseConstantSolution")]
-    # an expression iterate is served only as the linearization point
+    # an expression iterate is served only as the linearization point, by
+    # the evaluator from the solver's psi at the guess
     refused += [(sys2.exact_iterate(), "ExpressionIterate"),
                 (sys2.guess_iterate(), "ExpressionIterate")]
     ev = build()
@@ -812,15 +818,36 @@ def test_psi_refuses_an_iterate_its_solver_does_not_make(sys2, cut):
         for iterate, got in refused:
             with pytest.raises(SolverError, match=f"got {got}$"):
                 ev.values(iterate)
-        # a refused iterate leaves the solver as it was: before its first
-        # iterate it still holds K and its guess sums, and psi reads as on
-        # a solver that never saw one
+        # the solver itself refuses the linearization point, and leaves
+        # ``out`` as it was
+        out = ev.disc.f.copy()
+        with pytest.raises(SolverError, match="got ExpressionIterate$"):
+            ev.disc.add_psi(out, ev.lin.x0)
+        assert out.tobytes() == ev.disc.f.tobytes()
+        # a refused iterate leaves the solver as it was: collocation,
+        # before its first iterate, still holds K, and psi reads as on a
+        # solver that never saw one
         if ev.disc._psi[0].weights is None:
-            assert all(band.guess is not None and all(
-                kernel is not None for kernel in band.kernels)
-                for band in ev.disc._psi)
+            assert all(kernel is not None for band in ev.disc._psi
+                       for kernel in band.kernels)
             assert np.array_equal(ev.values(first), build().values(first))
     assert np.array_equal(ev.values(first), build().values(first))
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_psi_at_the_guess_is_a_copy_of_the_solvers_read_only_array(cut):
+    if cut:
+        ev = _cut_evaluator("nonlinear-sys2", 16)[0]
+    else:
+        ev = _node_evaluator("nonlinear-sys2", 4)[0]
+    guess = ev.disc.psi_at_guess
+    assert not guess.flags.writeable and not ev.disc.f.flags.writeable
+    first, second = ev.values(ev.lin.x0), ev.values(ev.lin.x0)
+    assert first.tobytes() == second.tobytes() == guess.tobytes()
+    # each call gives an array of its own
+    first += 1.0
+    assert second.tobytes() == guess.tobytes()
+    assert not np.shares_memory(second, guess)
 
 
 @pytest.mark.parametrize("cut", [False, True])
@@ -830,16 +857,21 @@ def test_psi_refuses_an_iterate_its_solver_does_not_make(sys2, cut):
 def test_k_of_a_pair_with_weights_goes_at_the_first_solver_iterate(
         name, summed, cut, monkeypatch):
     # K of every pair that gets weights is reachable neither from the
-    # solver nor from psi once its first iterate is summed; only K of a G
-    # summed on the plan stays
+    # solver nor from psi once the weights are built, at set-up for pc and
+    # at the first iterate for collocation; only K of a G summed on the
+    # plan stays
     kept = []
     frozen_pairs = LinearizedSystem.frozen_pairs
 
     def recording(self, *args):
-        for i, a, kernel, guess in frozen_pairs(self, *args):
+        for i, a, kernel in frozen_pairs(self, *args):
             if kernel is not None:
                 kept.append((args[0].band - 1, i, weakref.ref(kernel)))
-            yield i, a, kernel, guess
+            yield i, a, kernel
+
+    def alive():
+        gc.collect()
+        return [(j, i) for j, i, ref in kept if ref() is not None]
 
     monkeypatch.setattr(LinearizedSystem, "frozen_pairs", recording)
     system = _system(name)
@@ -849,13 +881,13 @@ def test_k_of_a_pair_with_weights_goes_at_the_first_solver_iterate(
     else:
         ev, _ = _node_evaluator(name, 5, 700)
         iterate = _polynomial(system, 1, degree=5)
-    gc.collect()
-    assert kept and all(ref() is not None for *_, ref in kept)
+        assert kept and alive() == [(j, i) for j, i, _ in kept]
+    expected = [(j, i) for j, i, _ in kept if i in summed.get(j, [])]
+    if cut:
+        assert kept and alive() == expected
     ev.values(ev.lin.x0)
     ev.values(iterate)
-    gc.collect()
-    assert [(j, i) for j, i, ref in kept if ref() is not None] == [
-        (j, i) for j, i, _ in kept if i in summed.get(j, [])]
+    assert alive() == expected
 
 
 @pytest.mark.parametrize("name, cut", [("model01", True), ("model02", False)])
@@ -866,7 +898,8 @@ def test_an_empty_hand_off_gives_f_for_any_iterate(name, cut):
     else:
         ev, plan = _node_evaluator(name, 4)
     assert plan == [] and ev.disc._psi == []
+    assert ev.disc.psi_at_guess.tobytes() == ev.disc.f.tobytes()
     mesh = Mesh.uniform(system.curves.horizon, 32)
     for iterate in (system.exact_iterate(), _polynomial(system, 1),
                     _polynomial(system, 2, degree=9), _steps(system, mesh, 3)):
-        assert np.array_equal(ev.values(iterate), ev._f_vals)
+        assert np.array_equal(ev.values(iterate), ev.disc.f)

@@ -1,6 +1,7 @@
-"""What one run computes once: the error grids, the norm samples of each
-iterate, the errors of a record (on first read) and the component
-domains; and the psi derivative at t = 0 over the pairs whose G is not x.
+"""What one run computes once: f at the solver's times, the error grids,
+the norm samples of each iterate, the errors of a record (on first read)
+and the component domains; and the psi derivative at t = 0 over the
+pairs whose G is not x.
 Each is checked against an uncached loop from ``helpers``, and none is
 stored on the system or on an iterate."""
 
@@ -13,9 +14,11 @@ from bandvie import cli, newton
 from bandvie.collocation import (
     CollocationDiscretization,
     PolynomialSolution,
+    solve_linear_collocation,
 )
+from bandvie.expr import Expression
 from bandvie.newton import NORM_SAMPLES, PsiEvaluator, iterate
-from bandvie.pc import PiecewiseConstantSolution
+from bandvie.pc import PiecewiseConstantSolution, solve_linear_pc
 from bandvie.problem import ExpressionIterate, linearize
 from bandvie.registry import builtin, list_builtins
 from bandvie.report import ERROR_SAMPLES, error_samples, measure_errors
@@ -102,6 +105,29 @@ def test_iterate_samples_each_iterate_once_for_its_norms(sys2, monkeypatch,
     assert set(counts.values()) == {1}
     # the guess and every solution, once per component
     assert len(counts) == (len(report.records) + 1) * sys2.n_components
+
+
+@pytest.mark.parametrize("method, size", [("collocation", 4), ("pc", 32)])
+def test_a_run_evaluates_f_once_at_the_solver_times(sys2, monkeypatch,
+                                                    method, size):
+    # the solver's set-up pass evaluates f and sums psi at the guess into
+    # it; psi and a linear solve read the solver's f
+    evaluated = []
+
+    def counting(self, *args, _original=Expression.__call__, **kwargs):
+        if any(self is f for f in sys2.rhs):
+            evaluated.append(np.size(kwargs["t"]))
+        return _original(self, *args, **kwargs)
+    monkeypatch.setattr(Expression, "__call__", counting)
+    key = "degree" if method == "collocation" else "n_segments"
+    iterate(sys2, method=method, max_iters=3, tol=1e-15,
+            skip_validation=True, **{key: size})
+    assert evaluated == [size] * sys2.n_equations
+    evaluated.clear()
+    solve = solve_linear_collocation if method == "collocation" \
+        else solve_linear_pc
+    solve(sys2, size)
+    assert evaluated == [size] * sys2.n_equations
 
 
 def _counted_measure_errors(monkeypatch, module):
