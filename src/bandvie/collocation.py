@@ -7,9 +7,9 @@ nodes t_k = k T / m.  The monomial basis is kept, but moments are
 assembled in the rescaled variable s/T and the coefficients mapped back,
 which tames the growth of the high powers when T > 1.
 
-The moments come from one :func:`quadrature.band_plan` per band over the
-collocation nodes, a (nodes, panels) block; each node's band segment is a
-row of that plan.  The frozen kernel A = K * dG/dx(x0) is formed on it
+The moments come from the uncut :func:`quadrature.band_plan` of each band
+over the collocation nodes, a (nodes, panels) block; each node's band
+segment is a row.  The frozen kernel A = K * dG/dx(x0) is formed on it
 one equation at a time, in row blocks, into one buffer reused by every
 pair and band (:meth:`LinearizedSystem.frozen_pairs`), and read once:
 the moments of a row are one product of A with the plan's table of
@@ -243,7 +243,8 @@ class CollocationDiscretization:
         table = quadrature.reference_powers(panels, m)
         buffer = np.empty(2 * self.times.size * panels)
         guess = self.f.copy()
-        for plan in quadrature.band_plan(self.times, lin.curves, panels):
+        edges = quadrature.band_edges(self.times, lin.curves)
+        for plan in quadrature.band_plan(edges, panels):
             shift = quadrature.power_shift(
                 plan.piece_lo, plan.piece_width * panels, self.scale, m)
             products, kept = [], []

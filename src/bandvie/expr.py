@@ -13,7 +13,8 @@ Identifiers are the variables ``t``, ``s``, ``x`` and the functions
 unary minus, so ``-t^2`` is ``-(t^2)``.
 
 Number literals must be finite, and constants are folded only when the
-result is finite, so every tree prints and compiles.
+result is finite, so every tree prints and compiles.  A product with 0
+folds only when both factors are constant: ``0*log(t)`` is nan at 0.
 
 Expressions are immutable after parsing and safe to evaluate from several
 threads at once.  Calling an expression (``e(t=..., s=...)``) is the only
@@ -113,17 +114,19 @@ def _mul(a, b):
     if (isinstance(a, _Const) and isinstance(b, _Const)
             and math.isfinite(a.value * b.value)):
         return _Const(a.value * b.value)
-    if isinstance(a, _Const):
-        if a.value == 0.0:
-            return _Const(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, _Const):
-        if b.value == 0.0:
-            return _Const(0.0)
-        if b.value == 1.0:
-            return a
+    if isinstance(a, _Const) and a.value == 1.0:
+        return b
+    if isinstance(b, _Const) and b.value == 1.0:
+        return a
     return _Bin("*", a, b)
+
+
+def _dmul(a, b):
+    """``a*b`` in a derivative, which drops a term with a factor 0."""
+    product = _mul(a, b)
+    if isinstance(product, _Bin) and _Const(0.0) in (a, b):
+        return _Const(0.0)
+    return product
 
 
 def _div(a, b):
@@ -453,15 +456,15 @@ def _diff_node(node, wrt):
         du = _diff_node(node.arg, wrt)
         u = node.arg
         if node.fn == "sin":
-            return _mul(_call("cos", u), du)
+            return _dmul(_call("cos", u), du)
         if node.fn == "cos":
-            return _neg(_mul(_call("sin", u), du))
+            return _neg(_dmul(_call("sin", u), du))
         if node.fn == "exp":
-            return _mul(_call("exp", u), du)
+            return _dmul(_call("exp", u), du)
         if node.fn == "log":
             return _div(du, u)
         if node.fn == "sqrt":
-            return _div(du, _mul(_const(2.0), _call("sqrt", u)))
+            return _div(du, _dmul(_const(2.0), _call("sqrt", u)))
         raise TypeError(node.fn)
     if isinstance(node, _Bin):
         a, b = node.lhs, node.rhs
@@ -472,17 +475,17 @@ def _diff_node(node, wrt):
         if node.op == "-":
             return _sub(da, db)
         if node.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
+            return _add(_dmul(da, b), _dmul(a, db))
         if node.op == "/":
-            return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _const(2.0)))
+            return _div(_sub(_dmul(da, b), _dmul(a, db)), _pow(b, _const(2.0)))
         # power
         if isinstance(b, _Const):
             c = b.value
-            return _mul(_mul(_const(c), _pow(a, _const(c - 1.0))), da)
+            return _dmul(_dmul(_const(c), _pow(a, _const(c - 1.0))), da)
         # general exponent: a^b * (db*log(a) + b*da/a)
-        return _mul(
+        return _dmul(
             _pow(a, b),
-            _add(_mul(db, _call("log", a)), _div(_mul(b, da), a)),
+            _add(_dmul(db, _call("log", a)), _div(_dmul(b, da), a)),
         )
     raise TypeError(node)
 

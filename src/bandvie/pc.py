@@ -8,10 +8,10 @@ accumulate into the same column; a re-visited segment is re-solved and
 overwritten (later nodes give equally valid, fresher equations).
 
 Every integral is summed on one plan per band of the segments cut at the
-mesh nodes: the last piece of a step is its unknown range and gives the
-step coefficients, the pieces before it the history weights.  The frozen
-kernel A is formed on that plan one equation at a time, in row blocks,
-into one buffer reused by every pair and band
+mesh nodes (:func:`quadrature.band_plan`): the last piece of a step is its
+unknown range and gives the step coefficients, the pieces before it the
+history weights.  The frozen kernel A is formed on that plan one equation
+at a time, in row blocks, into one buffer reused by every pair and band
 (:meth:`LinearizedSystem.frozen_pairs`), which also adds psi at the guess
 into f.  The discretization sums its own share of psi on the same plan,
 and the outer iteration adds f (:meth:`PCDiscretization.add_psi`).  A
@@ -207,13 +207,14 @@ class PCDiscretization:
         with a pair whose G is not x the :class:`_PsiBand` psi sums on;
         psi at the guess, read-only.
 
-        Each band is cut, planned on ``PIECE_PANELS`` panels per piece and
-        evaluated once, pair by pair into one buffer.  Per step k:
-        segments[k-1] is the 1-based mesh segment holding alpha_j(t_k),
-        whose step value is unknown, and coeff[k-1] the (n_eq,) integrals
-        of Ktilde over the unknown range, its last piece.  The history pieces, in step order, ``size[k-1]``
-        of them at step k, have a 0-based segment in ``hist`` and their
-        integrals in the (n_eq, pieces) ``weights``.
+        Each band is planned by :func:`quadrature.band_plan`, cut at the
+        nodes, on ``PIECE_PANELS`` panels per piece, and evaluated once,
+        pair by pair into one buffer.  Per step k: segments[k-1] is the
+        1-based mesh segment holding alpha_j(t_k), whose step value is
+        unknown, and coeff[k-1] the (n_eq,) integrals of Ktilde over the
+        unknown range, its last piece.  The history pieces, in step order,
+        ``size[k-1]`` of them at step k, have a 0-based segment in
+        ``hist`` and their integrals in the (n_eq, pieces) ``weights``.
         """
         lin, mesh = self.lin, self.mesh
         n_steps, n_eq = mesh.n_segments, lin.n_equations
@@ -221,13 +222,13 @@ class PCDiscretization:
         edges = quadrature.band_edges(self.times, lin.curves, snap=cuts)
         segments = mesh.segment_indices(edges[:, 1:])
         bands, psi = [None] * lin.n_bands, []
-        cut = quadrature.band_pieces(edges, cuts=cuts)
-        buffer = np.empty(2 * PIECE_PANELS * max(p.lo.size for p in cut))
+        plans = list(quadrature.band_plan(edges, PIECE_PANELS, cuts))
+        buffer = np.empty(2 * PIECE_PANELS * max(
+            plan.piece_lo.size for plan in plans))
         guess = self.f.copy()
-        for pieces in cut:
-            j = pieces.band
-            plan = quadrature.midpoint_plan(pieces, PIECE_PANELS)
-            weights = np.empty((n_eq, pieces.lo.size))
+        for plan in plans:
+            j = plan.band
+            weights = np.empty((n_eq, plan.piece_lo.size))
             kept, row_sums = [], []
             for i, a, kernel in lin.frozen_pairs(plan, self.times, buffer,
                                                  guess):
@@ -241,10 +242,11 @@ class PCDiscretization:
             # the last piece of a segment is the unknown range
             # (max(t_{l-1}, alpha_{j-1}), alpha_j]; the pieces before it end
             # on mesh nodes and carry history
-            last = np.diff(pieces.time_index, append=-1) != 0
+            last = np.diff(plan.piece_time, append=-1) != 0
             coeff = np.zeros((n_steps, n_eq))
             coeff[plan.piece_time[last]] = weights[:, last].T
-            segment = mesh.segment_indices(pieces.hi) - 1
+            # a piece lies in the segment of its lower edge
+            segment = np.searchsorted(mesh.nodes, plan.piece_lo, "right") - 1
             bands[j - 1] = (
                 lin.unknown_of_band[j - 1], segments[:, j - 1], coeff,
                 segment[~last],

@@ -832,9 +832,10 @@ def band_quadrature_residual(system, solution, t, panels=2000):
 
     Evaluates sum_j integral K_ij * G_ij(s, x_{u(j)}(s)) ds - f_i(t) with
     band-split composite midpoint quadrature, independent of any solver
-    path.  Each band segment is split further at the solution's k
-    breakpoints in (0, T), and every piece gets ceil(panels / (k + 1))
-    panels, so a smooth solution (k = 0) gets ``panels`` per band segment.
+    path.  Each band is planned by :func:`quadrature.band_plan`, like
+    every solver, with its segments cut at the solution's k breakpoints
+    in (0, T), and every piece gets ceil(panels / (k + 1)) panels, so a
+    smooth solution (k = 0) gets ``panels`` per band segment.
     The share depends on the horizon T only, so a time gets the same
     panels alone as in any batch, and the same bits but for a polynomial
     solution, whose values on a block of one row take another BLAS path.
@@ -866,8 +867,8 @@ def band_quadrature_residual(system, solution, t, panels=2000):
         raise ValueError(f"t must be finite and lie in [0, T = {horizon}], "
                          f"got {times[np.argmax(outside)]}")
     cuts = solution.breakpoints_in(0.0, horizon)
-    plans = quadrature.band_plan(times, system.curves,
-                                 -(-panels // (cuts.size + 1)), cuts=cuts)
+    plans = quadrature.band_plan(quadrature.band_edges(times, system.curves),
+                                 -(-panels // (cuts.size + 1)), cuts)
     # bincount adds in array order: per time -f_i(t) first, then the piece
     # integrals band by band and along s, the order of a per-time loop
     index = [np.arange(times.size)]

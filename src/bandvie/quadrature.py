@@ -5,20 +5,21 @@ integral is split so that no panel straddles a kernel discontinuity or a
 breakpoint of a piecewise-constant iterate, and the smooth pieces are
 integrated with the rule below.
 
-:func:`band_plan` does this for a whole vector of outer times at once:
-:func:`band_edges` evaluates the curves over all times, :func:`band_pieces`
-cuts the band segments, and :func:`midpoint_plan` lays out the abscissas,
-so a caller evaluates each kernel once per band instead of once per time
-and piece.  Every piece of a plan gets the same panel count, so the
-abscissas form one (pieces, panels) block, built by broadcasting, and a
-caller passes the outer times as a (pieces, 1) column.  A plan stores
-only its pieces; a caller forms the block, or a run of its rows at a
-time (:meth:`BandPlan.rows`), where it evaluates on it.  A caller that
-cuts the segments at k points and wants a panel budget per segment gives
-each piece ceil(panels / (k + 1)) panels, as the residual oracle
-(:func:`bandvie.problem.band_quadrature_residual`) does; it walks each
-plan in row blocks and reads the solution once per piece, a polynomial
-through the reference powers below.
+:func:`band_edges` evaluates the curves over a whole vector of outer
+times at once, and :func:`band_plan` cuts the band segments between the
+edges at a caller's cuts and lays out the abscissas; every solver and the
+residual oracle plan this way, so a caller evaluates each kernel once per
+band instead of once per time and piece.  pc cuts at its mesh nodes, with
+the edges within roundoff of a node snapped onto it; collocation does not
+cut; the oracle (:func:`bandvie.problem.band_quadrature_residual`) cuts at
+the k breakpoints of the solution, gives each piece ceil(panels / (k + 1))
+panels, walks each plan in row blocks and reads the solution once per
+piece, a polynomial through the reference powers below.  Every piece of a
+plan gets the same panel count, so the abscissas form one (pieces,
+panels) block, built by broadcasting, and a caller passes the outer times
+as a (pieces, 1) column.  A plan stores only its pieces; a caller forms
+the block, or a run of its rows at a time (:meth:`BandPlan.rows`), where
+it evaluates on it.
 
 Every piece of such a plan is an affine image s = lo + u * (panels *
 width) of one reference grid u_q = (q + 1/2) / panels, so the powers
@@ -180,46 +181,6 @@ def decompose(t, curves):
 
 
 @dataclass(frozen=True)
-class BandPieces:
-    """Smooth pieces of one band's segments over a vector of outer times.
-
-    Flat per-piece arrays, ordered by time and then along s.
-    """
-
-    band: int  # 1-based band index
-    lo: np.ndarray
-    hi: np.ndarray
-    time_index: np.ndarray
-
-
-def band_pieces(edges, cuts=None):
-    """Cut every non-empty band segment at the ``cuts`` strictly inside it.
-
-    ``edges`` comes from :func:`band_edges`.  Returns one
-    :class:`BandPieces` per band.  Without cuts each non-empty segment is
-    one piece; zero-length pieces (repeated cuts) are dropped, as
-    :func:`split_interval` drops them.
-    """
-    cuts = np.sort(np.asarray([] if cuts is None else cuts, dtype=float))
-    padded = np.append(cuts, 0.0)  # keeps the discarded lookups below in range
-    out = []
-    for j in range(1, edges.shape[1]):
-        seg = np.flatnonzero(edges[:, j] > edges[:, j - 1])
-        lo, hi = edges[seg, j - 1], edges[seg, j]
-        first = np.searchsorted(cuts, lo, side="right")
-        count = np.searchsorted(cuts, hi, side="left") - first + 1
-        owner = np.repeat(np.arange(seg.size), count)
-        k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-        c = first[owner] + k
-        p_lo = np.where(k == 0, lo[owner], padded[c - 1])
-        p_hi = np.where(k == count[owner] - 1, hi[owner], padded[c])
-        keep = p_hi > p_lo
-        out.append(BandPieces(band=j, lo=p_lo[keep], hi=p_hi[keep],
-                              time_index=seg[owner[keep]]))
-    return out
-
-
-@dataclass(frozen=True)
 class BandPlan:
     """Composite midpoint abscissas of one band over a vector of outer times.
 
@@ -259,17 +220,6 @@ class BandPlan:
         return values.sum(axis=1)
 
 
-def midpoint_plan(pieces, panels):
-    """The plan of ``panels`` midpoint panels on every piece.
-
-    Piece p gets ``lo + (k + 0.5) * width`` for k < ``panels``, the same
-    numbers :func:`midpoints` gives for that piece alone.
-    """
-    return BandPlan(band=pieces.band, piece_time=pieces.time_index,
-                    piece_width=(pieces.hi - pieces.lo) / panels,
-                    piece_lo=pieces.lo, offsets=np.arange(panels) + 0.5)
-
-
 def reference_powers(panels, degree):
     """Powers of the reference midpoints as a (degree + 1, panels) table.
 
@@ -302,12 +252,29 @@ def power_shift(lo, length, scale, degree):
     return binomial * a[:, np.maximum(ls[:, None] - ls, 0)] * b[:, None, :]
 
 
-def band_plan(times, curves, panels, cuts=None):
+def band_plan(edges, panels, cuts=None):
     """Yield one :class:`BandPlan` per band for every integral over (0, t].
 
-    Each band segment at each outer time is cut at the ``cuts`` strictly
-    inside it, and every piece gets ``panels`` midpoint panels.  Plans are
-    built band by band and hold no abscissas (:class:`BandPlan`).
+    ``edges`` comes from :func:`band_edges`.  Each non-empty band segment
+    is cut at the ``cuts`` strictly inside it, zero-length pieces dropped
+    as :func:`split_interval` drops them, and piece p gets lo + (k + 0.5)
+    * width for k < ``panels``, as :func:`midpoints` gives it alone.
     """
-    for pieces in band_pieces(band_edges(times, curves), cuts):
-        yield midpoint_plan(pieces, panels)
+    cuts = np.sort(np.asarray([] if cuts is None else cuts, dtype=float))
+    padded = np.append(cuts, 0.0)  # keeps the discarded lookups below in range
+    offsets = np.arange(panels) + 0.5
+    for j in range(1, edges.shape[1]):
+        seg = np.flatnonzero(edges[:, j] > edges[:, j - 1])
+        lo, hi = edges[seg, j - 1], edges[seg, j]
+        first = np.searchsorted(cuts, lo, side="right")
+        count = np.searchsorted(cuts, hi, side="left") - first + 1
+        owner = np.repeat(np.arange(seg.size), count)
+        k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+        c = first[owner] + k
+        p_lo = np.where(k == 0, lo[owner], padded[c - 1])
+        p_hi = np.where(k == count[owner] - 1, hi[owner], padded[c])
+        keep = p_hi > p_lo
+        p_lo = p_lo[keep]
+        yield BandPlan(band=j, piece_time=seg[owner[keep]],
+                       piece_width=(p_hi[keep] - p_lo) / panels,
+                       piece_lo=p_lo, offsets=offsets)

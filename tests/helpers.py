@@ -65,8 +65,8 @@ def residual_reference(system, solution, t, panels=2000, magnitude=False):
     t = np.asarray(t, dtype=float)
     times = t.ravel()
     cuts = solution.breakpoints_in(0.0, system.curves.horizon)
-    plans = quadrature.band_plan(times, system.curves,
-                                 -(-panels // (cuts.size + 1)), cuts=cuts)
+    plans = quadrature.band_plan(quadrature.band_edges(times, system.curves),
+                                 -(-panels // (cuts.size + 1)), cuts)
     sign = np.abs if magnitude else np.negative
     index = [np.arange(times.size)]
     terms = [[sign(np.broadcast_to(np.asarray(f(t=times), float),
@@ -197,10 +197,10 @@ def psi_plans(disc):
     if isinstance(disc, PCDiscretization):
         cuts = disc.mesh.nodes[1:-1]
         edges = quadrature.band_edges(disc.times, lin.curves, snap=cuts)
-        plans = [quadrature.midpoint_plan(pieces, PIECE_PANELS)
-                 for pieces in quadrature.band_pieces(edges, cuts=cuts)]
+        plans = quadrature.band_plan(edges, PIECE_PANELS, cuts)
     else:
-        plans = quadrature.band_plan(disc.times, lin.curves, disc.panels)
+        plans = quadrature.band_plan(
+            quadrature.band_edges(disc.times, lin.curves), disc.panels)
     by_band = {plan.band - 1: plan for plan in plans}
     return [by_band[band.band] for band in disc._psi]
 

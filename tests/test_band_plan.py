@@ -479,18 +479,20 @@ def test_moments_from_the_plan_are_bit_identical(name, degree, monkeypatch):
     assert all(plan.panels == disc.panels for plan in psi_plans(disc))
 
 
-def test_band_pieces_drop_zero_length_pieces_like_split_interval():
+def test_band_plan_drops_zero_length_pieces_like_split_interval():
     curves = CurveFamily(1.0, ("t/2",))
     times = np.array([0.0, 0.3, 0.8, 1.0])
     cuts = np.array([0.25, 0.25, 0.4, 0.5, 0.9])   # a repeated cut
-    pieces = quadrature.band_pieces(quadrature.band_edges(times, curves), cuts)
-    for band in pieces:
+    panels = 3
+    plans = quadrature.band_plan(quadrature.band_edges(times, curves),
+                                 panels, cuts)
+    for plan in plans:
         ref = []
         for r, t in enumerate(times):
-            seg = quadrature.decompose(t, curves).segments[band.band - 1]
-            ref += [(r, lo, hi)
+            seg = quadrature.decompose(t, curves).segments[plan.band - 1]
+            ref += [(r, lo, (hi - lo) / panels)
                     for lo, hi in quadrature.split_interval(seg.lo, seg.hi, cuts)]
-        got = list(zip(band.time_index, band.lo, band.hi))
+        got = list(zip(plan.piece_time, plan.piece_lo, plan.piece_width))
         assert got == ref
 
 

@@ -87,6 +87,29 @@ def test_non_finite_constants():
     assert exc.value.offset == 2
 
 
+def test_a_product_with_zero_keeps_the_nan_of_its_other_factor():
+    # 0*e was folded to 0, so an expression undefined on part of its
+    # domain read as defined there
+    assert np.isnan(parse("0*log(t)")(t=0.0))
+    assert np.isnan(parse("t/2+0*sqrt(0.5-t)")(t=0.75))
+    assert str(parse("t/2+0*sqrt(0.5-t)")) == "t/2+0*sqrt(0.5-t)"
+    assert str(parse("x*0")) == "x*0"
+    assert parse("x*0")(x=np.inf) != parse("x*0")(x=np.inf)
+    # a product of two constants still folds
+    assert str(parse("0*2+t")) == "t"
+    assert str(parse("0*sqrt(4)+t")) == "t"
+
+
+def test_derivatives_drop_a_term_with_a_factor_zero():
+    # a derivative drops a term whose factor is 0, although the parser
+    # keeps 0*e: the builtins' derivatives print without 0*x terms
+    assert str(parse("3*x+x^3").diff("x")) == "3+3*x^2"
+    assert str(parse("2*x^2+0.5").diff("x")) == "2*(2*x)"
+    assert str(parse("t/2").diff("t")) == "0.5"
+    assert str(parse("(2*t-t^2)/4").diff("t")) == "(2-2*t)*4/16"
+    assert str(parse("x*0").diff("x")) == "0"
+
+
 def test_differentiate_examples():
     d = parse("x + x^2").diff("x")
     assert d(x=1) == 3.0

@@ -231,37 +231,31 @@ def test_collocation_run_evaluates_the_frozen_kernel_once_per_band(
 def test_pc_run_cuts_the_bands_and_evaluates_the_pieces_once(name,
                                                              monkeypatch):
     # the step coefficients, the history weights and psi share one
-    # 4-panel plan of every piece: one midpoint plan and one frozen-kernel
-    # pass per band on it, one evaluation per pair for the t = 0 values of
-    # the start matrix, and none on the unknown ranges alone
+    # 4-panel plan of every piece: one band_plan call, one frozen-kernel
+    # pass per band on its plan, one evaluation per pair for the t = 0
+    # values of the start matrix, and none on the unknown ranges alone
     system = builtin(name)
     mesh = Mesh.uniform(system.curves.horizon, 16)
     cuts = mesh.nodes[1:-1]
     expected = []
-    for pieces in quadrature.band_pieces(quadrature.band_edges(
-            mesh.nodes[1:], system.curves, snap=cuts), cuts):
-        expected += [(pieces.band, 1)] * system.n_equations
-        expected.append((pieces.band, PIECE_PANELS * pieces.lo.size))
-    cut, planned = [], []
+    for plan in quadrature.band_plan(quadrature.band_edges(
+            mesh.nodes[1:], system.curves, snap=cuts), PIECE_PANELS, cuts):
+        expected += [(plan.band, 1)] * system.n_equations
+        expected.append((plan.band, PIECE_PANELS * plan.piece_lo.size))
+    planned = []
     calls = _count_frozen_kernel(monkeypatch)
-    band_pieces = quadrature.band_pieces
-    midpoint_plan = quadrature.midpoint_plan
+    band_plan = quadrature.band_plan
 
-    def counting_pieces(*args, **kwargs):
-        cut.append(args)
-        return band_pieces(*args, **kwargs)
+    def counting_plan(*args):
+        plans = list(band_plan(*args))
+        planned.append([(plan.band, plan.panels) for plan in plans])
+        return iter(plans)
 
-    def counting_plan(pieces, panels):
-        planned.append((pieces.band, panels))
-        return midpoint_plan(pieces, panels)
-
-    monkeypatch.setattr(quadrature, "band_pieces", counting_pieces)
-    monkeypatch.setattr(quadrature, "midpoint_plan", counting_plan)
+    monkeypatch.setattr(quadrature, "band_plan", counting_plan)
     iterate(system, method="pc", n_segments=16, max_iters=3, tol=1e-15)
     assert sorted(calls) == sorted(expected)
-    assert len(cut) == 1
-    assert sorted(planned) == [(j, PIECE_PANELS)
-                               for j in range(1, system.n_bands + 1)]
+    assert planned == [[(j, PIECE_PANELS)
+                        for j in range(1, system.n_bands + 1)]]
 
 
 def test_linear_problem_converges_in_one_step(model01):

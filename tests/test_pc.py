@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bandvie import quadrature
 from bandvie.config import load_problem
 from bandvie.errors import ProblemDefinitionError, SolverError
 from bandvie.newton import iterate
@@ -377,6 +378,44 @@ def test_solve_matches_step_loop_with_band_edges_on_nodes(model02, n):
     disc = PCDiscretization(linearize(model02),
                             Mesh.uniform(model02.curves.horizon, n))
     _assert_solve_matches_step_loop(disc, *system_rhs(disc))
+
+
+def _curved_system():
+    """Three bands of one unknown, the first curve curved, and a G that is
+    not x in the first two bands, so psi sums on them."""
+    return VolterraSystem(
+        curves=CurveFamily(1.0, ("t/3+t^2/6", "2*t/3")),
+        kernels=[["1+t", "2", "1+s"]], nonlinearities=[["x+x^2", "x^2", "x"]],
+        rhs=["t"], unknown_of_band=(1, 1, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 12, 24, 48, 64])
+@pytest.mark.parametrize("name", ["model02", "nonlinear-scalar", "curved"])
+def test_each_piece_reads_the_mesh_segment_that_holds_it(name, n):
+    # pc takes a piece's segment from its lower edge; the segment that
+    # holds it is the one of its upper edge, found among the nodes cut
+    # from the (snapped) band edges.  model02's curves meet mesh nodes
+    # only in exact arithmetic
+    system = _curved_system() if name == "curved" else builtin(name)
+    mesh = Mesh.uniform(system.curves.horizon, n)
+    disc = PCDiscretization(linearize(system), mesh)
+    cuts = mesh.nodes[1:-1]
+    edges = quadrature.band_edges(disc.times, system.curves, snap=cuts)
+    held, history = [], []
+    for j in range(1, system.n_bands + 1):
+        held.append([])
+        history.append([])
+        for lo, hi in zip(edges[:, j - 1], edges[:, j]):
+            uppers = [b for _, b in quadrature.split_interval(lo, hi, cuts)]
+            segments = (mesh.segment_indices(uppers) - 1).tolist()
+            held[-1] += segments
+            history[-1] += segments[:-1]    # the last is the unknown range
+    bands, *_ = disc._assemble()
+    assert [band[3].tolist() for band in bands] == history
+    assert [band.segment.tolist() for band in disc._psi] == [
+        held[band.band] for band in disc._psi]
+    assert len(disc._psi) == {"model02": 0, "nonlinear-scalar": 1,
+                              "curved": 2}[name]
 
 
 @pytest.mark.parametrize("n", [16, 64])

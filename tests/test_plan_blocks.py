@@ -29,7 +29,7 @@ from bandvie.problem import (
     linearize,
     validate,
 )
-from bandvie.quadrature import BandPieces, band_plan, midpoint_plan
+from bandvie.quadrature import band_edges, band_plan
 
 from helpers import (
     frozen_values,
@@ -47,10 +47,12 @@ _LENGTHS = st.one_of(st.floats(5e-324, 1e-300), st.floats(1e-300, 10.0))
 _PIECES = st.lists(st.tuples(_LOS, _LENGTHS), min_size=0, max_size=6)
 
 
-def _pieces(pairs):
+def _edges(pairs):
+    """Band edges of one band whose segment at time r is (lo, lo + length)
+    of ``pairs[r]``."""
     lo = np.array([a for a, _ in pairs], dtype=float)
     hi = lo + np.array([b for _, b in pairs], dtype=float)
-    return BandPieces(band=1, lo=lo, hi=hi, time_index=np.arange(lo.size))
+    return np.column_stack([lo, hi])
 
 
 def _per_abscissa(lo, hi, panels):
@@ -71,10 +73,13 @@ def _assert_piece_sums_are_row_sums(plan, values):
 @given(pairs=_PIECES, panels=st.integers(1, 300),
        seed=st.integers(0, 2**32 - 1))
 def test_block_plan_equals_the_per_abscissa_formula(pairs, panels, seed):
-    pieces = _pieces(pairs)
-    plan = midpoint_plan(pieces, panels)
-    assert plan.abscissas.shape == (pieces.lo.size, panels)
-    for p, (lo, hi) in enumerate(zip(pieces.lo, pieces.hi)):
+    edges = _edges(pairs)
+    [plan] = band_plan(edges, panels)
+    # a length below half an ulp of lo leaves an empty segment: no piece
+    kept = np.flatnonzero(edges[:, 1] > edges[:, 0])
+    assert plan.abscissas.shape == (kept.size, panels)
+    assert np.array_equal(plan.piece_time, kept)
+    for p, (lo, hi) in enumerate(edges[kept]):
         assert np.array_equal(plan.abscissas[p], _per_abscissa(lo, hi, panels))
         assert plan.piece_width[p] == (hi - lo) / panels
     values = np.random.default_rng(seed).standard_normal(plan.abscissas.shape)
@@ -82,10 +87,10 @@ def test_block_plan_equals_the_per_abscissa_formula(pairs, panels, seed):
 
 
 def test_block_plan_of_an_empty_band_and_of_one_piece():
-    empty = midpoint_plan(_pieces([]), 7)
+    [empty] = band_plan(_edges([]), 7)
     assert empty.abscissas.shape == (0, 7)
     assert empty.piece_sums(np.empty((0, 7))).shape == (0,)
-    one = midpoint_plan(_pieces([(0.0, 5e-324)]), 3)
+    [one] = band_plan(_edges([(0.0, 5e-324)]), 3)
     assert np.array_equal(one.abscissas[0], _per_abscissa(0.0, 5e-324, 3))
     assert one.piece_width[0] == 5e-324 / 3
 
@@ -101,15 +106,19 @@ def test_band_plan_blocks_over_linear_curve_families(slopes, horizon,
                                                      fractions, panels, seed):
     curves = CurveFamily(horizon, tuple(f"{c!r}*t" for c in slopes))
     times = np.array(fractions) * horizon
-    edges = quadrature.band_edges(times, curves)
+    edges = band_edges(times, curves)
     rng = np.random.default_rng(seed)
-    for plan, pieces in zip(band_plan(times, curves, panels),
-                            quadrature.band_pieces(edges)):
-        assert plan.band == pieces.band
-        assert plan.abscissas.shape == (pieces.lo.size, panels)
-        assert np.array_equal(plan.piece_time, pieces.time_index)
-        for p, (lo, hi) in enumerate(zip(pieces.lo, pieces.hi)):
-            mids, width = quadrature.midpoints(lo, hi, panels)
+    plans = list(band_plan(edges, panels))
+    assert [plan.band for plan in plans] == list(range(1, len(slopes) + 2))
+    for plan in plans:
+        # uncut, a piece per time whose band segment is not empty, each
+        # the midpoint rule on that segment alone
+        lo, hi = edges[:, plan.band - 1], edges[:, plan.band]
+        kept = np.flatnonzero(hi > lo)
+        assert plan.abscissas.shape == (kept.size, panels)
+        assert np.array_equal(plan.piece_time, kept)
+        for p, r in enumerate(kept):
+            mids, width = quadrature.midpoints(lo[r], hi[r], panels)
             assert np.array_equal(plan.abscissas[p], mids)
             assert plan.piece_width[p] == width
         values = rng.standard_normal(plan.abscissas.shape)
@@ -119,7 +128,8 @@ def test_band_plan_blocks_over_linear_curve_families(slopes, horizon,
 def _moment_plan(system, band=1, degree=4, panels=DEFAULT_MOMENT_PANELS):
     """A band's collocation plan and the outer times, its nodes."""
     nodes = collocation_nodes(system.curves.horizon, degree)
-    return list(band_plan(nodes, system.curves, panels))[band - 1], nodes
+    plans = band_plan(band_edges(nodes, system.curves), panels)
+    return list(plans)[band - 1], nodes
 
 
 def _frozen_pass(lin, plan, times):
@@ -246,12 +256,11 @@ def _plans(system, cut):
     per piece; and their outer times."""
     if not cut:
         times = collocation_nodes(system.curves.horizon, 12)
-        return list(band_plan(times, system.curves,
+        return list(band_plan(band_edges(times, system.curves),
                               DEFAULT_MOMENT_PANELS)), times
     times = np.linspace(0.0, system.curves.horizon, 257)[1:]
-    edges = quadrature.band_edges(times, system.curves, snap=times[:-1])
-    return [midpoint_plan(pieces, PIECE_PANELS)
-            for pieces in quadrature.band_pieces(edges, times[:-1])], times
+    edges = band_edges(times, system.curves, snap=times[:-1])
+    return list(band_plan(edges, PIECE_PANELS, times[:-1])), times
 
 
 @pytest.mark.parametrize("cut", [False, True])

@@ -17,7 +17,7 @@ from bandvie.problem import (
     linearize,
     validate,
 )
-from bandvie.quadrature import BandPieces, midpoint_plan
+from bandvie.quadrature import BandPlan
 from bandvie.registry import builtin, list_builtins
 
 from helpers import nan_curve_system
@@ -161,6 +161,20 @@ def test_validate_names_a_curve_that_is_not_finite_inside():
         "alpha_1 is not finite at t = 0.500501: value nan"]
 
 
+def test_validate_names_data_that_is_nan_behind_a_factor_zero():
+    # 0*e was folded to 0 when parsed: both systems validated clean, and
+    # pc N = 8 solved the first to x = 2/3 although it is undefined for
+    # t > 0.5
+    def system(curve, rhs):
+        return VolterraSystem(
+            curves=CurveFamily(1.0, (curve,)), kernels=[["1", "2"]],
+            nonlinearities=[["x", "x"]], rhs=[rhs], unknown_of_band=(1, 1))
+    assert [str(d) for d in validate(system("t/2+0*sqrt(0.5-t)", "t"))] == [
+        "alpha_1 is not finite at t = 0.500501: value nan"]
+    assert [str(d) for d in validate(system("t/2", "t+0*log(t)"))] == [
+        "f_1(0) != 0 at t = 0: value nan"]
+
+
 def test_validate_names_a_non_finite_frozen_kernel(model01):
     # G_1,1 = sqrt(x) along the guess x0 = 0: dG/dx = 1/(2 sqrt(0)) = inf
     system = VolterraSystem(
@@ -256,8 +270,9 @@ def test_curve_derivatives_are_the_differentiators_own():
 def _frozen_pass(lin, band, times, lo, hi, panels):
     """A and K per equation from one frozen-kernel pass on a midpoint plan
     of ``panels`` panels on one piece [lo, hi] per outer time; the plan."""
-    plan = midpoint_plan(BandPieces(band=band, lo=lo, hi=hi,
-                                    time_index=np.arange(times.size)), panels)
+    plan = BandPlan(band=band, piece_time=np.arange(times.size),
+                    piece_width=(hi - lo) / panels, piece_lo=lo,
+                    offsets=np.arange(panels) + 0.5)
     buffer = np.empty(2 * plan.abscissas.size)
     guess = np.zeros((lin.n_equations, times.size))
     return [(a.copy(), kernel) for _, a, kernel in

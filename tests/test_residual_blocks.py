@@ -25,7 +25,6 @@ from bandvie.errors import SolverError
 from bandvie.newton import iterate
 from bandvie.pc import Mesh, PiecewiseConstantSolution, solve_linear_pc
 from bandvie.problem import band_quadrature_residual
-from bandvie.quadrature import BandPieces, midpoint_plan
 from bandvie.registry import builtin
 
 from helpers import repeated_curve_system, residual_reference
@@ -162,9 +161,8 @@ def test_a_last_block_of_fewer_rows_holds_the_bits(monkeypatch):
 
 
 def _plan(lo, hi, panels):
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
-    return midpoint_plan(BandPieces(band=1, lo=lo, hi=hi,
-                                    time_index=np.arange(lo.size)), panels)
+    """The plan of one band whose segment at time r is (lo[r], hi[r])."""
+    return next(quadrature.band_plan(np.column_stack([lo, hi]), panels))
 
 
 def test_a_step_function_reads_every_abscissa_of_a_piece_beside_a_node():
