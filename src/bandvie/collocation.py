@@ -31,6 +31,9 @@ the weights, after which it is kept only for a G with s or one that is
 not a polynomial, summed on the plan.  A solve takes psi as an array at
 the collocation nodes and its d/dt at 0
 (:meth:`CollocationDiscretization.solve`).  Solutions are immutable.
+The outer loop's correction norm samples them through the solver's
+sampler, one product with a table of the norm grids' powers t^r
+(:meth:`CollocationDiscretization.sampler`).
 """
 
 from __future__ import annotations
@@ -201,7 +204,10 @@ class CollocationDiscretization:
         self.degree = m = self.times.size
         self.panels = quadrature.checked_count("panels", panels)
         self.scale = float(lin.curves.horizon)
-        self._powers = self.scale ** np.arange(1, m + 1)
+        #: T^l, l <= m: c_hat_l = c_l * T^l maps coefficients to the
+        #: scaled ones of the moment system, and back
+        self._powers = self.scale ** np.arange(m + 1)
+        self._powers.flags.writeable = False
         self.f = f_at_times(lin.system, self.times)
         self.f.flags.writeable = False
 
@@ -300,22 +306,49 @@ class CollocationDiscretization:
         """
         if not self._psi:
             return
-        m = self.degree
-        if not (isinstance(iterate, PolynomialSolution)
-                and iterate.degree == m):
-            got = type(iterate).__name__
-            if isinstance(iterate, PolynomialSolution):
-                got += f" of degree {iterate.degree}"
-            raise SolverError(f"collocation psi takes a polynomial of degree "
-                              f"{m}, got {got}")
+        self._check(iterate, "psi")
         if self._psi[0].weights is None:
             self._keep_weights()
-        scaled = iterate.coefficients * self.scale ** np.arange(m + 1)
+        scaled = iterate.coefficients * self._powers
         for band in self._psi:
             for i, rows in band.pair_rows(scaled[band.component - 1]
                                           @ band.shift, self._table,
                                           self._nodes):
                 out[i, band.times] += rows
+
+    def sampler(self, grids):
+        """The sampler of this solver's iterates on ``grids``, shape
+        (n_comp, samples), one grid per component: a function that gives
+        an iterate's values there, same shape.
+
+        It keeps per component the table of the grid's powers t^r, r <=
+        :attr:`degree` (:func:`quadrature.powers`, each power formed for
+        all grids at once); the values of a :class:`PolynomialSolution`
+        are one product of its coefficients with those tables, all
+        components at once.  Any other iterate raises
+        :class:`SolverError`, as in :meth:`add_psi`.
+        """
+        tables = quadrature.powers(grids, self.degree).transpose(1, 0, 2)
+
+        def sample(iterate):
+            self._check(iterate, "sampler")
+            return np.matmul(iterate.coefficients[:, None], tables)[:, 0]
+        return sample
+
+    def _check(self, iterate, use):
+        """Raise :class:`SolverError`, naming ``use``, unless ``iterate``
+        is a :class:`PolynomialSolution` of :attr:`degree` in every
+        component."""
+        m, n = self.degree, self.lin.n_components
+        if not (isinstance(iterate, PolynomialSolution)
+                and iterate.coefficients.shape == (n, m + 1)):
+            got = type(iterate).__name__
+            if isinstance(iterate, PolynomialSolution):
+                got += f" of degree {iterate.degree}"
+                if iterate.n_components != n:
+                    got += f" with n_components = {iterate.n_components}"
+            raise SolverError(f"collocation {use} takes a polynomial of "
+                              f"degree {m}, got {got}")
 
     def _keep_weights(self):
         """Build, once, per pair its weights: W = (K @ T.T) @ C for n > 1
@@ -365,7 +398,7 @@ class CollocationDiscretization:
         scaled_coeffs = refined_solve(self._fact, self.matrix, f_vec)
         coeffs = np.zeros((n_comp, m + 1))
         coeffs[:, 0] = a0
-        coeffs[:, 1:] = scaled_coeffs.reshape(n_comp, m) / self._powers
+        coeffs[:, 1:] = scaled_coeffs.reshape(n_comp, m) / self._powers[1:]
         return PolynomialSolution(coeffs, lin.system.component_domains(),
                                   self.condition_number)
 

@@ -21,12 +21,14 @@ Each inner solver sums its own share of psi, the integrals, on the plan
 its operator was built from, and reads only its own iterates (its
 ``add_psi``); its set-up pass has already summed psi at the guess.
 :class:`PsiEvaluator` adds f, and the linearization gives d(psi)/dt at 0
-(:meth:`LinearizedSystem.derivative_at_zero`).  A step
-costs psi, the inner solve and the correction norm; the loop keeps the
-norm grids and the current iterate's samples on them, so every iterate is
-sampled once.  The step's :class:`IterationRecord` keeps its iterate; the
-errors against a known exact solution are measured only when a record's
-are first read.  Nothing is stored on an iterate or a system.
+(:meth:`LinearizedSystem.derivative_at_zero`).  A step costs psi, the
+inner solve and the correction norm.  For the norm the loop keeps the
+grids, the inner solver's sampler of its own iterates on them (its
+``sampler``, asked once per run) and the current iterate's samples, so
+every iterate is sampled once: the guess by its ``component_values``, each
+solution by the sampler.  The step's :class:`IterationRecord` keeps its
+iterate; the errors against a known exact solution are measured only when
+a record's are first read.  Nothing is stored on an iterate or a system.
 """
 
 from __future__ import annotations
@@ -98,38 +100,42 @@ class IterationReport:
         return tuple(r.ratio for r in self.records if r.ratio is not None)
 
 
-def correction_norm(prev, nxt, samples):
+def correction_norm(prev, nxt, samples, solver):
     """Sup over components of the sup over sampled t of |next - prev|.
 
     Each component is sampled at ``NORM_SAMPLES`` uniform points on its own
     interval of definition (endpoints included).  ``samples`` is the
-    caller's list of (grid, values) per component: filled for ``prev``
-    when empty, it is left holding nxt's values, so along an outer
-    iteration every grid is built once and every iterate sampled once.
+    caller's list ``[grids, sample, values]`` for one run, each array
+    (n_comp, NORM_SAMPLES).  When empty it is filled: the grids, the
+    sampler ``solver.sampler(grids)`` of the solver's iterates there, and
+    prev's values by its ``component_values``.  Every call samples ``nxt``
+    by that sampler and leaves its values in the list, so along an outer
+    iteration the grids and the sampler are built once and every iterate
+    is sampled once.
 
     Raises
     ------
     SolverError
-        If the correction of a component is not finite; the component and
-        the first bad t are named.
+        If the correction of a component is not finite; the component,
+        the first bad t and both values are named.  The sampler raises it
+        for an iterate its solver does not make.
     """
     if not samples:
-        for i, domain in enumerate(nxt.component_domains, start=1):
-            ts = np.linspace(0.0, domain, NORM_SAMPLES)
-            samples.append((ts, np.asarray(prev.component_values(i, ts),
-                                           dtype=float)))
-    worst = 0.0
-    for i, (ts, a) in enumerate(samples, start=1):
-        b = np.asarray(nxt.component_values(i, ts), dtype=float)
-        samples[i - 1] = ts, b
-        diff = np.abs(b - a)
-        top = float(np.max(diff))      # nan propagates through max
-        if not math.isfinite(top):
-            k = _first_non_finite(diff)
-            raise SolverError(
-                f"correction of component {i} is {diff[k]} at t = "
-                f"{ts[k]:.6g} (previous {a[k]}, next {b[k]})")
-        worst = max(worst, top)
+        grids = np.array([np.linspace(0.0, domain, NORM_SAMPLES)
+                          for domain in nxt.component_domains])
+        samples[:] = grids, solver.sampler(grids), np.array([
+            prev.component_values(i, ts) for i, ts in enumerate(grids, 1)],
+            dtype=float)
+    grids, sample, a = samples
+    b = samples[2] = sample(nxt)
+    diff = b - a
+    np.abs(diff, out=diff)
+    worst = float(np.max(diff))        # nan propagates through max
+    if not math.isfinite(worst):
+        i, k = np.unravel_index(_first_non_finite(diff), diff.shape)
+        raise SolverError(
+            f"correction of component {i + 1} is {diff[i, k]} at t = "
+            f"{grids[i, k]:.6g} (previous {a[i, k]}, next {b[i, k]})")
     return worst
 
 
@@ -174,7 +180,9 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
 
     Collocation integrates on ``collocation.DEFAULT_MOMENT_PANELS`` panels
     per band segment and pc on its ``pc.PIECE_PANELS`` pieces; each sums
-    its psi on the same plan.
+    its psi on the same plan.  Each step's correction norm
+    (:func:`correction_norm`) samples the new iterate through the inner
+    solver's sampler, built with the norm grids at the first step.
 
     Returns
     -------
@@ -221,14 +229,14 @@ def iterate(system, method="collocation", degree=None, n_segments=None,
 
     report = IterationReport()
     current = lin.x0
-    samples = []                     # the norm grids and current's values
+    samples = []            # the norm grids, their sampler, current's values
     prev_correction = None
     solution = None
     for step in range(1, max_iters + 1):
         solution = disc.solve(evaluator.values(current),
                               lin.derivative_at_zero(current))
         try:
-            corr = correction_norm(current, solution, samples)
+            corr = correction_norm(current, solution, samples, disc)
         except SolverError as exc:
             raise SolverError(f"iteration {step}: {exc}") from exc
         ratio = None if prev_correction in (None, 0.0) else corr / prev_correction

@@ -17,7 +17,10 @@ into f.  The discretization sums its own share of psi on the same plan,
 and the outer iteration adds f (:meth:`PCDiscretization.add_psi`).  A
 step iterate is one value per piece, so it keeps, per band with a pair
 whose G is not x, the row sums of A and of K, K itself only for a G with
-s, and nothing of it changes after set-up (:class:`_PsiBand`).
+s, and nothing of it changes after set-up (:class:`_PsiBand`).  The outer
+loop's correction norm samples a step iterate through the solver's
+sampler, one gather of the norm grids' mesh segments
+(:meth:`PCDiscretization.sampler`).
 
 The step systems depend on the frozen operator only, not on the
 right-hand side psi, which a solve takes as an array at the nodes
@@ -273,13 +276,7 @@ class PCDiscretization:
         """
         if not self._psi:
             return
-        if not (isinstance(iterate, PiecewiseConstantSolution)
-                and np.array_equal(iterate.mesh.nodes[1:], self.times)):
-            got = type(iterate).__name__
-            if isinstance(iterate, PiecewiseConstantSolution):
-                got += f" on a mesh of {iterate.mesh.n_segments} segments"
-            raise SolverError(f"pc psi takes steps on its mesh of "
-                              f"{self.times.size} segments, got {got}")
+        self._check(iterate, "psi")
         for band in self._psi:
             d = iterate.values[band.component - 1][band.segment, None]
             for i, rows in band.pair_rows(d, _STEP_POWERS):
@@ -287,6 +284,43 @@ class PCDiscretization:
                 # added: on pc iterates this rounds about 3x closer to an
                 # exact sum than adding them to f one by one
                 out[i, band.times] += np.add.reduceat(rows, band.runs)
+
+    def sampler(self, grids):
+        """The sampler of this solver's iterates on ``grids``, shape
+        (n_comp, samples), one grid per component: a function that gives
+        an iterate's values there, same shape.
+
+        It keeps the grids' mesh segments, as flat positions in an
+        iterate's (n_comp, N) step values, and their t = 0 mask; the
+        values of a :class:`PiecewiseConstantSolution` are one gather and
+        one ``where``, bit for bit its ``component_values``.  Any other
+        iterate raises :class:`SolverError`, as in :meth:`add_psi`.
+        """
+        flat = self.mesh.segment_indices(grids) - 1
+        flat += self.mesh.n_segments * np.arange(len(grids))[:, None]
+        zero = grids == 0.0
+
+        def sample(iterate):
+            self._check(iterate, "sampler")
+            return np.where(zero, iterate.start[:, None],
+                            np.take(iterate.values, flat))
+        return sample
+
+    def _check(self, iterate, use):
+        """Raise :class:`SolverError`, naming ``use``, unless ``iterate``
+        is a :class:`PiecewiseConstantSolution` on this mesh in every
+        component."""
+        n = self.lin.n_components
+        if not (isinstance(iterate, PiecewiseConstantSolution)
+                and np.array_equal(iterate.mesh.nodes[1:], self.times)
+                and iterate.values.shape[0] == n):
+            got = type(iterate).__name__
+            if isinstance(iterate, PiecewiseConstantSolution):
+                got += f" on a mesh of {iterate.mesh.n_segments} segments"
+                if iterate.values.shape[0] != n:
+                    got += f" with n_components = {iterate.values.shape[0]}"
+            raise SolverError(f"pc {use} takes steps on its mesh of "
+                              f"{self.times.size} segments, got {got}")
 
     def _step_operator(self, bands):
         """The :class:`_StepOperator`, built from the arrays of ``bands``.

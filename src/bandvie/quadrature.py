@@ -220,18 +220,22 @@ class BandPlan:
         return values.sum(axis=1)
 
 
-def reference_powers(panels, degree):
-    """Powers of the reference midpoints as a (degree + 1, panels) table.
+def powers(u, degree):
+    """Powers of the points ``u`` as a (degree + 1,) + u.shape table.
 
-    Row r holds u_q^r for u_q = (q + 1/2) / panels, each row the product
-    of the one before and u.
+    Row r holds u^r, each row the product of the one before and u.
     """
-    u = (np.arange(panels) + 0.5) / panels
-    table = np.empty((degree + 1, panels))
+    table = np.empty((degree + 1,) + u.shape)
     table[0] = 1.0
     for r in range(1, degree + 1):
         np.multiply(table[r - 1], u, out=table[r])
     return table
+
+
+def reference_powers(panels, degree):
+    """Powers of the reference midpoints u_q = (q + 1/2) / panels as a
+    (degree + 1, panels) table (:func:`powers`)."""
+    return powers((np.arange(panels) + 0.5) / panels, degree)
 
 
 def power_shift(lo, length, scale, degree):

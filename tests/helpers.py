@@ -150,6 +150,7 @@ class CollocationPsi(CollocationDiscretization):
     def __init__(self, lin, ts, degree, panels=DEFAULT_MOMENT_PANELS):
         self.lin, self.times, self.degree = lin, ts, degree
         self.panels, self.scale = panels, float(lin.curves.horizon)
+        self._powers = self.scale ** np.arange(degree + 1)
         self.f = f_at_times(lin.system, ts)
         self._psi, self.psi_at_guess = self._assemble(None, None)
 
@@ -370,13 +371,28 @@ def collocation_solve_reference(disc, psi, derivative_at_zero):
                               disc.condition_number)
 
 
+def norm_samples_reference(iterate, i, ts):
+    """Component i of ``iterate`` on a norm grid ``ts`` as the run samples
+    it: a polynomial as its coefficients times a fresh table of the powers
+    t^r, each the product of the one before and t; a step function (the pc
+    sampler is bit for bit its ``component_values``) and the guess by
+    ``component_values``."""
+    if isinstance(iterate, PolynomialSolution):
+        table = [np.ones_like(ts)]
+        for _ in range(iterate.degree):
+            table.append(table[-1] * ts)
+        return iterate.coefficients[i - 1] @ np.array(table)
+    return np.asarray(iterate.component_values(i, ts), float)
+
+
 def correction_norm_reference(prev, nxt):
-    """Sup of |next - prev| over fresh norm grids, both iterates sampled."""
+    """Sup of |next - prev| over fresh norm grids, both iterates sampled
+    afresh (:func:`norm_samples_reference`)."""
     worst = 0.0
     for i in range(1, nxt.n_components + 1):
         ts = np.linspace(0.0, nxt.component_domains[i - 1], NORM_SAMPLES)
-        diff = np.abs(np.asarray(nxt.component_values(i, ts), float)
-                      - np.asarray(prev.component_values(i, ts), float))
+        diff = np.abs(norm_samples_reference(nxt, i, ts)
+                      - norm_samples_reference(prev, i, ts))
         worst = max(worst, float(np.max(diff)))
     return worst
 

@@ -95,22 +95,40 @@ def test_psi_square_bracket_case():
         assert vals[0, col] == pytest.approx(expected, abs=1e-8)
 
 
+class ValuesSolver:
+    """A solver stand-in whose sampler reads ``component_values``; it keeps
+    the grids of every sampler it makes."""
+
+    def __init__(self):
+        self.grids = []
+
+    def sampler(self, grids):
+        self.grids.append(grids)
+        return lambda it: np.array([it.component_values(i, ts)
+                                    for i, ts in enumerate(grids, 1)])
+
+
 def test_correction_norm_cases():
     domains = (2.0,)
     a = ExpressionIterate(["cos(t)"], domains)
-    assert correction_norm(a, a, []) == 0.0
+    assert correction_norm(a, a, [], ValuesSolver()) == 0.0
     b = ExpressionIterate(["cos(t) + 0.25"], domains)
-    assert correction_norm(a, b, []) == pytest.approx(0.25, abs=1e-14)
+    assert correction_norm(a, b, [], ValuesSolver()) == pytest.approx(
+        0.25, abs=1e-14)
     c = ExpressionIterate(["0.9*cos(t)"], domains)
-    assert correction_norm(a, c, []) == pytest.approx(0.1, abs=1e-12)
-    # the list keeps the grids and the last iterate's values
-    samples = []
-    correction_norm(a, b, samples)
-    assert correction_norm(None, c, samples) == pytest.approx(0.35,
-                                                              abs=1e-12)
-    ts, values = samples[0]
-    assert ts.size == NORM_SAMPLES
-    assert np.array_equal(values, c.component_values(1, ts))
+    assert correction_norm(a, c, [], ValuesSolver()) == pytest.approx(
+        0.1, abs=1e-12)
+    # the list keeps the grids, the one sampler the solver made of them
+    # and the last iterate's values
+    samples, solver = [], ValuesSolver()
+    correction_norm(a, b, samples, solver)
+    assert correction_norm(None, c, samples, solver) == pytest.approx(
+        0.35, abs=1e-12)
+    grids, _, values = samples
+    assert grids.shape == values.shape == (1, NORM_SAMPLES)
+    assert np.array_equal(grids[0], np.linspace(0.0, 2.0, NORM_SAMPLES))
+    assert len(solver.grids) == 1 and solver.grids[0] is grids
+    assert np.array_equal(values[0], c.component_values(1, grids[0]))
 
 
 def test_non_finite_correction_names_the_component(model01):
@@ -118,8 +136,9 @@ def test_non_finite_correction_names_the_component(model01):
     a = ExpressionIterate(["cos(t)", "sin(t)"], domains)
     b = ExpressionIterate(["cos(t)", "sqrt(t-1)"], domains)
     with pytest.raises(SolverError, match=r"correction of component 2 is nan "
-                                          r"at t = 0 "):
-        correction_norm(a, b, [])
+                                          r"at t = 0 \(previous 0\.0, next "
+                                          r"nan\)$"):
+        correction_norm(a, b, [], ValuesSolver())
 
 
 def test_non_finite_guess_is_an_error_not_a_converged_run(model01):

@@ -5,8 +5,6 @@ pairs whose G is not x.
 Each is checked against an uncached loop from ``helpers``, and none is
 stored on the system or on an iterate."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,11 @@ from bandvie.collocation import (
 )
 from bandvie.expr import Expression
 from bandvie.newton import NORM_SAMPLES, PsiEvaluator, iterate
-from bandvie.pc import PiecewiseConstantSolution, solve_linear_pc
+from bandvie.pc import (
+    PCDiscretization,
+    PiecewiseConstantSolution,
+    solve_linear_pc,
+)
 from bandvie.problem import ExpressionIterate, linearize
 from bandvie.registry import builtin, list_builtins
 from bandvie.report import ERROR_SAMPLES, error_samples, measure_errors
@@ -90,21 +92,38 @@ def test_sys2_collocation_records_match_an_uncached_loop(sys2):
 @pytest.mark.parametrize("method, size", [("collocation", 4), ("pc", 32)])
 def test_iterate_samples_each_iterate_once_for_its_norms(sys2, monkeypatch,
                                                          method, size):
-    sampled = []
+    valued, grids, sampled = [], [], []
     for cls in (ExpressionIterate, PolynomialSolution,
                 PiecewiseConstantSolution):
         def counting(self, i, ts, _original=cls.component_values):
             if np.size(ts) == NORM_SAMPLES:
-                sampled.append((self, i))     # keeps the iterate alive
+                valued.append((self, i))      # keeps the iterate alive
             return _original(self, i, ts)
         monkeypatch.setattr(cls, "component_values", counting)
+    solver = (CollocationDiscretization if method == "collocation"
+              else PCDiscretization)
+
+    def sampler(self, ts, _original=solver.sampler):
+        grids.append(ts)
+        sample = _original(self, ts)
+
+        def counted(it):
+            sampled.append(it)
+            return sample(it)
+        return counted
+    monkeypatch.setattr(solver, "sampler", sampler)
     key = "degree" if method == "collocation" else "n_segments"
     _, report = iterate(sys2, method=method, max_iters=5, tol=1e-15,
                         **{key: size})
-    counts = Counter((id(it), i) for it, i in sampled)
-    assert set(counts.values()) == {1}
-    # the guess and every solution, once per component
-    assert len(counts) == (len(report.records) + 1) * sys2.n_components
+    # the guess by its component_values, once per component
+    guess = valued[0][0]
+    assert isinstance(guess, ExpressionIterate)
+    assert valued == [(guess, i) for i in (1, 2)]
+    # one sampler per run, and every solution once through it
+    assert len(grids) == 1 and grids[0].shape == (2, NORM_SAMPLES)
+    assert len(sampled) == len(report.records) == 5
+    assert all(it is record.iterate
+               for it, record in zip(sampled, report.records))
 
 
 @pytest.mark.parametrize("method, size", [("collocation", 4), ("pc", 32)])
