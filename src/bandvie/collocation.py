@@ -13,10 +13,13 @@ segment is a row.  The frozen kernel A = K * dG/dx(x0) is formed on it
 one equation at a time, in row blocks, into one buffer reused by every
 pair and band (:meth:`LinearizedSystem.frozen_pairs`), and read once:
 the moments of a row are one product of A with the plan's table of
-reference powers u^r (:func:`quadrature.reference_powers`), mapped to
-the powers (s/T)^l of that row's piece by a binomial shift
-(:func:`quadrature.power_shift`).  The same pass adds psi at the guess,
-w * (sum A * x0 - sum K * G(s, x0)) per row, into f.
+reference powers u^r (:func:`quadrature.reference_powers`), the pass's
+reduction, under one ``np.errstate``, mapped to the powers (s/T)^l of
+that row's piece by a binomial shift (:func:`quadrature.power_shift`).
+Those products are the check of A: a non-finite A is named by its first
+bad value, and a finite A whose moments overflow by the first node where
+they do.  The same pass adds psi at the guess, w * (sum A * x0 - sum K *
+G(s, x0)) per row, into f.
 
 The discretization sums its own share of psi, w * (sum A * xm - sum K *
 G(xm)) per row, and the outer iteration adds f
@@ -241,24 +244,24 @@ class CollocationDiscretization:
 
         A of each pair is formed into one buffer, reused by every pair and
         band (:meth:`~bandvie.problem.LinearizedSystem.frozen_pairs`), and
-        read once, for its moments; what is kept is K of the pairs whose G
-        is not x.
+        read once, for its moments, the reduction that pass checks; what
+        is kept is K of the pairs whose G is not x.
         """
         lin, m, panels = self.lin, self.degree, self.panels
         bands = []
         table = quadrature.reference_powers(panels, m)
-        buffer = np.empty(2 * self.times.size * panels)
+        buffer = np.empty(3 * self.times.size * panels)
         guess = self.f.copy()
         edges = quadrature.band_edges(self.times, lin.curves)
         for plan in quadrature.band_plan(edges, panels):
             shift = quadrature.power_shift(
                 plan.piece_lo, plan.piece_width * panels, self.scale, m)
             products, kept = [], []
-            for i, a, kernel in lin.frozen_pairs(plan, self.times, buffer,
-                                                 guess):
-                products.append(a @ table.T)
+            for i, _, kernel, product in lin.frozen_pairs(
+                    plan, self.times, buffer, guess, lambda a: a @ table.T):
+                products.append(product)
                 if kernel is not None:
-                    kept.append((i, kernel, products[-1]))
+                    kept.append((i, kernel, product))
             self._add_moments(matrix, zeroth, plan, shift, products)
             if kept and plan.piece_width.size:
                 g = lin.system.nonlinearities

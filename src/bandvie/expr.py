@@ -321,18 +321,18 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected {op!r}", offset)
 
 
-def _square(a):
-    return np.multiply(a, a, dtype=float)
+def _square(a, out=None):
+    return np.multiply(a, a, out=out, dtype=float)
 
 
-def _cube(a):
-    out = np.multiply(a, a, dtype=float)
+def _cube(a, out=None):
+    out = np.multiply(a, a, out=out, dtype=float)
     out *= a
     return out
 
 
-def _fourth(a):
-    out = np.multiply(a, a, dtype=float)
+def _fourth(a, out=None):
+    out = np.multiply(a, a, out=out, dtype=float)
     out *= out
     return out
 
@@ -342,6 +342,26 @@ _INTEGER_POWERS = {2.0: _square, 3.0: _cube, 4.0: _fourth}
 
 _COMPILE_NAMESPACE = {"np": np, **{
     fn.__name__: fn for fn in _INTEGER_POWERS.values()}}
+
+
+def _operation(node):
+    """``(template, operands, write)`` of a node that is not a leaf: its
+    source is ``template`` formatted with the sources of ``operands``, and
+    ``write(*operands, out=out)`` writes its value into ``out``."""
+    if isinstance(node, _Neg):
+        return "(-{0})", (node.arg,), np.negative
+    if isinstance(node, _Call):
+        return f"np.{node.fn}({{0}})", (node.arg,), _NP_FUNCTIONS[node.fn]
+    if not isinstance(node, _Bin):
+        raise TypeError(node)
+    if node.op == "^" and isinstance(node.rhs, _Const):
+        power = _INTEGER_POWERS.get(node.rhs.value)
+        if power is not None:
+            return f"{power.__name__}({{0}})", (node.lhs,), power
+    op = "**" if node.op == "^" else node.op
+    write = {"+": np.add, "-": np.subtract, "*": np.multiply,
+             "/": np.divide, "^": np.power}[node.op]
+    return f"({{0}}{op}{{1}})", (node.lhs, node.rhs), write
 
 
 def _to_source(node, consts):
@@ -356,19 +376,8 @@ def _to_source(node, consts):
         return f"_c{len(consts) - 1}"
     if isinstance(node, _Var):
         return node.name
-    if isinstance(node, _Neg):
-        return f"(-{_to_source(node.arg, consts)})"
-    if isinstance(node, _Call):
-        return f"np.{node.fn}({_to_source(node.arg, consts)})"
-    if isinstance(node, _Bin):
-        if node.op == "^" and isinstance(node.rhs, _Const):
-            power = _INTEGER_POWERS.get(node.rhs.value)
-            if power is not None:
-                return f"{power.__name__}({_to_source(node.lhs, consts)})"
-        op = "**" if node.op == "^" else node.op
-        return (f"({_to_source(node.lhs, consts)}{op}"
-                f"{_to_source(node.rhs, consts)})")
-    raise TypeError(node)
+    template, operands, _ = _operation(node)
+    return template.format(*(_to_source(o, consts) for o in operands))
 
 
 def _compile(root):
@@ -385,6 +394,42 @@ def _compile(root):
     namespace = dict(_COMPILE_NAMESPACE, **{
         f"_c{k}": c for k, c in enumerate(consts)})
     return eval(src, namespace)  # noqa: S307 - source built above
+
+
+def _compile_into(root, plain):
+    """The ``out`` form of a tree, a function of t, s, x and ``out`` that
+    writes the value into ``out`` and returns it; ``plain`` is the call
+    without ``out``, a function of t, s and x.
+
+    A constant or a variable is copied in.  Any other root evaluates its
+    operands as :func:`_compile` does and writes its own operation into
+    ``out`` (the ufunc's ``out=``, or the integer power's product chain).
+    When no operand has the shape of ``out`` (scalars, whose arithmetic is
+    numpy's scalar one, or a column broadcast into a block), the value is
+    formed by ``plain`` and copied in, so that ``out`` holds the bits of
+    the call without it whichever way numpy would loop over the broadcast.
+    """
+    if isinstance(root, (_Const, _Var)):
+        def into(t, s, x, out):
+            np.copyto(out, plain(t=t, s=s, x=x))
+            return out
+        return into
+    _, operands, write = _operation(root)
+    consts = []
+    src = "lambda t=None, s=None, x=None: (" + "".join(
+        f"{_to_source(o, consts)}, " for o in operands) + ")"
+    namespace = dict(_COMPILE_NAMESPACE, **{
+        f"_c{k}": c for k, c in enumerate(consts)})
+    values = eval(src, namespace)  # noqa: S307 - source built above
+
+    def into(t, s, x, out):
+        args = values(t=t, s=s, x=x)
+        if any(np.shape(a) == out.shape for a in args):
+            write(*args, out=out)
+        else:
+            np.copyto(out, plain(t=t, s=s, x=x))
+        return out
+    return into
 
 
 def _node_precedence(node):
@@ -551,11 +596,12 @@ def _numeric(value):
 class Expression:
     """Immutable expression tree over the variables t, s, x."""
 
-    __slots__ = ("_root", "_compiled")
+    __slots__ = ("_root", "_compiled", "_into")
 
     def __init__(self, root):
         self._root = root
         self._compiled = None
+        self._into = None
 
     @property
     def free_variables(self):
@@ -563,7 +609,7 @@ class Expression:
         _free_variables(self._root, acc)
         return frozenset(acc)
 
-    def __call__(self, t=None, s=None, x=None):
+    def __call__(self, t=None, s=None, x=None, out=None):
         """Vectorized evaluation (numpy arrays or scalars).
 
         Domain violations yield nan or inf; callers check finiteness.
@@ -571,7 +617,23 @@ class Expression:
         floats, whose arithmetic gives nan or inf where Python's raises
         (``1/0.0``, ``0.0**-1``, ``1e100**5``) or turns complex
         (``(-2.0)**0.5``).
+
+        Given ``out``, a C-contiguous float array that the inputs
+        broadcast into and that shares no memory with them, the value is
+        written into ``out`` and ``out`` returned, with the bits of the
+        call without it broadcast to its shape: the root operation writes
+        there itself, a constant or a variable is copied in.  This form
+        is compiled apart, on its first call (:func:`_compile_into`); the
+        call without ``out`` keeps its own compiled code, which the
+        ``out`` form runs only where no operand of the root has the shape
+        of ``out``.
         """
+        if out is not None:
+            if self._into is None:
+                self._into = _compile_into(self._root, self)
+            with np.errstate(all="ignore"):
+                return self._into(t=_numeric(t), s=_numeric(s),
+                                  x=_numeric(x), out=out)
         if self._compiled is None:
             self._compiled = _compile(self._root)
         with np.errstate(all="ignore"):

@@ -47,16 +47,19 @@ class LUFactorization:
         threshold = PIVOT_RTOL * scale
         perm = np.arange(n)
         for k in range(n):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            pivot = abs(a[p, k])
+            column = np.abs(a[k:, k])
+            p = k + int(column.argmax())
+            pivot = column[p - k]
             if pivot <= threshold:
                 raise SingularMatrixError(step=k + 1, pivot=pivot,
                                           threshold=threshold)
             if p != k:
-                a[[k, p]] = a[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
+                row = a[k].copy()
+                a[k] = a[p]
+                a[p] = row
+                perm[k], perm[p] = perm[p], perm[k]
             a[k + 1:, k] /= a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+            a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, k + 1:]
         self._lu = a
         self._perm = perm
         self.shape = (n, n)

@@ -13,14 +13,15 @@ unknown range and gives the step coefficients, the pieces before it the
 history weights.  The frozen kernel A is formed on that plan one equation
 at a time, in row blocks, into one buffer reused by every pair and band
 (:meth:`LinearizedSystem.frozen_pairs`), which also adds psi at the guess
-into f.  The discretization sums its own share of psi on the same plan,
-and the outer iteration adds f (:meth:`PCDiscretization.add_psi`).  A
-step iterate is one value per piece, so it keeps, per band with a pair
-whose G is not x, the row sums of A and of K, K itself only for a G with
-s, and nothing of it changes after set-up (:class:`_PsiBand`).  The outer
-loop's correction norm samples a step iterate through the solver's
-sampler, one gather of the norm grids' mesh segments
-(:meth:`PCDiscretization.sampler`).
+into f and checks A through its piece sums, the pass's reduction, from
+which the weights come.  The discretization sums its own share of psi on
+the same plan, and the outer iteration adds f
+(:meth:`PCDiscretization.add_psi`).  A step iterate is one value per
+piece, so it keeps, per band with a pair whose G is not x, the row sums
+of A and of K, K itself only for a G with s, and nothing of it changes
+after set-up (:class:`_PsiBand`).  The outer loop's correction norm
+samples a step iterate through the solver's sampler, one gather of the
+norm grids' mesh segments (:meth:`PCDiscretization.sampler`).
 
 The step systems depend on the frozen operator only, not on the
 right-hand side psi, which a solve takes as an array at the nodes
@@ -33,7 +34,9 @@ step faults (a segment read before it is assigned, a history segment
 never assigned, a singular step matrix, a jump of more than one segment)
 are checked as masks, and the first in node order is raised.  Every
 solve then takes one gather, one product and one scatter per step, and
-distinct solves may run concurrently.  Band edges within roundoff of a
+distinct solves may run concurrently.  The steps run under one
+``np.errstate``: a step value that overflows leaves no warning, and the
+outer loop's correction norm names it.  Band edges within roundoff of a
 mesh node are moved onto it, so a curve that meets a node in exact
 arithmetic leaves no sub-ulp unknown range.
 """
@@ -226,16 +229,16 @@ class PCDiscretization:
         segments = mesh.segment_indices(edges[:, 1:])
         bands, psi = [None] * lin.n_bands, []
         plans = list(quadrature.band_plan(edges, PIECE_PANELS, cuts))
-        buffer = np.empty(2 * PIECE_PANELS * max(
+        buffer = np.empty(3 * PIECE_PANELS * max(
             plan.piece_lo.size for plan in plans))
         guess = self.f.copy()
         for plan in plans:
             j = plan.band
             weights = np.empty((n_eq, plan.piece_lo.size))
             kept, row_sums = [], []
-            for i, a, kernel in lin.frozen_pairs(plan, self.times, buffer,
-                                                 guess):
-                weights[i] = plan.piece_sums(a) * plan.piece_width
+            for i, a, kernel, sums in lin.frozen_pairs(
+                    plan, self.times, buffer, guess, plan.piece_sums):
+                weights[i] = sums * plan.piece_width
                 if kernel is not None:      # psi sums this pair
                     g = lin.system.nonlinearities[i][j - 1]
                     w = None if "s" in g.free_variables else kernel.sum(axis=1)
@@ -438,10 +441,12 @@ class PCDiscretization:
         op = self._steps
         # segments beyond a component's domain are never assigned
         values = np.full(lin.n_components * mesh.n_segments, np.nan)
-        for out, y, (idx, weights) in zip(
-                op.out, np.einsum("kri,ik->kr", op.inverse, psi),
-                op.terms):
-            values[out] = y - weights @ values[idx]
+        # a step value that overflows is named by the correction norm
+        with np.errstate(all="ignore"):
+            for out, y, (idx, weights) in zip(
+                    op.out, np.einsum("kri,ik->kr", op.inverse, psi),
+                    op.terms):
+                values[out] = y - weights @ values[idx]
         return PiecewiseConstantSolution(
             mesh, start, values.reshape(lin.n_components, mesh.n_segments),
             lin.system.component_domains())

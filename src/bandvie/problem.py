@@ -17,13 +17,14 @@ Linearization freezes the kernels at an initial guess X0:
 which is the operator inverted at every outer iteration.  One evaluator
 forms it on an inner solver's band plans
 (:meth:`LinearizedSystem.frozen_pairs`): pair by pair into one reused
-buffer, in row blocks that stay in cache, adding psi at the guess into
-f at the solver's times; a solver keeps of it only its moments or
-weights, and, for the psi it sums itself, what its iterates need of K
-(:class:`PsiBand`).  The linearization also keeps the t = 0 terms,
-K(0, 0) and A(0, 0) times the jumps of the curve slopes at 0: the
-start-value matrix and d(psi)/dt at 0
-(:meth:`LinearizedSystem.derivative_at_zero`) both read them.  These
+buffer, in row blocks that stay in cache, each plan-sized value written
+once, adding psi at the guess into f at the solver's times, and reduced
+once by the solver's own reduction, whose finiteness is the check of A;
+a solver keeps of it only its moments or weights, and, for the psi it
+sums itself, what its iterates need of K (:class:`PsiBand`).  The
+linearization also keeps the t = 0 terms, K(0, 0) and A(0, 0) times the
+jumps of the curve slopes at 0: the start-value matrix and d(psi)/dt at
+0 (:meth:`LinearizedSystem.derivative_at_zero`) both read them.  These
 terms, and validation's sample along the guess, are formed pair by pair
 by the evaluator's own code for K and for A.
 """
@@ -497,100 +498,132 @@ class LinearizedSystem:
         self.n_bands = system.n_bands
         self.n_components = system.n_components
 
-    def frozen_pairs(self, plan, times, buffer, guess):
+    def frozen_pairs(self, plan, times, buffer, guess, reduce):
         """The frozen kernel on a band plan, one equation at a time.
 
-        Yields, for every equation i in order, ``(i, a, kernel)`` on the
-        band of ``plan``, whose ``piece_time`` indexes the outer ``times``:
-        ``a`` is A_ij = K_ij * dG_ij/dx(s, x0(s)) on the plan, a (pieces,
-        panels) view of ``buffer`` that the next pair overwrites.  For a
+        Yields, for every equation i in order, ``(i, a, kernel, reduced)``
+        on the band of ``plan``, whose ``piece_time`` indexes the outer
+        ``times``: ``a`` is A_ij = K_ij * dG_ij/dx(s, x0(s)) on the plan, a
+        (pieces, panels) view of ``buffer`` that the next pair overwrites,
+        and ``reduced`` the caller's ``reduce(a)``, one row per piece (its
+        moments, its piece sums), formed once on the whole plan.  For a
         pair whose G is not x, ``kernel`` is K_ij on the plan (a broadcast
         view for a K free of s), and w * (sum A * x0 - sum K * G(s, x0))
         per piece, w its panel width, is first added into row i of psi at
         the guess ``guess`` by :func:`numpy.add.at`, piece by piece; for
-        G = x ``kernel`` is None.  ``buffer`` is a flat array of two plan
-        sizes at least, and x0 fills the second once per band.
+        G = x ``kernel`` is None.
 
-        Every value is formed in blocks of about ``BLOCK_VALUES`` values,
-        whole rows, the abscissas too: only A, x0 and the K handed back
-        reach plan size.  A block holds the bits of the whole-plan values,
-        and each row of a sum adds alone, so the blocks do not show.
+        ``buffer`` is a flat array of three plan sizes at least: A takes
+        the first, and the abscissas the second, or the third on a band
+        with a pair whose G is not x, where x0 takes the second.  Every
+        value is written once, in blocks of about ``BLOCK_VALUES`` values,
+        whole rows: the abscissas and x0 once per band, K of a pair with
+        G = x into A's block, that of any other pair into its own block,
+        from which A is formed.  A block holds the bits of the whole-plan
+        values, and each row of a sum adds alone, so the blocks do not
+        show.
 
         Raises
         ------
         SolverError
-            If A is non-finite; the equation, the band and the first bad
-            outer time and abscissa in row-major order are named.
+            If ``reduced`` is not finite (A is read again only then): if A
+            is non-finite, the equation, the band and the first bad outer
+            time and abscissa in row-major order are named; else the
+            equation, the band and the first node whose row overflows.
         """
         j = plan.band
         shape = (plan.piece_width.size, plan.panels)
-        size = shape[0] * shape[1]
-        a = buffer[:size].reshape(shape)
+        a, x0, s = buffer[:3 * shape[0] * shape[1]].reshape((3,) + shape)
         t = times[plan.piece_time, None]
         step = max(1, BLOCK_VALUES // shape[1])
         blocks = [slice(r, r + step) for r in range(0, shape[0], step)]
         nonlinear = self.nonlinear_equations[j - 1]
-        if nonlinear:
-            x0 = buffer[size:2 * size].reshape(shape)
+        system = self.system
+        kernels = [row[j - 1] for row in system.kernels]
+        if not nonlinear:
+            # no x0: its region holds the abscissas, if a K reads them
+            with_s = any("s" in k.free_variables for k in kernels)
+            x0, s = None, (x0 if with_s else None)
+        if s is not None:
             u = self.unknown_of_band[j - 1]
             for rows in blocks:
-                x0[rows] = self.x0.component_values(u, plan.rows(rows))
-        system = self.system
+                plan.rows(rows, out=s[rows])
+                if x0 is not None:
+                    x0[rows] = self.x0.component_values(u, s[rows])
         for i in range(self.n_equations):
             kept = i in nonlinear
             # a K free of s is formed once, on the column of times
             whole = None
-            if "s" not in system.kernels[i][j - 1].free_variables:
+            if "s" not in kernels[i].free_variables:
                 whole = self._kernel(i, j, t, None, shape)
-            needs_s = whole is None or kept and any(
-                "s" in e.free_variables for e in (
-                    system.g_x[i][j - 1], system.nonlinearities[i][j - 1]))
             kernel = None
             if kept:
                 kernel = np.empty(shape) if whole is None else whole
                 sums = np.empty(shape[0])
-            for rows in blocks:
-                s = plan.rows(rows) if needs_s else None
-                if whole is None:
-                    k = self._kernel(i, j, t[rows], s, s.shape)
+            # a bad value shows in ``reduced``, which is checked below
+            with np.errstate(all="ignore"):
+                for rows in blocks:
+                    block = a[rows]
+                    at = None if s is None else s[rows]
+                    if whole is None:
+                        k = self._kernel(i, j, t[rows], at, None,
+                                         kernel[rows] if kept else block)
+                    else:
+                        k = whole[rows]
+                    xm = x0[rows] if kept else None
+                    self._product(i, j, k, at, xm, block)
                     if kept:
-                        kernel[rows] = k
-                else:
-                    k = whole[rows]
-                block = a[rows]
-                self._product(i, j, k, s, x0[rows] if kept else None, block)
-                bad = _first_non_finite(block)
-                if bad is not None:
-                    row, col = divmod(bad, shape[1])
-                    raise self._non_finite(
-                        i, j, t[rows][row, 0], plan.rows(rows)[row, col])
-                if kept:
-                    xm = x0[rows]
-                    gm = _of_shape(
-                        system.nonlinearities[i][j - 1](s=s, x=xm), xm.shape)
-                    # einsum runs its own loop, row by row: a BLAS product
-                    # would make the last bits depend on the BLAS build
-                    sums[rows] = np.einsum("kp,kp->k", block, xm)
-                    sums[rows] -= np.einsum("kp,kp->k", k, gm)
+                        gm = _of_shape(system.nonlinearities[i][j - 1](
+                            s=at, x=xm), xm.shape)
+                        # einsum runs its own loop, row by row: a BLAS
+                        # product would make the last bits depend on the
+                        # BLAS build
+                        sums[rows] = np.einsum("kp,kp->k", block, xm)
+                        sums[rows] -= np.einsum("kp,kp->k", k, gm)
+                reduced = reduce(a)
+            if not np.isfinite(reduced).all():
+                raise self._not_reduced(i, plan, times, a, reduced)
             if kept:
                 np.add.at(guess[i], plan.piece_time, sums * plan.piece_width)
-            yield i, a, kernel
+            yield i, a, kernel, reduced
 
-    def _kernel(self, i, j, t, s, shape):
-        """K_ij at ``t`` and ``s``, of ``shape``; a K constant in s stays a
-        broadcast view."""
-        return _of_shape(self.system.kernels[i][j - 1](t=t, s=s), shape)
+    def _kernel(self, i, j, t, s, shape, out=None):
+        """K_ij at ``t`` and ``s``: written into ``out`` when given, else
+        of ``shape``, where a K constant in s stays a broadcast view."""
+        kernel = self.system.kernels[i][j - 1]
+        if out is not None:
+            return kernel(t=t, s=s, out=out)
+        return _of_shape(kernel(t=t, s=s), shape)
 
     def _product(self, i, j, kernel, s, x0, out):
         """A_ij = K_ij * dG_ij/dx(s, x0) into ``out``; returns dG/dx, or
         None for ``x0`` None, a pair with G = x, whose A is K (K * 1.0 is
-        K bit for bit)."""
+        K bit for bit), copied into ``out`` unless it is ``out``."""
         if x0 is None:
-            out[...] = kernel
+            if kernel is not out:
+                out[...] = kernel
             return None
         slope = _of_shape(self.system.g_x[i][j - 1](s=s, x=x0), out.shape)
         np.multiply(kernel, slope, out=out)
         return slope
+
+    def _not_reduced(self, i, plan, times, a, reduced):
+        """The :class:`SolverError` of equation i on ``plan``, whose A is
+        ``a`` and whose reduction ``reduced`` is not finite: the first
+        non-finite value of A in row-major order, or else the first node
+        whose row of ``reduced`` overflows."""
+        bad = ~np.isfinite(a)
+        if bad.any():
+            row, col = divmod(int(np.argmax(bad)), a.shape[1])
+            return self._non_finite(
+                i, plan.band, times[plan.piece_time[row]],
+                plan.rows(slice(row, row + 1))[0, col])
+        rows = ~np.isfinite(reduced.reshape(reduced.shape[0], -1)).all(axis=1)
+        k = plan.piece_time[np.argmax(rows)]
+        return SolverError(
+            f"the frozen kernel in equation {i + 1}, band {plan.band} is "
+            f"finite, but its sums overflow at node {k + 1} (t = "
+            f"{times[k]:.6g})")
 
     @staticmethod
     def _non_finite(i, j, t, s):

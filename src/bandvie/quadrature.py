@@ -207,10 +207,11 @@ class BandPlan:
         """The whole (pieces, panels) block, formed afresh."""
         return self.rows(slice(None))
 
-    def rows(self, rows):
-        """The abscissas of the pieces ``rows`` (a slice), a new block."""
+    def rows(self, rows, out=None):
+        """The abscissas of the pieces ``rows`` (a slice): a new block, or
+        written into ``out``, a block of their shape."""
         # in the order lo + ((k + 0.5) * width), broadcast over the pieces
-        x = self.offsets * self.piece_width[rows, None]
+        x = np.multiply(self.offsets, self.piece_width[rows, None], out=out)
         x += self.piece_lo[rows, None]
         return x
 

@@ -9,7 +9,13 @@ from bandvie.collocation import (
     PolynomialSolution,
     flatten_index,
 )
-from bandvie.linalg import LUFactorization, lu_factor_stack, refined_solve
+from bandvie.errors import SingularMatrixError
+from bandvie.linalg import (
+    PIVOT_RTOL,
+    LUFactorization,
+    lu_factor_stack,
+    refined_solve,
+)
 from bandvie.newton import NORM_SAMPLES, PsiEvaluator
 from bandvie.pc import PIECE_PANELS, PCDiscretization
 from bandvie.problem import (
@@ -104,6 +110,29 @@ def lu_solve(a, b):
     """
     a = np.asarray(a, dtype=float)
     return refined_solve(LUFactorization(a), a, b)
+
+
+def lu_factor_reference(a):
+    """PA = LU of a square ``a`` by the column loop that
+    :class:`~bandvie.linalg.LUFactorization` ran before its rows were
+    swapped in place and its updates formed without ``np.outer``: returns
+    (lu, perm), or raises :class:`SingularMatrixError` as it did."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    threshold = PIVOT_RTOL * (float(np.max(np.abs(a))) if n else 0.0)
+    perm = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = abs(a[p, k])
+        if pivot <= threshold:
+            raise SingularMatrixError(step=k + 1, pivot=pivot,
+                                      threshold=threshold)
+        if p != k:
+            a[[k, p]] = a[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        a[k + 1:, k] /= a[k, k]
+        a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+    return a, perm
 
 
 def lu_substitute(lu, perm, b):

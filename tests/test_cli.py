@@ -1,10 +1,12 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from bandvie.cli import main
 from bandvie.config import load_problem
+from bandvie.problem import validate
 
 MODEL01_YAML = """\
 n: 2
@@ -146,6 +148,40 @@ def test_run_solver_error_exits_3(capsys):
                  "--degree", "15"])
     assert code == 3
     assert "singular" in capsys.readouterr().err
+
+
+OVERFLOW_YAML = """\
+n: 2
+T: 1.0
+alpha: ["t/2"]
+unknown_of_band: [1, 1]
+K: [["1e305*(2+s)", "1"]]
+G: [["x", "x"]]
+f: ["t"]
+"""
+
+
+@pytest.mark.parametrize("method, size, message", [
+    ("collocation", ["--degree", "4"],
+     "the frozen kernel in equation 1, band 1 is finite, but its sums "
+     "overflow at node 1 (t = 0.25)"),
+    ("pc", ["--nodes", "8"],
+     "iteration 1: correction of component 1 is inf at t = 0.501 "
+     "(previous 0.0, next -inf)")])
+def test_run_finite_kernel_whose_sums_overflow_exits_3(tmp_path, capsys,
+                                                       method, size, message):
+    # every value of the kernel is finite, so the problem validates clean;
+    # collocation's 8000-panel moments overflow and are named at set-up,
+    # pc's 4-panel sums do not, and its step values overflow instead.
+    # Either error is the only report: no overflow warning leaks
+    cfg = tmp_path / "overflow.yaml"
+    cfg.write_text(OVERFLOW_YAML)
+    assert validate(load_problem(cfg)) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(cfg), "--method", method, *size])
+    assert code == 3
+    assert capsys.readouterr().err == f"solver error: {message}\n"
 
 
 SQRT_AT_ZERO_YAML = """\

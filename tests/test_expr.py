@@ -364,3 +364,92 @@ def test_non_polynomials_have_no_coefficients(text):
 def test_polynomials_above_the_degree_bound_have_no_coefficients(text):
     assert polynomial_degree(parse(text), 4) is None
     assert polynomial_degree(parse("x^4 + x^2*x^2"), 4) == 4
+
+
+def _out_inputs(layout, rng):
+    """t, s and x drawn from ``POWER_INPUTS`` for a call into a (3, 5)
+    ``out``: a column of t with blocks of s and x, three columns, or three
+    Python floats."""
+    def values(shape):
+        return rng.choice(POWER_INPUTS, shape)
+    if layout == "block":
+        return values((3, 1)), values((3, 5)), values((3, 5))
+    if layout == "columns":
+        return values((3, 1)), values((3, 1)), values((3, 1))
+    return tuple(float(v) for v in values(3))
+
+
+@settings(max_examples=300)
+@given(text=_TREES, layout=st.sampled_from(["block", "columns", "scalars"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_call_into_out_holds_the_bytes_of_the_call_without_it(text, layout,
+                                                                 seed):
+    # nan, infinities and signed zeros included; inputs that only
+    # broadcast into out are formed as without it and copied in
+    e = parse(text)
+    t, s, x = _out_inputs(layout, np.random.default_rng(seed))
+    expected = np.broadcast_to(np.asarray(e(t=t, s=s, x=x), float), (3, 5))
+    out = np.full((3, 5), 7.0)
+    assert e(t=t, s=s, x=x, out=out) is out
+    assert out.tobytes() == np.ascontiguousarray(expected).tobytes(), text
+
+
+def test_constant_and_variable_roots_are_copied_into_out():
+    out = np.empty((2, 3))
+    assert parse("2*3")(t=1.0, out=out) is out
+    assert np.all(out == 6.0)
+    s = np.array([[-0.0, np.nan, -np.inf], [5e-324, 1.0, -2.5]])
+    assert parse("s")(s=s, out=out) is out
+    assert out.tobytes() == s.tobytes() and not np.shares_memory(out, s)
+    column = np.array([[-0.0], [np.nan]])
+    assert parse("t")(t=column, out=out) is out
+    assert out.tobytes() == np.broadcast_to(column, (2, 3)).copy().tobytes()
+    assert parse("x")(x=-0.0, out=out) is out
+    assert out.tobytes() == np.full((2, 3), -0.0).tobytes()
+
+
+def test_a_root_over_scalars_is_formed_as_without_out():
+    # numpy's scalar power takes (-0)^0.5 to +0, where its ufunc loop,
+    # broadcasting the scalars into out, gives -0
+    for text in ("t^s", "(t*1)^(s+0)", "t^0.5", "-t"):
+        e = parse(text)
+        out = np.empty(4)
+        assert e(t=-0.0, s=0.5, out=out) is out
+        assert out.tobytes() == np.full(4, e(t=-0.0, s=0.5)).tobytes(), text
+
+
+@pytest.mark.parametrize("text", [
+    "x^2", "x^3", "x^4", "(x+1)^3", "-x^4", "x^5", "x^0.5", "x^-1", "t^x",
+    "sin(x)", "cos(x)", "exp(x)", "log(x)", "sqrt(x)", "-x", "1/x", "x/0",
+    "-x/0", "x-x", "t*x"])
+def test_powers_calls_and_division_by_zero_into_out(text):
+    e = parse(text)
+    x = POWER_INPUTS.reshape(2, -1)
+    for t in (2.0, np.array([[-0.0], [0.5]])):
+        expected = np.broadcast_to(np.asarray(e(t=t, x=x), float), x.shape)
+        out = np.empty(x.shape)
+        assert e(t=t, x=x, out=out) is out
+        assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("text, source", [
+    ("1+t+s", "((_c0+t)+s)"),
+    ("sin(t/2)*x^2", "(np.sin((t/_c0))*_square(x))"),
+    ("-(x^3) + 2^t", "((-_cube(x))+(_c0**t))"),
+    ("s*(t+s)", "(s*(t+s))"),
+    ("exp(-t)*cos(2*t)", "(np.exp((-t))*np.cos((_c0*t)))"),
+    ("x^4/(1+x^2)^0.5", "(_fourth(x)/((_c0+_square(x))**_c1))"),
+    ("log(t)-sqrt(s)", "(np.log(t)-np.sqrt(s))")])
+def test_the_call_without_out_keeps_its_own_compiled_source(text, source):
+    # the out form is compiled apart, on its first call, and does not run
+    # the call without out where an operand has the shape of out; the
+    # call without out runs the one expression it always ran
+    e = parse(text)
+    t, s, x = np.full(3, 0.5), np.full(3, 0.25), np.full(3, 2.0)
+    e(t=t, s=s, x=x, out=np.empty(3))
+    assert e._compiled is None
+    e(t=t, s=s, x=x)
+    code = e._compiled.__code__
+    expected = eval("lambda t=None, s=None, x=None: " + source, {}).__code__
+    for field in ("co_code", "co_consts", "co_names", "co_varnames"):
+        assert getattr(code, field) == getattr(expected, field), field

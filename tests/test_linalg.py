@@ -4,8 +4,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandvie import collocation
 from bandvie.collocation import CollocationDiscretization
-from bandvie.errors import SingularMatrixError
+from bandvie.errors import SingularMatrixError, SolverError
 from bandvie.linalg import (
     LUFactorization,
     lu_factor_stack,
@@ -15,7 +16,7 @@ from bandvie.linalg import (
 from bandvie.problem import linearize
 from bandvie.registry import builtin
 
-from helpers import lu_solve, lu_substitute
+from helpers import lu_factor_reference, lu_solve, lu_substitute
 
 
 def test_identity():
@@ -223,6 +224,74 @@ def test_stacked_inverse_solves_every_unit_column(seed, count, n, ties):
         assert np.max(np.abs(inverse[i] - columns)) <= 1e-13 * scale
         assert np.max(np.abs(inverse[i] @ a[i] - np.eye(n))) <= \
             1e-12 * scale * np.abs(a[i]).max() * n
+
+
+def _factors_like_the_reference(matrix):
+    """LUFactorization of ``matrix`` holds the bytes of
+    :func:`helpers.lu_factor_reference`'s factors and permutation, or
+    fails at the same step, pivot and threshold."""
+    try:
+        lu, perm = lu_factor_reference(matrix)
+    except SingularMatrixError as reference:
+        with pytest.raises(SingularMatrixError) as exc:
+            LUFactorization(matrix)
+        got = exc.value
+        assert (got.step, got.threshold, got.index) == (
+            reference.step, reference.threshold, None)
+        assert np.float64(got.pivot).tobytes() == \
+            np.float64(reference.pivot).tobytes()
+        assert str(got) == str(reference)
+        return False
+    fact = LUFactorization(matrix)
+    assert fact._lu.tobytes() == lu.tobytes()
+    assert fact._perm.tobytes() == perm.tobytes()
+    return True
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9),
+       ties=st.booleans(), singular=st.booleans())
+def test_elimination_is_the_reference_column_loop_bit_for_bit(seed, n, ties,
+                                                              singular):
+    # rounded entries tie pivots (or zero a column); a repeated row fails
+    # a later step
+    [matrix] = _stack(seed, 1, n, ties, [0] if singular else [])
+    factored = _factors_like_the_reference(matrix)
+    assert not (singular and factored)
+
+
+def test_elimination_is_the_reference_on_the_solvers_matrices(monkeypatch):
+    # every matrix of the collocation degree tables m = 2..12: model02's
+    # fail their pivot test at m = 11 and 12, with the same step, pivot
+    # and threshold
+    matrices = []
+
+    def recording(matrix):
+        matrices.append(np.array(matrix))
+        return LUFactorization(matrix)
+
+    monkeypatch.setattr(collocation, "LUFactorization", recording)
+    for name in ("model02", "nonlinear-sys2"):
+        lin = linearize(builtin(name))
+        for degree in range(2, 13):
+            try:
+                CollocationDiscretization(lin, degree)
+            except SolverError:
+                assert name == "model02" and degree > 10
+    assert len(matrices) == 22
+    factored = [_factors_like_the_reference(m) for m in matrices]
+    assert factored == [True] * 9 + [False] * 2 + [True] * 11
+
+
+def test_elimination_fails_a_singular_step_as_the_reference():
+    # zero first column (step 1), a repeated row (a later step), a
+    # pivot just under the threshold, and the zero matrix
+    tiny = np.eye(3)
+    tiny[2, 2] = 1e-13 * 0.999
+    for matrix in (np.array([[0.0, 1.0], [0.0, 2.0]]),
+                   np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0],
+                             [1.0, 2.0, 3.0]]), tiny, np.zeros((2, 2))):
+        assert not _factors_like_the_reference(matrix)
 
 
 def _solves_like_the_reference(matrix, rhs):

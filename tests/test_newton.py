@@ -210,14 +210,14 @@ def _count_frozen_kernel(monkeypatch):
     frozen_pairs = LinearizedSystem.frozen_pairs
     kernel = LinearizedSystem._kernel
 
-    def counting_pairs(self, plan, times, buffer, guess):
+    def counting_pairs(self, plan, times, buffer, guess, reduce):
         calls.append((plan.band, plan.piece_width.size * plan.panels))
-        return frozen_pairs(self, plan, times, buffer, guess)
+        return frozen_pairs(self, plan, times, buffer, guess, reduce)
 
-    def counting_kernel(self, i, j, t, s, shape):
+    def counting_kernel(self, i, j, t, s, shape, out=None):
         if shape == (1,):
             calls.append((j, 1))
-        return kernel(self, i, j, t, s, shape)
+        return kernel(self, i, j, t, s, shape, out)
 
     monkeypatch.setattr(LinearizedSystem, "frozen_pairs", counting_pairs)
     monkeypatch.setattr(LinearizedSystem, "_kernel", counting_kernel)

@@ -6,11 +6,15 @@ lo + (k + 0.5) * width, and sum each piece as its row alone.
 ``LinearizedSystem.frozen_pairs`` forms A = K * dG/dx(x0), K and psi's
 sums at the guess in blocks of rows; they must hold the bits of the same
 values formed on the whole plan at once (the sums, once added into psi
-at the guess), and the check of A, one sum per
-block, must name the first bad value in row-major order, as the whole
-plan does.  The reference values come from the expressions themselves,
-evaluated on the whole plan at once (``helpers.frozen_values``).
+at the guess).  A is checked through the caller's reduction of the whole
+plan (the collocation moments, the pc piece sums), which must name the
+first bad value in row-major order, as the whole plan does, and a row
+of the reduction that overflows.  The reference values come from the
+expressions themselves, evaluated on the whole plan at once
+(``helpers.frozen_values``).
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from bandvie import quadrature
 from bandvie.collocation import DEFAULT_MOMENT_PANELS, collocation_nodes
 from bandvie.errors import SolverError
 from bandvie.expr import Expression
-from bandvie.pc import PIECE_PANELS
+from bandvie.pc import PIECE_PANELS, Mesh, PCDiscretization
 from bandvie.problem import (
     BLOCK_VALUES,
     CurveFamily,
@@ -132,14 +136,23 @@ def _moment_plan(system, band=1, degree=4, panels=DEFAULT_MOMENT_PANELS):
     return list(plans)[band - 1], nodes
 
 
+def _moments(plan, times):
+    """The collocation reduction of a plan over the nodes ``times``: A @
+    table.T, the reference powers up to the degree, the node count."""
+    table = quadrature.reference_powers(plan.panels, times.size)
+    return lambda a: a @ table.T
+
+
 def _frozen_pass(lin, plan, times):
     """Every pair of one :meth:`LinearizedSystem.frozen_pairs` pass on
-    ``plan``, (i, A, K), A copied out of the buffer that the next pair
-    overwrites; and what the pass added into psi at the guess, from 0."""
-    buffer = np.empty(2 * plan.piece_width.size * plan.panels)
+    ``plan``, reduced to its moments, (i, A, K), A copied out of the
+    buffer that the next pair overwrites; and what the pass added into psi
+    at the guess, from 0."""
+    buffer = np.empty(3 * plan.piece_width.size * plan.panels)
     guess = np.zeros((lin.n_equations, times.size))
-    return [(i, a.copy(), kernel) for i, a, kernel in
-            lin.frozen_pairs(plan, times, buffer, guess)], guess
+    return [(i, a.copy(), kernel) for i, a, kernel, _ in
+            lin.frozen_pairs(plan, times, buffer, guess,
+                             _moments(plan, times))], guess
 
 
 def _one_equation(kernel):
@@ -149,15 +162,48 @@ def _one_equation(kernel):
 
 
 def test_a_finite_kernel_whose_sum_overflows_is_not_reported():
-    # every block of rows sums to inf, but no value of A is inf
-    system = _one_equation("1e308")
+    # every block of rows sums to inf, but no value of A is inf, and no
+    # row of the moments overflows: a row sums to 8000 * 1.5e304
+    system = _one_equation("1.5e304")
     plan, times = _moment_plan(system)
     [(_, a, _)], _ = _frozen_pass(linearize(system), plan, times)
     step = max(1, BLOCK_VALUES // plan.panels)
+    assert step > 1
     with np.errstate(over="ignore"):
         assert np.add.reduce(a[:step], axis=None) == np.inf
-    assert np.all(a == 1e308)
+    assert np.all(a == 1.5e304)
+    assert np.isfinite(_moments(plan, times)(a)).all()
     assert not any("frozen kernel" in d.condition for d in validate(system))
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_a_row_of_the_reduction_that_overflows_is_named(cut):
+    # every value of A is finite, but on the collocation plan a row of
+    # 8000 panels of 1e305 * (2 + s) sums past the largest float; on the
+    # cut plan 4 panels of 1e308 do.  No value is named, and no overflow
+    # warning leaks
+    kernel = "1e308+0*s" if cut else "1e305*(2+s)"
+    system = _one_equation(kernel)
+    lin = linearize(system)
+    plans, times = _plans(system, cut)
+    plan = plans[0]
+    buffer = np.empty(3 * plan.piece_width.size * plan.panels)
+    reduce = plan.piece_sums if cut else _moments(plan, times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError) as overflow:
+            list(lin.frozen_pairs(plan, times, buffer,
+                                  np.zeros((1, times.size)), reduce))
+    a = buffer[:plan.piece_width.size * plan.panels]
+    assert np.isfinite(a).all()
+    with np.errstate(over="ignore"):
+        rows = ~np.isfinite(reduce(a.reshape(-1, plan.panels)))
+    first = plan.piece_time[np.argmax(rows.reshape(rows.shape[0], -1).any(
+        axis=1))]
+    assert "non-finite" not in str(overflow.value)
+    assert str(overflow.value) == (
+        f"the frozen kernel in equation 1, band 1 is finite, but its sums "
+        f"overflow at node {first + 1} (t = {times[first]:.6g})")
 
 
 @pytest.mark.parametrize("kernel", ["sqrt(0.3-s)", "exp(2000*s)"])
@@ -268,17 +314,21 @@ def test_blocked_pass_holds_the_bits_of_the_whole_plan(cut):
     system = _pass_system()
     lin = linearize(system)
     plans, times = _plans(system, cut)
-    buffer = np.empty(2 * max(p.piece_width.size * p.panels for p in plans))
+    buffer = np.empty(3 * max(p.piece_width.size * p.panels for p in plans))
     for plan in plans:
         assert plan.piece_width.size * plan.panels > 2 * BLOCK_VALUES
         kvs, avs = whole_plan_frozen(lin, plan, times)
         guess = guess_sums_reference(lin, plan, times)
         kept = lin.nonlinear_equations[plan.band - 1]
+        reduce = plan.piece_sums if cut else _moments(plan, times)
         seen = []
         at_guess = np.zeros((lin.n_equations, times.size))
-        for i, a, kernel in lin.frozen_pairs(plan, times, buffer, at_guess):
+        for i, a, kernel, reduced in lin.frozen_pairs(plan, times, buffer,
+                                                      at_guess, reduce):
             seen.append(i)
             assert a.tobytes() == avs[i].tobytes()
+            # the caller's reduction of the whole plan's A, formed once
+            assert reduced.tobytes() == reduce(avs[i]).tobytes()
             # the pair's sums are added into its row before it is yielded
             expected = np.zeros(times.size)
             if i in kept:
@@ -306,9 +356,11 @@ def test_a_bad_value_in_a_later_block_is_named_as_on_the_whole_plan(cut):
     lin = linearize(system)
     plans, times = _plans(system, cut)
     plan = plans[1]
-    buffer = np.empty(2 * plan.piece_width.size * plan.panels)
+    buffer = np.empty(3 * plan.piece_width.size * plan.panels)
+    reduce = plan.piece_sums if cut else _moments(plan, times)
     with pytest.raises(SolverError) as blocked:
-        list(lin.frozen_pairs(plan, times, buffer, np.zeros((1, times.size))))
+        list(lin.frozen_pairs(plan, times, buffer, np.zeros((1, times.size)),
+                              reduce))
     t = times[plan.piece_time, None]
     with np.errstate(all="ignore"):
         bad = ~np.isfinite(system.kernels[0][1](t=t, s=plan.abscissas))
@@ -317,3 +369,117 @@ def test_a_bad_value_in_a_later_block_is_named_as_on_the_whole_plan(cut):
     assert str(blocked.value) == (
         f"non-finite frozen kernel in equation 1, band 2 at t = "
         f"{t[r, 0]:.6g}, s = {plan.abscissas[r, c]:.6g}")
+
+
+def test_a_bad_value_on_a_cut_plan_is_named_through_the_piece_sums():
+    # pc reduces A to its piece sums; sqrt(0.9 - s) turns nan inside
+    # band 2 many blocks of rows in, and the pc set-up names the first bad
+    # value in row-major order, as on the whole plan
+    system = VolterraSystem(curves=CurveFamily(1.0, ("t/2",)),
+                            kernels=[["1", "sqrt(0.9-s)"]],
+                            nonlinearities=[["x", "x"]], rhs=["t"],
+                            unknown_of_band=(1, 1))
+    plans, times = _plans(system, cut=True)
+    plan = plans[1]
+    t = times[plan.piece_time, None]
+    with np.errstate(all="ignore"):
+        bad = ~np.isfinite(system.kernels[0][1](t=t, s=plan.abscissas))
+    r, c = np.argwhere(bad)[0]
+    assert r * plan.panels >= 2 * BLOCK_VALUES
+    with pytest.raises(SolverError) as pc:
+        PCDiscretization(linearize(system), Mesh(np.append(0.0, times)))
+    assert str(pc.value) == (
+        f"non-finite frozen kernel in equation 1, band 2 at t = "
+        f"{t[r, 0]:.6g}, s = {plan.abscissas[r, c]:.6g}")
+
+
+def _recorded_pass(system, cut, monkeypatch):
+    """One pass per band plan of ``system``, recording every
+    :meth:`BandPlan.rows` call as (band, rows, out) and every kernel
+    evaluation as (equation, band, out); per band, its plan, the pairs
+    (i, kernel) and the region of A in the buffer."""
+    lin = linearize(system)
+    plans, times = _plans(system, cut)
+    rows_calls, kernel_calls, passes = [], [], []
+    rows, call = quadrature.BandPlan.rows, Expression.__call__
+    kernels = {id(k): (i, j) for i, row in enumerate(system.kernels)
+               for j, k in enumerate(row, start=1)}
+
+    def counting_rows(plan, sl, out=None):
+        rows_calls.append((plan.band, range(plan.piece_width.size)[sl], out))
+        return rows(plan, sl, out)
+
+    def recording_call(self, *args, **kwargs):
+        if id(self) in kernels:
+            kernel_calls.append(kernels[id(self)] + (kwargs.get("out"),))
+        return call(self, *args, **kwargs)
+
+    buffer = np.empty(3 * max(p.piece_width.size * p.panels for p in plans))
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature.BandPlan, "rows", counting_rows)
+        patch.setattr(Expression, "__call__", recording_call)
+        for plan in plans:
+            reduce = plan.piece_sums if cut else _moments(plan, times)
+            pairs = [(i, kernel) for i, _, kernel, _ in lin.frozen_pairs(
+                plan, times, buffer, np.zeros((lin.n_equations, times.size)),
+                reduce)]
+            region = buffer[:plan.piece_width.size * plan.panels].reshape(
+                -1, plan.panels)
+            passes.append((plan, pairs, region))
+    return rows_calls, kernel_calls, passes
+
+
+def _blocks(plan):
+    """The row blocks of ``plan``, (first, end) pairs."""
+    step = max(1, BLOCK_VALUES // plan.panels)
+    return [(r, min(r + step, plan.piece_width.size))
+            for r in range(0, plan.piece_width.size, step)]
+
+
+@pytest.mark.parametrize("cut", [False, True])
+@pytest.mark.parametrize("name", ["pass", "model01"])
+def test_each_band_forms_its_abscissas_once_per_row_block(name, cut, model01,
+                                                          monkeypatch):
+    # into the buffer, once for x0 and every equation; model01's band 2
+    # has no x0 and no K with s, and forms none
+    system = _pass_system() if name == "pass" else model01
+    rows_calls, _, passes = _recorded_pass(system, cut, monkeypatch)
+    expected = []
+    for plan, _, _ in passes:
+        assert len(_blocks(plan)) > 1
+        if plan.band == 1 or name == "pass":
+            expected += [(plan.band, range(lo, hi))
+                         for lo, hi in _blocks(plan)]
+    assert [(band, rows) for band, rows, _ in rows_calls] == expected
+    assert all(out is not None for *_, out in rows_calls)
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_a_g_equal_x_pair_evaluates_k_into_the_block_of_a(cut, monkeypatch):
+    # band 1's pairs have G = x and a K with s: K goes straight into A's
+    # block; band 2's pair of equation 1 has G = x^2, and its K goes into
+    # its own kept block, from which A is formed; its pair of equation 2
+    # has K = -1, free of s, formed once on the column of times
+    system = VolterraSystem(
+        curves=CurveFamily(1.0, ("t/2",)),
+        kernels=[["1+t*s", "s*(t+s)"], ["1+t-s", "-1"]],
+        nonlinearities=[["x", "x^2"], ["x", "x"]],
+        rhs=["t", "t^2"], guess=["0.9*cos(t)", "0.9*sin(t)"])
+    _, kernel_calls, passes = _recorded_pass(system, cut, monkeypatch)
+    for plan, pairs, region in passes:
+        calls = [(i, out) for i, j, out in kernel_calls if j == plan.band
+                 and out is not None]
+        for i, kernel in pairs:
+            outs = [out for e, out in calls if e == i]
+            if "s" not in system.kernels[i][plan.band - 1].free_variables:
+                assert outs == []
+                continue
+            assert [out.shape[0] for out in outs] == [
+                hi - lo for lo, hi in _blocks(plan)]
+            for out, (lo, hi) in zip(outs, _blocks(plan)):
+                home = region if kernel is None else kernel
+                # the out it received is that block of A (of K)
+                assert out.__array_interface__["data"][0] == \
+                    home[lo:hi].__array_interface__["data"][0]
+                assert out.shape == home[lo:hi].shape
+                assert np.shares_memory(out, region) == (kernel is None)

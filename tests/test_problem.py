@@ -273,10 +273,11 @@ def _frozen_pass(lin, band, times, lo, hi, panels):
     plan = BandPlan(band=band, piece_time=np.arange(times.size),
                     piece_width=(hi - lo) / panels, piece_lo=lo,
                     offsets=np.arange(panels) + 0.5)
-    buffer = np.empty(2 * plan.abscissas.size)
+    buffer = np.empty(3 * plan.abscissas.size)
     guess = np.zeros((lin.n_equations, times.size))
-    return [(a.copy(), kernel) for _, a, kernel in
-            lin.frozen_pairs(plan, times, buffer, guess)], plan
+    return [(a.copy(), kernel) for _, a, kernel, _ in
+            lin.frozen_pairs(plan, times, buffer, guess,
+                             plan.piece_sums)], plan
 
 
 def test_linearize_linear_system_freezes_to_plain_kernels(model01):

@@ -864,10 +864,10 @@ def test_k_of_a_pair_with_weights_goes_at_the_first_solver_iterate(
     frozen_pairs = LinearizedSystem.frozen_pairs
 
     def recording(self, *args):
-        for i, a, kernel in frozen_pairs(self, *args):
+        for i, a, kernel, reduced in frozen_pairs(self, *args):
             if kernel is not None:
                 kept.append((args[0].band - 1, i, weakref.ref(kernel)))
-            yield i, a, kernel
+            yield i, a, kernel, reduced
 
     def alive():
         gc.collect()
